@@ -5,8 +5,6 @@ purification over finite-dimensional polyhedral cones, producing certificates
 that re-verify by exact substitution.
 """
 
-from ._kernel import BACKEND as KERNEL_BACKEND
-
 __version__ = "0.1.0"
 
-__all__ = ["KERNEL_BACKEND", "__version__"]
+__all__ = ["__version__"]

@@ -1,0 +1,88 @@
+"""Dense exact-rational pivot kernel.
+
+Each row is kept as a list of numerators and a list of denominators: plain
+ints, always coprime, with the denominator positive. The pivot inner loop
+therefore runs on integer arithmetic and builds no Fraction objects.
+Everything algorithmic (simplex, Gaussian elimination, double description)
+lives above this layer and sees entries only as Fractions.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd
+
+# Labels benchmark runs with the kernel that produced them.
+BACKEND = "pure"
+
+
+class Tableau:
+    """Dense mutable matrix of rationals supporting Gauss-Jordan pivots."""
+
+    __slots__ = ("_nums", "_dens", "nrows", "ncols")
+
+    def __init__(self, rows):
+        nums: list[list[int]] = []
+        dens: list[list[int]] = []
+        for row in rows:
+            entries = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+            nums.append([x.numerator for x in entries])
+            dens.append([x.denominator for x in entries])
+        self._nums = nums
+        self._dens = dens
+        self.nrows = len(nums)
+        self.ncols = len(nums[0]) if nums else 0
+        if any(len(rn) != self.ncols for rn in nums):
+            raise ValueError("ragged tableau")
+
+    def entry(self, i: int, j: int) -> Fraction:
+        return Fraction(self._nums[i][j], self._dens[i][j])
+
+    def row(self, i: int) -> list[Fraction]:
+        return [Fraction(n, d) for n, d in zip(self._nums[i], self._dens[i])]
+
+    def sign(self, i: int, j: int) -> int:
+        n = self._nums[i][j]
+        return (n > 0) - (n < 0)
+
+    def pivot(self, r: int, c: int) -> None:
+        """Scale row r so entry (r, c) becomes 1, then clear column c elsewhere."""
+        nums, dens = self._nums, self._dens
+        pn_row, pd_row = nums[r], dens[r]
+        pn, pd = pn_row[c], pd_row[c]
+        if pn == 0:
+            raise ZeroDivisionError("pivot on zero entry")
+        # Only the pivot row's nonzero columns change in the other rows.
+        cols = [j for j, x in enumerate(pn_row) if x and j != c]
+        if pn != pd:  # reduced pairs, so pn == pd only when the pivot is 1
+            if pn < 0:
+                pn, pd = -pn, -pd
+            for j in cols:
+                num = pn_row[j] * pd
+                den = pd_row[j] * pn
+                g = gcd(num, den)
+                pn_row[j] = num // g
+                pd_row[j] = den // g
+        pn_row[c] = pd_row[c] = 1
+        pivot_entries = [(j, pn_row[j], pd_row[j]) for j in cols]
+        for i in range(self.nrows):
+            rn = nums[i]
+            fn = rn[c]
+            if not fn or i == r:
+                continue
+            rd = dens[i]
+            fd = rd[c]
+            # a/b - (fn/fd)(p/q) = (a*fd*q - fn*p*b) / (b*fd*q)
+            for j, p, q in pivot_entries:
+                b = rd[j]
+                num = rn[j] * fd * q - fn * p * b
+                if num:
+                    den = b * fd * q
+                    g = gcd(num, den)
+                    rn[j] = num // g
+                    rd[j] = den // g
+                else:
+                    rn[j] = 0
+                    rd[j] = 1
+            rn[c] = 0
+            rd[c] = 1

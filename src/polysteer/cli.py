@@ -31,7 +31,7 @@ from .composite import (
 )
 from .cone import dual_cone
 from .fixtures import fixture_library
-from .ratlin import LPOutcome, as_vector
+from .ratlin import LPOutcome, as_vector, format_rational
 from .space import OrderIsoWitness, effects_interval, is_homogeneous, is_weakly_self_dual
 from .steering import (
     AffineSection,
@@ -40,13 +40,13 @@ from .steering import (
     decide_steering,
     ensemble_lift_program,
 )
-from .theoryfile import TheoryFileError, parse_rational, rational_str
+from .theoryfile import TheoryFileError, parse_rational
 
 REPORT_FORMAT = "report/1"
 
 
 def _rvec(v) -> list[str]:
-    return [rational_str(x) for x in v]
+    return [format_rational(x) for x in v]
 
 
 def _rmat(m) -> list[list[str]]:

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$", re.ASCII)
 
 
 def parse_rational(text: str) -> Fraction:

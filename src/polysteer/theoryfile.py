@@ -34,9 +34,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+from . import ratlin
 from .composite import BipartiteState
 from .cone import cone_from_rays
-from .ratlin import as_vector
+from .ratlin import as_vector, format_rational
 from .space import StateSpace
 from .steering import Ensemble
 
@@ -48,23 +49,13 @@ class TheoryFileError(ValueError):
 
 
 def parse_rational(value) -> Fraction:
-    if isinstance(value, bool):
-        raise TheoryFileError(f"not a rational: {value!r}")
-    if isinstance(value, int):
+    """A "p/q" or "p" string, or a bare JSON integer, as a Fraction."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise TheoryFileError(f"not a rational: {value!r} ({exc})") from None
-    raise TheoryFileError(f"not a rational: {value!r}")
-
-
-def rational_str(value) -> str:
-    f = Fraction(value)
-    if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        return ratlin.parse_rational(value)
+    except ValueError:
+        raise TheoryFileError(f"not a rational: {value!r}") from None
 
 
 def _vector(values, context: str) -> tuple[Fraction, ...]:
@@ -225,9 +216,9 @@ def loads(text: str) -> TheoryFile:
 def space_to_entry(space: StateSpace) -> dict:
     return {
         "ambient_dim": space.cone.ambient_dim,
-        "rays": [[rational_str(x) for x in r] for r in space.cone.rays],
-        "facets": [[rational_str(x) for x in g] for g in space.cone.facets],
-        "unit": [rational_str(x) for x in space.unit],
+        "rays": [[format_rational(x) for x in r] for r in space.cone.rays],
+        "facets": [[format_rational(x) for x in g] for g in space.cone.facets],
+        "unit": [format_rational(x) for x in space.unit],
     }
 
 
@@ -243,13 +234,13 @@ def to_document(tf: TheoryFile) -> dict:
             doc["states"][name] = {
                 "space_a": _space_name(tf, st.space_a),
                 "space_b": _space_name(tf, st.space_b),
-                "matrix": [[rational_str(x) for x in row] for row in st.matrix],
+                "matrix": [[format_rational(x) for x in row] for row in st.matrix],
             }
     if tf.ensembles:
         doc["ensembles"] = {
             name: {
                 "space": _space_name(tf, e.space),
-                "parts": [[rational_str(x) for x in p] for p in e.parts],
+                "parts": [[format_rational(x) for x in p] for p in e.parts],
             }
             for name, e in tf.ensembles.items()
         }

@@ -1,92 +1,83 @@
-"""Backend equivalence tests for the rational pivot kernel.
+"""Tests of the rational pivot kernel.
 
-The compiled and pure tableaus must be observationally identical: same
-entries, same signs, same errors, on every pivot sequence. The sequences
-here are seeded so failures reproduce.
+The tableau must behave exactly like Gauss-Jordan elimination over
+Fractions: same entries, same signs, same errors, on every pivot sequence.
+The sequences here are seeded so failures reproduce.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from polysteer._kernel import BACKEND, PureTableau
-
-try:
-    from polysteer._kernel import _speedups
-
-    CompiledTableau = _speedups.Tableau
-except ImportError:
-    CompiledTableau = None
-
-needs_compiled = pytest.mark.skipif(
-    CompiledTableau is None, reason="compiled kernel not built"
-)
+from polysteer._kernel import BACKEND, Tableau
 
 
-def random_matrix(rng, nrows, ncols, scale=9):
-    return [
-        [
-            Fraction(rng.randint(-scale, scale), rng.randint(1, scale))
-            for _ in range(ncols)
-        ]
-        for _ in range(nrows)
-    ]
+def reference_pivot(rows, r, c):
+    """Gauss-Jordan pivot on a list of Fraction rows, in place."""
+    p = rows[r][c]
+    rows[r] = [x / p for x in rows[r]]
+    for i, row in enumerate(rows):
+        if i != r and row[c]:
+            f = row[c]
+            rows[i] = [a - f * b for a, b in zip(row, rows[r])]
 
 
-def random_pivots(rng, rows, steps):
-    """Walk a random pivot sequence, mirroring it on both backends."""
-    a = PureTableau(rows)
-    b = CompiledTableau(rows)
-    for _ in range(steps):
-        options = [
-            (i, j)
-            for i in range(a.nrows)
-            for j in range(a.ncols)
-            if a.sign(i, j) != 0
-        ]
-        if not options:
-            break
-        r, c = rng.choice(options)
-        a.pivot(r, c)
-        b.pivot(r, c)
-        assert [a.row(i) for i in range(a.nrows)] == [
-            b.row(i) for i in range(b.nrows)
-        ]
+def random_entry(rng, scale=9):
+    """An int, Fraction or "p/q" string; about a third of entries are zero."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-scale, scale)
+    if kind == 2:
+        return Fraction(rng.randint(-scale, scale), rng.randint(1, scale))
+    return f"{rng.randint(-scale, scale)}/{rng.randint(1, scale)}"
 
 
-@needs_compiled
-def test_backends_agree_on_seeded_pivot_walks():
+def test_seeded_pivot_walks_match_fraction_reference():
     rng = random.Random(20240901)
-    for _ in range(25):
-        nrows = rng.randint(1, 6)
-        ncols = rng.randint(1, 7)
-        random_pivots(rng, random_matrix(rng, nrows, ncols), steps=6)
+    negative_pivots = zero_columns = 0
+    for _ in range(300):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+        rows = [[random_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+        tab = Tableau(rows)
+        ref = [[Fraction(x) for x in row] for row in rows]
+        for _ in range(6):
+            options = [(i, j) for i in range(nrows) for j in range(ncols) if ref[i][j]]
+            if not options:
+                break
+            r, c = rng.choice(options)
+            negative_pivots += ref[r][c] < 0
+            zero_columns += 0 in ref[r]
+            reference_pivot(ref, r, c)
+            tab.pivot(r, c)
+            assert [tab.row(i) for i in range(nrows)] == ref
+            assert [[tab.sign(i, j) for j in range(ncols)] for i in range(nrows)] == [
+                [(x > 0) - (x < 0) for x in row] for row in ref
+            ]
+            # The stored pairs stay reduced, or their ints would grow unchecked.
+            for nums, dens in zip(tab._nums, tab._dens):
+                assert all(d > 0 and math.gcd(n, d) == 1 for n, d in zip(nums, dens))
+    assert negative_pivots > 100 and zero_columns > 100
 
 
-@needs_compiled
-def test_backends_agree_on_integer_tableaus():
-    rng = random.Random(7)
-    for _ in range(10):
-        rows = [[rng.randint(-5, 5) for _ in range(5)] for _ in range(4)]
-        random_pivots(rng, rows, steps=5)
+def test_entries_are_fractions_in_lowest_terms():
+    t = Tableau([[Fraction(3, 7), -2, "6/4"], [5, Fraction(-1, 3), 0]])
+    t.pivot(0, 0)
+    t.pivot(1, 1)
+    for i in range(t.nrows):
+        row = t.row(i)
+        assert row == [t.entry(i, j) for j in range(t.ncols)]
+        for x in row:
+            assert type(x) is Fraction
+            assert x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
+    assert t.row(0) == [1, 0, Fraction(-7, 138)]
+    assert t.row(1) == [0, 1, Fraction(-35, 46)]
 
 
-@needs_compiled
-def test_compiled_matches_pure_entry_and_sign():
-    rows = [[Fraction(3, 7), -2, 0], [5, Fraction(-1, 3), 1]]
-    a, b = PureTableau(rows), CompiledTableau(rows)
-    for i in range(2):
-        for j in range(3):
-            assert a.entry(i, j) == b.entry(i, j)
-            assert a.sign(i, j) == b.sign(i, j)
-    assert (a.nrows, a.ncols) == (b.nrows, b.ncols) == (2, 3)
-
-
-@pytest.mark.parametrize(
-    "factory",
-    [PureTableau] + ([CompiledTableau] if CompiledTableau is not None else []),
-)
+@pytest.mark.parametrize("factory", [Tableau])
 def test_tableau_error_behavior(factory):
     with pytest.raises(ValueError, match="ragged"):
         factory([[1, 2], [3]])
@@ -97,10 +88,7 @@ def test_tableau_error_behavior(factory):
     assert (empty.nrows, empty.ncols) == (0, 0)
 
 
-@pytest.mark.parametrize(
-    "factory",
-    [PureTableau] + ([CompiledTableau] if CompiledTableau is not None else []),
-)
+@pytest.mark.parametrize("factory", [Tableau])
 def test_pivot_normalizes_pivot_row_and_clears_column(factory):
     t = factory([[2, 4, 6], [1, 1, 1], [-3, 0, 3]])
     t.pivot(0, 0)
@@ -111,10 +99,4 @@ def test_pivot_normalizes_pivot_row_and_clears_column(factory):
 
 
 def test_backend_selection_reports_a_known_backend():
-    assert BACKEND in ("pure", "compiled")
-
-
-@needs_compiled
-def test_compiled_accepts_fraction_int_and_string_inputs():
-    t = CompiledTableau([[Fraction(1, 2), 3, "7/2"]])
-    assert t.row(0) == [Fraction(1, 2), Fraction(3), Fraction(7, 2)]
+    assert BACKEND == "pure"

@@ -107,7 +107,9 @@ def test_parse_rational_accepts_canonical_forms():
     assert parse_rational("0") == 0
 
 
-@pytest.mark.parametrize("bad", ["1.5", "1e3", "1/-2", "1/0", "", "a/b", "2 / 3", "--1"])
+@pytest.mark.parametrize(
+    "bad", ["1.5", "1e3", "1/-2", "1/0", "", "a/b", "2 / 3", "--1", "1_000", "\u0663"]
+)
 def test_parse_rational_rejects_noncanonical(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
