@@ -31,7 +31,7 @@ from .composite import (
 )
 from .cone import dual_cone
 from .fixtures import fixture_library
-from .ratlin import LPOutcome, as_vector, format_rational
+from .ratlin import LPOutcome, as_vector, format_rational, mat_vec, rank
 from .space import OrderIsoWitness, effects_interval, is_homogeneous, is_weakly_self_dual
 from .steering import (
     AffineSection,
@@ -39,6 +39,7 @@ from .steering import (
     affine_section_search,
     decide_steering,
     ensemble_lift_program,
+    section_program,
 )
 from .theoryfile import TheoryFileError, parse_rational
 
@@ -448,16 +449,19 @@ def _verify_pure(report: dict) -> list[str]:
             return ["positive verdict, but the map is not extremal"]
         return []
     psi = _parse_mat(report["certificates"]["decomposition_part"])
+    phi = omega.matrix
+    if len(psi) != len(phi) or any(len(a) != len(b) for a, b in zip(psi, phi)):
+        return ["witness part does not have the map's shape"]
+    # A summand t*phi splits phi into multiples of itself, which every
+    # extremal map allows; only a summand off phi's line refutes purity.
+    if rank([[x for row in phi for x in row], [x for row in psi for x in row]]) < 2:
+        return ["witness part is parallel to the map"]
     problems = []
     source = dual_cone(omega.space_a.cone)
     target = omega.space_b.cone
-    from .ratlin import mat_vec
-
-    rows = len(omega.matrix)
-    cols = len(omega.matrix[0])
     rest = tuple(
-        tuple(omega.matrix[j][i] - psi[j][i] for i in range(cols))
-        for j in range(rows)
+        tuple(a - b for a, b in zip(row_phi, row_psi))
+        for row_phi, row_psi in zip(phi, psi)
     )
     for r in source.rays:
         if not target.contains(mat_vec(psi, as_vector(r))):
@@ -472,8 +476,9 @@ def _verify_pure(report: dict) -> list[str]:
 def _verify_section(report: dict) -> list[str]:
     _, omega = _state_from_inputs(report["inputs"])
     if not report["verdicts"]["found"]:
-        if affine_section_search(omega):
-            return ["negative verdict, but a section exists"]
+        farkas = _parse_vec(report["certificates"]["farkas"])
+        if not LPOutcome.infeasible(farkas).check(section_program(omega)[0]):
+            return ["farkas certificate does not refute the section program"]
         return []
     cert = report["certificates"]["section"]
     section = AffineSection(

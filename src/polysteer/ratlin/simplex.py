@@ -150,13 +150,6 @@ class _Simplex:
         specs = [(lhs, rhs, None) for lhs, rhs in eq_rows]
         specs += [(lhs, rhs, i) for i, (lhs, rhs) in enumerate(ge_rows)]
         for k, (lhs, rhs, slack) in enumerate(specs):
-            coeffs = [_ZERO] * (self.n_total + 1)
-            for j, c in enumerate(lhs):
-                coeffs[j] = c
-                coeffs[n_vars + j] = -c
-            if slack is not None:
-                coeffs[2 * n_vars + slack] = Fraction(-1)
-            coeffs[self.rhs_col] = rhs
             # A ge row with rhs <= 0 is flipped so its slack has coefficient
             # +1 and can start in the basis; everything else starts on its
             # artificial. Fewer basic artificials means fewer phase-1 pivots.
@@ -164,8 +157,18 @@ class _Simplex:
                 sign = -1
             else:
                 sign = -1 if rhs < 0 else 1
-            if sign < 0:
-                coeffs = [-c for c in coeffs]
+            # The flip is applied while filling the row and skips zeros, which
+            # are most entries: negating one would build a new Fraction.
+            coeffs = [_ZERO] * (self.n_total + 1)
+            for j, c in enumerate(lhs):
+                if c:
+                    if sign < 0:
+                        c = -c
+                    coeffs[j] = c
+                    coeffs[n_vars + j] = -c
+            if slack is not None:
+                coeffs[2 * n_vars + slack] = Fraction(-sign)
+            coeffs[self.rhs_col] = rhs if sign > 0 else -rhs
             coeffs[self.n_real + k] = _ONE
             self.sigma.append(sign)
             if slack is not None and rhs <= 0:

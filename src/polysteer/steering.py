@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Sequence
 
 from .composite import (
     BipartiteState,
@@ -488,21 +488,6 @@ def _affine_basis(points: Sequence[Vector]) -> list[Vector]:
     return chosen
 
 
-def _basis_coords(basis: Sequence[Vector], y: Vector) -> Vector:
-    """Affine weights of y over an affinely independent basis."""
-    dim = len(basis[0])
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for c in range(dim):
-        rows.append([Fraction(p[c]) for p in basis])
-        rhs.append(Fraction(y[c]))
-    rows.append([Fraction(1)] * len(basis))
-    rhs.append(Fraction(1))
-    lam = solve_linear(rows, rhs)
-    assert lam is not None
-    return lam
-
-
 def _direction_coords(basis: Sequence[Vector], direction: Vector) -> Vector | None:
     """Weights of a direction over the basis differences b_i - b_0."""
     rows: list[list[Fraction]] = []
@@ -513,21 +498,25 @@ def _direction_coords(basis: Sequence[Vector], direction: Vector) -> Vector | No
     return solve_linear(rows, rhs)
 
 
+SectionProgram = tuple[LinearProgram, Callable[[Vector], AffineSection]]
+
+
 def _section_search_full(
     omega: BipartiteState, verts: Sequence[Vector], basis: Sequence[Vector]
-) -> SectionSearch:
-    """Feasibility search over the raw basis images, one block of unknowns
+) -> SectionProgram:
+    """The section program over the raw basis images, one block of unknowns
     per basis point. Used when the reduced parametrization does not apply;
     its farkas certificate covers the value constraints explicitly."""
     space_a, space_b = omega.space_a, omega.space_b
     da = space_a.dim
     m = len(basis)
     n = m * da
+    frame = AffineSection(tuple(basis), ())
 
     eq: list[tuple[Vector, Fraction]] = []
     ge: list[tuple[Vector, Fraction]] = []
     for y in verts:
-        lam = _basis_coords(basis, y)
+        lam = frame.coordinates(y)
         for j in range(space_b.dim):
             row = [Fraction(0)] * n
             for i in range(m):
@@ -543,7 +532,7 @@ def _section_search_full(
                     low[i * da + c] = lam[i] * rv[c]
             ge.append((tuple(low), Fraction(0)))
             ge.append((tuple(-x for x in low), -bound))
-    face = face_of(space_b.cone, target := marginal_b(omega).vector)
+    face = face_of(space_b.cone, marginal_b(omega).vector)
     for fr in face.rays():
         coeff = _direction_coords(basis, as_vector(fr))
         if coeff is None:
@@ -557,55 +546,28 @@ def _section_search_full(
                     row[0 * da + c] -= coeff[i - 1] * rv[c]
             ge.append((tuple(row), Fraction(0)))
 
-    out = lp_feasible(LinearProgram(n, eq=eq, ge=ge))
-    if out.status != "feasible":
-        return SectionSearch(None, farkas=out.farkas)
-
-    def to_section(w: Vector) -> AffineSection:
+    def decode(w: Vector) -> AffineSection:
         images = tuple(
             tuple(w[i * da + c] for c in range(da)) for i in range(m)
         )
         return AffineSection(tuple(basis), images)
 
-    directions: list[Vector] = []
-    alternate = None
-    point = out.witness
-    for coord in range(n):
-        obj = [Fraction(0)] * n
-        obj[coord] = Fraction(1)
-        hi = lp_optimize(LinearProgram(n, eq=eq, ge=ge, objective=tuple(obj)))
-        lo = lp_optimize(
-            LinearProgram(n, eq=eq, ge=ge, objective=tuple(-x for x in obj))
-        )
-        if hi.status != "optimal" or lo.status != "optimal":
-            continue
-        if hi.value != -lo.value:
-            gap = vec_sub(hi.witness, lo.witness)
-            if rank(directions + [list(gap)]) > len(directions):
-                directions.append(list(gap))
-                if alternate is None:
-                    point = lo.witness
-                    alternate = to_section(hi.witness)
-    dimension = len(directions)
-    return SectionSearch(
-        to_section(point),
-        dimension=dimension,
-        alternate=alternate,
-    )
+    return LinearProgram(n, eq=eq, ge=ge), decode
 
 
-def affine_section_search(omega: BipartiteState) -> SectionSearch:
-    """Search for an affine, order-preserving right inverse of the state's
-    map from [0, marginal] into [0, u_A]; such a section forces every
-    ensemble of every length to lift. Reports the feasible set's dimension
-    and, when it is positive, a second distinct section.
+def section_program(omega: BipartiteState) -> SectionProgram:
+    """The feasibility program behind affine_section_search, and the map
+    from its points to sections. Exposed so an infeasibility certificate can
+    be re-checked against the very rows it claims to combine.
 
     The unknown image of each basis point is written as one particular
     preimage plus a combination of kernel directions of the state's map.
     That substitution satisfies the value constraints identically (an affine
     map that inverts the state's map on an affine basis inverts it on the
-    whole hull), so the search runs over kernel coefficients only and the
-    program keeps just the membership and monotonicity inequalities.
+    whole hull), so the program runs over kernel coefficients only and keeps
+    just the membership and monotonicity inequalities. When a basis point
+    has no preimage, or the kernel is trivial and the one candidate breaks a
+    row, the program is _section_search_full's instead.
     """
     target = marginal_b(omega).vector
     space_a, space_b = omega.space_a, omega.space_b
@@ -613,6 +575,7 @@ def affine_section_search(omega: BipartiteState) -> SectionSearch:
     verts = order_interval_vertices(space_b.cone, target)
     basis = _affine_basis(verts)
     m = len(basis)
+    frame = AffineSection(tuple(basis), ())
 
     mat = [[Fraction(omega.matrix[j][c]) for c in range(da)] for j in range(space_b.dim)]
     particular: list[Vector] = []
@@ -629,9 +592,8 @@ def affine_section_search(omega: BipartiteState) -> SectionSearch:
     # in [0, u_A], and the linear part sends the marginal's face into the
     # positive cone.
     ge: list[tuple[Vector, Fraction]] = []
-    fixed_violation = False
     for y in verts:
-        lam = _basis_coords(basis, y)
+        lam = frame.coordinates(y)
         base_pt = [_ZERO] * da
         for i in range(m):
             for c in range(da):
@@ -644,11 +606,8 @@ def affine_section_search(omega: BipartiteState) -> SectionSearch:
             for i in range(m):
                 for t in range(kappa):
                     low[i * kappa + t] = lam[i] * vec_dot(kernel[t], rv)
-            if kappa == 0:
-                fixed_violation = fixed_violation or const < 0 or const > bound
-            else:
-                ge.append((tuple(low), -const))
-                ge.append((tuple(-x for x in low), const - bound))
+            ge.append((tuple(low), -const))
+            ge.append((tuple(-x for x in low), const - bound))
     face = face_of(space_b.cone, target)
     for fr in face.rays():
         coeff = _direction_coords(basis, as_vector(fr))
@@ -667,12 +626,15 @@ def affine_section_search(omega: BipartiteState) -> SectionSearch:
                     kr = coeff[i - 1] * vec_dot(kernel[t], rv)
                     row[i * kappa + t] += kr
                     row[0 * kappa + t] -= kr
-            if kappa == 0:
-                fixed_violation = fixed_violation or const < 0
-            else:
-                ge.append((tuple(row), -const))
+            ge.append((tuple(row), -const))
+    # With a trivial kernel the rows have no unknowns: they hold exactly
+    # when no right-hand side is positive, and then nothing is left to solve.
+    if kappa == 0:
+        if any(rhs > 0 for _, rhs in ge):
+            return _section_search_full(omega, verts, basis)
+        ge = []
 
-    def to_section(xi: Vector) -> AffineSection:
+    def decode(xi: Vector) -> AffineSection:
         images = []
         for i in range(m):
             w = list(particular[i])
@@ -683,40 +645,55 @@ def affine_section_search(omega: BipartiteState) -> SectionSearch:
             images.append(tuple(w))
         return AffineSection(tuple(basis), tuple(images))
 
-    if kappa == 0:
-        if fixed_violation:
-            return _section_search_full(omega, verts, basis)
-        return SectionSearch(to_section(()), dimension=0)
+    return LinearProgram(n, ge=ge), decode
 
-    out = lp_feasible(LinearProgram(n, ge=ge))
+
+def _polytope_dimension(lp: LinearProgram) -> tuple[int, tuple[Vector, Vector] | None]:
+    """Dimension of the nonempty, bounded polytope cut out by lp's rows, and
+    the minimizer and maximizer of the first functional that varies on it.
+
+    Each step maximizes and minimizes a functional c orthogonal to every row
+    of `found`. If c varies, the gap between its optima joins `found`;
+    otherwise c does. Gaps lie in the polytope's direction space and the
+    constant functionals in its orthogonal complement, and each step adds a
+    row independent of the others, so after n steps the gaps number exactly
+    the dimension. Until the first gap, c runs through e1, e2, ... in order.
+    """
+    n = lp.n_vars
+    found: list[Vector] = []
+    dimension = 0
+    first = None
+    for _ in range(n):
+        c = nullspace(found, ncols=n)[0]
+        hi = lp_optimize(LinearProgram(n, eq=lp.eq, ge=lp.ge, objective=c))
+        lo = lp_optimize(LinearProgram(n, eq=lp.eq, ge=lp.ge, objective=vec_scale(-1, c)))
+        if hi.status != "optimal" or lo.status != "optimal":
+            raise RuntimeError("internal: the polytope must be nonempty and bounded")
+        if hi.value == -lo.value:
+            found.append(c)
+            continue
+        found.append(vec_sub(hi.witness, lo.witness))
+        dimension += 1
+        if first is None:
+            first = (lo.witness, hi.witness)
+    return dimension, first
+
+
+def affine_section_search(omega: BipartiteState) -> SectionSearch:
+    """Search for an affine, order-preserving right inverse of the state's
+    map from [0, marginal] into [0, u_A]; such a section forces every
+    ensemble of every length to lift. Reports the feasible set's dimension
+    and, when it is positive, a second distinct section.
+    """
+    program, decode = section_program(omega)
+    out = lp_feasible(program)
     if out.status != "feasible":
         return SectionSearch(None, farkas=out.farkas)
-
-    directions: list[Vector] = []
-    alternate = None
-    point = out.witness
-    for coord in range(n):
-        obj = [Fraction(0)] * n
-        obj[coord] = Fraction(1)
-        hi = lp_optimize(LinearProgram(n, ge=ge, objective=tuple(obj)))
-        lo = lp_optimize(
-            LinearProgram(n, ge=ge, objective=tuple(-x for x in obj))
-        )
-        if hi.status != "optimal" or lo.status != "optimal":
-            continue
-        if hi.value != -lo.value:
-            gap = vec_sub(hi.witness, lo.witness)
-            if rank(directions + [list(gap)]) > len(directions):
-                directions.append(list(gap))
-                if alternate is None:
-                    point = lo.witness
-                    alternate = to_section(hi.witness)
-    dimension = len(directions)
-    return SectionSearch(
-        to_section(point),
-        dimension=dimension,
-        alternate=alternate,
-    )
+    dimension, first = _polytope_dimension(program)
+    if first is None:
+        return SectionSearch(decode(out.witness), dimension=0)
+    lo, hi = first
+    return SectionSearch(decode(lo), dimension=dimension, alternate=decode(hi))
 
 
 def adjoint_state(omega: BipartiteState) -> BipartiteState:

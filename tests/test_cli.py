@@ -8,12 +8,14 @@ Exit code contract: 0 affirmative, 1 negative, 2 input errors.
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from polysteer import theoryfile
 from polysteer.cli import main
 from polysteer.fixtures import fixture_library
+from polysteer.ratlin import format_rational
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +254,53 @@ class TestVerify:
         code, vout, _ = run(capsys, "verify", str(path))
         assert code == 1
         assert "farkas" in vout or "refute" in vout
+
+    @pytest.mark.parametrize("scale", ["0", "1/2", "1"])
+    def test_summand_parallel_to_the_map_rejected(
+        self, capsys, lib_path, tmp_path, scale
+    ):
+        # square_iso is pure; a summand t*phi splits phi into multiples of
+        # itself, which proves nothing about extremality.
+        _, out, _ = run(capsys, "pure", lib_path, "square_iso", "--json")
+        report = json.loads(out)
+        phi = report["inputs"]["states"]["square_iso"]["matrix"]
+        t = Fraction(scale)
+        report["verdicts"]["pure"] = False
+        report["certificates"]["decomposition_part"] = [
+            [format_rational(t * Fraction(x)) for x in row] for row in phi
+        ]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(report))
+        code, vout, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert "parallel to the map" in vout
+
+    def test_tampered_section_farkas_rejected(self, capsys, lib_path, tmp_path):
+        _, out, _ = run(capsys, "section", lib_path, "cube_to_hexagon", "--json")
+        report = json.loads(out)
+        farkas = report["certificates"]["farkas"]
+        k = next(i for i, x in enumerate(farkas) if x != "0")
+        farkas[k] = format_rational(Fraction(farkas[k]) + 1)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(report))
+        code, vout, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert "does not refute the section program" in vout
+
+    def test_flipped_section_verdict_rejected(self, capsys, lib_path, tmp_path):
+        _, out, _ = run(capsys, "section", lib_path, "cube_to_hexagon", "--json")
+        foreign = json.loads(out)["certificates"]["farkas"]
+        _, out, _ = run(
+            capsys, "section", lib_path, "two_squares_correlated", "--json"
+        )
+        report = json.loads(out)
+        report["verdicts"]["found"] = False
+        report["certificates"]["farkas"] = foreign
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(report))
+        code, vout, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert "does not refute the section program" in vout
 
     def test_unsupported_report_format(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

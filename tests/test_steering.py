@@ -22,11 +22,12 @@ from polysteer.composite import (
     max_tensor,
     min_tensor,
 )
-from polysteer.ratlin import as_vector, vec_dot, vec_sub
+from polysteer.ratlin import LinearProgram, LPOutcome, as_vector, vec_dot, vec_sub
 from polysteer.space import StateSpace, effects_interval
 from polysteer.steering import (
     AffineSection,
     Chain,
+    _polytope_dimension,
     Ensemble,
     adjoint_state,
     affine_section_search,
@@ -42,6 +43,7 @@ from polysteer.steering import (
     lift_chain,
     lift_ensemble,
     order_interval_vertices,
+    section_program,
     steering_product_inner,
     universal_self_steering_scan,
 )
@@ -69,6 +71,14 @@ TWISTED_SQUARE_MATRIX = ((1, 1, 0), (0, 0, 1), (0, 0, 1))
 # two-part splitting of the hexagon's central marginal lifts, yet no single
 # affine section can serve all of them at once.
 CUBE_HEX_MATRIX = ((1, 0, -1, 0), (0, 1, 1, 0), (0, 0, 0, 1))
+
+# Product of two uniform bit states: the map has rank one, so the interval
+# vertex (1/2, 0) has no preimage.
+RANK_ONE_BIT_MATRIX = ((F(1, 4), F(1, 4)), (F(1, 4), F(1, 4)))
+
+# Injective, so the section candidate is unique, and it sends the interval
+# vertex (3/4, 0) to (3/2, 0), outside [0, u_A].
+SHEARED_BIT_MATRIX = ((F(1, 2), F(1, 4)), (0, F(1, 4)))
 
 # Order isomorphism from the square's dual onto the square: the entangled
 # unit-normalized state whose ensembles always lift.
@@ -113,6 +123,14 @@ def cube_to_hexagon_state():
 def classical_pair():
     bit = simplex_space(2)
     return BipartiteState(bit, bit, ((F(1, 2), 0), (0, F(1, 2))))
+
+
+def rank_one_bit_state():
+    return BipartiteState(simplex_space(2), simplex_space(2), RANK_ONE_BIT_MATRIX)
+
+
+def sheared_bit_state():
+    return BipartiteState(simplex_space(2), simplex_space(2), SHEARED_BIT_MATRIX)
 
 
 def square_iso_state():
@@ -462,6 +480,59 @@ def test_table_state_has_no_section():
     search = affine_section_search(table_state())
     assert not search
     assert search.farkas is not None
+
+
+@pytest.mark.parametrize(
+    "make", [table_state, cube_to_hexagon_state, rank_one_bit_state, sheared_bit_state]
+)
+def test_negative_search_farkas_refutes_the_section_program(make):
+    omega = make()
+    search = affine_section_search(omega)
+    assert not search
+    program, _ = section_program(omega)
+    assert LPOutcome.infeasible(search.farkas).check(program)
+
+
+@pytest.mark.parametrize(
+    "make,full",
+    [
+        (cube_to_hexagon_state, False),
+        (rank_one_bit_state, True),
+        (sheared_bit_state, True),
+    ],
+)
+def test_section_program_falls_back_to_the_full_parametrization(make, full):
+    # Only the full parametrization carries the value constraints as rows.
+    program, _ = section_program(make())
+    assert bool(program.eq) == full
+
+
+def test_trivial_kernel_candidate_gives_the_empty_program():
+    omega = classical_pair()
+    program, decode = section_program(omega)
+    assert program.n_vars == 0
+    assert program.row_count() == 0
+    assert decode(()) == affine_section_search(omega).section
+
+
+def test_dimension_counts_independent_gaps():
+    # Triangle {x <= 0, y <= 2x, y >= x - 1} with vertices (0, 0), (0, -1)
+    # and (-1, -2): optimizing x and then y in both directions can give the
+    # gap (1, 2) twice, so a walk over the coordinates alone sees one
+    # direction.
+    triangle = LinearProgram(2, ge=[((-1, 0), 0), ((2, -1), 0), ((-1, 1), -1)])
+    dimension, (lo, hi) = _polytope_dimension(triangle)
+    assert dimension == 2
+    assert lo != hi
+    # The segment x = y = z in [0, 1]: one gap, then two constant functionals.
+    segment = LinearProgram(
+        3,
+        eq=[((1, -1, 0), 0), ((0, 1, -1), 0)],
+        ge=[((1, 0, 0), 0), ((-1, 0, 0), -1)],
+    )
+    assert _polytope_dimension(segment)[0] == 1
+    point = LinearProgram(2, eq=[((1, 0), 1), ((0, 1), 2)])
+    assert _polytope_dimension(point) == (0, None)
 
 
 def test_classical_pair_section_is_the_inverse_map():
