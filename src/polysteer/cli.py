@@ -62,9 +62,12 @@ def _parse_mat(rows) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(_parse_vec(row) for row in rows)
 
 
+def _canonical(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def _digest(payload: dict) -> str:
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
 
 
 def _report(command: str, flags: dict, inputs: dict, verdicts: dict, certificates: dict, t0: float) -> dict:
@@ -248,21 +251,23 @@ def cmd_purify(args) -> int:
     return 0 if omega is not None else 1
 
 
+def _tensor_body(composite) -> tuple[dict, dict]:
+    """The verdicts and certificates of a tensor report."""
+    verdicts = {"ray_count": len(composite.cone.rays), "dim": composite.cone.ambient_dim}
+    certificates = {"rays": _rmat(composite.cone.rays), "unit": _rvec(composite.unit)}
+    return verdicts, certificates
+
+
 def cmd_tensor(args) -> int:
     t0 = time.perf_counter()
     tf = theoryfile.load(args.file)
     a, b = tf.space(args.space_a), tf.space(args.space_b)
     composite = (min_tensor if args.kind == "min" else max_tensor)(a, b)
-    certificates = {
-        "rays": _rmat(composite.cone.rays),
-        "unit": _rvec(composite.unit),
-    }
     report = _report(
         "tensor",
         {"space_a": args.space_a, "space_b": args.space_b, "kind": args.kind},
         _inputs_for_spaces(tf, args.space_a, args.space_b),
-        {"ray_count": len(composite.cone.rays), "dim": composite.cone.ambient_dim},
-        certificates,
+        *_tensor_body(composite),
         t0,
     )
     lines = [
@@ -436,9 +441,11 @@ def _verify_tensor(report: dict) -> list[str]:
     b = tf.space(report["flags"]["space_b"])
     kind = report["flags"]["kind"]
     composite = (min_tensor if kind == "min" else max_tensor)(a, b)
-    want = [_rvec(r) for r in composite.cone.rays]
-    if report["certificates"]["rays"] != want:
-        return ["recomputed composite rays differ"]
+    # Every field is re-derived, and compared as canonical JSON so that 24.0
+    # or true cannot stand in for an integer.
+    got = [report["verdicts"], report["certificates"]]
+    if _canonical(got) != _canonical(list(_tensor_body(composite))):
+        return ["recomputed tensor verdicts or certificates differ"]
     return []
 
 

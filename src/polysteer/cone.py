@@ -8,6 +8,7 @@ cones are set-equal exactly when the dataclasses are equal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -29,12 +30,12 @@ class PolyhedralCone:
     facets: tuple[IntVec, ...]
 
     def contains(self, x: Sequence) -> bool:
-        x = tuple(map(Fraction, x))
-        return all(vec_dot(f, x) >= 0 for f in self.facets)
+        x = _integral(x, self.ambient_dim)
+        return all(dd.int_dot(f, x) >= 0 for f in self.facets)
 
     def interior_contains(self, x: Sequence) -> bool:
-        x = tuple(map(Fraction, x))
-        return all(vec_dot(f, x) > 0 for f in self.facets)
+        x = _integral(x, self.ambient_dim)
+        return all(dd.int_dot(f, x) > 0 for f in self.facets)
 
     def is_simplicial(self) -> bool:
         return len(self.rays) == self.ambient_dim
@@ -55,10 +56,23 @@ class Face:
         return rank(self.rays()) if self.ray_indices else 0
 
     def contains(self, x: Sequence) -> bool:
-        x = tuple(map(Fraction, x))
+        x = _integral(x, self.parent.ambient_dim)
         return self.parent.contains(x) and all(
-            vec_dot(self.parent.facets[k], x) == 0 for k in self.active_facets
+            dd.int_dot(self.parent.facets[k], x) == 0 for k in self.active_facets
         )
+
+
+def _integral(x: Sequence, ambient_dim: int) -> IntVec:
+    """x scaled by the lcm of its denominators.
+
+    The scale is positive, so every integer facet normal has the same sign on
+    the result as on x, and membership needs no rational arithmetic.
+    """
+    x = [Fraction(v) for v in x]
+    if len(x) != ambient_dim:
+        raise ValueError(f"vector has {len(x)} entries, the cone lives in {ambient_dim}")
+    scale = math.lcm(*(v.denominator for v in x))
+    return tuple(v.numerator * (scale // v.denominator) for v in x)
 
 
 def dd_convert(rays: Iterable[Sequence], ambient_dim: int) -> list[IntVec]:
@@ -80,23 +94,41 @@ def dd_convert_inv(facets: Iterable[Sequence], ambient_dim: int) -> list[IntVec]
     return dd.extreme_rays(facets, ambient_dim)
 
 
+def _extreme_generators(
+    generators: Iterable[Sequence], duals: Sequence[IntVec], ambient_dim: int
+) -> list[IntVec]:
+    """The generators extreme in the cone they span, primitive and sorted.
+
+    ``duals`` are the irredundant facets of that cone, which must be pointed
+    and full-dimensional: a generator is extreme exactly when the duals tight
+    on it have rank ambient_dim - 1.
+    """
+    return sorted(
+        g
+        for g in {primitive(g) for g in generators}
+        if rank([h for h in duals if dd.int_dot(h, g) == 0]) == ambient_dim - 1
+    )
+
+
 def cone_from_rays(rays: Iterable[Sequence], ambient_dim: int) -> PolyhedralCone:
+    rays = list(rays)
     facets = dd_convert(rays, ambient_dim)
     if rank(facets) < ambient_dim:
         line = nullspace(facets, ncols=ambient_dim)
         hint = primitive(line[0]) if line else "a nonzero vector"
         raise ConeError(f"not pointed: cone contains the line through {hint}")
-    canonical_rays = dd.extreme_rays(facets, ambient_dim)
+    canonical_rays = _extreme_generators(rays, facets, ambient_dim)
     return PolyhedralCone(ambient_dim, tuple(canonical_rays), tuple(sorted(facets)))
 
 
 def cone_from_facets(facets: Iterable[Sequence], ambient_dim: int) -> PolyhedralCone:
+    facets = list(facets)
     rays = dd_convert_inv(facets, ambient_dim)
     if rank(rays) < ambient_dim:
         raise ConeError(
             f"not generating: facet cone spans {rank(rays)} of {ambient_dim} dimensions"
         )
-    canonical_facets = dd.extreme_rays(rays, ambient_dim)
+    canonical_facets = _extreme_generators(facets, rays, ambient_dim)
     return PolyhedralCone(ambient_dim, tuple(sorted(rays)), tuple(canonical_facets))
 
 

@@ -11,6 +11,7 @@ intermediate arithmetic is pure-integer and results compare syntactically.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -28,7 +29,8 @@ from .ratlin import (
 IntVec = tuple[int, ...]
 
 
-def _idot(u: Sequence[int], v: Sequence[int]) -> int:
+def int_dot(u: Sequence[int], v: Sequence[int]) -> int:
+    """Exact dot product of two integer vectors."""
     return sum(a * b for a, b in zip(u, v))
 
 
@@ -51,7 +53,12 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[IntVec]:
 
     Incremental double description with the combinatorial adjacency test:
     rays p, m are adjacent iff no third ray is tight on every inserted row
-    that both p and m are tight on.
+    that both p and m are tight on. Each ray carries its incidence mask over
+    the inserted rows (bit i for row i) and its products with every row, both
+    updated as rows are inserted, and a pair tight on fewer than dim - 2
+    common rows is never adjacent (Fukuda and Prodon, "Double description
+    method revisited", 1996). The next row inserted is the one that cuts off
+    the most current rays; once none cuts any off, the rest are redundant.
     """
     normd = [primitive(r) for r in rows]
     base_idx = _independent_subset(normd, dim)
@@ -59,38 +66,53 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[IntVec]:
         raise ValueError("inequality rows do not span the space; cone is not pointed")
 
     base = as_matrix([normd[i] for i in base_idx])
-    inv_cols = _inverse_columns(base)
-    rays: list[IntVec] = [primitive(col) for col in inv_cols]
-    processed: list[IntVec] = [normd[i] for i in base_idx]
-    remaining = [normd[i] for i in range(len(normd)) if i not in set(base_idx)]
+    rays: list[IntVec] = [primitive(col) for col in _inverse_columns(base)]
+    # dots[j][i] is row i times ray j; negs[i] counts the rays row i cuts off.
+    dots = [[int_dot(h, r) for h in normd] for r in rays]
+    inc = [sum(1 << i for i in base_idx if d[i] == 0) for d in dots]
+    negs = [sum(d[i] < 0 for d in dots) for i in range(len(normd))]
+    base_set = set(base_idx)
+    remaining = [i for i in range(len(normd)) if i not in base_set]
 
-    inc = [_incidence(r, processed) for r in rays]
-    for h in remaining:
-        vals = [_idot(h, r) for r in rays]
-        if all(v >= 0 for v in vals):
-            processed.append(h)
-            inc = [_incidence(r, processed) for r in rays]
-            continue
-        plus = [j for j, v in enumerate(vals) if v > 0]
-        zero = [j for j, v in enumerate(vals) if v == 0]
-        minus = [j for j, v in enumerate(vals) if v < 0]
+    min_common = dim - 2
+    while remaining:
+        row = max(remaining, key=negs.__getitem__)
+        if negs[row] == 0:
+            break
+        remaining.remove(row)
+        bit = 1 << row
+        plus = [j for j, d in enumerate(dots) if d[row] > 0]
+        zero = [j for j, d in enumerate(dots) if d[row] == 0]
+        minus = [j for j, d in enumerate(dots) if d[row] < 0]
         fresh: list[IntVec] = []
+        fresh_dots: list[list[int]] = []
+        fresh_inc: list[int] = []
+        inc_minus = [(m, inc[m]) for m in minus]
         for p in plus:
-            for m in minus:
-                common = inc[p] & inc[m]
-                adjacent = True
-                for j in range(len(rays)):
-                    if j != p and j != m and (inc[j] & common) == common:
-                        adjacent = False
-                        break
-                if adjacent:
-                    w = tuple(
-                        vals[p] * rays[m][k] - vals[m] * rays[p][k] for k in range(dim)
-                    )
-                    fresh.append(primitive(w))
-        rays = [rays[j] for j in plus] + [rays[j] for j in zero] + fresh
-        processed.append(h)
-        inc = [_incidence(r, processed) for r in rays]
+            inc_p = inc[p]
+            for m, inc_m in [
+                (m, x) for m, x in inc_minus if (inc_p & x).bit_count() >= min_common
+            ]:
+                common = inc_p & inc_m
+                # p and m themselves always qualify; any third ray refutes.
+                if len([x for x in inc if x & common == common]) > 2:
+                    continue
+                vp, vm = dots[p][row], -dots[m][row]
+                w = [vp * a + vm * b for a, b in zip(rays[m], rays[p])]
+                g = math.gcd(*w)
+                fresh.append(tuple(c // g for c in w))
+                fresh_dots.append(
+                    [(vp * a + vm * b) // g for a, b in zip(dots[m], dots[p])]
+                )
+                fresh_inc.append(common | bit)
+        for j in minus:
+            negs = [c - (v < 0) for c, v in zip(negs, dots[j])]
+        for d in fresh_dots:
+            negs = [c + (v < 0) for c, v in zip(negs, d)]
+        keep = plus + zero
+        rays = [rays[j] for j in keep] + fresh
+        dots = [dots[j] for j in keep] + fresh_dots
+        inc = [inc[j] for j in plus] + [inc[j] | bit for j in zero] + fresh_inc
     return sorted(set(rays))
 
 
@@ -100,14 +122,6 @@ def _inverse_columns(base) -> list[tuple[Fraction, ...]]:
     inv = invert(base)
     assert inv is not None, "independent subset must be invertible"
     return [tuple(row[j] for row in inv) for j in range(len(inv))]
-
-
-def _incidence(ray: IntVec, rows: list[IntVec]) -> int:
-    mask = 0
-    for k, h in enumerate(rows):
-        if _idot(h, ray) == 0:
-            mask |= 1 << k
-    return mask
 
 
 def polytope_vertices(

@@ -302,6 +302,34 @@ class TestVerify:
         assert code == 1
         assert "does not refute the section program" in vout
 
+    @pytest.mark.parametrize(
+        "part,key,index,value",
+        [
+            ("certificates", "unit", 0, "7"),
+            ("verdicts", "ray_count", None, 99),
+            ("verdicts", "dim", None, 99),
+            ("verdicts", "ray_count", None, 24.0),
+        ],
+    )
+    def test_tampered_tensor_report_rejected(
+        self, capsys, lib_path, tmp_path, part, key, index, value
+    ):
+        _, out, _ = run(
+            capsys, "tensor", lib_path, "square_space", "square_space",
+            "--kind", "max", "--json",
+        )
+        report = json.loads(out)
+        assert report["verdicts"]["ray_count"] == 24
+        if index is None:
+            report[part][key] = value
+        else:
+            report[part][key][index] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(report))
+        code, vout, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert "recomputed tensor" in vout
+
     def test_unsupported_report_format(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "report/9"}')

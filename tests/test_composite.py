@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from polysteer.cone import cone_from_rays, dual_cone
+from polysteer.cone import cone_from_facets, cone_from_rays, dual_cone
 from polysteer.composite import (
     BipartiteState,
     ExtremalityResult,
@@ -31,7 +31,7 @@ from polysteer.composite import (
     min_tensor,
     purify,
 )
-from polysteer.ratlin import as_matrix, as_vector, mat_mul, mat_vec, vec_dot
+from polysteer.ratlin import as_matrix, as_vector, mat_mul, mat_vec, rank, vec_dot
 from polysteer.space import (
     Effect,
     Observable,
@@ -44,6 +44,7 @@ from polysteer.space import (
 
 SQUARE_RAYS = [(-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1)]
 PENT_RAYS = [(2, 0, 1), (3, 5, 4), (-1, 1, 2), (-1, -1, 2), (3, -5, 4)]
+HEX_RAYS = [(1, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, 0, 1), (0, -1, 1), (1, -1, 1)]
 
 # Perfectly correlated mixture of two square vertex states that share their
 # second coordinate, written as the matrix of the induced map.
@@ -68,6 +69,10 @@ def square_space():
 
 def pentagon_space():
     return StateSpace(cone_from_rays(PENT_RAYS, 3), (0, 0, 1))
+
+
+def hexagon_space():
+    return StateSpace(cone_from_rays(HEX_RAYS, 3), (0, 0, 1))
 
 
 def correlated_square_state():
@@ -137,6 +142,34 @@ def test_min_inside_max_on_mixed_factors():
     for a, b in pairs:
         mx, mn = max_tensor(a, b), min_tensor(a, b)
         assert all(mx.cone.contains(r) for r in mn.cone.rays)
+
+
+@pytest.mark.parametrize(
+    "factors,min_counts",
+    [
+        ((pentagon_space, pentagon_space), (25, 183)),
+        ((square_space, hexagon_space), (24, 144)),
+    ],
+    ids=["pentagon-pentagon", "square-hexagon"],
+)
+@pytest.mark.parametrize("kind", ["min", "max"])
+def test_polygon_tensor_cones(factors, min_counts, kind):
+    a, b = factors[0](), factors[1]()
+    t = (min_tensor if kind == "min" else max_tensor)(a, b)
+    c = t.cone
+    d = c.ambient_dim
+    counts = min_counts if kind == "min" else min_counts[::-1]
+    assert (len(c.rays), len(c.facets)) == counts
+    assert all(c.contains(kron_vec(r, s)) for r in a.cone.rays for s in b.cone.rays)
+    dual = dual_cone(c)
+    assert all(
+        dual.contains(kron_vec(f, g)) for f in a.cone.facets for g in b.cone.facets
+    )
+    for gens, duals in ((c.rays, c.facets), (c.facets, c.rays)):
+        for g in gens:
+            tight = [h for h in duals if vec_dot(h, g) == 0]
+            assert rank(tight) == d - 1
+    assert cone_from_rays(c.rays, d) == c == cone_from_facets(c.facets, d)
 
 
 def test_intermediate_tensor_sandwich():

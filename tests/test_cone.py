@@ -26,7 +26,9 @@ from polysteer.cone import (
     is_extremal,
     ordered_direct_sum,
 )
+from polysteer.composite import kron_vec, max_tensor, min_tensor
 from polysteer.dd import extreme_rays, polytope_vertices
+from polysteer.fixtures import fixture_library
 from polysteer.ratlin import LinearProgram, lp_feasible, primitive, rank
 
 SQUARE_RAYS = [(-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1)]
@@ -177,12 +179,66 @@ def test_double_description_random():
             assert c.contains(x) == in_cone_lp(rows, x)
 
 
+def two_pass_from_rays(rays, dim):
+    """The reference canonicalization: DD forward, then DD back."""
+    facets = extreme_rays(rays, dim)
+    return PolyhedralCone(dim, tuple(extreme_rays(facets, dim)), tuple(facets))
+
+
+def two_pass_from_facets(facets, dim):
+    rays = extreme_rays(facets, dim)
+    return PolyhedralCone(dim, tuple(rays), tuple(extreme_rays(rays, dim)))
+
+
+def test_one_pass_canonicalization_matches_two_passes():
+    rng = random.Random(5)
+    for _ in range(20):
+        dim = rng.randint(2, 5)
+        rows, _ = random_cone(rng, dim)
+        # Duplicates, positive multiples and points inside the cone.
+        gens = rows + [rng.choice(rows) for _ in range(2)]
+        gens += [tuple(rng.randint(2, 3) * a for a in rng.choice(rows))]
+        gens += [tuple(a + b for a, b in zip(rng.choice(rows), rng.choice(rows)))]
+        gens += [tuple(sum(col) for col in zip(*rows))]
+        rng.shuffle(gens)
+        assert cone_from_rays(gens, dim) == two_pass_from_rays(gens, dim)
+        assert cone_from_facets(gens, dim) == two_pass_from_facets(gens, dim)
+
+    lib = fixture_library()
+    pairs = [
+        ("min", "square_space", "square_space"),
+        ("max", "square_space", "square_space"),
+        ("min", "simplex_3", "cube_space"),
+        ("max", "simplex_3", "cube_space"),
+        ("min", "square_space", "cube_space"),
+    ]
+    for kind, a, b in pairs:
+        sa, sb = lib.space(a), lib.space(b)
+        dim = sa.dim * sb.dim
+        if kind == "min":
+            gens = [kron_vec(r, s) for r in sa.cone.rays for s in sb.cone.rays]
+            want = two_pass_from_rays(gens, dim)
+            assert min_tensor(sa, sb).cone == want == cone_from_rays(gens, dim)
+        else:
+            gens = [kron_vec(f, g) for f in sa.cone.facets for g in sb.cone.facets]
+            want = two_pass_from_facets(gens, dim)
+            assert max_tensor(sa, sb).cone == want == cone_from_facets(gens, dim)
+
+
 def test_contains_and_interior():
     c = square_cone()
     assert c.contains((0, 0, 1)) and c.interior_contains((0, 0, 1))
     assert c.contains((1, 1, 1)) and not c.interior_contains((1, 1, 1))
     assert not c.contains((2, 0, 1))
     assert c.contains((0, 0, 0)) and not c.interior_contains((0, 0, 0))
+    third = Fraction(1, 3)
+    assert c.contains((third, -third, third))
+    assert not c.interior_contains((third, -third, third))
+    assert c.interior_contains(("1/2", "-1/3", "5/6"))
+    assert not c.contains(("1/2", "0", "1/3"))
+    assert face_of(c, (0, 2, 2)).contains((0, Fraction(1, 7), Fraction(1, 7)))
+    with pytest.raises(ValueError, match="entries"):
+        c.contains((0, 1))
 
 
 def test_is_extremal_and_face_of():
