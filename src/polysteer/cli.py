@@ -28,6 +28,7 @@ from .composite import (
     marginal_b,
     max_tensor,
     min_tensor,
+    purify,
 )
 from .cone import dual_cone
 from .fixtures import fixture_library
@@ -36,6 +37,7 @@ from .space import OrderIsoWitness, effects_interval, is_homogeneous, is_weakly_
 from .steering import (
     AffineSection,
     Ensemble,
+    _polytope_dimension,
     affine_section_search,
     decide_steering,
     ensemble_lift_program,
@@ -70,16 +72,8 @@ def _digest(payload: dict) -> str:
     return hashlib.sha256(_canonical(payload).encode("utf-8")).hexdigest()
 
 
-def _report(command: str, flags: dict, inputs: dict, verdicts: dict, certificates: dict, t0: float) -> dict:
-    body = {"command": command, "flags": flags, "inputs": inputs}
-    return {
-        "format": REPORT_FORMAT,
-        **body,
-        "digest": _digest(body),
-        "verdicts": verdicts,
-        "certificates": certificates,
-        "wall_time_ms": round((time.perf_counter() - t0) * 1000, 3),
-    }
+def _paren(row) -> str:
+    return "(" + ", ".join(row) + ")"
 
 
 def _inputs_for_state(tf: theoryfile.TheoryFile, name: str) -> dict:
@@ -99,160 +93,155 @@ def _inputs_for_spaces(tf: theoryfile.TheoryFile, *names: str) -> dict:
     return theoryfile.to_document(sub)
 
 
-def _emit(report: dict, lines: list[str], as_json: bool) -> None:
-    if as_json:
+def _decode_inputs(inputs: dict) -> theoryfile.TheoryFile:
+    """The theory file a report embeds; the report's flags name its entries."""
+    return theoryfile.loads(json.dumps(inputs))
+
+
+def _emit(args, t0: float, flags: dict, inputs: dict, verdicts: dict,
+          certificates: dict, lines: list[str], affirmative: bool) -> int:
+    """Print a command's body as its JSON report (--json) or as its human
+    lines, and return the exit code of its verdict."""
+    if args.json:
+        head = {"command": args.command, "flags": flags, "inputs": inputs}
+        report = {
+            "format": REPORT_FORMAT,
+            **head,
+            "digest": _digest(head),
+            "verdicts": verdicts,
+            "certificates": certificates,
+            "wall_time_ms": round((time.perf_counter() - t0) * 1000, 3),
+        }
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
-        for line in lines:
-            print(line)
+        print("\n".join(lines))
+    return 0 if affirmative else 1
 
 
-def _state_from_inputs(doc: dict) -> tuple[str, BipartiteState]:
-    tf = theoryfile.loads(json.dumps(doc | {"format": theoryfile.FORMAT}))
-    [(name, st)] = tf.states.items()
-    return name, st
+# Each command's body, (verdicts, certificates), comes from one builder that
+# takes a theory file and the report's flags; `verify` re-derives through the
+# same builder.
 
 
-def _space_from_inputs(doc: dict):
-    tf = theoryfile.loads(json.dumps(doc | {"format": theoryfile.FORMAT}))
-    [(name, sp)] = tf.spaces.items()
-    return name, sp
+def _check_steering_body(tf: theoryfile.TheoryFile, flags: dict) -> tuple[dict, dict]:
+    verdict = decide_steering(tf.state(flags["state"]), depth=flags["depth"])
+    if verdict:
+        certificates = {
+            "lifted": [
+                {
+                    "ensemble": _rmat(le.ensemble.parts),
+                    "observable": _rmat(e.functional for e in le.observable.effects),
+                }
+                for le in verdict.lifted
+            ]
+        }
+    else:
+        certificates = {
+            "counterexample": _rmat(verdict.counterexample.parts),
+            "farkas": _rvec(verdict.farkas),
+        }
+    return {"status": verdict.status, "depth": verdict.depth}, certificates
 
 
 def cmd_check_steering(args) -> int:
     t0 = time.perf_counter()
     tf = theoryfile.load(args.file)
-    omega = tf.state(args.state)
-    verdict = decide_steering(omega, depth=args.depth)
-    certificates: dict = {}
-    if verdict.status == "steering_up_to":
-        certificates["lifted"] = [
-            {
-                "ensemble": _rmat(le.ensemble.parts),
-                "observable": _rmat(e.functional for e in le.observable.effects),
-            }
-            for le in verdict.lifted
-        ]
+    flags = {"state": args.state, "depth": args.depth}
+    verdicts, certificates = _check_steering_body(tf, flags)
+    lines = [f"{args.state}: {verdicts['status']} (depth {verdicts['depth']})"]
+    if "lifted" in certificates:
+        lines.append(f"  lifted {len(certificates['lifted'])} extremal ensembles")
     else:
-        certificates["counterexample"] = _rmat(verdict.counterexample.parts)
-        certificates["farkas"] = _rvec(verdict.farkas)
-    report = _report(
-        "check-steering",
-        {"state": args.state, "depth": args.depth},
-        _inputs_for_state(tf, args.state),
-        {"status": verdict.status, "depth": verdict.depth},
-        certificates,
-        t0,
-    )
-    lines = [f"{args.state}: {verdict.status} (depth {verdict.depth})"]
-    if verdict.status == "steering_up_to":
-        lines.append(f"  lifted {len(verdict.lifted)} extremal ensembles")
-    else:
-        parts = ", ".join(
-            "(" + ", ".join(_rvec(p)) + ")" for p in verdict.counterexample.parts
-        )
+        parts = ", ".join(_paren(p) for p in certificates["counterexample"])
         lines.append(f"  unliftable ensemble: {parts}")
-    _emit(report, lines, args.json)
-    return 0 if verdict else 1
+    return _emit(args, t0, flags, _inputs_for_state(tf, args.state), verdicts,
+                 certificates, lines, verdicts["status"] == "steering_up_to")
+
+
+def _witness_certificate(witness: OrderIsoWitness) -> dict:
+    return {
+        "matrix": _rmat(witness.matrix),
+        "ray_bijection": list(witness.ray_bijection),
+        "scales": _rvec(witness.scales),
+    }
+
+
+def _self_dual_body(tf: theoryfile.TheoryFile, flags: dict) -> tuple[dict, dict]:
+    witness = is_weakly_self_dual(tf.space(flags["space"]))
+    if witness is None:
+        return {"weakly_self_dual": False}, {}
+    return {"weakly_self_dual": True}, {"witness": _witness_certificate(witness)}
 
 
 def cmd_self_dual(args) -> int:
     t0 = time.perf_counter()
     tf = theoryfile.load(args.file)
-    space = tf.space(args.space)
-    witness = is_weakly_self_dual(space)
-    certificates: dict = {}
-    if witness is not None:
-        certificates["witness"] = {
-            "matrix": _rmat(witness.matrix),
-            "ray_bijection": list(witness.ray_bijection),
-            "scales": _rvec(witness.scales),
-        }
-    report = _report(
-        "self-dual",
-        {"space": args.space},
-        _inputs_for_spaces(tf, args.space),
-        {"weakly_self_dual": witness is not None},
-        certificates,
-        t0,
-    )
-    lines = [f"{args.space}: {'weakly self-dual' if witness else 'not weakly self-dual'}"]
-    if witness is not None:
+    flags = {"space": args.space}
+    verdicts, certificates = _self_dual_body(tf, flags)
+    found = verdicts["weakly_self_dual"]
+    lines = [f"{args.space}: {'weakly self-dual' if found else 'not weakly self-dual'}"]
+    if found:
         lines.append("  witness matrix rows:")
-        for row in witness.matrix:
-            lines.append("    (" + ", ".join(_rvec(row)) + ")")
-    _emit(report, lines, args.json)
-    return 0 if witness is not None else 1
+        lines += ["    " + _paren(row) for row in certificates["witness"]["matrix"]]
+    return _emit(args, t0, flags, _inputs_for_spaces(tf, args.space), verdicts,
+                 certificates, lines, found)
 
 
-def cmd_homogeneous(args) -> int:
-    t0 = time.perf_counter()
-    tf = theoryfile.load(args.file)
-    space = tf.space(args.space)
-    verdict = is_homogeneous(space)
+def _homogeneous_body(tf: theoryfile.TheoryFile, flags: dict) -> tuple[dict, dict]:
+    verdict = is_homogeneous(tf.space(flags["space"]))
     certificates: dict = {}
     if verdict.generators is not None:
         certificates["generators"] = [_rmat(g) for g in verdict.generators]
     if verdict.failed_pair is not None:
         certificates["failed_pair"] = _rmat(verdict.failed_pair)
-    report = _report(
-        "homogeneous",
-        {"space": args.space},
-        _inputs_for_spaces(tf, args.space),
-        {"status": verdict.status},
-        certificates,
-        t0,
-    )
-    lines = [f"{args.space}: homogeneous = {verdict.status}"]
-    if verdict.failed_pair is not None:
-        a, b = verdict.failed_pair
-        lines.append(
-            "  no automorphism carries ("
-            + ", ".join(_rvec(a))
-            + ") to ("
-            + ", ".join(_rvec(b))
-            + ")"
+    return {"status": verdict.status}, certificates
+
+
+def cmd_homogeneous(args) -> int:
+    t0 = time.perf_counter()
+    tf = theoryfile.load(args.file)
+    flags = {"space": args.space}
+    verdicts, certificates = _homogeneous_body(tf, flags)
+    lines = [f"{args.space}: homogeneous = {verdicts['status']}"]
+    if "failed_pair" in certificates:
+        a, b = certificates["failed_pair"]
+        lines.append(f"  no automorphism carries {_paren(a)} to {_paren(b)}")
+    return _emit(args, t0, flags, _inputs_for_spaces(tf, args.space), verdicts,
+                 certificates, lines, verdicts["status"] == "yes")
+
+
+def _purify_body(tf: theoryfile.TheoryFile, flags: dict) -> tuple[dict, dict]:
+    space = tf.space(flags["space"])
+    alpha = _parse_vec(flags["state"])
+    if len(alpha) != space.dim:
+        raise TheoryFileError(
+            f"state has {len(alpha)} coordinates; the space needs {space.dim}"
         )
-    _emit(report, lines, args.json)
-    return 0 if verdict else 1
+    omega = purify(space, alpha)
+    if omega is None:
+        return {"purified": False}, {}
+    return {"purified": True}, {"purification": {"matrix": _rmat(omega.matrix)}}
 
 
 def cmd_purify(args) -> int:
     t0 = time.perf_counter()
     tf = theoryfile.load(args.file)
-    space = tf.space(args.space)
-    alpha = _parse_vec(args.state.split(","))
-    if len(alpha) != space.dim:
-        raise TheoryFileError(
-            f"state has {len(alpha)} coordinates; the space needs {space.dim}"
-        )
-    from .composite import purify
-
-    omega = purify(space, alpha)
-    certificates: dict = {}
-    if omega is not None:
-        certificates["purification"] = {"matrix": _rmat(omega.matrix)}
-    report = _report(
-        "purify",
-        {"space": args.space, "state": _rvec(alpha)},
-        _inputs_for_spaces(tf, args.space),
-        {"purified": omega is not None},
-        certificates,
-        t0,
-    )
-    lines = []
-    if omega is None:
-        lines.append(f"no isomorphism-state purification of ({', '.join(_rvec(alpha))})")
+    inputs = _inputs_for_spaces(tf, args.space)
+    alpha = _rvec(_parse_vec(args.state.split(",")))
+    flags = {"space": args.space, "state": alpha}
+    verdicts, certificates = _purify_body(tf, flags)
+    if verdicts["purified"]:
+        lines = [f"purification of {_paren(alpha)}:"]
+        lines += ["  " + _paren(row) for row in certificates["purification"]["matrix"]]
     else:
-        lines.append(f"purification of ({', '.join(_rvec(alpha))}):")
-        for row in omega.matrix:
-            lines.append("  (" + ", ".join(_rvec(row)) + ")")
-    _emit(report, lines, args.json)
-    return 0 if omega is not None else 1
+        lines = [f"no isomorphism-state purification of {_paren(alpha)}"]
+    return _emit(args, t0, flags, inputs, verdicts, certificates, lines,
+                 verdicts["purified"])
 
 
-def _tensor_body(composite) -> tuple[dict, dict]:
-    """The verdicts and certificates of a tensor report."""
+def _tensor_body(tf: theoryfile.TheoryFile, flags: dict) -> tuple[dict, dict]:
+    a, b = tf.space(flags["space_a"]), tf.space(flags["space_b"])
+    composite = (min_tensor if flags["kind"] == "min" else max_tensor)(a, b)
     verdicts = {"ray_count": len(composite.cone.rays), "dim": composite.cone.ambient_dim}
     certificates = {"rays": _rmat(composite.cone.rays), "unit": _rvec(composite.unit)}
     return verdicts, certificates
@@ -261,87 +250,67 @@ def _tensor_body(composite) -> tuple[dict, dict]:
 def cmd_tensor(args) -> int:
     t0 = time.perf_counter()
     tf = theoryfile.load(args.file)
-    a, b = tf.space(args.space_a), tf.space(args.space_b)
-    composite = (min_tensor if args.kind == "min" else max_tensor)(a, b)
-    report = _report(
-        "tensor",
-        {"space_a": args.space_a, "space_b": args.space_b, "kind": args.kind},
-        _inputs_for_spaces(tf, args.space_a, args.space_b),
-        *_tensor_body(composite),
-        t0,
-    )
+    flags = {"space_a": args.space_a, "space_b": args.space_b, "kind": args.kind}
+    verdicts, certificates = _tensor_body(tf, flags)
     lines = [
         f"{args.kind} tensor of {args.space_a} and {args.space_b}: "
-        f"{len(composite.cone.rays)} extreme rays in dimension {composite.cone.ambient_dim}"
+        f"{verdicts['ray_count']} extreme rays in dimension {verdicts['dim']}"
     ]
-    for r in composite.cone.rays:
-        lines.append("  (" + ", ".join(_rvec(r)) + ")")
-    _emit(report, lines, args.json)
-    return 0
+    lines += ["  " + _paren(r) for r in certificates["rays"]]
+    return _emit(args, t0, flags, _inputs_for_spaces(tf, args.space_a, args.space_b),
+                 verdicts, certificates, lines, True)
+
+
+def _pure_body(tf: theoryfile.TheoryFile, flags: dict) -> tuple[dict, dict]:
+    result = is_pure_in_max(tf.state(flags["state"]))
+    certificates: dict = {}
+    if result.witness is not None:
+        certificates["decomposition_part"] = _rmat(result.witness)
+    return {"pure": result.extremal}, certificates
 
 
 def cmd_pure(args) -> int:
     t0 = time.perf_counter()
     tf = theoryfile.load(args.file)
-    omega = tf.state(args.state)
-    result = is_pure_in_max(omega)
-    certificates: dict = {}
-    if result.witness is not None:
-        certificates["decomposition_part"] = _rmat(result.witness)
-    report = _report(
-        "pure",
-        {"state": args.state},
-        _inputs_for_state(tf, args.state),
-        {"pure": result.extremal},
-        certificates,
-        t0,
-    )
-    lines = [f"{args.state}: {'pure' if result else 'not pure'} in the largest composite"]
-    if result.witness is not None:
+    flags = {"state": args.state}
+    verdicts, certificates = _pure_body(tf, flags)
+    pure = verdicts["pure"]
+    lines = [f"{args.state}: {'pure' if pure else 'not pure'} in the largest composite"]
+    if "decomposition_part" in certificates:
         lines.append("  proper summand:")
-        for row in result.witness:
-            lines.append("    (" + ", ".join(_rvec(row)) + ")")
-    _emit(report, lines, args.json)
-    return 0 if result else 1
+        lines += ["    " + _paren(row) for row in certificates["decomposition_part"]]
+    return _emit(args, t0, flags, _inputs_for_state(tf, args.state), verdicts,
+                 certificates, lines, pure)
+
+
+def _section_certificate(section: AffineSection) -> dict:
+    return {"base_points": _rmat(section.base_points), "images": _rmat(section.images)}
+
+
+def _section_body(tf: theoryfile.TheoryFile, flags: dict) -> tuple[dict, dict]:
+    search = affine_section_search(tf.state(flags["state"]))
+    if not search:
+        return {"found": False}, {"farkas": _rvec(search.farkas)}
+    certificates = {"section": _section_certificate(search.section)}
+    if search.alternate is not None:
+        certificates["alternate"] = _section_certificate(search.alternate)
+    return {"found": True, "dimension": search.dimension}, certificates
 
 
 def cmd_section(args) -> int:
     t0 = time.perf_counter()
     tf = theoryfile.load(args.file)
-    omega = tf.state(args.state)
-    search = affine_section_search(omega)
-    certificates: dict = {}
-    verdicts: dict = {"found": bool(search)}
-    if search:
-        verdicts["dimension"] = search.dimension
-        certificates["section"] = {
-            "base_points": _rmat(search.section.base_points),
-            "images": _rmat(search.section.images),
-        }
-        if search.alternate is not None:
-            certificates["alternate"] = {
-                "base_points": _rmat(search.alternate.base_points),
-                "images": _rmat(search.alternate.images),
-            }
-    elif search.farkas is not None:
-        certificates["farkas"] = _rvec(search.farkas)
-    report = _report(
-        "section",
-        {"state": args.state},
-        _inputs_for_state(tf, args.state),
-        verdicts,
-        certificates,
-        t0,
-    )
-    if search:
+    flags = {"state": args.state}
+    verdicts, certificates = _section_body(tf, flags)
+    if verdicts["found"]:
         lines = [
             f"{args.state}: affine section found "
-            f"(solution set dimension {search.dimension})"
+            f"(solution set dimension {verdicts['dimension']})"
         ]
     else:
         lines = [f"{args.state}: no affine section exists"]
-    _emit(report, lines, args.json)
-    return 0 if search else 1
+    return _emit(args, t0, flags, _inputs_for_state(tf, args.state), verdicts,
+                 certificates, lines, verdicts["found"])
 
 
 def cmd_fixtures(args) -> int:
@@ -355,18 +324,25 @@ def cmd_fixtures(args) -> int:
     return 0
 
 
-def _verify_check_steering(report: dict) -> list[str]:
-    problems: list[str] = []
-    _, omega = _state_from_inputs(report["inputs"])
+# `verify` checks a verdict that carries a certificate by substituting it,
+# and re-derives that verdict's other fields. Each `_substitute_*` returns
+# the problems it found and the body its checked certificates imply, or
+# None when the reported verdict carries no certificate; verify then
+# re-derives the whole body through the command's builder.
+
+
+def _substitute_check_steering(tf, flags, verdicts, certificates):
+    omega = tf.state(flags["state"])
     target = marginal_b(omega).vector
-    interval = effects_interval(omega.space_a)
-    certs = report["certificates"]
-    if report["verdicts"]["status"] == "steering_up_to":
-        for idx, item in enumerate(certs["lifted"]):
+    problems: list[str] = []
+    if verdicts["status"] == "steering_up_to":
+        interval = effects_interval(omega.space_a)
+        lifted = []
+        for idx, item in enumerate(certificates["lifted"]):
             parts = _parse_mat(item["ensemble"])
             effects = _parse_mat(item["observable"])
-            e = Ensemble(omega.space_b, parts)
-            if not e.is_for(target):
+            lifted.append({"ensemble": _rmat(parts), "observable": _rmat(effects)})
+            if not Ensemble(omega.space_b, parts).is_for(target):
                 problems.append(f"lifted[{idx}]: ensemble does not sum to the marginal")
                 continue
             total = (Fraction(0),) * omega.space_a.dim
@@ -378,91 +354,63 @@ def _verify_check_steering(report: dict) -> list[str]:
                 total = tuple(x + y for x, y in zip(total, eff))
             if total != as_vector(omega.space_a.unit):
                 problems.append(f"lifted[{idx}]: effects do not sum to the unit")
+        status, want = "steering_up_to", {"lifted": lifted}
     else:
-        parts = _parse_mat(certs["counterexample"])
+        parts = _parse_mat(certificates["counterexample"])
         e = Ensemble(omega.space_b, parts)
         if not e.is_for(target):
             problems.append("counterexample does not sum to the marginal")
-        farkas = _parse_vec(certs["farkas"])
-        lp = ensemble_lift_program(omega, e)
-        if not LPOutcome.infeasible(farkas).check(lp):
+        farkas = _parse_vec(certificates["farkas"])
+        if not LPOutcome.infeasible(farkas).check(ensemble_lift_program(omega, e)):
             problems.append("farkas certificate does not refute the lift program")
-    return problems
+        status = "not_steering"
+        want = {"counterexample": _rmat(parts), "farkas": _rvec(farkas)}
+    # The depth carries no certificate until steering is decided exactly.
+    return problems, ({"status": status, "depth": verdicts["depth"]}, want)
 
 
-def _verify_self_dual(report: dict) -> list[str]:
-    _, space = _space_from_inputs(report["inputs"])
-    if not report["verdicts"]["weakly_self_dual"]:
-        if is_weakly_self_dual(space) is not None:
-            return ["negative verdict, but a witness exists"]
-        return []
-    w = report["certificates"]["witness"]
+def _substitute_self_dual(tf, flags, verdicts, certificates):
+    if not verdicts["weakly_self_dual"]:
+        return None
+    space = tf.space(flags["space"])
+    w = certificates["witness"]
     witness = OrderIsoWitness(
         _parse_mat(w["matrix"]),
         tuple(w["ray_bijection"]),
         _parse_vec(w["scales"]),
     )
-    if not witness.verify(dual_cone(space.cone), space.cone):
-        return ["witness fails substitution on the dual cone's rays"]
-    return []
-
-
-def _verify_homogeneous(report: dict) -> list[str]:
-    _, space = _space_from_inputs(report["inputs"])
-    verdict = is_homogeneous(space)
-    if verdict.status != report["verdicts"]["status"]:
-        return [f"recomputed status {verdict.status} != reported"]
-    return []
-
-
-def _verify_purify(report: dict) -> list[str]:
     problems = []
-    _, space = _space_from_inputs(report["inputs"])
-    alpha = _parse_vec(report["flags"]["state"])
-    if not report["verdicts"]["purified"]:
-        from .composite import purify
+    if not witness.verify(dual_cone(space.cone), space.cone):
+        problems.append("witness fails substitution on the dual cone's rays")
+    return problems, ({"weakly_self_dual": True}, {"witness": _witness_certificate(witness)})
 
-        if purify(space, alpha) is not None:
-            problems.append("negative verdict, but a purification exists")
-        return problems
-    matrix = _parse_mat(report["certificates"]["purification"]["matrix"])
+
+def _substitute_purify(tf, flags, verdicts, certificates):
+    if not verdicts["purified"]:
+        return None
+    space = tf.space(flags["space"])
+    matrix = _parse_mat(certificates["purification"]["matrix"])
     omega = BipartiteState(space, space, matrix)
-    if marginal_b(omega).vector != alpha:
+    problems = []
+    if marginal_b(omega).vector != _parse_vec(flags["state"]):
         problems.append("purification does not have the requested marginal")
     if is_isomorphism_state(omega) is None:
         problems.append("purification is not an isomorphism state")
-    return problems
+    return problems, ({"purified": True}, {"purification": {"matrix": _rmat(matrix)}})
 
 
-def _verify_tensor(report: dict) -> list[str]:
-    doc = report["inputs"]
-    tf = theoryfile.loads(json.dumps(doc | {"format": theoryfile.FORMAT}))
-    a = tf.space(report["flags"]["space_a"])
-    b = tf.space(report["flags"]["space_b"])
-    kind = report["flags"]["kind"]
-    composite = (min_tensor if kind == "min" else max_tensor)(a, b)
-    # Every field is re-derived, and compared as canonical JSON so that 24.0
-    # or true cannot stand in for an integer.
-    got = [report["verdicts"], report["certificates"]]
-    if _canonical(got) != _canonical(list(_tensor_body(composite))):
-        return ["recomputed tensor verdicts or certificates differ"]
-    return []
-
-
-def _verify_pure(report: dict) -> list[str]:
-    _, omega = _state_from_inputs(report["inputs"])
-    if report["verdicts"]["pure"]:
-        if not is_pure_in_max(omega):
-            return ["positive verdict, but the map is not extremal"]
-        return []
-    psi = _parse_mat(report["certificates"]["decomposition_part"])
+def _substitute_pure(tf, flags, verdicts, certificates):
+    if verdicts["pure"]:
+        return None
+    omega = tf.state(flags["state"])
+    psi = _parse_mat(certificates["decomposition_part"])
     phi = omega.matrix
     if len(psi) != len(phi) or any(len(a) != len(b) for a, b in zip(psi, phi)):
-        return ["witness part does not have the map's shape"]
+        return ["witness part does not have the map's shape"], None
     # A summand t*phi splits phi into multiples of itself, which every
     # extremal map allows; only a summand off phi's line refutes purity.
     if rank([[x for row in phi for x in row], [x for row in psi for x in row]]) < 2:
-        return ["witness part is parallel to the map"]
+        return ["witness part is parallel to the map"], None
     problems = []
     source = dual_cone(omega.space_a.cone)
     target = omega.space_b.cone
@@ -477,43 +425,47 @@ def _verify_pure(report: dict) -> list[str]:
         if not target.contains(mat_vec(rest, as_vector(r))):
             problems.append("witness complement is not positive")
             break
-    return problems
+    return problems, ({"pure": False}, {"decomposition_part": _rmat(psi)})
 
 
-def _verify_section(report: dict) -> list[str]:
-    _, omega = _state_from_inputs(report["inputs"])
-    if not report["verdicts"]["found"]:
-        farkas = _parse_vec(report["certificates"]["farkas"])
-        if not LPOutcome.infeasible(farkas).check(section_program(omega)[0]):
-            return ["farkas certificate does not refute the section program"]
-        return []
-    cert = report["certificates"]["section"]
-    section = AffineSection(
-        _parse_mat(cert["base_points"]), _parse_mat(cert["images"])
-    )
-    problems = []
+def _decode_section(cert: dict) -> AffineSection:
+    return AffineSection(_parse_mat(cert["base_points"]), _parse_mat(cert["images"]))
+
+
+def _substitute_section(tf, flags, verdicts, certificates):
+    omega = tf.state(flags["state"])
+    program = section_program(omega)[0]
+    if not verdicts["found"]:
+        farkas = _parse_vec(certificates["farkas"])
+        if not LPOutcome.infeasible(farkas).check(program):
+            return ["farkas certificate does not refute the section program"], None
+        return [], ({"found": False}, {"farkas": _rvec(farkas)})
+    section = _decode_section(certificates["section"])
     if not section.verify(omega):
-        problems.append("section fails verification against the state")
-    if "alternate" in report["certificates"]:
-        alt = report["certificates"]["alternate"]
-        alternate = AffineSection(
-            _parse_mat(alt["base_points"]), _parse_mat(alt["images"])
-        )
+        return ["section fails verification against the state"], None
+    # A verified section makes the program feasible, so its dimension exists.
+    dimension = _polytope_dimension(program)[0]
+    want = {"section": _section_certificate(section)}
+    if dimension > 0:
+        alternate = _decode_section(certificates["alternate"])
         if not alternate.verify(omega):
-            problems.append("alternate section fails verification")
+            return ["alternate section fails verification"], None
         if alternate.images == section.images:
-            problems.append("alternate section is not distinct")
-    return problems
+            return ["alternate section is not distinct"], None
+        want["alternate"] = _section_certificate(alternate)
+    return [], ({"found": True, "dimension": dimension}, want)
 
 
-_VERIFIERS = {
-    "check-steering": _verify_check_steering,
-    "self-dual": _verify_self_dual,
-    "homogeneous": _verify_homogeneous,
-    "purify": _verify_purify,
-    "tensor": _verify_tensor,
-    "pure": _verify_pure,
-    "section": _verify_section,
+# Each command's body builder, and its substitution check (None when no
+# verdict of the command carries a certificate).
+_COMMANDS = {
+    "check-steering": (_check_steering_body, _substitute_check_steering),
+    "self-dual": (_self_dual_body, _substitute_self_dual),
+    "homogeneous": (_homogeneous_body, None),
+    "purify": (_purify_body, _substitute_purify),
+    "tensor": (_tensor_body, None),
+    "pure": (_pure_body, _substitute_pure),
+    "section": (_section_body, _substitute_section),
 }
 
 
@@ -533,27 +485,32 @@ def cmd_verify(args) -> int:
     ]
     if missing:
         raise TheoryFileError("report is missing " + ", ".join(missing))
-    body = {
-        "command": report["command"],
-        "flags": report["flags"],
-        "inputs": report["inputs"],
-    }
+    command = report["command"]
+    head = {"command": command, "flags": report["flags"], "inputs": report["inputs"]}
     problems = []
-    if _digest(body) != report["digest"]:
+    if _digest(head) != report["digest"]:
         problems.append("digest does not match the embedded inputs")
-    verifier = _VERIFIERS.get(report["command"])
-    if verifier is None:
-        raise TheoryFileError(f"no verifier for command {report['command']!r}")
+    if command not in _COMMANDS:
+        raise TheoryFileError(f"no verifier for command {command!r}")
+    build, substitute = _COMMANDS[command]
     try:
-        problems += verifier(report)
-    except (KeyError, IndexError, TypeError, TheoryFileError) as exc:
+        tf, flags = _decode_inputs(report["inputs"]), report["flags"]
+        verdicts, certificates = report["verdicts"], report["certificates"]
+        checked = substitute and substitute(tf, flags, verdicts, certificates)
+        found, want = checked or ([], build(tf, flags))
+        # Compared as canonical JSON, so that 24.0 or true cannot stand in
+        # for 24, "2/4" for "1/2", and no unchecked key rides along.
+        if not found and _canonical([verdicts, certificates]) != _canonical(list(want)):
+            found = [f"recomputed {command} verdicts or certificates differ"]
+        problems += found
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         detail = str(exc) or type(exc).__name__
         problems.append(f"report body does not support its verdict: {detail}")
     if problems:
         for p in problems:
             print(f"FAIL: {p}")
         return 1
-    print(f"OK: {report['command']} report verified")
+    print(f"OK: {command} report verified")
     return 0
 
 

@@ -318,18 +318,7 @@ def _witness_for_permutation(
         )
         for r in range(d)
     )
-    scales = []
-    for i in range(n):
-        image = mat_vec(matrix, as_vector(source.rays[i]))
-        t = as_vector(target.rays[perm[i]])
-        k0 = next((k for k, v in enumerate(t) if v != 0), None)
-        if k0 is None:
-            return None
-        lam = image[k0] / t[k0]
-        if lam <= 0 or image != vec_scale(lam, t):
-            return None
-        scales.append(lam)
-    witness = OrderIsoWitness(matrix, perm, tuple(scales))
+    witness = OrderIsoWitness(matrix, perm, s)
     if not witness.verify(source, target):
         return None
     return witness

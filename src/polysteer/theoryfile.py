@@ -132,8 +132,6 @@ def _space_from_entry(name: str, entry, text: str) -> StateSpace:
         return StateSpace(cone, unit)
     except KeyError as exc:
         raise _anchored(text, name, f"space {name!r}: missing key {exc}") from None
-    except TheoryFileError as exc:
-        raise _anchored(text, name, f"space {name!r}: {exc}") from None
     except ValueError as exc:
         raise _anchored(text, name, f"space {name!r}: {exc}") from None
 
@@ -158,8 +156,6 @@ def _state_from_entry(
         )
     except KeyError as exc:
         raise _anchored(text, name, f"state {name!r}: missing key {exc}") from None
-    except TheoryFileError as exc:
-        raise _anchored(text, name, f"state {name!r}: {exc}") from None
     except ValueError as exc:
         raise _anchored(text, name, f"state {name!r}: {exc}") from None
 
@@ -183,8 +179,6 @@ def _ensemble_from_entry(
         raise _anchored(
             text, name, f"ensemble {name!r}: missing key {exc}"
         ) from None
-    except TheoryFileError as exc:
-        raise _anchored(text, name, f"ensemble {name!r}: {exc}") from None
     except ValueError as exc:
         raise _anchored(text, name, f"ensemble {name!r}: {exc}") from None
 

@@ -330,6 +330,56 @@ class TestVerify:
         assert code == 1
         assert "recomputed tensor" in vout
 
+    @pytest.mark.parametrize(
+        "argv,tamper",
+        [
+            (
+                ["homogeneous", "square_space"],
+                lambda r: r["certificates"].update(failed_pair=[["0"] * 3, ["0"] * 3]),
+            ),
+            (
+                ["homogeneous", "simplex_3"],
+                lambda r: r["certificates"]["generators"][0][0].__setitem__(0, "2"),
+            ),
+            (["homogeneous", "simplex_3"], lambda r: r["verdicts"].update(extra=True)),
+            (
+                ["self-dual", "cube_space"],
+                lambda r: r["certificates"].update(
+                    witness={"matrix": [["1"]], "ray_bijection": [0], "scales": ["1"]}
+                ),
+            ),
+            (
+                ["pure", "square_iso"],
+                lambda r: r["certificates"].update(decomposition_part=[["0"] * 3] * 3),
+            ),
+            (["section", "two_squares_twisted"], lambda r: r["verdicts"].update(dimension=5)),
+            (["section", "two_squares_twisted"], lambda r: r["verdicts"].update(dimension=0)),
+            # Both raised ValueError past the verifier and exited 2.
+            (
+                ["purify", "simplex_2", "1/3,2/3"],
+                lambda r: r["certificates"]["purification"]["matrix"][0].__setitem__(0, "-5"),
+            ),
+            (
+                ["check-steering", "nonsteering_table"],
+                lambda r: r["certificates"]["counterexample"].__setitem__(0, ["-1", "1"]),
+            ),
+        ],
+        ids=[
+            "homogeneous-zero-pair", "homogeneous-generator", "homogeneous-extra-verdict",
+            "self-dual-junk-witness", "pure-junk-summand", "section-dimension-5",
+            "section-dimension-0", "purify-outside-cone", "steering-part-outside-cone",
+        ],
+    )
+    def test_tampered_body_rejected(self, capsys, lib_path, tmp_path, argv, tamper):
+        _, out, _ = run(capsys, argv[0], lib_path, *argv[1:], "--json")
+        report = json.loads(out)
+        tamper(report)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(report))
+        code, vout, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert vout.startswith("FAIL:")
+
     def test_unsupported_report_format(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "report/9"}')
