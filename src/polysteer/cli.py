@@ -475,6 +475,8 @@ def cmd_verify(args) -> int:
             report = json.load(fh)
         except json.JSONDecodeError as exc:
             raise TheoryFileError(f"line {exc.lineno}: {exc.msg}") from None
+    if not isinstance(report, dict):
+        raise TheoryFileError(f"report is a JSON {type(report).__name__}, not an object")
     if report.get("format") != REPORT_FORMAT:
         raise TheoryFileError(
             f"unsupported report format {report.get('format')!r}"
@@ -486,6 +488,8 @@ def cmd_verify(args) -> int:
     if missing:
         raise TheoryFileError("report is missing " + ", ".join(missing))
     command = report["command"]
+    if not isinstance(command, str):
+        raise TheoryFileError(f"report command {command!r} is not a string")
     head = {"command": command, "flags": report["flags"], "inputs": report["inputs"]}
     problems = []
     if _digest(head) != report["digest"]:

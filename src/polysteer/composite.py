@@ -30,6 +30,7 @@ from .ratlin import (
     Vector,
     as_matrix,
     as_vector,
+    independent_rows,
     invert,
     lp_optimize,
     mat_mul,
@@ -403,10 +404,7 @@ def factors_isomorphically_through(
         face_rays = [as_vector(r) for r in face.rays()]
         if not face_rays or face.span_dim() != rk:
             continue
-        span_basis: list[Vector] = []
-        for fr in face_rays:
-            if rank(span_basis + [fr]) > len(span_basis):
-                span_basis.append(fr)
+        span_basis = [face_rays[i] for i in independent_rows(face_rays)]
         full = span_basis + list(kern)
         if rank(full) < d:
             continue

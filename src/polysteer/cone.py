@@ -8,13 +8,12 @@ cones are set-equal exactly when the dataclasses are equal.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import dd
-from .ratlin import nullspace, primitive, rank, solve_linear, vec_dot
+from .ratlin import independent_rows, integral, nullspace, primitive, rank, solve_linear
 
 IntVec = tuple[int, ...]
 
@@ -63,16 +62,16 @@ class Face:
 
 
 def _integral(x: Sequence, ambient_dim: int) -> IntVec:
-    """x scaled by the lcm of its denominators.
+    """x scaled to integers by ``integral``, with its length checked.
 
-    The scale is positive, so every integer facet normal has the same sign on
-    the result as on x, and membership needs no rational arithmetic.
+    The scale is positive, so every integer facet normal and ray has the same
+    sign on the result as on x, and no face or membership test needs
+    rational arithmetic.
     """
-    x = [Fraction(v) for v in x]
+    x = integral(x)
     if len(x) != ambient_dim:
         raise ValueError(f"vector has {len(x)} entries, the cone lives in {ambient_dim}")
-    scale = math.lcm(*(v.denominator for v in x))
-    return tuple(v.numerator * (scale // v.denominator) for v in x)
+    return tuple(x)
 
 
 def dd_convert(rays: Iterable[Sequence], ambient_dim: int) -> list[IntVec]:
@@ -95,19 +94,20 @@ def dd_convert_inv(facets: Iterable[Sequence], ambient_dim: int) -> list[IntVec]
 
 
 def _extreme_generators(
-    generators: Iterable[Sequence], duals: Sequence[IntVec], ambient_dim: int
+    generators: Iterable[Sequence], duals: Sequence[IntVec]
 ) -> list[IntVec]:
     """The generators extreme in the cone they span, primitive and sorted.
 
-    ``duals`` are the irredundant facets of that cone, which must be pointed
-    and full-dimensional: a generator is extreme exactly when the duals tight
-    on it have rank ambient_dim - 1.
+    ``duals`` are the irredundant facets of that cone, which must be pointed.
+    The duals tight on a generator g cut out the smallest face holding g. If
+    g is extreme that face is g's ray, which holds no other generator; if not,
+    the face has an extreme ray, which is another generator tight on every
+    dual g is tight on. So g is extreme exactly when no other generator's
+    incidence mask contains g's (Fukuda and Prodon 1996).
     """
-    return sorted(
-        g
-        for g in {primitive(g) for g in generators}
-        if rank([h for h in duals if dd.int_dot(h, g) == 0]) == ambient_dim - 1
-    )
+    gens = sorted({primitive(g) for g in generators})
+    masks = [sum(1 << k for k, h in enumerate(duals) if dd.int_dot(h, g) == 0) for g in gens]
+    return [g for g, z in zip(gens, masks) if len([x for x in masks if x & z == z]) == 1]
 
 
 def cone_from_rays(rays: Iterable[Sequence], ambient_dim: int) -> PolyhedralCone:
@@ -117,7 +117,7 @@ def cone_from_rays(rays: Iterable[Sequence], ambient_dim: int) -> PolyhedralCone
         line = nullspace(facets, ncols=ambient_dim)
         hint = primitive(line[0]) if line else "a nonzero vector"
         raise ConeError(f"not pointed: cone contains the line through {hint}")
-    canonical_rays = _extreme_generators(rays, facets, ambient_dim)
+    canonical_rays = _extreme_generators(rays, facets)
     return PolyhedralCone(ambient_dim, tuple(canonical_rays), tuple(sorted(facets)))
 
 
@@ -128,7 +128,7 @@ def cone_from_facets(facets: Iterable[Sequence], ambient_dim: int) -> Polyhedral
         raise ConeError(
             f"not generating: facet cone spans {rank(rays)} of {ambient_dim} dimensions"
         )
-    canonical_facets = _extreme_generators(facets, rays, ambient_dim)
+    canonical_facets = _extreme_generators(facets, rays)
     return PolyhedralCone(ambient_dim, tuple(sorted(rays)), tuple(canonical_facets))
 
 
@@ -143,26 +143,25 @@ def contains(c: PolyhedralCone, x: Sequence) -> bool:
 
 def face_of(c: PolyhedralCone, y: Sequence) -> Face:
     """Smallest face of c containing y (y must belong to the cone)."""
-    y = tuple(map(Fraction, y))
-    if not c.contains(y):
+    y = _integral(y, c.ambient_dim)
+    dots = [dd.int_dot(f, y) for f in c.facets]
+    if any(v < 0 for v in dots):
         raise ValueError("point lies outside the cone")
-    active = tuple(k for k, f in enumerate(c.facets) if vec_dot(f, y) == 0)
+    active = tuple(k for k, v in enumerate(dots) if v == 0)
     ray_idx = tuple(
         i
         for i, r in enumerate(c.rays)
-        if all(vec_dot(c.facets[k], r) == 0 for k in active)
+        if all(dd.int_dot(c.facets[k], r) == 0 for k in active)
     )
     return Face(c, ray_idx, active)
 
 
 def is_extremal(c: PolyhedralCone, y: Sequence) -> bool:
     """True iff the smallest face containing y is the ray spanned by y."""
-    y = tuple(map(Fraction, y))
-    if not c.contains(y):
-        raise ValueError("point lies outside the cone")
-    if all(v == 0 for v in y):
-        return False
+    y = _integral(y, c.ambient_dim)
     face = face_of(c, y)
+    if not any(y):
+        return False
     return len(face.ray_indices) == 1 and primitive(y) == c.rays[face.ray_indices[0]]
 
 
@@ -175,7 +174,7 @@ def all_faces(c: PolyhedralCone) -> list[Face]:
     while queue:
         current = queue.pop()
         for k, f in enumerate(c.facets):
-            sub = tuple(i for i in current if vec_dot(f, c.rays[i]) == 0)
+            sub = tuple(i for i in current if dd.int_dot(f, c.rays[i]) == 0)
             if sub not in seen:
                 seen[sub] = Face(c, sub, _active_for(c, sub))
                 queue.append(sub)
@@ -188,7 +187,7 @@ def _active_for(c: PolyhedralCone, ray_idx: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(
         k
         for k, f in enumerate(c.facets)
-        if all(vec_dot(f, c.rays[i]) == 0 for i in ray_idx)
+        if all(dd.int_dot(f, c.rays[i]) == 0 for i in ray_idx)
     )
 
 
@@ -212,13 +211,7 @@ def irreducible_partition(c: PolyhedralCone) -> list[tuple[int, ...]]:
     k = len(c.rays)
     if k == c.ambient_dim:
         return [(i,) for i in range(k)]
-    basis_idx: list[int] = []
-    current = 0
-    for i in range(k):
-        cand = [c.rays[j] for j in basis_idx] + [c.rays[i]]
-        if rank(cand) > current:
-            basis_idx.append(i)
-            current += 1
+    basis_idx = independent_rows(c.rays)
     parent = list(range(k))
 
     def find(i: int) -> int:
@@ -250,10 +243,7 @@ def irreducible_components(c: PolyhedralCone) -> list[PolyhedralCone]:
     out = []
     for group in irreducible_partition(c):
         group_rays = [c.rays[i] for i in group]
-        sub_basis: list[IntVec] = []
-        for r in group_rays:
-            if rank(sub_basis + [r]) > len(sub_basis):
-                sub_basis.append(r)
+        sub_basis = [group_rays[i] for i in independent_rows(group_rays)]
         cols = [[Fraction(b[row]) for b in sub_basis] for row in range(c.ambient_dim)]
         coords = []
         for r in group_rays:

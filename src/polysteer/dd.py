@@ -18,10 +18,10 @@ from typing import Sequence
 from .ratlin import (
     LinearProgram,
     as_matrix,
+    independent_rows,
     lp_feasible,
     nullspace,
     primitive,
-    rank,
     solve_linear,
     vec_dot,
 )
@@ -32,20 +32,6 @@ IntVec = tuple[int, ...]
 def int_dot(u: Sequence[int], v: Sequence[int]) -> int:
     """Exact dot product of two integer vectors."""
     return sum(a * b for a, b in zip(u, v))
-
-
-def _independent_subset(rows: Sequence[IntVec], dim: int) -> list[int]:
-    chosen: list[int] = []
-    current = 0
-    for i, row in enumerate(rows):
-        cand = [rows[j] for j in chosen] + [row]
-        r = rank(cand)
-        if r > current:
-            chosen.append(i)
-            current = r
-            if current == dim:
-                break
-    return chosen
 
 
 def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[IntVec]:
@@ -61,7 +47,7 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[IntVec]:
     the most current rays; once none cuts any off, the rest are redundant.
     """
     normd = [primitive(r) for r in rows]
-    base_idx = _independent_subset(normd, dim)
+    base_idx = independent_rows(normd)
     if len(base_idx) < dim:
         raise ValueError("inequality rows do not span the space; cone is not pointed")
 

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
 from .._kernel import Tableau
-from .qarith import Matrix, Vector, as_matrix, as_vector, vec_zero
+from .qarith import Matrix, Vector, as_matrix, as_vector, integral, vec_zero
 
 
 def _rref(tab: Tableau, cols: int) -> list[tuple[int, int]]:
@@ -31,12 +32,41 @@ def _rref(tab: Tableau, cols: int) -> list[tuple[int, int]]:
     return pivots
 
 
+def independent_rows(a: Sequence[Sequence]) -> list[int]:
+    """Indices of the rows of A independent of all the rows before them.
+
+    This is the first maximal independent subset, taken greedily, found in
+    one fraction-free elimination pass: each row is scaled once to integers,
+    reduced against the rows chosen so far by cross-multiplication and
+    divided by its gcd. A chosen row is zero in the pivot columns of the
+    rows chosen before it, so one sweep in order reduces a row fully.
+    """
+    rows = [integral(row) for row in a]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("ragged matrix")
+    ncols = len(rows[0]) if rows else 0
+    chosen: list[int] = []
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
+    for i, v in enumerate(rows):
+        if len(basis) == ncols:
+            break
+        for c, b in basis:
+            x = v[c]
+            if x:
+                p = b[c]
+                v = [p * e - x * f for e, f in zip(v, b)]
+                g = math.gcd(*v)
+                if g > 1:
+                    v = [e // g for e in v]
+        c = next((j for j, e in enumerate(v) if e), -1)
+        if c >= 0:
+            basis.append((c, v))
+            chosen.append(i)
+    return chosen
+
+
 def rank(a: Sequence[Sequence]) -> int:
-    mat = as_matrix(a)
-    if not mat or not mat[0]:
-        return 0
-    tab = Tableau(mat)
-    return len(_rref(tab, tab.ncols))
+    return len(independent_rows(a))
 
 
 def solve_linear(a: Sequence[Sequence], b: Sequence) -> Vector | None:

@@ -85,20 +85,25 @@ def mat_identity(n: int) -> Matrix:
     )
 
 
+def integral(v: Iterable) -> list[int]:
+    """v scaled by the lcm of its denominators, a positive integer.
+
+    The scale is positive, so the result keeps every sign of v and of its
+    products with integer vectors.
+    """
+    q = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
+    scale = math.lcm(*(x.denominator for x in q))
+    return [x.numerator * (scale // x.denominator) for x in q]
+
+
 def primitive(v: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale v by the unique positive rational giving integer entries, gcd 1.
 
     This is the canonical representative of v under positive scaling, used to
     store cone rays and facet normals so that set equality is syntactic.
     """
-    v = [Fraction(x) for x in v]
-    if all(a == 0 for a in v):
+    ints = integral(v)
+    g = math.gcd(*ints)
+    if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    den_lcm = 1
-    for a in v:
-        den_lcm = den_lcm * a.denominator // math.gcd(den_lcm, a.denominator)
-    ints = [int(a * den_lcm) for a in v]
-    g = 0
-    for n in ints:
-        g = math.gcd(g, n)
     return tuple(n // g for n in ints)

@@ -30,11 +30,11 @@ from .ratlin import (
     Matrix,
     Vector,
     as_vector,
+    independent_rows,
     lp_feasible,
     lp_optimize,
     mat_transpose,
     nullspace,
-    rank,
     solve_linear,
     vec_dot,
     vec_scale,
@@ -477,15 +477,8 @@ class SectionSearch:
 
 
 def _affine_basis(points: Sequence[Vector]) -> list[Vector]:
-    base = points[0]
-    chosen = [base]
-    diffs: list[Vector] = []
-    for p in points[1:]:
-        d = vec_sub(p, base)
-        if rank(diffs + [list(d)]) > len(diffs):
-            diffs.append(list(d))
-            chosen.append(p)
-    return chosen
+    diffs = [vec_sub(p, points[0]) for p in points[1:]]
+    return [points[0]] + [points[1 + i] for i in independent_rows(diffs)]
 
 
 def _direction_coords(basis: Sequence[Vector], direction: Vector) -> Vector | None:

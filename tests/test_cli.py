@@ -408,6 +408,27 @@ class TestVerify:
         assert code == 2
         assert "missing flags, digest" in err
 
+    def test_report_that_is_not_an_object(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("[]")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "not an object" in err
+
+    def test_command_that_is_not_a_string(self, capsys, lib_path, tmp_path):
+        _, out, _ = run(capsys, "homogeneous", lib_path, "square_space", "--json")
+        report = json.loads(out)
+        report["command"] = ["homogeneous"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(report))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "is not a string" in err
+
 
 class TestFixturesCommand:
     def test_stdout_is_canonical(self, capsys):

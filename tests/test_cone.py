@@ -16,6 +16,7 @@ import pytest
 from polysteer.cone import (
     ConeError,
     PolyhedralCone,
+    _extreme_generators,
     all_faces,
     cone_from_facets,
     cone_from_rays,
@@ -223,6 +224,57 @@ def test_one_pass_canonicalization_matches_two_passes():
             gens = [kron_vec(f, g) for f in sa.cone.facets for g in sb.cone.facets]
             want = two_pass_from_facets(gens, dim)
             assert max_tensor(sa, sb).cone == want == cone_from_facets(gens, dim)
+
+
+def rank_rule(generators, duals, dim):
+    """The earlier canonicalisation: g is extreme iff its tight duals have rank dim - 1."""
+    return sorted(
+        g
+        for g in {primitive(g) for g in generators}
+        if rank([h for h in duals if sum(a * b for a, b in zip(h, g)) == 0]) == dim - 1
+    )
+
+
+def with_redundant_generators(rng, rows):
+    """rows plus duplicates, positive multiples, sums of two and the sum of all."""
+    gens = rows + [rng.choice(rows) for _ in range(2)]
+    gens += [tuple(rng.randint(2, 3) * a for a in rng.choice(rows))]
+    gens += [tuple(a + b for a, b in zip(rng.choice(rows), rng.choice(rows)))]
+    gens += [tuple(sum(col) for col in zip(*rows))]
+    rng.shuffle(gens)
+    return gens
+
+
+def test_incidence_containment_matches_rank_rule():
+    rng = random.Random(7)
+    cases = []
+    for trial in range(50):
+        dim = 1 + trial % 5
+        rows, _ = random_cone(rng, dim)
+        cases.append((with_redundant_generators(rng, rows), dim))
+    for dim in range(1, 6):
+        while True:
+            rows = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(dim)]
+            if rank(rows) == dim:
+                break
+        cases.append((with_redundant_generators(rng, rows), dim))
+    lib = fixture_library()
+    for a, b in [
+        ("square_space", "square_space"),
+        ("simplex_3", "cube_space"),
+        ("square_space", "cube_space"),
+    ]:
+        sa, sb = lib.space(a), lib.space(b)
+        dim = sa.dim * sb.dim
+        cases.append(([kron_vec(r, s) for r in sa.cone.rays for s in sb.cone.rays], dim))
+        cases.append(([kron_vec(f, g) for f in sa.cone.facets for g in sb.cone.facets], dim))
+    for gens, dim in cases:
+        c = cone_from_rays(gens, dim)
+        assert _extreme_generators(gens, c.facets) == rank_rule(gens, c.facets, dim)
+        assert _extreme_generators(gens, c.facets) == list(c.rays)
+        c = cone_from_facets(gens, dim)
+        assert _extreme_generators(gens, c.rays) == rank_rule(gens, c.rays, dim)
+        assert _extreme_generators(gens, c.rays) == list(c.facets)
 
 
 def test_contains_and_interior():

@@ -7,6 +7,7 @@ code paths under test.
 
 from fractions import Fraction
 from itertools import combinations
+import math
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from polysteer.ratlin import (
     as_matrix,
     as_vector,
     format_rational,
+    independent_rows,
     invert,
     lp_feasible,
     lp_optimize,
@@ -179,6 +181,76 @@ def test_gauss_randomized_against_minor_oracle():
             assert rank_by_minors(aug) > rank_by_minors([list(r) for r in m])
         else:
             assert list(mat_vec(m, x)) == [F(v) for v in b]
+
+
+def as_int_fraction_or_string(rng, x):
+    """x written as an int (when integral), a Fraction or a "p/q" string."""
+    forms = [x, f"{x.numerator}/{x.denominator}"]
+    if x.denominator == 1:
+        forms.append(x.numerator)
+    return rng.choice(forms)
+
+
+def seeded_matrices(seed, count):
+    """Rational matrices with zero, repeated and scaled rows, in mixed entry forms."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 4)
+        m = [
+            [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        if trial % 3 == 0:
+            m[rng.randrange(rows)] = [F(0)] * cols
+        if trial % 4 == 0 and rows > 1:
+            m[rng.randrange(1, rows)] = [F(-3, 2) * x for x in m[0]]
+        yield m, [[as_int_fraction_or_string(rng, x) for x in row] for row in m]
+
+
+def test_fraction_free_rank_against_minor_oracle():
+    for m, mixed in seeded_matrices(20261018, 120):
+        assert rank(mixed) == rank_by_minors(m)
+    assert rank([]) == 0
+    assert rank([[], []]) == 0
+    assert rank([[0, "0/5", F(0)]]) == 0
+    with pytest.raises(ValueError, match="ragged"):
+        rank([[1, 2], [3]])
+
+
+def test_independent_rows_is_the_greedy_subset():
+    def greedy(m):
+        chosen = []
+        for i, row in enumerate(m):
+            if rank_by_minors([m[j] for j in chosen] + [row]) > len(chosen):
+                chosen.append(i)
+        return chosen
+
+    for m, mixed in seeded_matrices(20261019, 120):
+        assert independent_rows(mixed) == greedy(m)
+    assert independent_rows([]) == []
+    assert independent_rows([[0, 0], [1, 1], [2, 2], [0, 3], [5, 7]]) == [1, 3]
+    with pytest.raises(ValueError, match="ragged"):
+        independent_rows([[1], [2, 3]])
+
+
+def test_primitive_of_int_fraction_and_string_entries():
+    assert primitive([2, 4, -6]) == (1, 2, -3)
+    assert primitive(["1/2", "-3/4", 0]) == (2, -3, 0)
+    assert primitive([F(6, 5), "-9/10", 3]) == (4, -3, 10)
+    rng = random.Random(20261020)
+    for _ in range(100):
+        v = [F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(1, 5))]
+        if not any(v):
+            continue
+        p = primitive([as_int_fraction_or_string(rng, x) for x in v])
+        assert all(isinstance(n, int) for n in p)
+        assert math.gcd(*p) == 1
+        # p is a positive multiple of v.
+        t = next(F(n) / x for n, x in zip(p, v) if x)
+        assert t > 0 and [t * x for x in v] == list(p)
+    for zero in ([0, 0], ["0/3", F(0)], []):
+        with pytest.raises(ValueError, match="zero vector"):
+            primitive(zero)
 
 
 # --- linear programs -----------------------------------------------------
