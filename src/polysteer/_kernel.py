@@ -3,8 +3,8 @@
 Each row is kept as a list of numerators and a list of denominators: plain
 ints, always coprime, with the denominator positive. The pivot inner loop
 therefore runs on integer arithmetic and builds no Fraction objects.
-Everything algorithmic (simplex, Gaussian elimination, double description)
-lives above this layer and sees entries only as Fractions.
+The exact simplex is the one user of this layer and sees entries only as
+Fractions; Gaussian elimination runs fraction-free in `ratlin.gauss`.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from .composite import (
 )
 from .cone import dual_cone
 from .fixtures import fixture_library
-from .ratlin import LPOutcome, as_vector, format_rational, mat_vec, rank
+from .ratlin import LPOutcome, as_vector, mat_vec, rank
 from .space import OrderIsoWitness, effects_interval, is_homogeneous, is_weakly_self_dual
 from .steering import (
     AffineSection,
@@ -43,25 +43,15 @@ from .steering import (
     ensemble_lift_program,
     section_program,
 )
-from .theoryfile import TheoryFileError, parse_rational
+from .theoryfile import (
+    TheoryFileError,
+    format_matrix,
+    format_vector,
+    parse_matrix,
+    parse_vector,
+)
 
 REPORT_FORMAT = "report/1"
-
-
-def _rvec(v) -> list[str]:
-    return [format_rational(x) for x in v]
-
-
-def _rmat(m) -> list[list[str]]:
-    return [_rvec(row) for row in m]
-
-
-def _parse_vec(values) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(x) for x in values)
-
-
-def _parse_mat(rows) -> tuple[tuple[Fraction, ...], ...]:
-    return tuple(_parse_vec(row) for row in rows)
 
 
 def _canonical(payload) -> str:
@@ -129,16 +119,18 @@ def _check_steering_body(tf: theoryfile.TheoryFile, flags: dict) -> tuple[dict, 
         certificates = {
             "lifted": [
                 {
-                    "ensemble": _rmat(le.ensemble.parts),
-                    "observable": _rmat(e.functional for e in le.observable.effects),
+                    "ensemble": format_matrix(le.ensemble.parts),
+                    "observable": format_matrix(
+                        e.functional for e in le.observable.effects
+                    ),
                 }
                 for le in verdict.lifted
             ]
         }
     else:
         certificates = {
-            "counterexample": _rmat(verdict.counterexample.parts),
-            "farkas": _rvec(verdict.farkas),
+            "counterexample": format_matrix(verdict.counterexample.parts),
+            "farkas": format_vector(verdict.farkas),
         }
     return {"status": verdict.status, "depth": verdict.depth}, certificates
 
@@ -160,9 +152,9 @@ def cmd_check_steering(args) -> int:
 
 def _witness_certificate(witness: OrderIsoWitness) -> dict:
     return {
-        "matrix": _rmat(witness.matrix),
+        "matrix": format_matrix(witness.matrix),
         "ray_bijection": list(witness.ray_bijection),
-        "scales": _rvec(witness.scales),
+        "scales": format_vector(witness.scales),
     }
 
 
@@ -191,9 +183,9 @@ def _homogeneous_body(tf: theoryfile.TheoryFile, flags: dict) -> tuple[dict, dic
     verdict = is_homogeneous(tf.space(flags["space"]))
     certificates: dict = {}
     if verdict.generators is not None:
-        certificates["generators"] = [_rmat(g) for g in verdict.generators]
+        certificates["generators"] = [format_matrix(g) for g in verdict.generators]
     if verdict.failed_pair is not None:
-        certificates["failed_pair"] = _rmat(verdict.failed_pair)
+        certificates["failed_pair"] = format_matrix(verdict.failed_pair)
     return {"status": verdict.status}, certificates
 
 
@@ -212,7 +204,7 @@ def cmd_homogeneous(args) -> int:
 
 def _purify_body(tf: theoryfile.TheoryFile, flags: dict) -> tuple[dict, dict]:
     space = tf.space(flags["space"])
-    alpha = _parse_vec(flags["state"])
+    alpha = parse_vector(flags["state"], "state")
     if len(alpha) != space.dim:
         raise TheoryFileError(
             f"state has {len(alpha)} coordinates; the space needs {space.dim}"
@@ -220,14 +212,14 @@ def _purify_body(tf: theoryfile.TheoryFile, flags: dict) -> tuple[dict, dict]:
     omega = purify(space, alpha)
     if omega is None:
         return {"purified": False}, {}
-    return {"purified": True}, {"purification": {"matrix": _rmat(omega.matrix)}}
+    return {"purified": True}, {"purification": {"matrix": format_matrix(omega.matrix)}}
 
 
 def cmd_purify(args) -> int:
     t0 = time.perf_counter()
     tf = theoryfile.load(args.file)
     inputs = _inputs_for_spaces(tf, args.space)
-    alpha = _rvec(_parse_vec(args.state.split(",")))
+    alpha = format_vector(parse_vector(args.state.split(","), "state"))
     flags = {"space": args.space, "state": alpha}
     verdicts, certificates = _purify_body(tf, flags)
     if verdicts["purified"]:
@@ -243,7 +235,10 @@ def _tensor_body(tf: theoryfile.TheoryFile, flags: dict) -> tuple[dict, dict]:
     a, b = tf.space(flags["space_a"]), tf.space(flags["space_b"])
     composite = (min_tensor if flags["kind"] == "min" else max_tensor)(a, b)
     verdicts = {"ray_count": len(composite.cone.rays), "dim": composite.cone.ambient_dim}
-    certificates = {"rays": _rmat(composite.cone.rays), "unit": _rvec(composite.unit)}
+    certificates = {
+        "rays": format_matrix(composite.cone.rays),
+        "unit": format_vector(composite.unit),
+    }
     return verdicts, certificates
 
 
@@ -265,7 +260,7 @@ def _pure_body(tf: theoryfile.TheoryFile, flags: dict) -> tuple[dict, dict]:
     result = is_pure_in_max(tf.state(flags["state"]))
     certificates: dict = {}
     if result.witness is not None:
-        certificates["decomposition_part"] = _rmat(result.witness)
+        certificates["decomposition_part"] = format_matrix(result.witness)
     return {"pure": result.extremal}, certificates
 
 
@@ -284,13 +279,16 @@ def cmd_pure(args) -> int:
 
 
 def _section_certificate(section: AffineSection) -> dict:
-    return {"base_points": _rmat(section.base_points), "images": _rmat(section.images)}
+    return {
+        "base_points": format_matrix(section.base_points),
+        "images": format_matrix(section.images),
+    }
 
 
 def _section_body(tf: theoryfile.TheoryFile, flags: dict) -> tuple[dict, dict]:
     search = affine_section_search(tf.state(flags["state"]))
     if not search:
-        return {"found": False}, {"farkas": _rvec(search.farkas)}
+        return {"found": False}, {"farkas": format_vector(search.farkas)}
     certificates = {"section": _section_certificate(search.section)}
     if search.alternate is not None:
         certificates["alternate"] = _section_certificate(search.alternate)
@@ -339,14 +337,16 @@ def _substitute_check_steering(tf, flags, verdicts, certificates):
         interval = effects_interval(omega.space_a)
         lifted = []
         for idx, item in enumerate(certificates["lifted"]):
-            parts = _parse_mat(item["ensemble"])
-            effects = _parse_mat(item["observable"])
-            lifted.append({"ensemble": _rmat(parts), "observable": _rmat(effects)})
+            parts = parse_matrix(item["ensemble"], "ensemble")
+            effects = parse_matrix(item["observable"], "observable")
+            lifted.append(
+                {"ensemble": format_matrix(parts), "observable": format_matrix(effects)}
+            )
             if not Ensemble(omega.space_b, parts).is_for(target):
                 problems.append(f"lifted[{idx}]: ensemble does not sum to the marginal")
                 continue
             total = (Fraction(0),) * omega.space_a.dim
-            for eff, part in zip(effects, parts):
+            for eff, part in zip(effects, parts, strict=True):
                 if not interval.contains(eff):
                     problems.append(f"lifted[{idx}]: effect outside [0, u]")
                 if omega.apply(eff) != part:
@@ -355,18 +355,24 @@ def _substitute_check_steering(tf, flags, verdicts, certificates):
             if total != as_vector(omega.space_a.unit):
                 problems.append(f"lifted[{idx}]: effects do not sum to the unit")
         status, want = "steering_up_to", {"lifted": lifted}
+        depth = flags["depth"]
     else:
-        parts = _parse_mat(certificates["counterexample"])
+        parts = parse_matrix(certificates["counterexample"], "counterexample")
         e = Ensemble(omega.space_b, parts)
         if not e.is_for(target):
             problems.append("counterexample does not sum to the marginal")
-        farkas = _parse_vec(certificates["farkas"])
+        farkas = parse_vector(certificates["farkas"], "farkas")
         if not LPOutcome.infeasible(farkas).check(ensemble_lift_program(omega, e)):
             problems.append("farkas certificate does not refute the lift program")
         status = "not_steering"
-        want = {"counterexample": _rmat(parts), "farkas": _rvec(farkas)}
-    # The depth carries no certificate until steering is decided exactly.
-    return problems, ({"status": status, "depth": verdicts["depth"]}, want)
+        want = {"counterexample": format_matrix(parts), "farkas": format_vector(farkas)}
+        # A vertex of the k-part splitting polytope with k - j zero parts is
+        # a vertex of the j-part one, so the search meets a counterexample of
+        # j parts first, and stops, at depth max(2, j).
+        depth = max(2, len(parts))
+        if depth > flags["depth"]:
+            problems.append("counterexample has more parts than the depth searched")
+    return problems, ({"status": status, "depth": depth}, want)
 
 
 def _substitute_self_dual(tf, flags, verdicts, certificates):
@@ -375,9 +381,9 @@ def _substitute_self_dual(tf, flags, verdicts, certificates):
     space = tf.space(flags["space"])
     w = certificates["witness"]
     witness = OrderIsoWitness(
-        _parse_mat(w["matrix"]),
+        parse_matrix(w["matrix"], "matrix"),
         tuple(w["ray_bijection"]),
-        _parse_vec(w["scales"]),
+        parse_vector(w["scales"], "scales"),
     )
     problems = []
     if not witness.verify(dual_cone(space.cone), space.cone):
@@ -389,21 +395,22 @@ def _substitute_purify(tf, flags, verdicts, certificates):
     if not verdicts["purified"]:
         return None
     space = tf.space(flags["space"])
-    matrix = _parse_mat(certificates["purification"]["matrix"])
+    matrix = parse_matrix(certificates["purification"]["matrix"], "matrix")
     omega = BipartiteState(space, space, matrix)
     problems = []
-    if marginal_b(omega).vector != _parse_vec(flags["state"]):
+    if marginal_b(omega).vector != parse_vector(flags["state"], "state"):
         problems.append("purification does not have the requested marginal")
     if is_isomorphism_state(omega) is None:
         problems.append("purification is not an isomorphism state")
-    return problems, ({"purified": True}, {"purification": {"matrix": _rmat(matrix)}})
+    want = {"purification": {"matrix": format_matrix(matrix)}}
+    return problems, ({"purified": True}, want)
 
 
 def _substitute_pure(tf, flags, verdicts, certificates):
     if verdicts["pure"]:
         return None
     omega = tf.state(flags["state"])
-    psi = _parse_mat(certificates["decomposition_part"])
+    psi = parse_matrix(certificates["decomposition_part"], "decomposition_part")
     phi = omega.matrix
     if len(psi) != len(phi) or any(len(a) != len(b) for a, b in zip(psi, phi)):
         return ["witness part does not have the map's shape"], None
@@ -425,21 +432,24 @@ def _substitute_pure(tf, flags, verdicts, certificates):
         if not target.contains(mat_vec(rest, as_vector(r))):
             problems.append("witness complement is not positive")
             break
-    return problems, ({"pure": False}, {"decomposition_part": _rmat(psi)})
+    return problems, ({"pure": False}, {"decomposition_part": format_matrix(psi)})
 
 
 def _decode_section(cert: dict) -> AffineSection:
-    return AffineSection(_parse_mat(cert["base_points"]), _parse_mat(cert["images"]))
+    return AffineSection(
+        parse_matrix(cert["base_points"], "base_points"),
+        parse_matrix(cert["images"], "images"),
+    )
 
 
 def _substitute_section(tf, flags, verdicts, certificates):
     omega = tf.state(flags["state"])
     program = section_program(omega)[0]
     if not verdicts["found"]:
-        farkas = _parse_vec(certificates["farkas"])
+        farkas = parse_vector(certificates["farkas"], "farkas")
         if not LPOutcome.infeasible(farkas).check(program):
             return ["farkas certificate does not refute the section program"], None
-        return [], ({"found": False}, {"farkas": _rvec(farkas)})
+        return [], ({"found": False}, {"farkas": format_vector(farkas)})
     section = _decode_section(certificates["section"])
     if not section.verify(omega):
         return ["section fails verification against the state"], None

@@ -40,6 +40,7 @@ from .ratlin import (
     rank,
     vec_dot,
     vec_scale,
+    vec_zero,
 )
 from .space import (
     Effect,
@@ -405,23 +406,11 @@ def factors_isomorphically_through(
         if not face_rays or face.span_dim() != rk:
             continue
         span_basis = [face_rays[i] for i in independent_rows(face_rays)]
-        full = span_basis + list(kern)
-        if rank(full) < d:
+        cols_inv = invert(mat_transpose(span_basis + kern))
+        if cols_inv is None:
             continue
-        cols = tuple(tuple(full[c][r] for c in range(d)) for r in range(d))
-        cols_inv = invert(cols)
-        assert cols_inv is not None
-        image_cols = [
-            span_basis[c] if c < len(span_basis) else (Fraction(0),) * d
-            for c in range(d)
-        ]
-        p = tuple(
-            tuple(
-                sum(image_cols[c][r] * cols_inv[c][k] for c in range(d))
-                for k in range(d)
-            )
-            for r in range(d)
-        )
+        # The idempotent keeps span(F) and kills the kernel.
+        p = mat_mul(mat_transpose(span_basis + [vec_zero(d)] * len(kern)), cols_inv)
         if any(not face.contains(mat_vec(p, as_vector(r))) for r in source.rays):
             continue
         images = [mat_vec(phi, fr) for fr in face_rays]

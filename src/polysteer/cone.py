@@ -9,11 +9,18 @@ cones are set-equal exactly when the dataclasses are equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import dd
-from .ratlin import independent_rows, integral, nullspace, primitive, rank, solve_linear
+from .ratlin import (
+    independent_rows,
+    integral,
+    mat_transpose,
+    nullspace,
+    primitive,
+    rank,
+    solve_linear,
+)
 
 IntVec = tuple[int, ...]
 
@@ -223,12 +230,11 @@ def irreducible_partition(c: PolyhedralCone) -> list[tuple[int, ...]]:
     def union(i: int, j: int) -> None:
         parent[find(i)] = find(j)
 
-    cols = [[Fraction(c.rays[b][row]) for b in basis_idx] for row in range(c.ambient_dim)]
+    cols = mat_transpose([c.rays[b] for b in basis_idx])
     for e in range(k):
         if e in basis_idx:
             continue
         coeffs = solve_linear(cols, c.rays[e])
-        assert coeffs is not None
         for pos, b in enumerate(basis_idx):
             if coeffs[pos] != 0:
                 union(e, b)
@@ -244,11 +250,7 @@ def irreducible_components(c: PolyhedralCone) -> list[PolyhedralCone]:
     for group in irreducible_partition(c):
         group_rays = [c.rays[i] for i in group]
         sub_basis = [group_rays[i] for i in independent_rows(group_rays)]
-        cols = [[Fraction(b[row]) for b in sub_basis] for row in range(c.ambient_dim)]
-        coords = []
-        for r in group_rays:
-            sol = solve_linear(cols, r)
-            assert sol is not None
-            coords.append(sol)
+        cols = mat_transpose(sub_basis)
+        coords = [solve_linear(cols, r) for r in group_rays]
         out.append(cone_from_rays(coords, len(sub_basis)))
     return out

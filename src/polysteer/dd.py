@@ -17,9 +17,10 @@ from typing import Sequence
 
 from .ratlin import (
     LinearProgram,
-    as_matrix,
     independent_rows,
+    invert,
     lp_feasible,
+    mat_transpose,
     nullspace,
     primitive,
     solve_linear,
@@ -51,8 +52,10 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[IntVec]:
     if len(base_idx) < dim:
         raise ValueError("inequality rows do not span the space; cone is not pointed")
 
-    base = as_matrix([normd[i] for i in base_idx])
-    rays: list[IntVec] = [primitive(col) for col in _inverse_columns(base)]
+    # The columns of the inverse of the base rows are the rays of the
+    # simplicial cone those rows cut out.
+    base_inv = invert([normd[i] for i in base_idx])
+    rays: list[IntVec] = [primitive(col) for col in mat_transpose(base_inv)]
     # dots[j][i] is row i times ray j; negs[i] counts the rays row i cuts off.
     dots = [[int_dot(h, r) for h in normd] for r in rays]
     inc = [sum(1 << i for i in base_idx if d[i] == 0) for d in dots]
@@ -100,14 +103,6 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[IntVec]:
         dots = [dots[j] for j in keep] + fresh_dots
         inc = [inc[j] for j in plus] + [inc[j] | bit for j in zero] + fresh_inc
     return sorted(set(rays))
-
-
-def _inverse_columns(base) -> list[tuple[Fraction, ...]]:
-    from .ratlin import invert
-
-    inv = invert(base)
-    assert inv is not None, "independent subset must be invertible"
-    return [tuple(row[j] for row in inv) for j in range(len(inv))]
 
 
 def polytope_vertices(

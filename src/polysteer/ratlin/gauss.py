@@ -1,4 +1,10 @@
-"""Exact Gaussian elimination: linear solve, rank, nullspace, inverse."""
+"""Exact Gaussian elimination: linear solve, rank, nullspace, inverse.
+
+Everything runs on one fraction-free pass (Bareiss 1968): each row is scaled
+once to integers, and rows are combined by cross-multiplication and divided
+by their gcd. Results come from the reduced row echelon form, which is
+unique, so they do not depend on the order the pass pivots in.
+"""
 
 from __future__ import annotations
 
@@ -6,40 +12,28 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .._kernel import Tableau
-from .qarith import Matrix, Vector, as_matrix, as_vector, integral, vec_zero
+from .qarith import Matrix, Vector, integral, vec_zero
 
 
-def _rref(tab: Tableau, cols: int) -> list[tuple[int, int]]:
-    """Gauss-Jordan over the first ``cols`` columns; returns (row, col) pivots.
-
-    Rows are never swapped; each column pivots on the first unused row with a
-    nonzero entry, which keeps the procedure deterministic.
-    """
-    pivots: list[tuple[int, int]] = []
-    used: set[int] = set()
-    for c in range(cols):
-        prow = -1
-        for i in range(tab.nrows):
-            if i not in used and tab.sign(i, c) != 0:
-                prow = i
-                break
-        if prow < 0:
-            continue
-        tab.pivot(prow, c)
-        used.add(prow)
-        pivots.append((prow, c))
-    return pivots
+def _clear(v: list[int], b: list[int], c: int) -> list[int]:
+    """v with column c cleared by the row b, divided by its gcd."""
+    p, x = b[c], v[c]
+    w = [p * e - x * f for e, f in zip(v, b)]
+    g = math.gcd(*w)
+    return [e // g for e in w] if g > 1 else w
 
 
-def independent_rows(a: Sequence[Sequence]) -> list[int]:
-    """Indices of the rows of A independent of all the rows before them.
+def _eliminate(a: Sequence[Sequence], reduce: bool = False):
+    """The one elimination pass over the rows of A.
 
-    This is the first maximal independent subset, taken greedily, found in
-    one fraction-free elimination pass: each row is scaled once to integers,
-    reduced against the rows chosen so far by cross-multiplication and
-    divided by its gcd. A chosen row is zero in the pivot columns of the
-    rows chosen before it, so one sweep in order reduces a row fully.
+    Returns the indices of the rows independent of all the rows before them
+    (the greedy first maximal independent subset) and, for each, its pivot
+    column and reduced integer row. The forward sweep reduces each row
+    against the rows chosen so far: a chosen row is zero in the pivot columns
+    of the rows chosen before it, so one sweep in order reduces a row fully.
+    With `reduce`, back-substitution then clears each pivot column from the
+    rows chosen before it too, so that dividing a row by its pivot entry
+    gives its row of the reduced row echelon form.
     """
     rows = [integral(row) for row in a]
     if any(len(row) != len(rows[0]) for row in rows):
@@ -51,18 +45,27 @@ def independent_rows(a: Sequence[Sequence]) -> list[int]:
         if len(basis) == ncols:
             break
         for c, b in basis:
-            x = v[c]
-            if x:
-                p = b[c]
-                v = [p * e - x * f for e, f in zip(v, b)]
-                g = math.gcd(*v)
-                if g > 1:
-                    v = [e // g for e in v]
+            if v[c]:
+                v = _clear(v, b, c)
         c = next((j for j, e in enumerate(v) if e), -1)
         if c >= 0:
             basis.append((c, v))
             chosen.append(i)
-    return chosen
+    if reduce:
+        # The last chosen row is zero in every other pivot column; clearing
+        # its column from the rows above keeps that true for the row before.
+        for k in range(len(basis) - 1, 0, -1):
+            c, b = basis[k]
+            for j in range(k):
+                cj, v = basis[j]
+                if v[c]:
+                    basis[j] = (cj, _clear(v, b, c))
+    return chosen, basis
+
+
+def independent_rows(a: Sequence[Sequence]) -> list[int]:
+    """Indices of the rows of A independent of all the rows before them."""
+    return _eliminate(a)[0]
 
 
 def rank(a: Sequence[Sequence]) -> int:
@@ -70,70 +73,55 @@ def rank(a: Sequence[Sequence]) -> int:
 
 
 def solve_linear(a: Sequence[Sequence], b: Sequence) -> Vector | None:
-    """One exact solution of A x = b, or None if the system is inconsistent."""
-    mat = as_matrix(a)
-    rhs = as_vector(b)
-    if len(mat) != len(rhs):
+    """The solution of A x = b with every free variable zero, or None if the
+    system is inconsistent."""
+    a, b = list(a), list(b)
+    if len(a) != len(b):
         raise ValueError("row count mismatch")
-    if not mat:
+    if not a:
         return ()
-    n = len(mat[0])
-    tab = Tableau([row + (rhs[i],) for i, row in enumerate(mat)])
-    pivots = _rref(tab, n)
-    pivot_rows = {r for r, _ in pivots}
-    for i in range(tab.nrows):
-        if i not in pivot_rows and tab.sign(i, n) != 0:
-            return None
+    n = len(a[0])
     x = list(vec_zero(n))
-    for r, c in pivots:
-        x[c] = tab.entry(r, n)
+    for c, row in _eliminate([[*row, y] for row, y in zip(a, b)], reduce=True)[1]:
+        if c == n:
+            return None
+        x[c] = Fraction(row[n], row[c])
     return tuple(x)
 
 
 def nullspace(a: Sequence[Sequence], ncols: int | None = None) -> list[Vector]:
-    """Deterministic basis of the kernel of A (one vector per free column)."""
-    mat = as_matrix(a)
-    if not mat:
-        if ncols is None:
-            raise ValueError("ncols required for empty matrix")
-        n = ncols
-        pivots: list[tuple[int, int]] = []
-        tab = None
-    else:
-        n = len(mat[0])
-        tab = Tableau(mat)
-        pivots = _rref(tab, n)
-    pivot_cols = {c for _, c in pivots}
+    """Basis of the kernel of A: one vector per free column, 1 in that column
+    and 0 in the other free columns."""
+    a = list(a)
+    if not a and ncols is None:
+        raise ValueError("ncols required for empty matrix")
+    n = len(a[0]) if a else ncols
+    pivots = _eliminate(a, reduce=True)[1]
+    pivot_cols = {c for c, _ in pivots}
     basis: list[Vector] = []
     for f in range(n):
         if f in pivot_cols:
             continue
-        v = [Fraction(0)] * n
+        v = list(vec_zero(n))
         v[f] = Fraction(1)
-        for r, c in pivots:
-            assert tab is not None
-            v[c] = -tab.entry(r, f)
+        for c, row in pivots:
+            v[c] = Fraction(-row[f], row[c])
         basis.append(tuple(v))
     return basis
 
 
 def invert(a: Sequence[Sequence]) -> Matrix | None:
     """Exact inverse of a square matrix, or None if singular."""
-    mat = as_matrix(a)
-    n = len(mat)
-    if any(len(row) != n for row in mat):
+    a = list(a)
+    n = len(a)
+    if any(len(row) != n for row in a):
         raise ValueError("matrix not square")
     if n == 0:
         return ()
-    aug = [
-        row + tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-        for i, row in enumerate(mat)
-    ]
-    tab = Tableau(aug)
-    pivots = _rref(tab, n)
-    if len(pivots) < n:
-        return None
-    row_of_col = {c: r for r, c in pivots}
-    return tuple(
-        tuple(tab.entry(row_of_col[i], n + j) for j in range(n)) for i in range(n)
-    )
+    aug = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a)]
+    inv: list[Vector] = [()] * n
+    for c, row in _eliminate(aug, reduce=True)[1]:
+        if c >= n:
+            return None
+        inv[c] = tuple(Fraction(row[n + j], row[c]) for j in range(n))
+    return tuple(inv)

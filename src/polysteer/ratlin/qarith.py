@@ -71,12 +71,12 @@ def mat_vec(m: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vector:
 
 
 def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Matrix:
-    bt = list(zip(*b))
+    bt = mat_transpose(b)
     return tuple(tuple(vec_dot(row, col) for col in bt) for row in a)
 
 
 def mat_transpose(m: Sequence[Sequence[Fraction]]) -> Matrix:
-    return tuple(tuple(col) for col in zip(*m))
+    return tuple(zip(*m, strict=True))
 
 
 def mat_identity(n: int) -> Matrix:

@@ -23,9 +23,10 @@ from .ratlin import (
     as_vector,
     invert,
     lp_feasible,
+    mat_mul,
+    mat_transpose,
     mat_vec,
     rank,
-    solve_linear,
     vec_dot,
     vec_scale,
 )
@@ -228,15 +229,6 @@ def _ray_basis(c: PolyhedralCone) -> list[int]:
     return chosen
 
 
-def _basis_coefficients(c: PolyhedralCone, basis: list[int], v: Sequence) -> Vector:
-    cols = [
-        [Fraction(c.rays[b][row]) for b in basis] for row in range(c.ambient_dim)
-    ]
-    sol = solve_linear(cols, as_vector(v))
-    assert sol is not None, "vector must lie in the span of the ray basis"
-    return sol
-
-
 def _ray_permutations(
     source: PolyhedralCone, target: PolyhedralCone
 ) -> Iterator[tuple[int, ...]]:
@@ -277,10 +269,14 @@ def _witness_for_permutation(
     target: PolyhedralCone,
     perm: tuple[int, ...],
     basis: list[int],
+    base_inv: Matrix,
     coeffs: dict[int, Vector],
     extra_eq: list[tuple[Vector, Fraction]] | None = None,
 ) -> OrderIsoWitness | None:
-    """Solve for positive ray scales consistent with linearity, then verify."""
+    """Solve for positive ray scales consistent with linearity, then verify.
+
+    base_inv inverts the matrix whose columns are the source's basis rays,
+    and coeffs holds every other source ray's coordinates over them."""
     n = len(source.rays)
     d = source.ambient_dim
     eq: list[tuple[Vector, Fraction]] = []
@@ -305,20 +301,8 @@ def _witness_for_permutation(
     if res.status != "feasible":
         return None
     s = res.witness
-    base_cols = [[Fraction(source.rays[b][row]) for b in basis] for row in range(d)]
-    base_inv = invert(base_cols)
-    assert base_inv is not None
-    image_cols = [
-        [s[b] * target.rays[perm[b]][row] for b in basis] for row in range(d)
-    ]
-    matrix = tuple(
-        tuple(
-            sum(image_cols[r][p] * base_inv[p][c] for p in range(d))
-            for c in range(d)
-        )
-        for r in range(d)
-    )
-    witness = OrderIsoWitness(matrix, perm, s)
+    images = mat_transpose([vec_scale(s[b], target.rays[perm[b]]) for b in basis])
+    witness = OrderIsoWitness(mat_mul(images, base_inv), perm, s)
     if not witness.verify(source, target):
         return None
     return witness
@@ -332,13 +316,10 @@ def order_isomorphisms(source: ConeLike, target: ConeLike) -> Iterator[OrderIsoW
     if len(s.rays) != len(t.rays) or len(s.facets) != len(t.facets):
         return
     basis = _ray_basis(s)
-    coeffs = {
-        j: _basis_coefficients(s, basis, s.rays[j])
-        for j in range(len(s.rays))
-        if j not in basis
-    }
+    base_inv = invert(mat_transpose([s.rays[b] for b in basis]))
+    coeffs = {j: mat_vec(base_inv, r) for j, r in enumerate(s.rays) if j not in basis}
     for perm in _ray_permutations(s, t):
-        witness = _witness_for_permutation(s, t, perm, basis, coeffs)
+        witness = _witness_for_permutation(s, t, perm, basis, base_inv, coeffs)
         if witness is not None:
             yield witness
 
@@ -366,12 +347,9 @@ def transport_automorphism(
     n = len(c.rays)
     d = c.ambient_dim
     basis = _ray_basis(c)
-    coeffs = {
-        j: _basis_coefficients(c, basis, c.rays[j])
-        for j in range(n)
-        if j not in basis
-    }
-    a_cf = _basis_coefficients(c, basis, a)
+    base_inv = invert(mat_transpose([c.rays[b] for b in basis]))
+    coeffs = {j: mat_vec(base_inv, r) for j, r in enumerate(c.rays) if j not in basis}
+    a_cf = mat_vec(base_inv, a)
     for perm in _ray_permutations(c, c):
         extra = []
         for k in range(d):
@@ -379,7 +357,9 @@ def transport_automorphism(
             for pos, bi in enumerate(basis):
                 row[bi] += a_cf[pos] * c.rays[perm[bi]][k]
             extra.append((tuple(row), b[k]))
-        witness = _witness_for_permutation(c, c, perm, basis, coeffs, extra_eq=extra)
+        witness = _witness_for_permutation(
+            c, c, perm, basis, base_inv, coeffs, extra_eq=extra
+        )
         if witness is not None and mat_vec(witness.matrix, a) == b:
             return witness.matrix
     return None
@@ -407,18 +387,12 @@ def is_homogeneous(space: StateSpace) -> HomogeneityVerdict:
     c = space.cone
     d = c.ambient_dim
     if c.is_simplicial():
-        cols = [[Fraction(c.rays[i][row]) for i in range(d)] for row in range(d)]
-        inv = invert(cols)
-        assert inv is not None
-        gens = []
-        for i in range(d):
-            gens.append(
-                tuple(
-                    tuple(cols[r][i] * inv[i][col] for col in range(d))
-                    for r in range(d)
-                )
-            )
-        return HomogeneityVerdict("yes", generators=tuple(gens))
+        inv = invert(mat_transpose(c.rays))
+        # Ray i times the i-th coordinate functional over the rays.
+        gens = tuple(
+            tuple(vec_scale(x, inv[i]) for x in ray) for i, ray in enumerate(c.rays)
+        )
+        return HomogeneityVerdict("yes", generators=gens)
     bary = space.barycenter()
     for vert in space.vertex_states():
         for t in (Fraction(1, 2), Fraction(1, 3)):

@@ -27,13 +27,13 @@ from .cone import PolyhedralCone, cone_from_rays, face_of, is_extremal
 from .dd import polytope_vertices
 from .ratlin import (
     LinearProgram,
-    Matrix,
     Vector,
     as_vector,
     independent_rows,
     lp_feasible,
     lp_optimize,
     mat_transpose,
+    mat_vec,
     nullspace,
     solve_linear,
     vec_dot,
@@ -421,27 +421,15 @@ class AffineSection:
     images: tuple[Vector, ...]
 
     def coordinates(self, y: Sequence) -> Vector:
-        y = as_vector(y)
-        cols = len(self.base_points)
-        rows: list[list[Fraction]] = []
-        rhs: list[Fraction] = []
-        for c in range(len(y)):
-            rows.append([Fraction(p[c]) for p in self.base_points])
-            rhs.append(Fraction(y[c]))
-        rows.append([Fraction(1)] * cols)
-        rhs.append(Fraction(1))
-        lam = solve_linear(rows, rhs)
+        """The weights on the base points that sum to 1 and combine to y."""
+        ones = (1,) * len(self.base_points)
+        lam = solve_linear(mat_transpose(self.base_points) + (ones,), (*y, 1))
         if lam is None:
             raise ValueError("point is outside the section's affine hull")
         return lam
 
     def apply(self, y: Sequence) -> Vector:
-        lam = self.coordinates(y)
-        d = len(self.images[0])
-        return tuple(
-            sum(lam[i] * self.images[i][c] for i in range(len(self.images)))
-            for c in range(d)
-        )
+        return mat_vec(mat_transpose(self.images), self.coordinates(y))
 
     def verify(self, omega: BipartiteState) -> bool:
         target = marginal_b(omega).vector
@@ -481,16 +469,6 @@ def _affine_basis(points: Sequence[Vector]) -> list[Vector]:
     return [points[0]] + [points[1 + i] for i in independent_rows(diffs)]
 
 
-def _direction_coords(basis: Sequence[Vector], direction: Vector) -> Vector | None:
-    """Weights of a direction over the basis differences b_i - b_0."""
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for c in range(len(basis[0])):
-        rows.append([Fraction(p[c] - basis[0][c]) for p in basis[1:]])
-        rhs.append(Fraction(direction[c]))
-    return solve_linear(rows, rhs)
-
-
 SectionProgram = tuple[LinearProgram, Callable[[Vector], AffineSection]]
 
 
@@ -526,8 +504,9 @@ def _section_search_full(
             ge.append((tuple(low), Fraction(0)))
             ge.append((tuple(-x for x in low), -bound))
     face = face_of(space_b.cone, marginal_b(omega).vector)
+    diffs = mat_transpose([vec_sub(p, basis[0]) for p in basis[1:]])
     for fr in face.rays():
-        coeff = _direction_coords(basis, as_vector(fr))
+        coeff = solve_linear(diffs, fr)
         if coeff is None:
             continue
         for r in space_a.cone.rays:
@@ -570,14 +549,13 @@ def section_program(omega: BipartiteState) -> SectionProgram:
     m = len(basis)
     frame = AffineSection(tuple(basis), ())
 
-    mat = [[Fraction(omega.matrix[j][c]) for c in range(da)] for j in range(space_b.dim)]
     particular: list[Vector] = []
     for p in basis:
-        w0 = solve_linear(mat, [Fraction(x) for x in p])
+        w0 = solve_linear(omega.matrix, p)
         if w0 is None:
             return _section_search_full(omega, verts, basis)
         particular.append(w0)
-    kernel = nullspace(mat, ncols=da)
+    kernel = nullspace(omega.matrix, ncols=da)
     kappa = len(kernel)
     n = m * kappa
 
@@ -585,16 +563,14 @@ def section_program(omega: BipartiteState) -> SectionProgram:
     # in [0, u_A], and the linear part sends the marginal's face into the
     # positive cone.
     ge: list[tuple[Vector, Fraction]] = []
+    particular_cols = mat_transpose(particular)
     for y in verts:
         lam = frame.coordinates(y)
-        base_pt = [_ZERO] * da
-        for i in range(m):
-            for c in range(da):
-                base_pt[c] += lam[i] * particular[i][c]
+        base_pt = mat_vec(particular_cols, lam)
         for r in space_a.cone.rays:
             rv = as_vector(r)
             bound = vec_dot(space_a.unit, rv)
-            const = vec_dot(tuple(base_pt), rv)
+            const = vec_dot(base_pt, rv)
             low = [_ZERO] * n
             for i in range(m):
                 for t in range(kappa):
@@ -602,17 +578,16 @@ def section_program(omega: BipartiteState) -> SectionProgram:
             ge.append((tuple(low), -const))
             ge.append((tuple(-x for x in low), const - bound))
     face = face_of(space_b.cone, target)
+    diffs = mat_transpose([vec_sub(p, basis[0]) for p in basis[1:]])
+    steps = mat_transpose([vec_sub(w, particular[0]) for w in particular[1:]])
     for fr in face.rays():
-        coeff = _direction_coords(basis, as_vector(fr))
+        coeff = solve_linear(diffs, fr)
         if coeff is None:
             continue
-        step = [_ZERO] * da
-        for i in range(1, m):
-            for c in range(da):
-                step[c] += coeff[i - 1] * (particular[i][c] - particular[0][c])
+        step = mat_vec(steps, coeff)
         for r in space_a.cone.rays:
             rv = as_vector(r)
-            const = vec_dot(tuple(step), rv)
+            const = vec_dot(step, rv)
             row = [_ZERO] * n
             for i in range(1, m):
                 for t in range(kappa):
@@ -628,15 +603,13 @@ def section_program(omega: BipartiteState) -> SectionProgram:
         ge = []
 
     def decode(xi: Vector) -> AffineSection:
-        images = []
-        for i in range(m):
-            w = list(particular[i])
-            for t in range(kappa):
-                s = xi[i * kappa + t]
-                for c in range(da):
-                    w[c] += s * kernel[t][c]
-            images.append(tuple(w))
-        return AffineSection(tuple(basis), tuple(images))
+        # Basis point i maps to its particular preimage plus the kernel
+        # combination with coefficients xi[i * kappa:(i + 1) * kappa].
+        images = tuple(
+            mat_vec(mat_transpose([w, *kernel]), (1, *xi[i * kappa:(i + 1) * kappa]))
+            for i, w in enumerate(particular)
+        )
+        return AffineSection(tuple(basis), images)
 
     return LinearProgram(n, ge=ge), decode
 

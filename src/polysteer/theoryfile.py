@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 from . import ratlin
 from .composite import BipartiteState
@@ -58,16 +57,27 @@ def parse_rational(value) -> Fraction:
         raise TheoryFileError(f"not a rational: {value!r}") from None
 
 
-def _vector(values, context: str) -> tuple[Fraction, ...]:
+def parse_vector(values, context: str) -> tuple[Fraction, ...]:
+    """A JSON array of rationals; context names it in the error."""
     if not isinstance(values, list):
         raise TheoryFileError(f"{context}: expected an array of rationals")
     return tuple(parse_rational(v) for v in values)
 
 
-def _matrix(values, context: str) -> tuple[tuple[Fraction, ...], ...]:
+def parse_matrix(values, context: str) -> tuple[tuple[Fraction, ...], ...]:
+    """A nonempty JSON array of rows of rationals."""
     if not isinstance(values, list) or not values:
         raise TheoryFileError(f"{context}: expected a nonempty array of rows")
-    return tuple(_vector(row, context) for row in values)
+    return tuple(parse_vector(row, context) for row in values)
+
+
+def format_vector(v) -> list[str]:
+    """The JSON form of a vector: each entry "p/q" or "p"."""
+    return [format_rational(x) for x in v]
+
+
+def format_matrix(m) -> list[list[str]]:
+    return [format_vector(row) for row in m]
 
 
 @dataclass
@@ -119,11 +129,11 @@ def _space_from_entry(name: str, entry, text: str) -> StateSpace:
         dim = entry["ambient_dim"]
         if not isinstance(dim, int) or isinstance(dim, bool) or dim <= 0:
             raise TheoryFileError("ambient_dim must be a positive integer")
-        rays = _matrix(entry["rays"], "rays")
-        unit = _vector(entry["unit"], "unit")
+        rays = parse_matrix(entry["rays"], "rays")
+        unit = parse_vector(entry["unit"], "unit")
         cone = cone_from_rays(rays, dim)
         if "facets" in entry:
-            given = sorted(_matrix(entry["facets"], "facets"))
+            given = sorted(parse_matrix(entry["facets"], "facets"))
             actual = sorted(as_vector(g) for g in cone.facets)
             if given != actual:
                 raise TheoryFileError(
@@ -150,7 +160,7 @@ def _state_from_entry(
         for key in ("space_a", "space_b"):
             if entry[key] not in spaces:
                 raise TheoryFileError(f"unknown space {entry[key]!r}")
-        matrix = _matrix(entry["matrix"], "matrix")
+        matrix = parse_matrix(entry["matrix"], "matrix")
         return BipartiteState(
             spaces[entry["space_a"]], spaces[entry["space_b"]], matrix
         )
@@ -173,7 +183,7 @@ def _ensemble_from_entry(
     try:
         if entry["space"] not in spaces:
             raise TheoryFileError(f"unknown space {entry['space']!r}")
-        parts = _matrix(entry["parts"], "parts")
+        parts = parse_matrix(entry["parts"], "parts")
         return Ensemble(spaces[entry["space"]], parts)
     except KeyError as exc:
         raise _anchored(
@@ -210,9 +220,9 @@ def loads(text: str) -> TheoryFile:
 def space_to_entry(space: StateSpace) -> dict:
     return {
         "ambient_dim": space.cone.ambient_dim,
-        "rays": [[format_rational(x) for x in r] for r in space.cone.rays],
-        "facets": [[format_rational(x) for x in g] for g in space.cone.facets],
-        "unit": [format_rational(x) for x in space.unit],
+        "rays": format_matrix(space.cone.rays),
+        "facets": format_matrix(space.cone.facets),
+        "unit": format_vector(space.unit),
     }
 
 
@@ -228,13 +238,13 @@ def to_document(tf: TheoryFile) -> dict:
             doc["states"][name] = {
                 "space_a": _space_name(tf, st.space_a),
                 "space_b": _space_name(tf, st.space_b),
-                "matrix": [[format_rational(x) for x in row] for row in st.matrix],
+                "matrix": format_matrix(st.matrix),
             }
     if tf.ensembles:
         doc["ensembles"] = {
             name: {
                 "space": _space_name(tf, e.space),
-                "parts": [[format_rational(x) for x in p] for p in e.parts],
+                "parts": format_matrix(e.parts),
             }
             for name, e in tf.ensembles.items()
         }

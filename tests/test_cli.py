@@ -255,6 +255,47 @@ class TestVerify:
         assert code == 1
         assert "farkas" in vout or "refute" in vout
 
+    @pytest.mark.parametrize("key", ["observable", "ensemble"])
+    def test_extra_zero_effect_or_part_rejected(self, capsys, lib_path, tmp_path, key):
+        # Each lifted observable needs exactly one effect per part; a zero
+        # appended to either list changes no sum.
+        _, out, _ = run(
+            capsys, "check-steering", lib_path, "two_squares_correlated",
+            "--depth", "2", "--json",
+        )
+        report = json.loads(out)
+        assert report["verdicts"]["status"] == "steering_up_to"
+        report["certificates"]["lifted"][0][key].append(["0", "0", "0"])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(report))
+        code, vout, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert vout.startswith("FAIL:")
+
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_ragged_section_images_rejected(self, capsys, lib_path, tmp_path, row):
+        # An extra coordinate on any image must not be dropped unread.
+        _, out, _ = run(capsys, "section", lib_path, "two_squares_correlated", "--json")
+        report = json.loads(out)
+        report["certificates"]["section"]["images"][row].append("0")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(report))
+        code, vout, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert vout.startswith("FAIL:")
+
+    @pytest.mark.parametrize("state", ["nonsteering_table", "two_squares_correlated"])
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_tampered_depth_rejected(self, capsys, lib_path, tmp_path, state, delta):
+        _, out, _ = run(capsys, "check-steering", lib_path, state, "--json")
+        report = json.loads(out)
+        report["verdicts"]["depth"] += delta
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(report))
+        code, vout, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert "differ" in vout
+
     @pytest.mark.parametrize("scale", ["0", "1/2", "1"])
     def test_summand_parallel_to_the_map_rejected(
         self, capsys, lib_path, tmp_path, scale

@@ -233,6 +233,96 @@ def test_independent_rows_is_the_greedy_subset():
         independent_rows([[1], [2, 3]])
 
 
+def gauss_jordan(rows, ncols):
+    """Fraction Gauss-Jordan over the first ncols columns, rows never swapped:
+    each column pivots on the first unused row with a nonzero entry. Returns
+    the reduced rows and the (row, column) pivots."""
+    m = [[F(x) for x in row] for row in rows]
+    pivots, used = [], set()
+    for c in range(ncols):
+        r = next((i for i in range(len(m)) if i not in used and m[i][c]), None)
+        if r is None:
+            continue
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        used.add(r)
+        pivots.append((r, c))
+    return m, pivots
+
+
+def reference_solve(a, b):
+    n = len(a[0])
+    m, pivots = gauss_jordan([list(row) + [y] for row, y in zip(a, b)], n)
+    used = {r for r, _ in pivots}
+    if any(m[i][n] for i in range(len(m)) if i not in used):
+        return None
+    x = [F(0)] * n
+    for r, c in pivots:
+        x[c] = m[r][n]
+    return tuple(x)
+
+
+def reference_nullspace(a):
+    n = len(a[0])
+    m, pivots = gauss_jordan(a, n)
+    pivot_cols = {c for _, c in pivots}
+    basis = []
+    for f in range(n):
+        if f in pivot_cols:
+            continue
+        v = [F(0)] * n
+        v[f] = F(1)
+        for r, c in pivots:
+            v[c] = -m[r][f]
+        basis.append(tuple(v))
+    return basis
+
+
+def reference_invert(a):
+    n = len(a)
+    eye = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    m, pivots = gauss_jordan([list(row) + eye[i] for i, row in enumerate(a)], n)
+    if len(pivots) < n:
+        return None
+    row_of = {c: r for r, c in pivots}
+    return tuple(tuple(m[row_of[i]][n + j] for j in range(n)) for i in range(n))
+
+
+def test_gauss_outputs_equal_the_gauss_jordan_reference():
+    # The kernel basis, the particular solution and the inverse are read off
+    # the unique reduced row echelon form, so they are pinned exactly, not
+    # just checked by re-substitution: a different valid basis or solution
+    # would change certificate bytes.
+    rng = random.Random(20261021)
+    for m, mixed in seeded_matrices(20261022, 120):
+        assert nullspace(mixed) == reference_nullspace(m)
+        b = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in m]
+        assert solve_linear(mixed, b) == reference_solve(m, b)
+        # A row that is the sum of the others, with its right-hand side off
+        # by one, makes the system inconsistent.
+        bad = m + [[sum(col) for col in zip(*m)]]
+        bad_b = b + [sum(b) + 1]
+        assert solve_linear(bad, bad_b) is None
+        assert reference_solve(bad, bad_b) is None
+    singular = invertible = 0
+    for trial in range(150):
+        n = rng.randint(1, 4)
+        a = [[F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n)] for _ in range(n)]
+        if trial % 3 == 0 and n > 1:
+            a[rng.randrange(1, n)] = [F(2, 3) * x for x in a[0]]
+        inv = reference_invert(a)
+        assert invert(a) == inv
+        if inv is None:
+            singular += 1
+        else:
+            invertible += 1
+            assert mat_mul(a, inv) == mat_identity(n)
+    assert singular > 20 and invertible > 20
+
+
 def test_primitive_of_int_fraction_and_string_entries():
     assert primitive([2, 4, -6]) == (1, 2, -3)
     assert primitive(["1/2", "-3/4", 0]) == (2, -3, 0)

@@ -34,12 +34,6 @@ STATUSES = {
     "homogeneous": ("yes", "no", "unknown"),
 }
 
-# check-steering's `depth` is neither certified nor re-derived: a steering
-# report's lifts are not yet checked to cover every extremal ensemble of that
-# depth, and a counterexample does not show that no shallower one exists.
-# Exact steering (ROADMAP item 3) closes this.
-UNCHECKED = {("check-steering", ("verdicts", "depth"))}
-
 PURIFY = [["purify", "simplex_3", "1/2,1/4,1/4"], ["purify", "cube_space", "0,0,0,1"]]
 
 
@@ -85,13 +79,12 @@ def perturbed(command, value, path):
     return format_rational(Fraction(value) + 1)
 
 
-def chosen_leaves(command, report):
-    """The first and middle leaf of each checked key path of the body."""
+def chosen_leaves(report):
+    """The first and middle leaf of each key path of the body."""
     groups = {}
     body = {"verdicts": report["verdicts"], "certificates": report["certificates"]}
     for path, value in leaves(body):
-        if (command, key_path(path)) not in UNCHECKED:
-            groups.setdefault(key_path(path), []).append((path, value))
+        groups.setdefault(key_path(path), []).append((path, value))
     for members in groups.values():
         for i in sorted({0, len(members) // 2}):
             yield members[i]
@@ -135,7 +128,7 @@ def test_perturbed_leaf_fails_verify(reports, tmp_path, words):
     path.write_text(json.dumps(report))
     assert call(["verify", str(path)])[0] == 0
     accepted = []
-    for leaf, value in chosen_leaves(command, report):
+    for leaf, value in chosen_leaves(report):
         bad = perturbed(command, value, leaf)
         tampered = copy.deepcopy(report)
         set_leaf(tampered, leaf, bad)
@@ -149,13 +142,13 @@ def test_perturbed_leaf_fails_verify(reports, tmp_path, words):
 def test_every_body_key_is_perturbed(reports):
     covered = {
         ".".join(key_path(leaf))
-        for words, report in reports.items()
-        for leaf, _ in chosen_leaves(words.split()[0], report)
+        for report in reports.values()
+        for leaf, _ in chosen_leaves(report)
     }
     assert covered == {
         "verdicts.status", "verdicts.weakly_self_dual",
         "verdicts.purified", "verdicts.ray_count", "verdicts.dim",
-        "verdicts.pure", "verdicts.found", "verdicts.dimension",
+        "verdicts.pure", "verdicts.found", "verdicts.dimension", "verdicts.depth",
         "certificates.lifted.ensemble", "certificates.lifted.observable",
         "certificates.counterexample", "certificates.farkas",
         "certificates.witness.matrix", "certificates.witness.ray_bijection",
