@@ -41,6 +41,7 @@ from .steering import (
     affine_section_search,
     decide_steering,
     ensemble_lift_program,
+    extremal_ensembles,
     section_program,
 )
 from .theoryfile import (
@@ -342,9 +343,6 @@ def _substitute_check_steering(tf, flags, verdicts, certificates):
             lifted.append(
                 {"ensemble": format_matrix(parts), "observable": format_matrix(effects)}
             )
-            if not Ensemble(omega.space_b, parts).is_for(target):
-                problems.append(f"lifted[{idx}]: ensemble does not sum to the marginal")
-                continue
             total = (Fraction(0),) * omega.space_a.dim
             for eff, part in zip(effects, parts, strict=True):
                 if not interval.contains(eff):
@@ -354,8 +352,14 @@ def _substitute_check_steering(tf, flags, verdicts, certificates):
                 total = tuple(x + y for x, y in zip(total, eff))
             if total != as_vector(omega.space_a.unit):
                 problems.append(f"lifted[{idx}]: effects do not sum to the unit")
-        status, want = "steering_up_to", {"lifted": lifted}
+        # The lifts must cover the depth's extremal ensembles, in search order.
         depth = flags["depth"]
+        expected = extremal_ensembles(omega.space_b, target, depth)
+        if [item["ensemble"] for item in lifted] != [
+            format_matrix(e.parts) for _, e in expected
+        ]:
+            problems.append("lifted ensembles are not the extremal ensembles of the depth")
+        status, want = "steering_up_to", {"lifted": lifted}
     else:
         parts = parse_matrix(certificates["counterexample"], "counterexample")
         e = Ensemble(omega.space_b, parts)

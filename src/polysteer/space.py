@@ -3,30 +3,29 @@
 A state space is a pair (cone, unit): states are cone elements, the unit is a
 functional that is strictly positive on the cone, and effects fill the dual
 interval [0, unit]. Order isomorphisms between cones are found exactly by
-pairing extreme rays and solving for a consistent scale pattern with an exact
-LP; every returned witness carries enough data to be re-verified by
-substitution alone.
+pairing extreme rays and solving one linear system for the ray scales of
+each pairing; every returned witness carries enough data to be re-verified
+by substitution alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
-from .cone import PolyhedralCone, dual_cone, ordered_direct_sum
+from .cone import PolyhedralCone, dual_cone, irreducible_partition, ordered_direct_sum
 from .dd import polytope_vertices
 from .ratlin import (
-    LinearProgram,
     Matrix,
     Vector,
     as_vector,
     invert,
-    lp_feasible,
     mat_mul,
     mat_transpose,
     mat_vec,
     rank,
+    solve_linear,
     vec_dot,
     vec_scale,
 )
@@ -264,64 +263,60 @@ def _ray_permutations(
     yield from backtrack(0)
 
 
-def _witness_for_permutation(
+def _isomorphisms(
     source: PolyhedralCone,
     target: PolyhedralCone,
-    perm: tuple[int, ...],
-    basis: list[int],
-    base_inv: Matrix,
-    coeffs: dict[int, Vector],
-    extra_eq: list[tuple[Vector, Fraction]] | None = None,
-) -> OrderIsoWitness | None:
-    """Solve for positive ray scales consistent with linearity, then verify.
+    pins: Callable[[tuple[int, ...]], list[tuple[Vector, Fraction]]],
+) -> Iterator[OrderIsoWitness]:
+    """Order isomorphisms source -> target, in lexicographic pairing order.
 
-    base_inv inverts the matrix whose columns are the source's basis rays,
-    and coeffs holds every other source ray's coordinates over them."""
+    A pairing fixes the map up to one positive scale per source ray: each
+    ray off a ray basis must land on its scaled partner, a linear system in
+    the scales, which pins(pairing) completes with rows (coefficients, value).
+    Two isomorphisms with one pairing differ by a map that scales each
+    irreducible component by one factor, so under pins that fix those factors
+    a positive solution is unique; a free variable, set to 0 by the solve,
+    then fails the positivity check like any other non-solution.
+    """
     n = len(source.rays)
-    d = source.ambient_dim
-    eq: list[tuple[Vector, Fraction]] = []
-    pin = [Fraction(0)] * n
-    pin[basis[0]] = Fraction(1)
-    if extra_eq is None:
-        eq.append((tuple(pin), Fraction(1)))
-    for j, cf in coeffs.items():
-        for k in range(d):
-            row = [Fraction(0)] * n
-            for pos, b in enumerate(basis):
-                row[b] += cf[pos] * target.rays[perm[b]][k]
-            row[j] -= target.rays[perm[j]][k]
-            eq.append((tuple(row), Fraction(0)))
-    if extra_eq:
-        eq.extend(extra_eq)
-    gt = [
-        (tuple(Fraction(int(j == i)) for j in range(n)), Fraction(0))
-        for i in range(n)
-    ]
-    res = lp_feasible(LinearProgram(n, eq=eq, gt=gt))
-    if res.status != "feasible":
-        return None
-    s = res.witness
-    images = mat_transpose([vec_scale(s[b], target.rays[perm[b]]) for b in basis])
-    witness = OrderIsoWitness(mat_mul(images, base_inv), perm, s)
-    if not witness.verify(source, target):
-        return None
-    return witness
+    basis = _ray_basis(source)
+    base_inv = invert(mat_transpose([source.rays[b] for b in basis]))
+    coeffs = {
+        j: mat_vec(base_inv, r) for j, r in enumerate(source.rays) if j not in basis
+    }
+    for perm in _ray_permutations(source, target):
+        eqs = list(pins(perm))
+        for j, cf in coeffs.items():
+            for k in range(source.ambient_dim):
+                row = [Fraction(0)] * n
+                for pos, b in enumerate(basis):
+                    row[b] = cf[pos] * target.rays[perm[b]][k]
+                row[j] = -target.rays[perm[j]][k]
+                eqs.append((tuple(row), Fraction(0)))
+        s = solve_linear([row for row, _ in eqs], [y for _, y in eqs])
+        if s is None or any(x <= 0 for x in s):
+            continue
+        images = mat_transpose([vec_scale(s[b], target.rays[perm[b]]) for b in basis])
+        witness = OrderIsoWitness(mat_mul(images, base_inv), perm, s)
+        if witness.verify(source, target):
+            yield witness
 
 
 def order_isomorphisms(source: ConeLike, target: ConeLike) -> Iterator[OrderIsoWitness]:
-    """All order isomorphisms source -> target, in lexicographic pairing order."""
+    """All order isomorphisms source -> target, in lexicographic pairing
+    order, each with the first ray of every irreducible component of the
+    source at scale 1."""
     s, t = _cone_of(source), _cone_of(target)
     if s.ambient_dim != t.ambient_dim:
         return
     if len(s.rays) != len(t.rays) or len(s.facets) != len(t.facets):
         return
-    basis = _ray_basis(s)
-    base_inv = invert(mat_transpose([s.rays[b] for b in basis]))
-    coeffs = {j: mat_vec(base_inv, r) for j, r in enumerate(s.rays) if j not in basis}
-    for perm in _ray_permutations(s, t):
-        witness = _witness_for_permutation(s, t, perm, basis, base_inv, coeffs)
-        if witness is not None:
-            yield witness
+    n = len(s.rays)
+    pinned = [
+        (tuple(Fraction(int(j == group[0])) for j in range(n)), Fraction(1))
+        for group in irreducible_partition(s)
+    ]
+    yield from _isomorphisms(s, t, lambda perm: pinned)
 
 
 def order_iso_search(source: ConeLike, target: ConeLike) -> OrderIsoWitness | None:
@@ -344,25 +339,18 @@ def transport_automorphism(
     b = as_vector(beta.vector if isinstance(beta, State) else beta)
     if not (c.interior_contains(a) and c.interior_contains(b)):
         raise ValueError("transport requires interior points")
-    n = len(c.rays)
-    d = c.ambient_dim
-    basis = _ray_basis(c)
-    base_inv = invert(mat_transpose([c.rays[b] for b in basis]))
-    coeffs = {j: mat_vec(base_inv, r) for j, r in enumerate(c.rays) if j not in basis}
-    a_cf = mat_vec(base_inv, a)
-    for perm in _ray_permutations(c, c):
-        extra = []
-        for k in range(d):
-            row = [Fraction(0)] * n
-            for pos, bi in enumerate(basis):
-                row[bi] += a_cf[pos] * c.rays[perm[bi]][k]
-            extra.append((tuple(row), b[k]))
-        witness = _witness_for_permutation(
-            c, c, perm, basis, base_inv, coeffs, extra_eq=extra
-        )
-        if witness is not None and mat_vec(witness.matrix, a) == b:
-            return witness.matrix
-    return None
+    # alpha as a combination of the rays; the map sends it to the same
+    # combination of the scaled partners, which must be beta.
+    weights = solve_linear(mat_transpose(c.rays), a)
+
+    def pins(perm: tuple[int, ...]) -> list[tuple[Vector, Fraction]]:
+        return [
+            (tuple(w * c.rays[perm[i]][k] for i, w in enumerate(weights)), b[k])
+            for k in range(c.ambient_dim)
+        ]
+
+    witness = next(_isomorphisms(c, c, pins), None)
+    return None if witness is None else witness.matrix
 
 
 @dataclass(frozen=True)

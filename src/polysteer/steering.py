@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .composite import (
     BipartiteState,
@@ -375,36 +375,43 @@ def ensemble_polytope_vertices(
     return out
 
 
+def extremal_ensembles(
+    space: StateSpace, target: Sequence, depth: int
+) -> Iterator[tuple[int, Ensemble]]:
+    """The nonzero parts of each vertex of the k-part splitting polytopes of
+    target, k = 2..depth, as ensembles in search order, each once, with the k
+    that first meets it."""
+    if depth < 2:
+        raise ValueError("the search depth must be at least 2")
+    seen: set[tuple[Vector, ...]] = set()
+    for k in range(2, depth + 1):
+        for parts in ensemble_polytope_vertices(space, target, k):
+            nonzero = tuple(p for p in parts if any(x != 0 for x in p))
+            if not nonzero:
+                continue
+            e = Ensemble(space, nonzero)
+            key = e.canonical_parts()
+            if key not in seen:
+                seen.add(key)
+                yield k, e
+
+
 def decide_steering(omega: BipartiteState, depth: int = 3) -> SteeringVerdict:
     """Check every extremal ensemble of the B marginal with up to `depth`
     parts. All lift: steering up to that depth. Any failure: not steering,
     with the unliftable ensemble and its infeasibility certificate."""
-    if depth < 2:
-        raise ValueError("the search depth must be at least 2")
-    target = marginal_b(omega).vector
-    space_b = omega.space_b
     lifted: list[LiftedEnsemble] = []
-    seen: set[tuple[Vector, ...]] = set()
-    for k in range(2, depth + 1):
-        for parts in ensemble_polytope_vertices(space_b, target, k):
-            nonzero = tuple(p for p in parts if any(x != 0 for x in p))
-            if not nonzero:
-                continue
-            e = Ensemble(space_b, nonzero)
-            key = e.canonical_parts()
-            if key in seen:
-                continue
-            seen.add(key)
-            result = lift_ensemble(omega, e)
-            if not result:
-                return SteeringVerdict(
-                    "not_steering",
-                    depth=k,
-                    lifted=tuple(lifted),
-                    counterexample=Ensemble(space_b, key),
-                    farkas=result.farkas,
-                )
-            lifted.append(LiftedEnsemble(e, result.observable))
+    for k, e in extremal_ensembles(omega.space_b, marginal_b(omega).vector, depth):
+        result = lift_ensemble(omega, e)
+        if not result:
+            return SteeringVerdict(
+                "not_steering",
+                depth=k,
+                lifted=tuple(lifted),
+                counterexample=Ensemble(omega.space_b, e.canonical_parts()),
+                farkas=result.farkas,
+            )
+        lifted.append(LiftedEnsemble(e, result.observable))
     return SteeringVerdict("steering_up_to", depth=depth, lifted=tuple(lifted))
 
 

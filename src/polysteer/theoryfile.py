@@ -21,10 +21,12 @@ A theory file is a UTF-8 JSON document:
       }
     }
 
-Rationals are written as "p/q" or integer strings (bare JSON integers are
-accepted too). Serialization is canonical: two-space indent, sorted keys,
-trailing newline, every rational rendered "p/q" or "p". Parsing failures
-raise TheoryFileError with the offending line when it can be located.
+Each section is optional; one that is present must be an object, and
+entries name their spaces by strings. Rationals are written as "p/q" or
+integer strings (bare JSON integers are accepted too). Serialization is
+canonical: two-space indent, sorted keys, trailing newline, every rational
+rendered "p/q" or "p". Parsing failures raise TheoryFileError with the
+offending line when it can be located.
 """
 
 from __future__ import annotations
@@ -117,80 +119,48 @@ def _anchored(text: str, token: str, message: str) -> TheoryFileError:
     return TheoryFileError(f"{prefix}{message}")
 
 
-def _space_from_entry(name: str, entry, text: str) -> StateSpace:
-    if not isinstance(entry, dict):
-        raise _anchored(text, name, f"space {name!r}: expected an object")
-    unknown = set(entry) - {"ambient_dim", "rays", "facets", "unit"}
-    if unknown:
-        raise _anchored(
-            text, name, f"space {name!r}: unknown keys {sorted(unknown)}"
-        )
-    try:
-        dim = entry["ambient_dim"]
-        if not isinstance(dim, int) or isinstance(dim, bool) or dim <= 0:
-            raise TheoryFileError("ambient_dim must be a positive integer")
-        rays = parse_matrix(entry["rays"], "rays")
-        unit = parse_vector(entry["unit"], "unit")
-        cone = cone_from_rays(rays, dim)
-        if "facets" in entry:
-            given = sorted(parse_matrix(entry["facets"], "facets"))
-            actual = sorted(as_vector(g) for g in cone.facets)
-            if given != actual:
-                raise TheoryFileError(
-                    "facets do not match the facets computed from the rays"
-                )
-        return StateSpace(cone, unit)
-    except KeyError as exc:
-        raise _anchored(text, name, f"space {name!r}: missing key {exc}") from None
-    except ValueError as exc:
-        raise _anchored(text, name, f"space {name!r}: {exc}") from None
+def _space(entry: dict, spaces: dict[str, StateSpace]) -> StateSpace:
+    dim = entry["ambient_dim"]
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim <= 0:
+        raise TheoryFileError("ambient_dim must be a positive integer")
+    rays = parse_matrix(entry["rays"], "rays")
+    unit = parse_vector(entry["unit"], "unit")
+    cone = cone_from_rays(rays, dim)
+    if "facets" in entry:
+        given = sorted(parse_matrix(entry["facets"], "facets"))
+        if given != sorted(as_vector(g) for g in cone.facets):
+            raise TheoryFileError("facets do not match the facets computed from the rays")
+    return StateSpace(cone, unit)
 
 
-def _state_from_entry(
-    name: str, entry, spaces: dict[str, StateSpace], text: str
-) -> BipartiteState:
-    if not isinstance(entry, dict):
-        raise _anchored(text, name, f"state {name!r}: expected an object")
-    unknown = set(entry) - {"space_a", "space_b", "matrix"}
-    if unknown:
-        raise _anchored(
-            text, name, f"state {name!r}: unknown keys {sorted(unknown)}"
-        )
-    try:
-        for key in ("space_a", "space_b"):
-            if entry[key] not in spaces:
-                raise TheoryFileError(f"unknown space {entry[key]!r}")
-        matrix = parse_matrix(entry["matrix"], "matrix")
-        return BipartiteState(
-            spaces[entry["space_a"]], spaces[entry["space_b"]], matrix
-        )
-    except KeyError as exc:
-        raise _anchored(text, name, f"state {name!r}: missing key {exc}") from None
-    except ValueError as exc:
-        raise _anchored(text, name, f"state {name!r}: {exc}") from None
+def _space_ref(entry: dict, key: str, spaces: dict[str, StateSpace]) -> StateSpace:
+    """The space an entry's key names; the name must be a string."""
+    ref = entry[key]
+    if not isinstance(ref, str):
+        raise TheoryFileError(f"{key} must name a space by a string, not {ref!r}")
+    if ref not in spaces:
+        raise TheoryFileError(f"unknown space {ref!r}")
+    return spaces[ref]
 
 
-def _ensemble_from_entry(
-    name: str, entry, spaces: dict[str, StateSpace], text: str
-) -> Ensemble:
-    if not isinstance(entry, dict):
-        raise _anchored(text, name, f"ensemble {name!r}: expected an object")
-    unknown = set(entry) - {"space", "parts"}
-    if unknown:
-        raise _anchored(
-            text, name, f"ensemble {name!r}: unknown keys {sorted(unknown)}"
-        )
-    try:
-        if entry["space"] not in spaces:
-            raise TheoryFileError(f"unknown space {entry['space']!r}")
-        parts = parse_matrix(entry["parts"], "parts")
-        return Ensemble(spaces[entry["space"]], parts)
-    except KeyError as exc:
-        raise _anchored(
-            text, name, f"ensemble {name!r}: missing key {exc}"
-        ) from None
-    except ValueError as exc:
-        raise _anchored(text, name, f"ensemble {name!r}: {exc}") from None
+def _state(entry: dict, spaces: dict[str, StateSpace]) -> BipartiteState:
+    space_a = _space_ref(entry, "space_a", spaces)
+    space_b = _space_ref(entry, "space_b", spaces)
+    return BipartiteState(space_a, space_b, parse_matrix(entry["matrix"], "matrix"))
+
+
+def _ensemble(entry: dict, spaces: dict[str, StateSpace]) -> Ensemble:
+    space = _space_ref(entry, "space", spaces)
+    return Ensemble(space, parse_matrix(entry["parts"], "parts"))
+
+
+# Each section of a theory file: its key, the kind of its entries, their
+# keys, and the reader of one entry given the spaces read so far.
+_SECTIONS = (
+    ("spaces", "space", {"ambient_dim", "rays", "facets", "unit"}, _space),
+    ("states", "state", {"space_a", "space_b", "matrix"}, _state),
+    ("ensembles", "ensemble", {"space", "parts"}, _ensemble),
+)
 
 
 def loads(text: str) -> TheoryFile:
@@ -208,12 +178,22 @@ def loads(text: str) -> TheoryFile:
     if unknown:
         raise TheoryFileError(f"unknown top-level keys {sorted(unknown)}")
     tf = TheoryFile()
-    for name, entry in (doc.get("spaces") or {}).items():
-        tf.spaces[name] = _space_from_entry(name, entry, text)
-    for name, entry in (doc.get("states") or {}).items():
-        tf.states[name] = _state_from_entry(name, entry, tf.spaces, text)
-    for name, entry in (doc.get("ensembles") or {}).items():
-        tf.ensembles[name] = _ensemble_from_entry(name, entry, tf.spaces, text)
+    for key, kind, keys, read in _SECTIONS:
+        section = doc.get(key, {})
+        if not isinstance(section, dict):
+            raise _anchored(text, key, f"{key}: expected an object of named entries")
+        for name, entry in section.items():
+            if not isinstance(entry, dict):
+                raise _anchored(text, name, f"{kind} {name!r}: expected an object")
+            extra = set(entry) - keys
+            if extra:
+                raise _anchored(text, name, f"{kind} {name!r}: unknown keys {sorted(extra)}")
+            try:
+                getattr(tf, key)[name] = read(entry, tf.spaces)
+            except KeyError as exc:
+                raise _anchored(text, name, f"{kind} {name!r}: missing key {exc}") from None
+            except ValueError as exc:
+                raise _anchored(text, name, f"{kind} {name!r}: {exc}") from None
     return tf
 
 

@@ -72,6 +72,30 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "section,message",
+        [({"spaces": [1]}, "spaces: expected an object"),
+         ({"spaces": []}, "spaces: expected an object"),
+         ({"states": "x"}, "states: expected an object"),
+         ({"states": {"w": {"space_a": ["s"], "space_b": "s", "matrix": [["1", "0"]]}}},
+          "space_a must name a space by a string")],
+        ids=["spaces-list", "spaces-empty-list", "states-string", "space-ref-list"],
+    )
+    def test_malformed_section_exits_two(self, capsys, tmp_path, section, message):
+        doc = {
+            "format": "theoryfile/1",
+            "spaces": {"s": {"ambient_dim": 2, "rays": [["1", "0"], ["0", "1"]],
+                             "unit": ["1", "1"]}},
+            **section,
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "self-dual", str(path), "s")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert message in err
+
     def test_wrong_coordinate_count_exits_two(self, capsys, lib_path):
         code, _, err = run(capsys, "purify", lib_path, "simplex_3", "1/2,1/2")
         assert code == 2
@@ -271,6 +295,44 @@ class TestVerify:
         code, vout, _ = run(capsys, "verify", str(path))
         assert code == 1
         assert vout.startswith("FAIL:")
+
+    def test_flipped_verdict_without_lifts_rejected(self, capsys, lib_path, tmp_path):
+        # The lifts must cover the depth's extremal ensembles; an empty list
+        # covers none of them.
+        _, out, _ = run(capsys, "check-steering", lib_path, "nonsteering_table", "--json")
+        report = json.loads(out)
+        report["verdicts"]["status"] = "steering_up_to"
+        report["certificates"] = {"lifted": []}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(report))
+        code, vout, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert "extremal ensembles" in vout
+
+    @pytest.mark.parametrize("drop", [0, -1])
+    def test_dropped_lift_rejected(self, capsys, lib_path, tmp_path, drop):
+        _, out, _ = run(
+            capsys, "check-steering", lib_path, "two_squares_correlated",
+            "--depth", "3", "--json",
+        )
+        report = json.loads(out)
+        assert len(report["certificates"]["lifted"]) >= 2
+        del report["certificates"]["lifted"][drop]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(report))
+        code, vout, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert "extremal ensembles" in vout
+
+    def test_malformed_inputs_section_rejected(self, capsys, lib_path, tmp_path):
+        _, out, _ = run(capsys, "self-dual", lib_path, "square_space", "--json")
+        report = json.loads(out)
+        report["inputs"]["spaces"] = [1]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(report))
+        code, vout, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert "spaces: expected an object" in vout
 
     @pytest.mark.parametrize("row", [0, 1])
     def test_ragged_section_images_rejected(self, capsys, lib_path, tmp_path, row):

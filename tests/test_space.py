@@ -11,8 +11,20 @@ from fractions import Fraction
 
 import pytest
 
-from polysteer.cone import cone_from_rays, dual_cone, ordered_direct_sum
-from polysteer.ratlin import mat_vec, mat_mul, invert, vec_dot
+from polysteer.cone import cone_from_rays, dual_cone, irreducible_partition, ordered_direct_sum
+from polysteer.fixtures import fixture_library
+from polysteer.ratlin import (
+    LinearProgram,
+    independent_rows,
+    invert,
+    lp_feasible,
+    mat_mul,
+    mat_transpose,
+    mat_vec,
+    solve_linear,
+    vec_dot,
+    vec_scale,
+)
 from polysteer.space import (
     Effect,
     HomogeneityVerdict,
@@ -27,6 +39,7 @@ from polysteer.space import (
     order_iso_search,
     order_isomorphisms,
     space_direct_sum,
+    _ray_permutations,
     transport_automorphism,
 )
 
@@ -298,3 +311,156 @@ def test_hexagon_not_homogeneous():
 def test_transport_square_barycenter_off_orbit():
     sp = square_space()
     assert transport_automorphism(sp, (0, 0, 1), (Fraction(1, 2), 0, 1)) is None
+
+
+# --- The exact solve against the strict LP it replaced -----------------------
+#
+# The reference is the scale search as a strict LP: one unknown scale per
+# source ray, an equation row for each coordinate of each ray off a basis
+# (it must land on its scaled partner), a strict row s_i > 0 per ray, and the
+# pins as equations. Under one pin per irreducible component of the source,
+# or M alpha = beta, a positive solution is unique, so the LP's witness is
+# the solve's.
+
+
+def lp_isomorphisms(source, target, pins):
+    """(pairing, scales, matrix) for every pairing whose LP is feasible;
+    pins(perm, images) gives equation rows over the scales, where
+    images(x)[k] is row k of M x as coefficients over the scales."""
+    n, d = len(source.rays), source.ambient_dim
+    if len(target.rays) != n:
+        return
+    basis = independent_rows(source.rays)
+    columns = mat_transpose([source.rays[b] for b in basis])
+    for perm in _ray_permutations(source, target):
+
+        def images(x):
+            cf = solve_linear(columns, x)
+            rows = []
+            for k in range(d):
+                row = [Fraction(0)] * n
+                for pos, b in enumerate(basis):
+                    row[b] += cf[pos] * target.rays[perm[b]][k]
+                rows.append(row)
+            return rows
+
+        eq = list(pins(perm, images))
+        for j, r in enumerate(source.rays):
+            if j not in basis:
+                for k, row in enumerate(images(r)):
+                    row[j] -= target.rays[perm[j]][k]
+                    eq.append((tuple(row), Fraction(0)))
+        gt = [(tuple(Fraction(int(j == i)) for j in range(n)), Fraction(0)) for i in range(n)]
+        out = lp_feasible(LinearProgram(n, eq=eq, gt=gt))
+        if out.status == "feasible":
+            s = out.witness
+            # M sends each basis ray to its scaled partner.
+            image_cols = [vec_scale(s[b], target.rays[perm[b]]) for b in basis]
+            matrix = mat_mul(mat_transpose(image_cols), invert(columns))
+            yield perm, s, matrix
+
+
+def component_pins(source):
+    firsts = [group[0] for group in irreducible_partition(source)]
+    n = len(source.rays)
+    return lambda perm, images: [
+        (tuple(Fraction(int(j == i)) for j in range(n)), Fraction(1)) for i in firsts
+    ]
+
+
+def transport_pins(alpha, beta):
+    return lambda perm, images: [
+        (tuple(row), Fraction(y)) for row, y in zip(images(alpha), beta)
+    ]
+
+
+def coordinate_change(d, seed):
+    """A seeded integer matrix of determinant 2: shears, then one row doubled.
+
+    A unimodular change keeps primitive rays primitive, which leaves every
+    scale at 1; this one sends some primitive rays to twice a primitive ray.
+    """
+    rng = random.Random(seed)
+    m = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(6):
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice([-2, -1, 1, 2])
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    k = rng.randrange(d)
+    m[k] = [2 * x for x in m[k]]
+    return m
+
+
+SUMS = [("square_space", "simplex_2"), ("square_space", "square_space"),
+        ("pentagon_space", "simplex_3"), ("simplex_2", "simplex_3")]
+
+
+def reference_pairs():
+    """(label, source, target): every fixture space onto itself and from its
+    dual, four direct sums onto themselves, and seeded coordinate changes of
+    three polygons to and from the polygon and from its dual."""
+    lib = fixture_library().spaces
+    pairs = []
+    for name, sp in lib.items():
+        pairs.append((name, sp.cone, sp.cone))
+        pairs.append((name + "*", dual_cone(sp.cone), sp.cone))
+    for a, b in SUMS:
+        c = ordered_direct_sum(lib[a].cone, lib[b].cone)
+        pairs.append((f"{a}+{b}", c, c))
+    for name in ("square_space", "pentagon_space", "hexagon_space"):
+        base = lib[name].cone
+        for seed in range(2):
+            u = coordinate_change(3, seed)
+            c = cone_from_rays([mat_vec(u, r) for r in base.rays], 3)
+            label = f"{name}@{seed}"
+            pairs += [(label, c, base), (label + "^-1", base, c),
+                      (label + "*", dual_cone(base), c)]
+    return pairs
+
+
+def test_isomorphisms_match_the_strict_lp_reference():
+    counts, scales = {}, set()
+    for label, s, t in reference_pairs():
+        got = [
+            (w.ray_bijection, w.scales, w.matrix) for w in order_isomorphisms(s, t)
+        ]
+        assert got == list(lp_isomorphisms(s, t, component_pins(s))), label
+        counts[label] = len(got)
+        scales.update(x for _, sc, _ in got for x in sc)
+    # The coordinate changes leave scales other than 1 to solve for.
+    assert scales > {1}
+    assert [counts[f"{a}+{b}"] for a, b in SUMS] == [16, 128, 12, 120]
+    assert counts["cube_space*"] == counts["octahedron_space*"] == 0
+
+
+def transport_cases():
+    lib = fixture_library().spaces
+    for name in ("simplex_3", "square_space", "hexagon_space"):
+        sp = lib[name]
+        bary = sp.barycenter()
+        for vert in sp.vertex_states()[:3]:
+            cand = tuple((bary[k] + vert[k]) / 2 for k in range(sp.dim))
+            yield sp.cone, bary, cand
+            yield sp.cone, cand, bary
+        # The barycentre onto itself: the whole stabiliser is a candidate.
+        yield sp.cone, bary, bary
+    # Component scalings of a direct sum transport; a scaling inside one
+    # polygon component does not.
+    for a, b in [("square_space", "simplex_2"), ("pentagon_space", "simplex_3")]:
+        sp = space_direct_sum(lib[a], lib[b])
+        bary = sp.barycenter()
+        da = lib[a].dim
+        for fa, fb in [(2, 1), (Fraction(1, 3), Fraction(5, 7))]:
+            yield sp.cone, bary, tuple(x * (fa if k < da else fb) for k, x in enumerate(bary))
+        yield sp.cone, bary, tuple(x * (2 if k == 0 else 1) for k, x in enumerate(bary))
+
+
+def test_transport_matches_the_strict_lp_reference():
+    found = missing = 0
+    for cone, alpha, beta in transport_cases():
+        got = transport_automorphism(cone, alpha, beta)
+        want = next(lp_isomorphisms(cone, cone, transport_pins(alpha, beta)), None)
+        assert got == (None if want is None else want[2])
+        found += got is not None
+        missing += got is None
+    assert found and missing

@@ -130,6 +130,28 @@ class TestParsing:
         with pytest.raises(TheoryFileError, match="state 'omega'"):
             loads(doc_text(doc))
 
+    @pytest.mark.parametrize("key,value", [
+        ("spaces", [1]), ("spaces", []), ("spaces", None),
+        ("states", "x"), ("ensembles", [])
+    ])
+    def test_section_must_be_an_object(self, key, value):
+        doc = json.loads(doc_text(MINIMAL))
+        doc[key] = value
+        with pytest.raises(TheoryFileError, match=f"{key}: expected an object"):
+            loads(doc_text(doc))
+
+    @pytest.mark.parametrize("section,entry,key", [
+        ("states", {"space_a": ["pair"], "space_b": "pair", "matrix": [["1", "0"]]},
+         "space_a"),
+        ("states", {"space_a": "pair", "space_b": 1, "matrix": [["1", "0"]]}, "space_b"),
+        ("ensembles", {"space": {"pair": 1}, "parts": [["1", "0"]]}, "space"),
+    ])
+    def test_space_reference_must_be_a_string(self, section, entry, key):
+        doc = json.loads(doc_text(MINIMAL))
+        doc[section] = {"x": entry}
+        with pytest.raises(TheoryFileError, match=f"{key} must name a space by a string"):
+            loads(doc_text(doc))
+
     def test_ensemble_parsed(self):
         doc = json.loads(doc_text(MINIMAL))
         doc["ensembles"] = {
