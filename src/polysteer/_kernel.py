@@ -2,9 +2,11 @@
 
 Each row is kept as a list of numerators and a list of denominators: plain
 ints, always coprime, with the denominator positive. The pivot inner loop
-therefore runs on integer arithmetic and builds no Fraction objects.
-The exact simplex is the one user of this layer and sees entries only as
-Fractions; Gaussian elimination runs fraction-free in `ratlin.gauss`.
+therefore runs on integer arithmetic and builds no Fraction objects. The
+exact simplex, the one user of this layer, writes its rows as such pairs and
+reads `nums`/`dens` directly for pricing and ratio tests; only its
+certificates become Fractions, through `entry`. Gaussian elimination runs
+fraction-free in `ratlin.gauss`.
 """
 
 from __future__ import annotations
@@ -19,35 +21,39 @@ BACKEND = "pure"
 class Tableau:
     """Dense mutable matrix of rationals supporting Gauss-Jordan pivots."""
 
-    __slots__ = ("_nums", "_dens", "nrows", "ncols")
+    __slots__ = ("nums", "dens", "nrows", "ncols")
 
-    def __init__(self, rows):
-        nums: list[list[int]] = []
-        dens: list[list[int]] = []
-        for row in rows:
-            entries = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-            nums.append([x.numerator for x in entries])
-            dens.append([x.denominator for x in entries])
-        self._nums = nums
-        self._dens = dens
-        self.nrows = len(nums)
-        self.ncols = len(nums[0]) if nums else 0
-        if any(len(rn) != self.ncols for rn in nums):
+    def __init__(self, rows, dens=None):
+        """A tableau of rational entries, or with `dens`, of integer pairs.
+
+        Given `dens`, `rows` holds the numerators and `dens` the
+        denominators, taken as they are: each pair must be reduced with a
+        positive denominator, because `pivot` reads pn == pd as a pivot of 1.
+        The lists become the tableau's own and change as it pivots.
+        """
+        if dens is None:
+            rows = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+                    for row in rows]
+            dens = [[x.denominator for x in row] for row in rows]
+            rows = [[x.numerator for x in row] for row in rows]
+        self.nums = rows
+        self.dens = dens
+        self.nrows = len(rows)
+        self.ncols = len(rows[0]) if rows else 0
+        if len(dens) != self.nrows or any(
+            len(rn) != self.ncols or len(rd) != self.ncols for rn, rd in zip(rows, dens)
+        ):
             raise ValueError("ragged tableau")
 
     def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(self._nums[i][j], self._dens[i][j])
+        return Fraction(self.nums[i][j], self.dens[i][j])
 
     def row(self, i: int) -> list[Fraction]:
-        return [Fraction(n, d) for n, d in zip(self._nums[i], self._dens[i])]
-
-    def sign(self, i: int, j: int) -> int:
-        n = self._nums[i][j]
-        return (n > 0) - (n < 0)
+        return [Fraction(n, d) for n, d in zip(self.nums[i], self.dens[i])]
 
     def pivot(self, r: int, c: int) -> None:
         """Scale row r so entry (r, c) becomes 1, then clear column c elsewhere."""
-        nums, dens = self._nums, self._dens
+        nums, dens = self.nums, self.dens
         pn_row, pd_row = nums[r], dens[r]
         pn, pd = pn_row[c], pd_row[c]
         if pn == 0:

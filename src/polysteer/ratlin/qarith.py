@@ -31,7 +31,7 @@ def format_rational(x: Fraction) -> str:
 
 
 def as_vector(entries: Iterable) -> Vector:
-    return tuple(Fraction(x) for x in entries)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
 
 
 def as_matrix(rows: Iterable[Iterable]) -> Matrix:

@@ -6,16 +6,24 @@ gap variable, and every verdict carries a certificate that re-substitutes
 exactly: a witness point, a nonnegative-multiplier infeasibility vector, or an
 improving ray. Pivoting uses Bland's rule throughout, so the method
 terminates on every input.
+
+The tableau holds each entry as a reduced integer numerator/denominator pair
+(`_kernel.Tableau`). Rows are written straight from the program's Fractions,
+pricing reads numerator signs and the ratio test cross-multiplies, so no
+Fraction is built between reading the program and writing the certificate.
+Certificates are checked the same way: certificate and rows are scaled once
+to integers, and only signs of integer dot products are compared.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from math import gcd
+from operator import mul
 
 from .._kernel import Tableau
-from .qarith import Vector, as_vector, vec_dot, vec_zero
+from .qarith import Vector, as_vector, integral, vec_zero
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -83,18 +91,29 @@ class LPOutcome:
         return LPOutcome("unbounded", ray=as_vector(ray))
 
     def check(self, lp: LinearProgram) -> bool:
-        """Re-substitute the certificate into the program, exactly."""
+        """Re-substitute the certificate into the program, exactly.
+
+        A point x is scaled once to integers as (X, s) with x = X/s, and a
+        row (a, b) to a positive multiple of (a, -b); their integer dot
+        product has the sign of a.x - b.
+        """
         if self.status in ("feasible", "optimal"):
             x = self.witness
             if x is None or len(x) != lp.n_vars:
                 return False
+            xs = integral((*x, 1))
             ok = (
-                all(vec_dot(a, x) == b for a, b in lp.eq)
-                and all(vec_dot(a, x) >= b for a, b in lp.ge)
-                and all(vec_dot(a, x) > b for a, b in lp.gt)
+                all(_scaled_dot((*a, -b), xs) == 0 for a, b in lp.eq)
+                and all(_scaled_dot((*a, -b), xs) >= 0 for a, b in lp.ge)
+                and all(_scaled_dot((*a, -b), xs) > 0 for a, b in lp.gt)
             )
             if self.status == "optimal":
-                ok = ok and lp.objective is not None and vec_dot(lp.objective, x) == self.value
+                ok = (
+                    ok
+                    and lp.objective is not None
+                    and self.value is not None
+                    and _scaled_dot((*lp.objective, -self.value), xs) == 0
+                )
             return ok
         if self.status == "infeasible":
             y = self.farkas
@@ -103,26 +122,34 @@ class LPOutcome:
                 return False
             if any(v < 0 for v in y[e:]):
                 return False
-            combo = [_ZERO] * lp.n_vars
-            r = _ZERO
-            for mult, (lhs, rhs) in zip(y, lp.eq + lp.ge + lp.gt):
-                if mult:
-                    for j, c in enumerate(lhs):
-                        combo[j] += mult * c
-                    r += mult * rhs
-            if any(c != 0 for c in combo):
+            rows = lp.eq + lp.ge + lp.gt
+            used = [(mult, (*lhs, rhs)) for mult, (lhs, rhs) in zip(y, rows) if mult]
+            if not used:
+                return False
+            # Column j of the used rows, dotted with y, is the combination's
+            # coefficient j; the last column gives its right-hand side r.
+            ys = integral([mult for mult, _ in used])
+            combo = [_scaled_dot(col, ys) for col in zip(*(row for _, row in used))]
+            r = combo.pop()
+            if any(combo):
                 return False
             return r > 0 or (r == 0 and any(v > 0 for v in y[e + g :]))
         if self.status == "unbounded":
             r = self.ray
             if r is None or len(r) != lp.n_vars or lp.objective is None:
                 return False
+            rs = integral(r)
             return (
-                all(vec_dot(a, r) == 0 for a, _ in lp.eq)
-                and all(vec_dot(a, r) >= 0 for a, _ in lp.ge)
-                and vec_dot(lp.objective, r) > 0
+                all(_scaled_dot(a, rs) == 0 for a, _ in lp.eq)
+                and all(_scaled_dot(a, rs) >= 0 for a, _ in lp.ge)
+                and _scaled_dot(lp.objective, rs) > 0
             )
         return False
+
+
+def _scaled_dot(v, ints: list[int]) -> int:
+    """v scaled by a positive integer, dotted with an integer vector."""
+    return sum(map(mul, integral(v), ints))
 
 
 class _Simplex:
@@ -145,7 +172,9 @@ class _Simplex:
         self.obj1_row = self.m + 1
         self.sigma: list[int] = []
 
-        rows: list[list[Fraction]] = []
+        width = self.n_total + 1
+        nums: list[list[int]] = []
+        dens: list[list[int]] = []
         basis: list[int] = []
         specs = [(lhs, rhs, None) for lhs, rhs in eq_rows]
         specs += [(lhs, rhs, i) for i, (lhs, rhs) in enumerate(ge_rows)]
@@ -153,83 +182,98 @@ class _Simplex:
             # A ge row with rhs <= 0 is flipped so its slack has coefficient
             # +1 and can start in the basis; everything else starts on its
             # artificial. Fewer basic artificials means fewer phase-1 pivots.
-            if slack is not None and rhs <= 0:
-                sign = -1
-            else:
-                sign = -1 if rhs < 0 else 1
-            # The flip is applied while filling the row and skips zeros, which
-            # are most entries: negating one would build a new Fraction.
-            coeffs = [_ZERO] * (self.n_total + 1)
+            b = rhs.numerator
+            on_slack = slack is not None and b <= 0
+            sign = -1 if on_slack or b < 0 else 1
+            # Entries are written as the reduced pairs of the row's
+            # Fractions, the flip applied to the numerator; zeros stay 0/1.
+            rn = [0] * width
+            rd = [1] * width
             for j, c in enumerate(lhs):
                 if c:
-                    if sign < 0:
-                        c = -c
-                    coeffs[j] = c
-                    coeffs[n_vars + j] = -c
+                    p = sign * c.numerator
+                    rn[j] = p
+                    rn[n_vars + j] = -p
+                    rd[j] = rd[n_vars + j] = c.denominator
             if slack is not None:
-                coeffs[2 * n_vars + slack] = Fraction(-sign)
-            coeffs[self.rhs_col] = rhs if sign > 0 else -rhs
-            coeffs[self.n_real + k] = _ONE
+                rn[2 * n_vars + slack] = -sign
+            rn[self.rhs_col] = sign * b
+            rd[self.rhs_col] = rhs.denominator
+            rn[self.n_real + k] = 1
             self.sigma.append(sign)
-            if slack is not None and rhs <= 0:
-                basis.append(2 * n_vars + slack)
-            else:
-                basis.append(self.n_real + k)
-            rows.append(coeffs)
+            basis.append(2 * n_vars + slack if on_slack else self.n_real + k)
+            nums.append(rn)
+            dens.append(rd)
 
-        obj2 = [_ZERO] * (self.n_total + 1)
+        obj2n = [0] * width
+        obj2d = [1] * width
         if objective is not None:
             for j, c in enumerate(objective):
-                obj2[j] = -c
-                obj2[n_vars + j] = c
-        obj1 = [_ZERO] * (self.n_total + 1)
-        for j in range(self.n_real, self.n_total):
-            obj1[j] = _ONE
-        for k, row in enumerate(rows):
-            if basis[k] < self.n_real:
+                if c:
+                    obj2n[j] = -c.numerator
+                    obj2n[n_vars + j] = c.numerator
+                    obj2d[j] = obj2d[n_vars + j] = c.denominator
+        # Phase 1 minimizes the sum of artificials: its row is 1 on every
+        # artificial column less the rows that start on an artificial.
+        obj1n = [0] * self.n_real + [1] * self.m + [0]
+        obj1d = [1] * width
+        for rn, rd, b in zip(nums, dens, basis):
+            if b < self.n_real:
                 continue
-            for j in range(self.n_total + 1):
-                if row[j]:
-                    obj1[j] -= row[j]
+            for j, p in enumerate(rn):
+                if p:
+                    q, d = rd[j], obj1d[j]
+                    num, den = obj1n[j] * q - p * d, d * q
+                    g = gcd(num, den)
+                    obj1n[j], obj1d[j] = num // g, den // g
 
-        self.tab = Tableau(rows + [obj2, obj1])
+        self.tab = Tableau(nums + [obj2n, obj1n], dens + [obj2d, obj1d])
         self.basis = basis
         self.active = [True] * self.m
 
     def _bland(self, obj_row: int, allow_artificial: bool) -> str:
-        """Pivot until the driving objective row is optimal. Bland's rule."""
+        """Pivot until the driving objective row is optimal. Bland's rule.
+
+        With rhs_i = n/d and a_i = n'/d', the ratio test compares
+        rhs_i / a_i = (n * d') / (d * n') by cross-multiplication; every
+        denominator is positive, since only rows with a_i > 0 compete.
+        """
         tab = self.tab
+        nums, dens = tab.nums, tab.dens
+        obj = nums[obj_row]
+        rhs, basis, active = self.rhs_col, self.basis, self.active
         limit = self.n_total if allow_artificial else self.n_real
         while True:
             enter = -1
             for j in range(limit):
-                if tab.sign(obj_row, j) < 0:
+                if obj[j] < 0:
                     enter = j
                     break
             if enter < 0:
                 return "optimal"
             leave = -1
-            best: Fraction | None = None
+            best_n = best_d = 0
             for i in range(self.m):
-                if not self.active[i]:
-                    continue
-                if tab.sign(i, enter) > 0:
-                    ratio = tab.entry(i, self.rhs_col) / tab.entry(i, enter)
-                    if best is None or ratio < best or (
-                        ratio == best and self.basis[i] < self.basis[leave]
-                    ):
-                        best = ratio
-                        leave = i
+                a = nums[i][enter]
+                if a > 0 and active[i]:
+                    rd = dens[i]
+                    n, d = nums[i][rhs] * rd[enter], rd[rhs] * a
+                    if leave >= 0:
+                        # The sign of rhs_i / a_i less the best ratio so far.
+                        cmp = n * best_d - best_n * d
+                        if cmp > 0 or (cmp == 0 and basis[i] > basis[leave]):
+                            continue
+                    best_n, best_d, leave = n, d, i
             if leave < 0:
                 self._unbounded_col = enter
                 return "unbounded"
             tab.pivot(leave, enter)
-            self.basis[leave] = enter
+            basis[leave] = enter
 
     def phase1(self) -> bool:
         status = self._bland(self.obj1_row, allow_artificial=True)
         assert status == "optimal", "phase 1 is always bounded"
-        return self.tab.entry(self.obj1_row, self.rhs_col) == 0
+        return self.tab.nums[self.obj1_row][self.rhs_col] == 0
 
     def phase1_farkas(self) -> Vector:
         """Row multipliers certifying infeasibility, in original row order."""
@@ -243,9 +287,10 @@ class _Simplex:
         for i in range(self.m):
             if self.basis[i] < self.n_real:
                 continue
+            row = self.tab.nums[i]
             col = -1
             for j in range(self.n_real):
-                if self.tab.sign(i, j) != 0:
+                if row[j]:
                     col = j
                     break
             if col < 0:

@@ -2,7 +2,9 @@
 
 The tableau must behave exactly like Gauss-Jordan elimination over
 Fractions: same entries, same signs, same errors, on every pivot sequence.
-The sequences here are seeded so failures reproduce.
+It is built either from rational entries or from the integer pairs the
+simplex writes, and the two must agree. The sequences here are seeded so
+failures reproduce.
 """
 
 import math
@@ -54,11 +56,12 @@ def test_seeded_pivot_walks_match_fraction_reference():
             reference_pivot(ref, r, c)
             tab.pivot(r, c)
             assert [tab.row(i) for i in range(nrows)] == ref
-            assert [[tab.sign(i, j) for j in range(ncols)] for i in range(nrows)] == [
+            # The simplex prices and ratio-tests on the stored numerators' signs.
+            assert [[(n > 0) - (n < 0) for n in nums] for nums in tab.nums] == [
                 [(x > 0) - (x < 0) for x in row] for row in ref
             ]
             # The stored pairs stay reduced, or their ints would grow unchecked.
-            for nums, dens in zip(tab._nums, tab._dens):
+            for nums, dens in zip(tab.nums, tab.dens):
                 assert all(d > 0 and math.gcd(n, d) == 1 for n, d in zip(nums, dens))
     assert negative_pivots > 100 and zero_columns > 100
 
@@ -75,6 +78,56 @@ def test_entries_are_fractions_in_lowest_terms():
             assert x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
     assert t.row(0) == [1, 0, Fraction(-7, 138)]
     assert t.row(1) == [0, 1, Fraction(-35, 46)]
+
+
+def reduced_pairs(rows):
+    """The numerator and denominator lists of rows of rational entries."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    nums = [[x.numerator for x in row] for row in rows]
+    return nums, [[x.denominator for x in row] for row in rows]
+
+
+def test_pair_constructor_matches_fraction_constructor_through_pivot_walks():
+    """A tableau built from reduced pairs, with positive denominators, is the
+    tableau of the same Fractions, and stays so through every pivot.
+
+    The pairs are taken as they are, so reducing them is the caller's job:
+    `pivot` reads pn == pd as a pivot of 1, which holds only for reduced
+    pairs with positive denominators.
+    """
+    rng = random.Random(20261018)
+    walks = 0
+    for _ in range(200):
+        nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+        rows = [[random_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+        nums, dens = reduced_pairs(rows)
+        paired = Tableau(nums, dens)
+        built = Tableau(rows)
+        assert (paired.nrows, paired.ncols) == (built.nrows, built.ncols)
+        for _ in range(6):
+            assert [paired.row(i) for i in range(nrows)] == [built.row(i) for i in range(nrows)]
+            assert (paired.nums, paired.dens) == (built.nums, built.dens)
+            options = [(i, j) for i in range(nrows) for j in range(ncols) if built.nums[i][j]]
+            if not options:
+                break
+            r, c = rng.choice(options)
+            paired.pivot(r, c)
+            built.pivot(r, c)
+            walks += 1
+    assert walks > 500
+
+
+def test_pair_constructor_takes_the_lists_and_checks_shape():
+    nums, dens = [[1, -3, 0], [2, 5, 7]], [[2, 4, 1], [1, 3, 9]]
+    t = Tableau(nums, dens)
+    assert t.row(0) == [Fraction(1, 2), Fraction(-3, 4), 0]
+    assert t.row(1) == [2, Fraction(5, 3), Fraction(7, 9)]
+    t.pivot(0, 0)
+    assert t.nums is nums and nums[0] == [1, -3, 0] and dens[0] == [1, 2, 1]
+    with pytest.raises(ValueError, match="ragged"):
+        Tableau([[1, 2], [3, 4]], [[1, 1], [1]])
+    with pytest.raises(ValueError, match="ragged"):
+        Tableau([[1, 2], [3, 4]], [[1, 1]])
 
 
 @pytest.mark.parametrize("factory", [Tableau])
@@ -95,7 +148,7 @@ def test_pivot_normalizes_pivot_row_and_clears_column(factory):
     assert t.row(0) == [1, 2, 3]
     assert t.row(1) == [0, -1, -2]
     assert t.row(2) == [0, 6, 12]
-    assert t.sign(1, 0) == 0 and t.sign(2, 0) == 0
+    assert t.nums[1][0] == 0 and t.nums[2][0] == 0
 
 
 def test_backend_selection_reports_a_known_backend():

@@ -2,9 +2,11 @@
 
 Randomized checks compare against independent oracles implemented here with
 cofactor determinants and exhaustive vertex enumeration, never against the
-code paths under test.
+code paths under test. The integer simplex and certificate check are also
+pinned to the Fraction-built versions they replaced, kept here as references.
 """
 
+import dataclasses
 from fractions import Fraction
 from itertools import combinations
 import math
@@ -12,8 +14,11 @@ import random
 
 import pytest
 
+from polysteer._kernel import Tableau
+from polysteer.ratlin import simplex
 from polysteer.ratlin import (
     LinearProgram,
+    LPOutcome,
     as_matrix,
     as_vector,
     format_rational,
@@ -509,3 +514,244 @@ def test_vector_width_validation():
         LinearProgram(2, objective=(1,))
     with pytest.raises(ValueError):
         as_vector(["1", "x"])
+
+
+# --- the integer simplex against its Fraction-built reference ------------
+
+
+class FractionSimplex(simplex._Simplex):
+    """The simplex as it was built on Fractions, kept as a reference.
+
+    Its rows are Fraction lists handed to the tableau's entry constructor,
+    and its ratio test divides tableau entries read back as Fractions.
+    Everything after construction and pricing is shared with `_Simplex`.
+    `ties` counts ratio-test ties, where Bland's basis tie-break decides.
+    """
+
+    def __init__(self, n_vars, eq_rows, ge_rows, objective=None):
+        self.n = n_vars
+        self.g = len(ge_rows)
+        self.m = len(eq_rows) + self.g
+        self.n_real = 2 * n_vars + self.g
+        self.n_total = self.n_real + self.m
+        self.rhs_col = self.n_total
+        self.obj2_row = self.m
+        self.obj1_row = self.m + 1
+        self.sigma = []
+        self.ties = 0
+        rows, basis = [], []
+        specs = [(lhs, rhs, None) for lhs, rhs in eq_rows]
+        specs += [(lhs, rhs, i) for i, (lhs, rhs) in enumerate(ge_rows)]
+        for k, (lhs, rhs, slack) in enumerate(specs):
+            if slack is not None and rhs <= 0:
+                sign = -1
+            else:
+                sign = -1 if rhs < 0 else 1
+            coeffs = [F(0)] * (self.n_total + 1)
+            for j, c in enumerate(lhs):
+                coeffs[j] = sign * c
+                coeffs[n_vars + j] = -sign * c
+            if slack is not None:
+                coeffs[2 * n_vars + slack] = F(-sign)
+            coeffs[self.rhs_col] = sign * rhs
+            coeffs[self.n_real + k] = F(1)
+            self.sigma.append(sign)
+            basis.append(2 * n_vars + slack if slack is not None and rhs <= 0 else self.n_real + k)
+            rows.append(coeffs)
+        obj2 = [F(0)] * (self.n_total + 1)
+        if objective is not None:
+            for j, c in enumerate(objective):
+                obj2[j] = -c
+                obj2[n_vars + j] = c
+        obj1 = [F(0)] * (self.n_total + 1)
+        for j in range(self.n_real, self.n_total):
+            obj1[j] = F(1)
+        for k, row in enumerate(rows):
+            if basis[k] >= self.n_real:
+                obj1 = [a - b for a, b in zip(obj1, row)]
+        self.tab = Tableau(rows + [obj2, obj1])
+        self.basis = basis
+        self.active = [True] * self.m
+
+    def _bland(self, obj_row, allow_artificial):
+        tab = self.tab
+        limit = self.n_total if allow_artificial else self.n_real
+        while True:
+            enter = next((j for j in range(limit) if tab.entry(obj_row, j) < 0), -1)
+            if enter < 0:
+                return "optimal"
+            leave, best = -1, None
+            for i in range(self.m):
+                if self.active[i] and tab.entry(i, enter) > 0:
+                    ratio = tab.entry(i, self.rhs_col) / tab.entry(i, enter)
+                    self.ties += ratio == best
+                    if best is None or ratio < best or (
+                        ratio == best and self.basis[i] < self.basis[leave]
+                    ):
+                        best, leave = ratio, i
+            if leave < 0:
+                self._unbounded_col = enter
+                return "unbounded"
+            tab.pivot(leave, enter)
+            self.basis[leave] = enter
+
+
+def fraction_check(out, lp):
+    """LPOutcome.check as it was, re-substituting with Fraction dot products."""
+    if out.status in ("feasible", "optimal"):
+        x = out.witness
+        if x is None or len(x) != lp.n_vars:
+            return False
+        ok = (
+            all(vec_dot(a, x) == b for a, b in lp.eq)
+            and all(vec_dot(a, x) >= b for a, b in lp.ge)
+            and all(vec_dot(a, x) > b for a, b in lp.gt)
+        )
+        if out.status == "optimal":
+            ok = ok and lp.objective is not None and vec_dot(lp.objective, x) == out.value
+        return ok
+    if out.status == "infeasible":
+        y = out.farkas
+        e, g, s = len(lp.eq), len(lp.ge), len(lp.gt)
+        if y is None or len(y) != e + g + s or any(v < 0 for v in y[e:]):
+            return False
+        combo, r = [F(0)] * lp.n_vars, F(0)
+        for mult, (lhs, rhs) in zip(y, lp.eq + lp.ge + lp.gt):
+            combo = [c + mult * a for c, a in zip(combo, lhs)]
+            r += mult * rhs
+        if any(combo):
+            return False
+        return r > 0 or (r == 0 and any(v > 0 for v in y[e + g :]))
+    if out.status == "unbounded":
+        d = out.ray
+        if d is None or len(d) != lp.n_vars or lp.objective is None:
+            return False
+        return (
+            all(vec_dot(a, d) == 0 for a, _ in lp.eq)
+            and all(vec_dot(a, d) >= 0 for a, _ in lp.ge)
+            and vec_dot(lp.objective, d) > 0
+        )
+    return False
+
+
+def seeded_programs(seed, count):
+    """Small LPs rich in the cases the pivot rule and the row flip branch on.
+
+    Entries mix denominators; about a third of right-hand sides are 0, so
+    ge rows start on their slacks and ratio tests tie; some rows repeat an
+    earlier row scaled, to force ties; n may be 0. Yields (lp, optimize).
+    """
+    rng = random.Random(seed)
+
+    def q():
+        return F(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 6)))
+
+    for _ in range(count):
+        n = rng.choice((0, 1, 2, 2, 3, 3, 4))
+        optimize = rng.random() < 0.5
+        kinds = ("eq", "ge", "ge") if optimize else ("eq", "ge", "gt")
+        rows = {kind: [] for kind in ("eq", "ge", "gt")}
+        for _ in range(rng.randint(0, 6)):
+            kind = rng.choice(kinds)
+            earlier = rows["ge"] + rows["gt"]
+            if earlier and rng.random() < 0.25:
+                lhs, rhs = rng.choice(earlier)
+                t = F(rng.randint(1, 3), rng.randint(1, 3))
+                lhs, rhs = tuple(t * c for c in lhs), t * rhs
+            else:
+                lhs = tuple(q() for _ in range(n))
+                rhs = F(0) if rng.random() < 0.35 else q()
+            rows[kind].append((lhs, rhs))
+        objective = tuple(q() for _ in range(n)) if optimize else None
+        yield LinearProgram(n, **rows, objective=objective), optimize
+
+
+def traced_solve(lp, optimize, cls, monkeypatch):
+    """Solve lp with cls as the simplex; returns (outcome, events, ties).
+
+    Events are each simplex's starting tableau pairs and basis, and then
+    every pivot (row, column) it makes; a pivot on (r, c) makes c row r's
+    basic variable, so equal events mean the same basis after every pivot.
+    """
+    events, made = [], []
+
+    def make(*args, **kwargs):
+        sx = cls(*args, **kwargs)
+        made.append(sx)
+        pairs = [list(zip(*row)) for row in zip(sx.tab.nums, sx.tab.dens)]
+        events.append(("start", pairs, tuple(sx.basis)))
+        return sx
+
+    def pivot(tab, r, c):
+        events.append(("pivot", r, c))
+        real_pivot(tab, r, c)
+
+    real_pivot = Tableau.pivot
+    with monkeypatch.context() as m:
+        m.setattr(simplex, "_Simplex", make)
+        m.setattr(Tableau, "pivot", pivot)
+        out = (simplex.lp_optimize if optimize else simplex.lp_feasible)(lp)
+    return out, events, sum(getattr(sx, "ties", 0) for sx in made)
+
+
+def test_integer_simplex_follows_the_fraction_reference_pivot_for_pivot(monkeypatch):
+    seen = {"optimal": 0, "unbounded": 0, "infeasible": 0, "feasible": 0}
+    ties = strict = flipped = empty = pivots = 0
+    for lp, optimize in seeded_programs(20261018, 400):
+        out, events, _ = traced_solve(lp, optimize, simplex._Simplex, monkeypatch)
+        ref, ref_events, ref_ties = traced_solve(lp, optimize, FractionSimplex, monkeypatch)
+        assert events == ref_events
+        assert out == ref
+        for field in ("witness", "farkas", "ray", "value"):
+            value = getattr(out, field)
+            items = value if isinstance(value, tuple) else () if value is None else (value,)
+            assert all(type(v) is Fraction for v in items)
+        seen[out.status] += 1
+        ties += ref_ties
+        strict += bool(lp.gt)
+        flipped += any(rhs <= 0 for _, rhs in lp.ge)
+        empty += lp.n_vars == 0
+        pivots += sum(e[0] == "pivot" for e in events)
+    assert min(seen.values()) >= 20, seen
+    assert ties >= 50 and strict >= 50 and flipped >= 100 and empty >= 20 and pivots >= 800
+
+
+def test_integer_certificate_check_agrees_with_fraction_reference():
+    rng = random.Random(1018)
+    verdicts = {True: 0, False: 0}
+    for lp, optimize in seeded_programs(1967, 300):
+        out = (lp_optimize if optimize else lp_feasible)(lp)
+        assert out.check(lp) and fraction_check(out, lp)
+        field = {"feasible": "witness", "optimal": "witness", "infeasible": "farkas"}.get(
+            out.status, "ray"
+        )
+        cert = list(getattr(out, field))
+        if out.status == "optimal" and rng.random() < 0.3:
+            bad = dataclasses.replace(out, value=out.value + F(rng.choice((-1, 1)), 2))
+        elif cert:
+            k = rng.randrange(len(cert))
+            nudge = F(rng.choice((-1, 1)), rng.randint(1, 3))
+            cert[k] = rng.choice((F(0), -cert[k], cert[k] + nudge))
+            bad = dataclasses.replace(out, **{field: tuple(cert)})
+        else:
+            continue
+        verdict = bad.check(lp)
+        assert verdict == fraction_check(bad, lp)
+        verdicts[verdict] += 1
+    assert verdicts[True] >= 10 and verdicts[False] >= 100, verdicts
+    # Hand cases: wrong widths, missing certificates, and Farkas sums 0 >= 0,
+    # which certify nothing unless a strict row takes part.
+    lp = LinearProgram(2, ge=[((1, 0), 0)], objective=(1, 0))
+    cases = [
+        (lp, LPOutcome("feasible", witness=(F(1),)), False),
+        (lp, LPOutcome("optimal", witness=(F(1), F(0))), False),
+        (lp, LPOutcome("infeasible", farkas=(F(0),)), False),
+        (lp, LPOutcome("infeasible", farkas=(F(1), F(0))), False),
+        (lp, LPOutcome("unbounded"), False),
+        (lp, LPOutcome("unknown"), False),
+        (LinearProgram(1, ge=[((1,), 0), ((-1,), 0)]), LPOutcome.infeasible((1, 1)), False),
+        (LinearProgram(1, ge=[((1,), 0)], gt=[((-1,), 0)]), LPOutcome.infeasible((1, 1)), True),
+        (LinearProgram(0, eq=[((), 0)]), LPOutcome.feasible(()), True),
+    ]
+    for program, out, verdict in cases:
+        assert out.check(program) is verdict and fraction_check(out, program) is verdict
