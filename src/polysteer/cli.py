@@ -33,7 +33,7 @@ from .composite import (
 from .cone import dual_cone
 from .fixtures import fixture_library
 from .ratlin import LPOutcome, as_vector, mat_vec, rank
-from .space import OrderIsoWitness, effects_interval, is_homogeneous, is_weakly_self_dual
+from .space import OrderIsoWitness, is_homogeneous, is_weakly_self_dual
 from .steering import (
     AffineSection,
     Ensemble,
@@ -335,7 +335,6 @@ def _substitute_check_steering(tf, flags, verdicts, certificates):
     target = marginal_b(omega).vector
     problems: list[str] = []
     if verdicts["status"] == "steering_up_to":
-        interval = effects_interval(omega.space_a)
         lifted = []
         for idx, item in enumerate(certificates["lifted"]):
             parts = parse_matrix(item["ensemble"], "ensemble")
@@ -345,7 +344,7 @@ def _substitute_check_steering(tf, flags, verdicts, certificates):
             )
             total = (Fraction(0),) * omega.space_a.dim
             for eff, part in zip(effects, parts, strict=True):
-                if not interval.contains(eff):
+                if not omega.space_a.is_effect(eff):
                     problems.append(f"lifted[{idx}]: effect outside [0, u]")
                 if omega.apply(eff) != part:
                     problems.append(f"lifted[{idx}]: effect does not map onto its part")
@@ -384,6 +383,9 @@ def _substitute_self_dual(tf, flags, verdicts, certificates):
         return None
     space = tf.space(flags["space"])
     w = certificates["witness"]
+    # JSON true and false would index and sort as 1 and 0.
+    if any(type(i) is not int for i in w["ray_bijection"]):
+        return ["ray_bijection entries must be integers"], None
     witness = OrderIsoWitness(
         parse_matrix(w["matrix"], "matrix"),
         tuple(w["ray_bijection"]),

@@ -87,7 +87,10 @@ def min_tensor(a: StateSpace, b: StateSpace) -> TensorSpace:
 def intermediate_tensor(
     a: StateSpace, b: StateSpace, rays: Sequence[Sequence]
 ) -> TensorSpace:
-    """A user-chosen composite cone, validated to lie between min and max."""
+    """A user-chosen composite cone, validated to lie between min and max.
+
+    This is the paper's composite AB: any cone between the min and max
+    tensor products that contains every product state."""
     mx = max_tensor(a, b)
     for r in rays:
         if not mx.cone.contains(r):
@@ -175,6 +178,7 @@ def marginal_b(omega: BipartiteState) -> State:
 
 
 def marginal_a(omega: BipartiteState) -> State:
+    """The A marginal omega^A, the state that steering of A splits."""
     mt = mat_transpose(omega.matrix)
     return State(omega.space_a, mat_vec(mt, omega.space_b.unit))
 
@@ -182,6 +186,8 @@ def marginal_a(omega: BipartiteState) -> State:
 def conditional_state(
     omega: BipartiteState, effect: Union[Effect, Sequence]
 ) -> State | None:
+    """The conditional state omega_{B|a} of the paper's steering definition:
+    the image of the effect a, normalized; None when a has probability 0."""
     f = effect.functional if isinstance(effect, Effect) else as_vector(effect)
     if not omega.space_a.is_effect(f):
         raise ValueError("conditioning requires an effect on the A side")
@@ -449,17 +455,3 @@ def purify(space: StateSpace, alpha: Union[State, Sequence]) -> BipartiteState |
     if tau is None:
         return None
     return BipartiteState(space, space, mat_mul(tau, eta_m))
-
-
-def connecting_automorphism(
-    omega: BipartiteState, mu: BipartiteState
-) -> Matrix:
-    """The automorphism of B carrying one isomorphism state onto another with
-    the same marginal: omega-hat composed with the inverse of mu-hat."""
-    if is_isomorphism_state(omega) is None or is_isomorphism_state(mu) is None:
-        raise ValueError("both inputs must be isomorphism states")
-    if marginal_b(omega).vector != marginal_b(mu).vector:
-        raise ValueError("the two states have different B marginals")
-    mu_inv = invert(mu.matrix)
-    assert mu_inv is not None
-    return mat_mul(omega.matrix, mu_inv)

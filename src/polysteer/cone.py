@@ -81,9 +81,18 @@ def _integral(x: Sequence, ambient_dim: int) -> IntVec:
     return tuple(x)
 
 
+def _primitive_generators(vectors: Iterable[Sequence], ambient_dim: int) -> list[IntVec]:
+    """Each vector made primitive, after checking it has ambient_dim entries."""
+    out = [primitive(v) for v in vectors]
+    for v in out:
+        if len(v) != ambient_dim:
+            raise ConeError(f"vector has {len(v)} entries, the cone lives in {ambient_dim}")
+    return out
+
+
 def dd_convert(rays: Iterable[Sequence], ambient_dim: int) -> list[IntVec]:
     """Facet normals of the cone generated by ``rays`` (requires full span)."""
-    rays = [primitive(r) for r in rays]
+    rays = _primitive_generators(rays, ambient_dim)
     if rank(rays) < ambient_dim:
         raise ConeError(
             f"not generating: rays span {rank(rays)} of {ambient_dim} dimensions"
@@ -93,7 +102,7 @@ def dd_convert(rays: Iterable[Sequence], ambient_dim: int) -> list[IntVec]:
 
 def dd_convert_inv(facets: Iterable[Sequence], ambient_dim: int) -> list[IntVec]:
     """Extreme rays of {x : f.x >= 0} (requires a pointed cone)."""
-    facets = [primitive(f) for f in facets]
+    facets = _primitive_generators(facets, ambient_dim)
     if rank(facets) < ambient_dim:
         line = nullspace(facets, ncols=ambient_dim)[0]
         raise ConeError(f"not pointed: cone contains the line through {primitive(line)}")

@@ -62,10 +62,6 @@ def vec_dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
 
 
-def is_zero_vector(v: Sequence[Fraction]) -> bool:
-    return all(a == 0 for a in v)
-
-
 def mat_vec(m: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vector:
     return tuple(vec_dot(row, v) for row in m)
 

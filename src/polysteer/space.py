@@ -58,9 +58,6 @@ class StateSpace:
     def normalization(self, v: Sequence) -> Fraction:
         return vec_dot(self.unit, as_vector(v))
 
-    def is_normalized_state(self, v: Sequence) -> bool:
-        return self.is_state(v) and self.normalization(v) == 1
-
     def vertex_states(self) -> list[Vector]:
         """The extreme normalized states, one per extreme ray."""
         out = []
@@ -160,7 +157,10 @@ def effects_interval(space: StateSpace) -> EffectsInterval:
 
 
 def diamond_dual(space: StateSpace, alpha0: Union[State, Sequence]) -> StateSpace:
-    """Turn the dual cone into a state space, using an interior state as unit."""
+    """Turn the dual cone into a state space, using an interior state as unit.
+
+    This is A* as a state space, the space that weak self-duality compares
+    A against."""
     v = as_vector(alpha0.vector if isinstance(alpha0, State) else alpha0)
     if not space.cone.interior_contains(v):
         raise ValueError("the new unit must be an interior state, not a boundary one")
@@ -168,6 +168,8 @@ def diamond_dual(space: StateSpace, alpha0: Union[State, Sequence]) -> StateSpac
 
 
 def space_direct_sum(a: StateSpace, b: StateSpace) -> StateSpace:
+    """The direct sum of two spaces, whose cone is reducible; the isomorphism
+    tests build their reducible inputs with it."""
     return StateSpace(ordered_direct_sum(a.cone, b.cone), a.unit + b.unit)
 
 

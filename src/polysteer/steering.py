@@ -16,14 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .composite import (
-    BipartiteState,
-    TensorSpace,
-    marginal_b,
-    min_tensor,
-    purify,
-)
-from .cone import PolyhedralCone, cone_from_rays, face_of, is_extremal
+from .composite import BipartiteState, is_isomorphism_state, marginal_b, purify
+from .cone import PolyhedralCone, face_of, is_extremal
 from .dd import polytope_vertices
 from .ratlin import (
     LinearProgram,
@@ -40,8 +34,6 @@ from .ratlin import (
     vec_scale,
     vec_sub,
 )
-
-_ZERO = Fraction(0)
 from .space import (
     Effect,
     HomogeneityVerdict,
@@ -51,6 +43,8 @@ from .space import (
     is_homogeneous,
     is_weakly_self_dual,
 )
+
+_ZERO = Fraction(0)
 
 
 def order_interval_vertices(cone: PolyhedralCone, top: Sequence) -> tuple[Vector, ...]:
@@ -93,45 +87,6 @@ class Ensemble:
 
 
 @dataclass(frozen=True)
-class Chain:
-    """Points 0 <= y1 <= y2 <= ... <= yk in the cone order."""
-
-    space: StateSpace
-    points: tuple[Vector, ...]
-
-    def __post_init__(self) -> None:
-        points = tuple(as_vector(y) for y in self.points)
-        if not points:
-            raise ValueError("a chain needs at least one point")
-        previous = (Fraction(0),) * self.space.dim
-        for y in points:
-            if not self.space.cone.contains(vec_sub(y, previous)):
-                raise ValueError("chain points must increase in the cone order")
-            previous = y
-        object.__setattr__(self, "points", points)
-
-
-def ensemble_to_chain(e: Ensemble) -> Chain:
-    """Partial sums of the parts, ending at the ensemble's total."""
-    running = (Fraction(0),) * e.space.dim
-    points = []
-    for p in e.parts:
-        running = tuple(a + b for a, b in zip(running, p))
-        points.append(running)
-    return Chain(e.space, tuple(points))
-
-
-def chain_to_ensemble(c: Chain) -> Ensemble:
-    """Successive differences of the chain points."""
-    previous = (Fraction(0),) * c.space.dim
-    parts = []
-    for y in c.points:
-        parts.append(vec_sub(y, previous))
-        previous = y
-    return Ensemble(c.space, tuple(parts))
-
-
-@dataclass(frozen=True)
 class LiftResult:
     """Either an observable realizing the ensemble or a Farkas vector."""
 
@@ -140,17 +95,6 @@ class LiftResult:
 
     def __bool__(self) -> bool:
         return self.observable is not None
-
-
-@dataclass(frozen=True)
-class ChainLift:
-    """Either an increasing preimage chain inside [0, u_A] or a Farkas vector."""
-
-    points: tuple[Vector, ...] | None
-    farkas: Vector | None
-
-    def __bool__(self) -> bool:
-        return self.points is not None
 
 
 def ensemble_lift_program(omega: BipartiteState, e: Ensemble) -> LinearProgram:
@@ -206,64 +150,17 @@ def lift_ensemble(omega: BipartiteState, e: Ensemble) -> LiftResult:
     return LiftResult(Observable(space_a, effects), None)
 
 
-def lift_chain(omega: BipartiteState, c: Chain) -> ChainLift:
-    """Preimages x1 <= ... <= xk within [0, u_A] with omega-hat(x_i) = y_i."""
-    target = marginal_b(omega).vector
-    top_gap = vec_sub(target, c.points[-1])
-    if not omega.space_b.cone.contains(top_gap):
-        raise ValueError("the chain must stay below the B marginal")
-    space_a = omega.space_a
-    da, db = space_a.dim, omega.space_b.dim
-    k = len(c.points)
-    n = k * da
-    ge: list[tuple[Vector, Fraction]] = []
-    for r in space_a.cone.rays:
-        rv = as_vector(r)
-        bound = vec_dot(space_a.unit, rv)
-        for i in range(k):
-            row = [Fraction(0)] * n
-            for col in range(da):
-                row[i * da + col] = rv[col]
-                if i > 0:
-                    row[(i - 1) * da + col] = -rv[col]
-            ge.append((tuple(row), Fraction(0)))
-        last = [Fraction(0)] * n
-        for col in range(da):
-            last[(k - 1) * da + col] = -rv[col]
-        ge.append((tuple(last), -bound))
-    eq: list[tuple[Vector, Fraction]] = []
-    for i, y in enumerate(c.points):
-        for j in range(db):
-            row = [Fraction(0)] * n
-            for col in range(da):
-                row[i * da + col] = omega.matrix[j][col]
-            eq.append((tuple(row), y[j]))
-    out = lp_feasible(LinearProgram(n, eq=eq, ge=ge))
-    if out.status != "feasible":
-        return ChainLift(None, out.farkas)
-    w = out.witness
-    points = tuple(
-        tuple(w[i * da + col] for col in range(da)) for i in range(k)
-    )
-    return ChainLift(points, None)
-
-
-def chain_lift_to_observable(
-    omega: BipartiteState, lift: ChainLift
-) -> Observable:
-    """Differences of the lifted chain, completed to sum to the order unit."""
-    if not lift:
-        raise ValueError("only a successful chain lift converts")
-    space_a = omega.space_a
-    effects = []
-    previous = (Fraction(0),) * space_a.dim
-    for x in lift.points:
-        effects.append(Effect(space_a, vec_sub(x, previous)))
-        previous = x
-    remainder = vec_sub(space_a.unit, previous)
-    if any(x != 0 for x in remainder):
-        effects.append(Effect(space_a, remainder))
-    return Observable(space_a, tuple(effects))
+def _is_conic_combination(
+    point: Sequence, generators: Sequence[Vector], convex: bool = False
+) -> bool:
+    """Whether point is a nonnegative combination of the generators, with
+    weights summing to one when convex: one feasibility LP."""
+    n = len(generators)
+    eq = [(tuple(g[c] for g in generators), point[c]) for c in range(len(point))]
+    if convex:
+        eq.append(((1,) * n, 1))
+    ge = [(tuple(int(i == j) for i in range(n)), 0) for j in range(n)]
+    return lp_feasible(LinearProgram(n, eq=eq, ge=ge)).status == "feasible"
 
 
 def image_interval(omega: BipartiteState) -> tuple[Vector, ...]:
@@ -276,20 +173,7 @@ def image_interval(omega: BipartiteState) -> tuple[Vector, ...]:
     extreme = []
     for i, p in enumerate(images):
         others = [q for j, q in enumerate(images) if j != i]
-        if not others:
-            extreme.append(p)
-            continue
-        n = len(others)
-        eq = []
-        for c in range(len(p)):
-            eq.append((tuple(q[c] for q in others), p[c]))
-        eq.append(((Fraction(1),) * n, Fraction(1)))
-        ge = []
-        for j in range(n):
-            row = [Fraction(0)] * n
-            row[j] = Fraction(1)
-            ge.append((tuple(row), Fraction(0)))
-        if lp_feasible(LinearProgram(n, eq=eq, ge=ge)).status != "feasible":
+        if not others or not _is_conic_combination(p, others, convex=True):
             extreme.append(p)
     return tuple(sorted(extreme))
 
@@ -300,22 +184,9 @@ def face_condition(omega: BipartiteState) -> bool:
     target = marginal_b(omega).vector
     face = face_of(omega.space_b.cone, target)
     images = [omega.apply(f) for f in omega.space_a.cone.facets]
-    for img in images:
-        if not face.contains(img):
-            return False
-    n = len(images)
-    for fr in face.rays():
-        eq = []
-        for c in range(omega.space_b.dim):
-            eq.append((tuple(img[c] for img in images), Fraction(fr[c])))
-        ge = []
-        for j in range(n):
-            row = [Fraction(0)] * n
-            row[j] = Fraction(1)
-            ge.append((tuple(row), Fraction(0)))
-        if lp_feasible(LinearProgram(n, eq=eq, ge=ge)).status != "feasible":
-            return False
-    return True
+    if not all(face.contains(img) for img in images):
+        return False
+    return all(_is_conic_combination(fr, images) for fr in face.rays())
 
 
 @dataclass(frozen=True)
@@ -440,10 +311,9 @@ class AffineSection:
 
     def verify(self, omega: BipartiteState) -> bool:
         target = marginal_b(omega).vector
-        interval = effects_interval(omega.space_a)
         for y in order_interval_vertices(omega.space_b.cone, target):
             x = self.apply(y)
-            if omega.apply(x) != y or not interval.contains(x):
+            if omega.apply(x) != y or not omega.space_a.is_effect(x):
                 return False
         # Monotonicity: the linear part must carry face directions to
         # nonnegative functionals, so chains map to chains.
@@ -670,7 +540,9 @@ def affine_section_search(omega: BipartiteState) -> SectionSearch:
 
 
 def adjoint_state(omega: BipartiteState) -> BipartiteState:
-    """The same bilinear form read in the other order: the map B* -> A."""
+    """The same bilinear form read in the other order: the map B* -> A.
+
+    Steering of the A marginal is steering of this state's B marginal."""
     return BipartiteState(
         omega.space_b, omega.space_a, mat_transpose(omega.matrix)
     )
@@ -679,7 +551,8 @@ def adjoint_state(omega: BipartiteState) -> BipartiteState:
 def bisteering(
     omega: BipartiteState, depth: int = 3
 ) -> tuple[SteeringVerdict, SteeringVerdict]:
-    """Steering verdicts for the A marginal and the B marginal, in that order."""
+    """Steering verdicts for the A marginal and the B marginal, in that order:
+    the paper's steering, of either marginal."""
     return (
         decide_steering(adjoint_state(omega), depth),
         decide_steering(omega, depth),
@@ -688,9 +561,11 @@ def bisteering(
 
 def injective_steering_implies_iso(omega: BipartiteState, depth: int = 2) -> bool:
     """Cross-check: an injective map steering an interior marginal must be an
-    order isomorphism. Returns whether that implication held here."""
-    from .composite import is_isomorphism_state
+    order isomorphism. Returns whether that implication held here.
 
+    This is the lemma behind acceptance criterion 9 and the interior-state
+    step of the paper's theorem: a state on two copies of A that steers an
+    interior state is an isomorphism state."""
     if nullspace(list(omega.matrix), ncols=omega.space_a.dim):
         raise ValueError("the cross-check needs an injective map")
     target = marginal_b(omega).vector
@@ -699,28 +574,6 @@ def injective_steering_implies_iso(omega: BipartiteState, depth: int = 2) -> boo
     steering = bool(decide_steering(omega, depth))
     iso = is_isomorphism_state(omega) is not None
     return iso or not steering
-
-
-def steering_product_inner(
-    a: StateSpace,
-    b: StateSpace,
-    generators: Sequence[BipartiteState] = (),
-    depth: int = 2,
-) -> TensorSpace:
-    """An inner approximation of the composite cone generated by steering
-    states: the supplied generators (each checked to steer at the given
-    depth) together with all product states."""
-    rays = [list(r) for r in min_tensor(a, b).cone.rays]
-    for g in generators:
-        if g.space_a.cone != a.cone or g.space_b.cone != b.cone:
-            raise ValueError("generator defined over different factors")
-        if not decide_steering(g, depth):
-            raise ValueError(
-                f"generator fails the steering check at depth {depth}"
-            )
-        rays.append(list(g.as_tensor_vector()))
-    cone = cone_from_rays(rays, a.dim * b.dim)
-    return TensorSpace(a, b, "steering_inner", cone, min_tensor(a, b).unit)
 
 
 @dataclass(frozen=True)

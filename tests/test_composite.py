@@ -15,9 +15,6 @@ import pytest
 from polysteer.cone import cone_from_facets, cone_from_rays, dual_cone
 from polysteer.composite import (
     BipartiteState,
-    ExtremalityResult,
-    Factorization,
-    connecting_automorphism,
     conditional_state,
     factors_isomorphically_through,
     intermediate_tensor,
@@ -489,26 +486,3 @@ def test_purification_grid_matches_homogeneity():
         if purify(sq, alpha) is None
     ]
     assert missed
-
-
-def test_connecting_automorphism():
-    trit = simplex_space(3)
-    omega = purify(trit, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
-    mu = BipartiteState(
-        trit,
-        trit,
-        (
-            (Fraction(1, 2), 0, 0),
-            (0, 0, Fraction(1, 4)),
-            (0, Fraction(1, 4), 0),
-        ),
-    )
-    tau = connecting_automorphism(omega, mu)
-    assert tau == ((1, 0, 0), (0, 0, 1), (0, 1, 0))
-    assert mat_mul(tau, mu.matrix) == omega.matrix
-
-    shifted = purify(trit, (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
-    with pytest.raises(ValueError, match="marginals"):
-        connecting_automorphism(omega, shifted)
-    with pytest.raises(ValueError, match="isomorphism states"):
-        connecting_automorphism(omega, table_state())

@@ -155,6 +155,14 @@ def test_from_facets_errors():
         cone_from_facets([(1, 0), (-1, 0), (0, 1), (0, -1)], 2)
 
 
+def test_generators_must_have_the_ambient_length():
+    long = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    with pytest.raises(ConeError, match="vector has 3 entries, the cone lives in 2"):
+        cone_from_rays(long, 2)
+    with pytest.raises(ConeError, match="vector has 3 entries, the cone lives in 2"):
+        cone_from_facets(long, 2)
+
+
 def test_extreme_rays_filters_non_extremal_generators():
     rays = extreme_rays([(1, 0), (0, 1), (1, 1)], 2)
     assert rays == [(0, 1), (1, 0)]

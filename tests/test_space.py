@@ -22,12 +22,10 @@ from polysteer.ratlin import (
     mat_transpose,
     mat_vec,
     solve_linear,
-    vec_dot,
     vec_scale,
 )
 from polysteer.space import (
     Effect,
-    HomogeneityVerdict,
     Observable,
     OrderIsoWitness,
     State,

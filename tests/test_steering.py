@@ -1,12 +1,12 @@
-"""Ensemble lifting, steering verdicts, chains, and affine sections.
+"""Ensemble lifting, steering verdicts, and affine sections.
 
 Oracles: the interval vertices, image intervals, counterexample ensembles,
 and section values here were derived by hand from the map convention
-omega-hat(a) = M a and frozen. Solver-produced witnesses (observables,
-lifted chains, sections) are re-verified structurally instead of frozen
-where several witnesses would be equally valid: effects must be observables
-that map onto the claimed parts, and sections must invert the map on every
-interval vertex while preserving the order.
+omega-hat(a) = M a and frozen. Solver-produced witnesses (observables and
+sections) are re-verified structurally instead of frozen where several
+witnesses would be equally valid: effects must be observables that map onto
+the claimed parts, and sections must invert the map on every interval vertex
+while preserving the order.
 """
 
 import random
@@ -15,36 +15,24 @@ from fractions import Fraction
 import pytest
 
 from polysteer.cone import cone_from_rays
-from polysteer.composite import (
-    BipartiteState,
-    is_isomorphism_state,
-    marginal_b,
-    max_tensor,
-    min_tensor,
-)
-from polysteer.ratlin import LinearProgram, LPOutcome, as_vector, vec_dot, vec_sub
+from polysteer.composite import BipartiteState, is_isomorphism_state, marginal_b
+from polysteer.ratlin import LinearProgram, LPOutcome, as_vector
 from polysteer.space import StateSpace, effects_interval
 from polysteer.steering import (
     AffineSection,
-    Chain,
     _polytope_dimension,
     Ensemble,
     adjoint_state,
     affine_section_search,
     bisteering,
-    chain_lift_to_observable,
-    chain_to_ensemble,
     decide_steering,
     ensemble_polytope_vertices,
-    ensemble_to_chain,
     face_condition,
     image_interval,
     injective_steering_implies_iso,
-    lift_chain,
     lift_ensemble,
     order_interval_vertices,
     section_program,
-    steering_product_inner,
     universal_self_steering_scan,
 )
 
@@ -186,7 +174,7 @@ def test_order_interval_top_must_be_in_cone():
 
 
 # ---------------------------------------------------------------------------
-# Ensembles and chains
+# Ensembles
 
 
 def test_ensemble_total_and_canonical_parts():
@@ -206,29 +194,8 @@ def test_ensemble_rejects_empty_and_outside_parts():
         Ensemble(bit, ((1, -1),))
 
 
-def test_chain_must_increase_in_the_cone_order():
-    bit = simplex_space(2)
-    Chain(bit, ((F(1, 4), 0), (F(1, 2), F(1, 4))))
-    with pytest.raises(ValueError, match="increase in the cone order"):
-        Chain(bit, ((F(1, 2), 0), (F(1, 4), F(1, 4))))
-    with pytest.raises(ValueError, match="at least one point"):
-        Chain(bit, ())
-
-
-def test_ensemble_chain_round_trip():
-    trit = simplex_space(3)
-    e = Ensemble(trit, ((1, 0, 0), (0, F(1, 2), 0), (0, F(1, 2), 1)))
-    c = ensemble_to_chain(e)
-    assert c.points == (
-        (1, 0, 0),
-        (1, F(1, 2), 0),
-        (1, 1, 1),
-    )
-    assert chain_to_ensemble(c).parts == e.parts
-
-
 # ---------------------------------------------------------------------------
-# Lifting ensembles and chains
+# Lifting ensembles
 
 
 def test_lift_requires_matching_total():
@@ -256,45 +223,6 @@ def test_diagonal_splitting_of_table_state_lifts():
     result = lift_ensemble(omega, e)
     assert result
     assert_valid_lift(omega, e, result.observable)
-
-
-def test_lift_chain_and_convert_to_observable():
-    omega = table_state()
-    bit = simplex_space(2)
-    chain = Chain(bit, ((F(1, 4), 0), (F(1, 2), F(1, 4))))
-    lift = lift_chain(omega, chain)
-    assert lift
-    # The lifted points must form a chain in [0, u] mapping onto the input.
-    prev = (F(0),) * 3
-    interval = effects_interval(omega.space_a)
-    for x, y in zip(lift.points, chain.points):
-        assert omega.apply(x) == y
-        assert interval.contains(x)
-        step = vec_sub(x, prev)
-        assert all(vec_dot(step, as_vector(r)) >= 0 for r in omega.space_a.cone.rays)
-        prev = x
-    obs = chain_lift_to_observable(omega, lift)
-    total = (F(0),) * 3
-    for eff in obs.effects:
-        total = tuple(a + b for a, b in zip(total, eff.functional))
-    assert total == (1, 1, 1)
-
-
-def test_lift_chain_rejects_points_above_the_marginal():
-    omega = table_state()
-    bit = simplex_space(2)
-    with pytest.raises(ValueError, match="below the B marginal"):
-        lift_chain(omega, Chain(bit, ((F(3, 4), F(3, 4)),)))
-
-
-def test_unliftable_chain_produces_farkas():
-    omega = table_state()
-    bit = simplex_space(2)
-    lift = lift_chain(omega, Chain(bit, ((F(1, 2), 0),)))
-    assert not lift
-    assert lift.farkas is not None
-    with pytest.raises(ValueError, match="successful chain lift"):
-        chain_lift_to_observable(omega, lift)
 
 
 # ---------------------------------------------------------------------------
@@ -628,40 +556,6 @@ def test_injective_steering_cross_check():
 
 
 # ---------------------------------------------------------------------------
-# Inner approximation of the composite cone by steering states
-
-
-def test_inner_approximation_without_generators_is_the_minimal_cone():
-    bit = simplex_space(2)
-    inner = steering_product_inner(bit, bit)
-    assert inner.kind == "steering_inner"
-    assert inner.cone == min_tensor(bit, bit).cone
-
-
-def test_iso_generator_lifts_the_inner_cone_strictly_between_min_and_max():
-    sq = square_space()
-    iso = square_iso_state()
-    inner = steering_product_inner(sq, sq, [iso], depth=2)
-    mn, mx = min_tensor(sq, sq), max_tensor(sq, sq)
-    assert not mn.cone.contains(iso.as_tensor_vector())
-    assert inner.cone.contains(iso.as_tensor_vector())
-    assert inner.cone != mn.cone
-    assert inner.cone != mx.cone
-    assert all(mx.cone.contains(r) for r in inner.cone.rays)
-
-
-def test_inner_approximation_validates_generators():
-    sq = square_space()
-    bit = simplex_space(2)
-    with pytest.raises(ValueError, match="different factors"):
-        steering_product_inner(bit, bit, [square_iso_state()])
-    with pytest.raises(ValueError, match="fails the steering check"):
-        steering_product_inner(
-            simplex_space(3), simplex_space(2), [table_state()]
-        )
-
-
-# ---------------------------------------------------------------------------
 # Self-steering scans
 
 
@@ -747,18 +641,3 @@ def test_random_states_respect_the_implication_chain():
             assert decide_steering(omega, depth=3)
         elif verdict:
             assert search.farkas is not None
-
-
-def test_random_ensembles_round_trip_through_chains():
-    rng = random.Random(7)
-    trit = simplex_space(3)
-    for _ in range(10):
-        parts = []
-        for _ in range(rng.randint(1, 4)):
-            parts.append(tuple(F(rng.randint(0, 3), 4) for _ in range(3)))
-        parts = [p for p in parts if any(x != 0 for x in p)]
-        if not parts:
-            continue
-        e = Ensemble(trit, tuple(parts))
-        back = chain_to_ensemble(ensemble_to_chain(e))
-        assert back.parts == e.parts

@@ -102,6 +102,12 @@ class TestParsing:
         with pytest.raises(TheoryFileError, match="missing key 'unit'"):
             loads(doc_text(doc))
 
+    def test_rays_must_have_the_ambient_length(self):
+        doc = json.loads(doc_text(MINIMAL))
+        doc["spaces"]["pair"]["rays"] = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+        with pytest.raises(TheoryFileError, match="vector has 3 entries, the cone lives in 2"):
+            loads(doc_text(doc))
+
     def test_facets_cross_checked(self):
         doc = json.loads(doc_text(MINIMAL))
         doc["spaces"]["pair"]["facets"] = [["1", "0"], ["0", "1"]]

@@ -3,8 +3,9 @@
 Every report the benchmark's `fixture_commands` yields, plus `purify` on two
 interior states (one purifiable, one not), is built once. Leaves of its
 `verdicts` and `certificates` are then perturbed one at a time: a rational
-string gets +1, a bool is flipped, an int gets +1 and a status is swapped for
-the next status of its command. `verify` must exit 1 on every result.
+string gets +1, a bool is flipped, an int gets +1 (an int 0 or 1 is also
+written as the JSON bool of the same value) and a status is swapped for the
+next status of its command. `verify` must exit 1 on every result.
 
 To keep the run short, each report perturbs at most the first and the middle
 leaf of each key path (list indices dropped), which still reaches every
@@ -69,14 +70,15 @@ def key_path(path):
 
 
 def perturbed(command, value, path):
+    """The tampered values tried in place of one leaf."""
     if isinstance(value, bool):
-        return not value
+        return [not value]
     if isinstance(value, int):
-        return value + 1
+        return [value + 1] + ([bool(value)] if value in (0, 1) else [])
     if path[-1] == "status":
         statuses = STATUSES[command]
-        return statuses[(statuses.index(value) + 1) % len(statuses)]
-    return format_rational(Fraction(value) + 1)
+        return [statuses[(statuses.index(value) + 1) % len(statuses)]]
+    return [format_rational(Fraction(value) + 1)]
 
 
 def chosen_leaves(report):
@@ -129,13 +131,13 @@ def test_perturbed_leaf_fails_verify(reports, tmp_path, words):
     assert call(["verify", str(path)])[0] == 0
     accepted = []
     for leaf, value in chosen_leaves(report):
-        bad = perturbed(command, value, leaf)
-        tampered = copy.deepcopy(report)
-        set_leaf(tampered, leaf, bad)
-        path.write_text(json.dumps(tampered))
-        code, text = call(["verify", str(path)])
-        if code != 1 or not text.startswith("FAIL:"):
-            accepted.append((leaf, bad, code, text))
+        for bad in perturbed(command, value, leaf):
+            tampered = copy.deepcopy(report)
+            set_leaf(tampered, leaf, bad)
+            path.write_text(json.dumps(tampered))
+            code, text = call(["verify", str(path)])
+            if code != 1 or not text.startswith("FAIL:"):
+                accepted.append((leaf, bad, code, text))
     assert not accepted
 
 
