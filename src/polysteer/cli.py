@@ -1,7 +1,10 @@
 """Command-line surface: decision procedures over theory files, reports.
 
 Every command reads a theory file, runs one decision procedure, prints a
-human summary (or the full JSON report with --json), and exits with:
+human summary (or the full JSON report with --json), and exits with the
+codes below. The whole file is checked against the grammar, but only the
+entries the command names, and the spaces they use, are validated; a
+broken entry elsewhere in the file does not stop it.
 
     0  the affirmative verdict (steers, self-dual, homogeneous, ...)
     1  the negative verdict, with certificates where they exist
@@ -14,6 +17,7 @@ a report's certificates without access to the original file.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -70,9 +74,8 @@ def _paren(row) -> str:
 def _inputs_for_state(tf: theoryfile.TheoryFile, name: str) -> dict:
     st = tf.state(name)
     sub = theoryfile.TheoryFile()
-    for sp_name, sp in tf.spaces.items():
-        if sp in (st.space_a, st.space_b):
-            sub.spaces[sp_name] = sp
+    for sp_name in tf.states.space_names(name):
+        sub.spaces[sp_name] = tf.space(sp_name)
     sub.states[name] = st
     return theoryfile.to_document(sub)
 
@@ -85,8 +88,11 @@ def _inputs_for_spaces(tf: theoryfile.TheoryFile, *names: str) -> dict:
 
 
 def _decode_inputs(inputs: dict) -> theoryfile.TheoryFile:
-    """The theory file a report embeds; the report's flags name its entries."""
-    return theoryfile.loads(json.dumps(inputs))
+    """The theory file a report embeds, every entry validated; the report's
+    flags name its entries."""
+    tf = theoryfile.loads(json.dumps(inputs))
+    tf.check()
+    return tf
 
 
 def _emit(args, t0: float, flags: dict, inputs: dict, verdicts: dict,
@@ -534,7 +540,11 @@ def cmd_verify(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every `main`
+    call of the process (parsing leaves it unchanged). The subcommand names
+    the function that runs it; see `main`."""
     parser = argparse.ArgumentParser(
         prog="polysteer",
         description="Exact decision procedures for polyhedral state spaces.",
@@ -546,26 +556,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state")
     p.add_argument("--depth", type=int, default=2, help="largest ensemble length checked (default 2)")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_check_steering)
 
     p = sub.add_parser("self-dual", help="search for a dual-to-cone order isomorphism")
     p.add_argument("file")
     p.add_argument("space")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_self_dual)
 
     p = sub.add_parser("homogeneous", help="decide interior transitivity of the automorphisms")
     p.add_argument("file")
     p.add_argument("space")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_homogeneous)
 
     p = sub.add_parser("purify", help="purify an interior state to an isomorphism state")
     p.add_argument("file")
     p.add_argument("space")
     p.add_argument("state", help="comma-separated rationals, e.g. 1/3,1/3,1/3")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_purify)
 
     p = sub.add_parser("tensor", help="compute a composite cone of two spaces")
     p.add_argument("file")
@@ -573,36 +579,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("space_b")
     p.add_argument("--kind", choices=["min", "max"], default="min")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_tensor)
 
     p = sub.add_parser("pure", help="decide purity of a state in the largest composite")
     p.add_argument("file")
     p.add_argument("state")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_pure)
 
     p = sub.add_parser("section", help="search for an affine section of a state's map")
     p.add_argument("file")
     p.add_argument("state")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_section)
 
     p = sub.add_parser("verify", help="re-check the certificates in an emitted report")
     p.add_argument("report")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("fixtures", help="emit the built-in fixture library as a theory file")
     p.add_argument("--out", help="write to a file instead of stdout")
-    p.set_defaults(func=cmd_fixtures)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Each command runs `cmd_<command>`, looked up at call time rather than
+    # bound into the shared parser, so that a wrapper installed on this
+    # module after the first call (perfbench's tracing wraps `cmd_verify`)
+    # still sees every call.
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (TheoryFileError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

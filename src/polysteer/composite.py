@@ -24,6 +24,7 @@ from .cone import (
     face_of,
     is_extremal,
 )
+from .dd import int_dot
 from .ratlin import (
     LinearProgram,
     Matrix,
@@ -31,6 +32,7 @@ from .ratlin import (
     as_matrix,
     as_vector,
     independent_rows,
+    integral,
     invert,
     lp_optimize,
     mat_mul,
@@ -117,8 +119,15 @@ class BipartiteState:
             len(row) != self.space_a.dim for row in m
         ):
             raise ValueError("matrix shape must be dim(B) x dim(A)")
+        # One positive scale makes the matrix integral and keeps the sign of
+        # every facet of B on the image of every facet of A.
+        flat = integral(x for row in m for x in row)
+        da = self.space_a.dim
+        rows = [flat[i:i + da] for i in range(0, len(flat), da)]
+        facets_b = self.space_b.cone.facets
         for f in self.space_a.cone.facets:
-            if not self.space_b.cone.contains(mat_vec(m, as_vector(f))):
+            image = [int_dot(row, f) for row in rows]
+            if any(int_dot(g, image) < 0 for g in facets_b):
                 raise ValueError(
                     "map sends a dual extreme ray outside the B cone; "
                     "the form is not positive"

@@ -15,11 +15,12 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence, Union
 
 from .cone import PolyhedralCone, dual_cone, irreducible_partition, ordered_direct_sum
-from .dd import polytope_vertices
+from .dd import int_dot, polytope_vertices
 from .ratlin import (
     Matrix,
     Vector,
     as_vector,
+    integral,
     invert,
     mat_mul,
     mat_transpose,
@@ -40,8 +41,9 @@ class StateSpace:
         unit = as_vector(self.unit)
         if len(unit) != self.cone.ambient_dim:
             raise ValueError("unit length does not match the ambient dimension")
+        scaled = integral(unit)
         for r in self.cone.rays:
-            if vec_dot(unit, r) <= 0:
+            if int_dot(scaled, r) <= 0:
                 raise ValueError(f"unit is not strictly positive on ray {r}")
         object.__setattr__(self, "unit", unit)
 

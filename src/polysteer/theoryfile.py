@@ -25,15 +25,22 @@ Each section is optional; one that is present must be an object, and
 entries name their spaces by strings. Rationals are written as "p/q" or
 integer strings (bare JSON integers are accepted too). Serialization is
 canonical: two-space indent, sorted keys, trailing newline, every rational
-rendered "p/q" or "p". Parsing failures raise TheoryFileError with the
-offending line when it can be located.
+rendered "p/q" or "p".
+
+Reading has two phases. `loads` checks every entry against the grammar; an
+entry's semantic checks run the first time it is looked up, so a command
+pays only for the entries it names. Failures of either phase raise
+TheoryFileError with the offending entry's line when it can be located.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from collections.abc import Callable, Iterator, MutableMapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.decoder import scanstring
 
 from . import ratlin
 from .composite import BipartiteState
@@ -82,13 +89,70 @@ def format_matrix(m) -> list[list[str]]:
     return [format_vector(row) for row in m]
 
 
+class _Unread:
+    """An entry of a file not read yet: the call that reads it."""
+
+    __slots__ = ("read",)
+
+    def __init__(self, read: Callable[[], object]):
+        self.read = read
+
+
+class Section(MutableMapping):
+    """One section's entries by name, in file order.
+
+    An entry found by `loads` is built, and its semantic checks run, the
+    first time it is looked up; the result is kept. An entry set by
+    assignment is stored as given.
+    """
+
+    def __init__(self):
+        self._entries: dict[str, object] = {}
+        self._space_names: dict[str, tuple[str, ...]] = {}
+
+    def defer(self, name: str, space_names: tuple[str, ...], read: Callable[[], object]) -> None:
+        self._entries[name] = _Unread(read)
+        self._space_names[name] = space_names
+
+    def space_names(self, name: str) -> tuple[str, ...]:
+        """The names of the spaces that entry `name` of a file refers to."""
+        return self._space_names[name]
+
+    def __getitem__(self, name: str):
+        value = self._entries[name]
+        if type(value) is _Unread:
+            value = self._entries[name] = value.read()
+        return value
+
+    def __setitem__(self, name: str, value) -> None:
+        self._entries[name] = value
+        self._space_names.pop(name, None)
+
+    def __delitem__(self, name: str) -> None:
+        del self._entries[name]
+        self._space_names.pop(name, None)
+
+    def __contains__(self, name) -> bool:
+        return name in self._entries
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
 @dataclass
 class TheoryFile:
-    """Named spaces, states, and ensembles, parsed and validated."""
+    """Named spaces, states, and ensembles.
 
-    spaces: dict[str, StateSpace] = field(default_factory=dict)
-    states: dict[str, BipartiteState] = field(default_factory=dict)
-    ensembles: dict[str, Ensemble] = field(default_factory=dict)
+    Every entry of a file has passed the grammar; each one's semantic checks
+    run when it is first looked up (see `loads`), and `check` runs them all.
+    """
+
+    spaces: Section = field(default_factory=Section)
+    states: Section = field(default_factory=Section)
+    ensembles: Section = field(default_factory=Section)
 
     def space(self, name: str) -> StateSpace:
         if name not in self.spaces:
@@ -105,57 +169,94 @@ class TheoryFile:
             raise TheoryFileError(f"unknown ensemble {name!r}")
         return self.ensembles[name]
 
-
-def _line_of(text: str, token: str) -> int | None:
-    pos = text.find(f'"{token}"')
-    if pos < 0:
-        return None
-    return text.count("\n", 0, pos) + 1
+    def check(self) -> None:
+        """Read every entry, so that the whole file is validated."""
+        for section in (self.spaces, self.states, self.ensembles):
+            list(section.values())
 
 
-def _anchored(text: str, token: str, message: str) -> TheoryFileError:
-    line = _line_of(text, token)
+_TOKEN = re.compile(r'["{}\[\]]')
+_KEY_END = re.compile(r"\s*:")
+
+
+def _line_of(text: str, path: tuple[str, ...]) -> int | None:
+    """The line of the object key that `path` leads to from the top level.
+
+    path[0] is a top-level key, path[1] a key of its value, and so on, so a
+    name is found in its own section even when another section, or a string
+    value before it, spells the same name. `text` is valid JSON.
+    """
+    depth = matched = pos = 0
+    while (m := _TOKEN.search(text, pos)) is not None:
+        pos = m.end()
+        if m.group() == '"':
+            key, pos = scanstring(text, pos)
+            if depth == matched + 1 and key == path[matched] and _KEY_END.match(text, pos):
+                matched += 1
+                if matched == len(path):
+                    return text.count("\n", 0, m.start()) + 1
+        elif m.group() in "{[":
+            depth += 1
+        else:
+            depth -= 1
+            if matched and depth <= matched:
+                return None  # left the value of the last key matched
+    return None
+
+
+def _anchored(text: str, path: tuple[str, ...], message: str) -> TheoryFileError:
+    line = _line_of(text, path)
     prefix = f"line {line}: " if line is not None else ""
     return TheoryFileError(f"{prefix}{message}")
 
 
-def _space(entry: dict, spaces: dict[str, StateSpace]) -> StateSpace:
+# Each entry's grammar reader checks it and returns the names of the spaces
+# it refers to, with the call that builds it from those spaces and runs the
+# semantic checks.
+
+
+def _space(entry: dict, spaces: Section) -> tuple[tuple[str, ...], Callable]:
     dim = entry["ambient_dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim <= 0:
         raise TheoryFileError("ambient_dim must be a positive integer")
     rays = parse_matrix(entry["rays"], "rays")
     unit = parse_vector(entry["unit"], "unit")
-    cone = cone_from_rays(rays, dim)
-    if "facets" in entry:
-        given = sorted(parse_matrix(entry["facets"], "facets"))
-        if given != sorted(as_vector(g) for g in cone.facets):
+    given = sorted(parse_matrix(entry["facets"], "facets")) if "facets" in entry else None
+
+    def build() -> StateSpace:
+        cone = cone_from_rays(rays, dim)
+        if given is not None and given != sorted(as_vector(g) for g in cone.facets):
             raise TheoryFileError("facets do not match the facets computed from the rays")
-    return StateSpace(cone, unit)
+        return StateSpace(cone, unit)
+
+    return (), build
 
 
-def _space_ref(entry: dict, key: str, spaces: dict[str, StateSpace]) -> StateSpace:
-    """The space an entry's key names; the name must be a string."""
+def _space_ref(entry: dict, key: str, spaces: Section) -> str:
+    """The space name an entry's key holds; it must be a string naming a
+    space of the file."""
     ref = entry[key]
     if not isinstance(ref, str):
         raise TheoryFileError(f"{key} must name a space by a string, not {ref!r}")
     if ref not in spaces:
         raise TheoryFileError(f"unknown space {ref!r}")
-    return spaces[ref]
+    return ref
 
 
-def _state(entry: dict, spaces: dict[str, StateSpace]) -> BipartiteState:
-    space_a = _space_ref(entry, "space_a", spaces)
-    space_b = _space_ref(entry, "space_b", spaces)
-    return BipartiteState(space_a, space_b, parse_matrix(entry["matrix"], "matrix"))
+def _state(entry: dict, spaces: Section) -> tuple[tuple[str, ...], Callable]:
+    refs = (_space_ref(entry, "space_a", spaces), _space_ref(entry, "space_b", spaces))
+    matrix = parse_matrix(entry["matrix"], "matrix")
+    return refs, lambda space_a, space_b: BipartiteState(space_a, space_b, matrix)
 
 
-def _ensemble(entry: dict, spaces: dict[str, StateSpace]) -> Ensemble:
-    space = _space_ref(entry, "space", spaces)
-    return Ensemble(space, parse_matrix(entry["parts"], "parts"))
+def _ensemble(entry: dict, spaces: Section) -> tuple[tuple[str, ...], Callable]:
+    refs = (_space_ref(entry, "space", spaces),)
+    parts = parse_matrix(entry["parts"], "parts")
+    return refs, lambda space: Ensemble(space, parts)
 
 
 # Each section of a theory file: its key, the kind of its entries, their
-# keys, and the reader of one entry given the spaces read so far.
+# keys, and the grammar reader of one entry given the file's spaces.
 _SECTIONS = (
     ("spaces", "space", {"ambient_dim", "rays", "facets", "unit"}, _space),
     ("states", "state", {"space_a", "space_b", "matrix"}, _state),
@@ -163,7 +264,32 @@ _SECTIONS = (
 )
 
 
+def _reader(text: str, path: tuple[str, ...], message: str, refs: tuple[str, ...],
+            build: Callable, spaces: Section) -> Callable[[], object]:
+    """Read the spaces an entry refers to, each with its own errors, then
+    build the entry, anchoring a failure to the entry's line."""
+
+    def read():
+        args = [spaces[ref] for ref in refs]
+        try:
+            return build(*args)
+        except ValueError as exc:
+            raise _anchored(text, path, f"{message}: {exc}") from None
+
+    return read
+
+
 def loads(text: str) -> TheoryFile:
+    """Parse a theory file, checking every entry against the grammar.
+
+    The grammar covers the JSON, the format tag, section and entry shapes,
+    entry keys, `ambient_dim`, every rational and matrix, and every space
+    reference. The semantic checks (a space's DD conversion, its `facets`
+    cross-check and unit positivity, a state's positivity, an ensemble's
+    parts) run when an entry is first looked up, after those of the spaces
+    it names. Failures of either kind raise TheoryFileError anchored to the
+    entry's line; `TheoryFile.check` validates the whole file.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -178,22 +304,24 @@ def loads(text: str) -> TheoryFile:
     if unknown:
         raise TheoryFileError(f"unknown top-level keys {sorted(unknown)}")
     tf = TheoryFile()
-    for key, kind, keys, read in _SECTIONS:
+    for key, kind, keys, parse in _SECTIONS:
         section = doc.get(key, {})
         if not isinstance(section, dict):
-            raise _anchored(text, key, f"{key}: expected an object of named entries")
+            raise _anchored(text, (key,), f"{key}: expected an object of named entries")
         for name, entry in section.items():
+            path, message = (key, name), f"{kind} {name!r}"
             if not isinstance(entry, dict):
-                raise _anchored(text, name, f"{kind} {name!r}: expected an object")
+                raise _anchored(text, path, f"{message}: expected an object")
             extra = set(entry) - keys
             if extra:
-                raise _anchored(text, name, f"{kind} {name!r}: unknown keys {sorted(extra)}")
+                raise _anchored(text, path, f"{message}: unknown keys {sorted(extra)}")
             try:
-                getattr(tf, key)[name] = read(entry, tf.spaces)
+                refs, build = parse(entry, tf.spaces)
             except KeyError as exc:
-                raise _anchored(text, name, f"{kind} {name!r}: missing key {exc}") from None
+                raise _anchored(text, path, f"{message}: missing key {exc}") from None
             except ValueError as exc:
-                raise _anchored(text, name, f"{kind} {name!r}: {exc}") from None
+                raise _anchored(text, path, f"{message}: {exc}") from None
+            getattr(tf, key).defer(name, refs, _reader(text, path, message, refs, build, tf.spaces))
     return tf
 
 

@@ -6,13 +6,16 @@ Exit code contract: 0 affirmative, 1 negative, 2 input errors.
 """
 
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from polysteer import theoryfile
+import polysteer
+from polysteer import cli, theoryfile
 from polysteer.cli import main
 from polysteer.fixtures import fixture_library
 from polysteer.ratlin import format_rational
@@ -100,6 +103,162 @@ class TestExitCodes:
         code, _, err = run(capsys, "purify", lib_path, "simplex_3", "1/2,1/2")
         assert code == 2
         assert "coordinates" in err
+
+
+def without_timing(out: str) -> str:
+    """A command's stdout with a JSON report's wall time dropped."""
+    if not out.startswith("{"):
+        return out
+    report = json.loads(out)
+    report.pop("wall_time_ms")
+    return json.dumps(report, indent=2, sort_keys=True)
+
+
+def line_of_key(text: str, name: str, section: str) -> int:
+    """The line of entry `name` inside `section` of a canonical theory file."""
+    lines = text.splitlines()
+    start = lines.index(f'  "{section}": {{')
+    return next(
+        i + 1 for i, line in enumerate(lines)
+        if i > start and line == f'    "{name}": {{'
+    )
+
+
+class TestUnusedBrokenEntries:
+    """A command validates only the entries it names and the spaces they
+    use; the grammar is still checked for the whole file."""
+
+    @pytest.fixture(scope="class")
+    def broken_path(self, tmp_path_factory):
+        doc = theoryfile.to_document(fixture_library())
+        # A space whose facets do not match its rays, and a state whose map
+        # sends a dual extreme ray outside the B cone.
+        skew = dict(doc["spaces"]["square_space"])
+        skew["facets"] = [["1", "0", "1"]] + skew["facets"][1:]
+        doc["spaces"]["skew_square"] = skew
+        doc["states"]["negative_bit"] = {
+            "space_a": "simplex_2", "space_b": "simplex_2",
+            "matrix": [["-1", "0"], ["0", "1"]],
+        }
+        doc["states"]["on_skew"] = {
+            "space_a": "skew_square", "space_b": "simplex_2",
+            "matrix": [["0", "0", "1"], ["0", "0", "1"]],
+        }
+        path = tmp_path_factory.mktemp("broken") / "broken.json"
+        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["check-steering", "nonsteering_table", "--depth", "3"],
+        ["section", "two_squares_twisted"],
+        ["pure", "extremality_gap"],
+        ["self-dual", "square_space"],
+        ["homogeneous", "simplex_3"],
+        ["purify", "simplex_3", "1/2,1/4,1/4"],
+        ["tensor", "square_space", "simplex_2", "--kind", "max"],
+    ])
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_healthy_entry_reports_as_on_the_clean_file(
+        self, capsys, lib_path, broken_path, argv, json_flag
+    ):
+        clean = run(capsys, argv[0], lib_path, *argv[1:], *json_flag)
+        broken = run(capsys, argv[0], broken_path, *argv[1:], *json_flag)
+        assert broken[0] == clean[0]
+        assert without_timing(broken[1]) == without_timing(clean[1])
+        assert broken[2] == clean[2] == ""
+
+    @pytest.mark.parametrize("argv,section,name,message", [
+        (["self-dual", "skew_square"], "spaces", "skew_square",
+         "space 'skew_square': facets do not match"),
+        (["pure", "negative_bit"], "states", "negative_bit",
+         "state 'negative_bit': map sends a dual extreme ray outside the B cone"),
+        # A state reads the spaces it names first, with their own errors.
+        (["section", "on_skew"], "spaces", "skew_square",
+         "space 'skew_square': facets do not match"),
+    ])
+    def test_named_broken_entry_exits_two_with_its_line(
+        self, capsys, broken_path, argv, section, name, message
+    ):
+        code, out, err = run(capsys, argv[0], broken_path, *argv[1:])
+        assert code == 2
+        assert out == ""
+        line = line_of_key(Path(broken_path).read_text(), name, section)
+        assert err.startswith(f"error: line {line}: {message}")
+
+    def test_grammar_error_in_an_unused_entry_exits_two(self, capsys, tmp_path):
+        doc = theoryfile.to_document(fixture_library())
+        doc["states"]["square_iso"]["matrix"][2][2] = "1/0"
+        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "self-dual", str(path), "square_space")
+        assert code == 2
+        assert out == ""
+        line = line_of_key(text, "square_iso", "states")
+        assert err.startswith(f"error: line {line}: state 'square_iso': not a rational")
+
+
+class TestSharedParser:
+    """main builds its parser once per process; no flag of one call may
+    reach the next."""
+
+    SEQUENCE = [
+        ["self-dual", "square_space", "--json"],
+        ["self-dual", "square_space"],
+        ["check-steering", "two_squares_correlated", "--depth", "3", "--json"],
+        ["check-steering", "two_squares_correlated", "--json"],
+        ["tensor", "simplex_2", "simplex_2", "--kind", "max", "--json"],
+        ["tensor", "simplex_2", "simplex_2", "--json"],
+        ["check-steering", "--depth", "x"],
+        ["check-steering", "classical_correlated_2"],
+    ]
+
+    @staticmethod
+    def with_file(argv, lib_path):
+        return [argv[0], lib_path, *argv[1:]]
+
+    @staticmethod
+    def in_process(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, without_timing(captured.out), captured.err
+
+    @staticmethod
+    def fresh_process(argv):
+        src = str(Path(polysteer.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "polysteer.cli", *argv],
+            capture_output=True, text=True, env=env,
+        )
+        return proc.returncode, without_timing(proc.stdout), proc.stderr
+
+    def test_command_wrapped_after_the_first_call_sees_its_calls(
+        self, capsys, lib_path, tmp_path, monkeypatch
+    ):
+        code, out, _ = run(capsys, "self-dual", lib_path, "square_space", "--json")
+        path = tmp_path / "report.json"
+        path.write_text(out)
+        seen = []
+        real = cli.cmd_verify
+        monkeypatch.setattr(cli, "cmd_verify", lambda args: seen.append(args) or real(args))
+        vcode, vout, _ = run(capsys, "verify", str(path))
+        assert (code, vcode, len(seen)) == (0, 0, 1)
+        assert vout.startswith("OK:")
+
+    def test_back_to_back_calls_match_fresh_processes(self, capsys, lib_path):
+        got = [self.in_process(capsys, self.with_file(a, lib_path)) for a in self.SEQUENCE]
+        want = [self.fresh_process(self.with_file(a, lib_path)) for a in self.SEQUENCE]
+        assert got == want
+        flags = [json.loads(out)["flags"] for _, out, _ in got[2:6]]
+        assert [f.get("depth") for f in flags[:2]] == [3, 2]
+        assert [f.get("kind") for f in flags[2:]] == ["max", "min"]
+        assert not got[1][1].startswith("{")
+        assert got[6][0] == 2 and "usage:" in got[6][2]
 
 
 class TestVerdicts:

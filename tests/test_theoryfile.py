@@ -105,16 +105,18 @@ class TestParsing:
     def test_rays_must_have_the_ambient_length(self):
         doc = json.loads(doc_text(MINIMAL))
         doc["spaces"]["pair"]["rays"] = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
+        tf = loads(doc_text(doc))
         with pytest.raises(TheoryFileError, match="vector has 3 entries, the cone lives in 2"):
-            loads(doc_text(doc))
+            tf.space("pair")
 
     def test_facets_cross_checked(self):
         doc = json.loads(doc_text(MINIMAL))
         doc["spaces"]["pair"]["facets"] = [["1", "0"], ["0", "1"]]
-        loads(doc_text(doc))
+        loads(doc_text(doc)).check()
         doc["spaces"]["pair"]["facets"] = [["1", "1"], ["0", "1"]]
+        tf = loads(doc_text(doc))
         with pytest.raises(TheoryFileError, match="facets do not match"):
-            loads(doc_text(doc))
+            tf.check()
 
     def test_state_needs_known_spaces(self):
         doc = json.loads(doc_text(MINIMAL))
@@ -133,8 +135,9 @@ class TestParsing:
                 "matrix": [["1", "0", "0"], ["0", "1", "0"]],
             }
         }
+        tf = loads(doc_text(doc))
         with pytest.raises(TheoryFileError, match="state 'omega'"):
-            loads(doc_text(doc))
+            tf.state("omega")
 
     @pytest.mark.parametrize("key,value", [
         ("spaces", [1]), ("spaces", []), ("spaces", None),
@@ -172,6 +175,117 @@ class TestParsing:
             tf.state("nope")
         with pytest.raises(TheoryFileError, match="unknown ensemble"):
             tf.ensemble("nope")
+
+
+def entry_line(text: str, name: str, after: str) -> int:
+    """The line of the key `name` in the first object after the line holding
+    `after` (the section key)."""
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.strip().startswith(f'"{after}"'))
+    return next(
+        i + 1 for i, line in enumerate(lines)
+        if i > start and line.strip().startswith(f'"{name}": {{')
+    )
+
+
+def line_of_error(message: str) -> int:
+    return int(message.split("line ")[1].split(":")[0])
+
+
+class TestDeferredChecks:
+    """The grammar is checked for every entry when a file is read; the
+    semantic checks run on an entry, and on the spaces it names, when it is
+    first looked up."""
+
+    @staticmethod
+    def broken_doc():
+        doc = json.loads(doc_text(MINIMAL))
+        doc["spaces"]["skew"] = {
+            "ambient_dim": 2,
+            "rays": [["1", "0"], ["0", "1"]],
+            "facets": [["1", "1"], ["0", "1"]],
+            "unit": ["1", "1"],
+        }
+        doc["states"] = {
+            "negative": {"space_a": "pair", "space_b": "pair",
+                         "matrix": [["-1", "0"], ["0", "1"]]},
+            "on_skew": {"space_a": "skew", "space_b": "pair",
+                        "matrix": [["1", "0"], ["0", "1"]]},
+            "swap": {"space_a": "pair", "space_b": "pair",
+                     "matrix": [["0", "1"], ["1", "0"]]},
+        }
+        return doc
+
+    def test_unused_broken_entries_do_not_stop_a_lookup(self):
+        tf = loads(doc_text(self.broken_doc()))
+        assert list(tf.spaces) == ["pair", "skew"]
+        assert list(tf.states) == ["negative", "on_skew", "swap"]
+        assert tf.state("swap").matrix == ((0, 1), (1, 0))
+        assert tf.states.space_names("on_skew") == ("skew", "pair")
+
+    def test_lookup_raises_anchored_to_the_entry(self):
+        text = doc_text(self.broken_doc())
+        tf = loads(text)
+        with pytest.raises(TheoryFileError, match="state 'negative': map sends") as err:
+            tf.state("negative")
+        assert line_of_error(str(err.value)) == entry_line(text, "negative", "states")
+        # A failed read is not kept: the lookup fails again the same way.
+        with pytest.raises(TheoryFileError, match="state 'negative'"):
+            tf.state("negative")
+
+    def test_state_reads_its_spaces_first(self):
+        text = doc_text(self.broken_doc())
+        with pytest.raises(TheoryFileError, match="space 'skew': facets do not match") as err:
+            loads(text).state("on_skew")
+        assert line_of_error(str(err.value)) == entry_line(text, "skew", "spaces")
+
+    def test_check_reads_every_entry(self):
+        with pytest.raises(TheoryFileError, match="space 'skew': facets do not match"):
+            loads(doc_text(self.broken_doc())).check()
+        doc = self.broken_doc()
+        del doc["spaces"]["skew"]["facets"]
+        with pytest.raises(TheoryFileError, match="state 'negative'"):
+            loads(doc_text(doc)).check()
+
+    def test_grammar_errors_in_unused_entries_still_raise(self):
+        doc = self.broken_doc()
+        doc["states"]["swap"]["matrix"][0][0] = "1/0"
+        text = doc_text(doc)
+        with pytest.raises(TheoryFileError, match="not a rational") as err:
+            loads(text)
+        assert line_of_error(str(err.value)) == entry_line(text, "swap", "states")
+
+    def test_a_space_converts_once_and_only_when_looked_up(self, monkeypatch):
+        calls = []
+        real = theoryfile.cone_from_rays
+        monkeypatch.setattr(
+            theoryfile, "cone_from_rays", lambda *a: calls.append(a) or real(*a)
+        )
+        tf = loads(dumps(fixture_library()))
+        assert calls == []
+        tf.state("square_iso")
+        tf.space("square_space")
+        assert len(calls) == 1
+
+    def test_name_in_two_sections_is_anchored_in_its_own(self):
+        # The state is named like a space, and another state's entry spells
+        # that name as a value before the state's own key.
+        lib = fixture_library()
+        doc = json.loads(dumps(lib))
+        doc["states"]["a_first"] = {
+            "space_a": "square_space", "space_b": "square_space",
+            "matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        }
+        doc["states"]["square_space"] = {
+            "space_a": "square_space", "space_b": "square_space",
+            "matrix": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]],
+        }
+        text = doc_text(doc)
+        with pytest.raises(TheoryFileError, match="state 'square_space'") as err:
+            loads(text).state("square_space")
+        line = line_of_error(str(err.value))
+        assert line == entry_line(text, "square_space", "states")
+        assert line != entry_line(text, "square_space", "spaces")
 
 
 class TestCanonicalForm:
