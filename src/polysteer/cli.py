@@ -74,9 +74,10 @@ def _paren(row) -> str:
 def _inputs_for_state(tf: theoryfile.TheoryFile, name: str) -> dict:
     st = tf.state(name)
     sub = theoryfile.TheoryFile()
-    for sp_name in tf.states.space_names(name):
+    names = tf.states.space_names(name)
+    for sp_name in names:
         sub.spaces[sp_name] = tf.space(sp_name)
-    sub.states[name] = st
+    sub.states.assign(name, st, names)
     return theoryfile.to_document(sub)
 
 

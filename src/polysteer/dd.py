@@ -5,6 +5,11 @@ cone into its extreme rays. Running it on a ray matrix instead computes the
 extreme rays of the dual cone, i.e. the facets of the primal, so the same
 routine drives both conversion directions.
 
+``polytope_vertices`` enumerates a polytope's vertices through
+``extreme_rays``. Its caller supplies a relative-interior point; the rows
+tight there must sum to zero, which certifies the affine hull exactly, so
+no LP runs.
+
 All vectors are kept as primitive integer tuples (gcd 1, positive scale), so
 intermediate arithmetic is pure-integer and results compare syntactically.
 """
@@ -15,17 +20,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .ratlin import (
-    LinearProgram,
-    independent_rows,
-    invert,
-    lp_feasible,
-    mat_transpose,
-    nullspace,
-    primitive,
-    solve_linear,
-    vec_dot,
-)
+from .ratlin import independent_rows, integral, invert, mat_transpose, nullspace, primitive
 
 IntVec = tuple[int, ...]
 
@@ -106,83 +101,66 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[IntVec]:
 
 
 def polytope_vertices(
-    ineqs: Sequence[tuple[Sequence[Fraction], Fraction]],
-    eqs: Sequence[tuple[Sequence[Fraction], Fraction]],
-    dim: int,
+    ineqs: Sequence[tuple[Sequence, Fraction | int]], interior: Sequence
 ) -> list[tuple[Fraction, ...]]:
-    """All vertices of the bounded polyhedron {x : g.x >= h, a.x = b}.
+    """All vertices of the polytope {x : g.x >= h}, given a point of its
+    relative interior.
 
-    Works in the affine hull (implicit equalities are detected by strict-LP
-    probes), homogenizes, and runs the double description method, so the
-    result is exact for polytopes of any dimension. Raises on unbounded input.
+    The point certifies the affine hull without an LP. It must satisfy every
+    row; let T be the rows tight at it. If the rows of T sum to zero, left-
+    and right-hand sides alike, then every feasible x has
+    sum over T of (g.x - h) = 0 with every term >= 0, so each row of T is an
+    implicit equality; every other row is slack at the point, so T cuts out
+    the affine hull. Otherwise this raises ValueError. The other rows are
+    written over a primitive integer basis of the hull through the point,
+    homogenized and handed to double description, so the result is exact.
+    Raises on unbounded input.
     """
-    ineqs = [(tuple(map(Fraction, g)), Fraction(h)) for g, h in ineqs]
-    eqs = [(tuple(map(Fraction, a)), Fraction(b)) for a, b in eqs]
-    base = LinearProgram(dim, eq=eqs, ge=ineqs)
-    if lp_feasible(base).status != "feasible":
-        return []
+    dim = len(interior)
+    s = math.lcm(*(Fraction(c).denominator for c in interior))
+    x0 = integral(interior)  # the point is x0 / s
+    # Row g.x >= h scaled to integers G.x >= H; its slack at the point, times s.
+    rows = [(v[:dim], v[dim]) for v in (integral((*g, h)) for g, h in ineqs)]
+    slack = [int_dot(lhs, x0) - s * rhs for lhs, rhs in rows]
+    if any(d < 0 for d in slack):
+        raise ValueError("the interior point violates a row")
+    tight = [i for i, d in enumerate(slack) if d == 0]
+    if any(sum(col) for col in zip(*(ineqs[i][0] for i in tight))) or sum(
+        Fraction(ineqs[i][1]) for i in tight
+    ):
+        raise ValueError("the rows tight at the interior point do not sum to zero")
 
-    # Find implicit equality rows. One all-strict probe settles the common
-    # full-dimensional case; otherwise probe row by row, reusing witnesses.
-    implicit: list[int] = []
-    probe = lp_feasible(LinearProgram(dim, eq=eqs, gt=ineqs))
-    if probe.status == "feasible":
-        witnesses = [probe.witness]
+    if tight:
+        basis = [primitive(b) for b in nullspace([ineqs[i][0] for i in tight])]
     else:
-        witnesses = []
-        for i, (g, h) in enumerate(ineqs):
-            if any(vec_dot(g, w) > h for w in witnesses):
-                continue
-            others = ineqs[:i] + ineqs[i + 1 :]
-            res = lp_feasible(LinearProgram(dim, eq=eqs, ge=others, gt=[(g, h)]))
-            if res.status == "feasible":
-                witnesses.append(res.witness)
-            else:
-                implicit.append(i)
-
-    hull_rows = [lhs for lhs, _ in eqs] + [ineqs[i][0] for i in implicit]
-    hull_rhs = [rhs for _, rhs in eqs] + [ineqs[i][1] for i in implicit]
-    if hull_rows:
-        x0 = solve_linear(hull_rows, hull_rhs)
-        assert x0 is not None, "nonempty polytope has a consistent hull"
-        basis = nullspace(hull_rows)
-    else:
-        x0 = (Fraction(0),) * dim
-        basis = [
-            tuple(Fraction(1) if j == i else Fraction(0) for j in range(dim))
-            for i in range(dim)
-        ]
+        basis = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
     q = len(basis)
     if q == 0:
-        return [x0]
+        return [tuple(map(Fraction, interior))]
 
-    hom_rows: list[tuple[int, ...]] = []
-    for i, (g, h) in enumerate(ineqs):
-        if i in implicit:
-            continue
-        w = [vec_dot(g, n) for n in basis]
-        row = tuple(w) + (vec_dot(g, x0) - h,)
-        if all(c == 0 for c in row):
-            continue
-        hom_rows.append(primitive(row))
+    # x = x0 / s + sum z_i b_i; with z = w / t, s t (G.x - H) >= 0 reads
+    # sum w_i s G.b_i + t (G.x0 - s H) >= 0.
+    hom_rows = [
+        tuple(s * int_dot(lhs, b) for b in basis) + (d,)
+        for (lhs, _), d in zip(rows, slack)
+        if d
+    ]
     hom_rows.append((0,) * q + (1,))
-
     try:
         cone_rays = extreme_rays(hom_rows, q + 1)
     except ValueError:
         # The homogenization is not pointed, so the recession cone of the
         # feasible region contains a whole line.
         raise ValueError("polytope is unbounded") from None
+    columns = list(zip(*basis))
     vertices = []
     for r in cone_rays:
-        if r[q] <= 0:
-            if r[q] == 0:
+        w, t = r[:q], r[q]
+        if t <= 0:
+            if t == 0:
                 raise ValueError("polytope is unbounded")
             raise AssertionError("ray with negative homogenizing coordinate")
-        t = Fraction(r[q])
-        z = [Fraction(c) / t for c in r[:q]]
-        x = tuple(
-            x0[k] + sum(z[i] * basis[i][k] for i in range(q)) for k in range(dim)
+        vertices.append(
+            tuple(Fraction(t * c + s * int_dot(w, col), s * t) for c, col in zip(x0, columns))
         )
-        vertices.append(x)
     return sorted(set(vertices))

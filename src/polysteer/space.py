@@ -154,7 +154,8 @@ def effects_interval(space: StateSpace) -> EffectsInterval:
         rv = as_vector(r)
         rows.append((rv, Fraction(0)))
         rows.append((vec_scale(Fraction(-1), rv), -vec_dot(space.unit, rv)))
-    verts = polytope_vertices(rows, [], space.dim)
+    # The unit is strictly positive on every ray, so unit/2 is interior.
+    verts = polytope_vertices(rows, vec_scale(Fraction(1, 2), space.unit))
     return EffectsInterval(tuple(rows), tuple(verts))
 
 

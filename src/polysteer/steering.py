@@ -48,16 +48,18 @@ _ZERO = Fraction(0)
 
 
 def order_interval_vertices(cone: PolyhedralCone, top: Sequence) -> tuple[Vector, ...]:
-    """Vertices of the order interval [0, top] = {y : y >= 0, top - y >= 0}."""
+    """Vertices of the order interval [0, top] = {y : y >= 0, top - y >= 0}.
+
+    Its rows come in pairs g.y >= 0, -g.y >= -g.top that are both tight at
+    top/2 exactly when g.top = 0, so top/2 certifies the hull."""
     top = as_vector(top)
     if not cone.contains(top):
         raise ValueError("interval top must lie in the cone")
-    rows: list[tuple[Vector, Fraction]] = []
+    rows = []
     for g in cone.facets:
-        gv = as_vector(g)
-        rows.append((gv, Fraction(0)))
-        rows.append((vec_scale(Fraction(-1), gv), -vec_dot(gv, top)))
-    return tuple(polytope_vertices(rows, [], cone.ambient_dim))
+        rows.append((g, 0))
+        rows.append((tuple(-c for c in g), -vec_dot(g, top)))
+    return tuple(polytope_vertices(rows, vec_scale(Fraction(1, 2), top)))
 
 
 @dataclass(frozen=True)
@@ -217,26 +219,25 @@ class SteeringVerdict:
 def ensemble_polytope_vertices(
     space: StateSpace, target: Sequence, k: int
 ) -> list[tuple[Vector, ...]]:
-    """Vertices of the polytope of k-part splittings of target in the cone."""
+    """Vertices of the polytope of k-part splittings of target in the cone.
+
+    A splitting is given by its first k - 1 parts. For each facet g its k - 1
+    rows g.p_i >= 0 and its closing row g.(target - sum p_i) >= 0 sum to zero
+    and are all tight at p_i = target/k exactly when g.target = 0, so that
+    point certifies the hull."""
     target = as_vector(target)
+    if not space.cone.contains(target):
+        raise ValueError("the split target must lie in the cone")
     db = space.dim
     n = (k - 1) * db
-    ge: list[tuple[Vector, Fraction]] = []
-    for i in range(k - 1):
-        for g in space.cone.facets:
-            row = [Fraction(0)] * n
-            for c in range(db):
-                row[i * db + c] = Fraction(g[c])
-            ge.append((tuple(row), Fraction(0)))
-    for g in space.cone.facets:
-        gv = as_vector(g)
-        row = [Fraction(0)] * n
-        for i in range(k - 1):
-            for c in range(db):
-                row[i * db + c] = -gv[c]
-        ge.append((tuple(row), -vec_dot(gv, target)))
+    ge = [
+        ((0,) * (i * db) + g + (0,) * (n - (i + 1) * db), 0)
+        for i in range(k - 1)
+        for g in space.cone.facets
+    ]
+    ge += [(tuple(-c for c in g) * (k - 1), -vec_dot(g, target)) for g in space.cone.facets]
     out = []
-    for v in polytope_vertices(ge, [], n):
+    for v in polytope_vertices(ge, vec_scale(Fraction(1, k), target) * (k - 1)):
         parts = [tuple(v[i * db + c] for c in range(db)) for i in range(k - 1)]
         rest = target
         for p in parts:

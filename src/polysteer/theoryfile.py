@@ -110,13 +110,16 @@ class Section(MutableMapping):
         self._entries: dict[str, object] = {}
         self._space_names: dict[str, tuple[str, ...]] = {}
 
-    def defer(self, name: str, space_names: tuple[str, ...], read: Callable[[], object]) -> None:
-        self._entries[name] = _Unread(read)
+    def assign(self, name: str, value, space_names: tuple[str, ...]) -> None:
+        """Set an entry with the names of the spaces it refers to, which
+        serialization writes while they still name its spaces."""
+        self._entries[name] = value
         self._space_names[name] = space_names
 
-    def space_names(self, name: str) -> tuple[str, ...]:
-        """The names of the spaces that entry `name` of a file refers to."""
-        return self._space_names[name]
+    def space_names(self, name: str) -> tuple[str, ...] | None:
+        """The names of the spaces entry `name` refers to, as its file wrote
+        them; None for an entry set by plain assignment."""
+        return self._space_names.get(name)
 
     def __getitem__(self, name: str):
         value = self._entries[name]
@@ -321,7 +324,8 @@ def loads(text: str) -> TheoryFile:
                 raise _anchored(text, path, f"{message}: missing key {exc}") from None
             except ValueError as exc:
                 raise _anchored(text, path, f"{message}: {exc}") from None
-            getattr(tf, key).defer(name, refs, _reader(text, path, message, refs, build, tf.spaces))
+            read = _reader(text, path, message, refs, build, tf.spaces)
+            getattr(tf, key).assign(name, _Unread(read), refs)
     return tf
 
 
@@ -343,23 +347,28 @@ def to_document(tf: TheoryFile) -> dict:
     if tf.states:
         doc["states"] = {}
         for name, st in tf.states.items():
+            written = tf.states.space_names(name) or (None, None)
             doc["states"][name] = {
-                "space_a": _space_name(tf, st.space_a),
-                "space_b": _space_name(tf, st.space_b),
+                "space_a": _space_name(tf, st.space_a, written[0]),
+                "space_b": _space_name(tf, st.space_b, written[1]),
                 "matrix": format_matrix(st.matrix),
             }
     if tf.ensembles:
-        doc["ensembles"] = {
-            name: {
-                "space": _space_name(tf, e.space),
+        doc["ensembles"] = {}
+        for name, e in tf.ensembles.items():
+            (written,) = tf.ensembles.space_names(name) or (None,)
+            doc["ensembles"][name] = {
+                "space": _space_name(tf, e.space, written),
                 "parts": format_matrix(e.parts),
             }
-            for name, e in tf.ensembles.items()
-        }
     return doc
 
 
-def _space_name(tf: TheoryFile, space: StateSpace) -> str:
+def _space_name(tf: TheoryFile, space: StateSpace, written: str | None) -> str:
+    """The name an entry's space goes by: the one the entry was written
+    with while it still names that space, else the first equal space."""
+    if written in tf.spaces and tf.spaces[written] == space:
+        return written
     for name, candidate in tf.spaces.items():
         if candidate == space:
             return name

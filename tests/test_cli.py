@@ -363,6 +363,22 @@ class TestReports:
         assert "nonsteering_table" in doc["states"]
         assert set(doc["spaces"]) == {"simplex_3", "simplex_2"}
 
+    def test_inputs_keep_the_names_of_equal_spaces(self, capsys, tmp_path):
+        lib = fixture_library()
+        tf = theoryfile.TheoryFile()
+        tf.spaces["bit"] = tf.spaces["also_bit"] = lib.space("simplex_2")
+        tf.states["table"] = lib.state("classical_correlated_2")
+        doc = theoryfile.to_document(tf)
+        doc["states"]["table"]["space_b"] = "also_bit"
+        path = tmp_path / "twins.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "check-steering", str(path), "table", "--json")
+        state = json.loads(out)["inputs"]["states"]["table"]
+        assert (state["space_a"], state["space_b"]) == ("bit", "also_bit")
+        report = tmp_path / "report.json"
+        report.write_text(out)
+        assert run(capsys, "verify", str(report))[0] == 0
+
     def test_depth_recorded_in_flags(self, capsys, lib_path):
         _, report = run_json(
             capsys, "check-steering", lib_path, "classical_correlated_2",

@@ -389,42 +389,60 @@ def test_irreducible_components():
 
 def test_polytope_unit_square():
     ineqs = [((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1)]
-    vs = polytope_vertices(ineqs, [], 2)
+    vs = polytope_vertices(ineqs, (Fraction(1, 2), Fraction(1, 2)))
     assert vs == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_polytope_implicit_equality_segment():
+    # x + y >= 1 and -x - y >= -1 are tight at the midpoint and cancel.
     ineqs = [((1, 0), 0), ((0, 1), 0), ((1, 1), 1), ((-1, -1), -1)]
-    assert polytope_vertices(ineqs, [], 2) == [(0, 1), (1, 0)]
+    assert polytope_vertices(ineqs, (Fraction(1, 2), Fraction(1, 2))) == [(0, 1), (1, 0)]
 
 
 def test_polytope_equality_rows():
-    ineqs = [((1, 0), 0), ((0, 1), 0)]
-    eqs = [((1, 1), 1)]
-    assert polytope_vertices(ineqs, eqs, 2) == [(0, 1), (1, 0)]
+    # The equality x + y = 1 written as a pair of opposite rows.
+    ineqs = [((1, 0), 0), ((0, 1), 0), ((1, 1), 1), ((-1, -1), -1)]
+    assert polytope_vertices(ineqs, (Fraction(1, 4), Fraction(3, 4))) == [(0, 1), (1, 0)]
 
 
 def test_polytope_single_point():
     eqs = [((1, 0), Fraction(1, 3)), ((0, 1), -2)]
-    assert polytope_vertices([((1, 1), -10)], eqs, 2) == [(Fraction(1, 3), -2)]
+    ineqs = [((1, 1), -10)] + [r for g, h in eqs for r in ((g, h), (tuple(-c for c in g), -h))]
+    assert polytope_vertices(ineqs, (Fraction(1, 3), -2)) == [(Fraction(1, 3), -2)]
 
 
-def test_polytope_empty():
-    assert polytope_vertices([((1,), 1), ((-1,), 0)], [], 1) == []
+def test_polytope_hint_violating_a_row_raises():
+    ineqs = [((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1)]
+    with pytest.raises(ValueError, match="violates a row"):
+        polytope_vertices(ineqs, (2, Fraction(1, 2)))
+    # An empty polytope has no point to hint at.
+    with pytest.raises(ValueError, match="violates a row"):
+        polytope_vertices([((1,), 1), ((-1,), 0)], (Fraction(1, 2),))
+
+
+def test_polytope_hint_whose_tight_rows_do_not_cancel_raises():
+    square = [((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1)]
+    with pytest.raises(ValueError, match="do not sum to zero"):
+        polytope_vertices(square, (0, Fraction(1, 2)))
+    # The segment's midpoint is certified; its endpoint (1, 0) is feasible
+    # but leaves y >= 0 tight with nothing to cancel it.
+    segment = [((1, 0), 0), ((0, 1), 0), ((1, 1), 1), ((-1, -1), -1)]
+    with pytest.raises(ValueError, match="do not sum to zero"):
+        polytope_vertices(segment, (1, 0))
 
 
 def test_polytope_unbounded_raises():
     with pytest.raises(ValueError, match="unbounded"):
-        polytope_vertices([((1, 0), 0), ((0, 1), 0)], [], 2)
+        polytope_vertices([((1, 0), 0), ((0, 1), 0)], (1, 1))
     with pytest.raises(ValueError, match="unbounded"):
-        polytope_vertices([((1, 0), 0)], [], 2)
+        polytope_vertices([((1, 0), 0)], (1, 0))
 
 
 def test_polytope_octahedron():
     ineqs = [
         ((s1, s2, s3), -1) for s1 in (-1, 1) for s2 in (-1, 1) for s3 in (-1, 1)
     ]
-    vs = polytope_vertices(ineqs, [], 3)
+    vs = polytope_vertices(ineqs, (0, 0, 0))
     expected = sorted(
         tuple(s if k == i else 0 for k in range(3)) for i in range(3) for s in (-1, 1)
     )
@@ -432,7 +450,7 @@ def test_polytope_octahedron():
 
 
 def test_polytope_lower_dimensional_triangle():
-    eqs = [((0, 0, 1), 2)]
-    ineqs = [((1, 0, 0), 0), ((0, 1, 0), 0), ((-1, -1, 0), -1)]
-    vs = polytope_vertices(ineqs, eqs, 3)
+    # z = 2 written as a pair of opposite rows.
+    ineqs = [((1, 0, 0), 0), ((0, 1, 0), 0), ((-1, -1, 0), -1), ((0, 0, 1), 2), ((0, 0, -1), -2)]
+    vs = polytope_vertices(ineqs, (Fraction(1, 3), Fraction(1, 3), 2))
     assert vs == [(0, 0, 2), (0, 1, 2), (1, 0, 2)]

@@ -358,6 +358,11 @@ def test_ensemble_polytope_vertices_split_the_target():
         assert total == target
 
 
+def test_ensemble_polytope_target_must_be_in_cone():
+    with pytest.raises(ValueError, match="split target"):
+        ensemble_polytope_vertices(square_space(), (2, 0, 1), 2)
+
+
 # ---------------------------------------------------------------------------
 # Affine sections
 

@@ -311,3 +311,45 @@ class TestCanonicalForm:
         text = dumps(fixture_library())
         assert '"1/2"' in text
         assert "0.5" not in text
+
+
+class TestEqualSpaces:
+    """Two spaces that compare equal keep the names their entries wrote."""
+
+    @staticmethod
+    def doc():
+        doc = json.loads(doc_text(MINIMAL))
+        doc["spaces"]["twin"] = dict(doc["spaces"]["pair"])
+        doc["states"] = {
+            "across": {"space_a": "pair", "space_b": "twin",
+                       "matrix": [["1", "0"], ["0", "1"]]},
+            "on_twin": {"space_a": "twin", "space_b": "twin",
+                        "matrix": [["1", "0"], ["0", "1"]]},
+        }
+        doc["ensembles"] = {"split": {"space": "twin", "parts": [["1", "0"], ["0", "1"]]}}
+        return doc
+
+    def test_round_trip_keeps_the_written_names(self):
+        doc = self.doc()
+        tf = loads(doc_text(doc))
+        assert tf.space("pair") == tf.space("twin")
+        text = dumps(tf)
+        assert dumps(loads(text)) == text
+        out = json.loads(text)
+        assert out["states"] == doc["states"]
+        assert out["ensembles"] == doc["ensembles"]
+
+    def test_assigned_entries_fall_back_to_the_first_equal_space(self):
+        tf = loads(doc_text(self.doc()))
+        tf.states["copy"] = tf.state("on_twin")
+        tf.ensembles.assign("kept", tf.ensemble("split"), ("twin",))
+        doc = json.loads(dumps(tf))
+        assert doc["states"]["copy"]["space_a"] == "pair"
+        assert doc["states"]["on_twin"]["space_a"] == "twin"
+        assert doc["ensembles"]["kept"]["space"] == "twin"
+
+    def test_a_renamed_space_is_found_by_equality(self):
+        tf = loads(doc_text(self.doc()))
+        tf.check()
+        del tf.spaces["twin"]
+        assert json.loads(dumps(tf))["states"]["on_twin"]["space_a"] == "pair"
