@@ -20,7 +20,15 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .ratlin import independent_rows, integral, invert, mat_transpose, nullspace, primitive
+from .ratlin import (
+    independent_rows,
+    integral,
+    integral_with_scale,
+    invert,
+    mat_transpose,
+    nullspace,
+    primitive,
+)
 
 IntVec = tuple[int, ...]
 
@@ -117,8 +125,7 @@ def polytope_vertices(
     Raises on unbounded input.
     """
     dim = len(interior)
-    s = math.lcm(*(Fraction(c).denominator for c in interior))
-    x0 = integral(interior)  # the point is x0 / s
+    x0, s = integral_with_scale(interior)  # the point is x0 / s
     # Row g.x >= h scaled to integers G.x >= H; its slack at the point, times s.
     rows = [(v[:dim], v[dim]) for v in (integral((*g, h)) for g, h in ineqs)]
     slack = [int_dot(lhs, x0) - s * rhs for lhs, rhs in rows]

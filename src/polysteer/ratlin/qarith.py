@@ -91,9 +91,14 @@ def integral(v: Iterable) -> list[int]:
     The scale is positive, so the result keeps every sign of v and of its
     products with integer vectors.
     """
+    return integral_with_scale(v)[0]
+
+
+def integral_with_scale(v: Iterable) -> tuple[list[int], int]:
+    """integral(v) and the scale s it multiplied by: v = integral(v) / s."""
     q = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
     scale = math.lcm(*(x.denominator for x in q))
-    return [x.numerator * (scale // x.denominator) for x in q]
+    return [x.numerator * (scale // x.denominator) for x in q], scale
 
 
 def primitive(v: Sequence[Fraction]) -> tuple[int, ...]:

@@ -13,6 +13,16 @@ pricing reads numerator signs and the ratio test cross-multiplies, so no
 Fraction is built between reading the program and writing the certificate.
 Certificates are checked the same way: certificate and rows are scaled once
 to integers, and only signs of integer dot products are compared.
+
+The standard form x = p - q with slacks and artificials has the virtual
+column layout [p | q | slacks | artificials | rhs], in which the basis, the
+pricing order and the ratio test's tie-break are read. The tableau stores
+only [p | artificials | rhs]; the rest are mirrors, with sigma_k the sign
+row k was written with and e the number of eq rows:
+
+    q_j     = -p_j                              in every row,
+    slack_k = -sigma_{e+k} a_{e+k}              in every row but phase 1's,
+    slack_k = -sigma_{e+k} (a_{e+k} - 1)        in the phase-1 row.
 """
 
 from __future__ import annotations
@@ -155,24 +165,35 @@ def _scaled_dot(v, ints: list[int]) -> int:
 class _Simplex:
     """Two-phase simplex on the standard form x = p - q, slacks, artificials.
 
-    Tableau layout: constraint rows, then the phase-2 objective row, then the
+    Virtual layout: constraint rows, then the phase-2 objective row, then the
     phase-1 objective row; columns are [p | q | slacks | artificials | rhs].
-    Both objective rows ride along through every pivot, so switching phases
-    never rebuilds the tableau.
+    Basis indices, Bland's pricing order and the ratio test's tie-break are
+    all read in this layout. Both objective rows ride along through every
+    pivot, so switching phases never rebuilds the tableau.
+
+    Stored layout: the tableau keeps only [p | artificials | rhs], and the
+    q and slack columns are read through the three mirror identities of the
+    module docstring. They hold as the rows are written, and row operations
+    keep them as long as the phase-1 row is never scaled or added to another
+    row, which no pivot does. A pivot on a mirror column is therefore a
+    pivot on its stored column, then, for a slack, the pivot row added into
+    the phase-1 row (where the mirror reads a - 1), and the pivot row
+    negated where the mirror's scale is -1. Pivots, bases and certificates
+    are those of the full layout, entry for entry.
     """
 
     def __init__(self, n_vars: int, eq_rows, ge_rows, objective=None):
         self.n = n_vars
         self.g = len(ge_rows)
-        self.m = len(eq_rows) + self.g
+        self.e = len(eq_rows)
+        self.m = self.e + self.g
         self.n_real = 2 * n_vars + self.g
-        self.n_total = self.n_real + self.m
-        self.rhs_col = self.n_total
+        self.rhs_col = n_vars + self.m
         self.obj2_row = self.m
         self.obj1_row = self.m + 1
         self.sigma: list[int] = []
 
-        width = self.n_total + 1
+        width = self.rhs_col + 1
         nums: list[list[int]] = []
         dens: list[list[int]] = []
         basis: list[int] = []
@@ -191,15 +212,11 @@ class _Simplex:
             rd = [1] * width
             for j, c in enumerate(lhs):
                 if c:
-                    p = sign * c.numerator
-                    rn[j] = p
-                    rn[n_vars + j] = -p
-                    rd[j] = rd[n_vars + j] = c.denominator
-            if slack is not None:
-                rn[2 * n_vars + slack] = -sign
+                    rn[j] = sign * c.numerator
+                    rd[j] = c.denominator
             rn[self.rhs_col] = sign * b
             rd[self.rhs_col] = rhs.denominator
-            rn[self.n_real + k] = 1
+            rn[n_vars + k] = 1
             self.sigma.append(sign)
             basis.append(2 * n_vars + slack if on_slack else self.n_real + k)
             nums.append(rn)
@@ -211,11 +228,10 @@ class _Simplex:
             for j, c in enumerate(objective):
                 if c:
                     obj2n[j] = -c.numerator
-                    obj2n[n_vars + j] = c.numerator
-                    obj2d[j] = obj2d[n_vars + j] = c.denominator
+                    obj2d[j] = c.denominator
         # Phase 1 minimizes the sum of artificials: its row is 1 on every
         # artificial column less the rows that start on an artificial.
-        obj1n = [0] * self.n_real + [1] * self.m + [0]
+        obj1n = [0] * n_vars + [1] * self.m + [0]
         obj1d = [1] * width
         for rn, rd, b in zip(nums, dens, basis):
             if b < self.n_real:
@@ -231,33 +247,87 @@ class _Simplex:
         self.basis = basis
         self.active = [True] * self.m
 
-    def _bland(self, obj_row: int, allow_artificial: bool) -> str:
+    def _column(self, v: int) -> tuple[int, int]:
+        """The stored column and the scale that virtual column v is read by
+        in the constraint rows."""
+        n = self.n
+        if v < n:
+            return v, 1
+        if v < 2 * n:
+            return v - n, -1
+        if v < self.n_real:
+            k = self.e + v - 2 * n
+            return n + k, -self.sigma[k]
+        return v - self.n_real + n, 1
+
+    def _price(self, obj_row: int) -> int:
+        """The first virtual column with a negative entry in obj_row, or -1.
+        Artificials compete, and slacks read the phase-1 correction, only in
+        the phase-1 row."""
+        phase1 = obj_row == self.obj1_row
+        obj, den = self.tab.nums[obj_row], self.tab.dens[obj_row]
+        n, e = self.n, self.e
+        for j in range(n):
+            if obj[j] < 0:
+                return j
+        for j in range(n):
+            if obj[j] > 0:
+                return n + j
+        # slack_k < 0 exactly when sigma * (a - 1) > 0 in the phase-1 row,
+        # and when sigma * a > 0 elsewhere; a = num/den with den > 0.
+        for k in range(self.g):
+            c = n + e + k
+            if self.sigma[e + k] * (obj[c] - den[c] if phase1 else obj[c]) > 0:
+                return 2 * n + k
+        if phase1:
+            for k in range(self.m):
+                if obj[n + k] < 0:
+                    return self.n_real + k
+        return -1
+
+    def _pivot(self, r: int, v: int) -> None:
+        """Pivot on row r and virtual column v, which becomes r's basic."""
+        tab = self.tab
+        col, scale = self._column(v)
+        tab.pivot(r, col)
+        pn, pd = tab.nums[r], tab.dens[r]
+        if 2 * self.n <= v < self.n_real:
+            on, od = tab.nums[self.obj1_row], tab.dens[self.obj1_row]
+            for j, p in enumerate(pn):
+                if p:
+                    q, b = pd[j], od[j]
+                    num = on[j] * q + p * b
+                    if num:
+                        den = b * q
+                        g = gcd(num, den)
+                        on[j], od[j] = num // g, den // g
+                    else:
+                        on[j], od[j] = 0, 1
+        if scale < 0:
+            pn[:] = [-x for x in pn]
+        self.basis[r] = v
+
+    def _bland(self, obj_row: int) -> str:
         """Pivot until the driving objective row is optimal. Bland's rule.
 
         With rhs_i = n/d and a_i = n'/d', the ratio test compares
         rhs_i / a_i = (n * d') / (d * n') by cross-multiplication; every
         denominator is positive, since only rows with a_i > 0 compete.
         """
-        tab = self.tab
-        nums, dens = tab.nums, tab.dens
-        obj = nums[obj_row]
+        nums, dens = self.tab.nums, self.tab.dens
         rhs, basis, active = self.rhs_col, self.basis, self.active
-        limit = self.n_total if allow_artificial else self.n_real
         while True:
-            enter = -1
-            for j in range(limit):
-                if obj[j] < 0:
-                    enter = j
-                    break
+            enter = self._price(obj_row)
             if enter < 0:
                 return "optimal"
+            col, scale = self._column(enter)
             leave = -1
             best_n = best_d = 0
             for i in range(self.m):
-                a = nums[i][enter]
+                a = scale * nums[i][col]
                 if a > 0 and active[i]:
                     rd = dens[i]
-                    n, d = nums[i][rhs] * rd[enter], rd[rhs] * a
+                    n, d = nums[i][rhs] * rd[col], rd[rhs] * a
                     if leave >= 0:
                         # The sign of rhs_i / a_i less the best ratio so far.
                         cmp = n * best_d - best_n * d
@@ -267,11 +337,10 @@ class _Simplex:
             if leave < 0:
                 self._unbounded_col = enter
                 return "unbounded"
-            tab.pivot(leave, enter)
-            basis[leave] = enter
+            self._pivot(leave, enter)
 
     def phase1(self) -> bool:
-        status = self._bland(self.obj1_row, allow_artificial=True)
+        status = self._bland(self.obj1_row)
         assert status == "optimal", "phase 1 is always bounded"
         return self.tab.nums[self.obj1_row][self.rhs_col] == 0
 
@@ -279,28 +348,29 @@ class _Simplex:
         """Row multipliers certifying infeasibility, in original row order."""
         out = []
         for k in range(self.m):
-            coeff = self.tab.entry(self.obj1_row, self.n_real + k)
+            coeff = self.tab.entry(self.obj1_row, self.n + k)
             out.append(self.sigma[k] * (_ONE - coeff))
         return tuple(out)
 
     def drive_out_artificials(self) -> None:
+        """Pivot each basic artificial out on the row's first nonzero real
+        column; a row with none is redundant and drops out. Each q_j is
+        nonzero exactly where p_j is, so the first is a p or a slack."""
+        n, e = self.n, self.e
         for i in range(self.m):
             if self.basis[i] < self.n_real:
                 continue
             row = self.tab.nums[i]
-            col = -1
-            for j in range(self.n_real):
-                if row[j]:
-                    col = j
-                    break
+            col = next((j for j in range(n) if row[j]), -1)
+            if col < 0:
+                col = next((2 * n + k for k in range(self.g) if row[n + e + k]), -1)
             if col < 0:
                 self.active[i] = False
             else:
-                self.tab.pivot(i, col)
-                self.basis[i] = col
+                self._pivot(i, col)
 
     def phase2(self) -> str:
-        return self._bland(self.obj2_row, allow_artificial=False)
+        return self._bland(self.obj2_row)
 
     def objective_value(self) -> Fraction:
         return self.tab.entry(self.obj2_row, self.rhs_col)
@@ -319,6 +389,7 @@ class _Simplex:
 
     def ray(self) -> Vector:
         enter = self._unbounded_col
+        col, scale = self._column(enter)
         d = [_ZERO] * self.n
         if enter < self.n:
             d[enter] += _ONE
@@ -328,7 +399,7 @@ class _Simplex:
             if not self.active[i]:
                 continue
             b = self.basis[i]
-            coeff = self.tab.entry(i, enter)
+            coeff = scale * self.tab.entry(i, col)
             if not coeff:
                 continue
             if b < self.n:

@@ -24,6 +24,7 @@ from .ratlin import (
     Vector,
     as_vector,
     independent_rows,
+    integral_with_scale,
     lp_feasible,
     lp_optimize,
     mat_transpose,
@@ -355,46 +356,63 @@ def _section_search_full(
 ) -> SectionProgram:
     """The section program over the raw basis images, one block of unknowns
     per basis point. Used when the reduced parametrization does not apply;
-    its farkas certificate covers the value constraints explicitly."""
+    its farkas certificate covers the value constraints explicitly.
+
+    Each row j of the state's matrix is scaled once to integers M_j / t_j,
+    and each vertex's affine coordinates to L / s; the rays of the A cone
+    are integers already. Every entry is then one reduced Fraction, as
+    Fraction(L_i * M_jc, s * t_j) or Fraction(L_i * r_c, s).
+    """
     space_a, space_b = omega.space_a, omega.space_b
     da = space_a.dim
     m = len(basis)
     n = m * da
     frame = AffineSection(tuple(basis), ())
+    matrix = [integral_with_scale(row) for row in omega.matrix]
+    rays = space_a.cone.rays
+    bounds = [vec_dot(space_a.unit, as_vector(r)) for r in rays]
 
     eq: list[tuple[Vector, Fraction]] = []
     ge: list[tuple[Vector, Fraction]] = []
     for y in verts:
-        lam = frame.coordinates(y)
-        for j in range(space_b.dim):
-            row = [Fraction(0)] * n
-            for i in range(m):
-                for c in range(da):
-                    row[i * da + c] = lam[i] * omega.matrix[j][c]
-            eq.append((tuple(row), Fraction(y[j])))
-        for r in space_a.cone.rays:
-            rv = as_vector(r)
-            bound = vec_dot(space_a.unit, rv)
-            low = [Fraction(0)] * n
-            for i in range(m):
-                for c in range(da):
-                    low[i * da + c] = lam[i] * rv[c]
-            ge.append((tuple(low), Fraction(0)))
-            ge.append((tuple(-x for x in low), -bound))
+        lam, s = integral_with_scale(frame.coordinates(y))
+        for (mj, t), yj in zip(matrix, y):
+            row = [_ZERO] * n
+            for i, li in enumerate(lam):
+                if li:
+                    for c, mc in enumerate(mj, i * da):
+                        if mc:
+                            row[c] = Fraction(li * mc, s * t)
+            eq.append((tuple(row), Fraction(yj)))
+        for r, bound in zip(rays, bounds):
+            low = [_ZERO] * n
+            high = [_ZERO] * n
+            for i, li in enumerate(lam):
+                if li:
+                    for c, rc in enumerate(r, i * da):
+                        if rc:
+                            low[c] = Fraction(li * rc, s)
+                            high[c] = Fraction(-li * rc, s)
+            ge.append((tuple(low), _ZERO))
+            ge.append((tuple(high), -bound))
     face = face_of(space_b.cone, marginal_b(omega).vector)
     diffs = mat_transpose([vec_sub(p, basis[0]) for p in basis[1:]])
     for fr in face.rays():
         coeff = solve_linear(diffs, fr)
         if coeff is None:
             continue
-        for r in space_a.cone.rays:
-            rv = as_vector(r)
-            row = [Fraction(0)] * n
-            for i in range(1, m):
-                for c in range(da):
-                    row[i * da + c] += coeff[i - 1] * rv[c]
-                    row[0 * da + c] -= coeff[i - 1] * rv[c]
-            ge.append((tuple(row), Fraction(0)))
+        # Basis point i > 0 weighs the ray by coeff[i - 1] = C / s, and the
+        # base point by minus their sum.
+        weights, s = integral_with_scale(coeff)
+        weights.insert(0, -sum(weights))
+        for r in rays:
+            row = [_ZERO] * n
+            for i, w in enumerate(weights):
+                if w:
+                    for c, rc in enumerate(r, i * da):
+                        if rc:
+                            row[c] = Fraction(w * rc, s)
+            ge.append((tuple(row), _ZERO))
 
     def decode(w: Vector) -> AffineSection:
         images = tuple(

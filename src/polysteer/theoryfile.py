@@ -270,9 +270,13 @@ _SECTIONS = (
 def _reader(text: str, path: tuple[str, ...], message: str, refs: tuple[str, ...],
             build: Callable, spaces: Section) -> Callable[[], object]:
     """Read the spaces an entry refers to, each with its own errors, then
-    build the entry, anchoring a failure to the entry's line."""
+    build the entry, anchoring a failure to the entry's line. A space
+    deleted since `loads` is a failure of the entry that names it."""
 
     def read():
+        for ref in refs:
+            if ref not in spaces:
+                raise _anchored(text, path, f"{message}: unknown space {ref!r}")
         args = [spaces[ref] for ref in refs]
         try:
             return build(*args)

@@ -15,6 +15,7 @@ import random
 import pytest
 
 from polysteer._kernel import Tableau
+from polysteer.composite import marginal_b
 from polysteer.ratlin import simplex
 from polysteer.ratlin import (
     LinearProgram,
@@ -36,6 +37,7 @@ from polysteer.ratlin import (
     solve_linear,
     vec_dot,
 )
+from polysteer.steering import ensemble_lift_program, extremal_ensembles, section_program
 
 F = Fraction
 
@@ -519,13 +521,15 @@ def test_vector_width_validation():
 # --- the integer simplex against its Fraction-built reference ------------
 
 
-class FractionSimplex(simplex._Simplex):
+class FractionSimplex:
     """The simplex as it was built on Fractions, kept as a reference.
 
-    Its rows are Fraction lists handed to the tableau's entry constructor,
-    and its ratio test divides tableau entries read back as Fractions.
-    Everything after construction and pricing is shared with `_Simplex`.
-    `ties` counts ratio-test ties, where Bland's basis tie-break decides.
+    Its tableau stores every column of the layout [p | q | slacks |
+    artificials | rhs], which `_Simplex` reads through three mirror
+    identities instead. Its rows are Fraction lists handed to the tableau's
+    entry constructor, and its ratio test divides tableau entries read back
+    as Fractions. `ties` counts ratio-test ties, where Bland's basis
+    tie-break decides.
     """
 
     def __init__(self, n_vars, eq_rows, ge_rows, objective=None):
@@ -573,6 +577,10 @@ class FractionSimplex(simplex._Simplex):
         self.basis = basis
         self.active = [True] * self.m
 
+    def _pivot(self, r, c):
+        self.tab.pivot(r, c)
+        self.basis[r] = c
+
     def _bland(self, obj_row, allow_artificial):
         tab = self.tab
         limit = self.n_total if allow_artificial else self.n_real
@@ -592,8 +600,68 @@ class FractionSimplex(simplex._Simplex):
             if leave < 0:
                 self._unbounded_col = enter
                 return "unbounded"
-            tab.pivot(leave, enter)
-            self.basis[leave] = enter
+            self._pivot(leave, enter)
+
+    def phase1(self):
+        status = self._bland(self.obj1_row, allow_artificial=True)
+        assert status == "optimal", "phase 1 is always bounded"
+        return self.tab.nums[self.obj1_row][self.rhs_col] == 0
+
+    def phase1_farkas(self):
+        out = []
+        for k in range(self.m):
+            coeff = self.tab.entry(self.obj1_row, self.n_real + k)
+            out.append(self.sigma[k] * (F(1) - coeff))
+        return tuple(out)
+
+    def drive_out_artificials(self):
+        for i in range(self.m):
+            if self.basis[i] < self.n_real:
+                continue
+            row = self.tab.nums[i]
+            col = next((j for j in range(self.n_real) if row[j]), -1)
+            if col < 0:
+                self.active[i] = False
+            else:
+                self._pivot(i, col)
+
+    def phase2(self):
+        return self._bland(self.obj2_row, allow_artificial=False)
+
+    def objective_value(self):
+        return self.tab.entry(self.obj2_row, self.rhs_col)
+
+    def solution(self):
+        x = [F(0)] * self.n
+        for i in range(self.m):
+            if not self.active[i]:
+                continue
+            b = self.basis[i]
+            if b < self.n:
+                x[b] += self.tab.entry(i, self.rhs_col)
+            elif b < 2 * self.n:
+                x[b - self.n] -= self.tab.entry(i, self.rhs_col)
+        return tuple(x)
+
+    def ray(self):
+        enter = self._unbounded_col
+        d = [F(0)] * self.n
+        if enter < self.n:
+            d[enter] += F(1)
+        elif enter < 2 * self.n:
+            d[enter - self.n] -= F(1)
+        for i in range(self.m):
+            if not self.active[i]:
+                continue
+            b = self.basis[i]
+            coeff = self.tab.entry(i, enter)
+            if not coeff:
+                continue
+            if b < self.n:
+                d[b] -= coeff
+            elif b < 2 * self.n:
+                d[b - self.n] += coeff
+        return tuple(d)
 
 
 def fraction_check(out, lp):
@@ -666,54 +734,159 @@ def seeded_programs(seed, count):
         yield LinearProgram(n, **rows, objective=objective), optimize
 
 
-def traced_solve(lp, optimize, cls, monkeypatch):
+def full_layout(sx):
+    """The tableau of `sx` in the layout [p | q | slacks | artificials | rhs],
+    as a tuple of (numerators, denominators) per row.
+
+    A FractionSimplex stores that layout. A `_Simplex` stores [p |
+    artificials | rhs], and its q and slack columns are expanded here by the
+    identities q_j = -p_j and slack_k = -sigma_{e+k} a_{e+k}, less the
+    sigma-weighted 1 in the phase-1 row. Pairs stay reduced: n - d is prime
+    to d when n is.
+    """
+    if isinstance(sx, FractionSimplex):
+        return tuple((tuple(rn), tuple(rd)) for rn, rd in zip(sx.tab.nums, sx.tab.dens))
+    n, m, e = sx.n, sx.m, sx.m - sx.g
+    rows = []
+    for i, (rn, rd) in enumerate(zip(sx.tab.nums, sx.tab.dens)):
+        phase1 = i == sx.obj1_row
+        slack_n = [
+            -s * (rn[c] - rd[c] if phase1 else rn[c])
+            for s, c in zip(sx.sigma[e:], range(n + e, n + m))
+        ]
+        nums = (*rn[:n], *(-x for x in rn[:n]), *slack_n, *rn[n:])
+        dens = (*rd[:n], *rd[:n], *rd[n + e : n + m], *rd[n:])
+        rows.append((nums, dens))
+    return tuple(rows)
+
+
+def traced_solve(lp, optimize, cls, monkeypatch, expected=None):
     """Solve lp with cls as the simplex; returns (outcome, events, ties).
 
-    Events are each simplex's starting tableau pairs and basis, and then
-    every pivot (row, column) it makes; a pivot on (r, c) makes c row r's
-    basic variable, so equal events mean the same basis after every pivot.
+    Events are each simplex's starting basis and tableau, and then every
+    pivot: its row, its entering column in the full layout, the basis after
+    it and the whole tableau after it, read by `full_layout`. Equal events
+    therefore mean the same pivot sequence and equal tableaux throughout.
+    Given the `expected` events, each event must equal the one in its
+    place, so a solve that strays fails at its first differing pivot
+    instead of running on.
     """
     events, made = [], []
+
+    def record(*event):
+        if expected is not None and (
+            len(events) >= len(expected) or event != expected[len(events)]
+        ):
+            pytest.fail(f"event {len(events)} ({event[0]}) departs from the reference",
+                        pytrace=False)
+        events.append(event)
 
     def make(*args, **kwargs):
         sx = cls(*args, **kwargs)
         made.append(sx)
-        pairs = [list(zip(*row)) for row in zip(sx.tab.nums, sx.tab.dens)]
-        events.append(("start", pairs, tuple(sx.basis)))
+        record("start", tuple(sx.basis), full_layout(sx))
         return sx
 
-    def pivot(tab, r, c):
-        events.append(("pivot", r, c))
-        real_pivot(tab, r, c)
+    def pivot(sx, r, c):
+        real_pivot(sx, r, c)
+        record("pivot", r, c, tuple(sx.basis), full_layout(sx))
 
-    real_pivot = Tableau.pivot
+    real_pivot = cls._pivot
     with monkeypatch.context() as m:
         m.setattr(simplex, "_Simplex", make)
-        m.setattr(Tableau, "pivot", pivot)
+        m.setattr(cls, "_pivot", pivot)
         out = (simplex.lp_optimize if optimize else simplex.lp_feasible)(lp)
     return out, events, sum(getattr(sx, "ties", 0) for sx in made)
+
+
+def assert_follows_the_reference(lp, optimize, monkeypatch):
+    """Solve lp with FractionSimplex, then with `_Simplex` held to its
+    events, and require equal outcomes; returns (outcome, events, ties)."""
+    ref, ref_events, ref_ties = traced_solve(lp, optimize, FractionSimplex, monkeypatch)
+    out, events, _ = traced_solve(
+        lp, optimize, simplex._Simplex, monkeypatch, expected=ref_events
+    )
+    assert events == ref_events
+    assert out == ref
+    for field in ("witness", "farkas", "ray", "value"):
+        value = getattr(out, field)
+        items = value if isinstance(value, tuple) else () if value is None else (value,)
+        assert all(type(v) is Fraction for v in items)
+    return out, events, ref_ties
+
+
+def mirror_pivots(lp, events):
+    """How many pivots enter a q column, a slack column whose row was written
+    as given (scale -1), and one whose row was flipped (scale +1)."""
+    n = lp.n_vars
+    flipped = [rhs <= 0 for _, rhs in lp.ge]
+    counts = [0, 0, 0]
+    for e in events:
+        if e[0] == "pivot" and n <= e[2] < 2 * n:
+            counts[0] += 1
+        elif e[0] == "pivot" and 2 * n <= e[2] < 2 * n + len(flipped):
+            counts[1 + flipped[e[2] - 2 * n]] += 1
+    return counts
 
 
 def test_integer_simplex_follows_the_fraction_reference_pivot_for_pivot(monkeypatch):
     seen = {"optimal": 0, "unbounded": 0, "infeasible": 0, "feasible": 0}
     ties = strict = flipped = empty = pivots = 0
+    mirrors = [0, 0, 0]
     for lp, optimize in seeded_programs(20261018, 400):
-        out, events, _ = traced_solve(lp, optimize, simplex._Simplex, monkeypatch)
-        ref, ref_events, ref_ties = traced_solve(lp, optimize, FractionSimplex, monkeypatch)
-        assert events == ref_events
-        assert out == ref
-        for field in ("witness", "farkas", "ray", "value"):
-            value = getattr(out, field)
-            items = value if isinstance(value, tuple) else () if value is None else (value,)
-            assert all(type(v) is Fraction for v in items)
+        out, events, ref_ties = assert_follows_the_reference(lp, optimize, monkeypatch)
         seen[out.status] += 1
         ties += ref_ties
         strict += bool(lp.gt)
         flipped += any(rhs <= 0 for _, rhs in lp.ge)
         empty += lp.n_vars == 0
         pivots += sum(e[0] == "pivot" for e in events)
+        if not lp.gt:
+            mirrors = [a + b for a, b in zip(mirrors, mirror_pivots(lp, events))]
     assert min(seen.values()) >= 20, seen
     assert ties >= 50 and strict >= 50 and flipped >= 100 and empty >= 20 and pivots >= 800
+    assert mirrors[0] >= 150 and min(mirrors[1:]) >= 20, mirrors
+
+
+def test_integer_simplex_follows_the_reference_on_the_benchmark_programs(
+    criterion_8_states, monkeypatch
+):
+    """The section programs and depth-2 lift programs of the states
+    `random_batch` draws: the LPs the benchmark's time goes to."""
+    seen = {"feasible": 0, "infeasible": 0}
+    pivots = 0
+    for omega in criterion_8_states:
+        programs = [section_program(omega)[0]]
+        target = marginal_b(omega).vector
+        programs += [
+            ensemble_lift_program(omega, e)
+            for _, e in extremal_ensembles(omega.space_b, target, 2)
+        ]
+        for lp in programs:
+            out, events, _ = assert_follows_the_reference(lp, False, monkeypatch)
+            seen[out.status] += 1
+            pivots += sum(e[0] == "pivot" for e in events)
+    assert seen["infeasible"] >= 50 and seen["feasible"] >= 30 and pivots >= 700, (seen, pivots)
+
+
+def test_the_tableau_stores_only_p_artificials_and_rhs(criterion_8_states, monkeypatch):
+    """Every tableau the section programs build is [p | artificials | rhs]
+    wide and [constraints | phase 2 | phase 1] tall: no mirror column is
+    stored."""
+    shapes = []
+
+    class Recorded(simplex._Simplex):
+        def __init__(self, n_vars, eq_rows, ge_rows, objective=None):
+            super().__init__(n_vars, eq_rows, ge_rows, objective)
+            rows = len(eq_rows) + len(ge_rows)
+            shapes.append(((self.tab.nrows, self.tab.ncols), (rows + 2, n_vars + rows + 1)))
+
+    monkeypatch.setattr(simplex, "_Simplex", Recorded)
+    for omega in criterion_8_states:
+        lp_feasible(section_program(omega)[0])
+    assert len(shapes) == len(criterion_8_states)
+    assert all(got == want for got, want in shapes), shapes
+    assert max(rows for (rows, _), _ in shapes) >= 100
 
 
 def test_integer_certificate_check_agrees_with_fraction_reference():

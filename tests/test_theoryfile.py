@@ -353,3 +353,16 @@ class TestEqualSpaces:
         tf.check()
         del tf.spaces["twin"]
         assert json.loads(dumps(tf))["states"]["on_twin"]["space_a"] == "pair"
+
+    def test_an_unread_entry_whose_space_was_deleted_names_both(self):
+        doc = json.loads(doc_text(MINIMAL))
+        doc["spaces"]["twin"] = dict(doc["spaces"]["pair"])
+        doc["states"] = {"w": {"space_a": "pair", "space_b": "twin",
+                               "matrix": [["1", "0"], ["0", "1"]]}}
+        text = doc_text(doc)
+        for read in (dumps, lambda tf: tf.state("w")):
+            tf = loads(text)
+            del tf.spaces["twin"]
+            with pytest.raises(TheoryFileError, match=r"state 'w': unknown space 'twin'") as exc:
+                read(tf)
+            assert line_of_error(str(exc.value)) == entry_line(text, "w", "states")
