@@ -241,7 +241,7 @@ def cmd_purify(args) -> int:
 
 def _tensor_body(tf: theoryfile.TheoryFile, flags: dict) -> tuple[dict, dict]:
     a, b = tf.space(flags["space_a"]), tf.space(flags["space_b"])
-    composite = (min_tensor if flags["kind"] == "min" else max_tensor)(a, b)
+    composite = {"min": min_tensor, "max": max_tensor}[flags["kind"]](a, b)
     verdicts = {"ray_count": len(composite.cone.rays), "dim": composite.cone.ambient_dim}
     certificates = {
         "rays": format_matrix(composite.cone.rays),

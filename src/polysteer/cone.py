@@ -153,10 +153,6 @@ def dual_cone(c: PolyhedralCone) -> PolyhedralCone:
     return PolyhedralCone(c.ambient_dim, c.facets, c.rays)
 
 
-def contains(c: PolyhedralCone, x: Sequence) -> bool:
-    return c.contains(x)
-
-
 def face_of(c: PolyhedralCone, y: Sequence) -> Face:
     """Smallest face of c containing y (y must belong to the cone)."""
     y = _integral(y, c.ambient_dim)

@@ -1,11 +1,10 @@
 """Exact simplex over the rationals with certificate-producing outcomes.
 
 Programs have free variables; all sign information lives in the rows.
-Feasibility of systems with strict rows is decided by maximizing an auxiliary
-gap variable, and every verdict carries a certificate that re-substitutes
-exactly: a witness point, a nonnegative-multiplier infeasibility vector, or an
-improving ray. Pivoting uses Bland's rule throughout, so the method
-terminates on every input.
+Every verdict carries a certificate that re-substitutes exactly: a witness
+point, a nonnegative-multiplier infeasibility vector, or an improving ray.
+Pivoting uses Bland's rule throughout, so the method terminates on every
+input.
 
 The tableau holds each entry as a reduced integer numerator/denominator pair
 (`_kernel.Tableau`). Rows are written straight from the program's Fractions,
@@ -33,25 +32,21 @@ from math import gcd
 from operator import mul
 
 from .._kernel import Tableau
-from .qarith import Vector, as_vector, integral, vec_zero
+from .qarith import Vector, as_vector, integral
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
 class LinearProgram:
-    """max objective.x subject to eq rows (=), ge rows (>=), gt rows (>).
+    """max objective.x subject to eq rows (=) and ge rows (>=)."""
 
-    Strict rows are only meaningful to lp_feasible; lp_optimize rejects them.
-    """
+    __slots__ = ("n_vars", "eq", "ge", "objective")
 
-    __slots__ = ("n_vars", "eq", "ge", "gt", "objective")
-
-    def __init__(self, n_vars: int, eq=(), ge=(), gt=(), objective=None):
+    def __init__(self, n_vars: int, eq=(), ge=(), objective=None):
         self.n_vars = int(n_vars)
         self.eq = self._rows(eq)
         self.ge = self._rows(ge)
-        self.gt = self._rows(gt)
         self.objective = None if objective is None else as_vector(objective)
         if self.objective is not None and len(self.objective) != self.n_vars:
             raise ValueError("objective width mismatch")
@@ -66,16 +61,16 @@ class LinearProgram:
         return tuple(out)
 
     def row_count(self) -> int:
-        return len(self.eq) + len(self.ge) + len(self.gt)
+        return len(self.eq) + len(self.ge)
 
 
 @dataclass(frozen=True)
 class LPOutcome:
     """Solver verdict plus the exact certificate backing it.
 
-    farkas holds one multiplier per row in [eq, ge, gt] order; ge/gt
-    multipliers are nonnegative and recombine the rows into an impossible
-    inequality (0 >= r with r > 0, or 0 > 0 via a strict row).
+    farkas holds one multiplier per row in [eq, ge] order; ge multipliers
+    are nonnegative and recombine the rows into an impossible inequality
+    0 >= r with r > 0.
     """
 
     status: str
@@ -115,7 +110,6 @@ class LPOutcome:
             ok = (
                 all(_scaled_dot((*a, -b), xs) == 0 for a, b in lp.eq)
                 and all(_scaled_dot((*a, -b), xs) >= 0 for a, b in lp.ge)
-                and all(_scaled_dot((*a, -b), xs) > 0 for a, b in lp.gt)
             )
             if self.status == "optimal":
                 ok = (
@@ -127,12 +121,12 @@ class LPOutcome:
             return ok
         if self.status == "infeasible":
             y = self.farkas
-            e, g, s = len(lp.eq), len(lp.ge), len(lp.gt)
-            if y is None or len(y) != e + g + s:
+            e = len(lp.eq)
+            if y is None or len(y) != lp.row_count():
                 return False
             if any(v < 0 for v in y[e:]):
                 return False
-            rows = lp.eq + lp.ge + lp.gt
+            rows = lp.eq + lp.ge
             used = [(mult, (*lhs, rhs)) for mult, (lhs, rhs) in zip(y, rows) if mult]
             if not used:
                 return False
@@ -143,7 +137,7 @@ class LPOutcome:
             r = combo.pop()
             if any(combo):
                 return False
-            return r > 0 or (r == 0 and any(v > 0 for v in y[e + g :]))
+            return r > 0
         if self.status == "unbounded":
             r = self.ray
             if r is None or len(r) != lp.n_vars or lp.objective is None:
@@ -419,8 +413,6 @@ def lp_optimize(lp: LinearProgram) -> LPOutcome:
     """Maximize lp.objective. Returns optimal(point, value) | unbounded(ray) | infeasible(farkas)."""
     if lp.objective is None:
         raise ValueError("lp_optimize requires an objective")
-    if lp.gt:
-        raise ValueError("strict rows are feasibility-mode only")
     sx = _Simplex(lp.n_vars, lp.eq, lp.ge, objective=lp.objective)
     if not sx.phase1():
         return _certified(LPOutcome.infeasible(sx.phase1_farkas()), lp)
@@ -433,59 +425,7 @@ def lp_optimize(lp: LinearProgram) -> LPOutcome:
 
 def lp_feasible(lp: LinearProgram) -> LPOutcome:
     """Decide feasibility. Returns feasible(witness) | infeasible(farkas)."""
-    if not lp.gt:
-        sx = _Simplex(lp.n_vars, lp.eq, lp.ge)
-        if sx.phase1():
-            return _certified(LPOutcome.feasible(sx.solution()), lp)
-        return _certified(LPOutcome.infeasible(sx.phase1_farkas()), lp)
-    return _feasible_strict(lp)
-
-
-def _feasible_strict(lp: LinearProgram) -> LPOutcome:
-    """Strict rows: maximize a gap variable t with E x - t >= f, 0 <= t <= 1."""
-    n = lp.n_vars
-    ext_eq = [(lhs + (_ZERO,), rhs) for lhs, rhs in lp.eq]
-    ext_ge = [(lhs + (_ZERO,), rhs) for lhs, rhs in lp.ge]
-    ext_ge += [(lhs + (Fraction(-1),), rhs) for lhs, rhs in lp.gt]
-    t_row = vec_zero(n) + (_ONE,)
-    ext_ge.append((t_row, _ZERO))
-    ext_ge.append((tuple(-c for c in t_row), Fraction(-1)))
-    ext = LinearProgram(n + 1, eq=ext_eq, ge=ext_ge, objective=t_row)
-
-    out = lp_optimize(ext)
-    if out.status == "infeasible":
-        # The two t-bound rows only loosen the certificate; dropping their
-        # multipliers still recombines to 0 >= r with r > 0.
-        y = out.farkas[: lp.row_count()]
-        return _certified(LPOutcome.infeasible(y), lp)
-    if out.status != "optimal":
-        raise RuntimeError("internal: gap program cannot be unbounded")
-    if out.value > 0:
-        return _certified(LPOutcome.feasible(out.witness[:n]), lp)
-    return _certified(LPOutcome.infeasible(_motzkin_certificate(lp)), lp)
-
-
-def _motzkin_certificate(lp: LinearProgram) -> Vector:
-    """Multipliers proving a relaxation-feasible strict system infeasible.
-
-    Searches for y >= 0 on ge/gt rows with total strict weight 1 whose
-    combination cancels every variable and has nonnegative right-hand side;
-    such y exists exactly when no point satisfies the strict rows strictly.
-    """
-    e, g, s = len(lp.eq), len(lp.ge), len(lp.gt)
-    rows = list(lp.eq) + list(lp.ge) + list(lp.gt)
-    nvars = e + g + s
-    cert_eq = []
-    for j in range(lp.n_vars):
-        cert_eq.append((tuple(lhs[j] for lhs, _ in rows), _ZERO))
-    cert_eq.append((vec_zero(e + g) + (_ONE,) * s, _ONE))
-    cert_ge = [(tuple(rhs for _, rhs in rows), _ZERO)]
-    for k in range(e, nvars):
-        unit = [_ZERO] * nvars
-        unit[k] = _ONE
-        cert_ge.append((tuple(unit), _ZERO))
-    cert = LinearProgram(nvars, eq=cert_eq, ge=cert_ge)
-    res = lp_feasible(cert)
-    if res.status != "feasible":
-        raise RuntimeError("internal: strict infeasibility certificate must exist")
-    return res.witness
+    sx = _Simplex(lp.n_vars, lp.eq, lp.ge)
+    if sx.phase1():
+        return _certified(LPOutcome.feasible(sx.solution()), lp)
+    return _certified(LPOutcome.infeasible(sx.phase1_farkas()), lp)

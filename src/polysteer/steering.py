@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from .composite import BipartiteState, is_isomorphism_state, marginal_b, purify
@@ -34,6 +35,7 @@ from .ratlin import (
     vec_dot,
     vec_scale,
     vec_sub,
+    vec_zero,
 )
 from .space import (
     Effect,
@@ -351,68 +353,78 @@ def _affine_basis(points: Sequence[Vector]) -> list[Vector]:
 SectionProgram = tuple[LinearProgram, Callable[[Vector], AffineSection]]
 
 
+def _weighted_rows(
+    weights: tuple[list[int], int], functionals: Sequence
+) -> list[tuple[Vector, Fraction]]:
+    """Each functional ((F, t), (C, u)), coefficients F / t over one block of
+    unknowns and constants C / u per basis point, weighed by L / s over the
+    basis points: block i of its row is L_i F / (s t), each entry one
+    reduced Fraction(L_i * F_c, s * t), and its constant sum_i L_i C_i / (s u)."""
+    lam, s = weights
+    out = []
+    for (f, t), (c, u) in functionals:
+        width = len(f)
+        row = [_ZERO] * (len(lam) * width)
+        st = s * t
+        for i, li in enumerate(lam):
+            if li:
+                for col, fc in enumerate(f, i * width):
+                    if fc:
+                        row[col] = Fraction(li * fc, st)
+        out.append((tuple(row), Fraction(sum(map(mul, lam, c)), s * u)))
+    return out
+
+
+def _section_rows(
+    omega: BipartiteState,
+    verts: Sequence[Vector],
+    basis: Sequence[Vector],
+    rays: Sequence,
+    values: Sequence = (),
+) -> tuple[list, list]:
+    """The eq and ge rows of a section program, one block of unknowns per
+    basis point, read by each A ray through `rays` and by each row of the
+    state's matrix through `values`.
+
+    At each interval vertex, the image sum_i lam_i x_i over its affine
+    coordinates must map to the vertex and lie in [0, u_A]. Each face ray
+    of the marginal, weighed by coordinates(fr) - coordinates(0) (the
+    interval's hull is a linear space holding every face ray), must go to
+    a functional nonnegative on the A rays."""
+    space_a = omega.space_a
+    frame = AffineSection(tuple(basis), ())
+    bounds = [vec_dot(space_a.unit, as_vector(r)) for r in space_a.cone.rays]
+    eq: list[tuple[Vector, Fraction]] = []
+    ge: list[tuple[Vector, Fraction]] = []
+    for y in verts:
+        lam = integral_with_scale(frame.coordinates(y))
+        for (row, const), yj in zip(_weighted_rows(lam, values), y):
+            eq.append((row, yj - const))
+        for (row, const), bound in zip(_weighted_rows(lam, rays), bounds):
+            ge.append((row, -const))
+            ge.append((tuple(-x for x in row), const - bound))
+    target = marginal_b(omega).vector
+    origin = frame.coordinates(vec_zero(len(target)))
+    for fr in face_of(omega.space_b.cone, target).rays():
+        weights = integral_with_scale(vec_sub(frame.coordinates(fr), origin))
+        ge += [(row, -const) for row, const in _weighted_rows(weights, rays)]
+    return eq, ge
+
+
 def _section_search_full(
     omega: BipartiteState, verts: Sequence[Vector], basis: Sequence[Vector]
 ) -> SectionProgram:
     """The section program over the raw basis images, one block of unknowns
     per basis point. Used when the reduced parametrization does not apply;
-    its farkas certificate covers the value constraints explicitly.
-
-    Each row j of the state's matrix is scaled once to integers M_j / t_j,
-    and each vertex's affine coordinates to L / s; the rays of the A cone
-    are integers already. Every entry is then one reduced Fraction, as
-    Fraction(L_i * M_jc, s * t_j) or Fraction(L_i * r_c, s).
-    """
-    space_a, space_b = omega.space_a, omega.space_b
-    da = space_a.dim
+    its farkas certificate covers the value constraints explicitly. Its
+    functionals are the A rays and the rows of the state's matrix, with
+    zero constants."""
+    da = omega.space_a.dim
     m = len(basis)
-    n = m * da
-    frame = AffineSection(tuple(basis), ())
-    matrix = [integral_with_scale(row) for row in omega.matrix]
-    rays = space_a.cone.rays
-    bounds = [vec_dot(space_a.unit, as_vector(r)) for r in rays]
-
-    eq: list[tuple[Vector, Fraction]] = []
-    ge: list[tuple[Vector, Fraction]] = []
-    for y in verts:
-        lam, s = integral_with_scale(frame.coordinates(y))
-        for (mj, t), yj in zip(matrix, y):
-            row = [_ZERO] * n
-            for i, li in enumerate(lam):
-                if li:
-                    for c, mc in enumerate(mj, i * da):
-                        if mc:
-                            row[c] = Fraction(li * mc, s * t)
-            eq.append((tuple(row), Fraction(yj)))
-        for r, bound in zip(rays, bounds):
-            low = [_ZERO] * n
-            high = [_ZERO] * n
-            for i, li in enumerate(lam):
-                if li:
-                    for c, rc in enumerate(r, i * da):
-                        if rc:
-                            low[c] = Fraction(li * rc, s)
-                            high[c] = Fraction(-li * rc, s)
-            ge.append((tuple(low), _ZERO))
-            ge.append((tuple(high), -bound))
-    face = face_of(space_b.cone, marginal_b(omega).vector)
-    diffs = mat_transpose([vec_sub(p, basis[0]) for p in basis[1:]])
-    for fr in face.rays():
-        coeff = solve_linear(diffs, fr)
-        if coeff is None:
-            continue
-        # Basis point i > 0 weighs the ray by coeff[i - 1] = C / s, and the
-        # base point by minus their sum.
-        weights, s = integral_with_scale(coeff)
-        weights.insert(0, -sum(weights))
-        for r in rays:
-            row = [_ZERO] * n
-            for i, w in enumerate(weights):
-                if w:
-                    for c, rc in enumerate(r, i * da):
-                        if rc:
-                            row[c] = Fraction(w * rc, s)
-            ge.append((tuple(row), _ZERO))
+    zero = ([0] * m, 1)
+    rays = [((r, 1), zero) for r in omega.space_a.cone.rays]
+    values = [(integral_with_scale(row), zero) for row in omega.matrix]
+    eq, ge = _section_rows(omega, verts, basis, rays, values)
 
     def decode(w: Vector) -> AffineSection:
         images = tuple(
@@ -420,7 +432,7 @@ def _section_search_full(
         )
         return AffineSection(tuple(basis), images)
 
-    return LinearProgram(n, eq=eq, ge=ge), decode
+    return LinearProgram(m * da, eq=eq, ge=ge), decode
 
 
 def section_program(omega: BipartiteState) -> SectionProgram:
@@ -428,22 +440,19 @@ def section_program(omega: BipartiteState) -> SectionProgram:
     from its points to sections. Exposed so an infeasibility certificate can
     be re-checked against the very rows it claims to combine.
 
-    The unknown image of each basis point is written as one particular
-    preimage plus a combination of kernel directions of the state's map.
-    That substitution satisfies the value constraints identically (an affine
-    map that inverts the state's map on an affine basis inverts it on the
-    whole hull), so the program runs over kernel coefficients only and keeps
-    just the membership and monotonicity inequalities. When a basis point
-    has no preimage, or the kernel is trivial and the one candidate breaks a
-    row, the program is _section_search_full's instead.
+    The image of basis point i is x_i = w_i + K xi_i, a particular preimage
+    plus a combination of the kernel directions of the state's map, so a
+    ray r reads r.x_i = r.w_i + (r K).xi_i: the rows are
+    _section_search_full's inequality rows under that substitution, row
+    for row, from the functionals (r K, r.w_i). Its value rows vanish
+    identically, so the program runs over kernel coefficients only. When a
+    basis point has no preimage, or the kernel is trivial and the one
+    candidate breaks a row, the program is _section_search_full's instead.
     """
-    target = marginal_b(omega).vector
-    space_a, space_b = omega.space_a, omega.space_b
+    space_a = omega.space_a
     da = space_a.dim
-    verts = order_interval_vertices(space_b.cone, target)
+    verts = order_interval_vertices(omega.space_b.cone, marginal_b(omega).vector)
     basis = _affine_basis(verts)
-    m = len(basis)
-    frame = AffineSection(tuple(basis), ())
 
     particular: list[Vector] = []
     for p in basis:
@@ -453,44 +462,14 @@ def section_program(omega: BipartiteState) -> SectionProgram:
         particular.append(w0)
     kernel = nullspace(omega.matrix, ncols=da)
     kappa = len(kernel)
-    n = m * kappa
-
-    # Rows over the kernel coefficients: image of each interval vertex sits
-    # in [0, u_A], and the linear part sends the marginal's face into the
-    # positive cone.
-    ge: list[tuple[Vector, Fraction]] = []
-    particular_cols = mat_transpose(particular)
-    for y in verts:
-        lam = frame.coordinates(y)
-        base_pt = mat_vec(particular_cols, lam)
-        for r in space_a.cone.rays:
-            rv = as_vector(r)
-            bound = vec_dot(space_a.unit, rv)
-            const = vec_dot(base_pt, rv)
-            low = [_ZERO] * n
-            for i in range(m):
-                for t in range(kappa):
-                    low[i * kappa + t] = lam[i] * vec_dot(kernel[t], rv)
-            ge.append((tuple(low), -const))
-            ge.append((tuple(-x for x in low), const - bound))
-    face = face_of(space_b.cone, target)
-    diffs = mat_transpose([vec_sub(p, basis[0]) for p in basis[1:]])
-    steps = mat_transpose([vec_sub(w, particular[0]) for w in particular[1:]])
-    for fr in face.rays():
-        coeff = solve_linear(diffs, fr)
-        if coeff is None:
-            continue
-        step = mat_vec(steps, coeff)
-        for r in space_a.cone.rays:
-            rv = as_vector(r)
-            const = vec_dot(step, rv)
-            row = [_ZERO] * n
-            for i in range(1, m):
-                for t in range(kappa):
-                    kr = coeff[i - 1] * vec_dot(kernel[t], rv)
-                    row[i * kappa + t] += kr
-                    row[0 * kappa + t] -= kr
-            ge.append((tuple(row), -const))
+    rays = [
+        (
+            integral_with_scale([vec_dot(k, r) for k in kernel]),
+            integral_with_scale([vec_dot(w, r) for w in particular]),
+        )
+        for r in space_a.cone.rays
+    ]
+    _, ge = _section_rows(omega, verts, basis, rays)
     # With a trivial kernel the rows have no unknowns: they hold exactly
     # when no right-hand side is positive, and then nothing is left to solve.
     if kappa == 0:
@@ -507,7 +486,7 @@ def section_program(omega: BipartiteState) -> SectionProgram:
         )
         return AffineSection(tuple(basis), images)
 
-    return LinearProgram(n, ge=ge), decode
+    return LinearProgram(len(basis) * kappa, ge=ge), decode
 
 
 def _polytope_dimension(lp: LinearProgram) -> tuple[int, tuple[Vector, Vector] | None]:

@@ -608,6 +608,23 @@ class TestVerify:
         assert code == 1
         assert "recomputed tensor" in vout
 
+    def test_unknown_tensor_kind_rejected(self, capsys, lib_path, tmp_path):
+        # A kind other than min or max once recomputed as the max tensor,
+        # so a rewritten kind with its digest redone verified.
+        _, out, _ = run(
+            capsys, "tensor", lib_path, "simplex_2", "simplex_2",
+            "--kind", "max", "--json",
+        )
+        report = json.loads(out)
+        report["flags"]["kind"] = "banana"
+        head = {k: report[k] for k in ("command", "flags", "inputs")}
+        report["digest"] = cli._digest(head)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(report))
+        code, vout, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert vout.startswith("FAIL:") and "banana" in vout
+
     @pytest.mark.parametrize(
         "argv,tamper",
         [

@@ -392,37 +392,6 @@ def test_lp_optimize_equality_rows():
     assert out.witness == (0, 0, 1)
 
 
-def test_lp_optimize_rejects_strict_rows():
-    lp = LinearProgram(1, gt=[((1,), 0)], objective=(1,))
-    with pytest.raises(ValueError):
-        lp_optimize(lp)
-
-
-def test_lp_feasible_strict_witness_is_strict():
-    lp = LinearProgram(2, eq=[((1, 1), 1)], gt=[((1, 0), 0), ((0, 1), 0)])
-    out = lp_feasible(lp)
-    assert out.status == "feasible"
-    assert out.witness[0] > 0 and out.witness[1] > 0
-    assert out.check(lp)
-
-
-def test_lp_feasible_strict_boundary_infeasible():
-    # x > 0 together with x <= 0: contradiction only via the strict row.
-    lp = LinearProgram(1, ge=[((-1,), 0)], gt=[((1,), 0)])
-    out = lp_feasible(lp)
-    assert out.status == "infeasible"
-    assert out.check(lp)
-    # strict multiplier must be engaged
-    assert out.farkas[1] > 0
-
-
-def test_lp_feasible_strict_relaxation_already_infeasible():
-    lp = LinearProgram(1, ge=[((1,), 2), ((-1,), -1)], gt=[((1,), 0)])
-    out = lp_feasible(lp)
-    assert out.status == "infeasible"
-    assert out.check(lp)
-
-
 def test_lp_feasible_empty_program():
     lp = LinearProgram(2)
     out = lp_feasible(lp)
@@ -474,21 +443,6 @@ def test_lp_randomized_against_vertex_enumeration():
     assert agree > 20
 
 
-def test_lp_strict_randomized_constructed_feasible():
-    rng = random.Random(4242)
-    for _ in range(30):
-        n = rng.randint(1, 3)
-        center = [F(rng.randint(-3, 3)) for _ in range(n)]
-        gt = []
-        for _ in range(rng.randint(1, 4)):
-            lhs = tuple(F(rng.randint(-3, 3)) for _ in range(n))
-            margin = vec_dot(lhs, center)
-            gt.append((lhs, margin - rng.randint(1, 3)))
-        lp = LinearProgram(n, gt=gt)
-        out = lp_feasible(lp)
-        assert out.status == "feasible" and out.check(lp)
-
-
 def test_lp_outcomes_always_carry_valid_certificates():
     rng = random.Random(77)
     for _ in range(40):
@@ -497,12 +451,11 @@ def test_lp_outcomes_always_carry_valid_certificates():
             (tuple(rng.randint(-2, 2) for _ in range(n)), rng.randint(-2, 2))
             for _ in range(rng.randint(1, 5))
         ]
-        kinds = [rng.choice(["eq", "ge", "gt"]) for _ in rows]
+        kinds = [rng.choice(["eq", "ge", "ge"]) for _ in rows]
         lp = LinearProgram(
             n,
             eq=[r for r, k in zip(rows, kinds) if k == "eq"],
             ge=[r for r, k in zip(rows, kinds) if k == "ge"],
-            gt=[r for r, k in zip(rows, kinds) if k == "gt"],
         )
         out = lp_feasible(lp)
         assert out.status in ("feasible", "infeasible")
@@ -673,23 +626,22 @@ def fraction_check(out, lp):
         ok = (
             all(vec_dot(a, x) == b for a, b in lp.eq)
             and all(vec_dot(a, x) >= b for a, b in lp.ge)
-            and all(vec_dot(a, x) > b for a, b in lp.gt)
         )
         if out.status == "optimal":
             ok = ok and lp.objective is not None and vec_dot(lp.objective, x) == out.value
         return ok
     if out.status == "infeasible":
         y = out.farkas
-        e, g, s = len(lp.eq), len(lp.ge), len(lp.gt)
-        if y is None or len(y) != e + g + s or any(v < 0 for v in y[e:]):
+        e = len(lp.eq)
+        if y is None or len(y) != e + len(lp.ge) or any(v < 0 for v in y[e:]):
             return False
         combo, r = [F(0)] * lp.n_vars, F(0)
-        for mult, (lhs, rhs) in zip(y, lp.eq + lp.ge + lp.gt):
+        for mult, (lhs, rhs) in zip(y, lp.eq + lp.ge):
             combo = [c + mult * a for c, a in zip(combo, lhs)]
             r += mult * rhs
         if any(combo):
             return False
-        return r > 0 or (r == 0 and any(v > 0 for v in y[e + g :]))
+        return r > 0
     if out.status == "unbounded":
         d = out.ray
         if d is None or len(d) != lp.n_vars or lp.objective is None:
@@ -717,11 +669,10 @@ def seeded_programs(seed, count):
     for _ in range(count):
         n = rng.choice((0, 1, 2, 2, 3, 3, 4))
         optimize = rng.random() < 0.5
-        kinds = ("eq", "ge", "ge") if optimize else ("eq", "ge", "gt")
-        rows = {kind: [] for kind in ("eq", "ge", "gt")}
+        rows = {kind: [] for kind in ("eq", "ge")}
         for _ in range(rng.randint(0, 6)):
-            kind = rng.choice(kinds)
-            earlier = rows["ge"] + rows["gt"]
+            kind = rng.choice(("eq", "ge", "ge"))
+            earlier = rows["ge"]
             if earlier and rng.random() < 0.25:
                 lhs, rhs = rng.choice(earlier)
                 t = F(rng.randint(1, 3), rng.randint(1, 3))
@@ -831,20 +782,19 @@ def mirror_pivots(lp, events):
 
 def test_integer_simplex_follows_the_fraction_reference_pivot_for_pivot(monkeypatch):
     seen = {"optimal": 0, "unbounded": 0, "infeasible": 0, "feasible": 0}
-    ties = strict = flipped = empty = pivots = 0
+    ties = flipped = empty = pivots = 0
     mirrors = [0, 0, 0]
     for lp, optimize in seeded_programs(20261018, 400):
         out, events, ref_ties = assert_follows_the_reference(lp, optimize, monkeypatch)
         seen[out.status] += 1
         ties += ref_ties
-        strict += bool(lp.gt)
         flipped += any(rhs <= 0 for _, rhs in lp.ge)
         empty += lp.n_vars == 0
         pivots += sum(e[0] == "pivot" for e in events)
-        if not lp.gt:
-            mirrors = [a + b for a, b in zip(mirrors, mirror_pivots(lp, events))]
+        mirrors = [a + b for a, b in zip(mirrors, mirror_pivots(lp, events))]
     assert min(seen.values()) >= 20, seen
-    assert ties >= 50 and strict >= 50 and flipped >= 100 and empty >= 20 and pivots >= 800
+    # The 400 programs, of eq and ge rows only, make 756 pivots.
+    assert ties >= 50 and flipped >= 100 and empty >= 20 and pivots >= 750
     assert mirrors[0] >= 150 and min(mirrors[1:]) >= 20, mirrors
 
 
@@ -912,8 +862,8 @@ def test_integer_certificate_check_agrees_with_fraction_reference():
         assert verdict == fraction_check(bad, lp)
         verdicts[verdict] += 1
     assert verdicts[True] >= 10 and verdicts[False] >= 100, verdicts
-    # Hand cases: wrong widths, missing certificates, and Farkas sums 0 >= 0,
-    # which certify nothing unless a strict row takes part.
+    # Hand cases: wrong widths, missing certificates, and a Farkas sum
+    # 0 >= 0, which certifies nothing, beside one 0 >= 1, which does.
     lp = LinearProgram(2, ge=[((1, 0), 0)], objective=(1, 0))
     cases = [
         (lp, LPOutcome("feasible", witness=(F(1),)), False),
@@ -923,7 +873,7 @@ def test_integer_certificate_check_agrees_with_fraction_reference():
         (lp, LPOutcome("unbounded"), False),
         (lp, LPOutcome("unknown"), False),
         (LinearProgram(1, ge=[((1,), 0), ((-1,), 0)]), LPOutcome.infeasible((1, 1)), False),
-        (LinearProgram(1, ge=[((1,), 0)], gt=[((-1,), 0)]), LPOutcome.infeasible((1, 1)), True),
+        (LinearProgram(1, ge=[((1,), 1), ((-1,), 0)]), LPOutcome.infeasible((1, 1)), True),
         (LinearProgram(0, eq=[((), 0)]), LPOutcome.feasible(()), True),
     ]
     for program, out, verdict in cases:

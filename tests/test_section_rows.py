@@ -1,22 +1,26 @@
-"""The section program's rows, built on integers, against the Fraction-
-product builder they replaced.
+"""The section programs' rows, built on integers, against the Fraction-
+product builders they replaced.
 
-`steering._section_search_full` scales each row of the state's matrix and
-each vertex's affine coordinates to integers once and writes every entry as
-one reduced Fraction. The builder below is the earlier one, which multiplies
-Fractions entry by entry; both must give equal programs, row for row and in
-the same order, on every fixture state and on the states the benchmark draws.
+`steering._section_search_full` and the reduced program of
+`steering.section_program` share one row writer, which scales each
+functional and each vertex's affine coordinates to integers once and writes
+every entry as one reduced Fraction. The builders below are the earlier
+ones, which multiply Fractions entry by entry; each pair must give equal
+programs, row for row and in the same order, on every fixture state and on
+the states the benchmark draws.
 """
 
 from fractions import Fraction
 
-from polysteer import fixtures
+from polysteer import fixtures, steering
 from polysteer.composite import marginal_b
 from polysteer.cone import face_of
 from polysteer.ratlin import (
     LinearProgram,
     as_vector,
     mat_transpose,
+    mat_vec,
+    nullspace,
     solve_linear,
     vec_dot,
     vec_sub,
@@ -26,6 +30,7 @@ from polysteer.steering import (
     _affine_basis,
     _section_search_full,
     order_interval_vertices,
+    section_program,
 )
 
 
@@ -71,16 +76,111 @@ def fraction_product_rows(omega, verts, basis):
     return LinearProgram(n, eq=eq, ge=ge)
 
 
-def test_integer_rows_equal_the_fraction_product_rows(criterion_8_states):
+def fraction_product_reduced_rows(omega, verts, basis):
+    """The section program over kernel coefficients, as it was built, or
+    None where it fell back to the program over the raw basis images."""
+    space_a, space_b = omega.space_a, omega.space_b
+    m = len(basis)
+    frame = AffineSection(tuple(basis), ())
+    particular = [solve_linear(omega.matrix, p) for p in basis]
+    if None in particular:
+        return None
+    kernel = nullspace(omega.matrix, ncols=space_a.dim)
+    kappa = len(kernel)
+    n = m * kappa
+    ge = []
+    particular_cols = mat_transpose(particular)
+    for y in verts:
+        lam = frame.coordinates(y)
+        base_pt = mat_vec(particular_cols, lam)
+        for r in space_a.cone.rays:
+            rv = as_vector(r)
+            bound = vec_dot(space_a.unit, rv)
+            const = vec_dot(base_pt, rv)
+            low = [Fraction(0)] * n
+            for i in range(m):
+                for t in range(kappa):
+                    low[i * kappa + t] = lam[i] * vec_dot(kernel[t], rv)
+            ge.append((tuple(low), -const))
+            ge.append((tuple(-x for x in low), const - bound))
+    face = face_of(space_b.cone, marginal_b(omega).vector)
+    diffs = mat_transpose([vec_sub(p, basis[0]) for p in basis[1:]])
+    steps = mat_transpose([vec_sub(w, particular[0]) for w in particular[1:]])
+    for fr in face.rays():
+        coeff = solve_linear(diffs, fr)
+        if coeff is None:
+            continue
+        step = mat_vec(steps, coeff)
+        for r in space_a.cone.rays:
+            rv = as_vector(r)
+            const = vec_dot(step, rv)
+            row = [Fraction(0)] * n
+            for i in range(1, m):
+                for t in range(kappa):
+                    kr = coeff[i - 1] * vec_dot(kernel[t], rv)
+                    row[i * kappa + t] += kr
+                    row[0 * kappa + t] -= kr
+            ge.append((tuple(row), -const))
+    if kappa == 0:
+        if any(rhs > 0 for _, rhs in ge):
+            return None
+        ge = []
+    return LinearProgram(n, ge=ge)
+
+
+def fixture_states():
     lib = fixtures.fixture_library()
-    states = [lib.state(name) for name in lib.states] + list(criterion_8_states)
+    return [lib.state(name) for name in lib.states]
+
+
+def interval_basis(omega):
+    verts = order_interval_vertices(omega.space_b.cone, marginal_b(omega).vector)
+    return verts, _affine_basis(verts)
+
+
+def assert_same_program(got, want):
+    assert (got.n_vars, got.eq, got.ge) == (want.n_vars, want.eq, want.ge)
+    assert all(type(x) is Fraction for lhs, _ in got.eq + got.ge for x in lhs)
+
+
+def test_integer_rows_equal_the_fraction_product_rows(criterion_8_states):
+    states = fixture_states() + list(criterion_8_states)
     rows = 0
     for omega in states:
-        verts = order_interval_vertices(omega.space_b.cone, marginal_b(omega).vector)
-        basis = _affine_basis(verts)
+        verts, basis = interval_basis(omega)
         got, _ = _section_search_full(omega, verts, basis)
-        want = fraction_product_rows(omega, verts, basis)
-        assert (got.n_vars, got.eq, got.ge, got.gt) == (want.n_vars, want.eq, want.ge, want.gt)
-        assert all(type(x) is Fraction for lhs, _ in got.eq + got.ge for x in lhs)
+        assert_same_program(got, fraction_product_rows(omega, verts, basis))
         rows += got.row_count()
     assert len(states) == 28 and rows >= 1000, rows
+
+
+def test_reduced_rows_equal_the_fraction_product_rows(criterion_8_states, monkeypatch):
+    """section_program against the reduced reference, and against the full
+    one exactly where the reference fell back: there, and only there, it
+    calls _section_search_full."""
+    full = steering._section_search_full
+    calls = []
+    monkeypatch.setattr(
+        steering, "_section_search_full", lambda *args: calls.append(1) or full(*args)
+    )
+    fallbacks = []
+    reduced_rows = 0
+    for states in (fixture_states(), list(criterion_8_states)):
+        count = 0
+        for omega in states:
+            verts, basis = interval_basis(omega)
+            want = fraction_product_reduced_rows(omega, verts, basis)
+            before = len(calls)
+            got, _ = section_program(omega)
+            assert (len(calls) > before) == (want is None)
+            if want is None:
+                count += 1
+                want = fraction_product_rows(omega, verts, basis)
+            else:
+                reduced_rows += got.row_count()
+            assert_same_program(got, want)
+        fallbacks.append(count)
+    # What steering.section_fallbacks counts on the benchmark: none of the
+    # fixture states and 14 of the 20 states random_batch draws fall back.
+    assert fallbacks == [0, 14], fallbacks
+    assert reduced_rows >= 300, reduced_rows

@@ -14,10 +14,8 @@ import pytest
 from polysteer.cone import cone_from_rays, dual_cone, irreducible_partition, ordered_direct_sum
 from polysteer.fixtures import fixture_library
 from polysteer.ratlin import (
-    LinearProgram,
     independent_rows,
     invert,
-    lp_feasible,
     mat_mul,
     mat_transpose,
     mat_vec,
@@ -40,6 +38,7 @@ from polysteer.space import (
     _ray_permutations,
     transport_automorphism,
 )
+from strict_lp import strict_witness
 
 SQUARE_RAYS = [(-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1)]
 HEX_RAYS = [(1, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, 0, 1), (0, -1, 1), (1, -1, 1)]
@@ -349,9 +348,8 @@ def lp_isomorphisms(source, target, pins):
                     row[j] -= target.rays[perm[j]][k]
                     eq.append((tuple(row), Fraction(0)))
         gt = [(tuple(Fraction(int(j == i)) for j in range(n)), Fraction(0)) for i in range(n)]
-        out = lp_feasible(LinearProgram(n, eq=eq, gt=gt))
-        if out.status == "feasible":
-            s = out.witness
+        s = strict_witness(n, eq=eq, gt=gt)
+        if s is not None:
             # M sends each basis ray to its scaled partner.
             image_cols = [vec_scale(s[b], target.rays[perm[b]]) for b in basis]
             matrix = mat_mul(mat_transpose(image_cols), invert(columns))

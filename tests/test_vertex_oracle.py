@@ -32,6 +32,7 @@ from polysteer.ratlin import (
 )
 from polysteer.space import effects_interval
 from polysteer.steering import ensemble_polytope_vertices, order_interval_vertices
+from strict_lp import strict_witness
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
@@ -46,18 +47,18 @@ def lp_probe_vertices(ineqs, eqs, dim):
         return []
 
     implicit: list[int] = []
-    probe = lp_feasible(LinearProgram(dim, eq=eqs, gt=ineqs))
-    if probe.status == "feasible":
-        witnesses = [probe.witness]
+    probe = strict_witness(dim, eq=eqs, gt=ineqs)
+    if probe is not None:
+        witnesses = [probe]
     else:
         witnesses = []
         for i, (g, h) in enumerate(ineqs):
             if any(vec_dot(g, w) > h for w in witnesses):
                 continue
             others = ineqs[:i] + ineqs[i + 1 :]
-            res = lp_feasible(LinearProgram(dim, eq=eqs, ge=others, gt=[(g, h)]))
-            if res.status == "feasible":
-                witnesses.append(res.witness)
+            res = strict_witness(dim, eq=eqs, ge=others, gt=[(g, h)])
+            if res is not None:
+                witnesses.append(res)
             else:
                 implicit.append(i)
 
