@@ -22,11 +22,11 @@ import hashlib
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import theoryfile
 from .composite import (
     BipartiteState,
+    decomposition_program,
     is_isomorphism_state,
     is_pure_in_max,
     marginal_b,
@@ -36,7 +36,7 @@ from .composite import (
 )
 from .cone import dual_cone
 from .fixtures import fixture_library
-from .ratlin import LPOutcome, as_vector, mat_vec, rank
+from .ratlin import LPOutcome, as_matrix, rank
 from .space import OrderIsoWitness, is_homogeneous, is_weakly_self_dual
 from .steering import (
     AffineSection,
@@ -345,19 +345,15 @@ def _substitute_check_steering(tf, flags, verdicts, certificates):
         lifted = []
         for idx, item in enumerate(certificates["lifted"]):
             parts = parse_matrix(item["ensemble"], "ensemble")
-            effects = parse_matrix(item["observable"], "observable")
+            effects = as_matrix(parse_matrix(item["observable"], "observable"))
             lifted.append(
                 {"ensemble": format_matrix(parts), "observable": format_matrix(effects)}
             )
-            total = (Fraction(0),) * omega.space_a.dim
-            for eff, part in zip(effects, parts, strict=True):
-                if not omega.space_a.is_effect(eff):
-                    problems.append(f"lifted[{idx}]: effect outside [0, u]")
-                if omega.apply(eff) != part:
-                    problems.append(f"lifted[{idx}]: effect does not map onto its part")
-                total = tuple(x + y for x, y in zip(total, eff))
-            if total != as_vector(omega.space_a.unit):
-                problems.append(f"lifted[{idx}]: effects do not sum to the unit")
+            # Stacked, the effects must solve lift_ensemble's program; a wrong width shifts them.
+            program = ensemble_lift_program(omega, Ensemble(omega.space_b, parts))
+            stacked = LPOutcome.feasible([x for eff in effects for x in eff])
+            if len(effects[0]) != omega.space_a.dim or not stacked.check(program):
+                problems.append(f"lifted[{idx}]: observable does not solve its lift program")
         # The lifts must cover the depth's extremal ensembles, in search order.
         depth = flags["depth"]
         expected = extremal_ensembles(omega.space_b, target, depth)
@@ -431,20 +427,9 @@ def _substitute_pure(tf, flags, verdicts, certificates):
     # extremal map allows; only a summand off phi's line refutes purity.
     if rank([[x for row in phi for x in row], [x for row in psi for x in row]]) < 2:
         return ["witness part is parallel to the map"], None
-    problems = []
-    source = dual_cone(omega.space_a.cone)
-    target = omega.space_b.cone
-    rest = tuple(
-        tuple(a - b for a, b in zip(row_phi, row_psi))
-        for row_phi, row_psi in zip(phi, psi)
-    )
-    for r in source.rays:
-        if not target.contains(mat_vec(psi, as_vector(r))):
-            problems.append("witness part is not positive")
-            break
-        if not target.contains(mat_vec(rest, as_vector(r))):
-            problems.append("witness complement is not positive")
-            break
+    program = decomposition_program(phi, dual_cone(omega.space_a.cone), omega.space_b.cone)
+    summand = LPOutcome.feasible([x for row in psi for x in row])
+    problems = [] if summand.check(program) else ["summand or its complement is not positive"]
     return problems, ({"pure": False}, {"decomposition_part": format_matrix(psi)})
 
 

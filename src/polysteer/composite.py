@@ -325,19 +325,35 @@ def _extremal_by_ray_pinning(
     return ExtremalityResult(True)
 
 
+def decomposition_program(
+    phi: Matrix, source: PolyhedralCone, target: PolyhedralCone
+) -> LinearProgram:
+    """The decomposition polytope {psi : psi and phi - psi positive} over
+    psi's entries, row-major: for each source ray r and target facet g, in
+    that order, the rows g.psi(r) >= 0 and -g.psi(r) >= -g.phi(r)."""
+    dt, ds = len(phi), len(phi[0])
+    ge: list[tuple[Vector, Fraction]] = []
+    for r in source.rays:
+        image = mat_vec(phi, as_vector(r))
+        for g in target.facets:
+            row = tuple(Fraction(g[j] * r[i]) for j in range(dt) for i in range(ds))
+            ge += [(row, Fraction(0)), (tuple(-c for c in row), -vec_dot(as_vector(g), image))]
+    return LinearProgram(dt * ds, ge=ge)
+
+
 def map_is_extremal(
     phi: Matrix, source: PolyhedralCone, target: PolyhedralCone
 ) -> ExtremalityResult:
     """Decide whether phi spans an extremal ray of the positive-map cone.
 
-    The decomposition polytope {psi : psi and phi - psi positive} always
-    contains the segment from 0 to phi; phi is extremal exactly when the
-    polytope is that segment. Maps that carry extreme rays onto extreme rays
-    flatten to a pure linear-algebra test; otherwise each matrix entry gives
-    one projection direction transverse to the segment, the polytope has
-    zero width in all of them iff it is the segment, and each direction
-    costs two LPs with a nonzero optimum handing back a decomposition
-    witness.
+    The decomposition polytope (decomposition_program) always contains the
+    segment from 0 to phi; phi is extremal exactly when the polytope is
+    that segment. Maps that carry extreme rays onto extreme rays flatten to
+    a pure linear-algebra test; otherwise each matrix entry gives one
+    projection direction transverse to the segment, the polytope has zero
+    width in all of them iff it is the segment, and each direction costs
+    two LPs over that program's rows, a nonzero optimum handing back a
+    decomposition witness.
     """
     phi = as_matrix(phi)
     dt, ds = len(phi), len(phi[0])
@@ -356,16 +372,7 @@ def map_is_extremal(
         return pinned
     j0, i0 = pivot
     n = dt * ds
-    ge: list[tuple[Vector, Fraction]] = []
-    for r in source.rays:
-        for g in target.facets:
-            row = [Fraction(0)] * n
-            for j in range(dt):
-                for i in range(ds):
-                    row[j * ds + i] = Fraction(g[j] * r[i])
-            bound = vec_dot(as_vector(g), mat_vec(phi, as_vector(r)))
-            ge.append((tuple(row), Fraction(0)))
-            ge.append((tuple(-c for c in row), -bound))
+    ge = decomposition_program(phi, source, target).ge
     for j in range(dt):
         for i in range(ds):
             if (j, i) == (j0, i0):

@@ -29,6 +29,7 @@ from .ratlin import (
     solve_linear,
     vec_dot,
     vec_scale,
+    vec_sub,
 )
 
 
@@ -77,11 +78,11 @@ class StateSpace:
         return tuple(a / len(verts) for a in acc)
 
     def is_effect(self, f: Sequence) -> bool:
+        """Whether f and unit - f, scaled together to integers, are >= 0 on every ray."""
         f = as_vector(f)
-        return all(
-            vec_dot(f, r) >= 0 and vec_dot(self.unit, r) >= vec_dot(f, r)
-            for r in self.cone.rays
-        )
+        ints = integral(vec_sub(self.unit, f) + f)
+        rest, own = ints[:self.dim], ints[self.dim:]
+        return all(int_dot(own, r) >= 0 and int_dot(rest, r) >= 0 for r in self.cone.rays)
 
 
 @dataclass(frozen=True)

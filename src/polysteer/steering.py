@@ -31,6 +31,7 @@ from .ratlin import (
     mat_transpose,
     mat_vec,
     nullspace,
+    primitive,
     solve_linear,
     vec_dot,
     vec_scale,
@@ -155,15 +156,11 @@ def lift_ensemble(omega: BipartiteState, e: Ensemble) -> LiftResult:
     return LiftResult(Observable(space_a, effects), None)
 
 
-def _is_conic_combination(
-    point: Sequence, generators: Sequence[Vector], convex: bool = False
-) -> bool:
-    """Whether point is a nonnegative combination of the generators, with
-    weights summing to one when convex: one feasibility LP."""
+def _is_convex_combination(point: Sequence, generators: Sequence[Vector]) -> bool:
+    """Whether point is a convex combination of the generators: one LP."""
     n = len(generators)
     eq = [(tuple(g[c] for g in generators), point[c]) for c in range(len(point))]
-    if convex:
-        eq.append(((1,) * n, 1))
+    eq.append(((1,) * n, 1))
     ge = [(tuple(int(i == j) for i in range(n)), 0) for j in range(n)]
     return lp_feasible(LinearProgram(n, eq=eq, ge=ge)).status == "feasible"
 
@@ -178,7 +175,7 @@ def image_interval(omega: BipartiteState) -> tuple[Vector, ...]:
     extreme = []
     for i, p in enumerate(images):
         others = [q for j, q in enumerate(images) if j != i]
-        if not others or not _is_conic_combination(p, others, convex=True):
+        if not others or not _is_convex_combination(p, others):
             extreme.append(p)
     return tuple(sorted(extreme))
 
@@ -191,7 +188,10 @@ def face_condition(omega: BipartiteState) -> bool:
     images = [omega.apply(f) for f in omega.space_a.cone.facets]
     if not all(face.contains(img) for img in images):
         return False
-    return all(_is_conic_combination(fr, images) for fr in face.rays())
+    # An extreme ray of the face is a nonnegative combination of points of
+    # the face only through positive multiples of itself.
+    hits = {primitive(img) for img in images if any(img)}
+    return all(primitive(fr) in hits for fr in face.rays())
 
 
 @dataclass(frozen=True)
@@ -314,21 +314,26 @@ class AffineSection:
         return mat_vec(mat_transpose(self.images), self.coordinates(y))
 
     def verify(self, omega: BipartiteState) -> bool:
-        target = marginal_b(omega).vector
-        for y in order_interval_vertices(omega.space_b.cone, target):
+        """Whether this is a section of omega over section_program's basis:
+        the same base points in the same order, one image each, holding
+        there as _holds_on checks."""
+        verts = order_interval_vertices(omega.space_b.cone, marginal_b(omega).vector)
+        ok = tuple(self.base_points) == tuple(_affine_basis(verts))
+        return ok and len(self.images) == len(self.base_points) and self._holds_on(omega, verts)
+
+    def _holds_on(self, omega: BipartiteState, verts: Sequence[Vector]) -> bool:
+        """Each interval vertex goes to an effect mapping onto it, and each
+        face ray to a step nonnegative on the A rays, so chains map to chains."""
+        for y in verts:
             x = self.apply(y)
             if omega.apply(x) != y or not omega.space_a.is_effect(x):
                 return False
-        # Monotonicity: the linear part must carry face directions to
-        # nonnegative functionals, so chains map to chains.
-        face = face_of(omega.space_b.cone, target)
-        zero = (Fraction(0),) * omega.space_b.dim
-        base = self.apply(zero)
-        for fr in face.rays():
+        target = marginal_b(omega).vector
+        base = self.apply(vec_zero(len(target)))
+        for fr in face_of(omega.space_b.cone, target).rays():
             step = vec_sub(self.apply(fr), base)
-            for r in omega.space_a.cone.rays:
-                if vec_dot(step, as_vector(r)) < 0:
-                    return False
+            if any(vec_dot(step, as_vector(r)) < 0 for r in omega.space_a.cone.rays):
+                return False
         return True
 
 
@@ -445,9 +450,12 @@ def section_program(omega: BipartiteState) -> SectionProgram:
     ray r reads r.x_i = r.w_i + (r K).xi_i: the rows are
     _section_search_full's inequality rows under that substitution, row
     for row, from the functionals (r K, r.w_i). Its value rows vanish
-    identically, so the program runs over kernel coefficients only. When a
-    basis point has no preimage, or the kernel is trivial and the one
-    candidate breaks a row, the program is _section_search_full's instead.
+    identically, so the program runs over kernel coefficients only. With a
+    trivial kernel the particular preimages are the one candidate, checked
+    as AffineSection.verify checks a section before any row is written: if
+    it holds, the program has no unknowns and no rows. When a basis point
+    has no preimage, or that candidate fails, the program is
+    _section_search_full's instead.
     """
     space_a = omega.space_a
     da = space_a.dim
@@ -462,6 +470,11 @@ def section_program(omega: BipartiteState) -> SectionProgram:
         particular.append(w0)
     kernel = nullspace(omega.matrix, ncols=da)
     kappa = len(kernel)
+    if kappa == 0:
+        candidate = AffineSection(tuple(basis), tuple(particular))
+        if not candidate._holds_on(omega, verts):
+            return _section_search_full(omega, verts, basis)
+        return LinearProgram(0), lambda xi: candidate
     rays = [
         (
             integral_with_scale([vec_dot(k, r) for k in kernel]),
@@ -470,12 +483,6 @@ def section_program(omega: BipartiteState) -> SectionProgram:
         for r in space_a.cone.rays
     ]
     _, ge = _section_rows(omega, verts, basis, rays)
-    # With a trivial kernel the rows have no unknowns: they hold exactly
-    # when no right-hand side is positive, and then nothing is left to solve.
-    if kappa == 0:
-        if any(rhs > 0 for _, rhs in ge):
-            return _section_search_full(omega, verts, basis)
-        ge = []
 
     def decode(xi: Vector) -> AffineSection:
         # Basis point i maps to its particular preimage plus the kernel

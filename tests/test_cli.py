@@ -521,6 +521,70 @@ class TestVerify:
         assert code == 1
         assert vout.startswith("FAIL:")
 
+    @pytest.mark.parametrize("ragged", [True, False])
+    def test_regrouped_observable_rejected(self, capsys, lib_path, tmp_path, ragged):
+        # The same entries regrouped into rows of another width stack to
+        # the same vector, so only the width check tells them apart.
+        _, out, _ = run(
+            capsys, "check-steering", lib_path, "two_squares_correlated",
+            "--depth", "2", "--json",
+        )
+        report = json.loads(out)
+        lifted = report["certificates"]["lifted"][0]
+        flat = [x for row in lifted["observable"] for x in row]
+        if ragged:
+            lifted["observable"] = [flat[:2], flat[2:6]] + [
+                flat[i:i + 3] for i in range(6, len(flat), 3)
+            ]
+        else:
+            lifted["observable"] = [[x] for x in flat]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(report))
+        code, vout, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert vout.startswith("FAIL:")
+
+    def test_reshuffled_section_bases_rejected(self, capsys, lib_path, tmp_path):
+        # An appended (base point, image) pair, or two base points swapped
+        # with their images, describes the same affine map; a section must
+        # still come over the program's own basis, one image per point.
+        tampered = 0
+        for state in fixture_library().states:
+            _, out, _ = run(capsys, "section", lib_path, state, "--json")
+            for key in ("section", "alternate"):
+                if key not in json.loads(out)["certificates"]:
+                    continue
+                for kind in ("append", "swap"):
+                    report = json.loads(out)
+                    cert = report["certificates"][key]
+                    points, images = cert["base_points"], cert["images"]
+                    if kind == "append":
+                        points.append(points[0])
+                        images.append(["7"] * len(images[0]))
+                    else:
+                        points[:2], images[:2] = points[1::-1], images[1::-1]
+                    path = tmp_path / "bad.json"
+                    path.write_text(json.dumps(report))
+                    code, vout, _ = run(capsys, "verify", str(path))
+                    assert code == 1, (state, key, kind)
+                    assert vout.startswith("FAIL:")
+                    tampered += 1
+        # Six fixture states have a section, one of them an alternate too.
+        assert tampered == 14
+
+    def test_negated_summand_rejected(self, capsys, lib_path, tmp_path):
+        _, out, _ = run(capsys, "pure", lib_path, "extremality_gap", "--json")
+        report = json.loads(out)
+        part = report["certificates"]["decomposition_part"]
+        report["certificates"]["decomposition_part"] = [
+            [format_rational(-Fraction(x)) for x in row] for row in part
+        ]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(report))
+        code, vout, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert "not positive" in vout
+
     @pytest.mark.parametrize("state", ["nonsteering_table", "two_squares_correlated"])
     @pytest.mark.parametrize("delta", [-1, 1])
     def test_tampered_depth_rejected(self, capsys, lib_path, tmp_path, state, delta):

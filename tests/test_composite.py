@@ -16,6 +16,7 @@ from polysteer.cone import cone_from_facets, cone_from_rays, dual_cone
 from polysteer.composite import (
     BipartiteState,
     conditional_state,
+    decomposition_program,
     factors_isomorphically_through,
     intermediate_tensor,
     is_isomorphism_state,
@@ -28,7 +29,7 @@ from polysteer.composite import (
     min_tensor,
     purify,
 )
-from polysteer.ratlin import as_matrix, as_vector, mat_mul, mat_vec, rank, vec_dot
+from polysteer.ratlin import LPOutcome, as_matrix, as_vector, mat_mul, mat_vec, rank, vec_dot
 from polysteer.space import (
     Effect,
     Observable,
@@ -359,6 +360,26 @@ def test_correlated_square_state_is_not_pure():
         dual_cone(omega.space_a.cone),
         omega.space_b.cone,
     )
+
+
+def test_decomposition_program_holds_exactly_the_summands():
+    omega = correlated_square_state()
+    phi = omega.matrix
+    source, target = dual_cone(omega.space_a.cone), omega.space_b.cone
+    program = decomposition_program(phi, source, target)
+    assert program.n_vars == 9 and not program.eq
+    assert len(program.ge) == 2 * len(source.rays) * len(target.facets)
+
+    def holds(psi):
+        return LPOutcome.feasible([x for row in psi for x in row]).check(program)
+
+    witness = is_pure_in_max(omega).witness
+    assert_decomposition(phi, witness, source, target)
+    assert holds(witness)
+    assert holds(phi) and holds([[0] * 3] * 3)
+    # Past phi the complement leaves the cone; below 0 the part does.
+    assert not holds([[2 * x for x in row] for row in phi])
+    assert not holds([[-x for x in row] for row in witness])
 
 
 def test_purified_square_state_is_pure():

@@ -7,7 +7,8 @@ functional and each vertex's affine coordinates to integers once and writes
 every entry as one reduced Fraction. The builders below are the earlier
 ones, which multiply Fractions entry by entry; each pair must give equal
 programs, row for row and in the same order, on every fixture state and on
-the states the benchmark draws.
+the states the benchmark draws. A state with a trivial kernel has one
+candidate section, which section_program checks before writing any row.
 """
 
 from fractions import Fraction
@@ -184,3 +185,36 @@ def test_reduced_rows_equal_the_fraction_product_rows(criterion_8_states, monkey
     # fixture states and 14 of the 20 states random_batch draws fall back.
     assert fallbacks == [0, 14], fallbacks
     assert reduced_rows >= 300, reduced_rows
+
+
+def test_trivial_kernel_candidate_is_checked_before_any_row(
+    criterion_8_states, monkeypatch
+):
+    """With a trivial kernel section_program checks its one candidate and
+    writes no reduced row: it calls _section_rows zero times, whether the
+    candidate holds (the empty program) or fails (the full program, stubbed
+    out here so that its own rows are not counted)."""
+    written = []
+    rows = steering._section_rows
+    monkeypatch.setattr(steering, "_section_rows", lambda *a: written.append(1) or rows(*a))
+    full = object()
+    monkeypatch.setattr(steering, "_section_search_full", lambda *a: (full, None))
+    held = failed = 0
+    for omega in fixture_states() + list(criterion_8_states):
+        verts, basis = interval_basis(omega)
+        if nullspace(omega.matrix, ncols=omega.space_a.dim) or any(
+            solve_linear(omega.matrix, p) is None for p in basis
+        ):
+            continue
+        program, decode = section_program(omega)
+        assert not written
+        if program is full:
+            failed += 1
+            assert fraction_product_reduced_rows(omega, verts, basis) is None
+        else:
+            held += 1
+            assert (program.n_vars, program.row_count()) == (0, 0)
+            assert decode(()).verify(omega)
+    # Of the 28 states, 12 have a trivial kernel and a preimage for every
+    # basis point; the 3 whose candidate fails are criterion-8 states.
+    assert (held, failed) == (9, 3), (held, failed)

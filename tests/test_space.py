@@ -20,6 +20,7 @@ from polysteer.ratlin import (
     mat_transpose,
     mat_vec,
     solve_linear,
+    vec_dot,
     vec_scale,
 )
 from polysteer.space import (
@@ -104,6 +105,25 @@ def test_effects_and_observables():
         Observable(a, (e, e))
     with pytest.raises(ValueError, match="at least one"):
         Observable(a, ())
+
+
+def test_is_effect_matches_the_rational_definition():
+    # 0 <= f.r <= u.r on every ray, read in Fractions, against the integer
+    # reading; the unit is rescaled so that it is not integral.
+    rng = random.Random(7)
+    for space in (bit_space(), square_space(), orthant_space(3)):
+        space = StateSpace(space.cone, vec_scale(Fraction(2, 3), space.unit))
+        hits = 0
+        for _ in range(200):
+            t = Fraction(rng.randint(-1, 7), 6)
+            f = tuple(t * u + Fraction(rng.randint(-2, 2), 9) for u in space.unit)
+            want = all(0 <= vec_dot(f, r) <= vec_dot(space.unit, r) for r in space.cone.rays)
+            assert space.is_effect(f) == want
+            hits += want
+        assert 0 < hits < 200, hits
+        assert space.is_effect(space.unit) and space.is_effect((0,) * space.dim)
+        with pytest.raises(ValueError):
+            space.is_effect((0,) * (space.dim + 1))
 
 
 def test_effects_interval_classical_bit():

@@ -519,6 +519,16 @@ def test_section_verify_rejects_tampered_images():
     )
     assert omega.apply(shifted.images[2]) == (0, 1, 1)
     assert not shifted.verify(omega)
+    # An appended pair, or two base points swapped with their images,
+    # describes the same affine map over another basis than the program's.
+    points, images = good.base_points, good.images
+    appended = AffineSection(points + points[:1], images + ((F(7),) * 3,))
+    swapped = AffineSection(
+        (points[1], points[0]) + points[2:], (images[1], images[0]) + images[2:]
+    )
+    for other in (appended, swapped):
+        assert other.apply((0, 1, 1)) == good.apply((0, 1, 1))
+        assert not other.verify(omega)
 
 
 # ---------------------------------------------------------------------------
