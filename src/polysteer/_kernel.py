@@ -48,9 +48,6 @@ class Tableau:
     def entry(self, i: int, j: int) -> Fraction:
         return Fraction(self.nums[i][j], self.dens[i][j])
 
-    def row(self, i: int) -> list[Fraction]:
-        return [Fraction(n, d) for n, d in zip(self.nums[i], self.dens[i])]
-
     def pivot(self, r: int, c: int) -> None:
         """Scale row r so entry (r, c) becomes 1, then clear column c elsewhere."""
         nums, dens = self.nums, self.dens

@@ -41,7 +41,6 @@ from .space import OrderIsoWitness, is_homogeneous, is_weakly_self_dual
 from .steering import (
     AffineSection,
     Ensemble,
-    _polytope_dimension,
     affine_section_search,
     decide_steering,
     ensemble_lift_program,
@@ -333,8 +332,9 @@ def cmd_fixtures(args) -> int:
 # `verify` checks a verdict that carries a certificate by substituting it,
 # and re-derives that verdict's other fields. Each `_substitute_*` returns
 # the problems it found and the body its checked certificates imply, or
-# None when the reported verdict carries no certificate; verify then
-# re-derives the whole body through the command's builder.
+# None when the reported verdict carries no certificate, or one that costs
+# more to check than to find (a found section); verify then re-derives the
+# whole body through the command's builder.
 
 
 def _substitute_check_steering(tf, flags, verdicts, certificates):
@@ -433,35 +433,15 @@ def _substitute_pure(tf, flags, verdicts, certificates):
     return problems, ({"pure": False}, {"decomposition_part": format_matrix(psi)})
 
 
-def _decode_section(cert: dict) -> AffineSection:
-    return AffineSection(
-        parse_matrix(cert["base_points"], "base_points"),
-        parse_matrix(cert["images"], "images"),
-    )
-
-
 def _substitute_section(tf, flags, verdicts, certificates):
-    omega = tf.state(flags["state"])
-    program = section_program(omega)[0]
-    if not verdicts["found"]:
-        farkas = parse_vector(certificates["farkas"], "farkas")
-        if not LPOutcome.infeasible(farkas).check(program):
-            return ["farkas certificate does not refute the section program"], None
-        return [], ({"found": False}, {"farkas": format_vector(farkas)})
-    section = _decode_section(certificates["section"])
-    if not section.verify(omega):
-        return ["section fails verification against the state"], None
-    # A verified section makes the program feasible, so its dimension exists.
-    dimension = _polytope_dimension(program)[0]
-    want = {"section": _section_certificate(section)}
-    if dimension > 0:
-        alternate = _decode_section(certificates["alternate"])
-        if not alternate.verify(omega):
-            return ["alternate section fails verification"], None
-        if alternate.images == section.images:
-            return ["alternate section is not distinct"], None
-        want["alternate"] = _section_certificate(alternate)
-    return [], ({"found": True, "dimension": dimension}, want)
+    # A found section, its dimension and its alternate are re-derived: the
+    # search is one program, one LP and the dimension loop.
+    if verdicts["found"]:
+        return None
+    farkas = parse_vector(certificates["farkas"], "farkas")
+    if not LPOutcome.infeasible(farkas).check(section_program(tf.state(flags["state"]))[0]):
+        return ["farkas certificate does not refute the section program"], None
+    return [], ({"found": False}, {"farkas": format_vector(farkas)})
 
 
 # Each command's body builder, and its substitution check (None when no

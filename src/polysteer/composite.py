@@ -39,6 +39,7 @@ from .ratlin import (
     mat_transpose,
     mat_vec,
     nullspace,
+    primitive,
     rank,
     vec_dot,
     vec_scale,
@@ -208,31 +209,25 @@ def conditional_state(
 
 
 def _match_rays_bijectively(
-    images: Sequence[Vector], targets: Sequence[Vector]
+    images: Sequence[Vector], targets: Sequence[Sequence[int]]
 ) -> tuple[tuple[int, ...], tuple[Fraction, ...]] | None:
-    """Pair each image with a distinct target ray it is a positive multiple of."""
+    """Pair each image with a distinct target ray it is a positive multiple of.
+
+    The targets are stored rays, distinct and primitive, so an image's
+    primitive form names its one partner."""
     if len(images) != len(targets):
         return None
-    used = [False] * len(targets)
+    index = {tuple(t): j for j, t in enumerate(targets)}
     bijection: list[int] = []
     scales: list[Fraction] = []
     for img in images:
-        hit = None
-        for j, t in enumerate(targets):
-            if used[j]:
-                continue
-            k0 = next((k for k, v in enumerate(t) if v != 0), None)
-            if k0 is None:
-                continue
-            lam = img[k0] / Fraction(t[k0])
-            if lam > 0 and img == vec_scale(lam, as_vector(t)):
-                hit = (j, lam)
-                break
-        if hit is None:
+        j = index.get(primitive(img)) if any(img) else None
+        if j is None or j in bijection:
             return None
-        used[hit[0]] = True
-        bijection.append(hit[0])
-        scales.append(hit[1])
+        t = targets[j]
+        k0 = next(k for k, v in enumerate(t) if v)
+        bijection.append(j)
+        scales.append(img[k0] / t[k0])
     return tuple(bijection), tuple(scales)
 
 
@@ -245,7 +240,7 @@ def is_isomorphism_state(omega: BipartiteState) -> OrderIsoWitness | None:
     if invert(omega.matrix) is None:
         return None
     images = [omega.apply(r) for r in source.rays]
-    match = _match_rays_bijectively(images, [as_vector(r) for r in target.rays])
+    match = _match_rays_bijectively(images, target.rays)
     if match is None:
         return None
     witness = OrderIsoWitness(omega.matrix, match[0], match[1])
@@ -440,9 +435,7 @@ def factors_isomorphically_through(
         target_face = face_of(target, total)
         if target_face.span_dim() != rk:
             continue
-        match = _match_rays_bijectively(
-            images, [as_vector(r) for r in target_face.rays()]
-        )
+        match = _match_rays_bijectively(images, target_face.rays())
         if match is None:
             continue
         return Factorization(face, p, target_face, match[0], match[1])

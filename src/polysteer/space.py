@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from typing import Callable, Iterator, Sequence, Union
 
 from .cone import PolyhedralCone, dual_cone, irreducible_partition, ordered_direct_sum
@@ -361,6 +362,8 @@ def transport_automorphism(
 
 @dataclass(frozen=True)
 class HomogeneityVerdict:
+    """status "yes" with the generators, or "no" with the failed pair."""
+
     status: str
     generators: tuple[Matrix, ...] | None = None
     failed_pair: tuple[Vector, Vector] | None = None
@@ -372,14 +375,19 @@ class HomogeneityVerdict:
 def is_homogeneous(space: StateSpace) -> HomogeneityVerdict:
     """Decide transitivity of the automorphism group on the cone interior.
 
-    For a simplicial cone the diagonal scalings in ray coordinates act
+    A polyhedral cone is homogeneous exactly when it is simplicial. For a
+    simplicial cone the diagonal scalings in ray coordinates act
     transitively; the returned generators are the rank-one projectors onto
-    the rays, from which every transport is a positive combination. A cone
-    with more rays than dimensions is rigid instead, and the verdict carries
-    an interior pair no automorphism can connect.
+    the rays, from which every transport is a positive combination. Any
+    other cone gets a "no" and an interior pair no automorphism connects:
+    the barycentre and the first of (1 - 1/k) bary + (1/k) v, k = 2, 3, ...,
+    over the vertex states v in order, that it cannot be carried to. Such a
+    candidate exists: on a non-simplicial irreducible component, one vertex's
+    candidates point in pairwise distinct directions, and the barycentre's
+    orbit (finitely many ray permutations times one scaling per component)
+    meets only finitely many directions there.
     """
     c = space.cone
-    d = c.ambient_dim
     if c.is_simplicial():
         inv = invert(mat_transpose(c.rays))
         # Ray i times the i-th coordinate functional over the rays.
@@ -388,13 +396,10 @@ def is_homogeneous(space: StateSpace) -> HomogeneityVerdict:
         )
         return HomogeneityVerdict("yes", generators=gens)
     bary = space.barycenter()
-    for vert in space.vertex_states():
-        for t in (Fraction(1, 2), Fraction(1, 3)):
-            cand = tuple(
-                (1 - t) * bary[k] + t * vert[k] for k in range(d)
-            )
-            if cand == bary:
-                continue
+    verts = space.vertex_states()
+    for k in count(2):
+        t = Fraction(1, k)
+        for vert in verts:
+            cand = tuple((1 - t) * b + t * v for b, v in zip(bary, vert))
             if transport_automorphism(space, bary, cand) is None:
                 return HomogeneityVerdict("no", failed_pair=(bary, cand))
-    return HomogeneityVerdict("unknown")

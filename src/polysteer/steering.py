@@ -28,6 +28,7 @@ from .ratlin import (
     integral_with_scale,
     lp_feasible,
     lp_optimize,
+    mat_identity,
     mat_transpose,
     mat_vec,
     nullspace,
@@ -416,27 +417,40 @@ def _section_rows(
     return eq, ge
 
 
+def _section_decoder(
+    basis: Sequence[Vector], w: Sequence[Vector], kernel: Sequence[Vector]
+) -> Callable[[Vector], AffineSection]:
+    """The map from a section program's unknowns to its section: basis point
+    i goes to x_i = w_i + K xi_i, with xi_i the i-th block of len(kernel)
+    unknowns."""
+    kappa = len(kernel)
+
+    def decode(xi: Vector) -> AffineSection:
+        images = tuple(
+            mat_vec(mat_transpose([wi, *kernel]), (1, *xi[i * kappa:(i + 1) * kappa]))
+            for i, wi in enumerate(w)
+        )
+        return AffineSection(tuple(basis), images)
+
+    return decode
+
+
 def _section_search_full(
     omega: BipartiteState, verts: Sequence[Vector], basis: Sequence[Vector]
 ) -> SectionProgram:
-    """The section program over the raw basis images, one block of unknowns
-    per basis point. Used when the reduced parametrization does not apply;
-    its farkas certificate covers the value constraints explicitly. Its
-    functionals are the A rays and the rows of the state's matrix, with
-    zero constants."""
+    """The section program with w = 0 and K = I, whose unknowns are the basis
+    images themselves. Used when the reduced parametrization does not apply.
+    K = I does not enforce omega-hat x_i = p_i, so the program keeps the
+    value rows, read by the rows of the state's matrix, and its farkas
+    certificate covers them explicitly."""
     da = omega.space_a.dim
     m = len(basis)
+    # Each functional (r K, r.w_i) is (r, 0) here, written on integers as is.
     zero = ([0] * m, 1)
     rays = [((r, 1), zero) for r in omega.space_a.cone.rays]
     values = [(integral_with_scale(row), zero) for row in omega.matrix]
     eq, ge = _section_rows(omega, verts, basis, rays, values)
-
-    def decode(w: Vector) -> AffineSection:
-        images = tuple(
-            tuple(w[i * da + c] for c in range(da)) for i in range(m)
-        )
-        return AffineSection(tuple(basis), images)
-
+    decode = _section_decoder(basis, [vec_zero(da)] * m, mat_identity(da))
     return LinearProgram(m * da, eq=eq, ge=ge), decode
 
 
@@ -445,55 +459,42 @@ def section_program(omega: BipartiteState) -> SectionProgram:
     from its points to sections. Exposed so an infeasibility certificate can
     be re-checked against the very rows it claims to combine.
 
-    The image of basis point i is x_i = w_i + K xi_i, a particular preimage
-    plus a combination of the kernel directions of the state's map, so a
-    ray r reads r.x_i = r.w_i + (r K).xi_i: the rows are
-    _section_search_full's inequality rows under that substitution, row
-    for row, from the functionals (r K, r.w_i). Its value rows vanish
-    identically, so the program runs over kernel coefficients only. With a
-    trivial kernel the particular preimages are the one candidate, checked
-    as AffineSection.verify checks a section before any row is written: if
-    it holds, the program has no unknowns and no rows. When a basis point
-    has no preimage, or that candidate fails, the program is
-    _section_search_full's instead.
+    Every section program has one parametrization: the image of basis point
+    i is x_i = w_i + K xi_i, and the program's unknowns are the xi. Here w
+    holds particular preimages of the basis points and K's columns span the
+    kernel of the state's map, so a ray r reads r.x_i = r.w_i + (r K).xi_i:
+    the rows are _section_search_full's inequality rows under that
+    substitution, row for row, from the functionals (r K, r.w_i). Its value
+    rows vanish identically, so the program runs over kernel coefficients
+    only. With a trivial kernel, K = () and the program decodes to the one
+    candidate, checked as AffineSection.verify checks a section before any
+    row is written: if it holds, the program has no unknowns and no rows.
+    When a basis point has no preimage, or that candidate fails, the program
+    is _section_search_full's instead, with w = 0 and K = I.
     """
-    space_a = omega.space_a
-    da = space_a.dim
     verts = order_interval_vertices(omega.space_b.cone, marginal_b(omega).vector)
     basis = _affine_basis(verts)
-
     particular: list[Vector] = []
     for p in basis:
         w0 = solve_linear(omega.matrix, p)
         if w0 is None:
             return _section_search_full(omega, verts, basis)
         particular.append(w0)
-    kernel = nullspace(omega.matrix, ncols=da)
-    kappa = len(kernel)
-    if kappa == 0:
-        candidate = AffineSection(tuple(basis), tuple(particular))
-        if not candidate._holds_on(omega, verts):
+    kernel = nullspace(omega.matrix, ncols=omega.space_a.dim)
+    decode = _section_decoder(basis, particular, kernel)
+    if not kernel:
+        if not decode(())._holds_on(omega, verts):
             return _section_search_full(omega, verts, basis)
-        return LinearProgram(0), lambda xi: candidate
+        return LinearProgram(0), decode
     rays = [
         (
             integral_with_scale([vec_dot(k, r) for k in kernel]),
             integral_with_scale([vec_dot(w, r) for w in particular]),
         )
-        for r in space_a.cone.rays
+        for r in omega.space_a.cone.rays
     ]
     _, ge = _section_rows(omega, verts, basis, rays)
-
-    def decode(xi: Vector) -> AffineSection:
-        # Basis point i maps to its particular preimage plus the kernel
-        # combination with coefficients xi[i * kappa:(i + 1) * kappa].
-        images = tuple(
-            mat_vec(mat_transpose([w, *kernel]), (1, *xi[i * kappa:(i + 1) * kappa]))
-            for i, w in enumerate(particular)
-        )
-        return AffineSection(tuple(basis), images)
-
-    return LinearProgram(len(basis) * kappa, ge=ge), decode
+    return LinearProgram(len(basis) * len(kernel), ge=ge), decode
 
 
 def _polytope_dimension(lp: LinearProgram) -> tuple[int, tuple[Vector, Vector] | None]:

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import polysteer
-from polysteer import cli, theoryfile
+from polysteer import cli, steering, theoryfile
 from polysteer.cli import main
 from polysteer.fixtures import fixture_library
 from polysteer.ratlin import format_rational
@@ -571,6 +571,30 @@ class TestVerify:
                     tampered += 1
         # Six fixture states have a section, one of them an alternate too.
         assert tampered == 14
+
+    def test_found_section_verify_enumerates_the_interval_once(
+        self, capsys, lib_path, tmp_path, monkeypatch
+    ):
+        # verify re-derives a found section through the section builder: one
+        # order interval per report, however many sections it carries.
+        vertices = steering.order_interval_vertices
+        calls = []
+        monkeypatch.setattr(
+            steering, "order_interval_vertices", lambda *a: calls.append(1) or vertices(*a)
+        )
+        found = 0
+        for state in fixture_library().states:
+            code, out, _ = run(capsys, "section", lib_path, state, "--json")
+            if code != 0:
+                continue
+            path = tmp_path / "section.json"
+            path.write_text(out)
+            calls.clear()
+            code, vout, _ = run(capsys, "verify", str(path))
+            assert (code, vout) == (0, "OK: section report verified\n")
+            assert len(calls) == 1, (state, len(calls))
+            found += 1
+        assert found == 6
 
     def test_negated_summand_rejected(self, capsys, lib_path, tmp_path):
         _, out, _ = run(capsys, "pure", lib_path, "extremality_gap", "--json")

@@ -15,6 +15,7 @@ import pytest
 from polysteer.cone import cone_from_facets, cone_from_rays, dual_cone
 from polysteer.composite import (
     BipartiteState,
+    _match_rays_bijectively,
     conditional_state,
     decomposition_program,
     factors_isomorphically_through,
@@ -299,6 +300,21 @@ def test_identity_on_dual_pair_is_isomorphism_state():
     assert witness is not None
     assert witness.matrix == as_matrix(ident)
     assert all(s > 0 for s in witness.scales)
+
+
+def test_ray_matching_by_primitive_lookup():
+    # Each image is looked up by its primitive form among the stored rays.
+    targets = [(1, 0), (0, 1)]
+    f = Fraction
+    assert _match_rays_bijectively([(f(0), f(3)), (f(1, 2), f(0))], targets) == (
+        (1, 0), (f(3), f(1, 2))
+    )
+    # A map sending two rays onto one target ray, a zero image, a negative
+    # multiple, or counts that differ pair nothing.
+    assert _match_rays_bijectively([(f(2), f(0)), (f(1), f(0))], targets) is None
+    assert _match_rays_bijectively([(f(0), f(0)), (f(1), f(0))], targets) is None
+    assert _match_rays_bijectively([(f(-1), f(0)), (f(0), f(1))], targets) is None
+    assert _match_rays_bijectively([(f(1), f(0))], targets) is None
 
 
 def test_doubling_map_is_not_extremal():

@@ -16,6 +16,11 @@ import pytest
 from polysteer._kernel import BACKEND, Tableau
 
 
+def tableau_row(t, i):
+    """Row i of the tableau as Fractions, read through `entry`."""
+    return [t.entry(i, j) for j in range(t.ncols)]
+
+
 def reference_pivot(rows, r, c):
     """Gauss-Jordan pivot on a list of Fraction rows, in place."""
     p = rows[r][c]
@@ -55,7 +60,7 @@ def test_seeded_pivot_walks_match_fraction_reference():
             zero_columns += 0 in ref[r]
             reference_pivot(ref, r, c)
             tab.pivot(r, c)
-            assert [tab.row(i) for i in range(nrows)] == ref
+            assert [tableau_row(tab, i) for i in range(nrows)] == ref
             # The simplex prices and ratio-tests on the stored numerators' signs.
             assert [[(n > 0) - (n < 0) for n in nums] for nums in tab.nums] == [
                 [(x > 0) - (x < 0) for x in row] for row in ref
@@ -71,13 +76,11 @@ def test_entries_are_fractions_in_lowest_terms():
     t.pivot(0, 0)
     t.pivot(1, 1)
     for i in range(t.nrows):
-        row = t.row(i)
-        assert row == [t.entry(i, j) for j in range(t.ncols)]
-        for x in row:
+        for x in tableau_row(t, i):
             assert type(x) is Fraction
             assert x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
-    assert t.row(0) == [1, 0, Fraction(-7, 138)]
-    assert t.row(1) == [0, 1, Fraction(-35, 46)]
+    assert tableau_row(t, 0) == [1, 0, Fraction(-7, 138)]
+    assert tableau_row(t, 1) == [0, 1, Fraction(-35, 46)]
 
 
 def reduced_pairs(rows):
@@ -105,7 +108,9 @@ def test_pair_constructor_matches_fraction_constructor_through_pivot_walks():
         built = Tableau(rows)
         assert (paired.nrows, paired.ncols) == (built.nrows, built.ncols)
         for _ in range(6):
-            assert [paired.row(i) for i in range(nrows)] == [built.row(i) for i in range(nrows)]
+            assert [tableau_row(paired, i) for i in range(nrows)] == [
+                tableau_row(built, i) for i in range(nrows)
+            ]
             assert (paired.nums, paired.dens) == (built.nums, built.dens)
             options = [(i, j) for i in range(nrows) for j in range(ncols) if built.nums[i][j]]
             if not options:
@@ -120,8 +125,8 @@ def test_pair_constructor_matches_fraction_constructor_through_pivot_walks():
 def test_pair_constructor_takes_the_lists_and_checks_shape():
     nums, dens = [[1, -3, 0], [2, 5, 7]], [[2, 4, 1], [1, 3, 9]]
     t = Tableau(nums, dens)
-    assert t.row(0) == [Fraction(1, 2), Fraction(-3, 4), 0]
-    assert t.row(1) == [2, Fraction(5, 3), Fraction(7, 9)]
+    assert tableau_row(t, 0) == [Fraction(1, 2), Fraction(-3, 4), 0]
+    assert tableau_row(t, 1) == [2, Fraction(5, 3), Fraction(7, 9)]
     t.pivot(0, 0)
     assert t.nums is nums and nums[0] == [1, -3, 0] and dens[0] == [1, 2, 1]
     with pytest.raises(ValueError, match="ragged"):
@@ -145,9 +150,9 @@ def test_tableau_error_behavior(factory):
 def test_pivot_normalizes_pivot_row_and_clears_column(factory):
     t = factory([[2, 4, 6], [1, 1, 1], [-3, 0, 3]])
     t.pivot(0, 0)
-    assert t.row(0) == [1, 2, 3]
-    assert t.row(1) == [0, -1, -2]
-    assert t.row(2) == [0, 6, 12]
+    assert tableau_row(t, 0) == [1, 2, 3]
+    assert tableau_row(t, 1) == [0, -1, -2]
+    assert tableau_row(t, 2) == [0, 6, 12]
     assert t.nums[1][0] == 0 and t.nums[2][0] == 0
 
 

@@ -321,6 +321,23 @@ def test_square_not_homogeneous():
     assert transport_automorphism(sp, alpha, beta) is None
 
 
+def test_non_homogeneous_pair_past_a_reachable_first_candidate():
+    # A ray summed with the square: the first candidate, halfway from the
+    # barycentre to the ray's vertex state, only rescales the square part,
+    # so the walk must go on to a candidate no automorphism reaches.
+    ray = StateSpace(cone_from_rays([(-1,)], 1), (-1,))
+    sp = space_direct_sum(ray, square_space())
+    bary = sp.barycenter()
+    first = tuple((b + v) / 2 for b, v in zip(bary, sp.vertex_states()[0]))
+    assert transport_automorphism(sp, bary, first) is not None
+    verdict = is_homogeneous(sp)
+    assert verdict.status == "no" and not bool(verdict)
+    alpha, beta = verdict.failed_pair
+    assert alpha == bary and beta != first
+    assert sp.is_interior_state(beta)
+    assert transport_automorphism(sp, alpha, beta) is None
+
+
 def test_hexagon_not_homogeneous():
     assert is_homogeneous(hexagon_space()).status == "no"
 
