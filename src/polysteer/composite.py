@@ -16,7 +16,9 @@ from typing import Sequence, Union
 
 from .cone import (
     Face,
+    IntVec,
     PolyhedralCone,
+    _integral,
     all_faces,
     cone_from_facets,
     cone_from_rays,
@@ -73,16 +75,28 @@ class TensorSpace:
         return StateSpace(self.cone, self.unit)
 
 
+def _products(fs: Sequence[IntVec], gs: Sequence[IntVec]) -> list[IntVec]:
+    """Every f (x) g as an integer tuple, B index fastest, f slowest."""
+    return [tuple(x * y for x in f for y in g) for f in fs for g in gs]
+
+
 def max_tensor(a: StateSpace, b: StateSpace) -> TensorSpace:
-    """The largest composite: everything nonnegative on product effects."""
-    facets = [kron_vec(f, g) for f in a.cone.facets for g in b.cone.facets]
+    """The largest composite: everything nonnegative on product effects.
+
+    Its facet rows are the integer products of the factors' stored facets.
+    Those are primitive, and so is each product, since the gcd of the
+    entries f_i g_j is gcd(f) gcd(g) = 1; no rational arithmetic runs."""
+    facets = _products(a.cone.facets, b.cone.facets)
     cone = cone_from_facets(facets, a.dim * b.dim)
     return TensorSpace(a, b, "max", cone, kron_vec(a.unit, b.unit))
 
 
 def min_tensor(a: StateSpace, b: StateSpace) -> TensorSpace:
-    """The smallest composite: generated by the product states."""
-    rays = [kron_vec(r, s) for r in a.cone.rays for s in b.cone.rays]
+    """The smallest composite: generated by the product states.
+
+    Its generator rows are the integer products of the factors' stored
+    rays, primitive for the reason given in ``max_tensor``."""
+    rays = _products(a.cone.rays, b.cone.rays)
     cone = cone_from_rays(rays, a.dim * b.dim)
     return TensorSpace(a, b, "min", cone, kron_vec(a.unit, b.unit))
 
@@ -93,16 +107,18 @@ def intermediate_tensor(
     """A user-chosen composite cone, validated to lie between min and max.
 
     This is the paper's composite AB: any cone between the min and max
-    tensor products that contains every product state."""
-    mx = max_tensor(a, b)
+    tensor products that contains every product state. The largest
+    composite is cut out by the product facets, so each ray is tested
+    against them directly, with no conversion of the largest composite."""
+    dim = a.dim * b.dim
+    product_facets = _products(a.cone.facets, b.cone.facets)
     for r in rays:
-        if not mx.cone.contains(r):
+        x = _integral(r, dim)
+        if any(int_dot(f, x) < 0 for f in product_facets):
             raise ValueError(f"ray {tuple(r)} falls outside the largest composite")
-    cone = cone_from_rays(rays, a.dim * b.dim)
-    for ra in a.cone.rays:
-        for rb in b.cone.rays:
-            if not cone.contains(kron_vec(ra, rb)):
-                raise ValueError("composite cone does not contain all product states")
+    cone = cone_from_rays(rays, dim)
+    if not all(cone.contains(p) for p in _products(a.cone.rays, b.cone.rays)):
+        raise ValueError("composite cone does not contain all product states")
     return TensorSpace(a, b, "custom", cone, kron_vec(a.unit, b.unit))
 
 

@@ -91,22 +91,34 @@ def _primitive_generators(vectors: Iterable[Sequence], ambient_dim: int) -> list
 
 
 def dd_convert(rays: Iterable[Sequence], ambient_dim: int) -> list[IntVec]:
-    """Facet normals of the cone generated by ``rays`` (requires full span)."""
+    """Facet normals of the cone generated by ``rays`` (requires full span).
+
+    Double description proves the span itself, so ``rank`` runs only to
+    word the error when it does not hold.
+    """
     rays = _primitive_generators(rays, ambient_dim)
-    if rank(rays) < ambient_dim:
+    try:
+        return dd.extreme_rays(rays, ambient_dim)
+    except ValueError:
         raise ConeError(
             f"not generating: rays span {rank(rays)} of {ambient_dim} dimensions"
-        )
-    return dd.extreme_rays(rays, ambient_dim)
+        ) from None
 
 
 def dd_convert_inv(facets: Iterable[Sequence], ambient_dim: int) -> list[IntVec]:
-    """Extreme rays of {x : f.x >= 0} (requires a pointed cone)."""
+    """Extreme rays of {x : f.x >= 0} (requires a pointed cone).
+
+    As in ``dd_convert``, a kernel vector is computed only to name the line
+    once double description has found that the facets do not span.
+    """
     facets = _primitive_generators(facets, ambient_dim)
-    if rank(facets) < ambient_dim:
+    try:
+        return dd.extreme_rays(facets, ambient_dim)
+    except ValueError:
         line = nullspace(facets, ncols=ambient_dim)[0]
-        raise ConeError(f"not pointed: cone contains the line through {primitive(line)}")
-    return dd.extreme_rays(facets, ambient_dim)
+        raise ConeError(
+            f"not pointed: cone contains the line through {primitive(line)}"
+        ) from None
 
 
 def _extreme_generators(

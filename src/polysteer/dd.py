@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .ratlin import (
@@ -34,8 +35,13 @@ IntVec = tuple[int, ...]
 
 
 def int_dot(u: Sequence[int], v: Sequence[int]) -> int:
-    """Exact dot product of two integer vectors."""
-    return sum(a * b for a, b in zip(u, v))
+    """Exact dot product of two integer vectors, over the shorter length.
+
+    ``map(mul, ...)`` stops at the shorter vector as ``zip`` does, and runs
+    the products and the sum in C; every incidence and membership test of
+    the cone layer goes through here.
+    """
+    return sum(map(mul, u, v))
 
 
 def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[IntVec]:

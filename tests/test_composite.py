@@ -185,6 +185,8 @@ def test_intermediate_tensor_sandwich():
     missing_one_product = list(mn.cone.rays)[1:] + [extra]
     with pytest.raises(ValueError, match="all product states"):
         intermediate_tensor(sq, sq, missing_one_product)
+    with pytest.raises(ValueError, match="vector has 3 entries, the cone lives in 9"):
+        intermediate_tensor(sq, sq, list(mn.cone.rays) + [(1, 0, 0)])
 
 
 def test_bipartite_state_validation():

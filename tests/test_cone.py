@@ -138,21 +138,35 @@ def test_redundant_and_scaled_input():
     assert cone_from_facets(facets, 3) == square_cone()
 
 
+def cone_error(build, generators, dim):
+    with pytest.raises(ConeError) as caught:
+        build(generators, dim)
+    return str(caught.value)
+
+
 def test_from_rays_not_generating():
-    with pytest.raises(ConeError, match="not generating"):
-        cone_from_rays([(1, 0), (2, 0)], 2)
+    assert (
+        cone_error(cone_from_rays, [(1, 0), (2, 0)], 2)
+        == "not generating: rays span 1 of 2 dimensions"
+    )
 
 
 def test_from_rays_not_pointed():
-    with pytest.raises(ConeError, match="not pointed"):
-        cone_from_rays([(1, 0), (-1, 0), (0, 1)], 2)
+    assert (
+        cone_error(cone_from_rays, [(1, 0), (-1, 0), (0, 1)], 2)
+        == "not pointed: cone contains the line through (1, 0)"
+    )
 
 
 def test_from_facets_errors():
-    with pytest.raises(ConeError, match="not pointed"):
-        cone_from_facets([(1, 0)], 2)
-    with pytest.raises(ConeError, match="not generating"):
-        cone_from_facets([(1, 0), (-1, 0), (0, 1), (0, -1)], 2)
+    assert (
+        cone_error(cone_from_facets, [(1, 0)], 2)
+        == "not pointed: cone contains the line through (0, 1)"
+    )
+    assert (
+        cone_error(cone_from_facets, [(1, 0), (-1, 0), (0, 1), (0, -1)], 2)
+        == "not generating: facet cone spans 0 of 2 dimensions"
+    )
 
 
 def test_generators_must_have_the_ambient_length():
@@ -217,19 +231,28 @@ def test_one_pass_canonicalization_matches_two_passes():
     pairs = [
         ("min", "square_space", "square_space"),
         ("max", "square_space", "square_space"),
+        ("min", "square_space", "pentagon_space"),
+        ("max", "square_space", "pentagon_space"),
         ("min", "simplex_3", "cube_space"),
         ("max", "simplex_3", "cube_space"),
         ("min", "square_space", "cube_space"),
+        ("max", "square_space", "cube_space"),
     ]
     for kind, a, b in pairs:
         sa, sb = lib.space(a), lib.space(b)
         dim = sa.dim * sb.dim
         if kind == "min":
-            gens = [kron_vec(r, s) for r in sa.cone.rays for s in sb.cone.rays]
+            fs, gs = sa.cone.rays, sb.cone.rays
+        else:
+            fs, gs = sa.cone.facets, sb.cone.facets
+        gens = [tuple(x * y for x in f for y in g) for f in fs for g in gs]
+        # Products of primitive vectors are primitive: gcd(f_i g_j) = gcd(f) gcd(g).
+        assert all(row == primitive(row) for row in gens)
+        assert gens == [kron_vec(f, g) for f in fs for g in gs]
+        if kind == "min":
             want = two_pass_from_rays(gens, dim)
             assert min_tensor(sa, sb).cone == want == cone_from_rays(gens, dim)
         else:
-            gens = [kron_vec(f, g) for f in sa.cone.facets for g in sb.cone.facets]
             want = two_pass_from_facets(gens, dim)
             assert max_tensor(sa, sb).cone == want == cone_from_facets(gens, dim)
 
