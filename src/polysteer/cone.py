@@ -90,13 +90,13 @@ def _primitive_generators(vectors: Iterable[Sequence], ambient_dim: int) -> list
     return out
 
 
-def dd_convert(rays: Iterable[Sequence], ambient_dim: int) -> list[IntVec]:
-    """Facet normals of the cone generated by ``rays`` (requires full span).
+def dd_convert(rays: Sequence[IntVec], ambient_dim: int) -> list[IntVec]:
+    """Facet normals of the cone generated by the primitive ``rays`` (requires
+    full span).
 
     Double description proves the span itself, so ``rank`` runs only to
     word the error when it does not hold.
     """
-    rays = _primitive_generators(rays, ambient_dim)
     try:
         return dd.extreme_rays(rays, ambient_dim)
     except ValueError:
@@ -105,13 +105,13 @@ def dd_convert(rays: Iterable[Sequence], ambient_dim: int) -> list[IntVec]:
         ) from None
 
 
-def dd_convert_inv(facets: Iterable[Sequence], ambient_dim: int) -> list[IntVec]:
-    """Extreme rays of {x : f.x >= 0} (requires a pointed cone).
+def dd_convert_inv(facets: Sequence[IntVec], ambient_dim: int) -> list[IntVec]:
+    """Extreme rays of {x : f.x >= 0} over the primitive ``facets`` (requires a
+    pointed cone).
 
     As in ``dd_convert``, a kernel vector is computed only to name the line
     once double description has found that the facets do not span.
     """
-    facets = _primitive_generators(facets, ambient_dim)
     try:
         return dd.extreme_rays(facets, ambient_dim)
     except ValueError:
@@ -122,9 +122,9 @@ def dd_convert_inv(facets: Iterable[Sequence], ambient_dim: int) -> list[IntVec]
 
 
 def _extreme_generators(
-    generators: Iterable[Sequence], duals: Sequence[IntVec]
+    generators: Iterable[IntVec], duals: Sequence[IntVec]
 ) -> list[IntVec]:
-    """The generators extreme in the cone they span, primitive and sorted.
+    """The primitive generators extreme in the cone they span, sorted.
 
     ``duals`` are the irredundant facets of that cone, which must be pointed.
     The duals tight on a generator g cut out the smallest face holding g. If
@@ -133,13 +133,13 @@ def _extreme_generators(
     dual g is tight on. So g is extreme exactly when no other generator's
     incidence mask contains g's (Fukuda and Prodon 1996).
     """
-    gens = sorted({primitive(g) for g in generators})
+    gens = sorted(set(generators))
     masks = [sum(1 << k for k, h in enumerate(duals) if dd.int_dot(h, g) == 0) for g in gens]
     return [g for g, z in zip(gens, masks) if len([x for x in masks if x & z == z]) == 1]
 
 
 def cone_from_rays(rays: Iterable[Sequence], ambient_dim: int) -> PolyhedralCone:
-    rays = list(rays)
+    rays = _primitive_generators(rays, ambient_dim)
     facets = dd_convert(rays, ambient_dim)
     if rank(facets) < ambient_dim:
         line = nullspace(facets, ncols=ambient_dim)
@@ -150,7 +150,7 @@ def cone_from_rays(rays: Iterable[Sequence], ambient_dim: int) -> PolyhedralCone
 
 
 def cone_from_facets(facets: Iterable[Sequence], ambient_dim: int) -> PolyhedralCone:
-    facets = list(facets)
+    facets = _primitive_generators(facets, ambient_dim)
     rays = dd_convert_inv(facets, ambient_dim)
     if rank(rays) < ambient_dim:
         raise ConeError(
@@ -225,6 +225,36 @@ def ordered_direct_sum(a: PolyhedralCone, b: PolyhedralCone) -> PolyhedralCone:
     return PolyhedralCone(da + db, tuple(sorted(rays)), tuple(sorted(facets)))
 
 
+def support_classes(
+    d: int, supports: Iterable[Sequence[int]]
+) -> tuple[list[int], list[int]]:
+    """Union-find over the positions 0..d-1 of a ray basis, joining the
+    positions of each support in turn.
+
+    A ray off the basis, written over it, forms a circuit with the basis rays
+    its support holds, so all of them lie in one irreducible summand. Returns
+    the class of every position (a representative position) once each
+    support is joined, and the number of classes left after each support.
+    """
+    parent = list(range(d))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    left, counts = d, []
+    for support in supports:
+        for p in support[1:]:
+            a, b = find(support[0]), find(p)
+            if a != b:
+                parent[a] = b
+                left -= 1
+        counts.append(left)
+    return [find(i) for i in range(d)], counts
+
+
 def irreducible_partition(c: PolyhedralCone) -> list[tuple[int, ...]]:
     """Group ray indices into the summands of the finest direct-sum splitting.
 
@@ -236,28 +266,16 @@ def irreducible_partition(c: PolyhedralCone) -> list[tuple[int, ...]]:
     if k == c.ambient_dim:
         return [(i,) for i in range(k)]
     basis_idx = independent_rows(c.rays)
-    parent = list(range(k))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i: int, j: int) -> None:
-        parent[find(i)] = find(j)
-
     cols = mat_transpose([c.rays[b] for b in basis_idx])
-    for e in range(k):
-        if e in basis_idx:
-            continue
-        coeffs = solve_linear(cols, c.rays[e])
-        for pos, b in enumerate(basis_idx):
-            if coeffs[pos] != 0:
-                union(e, b)
+    rest = [e for e in range(k) if e not in basis_idx]
+    supports = [
+        [pos for pos, x in enumerate(solve_linear(cols, c.rays[e])) if x] for e in rest
+    ]
+    roots, _ = support_classes(len(basis_idx), supports)
+    root = dict(zip(basis_idx, roots)) | {e: roots[s[0]] for e, s in zip(rest, supports)}
     groups: dict[int, list[int]] = {}
     for i in range(k):
-        groups.setdefault(find(i), []).append(i)
+        groups.setdefault(root[i], []).append(i)
     return sorted(tuple(g) for g in groups.values())
 
 

@@ -10,8 +10,8 @@ routine drives both conversion directions.
 tight there must sum to zero, which certifies the affine hull exactly, so
 no LP runs.
 
-All vectors are kept as primitive integer tuples (gcd 1, positive scale), so
-intermediate arithmetic is pure-integer and results compare syntactically.
+Rows are integer tuples and rays are kept primitive (gcd 1, positive scale),
+so intermediate arithmetic is pure-integer and results compare syntactically.
 """
 
 from __future__ import annotations
@@ -55,22 +55,26 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[IntVec]:
     common rows is never adjacent (Fukuda and Prodon, "Double description
     method revisited", 1996). The next row inserted is the one that cuts off
     the most current rays; once none cuts any off, the rest are redundant.
+
+    The rows are integer, at any positive scale: only the signs of the
+    products and the incidence masks decide, the starting rays are made
+    primitive, and each fresh ray and its products are divided exactly by
+    the ray's gcd.
     """
-    normd = [primitive(r) for r in rows]
-    base_idx = independent_rows(normd)
+    base_idx = independent_rows(rows)
     if len(base_idx) < dim:
         raise ValueError("inequality rows do not span the space; cone is not pointed")
 
     # The columns of the inverse of the base rows are the rays of the
     # simplicial cone those rows cut out.
-    base_inv = invert([normd[i] for i in base_idx])
+    base_inv = invert([rows[i] for i in base_idx])
     rays: list[IntVec] = [primitive(col) for col in mat_transpose(base_inv)]
     # dots[j][i] is row i times ray j; negs[i] counts the rays row i cuts off.
-    dots = [[int_dot(h, r) for h in normd] for r in rays]
+    dots = [[int_dot(h, r) for h in rows] for r in rays]
     inc = [sum(1 << i for i in base_idx if d[i] == 0) for d in dots]
-    negs = [sum(d[i] < 0 for d in dots) for i in range(len(normd))]
+    negs = [sum(d[i] < 0 for d in dots) for i in range(len(rows))]
     base_set = set(base_idx)
-    remaining = [i for i in range(len(normd)) if i not in base_set]
+    remaining = [i for i in range(len(rows)) if i not in base_set]
 
     min_common = dim - 2
     while remaining:

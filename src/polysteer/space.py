@@ -3,27 +3,35 @@
 A state space is a pair (cone, unit): states are cone elements, the unit is a
 functional that is strictly positive on the cone, and effects fill the dual
 interval [0, unit]. Order isomorphisms between cones are found exactly by
-pairing extreme rays and solving one linear system for the ray scales of
-each pairing; every returned witness carries enough data to be re-verified
-by substitution alone.
+pairing extreme rays. The images of a frame fix the map: the frame is the
+shortest prefix of the source's rays that holds a ray basis and rays linking
+the basis rays of each irreducible component. So only the frame's rays are
+paired by search, one integer linear system gives the frame's scales and
+with them the map, and the rest of the pairing is looked up: each other ray's
+image, made primitive, must be a target ray not yet used. The scales that a
+witness is pinned by (the first ray of each component at scale 1, or a
+transport's alpha onto beta) touch only basis rays, which lie in the frame.
+Every returned witness carries enough data to be re-verified by substitution
+alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
-from .cone import PolyhedralCone, dual_cone, irreducible_partition, ordered_direct_sum
+from .cone import PolyhedralCone, dual_cone, ordered_direct_sum, support_classes
 from .dd import int_dot, polytope_vertices
 from .ratlin import (
     Matrix,
     Vector,
     as_vector,
     integral,
+    integral_with_scale,
     invert,
-    mat_mul,
     mat_transpose,
     mat_vec,
     rank,
@@ -187,19 +195,34 @@ class OrderIsoWitness:
     scales: tuple[Fraction, ...]
 
     def verify(self, source: PolyhedralCone, target: PolyhedralCone) -> bool:
-        n = len(source.rays)
+        """Whether the matrix is invertible and sends source ray i to
+        scales[i] > 0 times target ray ray_bijection[i], for every i.
+
+        The matrix is written as integer rows over one denominator q, so with
+        s = a / b the check M r = s t reads b (q M) r = q a t in integers.
+        """
+        n, d = len(source.rays), source.ambient_dim
         if sorted(self.ray_bijection) != list(range(n)) or len(target.rays) != n:
+            return False
+        if len(self.scales) != n or len(self.matrix) != d:
             return False
         if invert(self.matrix) is None:
             return False
-        for i, s in enumerate(self.scales):
+        rows, q = _integer_rows(self.matrix)
+        for r, s, j in zip(source.rays, self.scales, self.ray_bijection):
             if s <= 0:
                 return False
-            image = mat_vec(self.matrix, as_vector(source.rays[i]))
-            expect = vec_scale(s, as_vector(target.rays[self.ray_bijection[i]]))
-            if image != expect:
+            b, qa = s.denominator, q * s.numerator
+            if [b * int_dot(row, r) for row in rows] != [qa * x for x in target.rays[j]]:
                 return False
         return True
+
+
+def _integer_rows(m: Matrix) -> tuple[list[list[int]], int]:
+    """The rows of a square matrix scaled to integers by one positive q, and q."""
+    d = len(m)
+    ints, q = integral_with_scale(x for row in m for x in row)
+    return [ints[k:k + d] for k in range(0, d * d, d)], q
 
 
 ConeLike = Union[StateSpace, PolyhedralCone]
@@ -211,7 +234,7 @@ def _cone_of(x: ConeLike) -> PolyhedralCone:
 
 def _incidence_sets(c: PolyhedralCone) -> list[frozenset[int]]:
     return [
-        frozenset(k for k, f in enumerate(c.facets) if vec_dot(f, r) == 0)
+        frozenset(k for k, f in enumerate(c.facets) if int_dot(f, r) == 0)
         for r in c.rays
     ]
 
@@ -235,11 +258,53 @@ def _ray_basis(c: PolyhedralCone) -> list[int]:
     return chosen
 
 
+class _Frame(NamedTuple):
+    """The rays whose images fix an order isomorphism of a cone.
+
+    ``basis`` is the greedy ray basis and ``base_inv`` the inverse of the
+    matrix with the basis rays as columns. The frame is the first ``length``
+    rays; ``extras`` maps each frame ray off the basis to its coordinates
+    over the basis followed by -1, scaled together to integers. ``firsts``
+    holds the first ray of each irreducible component, always a basis ray.
+    """
+
+    basis: list[int]
+    base_inv: Matrix
+    extras: dict[int, list[int]]
+    firsts: list[int]
+    length: int
+
+
+def _frame(c: PolyhedralCone) -> _Frame:
+    """The shortest prefix of the rays that holds the greedy ray basis and
+    rays whose supports over it link the basis rays of each irreducible
+    component, as every ray off the basis links them."""
+    basis = _ray_basis(c)
+    base_inv = invert(mat_transpose([c.rays[b] for b in basis]))
+    rest = [j for j in range(len(c.rays)) if j not in basis]
+    coords = [mat_vec(base_inv, c.rays[j]) for j in rest]
+    roots, left = support_classes(
+        len(basis), [[pos for pos, x in enumerate(cf) if x] for cf in coords]
+    )
+    length = basis[-1] + 1
+    if rest:
+        # Classes only merge, so the rays off the basis up to the first one
+        # that brings them down to their final number link every component.
+        length = max(length, rest[left.index(left[-1])] + 1)
+    extras = {j: integral((*cf, -1)) for j, cf in zip(rest, coords) if j < length}
+    firsts = [b for pos, b in enumerate(basis) if roots.index(roots[pos]) == pos]
+    return _Frame(basis, base_inv, extras, firsts, length)
+
+
 def _ray_permutations(
-    source: PolyhedralCone, target: PolyhedralCone
+    source: PolyhedralCone, target: PolyhedralCone, length: int | None = None
 ) -> Iterator[tuple[int, ...]]:
-    """Candidate ray bijections, lexicographic, pruned by incidence structure."""
+    """Candidate ray bijections, lexicographic, pruned by incidence structure.
+
+    With ``length``, the search stops there and yields each candidate prefix
+    of that many rays once, in the same order."""
     n = len(source.rays)
+    length = n if length is None else length
     s_inc = _incidence_sets(source)
     t_inc = _incidence_sets(target)
     s_fp = _fingerprints(source, s_inc)
@@ -249,11 +314,11 @@ def _ray_permutations(
         return
     s_common = [[len(s_inc[i] & s_inc[j]) for j in range(n)] for i in range(n)]
     t_common = [[len(t_inc[i] & t_inc[j]) for j in range(n)] for i in range(n)]
-    assignment = [-1] * n
+    assignment = [-1] * length
     used = [False] * n
 
     def backtrack(i: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
+        if i == length:
             yield tuple(assignment)
             return
         for j in cand[i]:
@@ -273,40 +338,70 @@ def _ray_permutations(
 def _isomorphisms(
     source: PolyhedralCone,
     target: PolyhedralCone,
-    pins: Callable[[tuple[int, ...]], list[tuple[Vector, Fraction]]],
+    frame: _Frame,
+    pins: Callable[[tuple[int, ...]], list[tuple[Sequence[int], int]]],
 ) -> Iterator[OrderIsoWitness]:
     """Order isomorphisms source -> target, in lexicographic pairing order.
 
-    A pairing fixes the map up to one positive scale per source ray: each
-    ray off a ray basis must land on its scaled partner, a linear system in
-    the scales, which pins(pairing) completes with rows (coefficients, value).
+    A pairing fixes the map up to one positive scale per source ray, and the
+    images of the frame already fix it. So the search pairs only the frame's
+    rays. Each frame ray off the basis must land on its scaled partner, a
+    linear system with integer rows in the frame's scales, which
+    pins(frame pairing) completes with integer rows (coefficients, value).
+    The solution gives the map M; every other source ray's image under M,
+    made primitive, is looked up among the target's rays. A zero image, a
+    miss or a target ray met twice rejects the frame pairing; otherwise the
+    lookups give the rest of the pairing and the scales.
+
     Two isomorphisms with one pairing differ by a map that scales each
-    irreducible component by one factor, so under pins that fix those factors
-    a positive solution is unique; a free variable, set to 0 by the solve,
-    then fails the positivity check like any other non-solution.
+    irreducible component by one factor. The frame's extra rays link each
+    component's basis rays, so the frame's scales are fixed up to the same
+    factors, and pins that fix those factors need only basis scales: the
+    first ray of each component, or alpha written over the basis. A positive
+    solution is then unique, and equal to the one that all n scales solve
+    for; a free variable, set to 0 by the solve, fails the positivity check
+    like any other non-solution.
     """
-    n = len(source.rays)
-    basis = _ray_basis(source)
-    base_inv = invert(mat_transpose([source.rays[b] for b in basis]))
-    coeffs = {
-        j: mat_vec(base_inv, r) for j, r in enumerate(source.rays) if j not in basis
-    }
-    for perm in _ray_permutations(source, target):
-        eqs = list(pins(perm))
-        for j, cf in coeffs.items():
-            for k in range(source.ambient_dim):
-                row = [Fraction(0)] * n
-                for pos, b in enumerate(basis):
-                    row[b] = cf[pos] * target.rays[perm[b]][k]
-                row[j] = -target.rays[perm[j]][k]
-                eqs.append((tuple(row), Fraction(0)))
+    d, length = source.ambient_dim, frame.length
+    lookup = {r: j for j, r in enumerate(target.rays)}
+    inv_rows, inv_q = _integer_rows(frame.base_inv)
+    inv_cols = mat_transpose(inv_rows)
+    for head in _ray_permutations(source, target, length):
+        eqs = list(pins(head))
+        for j, cf in frame.extras.items():
+            for k in range(d):
+                row = [0] * length
+                for pos, b in enumerate(frame.basis):
+                    row[b] = cf[pos] * target.rays[head[b]][k]
+                row[j] = cf[-1] * target.rays[head[j]][k]
+                eqs.append((row, 0))
         s = solve_linear([row for row, _ in eqs], [y for _, y in eqs])
         if s is None or any(x <= 0 for x in s):
             continue
-        images = mat_transpose([vec_scale(s[b], target.rays[perm[b]]) for b in basis])
-        witness = OrderIsoWitness(mat_mul(images, base_inv), perm, s)
-        if witness.verify(source, target):
-            yield witness
+        # M sends basis ray b to s_b times its partner: M = images base_inv,
+        # summed in integers over the product of the two denominators.
+        ints, sq = integral_with_scale(s[b] for b in frame.basis)
+        images = [
+            [x * target.rays[head[b]][k] for x, b in zip(ints, frame.basis)]
+            for k in range(d)
+        ]
+        rows = [[int_dot(u, col) for col in inv_cols] for u in images]
+        denom = sq * inv_q
+        matrix = tuple(tuple(Fraction(x, denom) for x in row) for row in rows)
+        perm, scales, used = list(head), list(s), set(head)
+        for r in source.rays[length:]:
+            image = [int_dot(row, r) for row in rows]
+            g = math.gcd(*image)
+            j = lookup.get(tuple(x // g for x in image)) if g else None
+            if j is None or j in used:
+                break
+            used.add(j)
+            perm.append(j)
+            scales.append(Fraction(g, denom))
+        else:
+            witness = OrderIsoWitness(matrix, tuple(perm), tuple(scales))
+            if witness.verify(source, target):
+                yield witness
 
 
 def order_isomorphisms(source: ConeLike, target: ConeLike) -> Iterator[OrderIsoWitness]:
@@ -318,12 +413,11 @@ def order_isomorphisms(source: ConeLike, target: ConeLike) -> Iterator[OrderIsoW
         return
     if len(s.rays) != len(t.rays) or len(s.facets) != len(t.facets):
         return
-    n = len(s.rays)
+    frame = _frame(s)
     pinned = [
-        (tuple(Fraction(int(j == group[0])) for j in range(n)), Fraction(1))
-        for group in irreducible_partition(s)
+        (tuple(int(j == first) for j in range(frame.length)), 1) for first in frame.firsts
     ]
-    yield from _isomorphisms(s, t, lambda perm: pinned)
+    yield from _isomorphisms(s, t, frame, lambda head: pinned)
 
 
 def order_iso_search(source: ConeLike, target: ConeLike) -> OrderIsoWitness | None:
@@ -347,16 +441,20 @@ def transport_automorphism(
     if not (c.interior_contains(a) and c.interior_contains(b)):
         raise ValueError("transport requires interior points")
     # alpha as a combination of the rays; the map sends it to the same
-    # combination of the scaled partners, which must be beta.
+    # combination of the scaled partners, which must be beta. The solve
+    # zeroes the free variables, so the weights sit on the greedy ray basis,
+    # inside the frame; they and beta are scaled to integers together once.
     weights = solve_linear(mat_transpose(c.rays), a)
+    ints = integral((*weights, *b))
+    w, rhs = ints[:len(weights)], ints[len(weights):]
 
-    def pins(perm: tuple[int, ...]) -> list[tuple[Vector, Fraction]]:
+    def pins(head: tuple[int, ...]) -> list[tuple[Sequence[int], int]]:
         return [
-            (tuple(w * c.rays[perm[i]][k] for i, w in enumerate(weights)), b[k])
-            for k in range(c.ambient_dim)
+            (tuple(x * c.rays[j][k] for x, j in zip(w, head)), y)
+            for k, y in enumerate(rhs)
         ]
 
-    witness = next(_isomorphisms(c, c, pins), None)
+    witness = next(_isomorphisms(c, c, _frame(c), pins), None)
     return None if witness is None else witness.matrix
 
 

@@ -731,6 +731,14 @@ class TestVerify:
                     witness={"matrix": [["1"]], "ray_bijection": [0], "scales": ["1"]}
                 ),
             ),
+            # Only the rays that had a scale were substituted, so a witness
+            # with its scale list cut short verified.
+            (
+                ["self-dual", "hexagon_space"],
+                lambda r: r["certificates"]["witness"].update(
+                    scales=r["certificates"]["witness"]["scales"][:1]
+                ),
+            ),
             (
                 ["pure", "square_iso"],
                 lambda r: r["certificates"].update(decomposition_part=[["0"] * 3] * 3),
@@ -749,7 +757,7 @@ class TestVerify:
         ],
         ids=[
             "homogeneous-zero-pair", "homogeneous-generator", "homogeneous-extra-verdict",
-            "self-dual-junk-witness", "pure-junk-summand", "section-dimension-5",
+            "self-dual-junk-witness", "self-dual-short-scales", "pure-junk-summand", "section-dimension-5",
             "section-dimension-0", "purify-outside-cone", "steering-part-outside-cone",
         ],
     )

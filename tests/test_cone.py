@@ -300,12 +300,15 @@ def test_incidence_containment_matches_rank_rule():
         cases.append(([kron_vec(r, s) for r in sa.cone.rays for s in sb.cone.rays], dim))
         cases.append(([kron_vec(f, g) for f in sa.cone.facets for g in sb.cone.facets], dim))
     for gens, dim in cases:
+        # _extreme_generators takes the generators made primitive, as the
+        # conversions hand them on.
+        prim = [primitive(g) for g in gens]
         c = cone_from_rays(gens, dim)
-        assert _extreme_generators(gens, c.facets) == rank_rule(gens, c.facets, dim)
-        assert _extreme_generators(gens, c.facets) == list(c.rays)
+        assert _extreme_generators(prim, c.facets) == rank_rule(gens, c.facets, dim)
+        assert _extreme_generators(prim, c.facets) == list(c.rays)
         c = cone_from_facets(gens, dim)
-        assert _extreme_generators(gens, c.rays) == rank_rule(gens, c.rays, dim)
-        assert _extreme_generators(gens, c.rays) == list(c.facets)
+        assert _extreme_generators(prim, c.rays) == rank_rule(gens, c.rays, dim)
+        assert _extreme_generators(prim, c.rays) == list(c.facets)
 
 
 def test_contains_and_interior():

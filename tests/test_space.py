@@ -8,6 +8,7 @@ facet description before being frozen here.
 
 import random
 from fractions import Fraction
+from itertools import count
 
 import pytest
 
@@ -36,6 +37,8 @@ from polysteer.space import (
     order_iso_search,
     order_isomorphisms,
     space_direct_sum,
+    _frame,
+    _ray_basis,
     _ray_permutations,
     transport_automorphism,
 )
@@ -497,3 +500,147 @@ def test_transport_matches_the_strict_lp_reference():
         found += got is not None
         missing += got is None
     assert found and missing
+
+
+# --- The frame search against the full-pairing search it replaced -----------
+#
+# The reference is the search as it ran before the frame: it pairs every ray,
+# then solves one Fraction system in all n ray scales, with pins as rows over
+# those scales. The frame search must return the same witnesses, entry for
+# entry and type for type, in the same order.
+
+
+def full_pairing_isomorphisms(source, target, pins):
+    n = len(source.rays)
+    basis = _ray_basis(source)
+    base_inv = invert(mat_transpose([source.rays[b] for b in basis]))
+    coeffs = {
+        j: mat_vec(base_inv, r) for j, r in enumerate(source.rays) if j not in basis
+    }
+    for perm in _ray_permutations(source, target):
+        eqs = list(pins(perm))
+        for j, cf in coeffs.items():
+            for k in range(source.ambient_dim):
+                row = [Fraction(0)] * n
+                for pos, b in enumerate(basis):
+                    row[b] = cf[pos] * target.rays[perm[b]][k]
+                row[j] = -target.rays[perm[j]][k]
+                eqs.append((tuple(row), Fraction(0)))
+        s = solve_linear([row for row, _ in eqs], [y for _, y in eqs])
+        if s is None or any(x <= 0 for x in s):
+            continue
+        images = mat_transpose([vec_scale(s[b], target.rays[perm[b]]) for b in basis])
+        witness = OrderIsoWitness(mat_mul(images, base_inv), perm, s)
+        if witness.verify(source, target):
+            yield witness
+
+
+def full_pairing_order_isomorphisms(s, t):
+    if s.ambient_dim != t.ambient_dim:
+        return
+    if len(s.rays) != len(t.rays) or len(s.facets) != len(t.facets):
+        return
+    n = len(s.rays)
+    pinned = [
+        (tuple(Fraction(int(j == group[0])) for j in range(n)), Fraction(1))
+        for group in irreducible_partition(s)
+    ]
+    yield from full_pairing_isomorphisms(s, t, lambda perm: pinned)
+
+
+def full_pairing_transport(c, a, b):
+    weights = solve_linear(mat_transpose(c.rays), a)
+
+    def pins(perm):
+        return [
+            (tuple(w * c.rays[perm[i]][k] for i, w in enumerate(weights)), b[k])
+            for k in range(c.ambient_dim)
+        ]
+
+    witness = next(full_pairing_isomorphisms(c, c, pins), None)
+    return None if witness is None else witness.matrix
+
+
+def test_frame_search_matches_the_full_pairing_search():
+    for label, s, t in reference_pairs():
+        got = [(w.ray_bijection, w.scales, w.matrix) for w in order_isomorphisms(s, t)]
+        want = [
+            (w.ray_bijection, w.scales, w.matrix)
+            for w in full_pairing_order_isomorphisms(s, t)
+        ]
+        # repr tells a Fraction from an int of the same value.
+        assert repr(got) == repr(want), label
+
+
+def homogeneity_pairs(space):
+    """The pairs is_homogeneous transports between on a non-simplicial
+    space, in its order, up to the pair it reports."""
+    failed = is_homogeneous(space).failed_pair
+    bary, verts = space.barycenter(), space.vertex_states()
+    for k in count(2):
+        t = Fraction(1, k)
+        for vert in verts:
+            cand = tuple((1 - t) * b + t * v for b, v in zip(bary, vert))
+            yield bary, cand
+            if (bary, cand) == failed:
+                return
+
+
+def test_frame_transport_matches_the_full_pairing_transport():
+    cases = list(transport_cases())
+    for sp in fixture_library().spaces.values():
+        if not sp.cone.is_simplicial():
+            cases += [(sp.cone, a, b) for a, b in homogeneity_pairs(sp)]
+    found = missing = 0
+    for cone, alpha, beta in cases:
+        got = transport_automorphism(cone, alpha, beta)
+        assert repr(got) == repr(full_pairing_transport(cone, alpha, beta))
+        found += got is not None
+        missing += got is None
+    assert found and missing
+
+
+def test_frame_lengths():
+    # (frame length, ray count) of each fixture cone and its dual. A frame
+    # holds the greedy ray basis and the rays that link each component's
+    # basis rays. The octahedron's two rays off its basis each miss one basis
+    # ray, so both are needed and its frame is the whole list.
+    lib = fixture_library().spaces
+    got = {
+        name: [(_frame(c).length, len(c.rays)) for c in (sp.cone, dual_cone(sp.cone))]
+        for name, sp in lib.items()
+    }
+    assert got == {
+        "simplex_2": [(2, 2), (2, 2)],
+        "simplex_3": [(3, 3), (3, 3)],
+        "simplex_4": [(4, 4), (4, 4)],
+        "square_space": [(4, 4), (4, 4)],
+        "pentagon_space": [(4, 5), (4, 5)],
+        "hexagon_space": [(4, 6), (4, 6)],
+        "cube_space": [(6, 8), (6, 6)],
+        "octahedron_space": [(6, 6), (6, 8)],
+    }
+    sums = [_frame(ordered_direct_sum(lib[a].cone, lib[b].cone)) for a, b in SUMS]
+    assert [f.length for f in sums] == [6, 8, 7, 5]
+    # The first ray of each irreducible component is a basis ray.
+    for (a, b), f in zip(SUMS, sums):
+        c = ordered_direct_sum(lib[a].cone, lib[b].cone)
+        assert f.firsts == [g[0] for g in irreducible_partition(c)]
+        assert set(f.firsts) <= set(f.basis)
+
+
+def cross_polytope_cone(d):
+    """The cone over the d-dimensional cross-polytope, rays (+-e_i, 1)."""
+    rays = [tuple(s * int(j == i) for j in range(d)) + (1,) for i in range(d) for s in (1, -1)]
+    return cone_from_rays(rays, d + 1)
+
+
+def test_hyperoctahedral_census():
+    # The cone over the 4-cross-polytope and its dual, the cone over the
+    # 4-cube, each have the 2^4 4! = 384 automorphisms of the 4-cube. The
+    # cross-polytope's frame is its whole ray list; the cube's is 10 of 16.
+    cross = cross_polytope_cone(4)
+    for c, length in ((cross, 8), (dual_cone(cross), 10)):
+        assert _frame(c).length == length
+        auts = list(order_isomorphisms(c, c))
+        assert len({w.ray_bijection for w in auts}) == len(auts) == 384
