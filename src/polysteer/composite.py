@@ -41,7 +41,6 @@ from .ratlin import (
     mat_transpose,
     mat_vec,
     nullspace,
-    primitive,
     rank,
     vec_dot,
     vec_scale,
@@ -52,8 +51,9 @@ from .space import (
     OrderIsoWitness,
     State,
     StateSpace,
-    is_weakly_self_dual,
-    transport_automorphism,
+    _integer_rows,
+    isomorphism_carrying,
+    pair_ray_images,
 )
 
 
@@ -224,42 +224,15 @@ def conditional_state(
     return State(omega.space_b, vec_scale(Fraction(1) / total, v))
 
 
-def _match_rays_bijectively(
-    images: Sequence[Vector], targets: Sequence[Sequence[int]]
-) -> tuple[tuple[int, ...], tuple[Fraction, ...]] | None:
-    """Pair each image with a distinct target ray it is a positive multiple of.
-
-    The targets are stored rays, distinct and primitive, so an image's
-    primitive form names its one partner."""
-    if len(images) != len(targets):
-        return None
-    index = {tuple(t): j for j, t in enumerate(targets)}
-    bijection: list[int] = []
-    scales: list[Fraction] = []
-    for img in images:
-        j = index.get(primitive(img)) if any(img) else None
-        if j is None or j in bijection:
-            return None
-        t = targets[j]
-        k0 = next(k for k, v in enumerate(t) if v)
-        bijection.append(j)
-        scales.append(img[k0] / t[k0])
-    return tuple(bijection), tuple(scales)
-
-
 def is_isomorphism_state(omega: BipartiteState) -> OrderIsoWitness | None:
     """Witness that the induced map is an order isomorphism A* -> B, if it is."""
     source = dual_cone(omega.space_a.cone)
     target = omega.space_b.cone
-    if source.ambient_dim != target.ambient_dim:
+    rows, q = _integer_rows(omega.matrix)
+    pairing = pair_ray_images(rows, q, source.rays, target.rays)
+    if pairing is None:
         return None
-    if invert(omega.matrix) is None:
-        return None
-    images = [omega.apply(r) for r in source.rays]
-    match = _match_rays_bijectively(images, target.rays)
-    if match is None:
-        return None
-    witness = OrderIsoWitness(omega.matrix, match[0], match[1])
+    witness = OrderIsoWitness(omega.matrix, *pairing)
     return witness if witness.verify(source, target) else None
 
 
@@ -434,6 +407,7 @@ def factors_isomorphically_through(
         return None
     d = source.ambient_dim
     kern = nullspace(list(phi))
+    rows, q = _integer_rows(phi)
     for face in all_faces(source):
         face_rays = [as_vector(r) for r in face.rays()]
         if not face_rays or face.span_dim() != rk:
@@ -446,37 +420,30 @@ def factors_isomorphically_through(
         p = mat_mul(mat_transpose(span_basis + [vec_zero(d)] * len(kern)), cols_inv)
         if any(not face.contains(mat_vec(p, as_vector(r))) for r in source.rays):
             continue
-        images = [mat_vec(phi, fr) for fr in face_rays]
-        total = tuple(sum(img[k] for img in images) for k in range(target.ambient_dim))
+        total = mat_vec(phi, tuple(map(sum, zip(*face_rays))))
         target_face = face_of(target, total)
         if target_face.span_dim() != rk:
             continue
-        match = _match_rays_bijectively(images, target_face.rays())
-        if match is None:
+        pairing = pair_ray_images(rows, q, face.rays(), target_face.rays())
+        if pairing is None:
             continue
-        return Factorization(face, p, target_face, match[0], match[1])
+        return Factorization(face, p, target_face, *pairing)
     return None
 
 
 def purify(space: StateSpace, alpha: Union[State, Sequence]) -> BipartiteState | None:
     """A bipartite state on two copies of the space whose map is an order
-    isomorphism and whose B marginal is alpha; None when the self-duality or
-    transport search comes back empty."""
+    isomorphism eta: A* -> A with eta(u_A) = alpha, so that its B marginal
+    is alpha; None when no order isomorphism from the dual cone onto the
+    cone carries the unit u_A to alpha.
+
+    A state on two copies of A steers an interior alpha exactly when its map
+    is such an eta, so this is one isomorphism search pinned by u_A -> alpha:
+    the first eta in pairing order."""
     v = as_vector(alpha.vector if isinstance(alpha, State) else alpha)
     if not space.cone.interior_contains(v):
         raise ValueError("purification needs an interior state")
     if vec_dot(space.unit, v) != 1:
         raise ValueError("purification needs a normalized state")
-    eta = is_weakly_self_dual(space)
-    if eta is None:
-        return None
-    alpha0 = mat_vec(eta.matrix, space.unit)
-    scale = vec_dot(space.unit, alpha0)
-    eta_m = tuple(tuple(x / scale for x in row) for row in eta.matrix)
-    alpha0 = vec_scale(Fraction(1) / scale, alpha0)
-    if alpha0 == v:
-        return BipartiteState(space, space, eta_m)
-    tau = transport_automorphism(space, alpha0, v)
-    if tau is None:
-        return None
-    return BipartiteState(space, space, mat_mul(tau, eta_m))
+    eta = isomorphism_carrying(dual_cone(space.cone), space.cone, space.unit, v)
+    return None if eta is None else BipartiteState(space, space, eta.matrix)

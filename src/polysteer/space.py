@@ -7,12 +7,14 @@ pairing extreme rays. The images of a frame fix the map: the frame is the
 shortest prefix of the source's rays that holds a ray basis and rays linking
 the basis rays of each irreducible component. So only the frame's rays are
 paired by search, one integer linear system gives the frame's scales and
-with them the map, and the rest of the pairing is looked up: each other ray's
-image, made primitive, must be a target ray not yet used. The scales that a
-witness is pinned by (the first ray of each component at scale 1, or a
-transport's alpha onto beta) touch only basis rays, which lie in the frame.
-Every returned witness carries enough data to be re-verified by substitution
-alone.
+with them the map, and the pairing is looked up: each ray's image, made
+primitive, must be a target ray not yet used. The same lookup pairs the rays
+of a given map, for isomorphism states and face factorizations. A search is
+pinned by the first ray of each component at scale 1, or by an interior point
+alpha carried to beta: a transport, or a purification, which carries the unit
+of the dual cone onto a state. Either pin touches only basis rays, which lie
+in the frame. Every returned witness carries enough data to be re-verified by
+substitution alone.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from fractions import Fraction
 from itertools import count
 from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
-from .cone import PolyhedralCone, dual_cone, ordered_direct_sum, support_classes
+from .cone import IntVec, PolyhedralCone, dual_cone, ordered_direct_sum, support_classes
 from .dd import int_dot, polytope_vertices
 from .ratlin import (
     Matrix,
@@ -206,7 +208,7 @@ class OrderIsoWitness:
             return False
         if len(self.scales) != n or len(self.matrix) != d:
             return False
-        if invert(self.matrix) is None:
+        if any(len(row) != d for row in self.matrix) or invert(self.matrix) is None:
             return False
         rows, q = _integer_rows(self.matrix)
         for r, s, j in zip(source.rays, self.scales, self.ray_bijection):
@@ -219,10 +221,35 @@ class OrderIsoWitness:
 
 
 def _integer_rows(m: Matrix) -> tuple[list[list[int]], int]:
-    """The rows of a square matrix scaled to integers by one positive q, and q."""
-    d = len(m)
+    """The rows of a matrix scaled to integers by one positive q, and q."""
+    w = len(m[0]) if m else 0
     ints, q = integral_with_scale(x for row in m for x in row)
-    return [ints[k:k + d] for k in range(0, d * d, d)], q
+    return [ints[k * w:(k + 1) * w] for k in range(len(m))], q
+
+
+def pair_ray_images(
+    rows: Sequence[Sequence[int]], q: int, rays: Sequence[IntVec], targets: Sequence[IntVec]
+) -> tuple[tuple[int, ...], tuple[Fraction, ...]] | None:
+    """Pair the image of each ray under the map rows / q with the distinct
+    target ray it is a positive multiple of, and give that multiple.
+
+    The targets are stored rays, distinct and primitive, so an image's
+    primitive form names its one partner, at scale gcd / q. A zero image, a
+    miss, a target met twice or counts that differ pair nothing."""
+    if len(rays) != len(targets):
+        return None
+    unused = {tuple(t): j for j, t in enumerate(targets)}
+    pairing: list[int] = []
+    scales: list[Fraction] = []
+    for r in rays:
+        image = [int_dot(row, r) for row in rows]
+        g = math.gcd(*image)
+        j = unused.pop(tuple(x // g for x in image), None) if g else None
+        if j is None:
+            return None
+        pairing.append(j)
+        scales.append(Fraction(g, q))
+    return tuple(pairing), tuple(scales)
 
 
 ConeLike = Union[StateSpace, PolyhedralCone]
@@ -338,8 +365,7 @@ def _ray_permutations(
 def _isomorphisms(
     source: PolyhedralCone,
     target: PolyhedralCone,
-    frame: _Frame,
-    pins: Callable[[tuple[int, ...]], list[tuple[Sequence[int], int]]],
+    pins: Callable[[_Frame, tuple[int, ...]], list[tuple[Sequence[int], int]]],
 ) -> Iterator[OrderIsoWitness]:
     """Order isomorphisms source -> target, in lexicographic pairing order.
 
@@ -347,11 +373,10 @@ def _isomorphisms(
     images of the frame already fix it. So the search pairs only the frame's
     rays. Each frame ray off the basis must land on its scaled partner, a
     linear system with integer rows in the frame's scales, which
-    pins(frame pairing) completes with integer rows (coefficients, value).
-    The solution gives the map M; every other source ray's image under M,
-    made primitive, is looked up among the target's rays. A zero image, a
-    miss or a target ray met twice rejects the frame pairing; otherwise the
-    lookups give the rest of the pairing and the scales.
+    pins(frame, frame pairing) completes with integer rows (coefficients,
+    value). The solution gives the map M, and ``pair_ray_images`` pairs every
+    source ray's image under M with a target ray: on the frame it finds the
+    frame pairing and scales again, and off it the rest of the pairing.
 
     Two isomorphisms with one pairing differ by a map that scales each
     irreducible component by one factor. The frame's extra rays link each
@@ -362,12 +387,18 @@ def _isomorphisms(
     for; a free variable, set to 0 by the solve, fails the positivity check
     like any other non-solution.
     """
+    # Cones that differ in these counts are not isomorphic, and the pairing
+    # search reads the target's rays by source index.
+    if (source.ambient_dim, len(source.rays), len(source.facets)) != (
+        target.ambient_dim, len(target.rays), len(target.facets)
+    ):
+        return
+    frame = _frame(source)
     d, length = source.ambient_dim, frame.length
-    lookup = {r: j for j, r in enumerate(target.rays)}
     inv_rows, inv_q = _integer_rows(frame.base_inv)
     inv_cols = mat_transpose(inv_rows)
     for head in _ray_permutations(source, target, length):
-        eqs = list(pins(head))
+        eqs = list(pins(frame, head))
         for j, cf in frame.extras.items():
             for k in range(d):
                 row = [0] * length
@@ -387,37 +418,27 @@ def _isomorphisms(
         ]
         rows = [[int_dot(u, col) for col in inv_cols] for u in images]
         denom = sq * inv_q
+        pairing = pair_ray_images(rows, denom, source.rays, target.rays)
+        if pairing is None:
+            continue
         matrix = tuple(tuple(Fraction(x, denom) for x in row) for row in rows)
-        perm, scales, used = list(head), list(s), set(head)
-        for r in source.rays[length:]:
-            image = [int_dot(row, r) for row in rows]
-            g = math.gcd(*image)
-            j = lookup.get(tuple(x // g for x in image)) if g else None
-            if j is None or j in used:
-                break
-            used.add(j)
-            perm.append(j)
-            scales.append(Fraction(g, denom))
-        else:
-            witness = OrderIsoWitness(matrix, tuple(perm), tuple(scales))
-            if witness.verify(source, target):
-                yield witness
+        witness = OrderIsoWitness(matrix, *pairing)
+        if witness.verify(source, target):
+            yield witness
 
 
 def order_isomorphisms(source: ConeLike, target: ConeLike) -> Iterator[OrderIsoWitness]:
     """All order isomorphisms source -> target, in lexicographic pairing
     order, each with the first ray of every irreducible component of the
     source at scale 1."""
-    s, t = _cone_of(source), _cone_of(target)
-    if s.ambient_dim != t.ambient_dim:
-        return
-    if len(s.rays) != len(t.rays) or len(s.facets) != len(t.facets):
-        return
-    frame = _frame(s)
-    pinned = [
-        (tuple(int(j == first) for j in range(frame.length)), 1) for first in frame.firsts
-    ]
-    yield from _isomorphisms(s, t, frame, lambda head: pinned)
+
+    def pinned(frame: _Frame, head: tuple[int, ...]) -> list[tuple[Sequence[int], int]]:
+        return [
+            (tuple(int(j == first) for j in range(frame.length)), 1)
+            for first in frame.firsts
+        ]
+
+    yield from _isomorphisms(_cone_of(source), _cone_of(target), pinned)
 
 
 def order_iso_search(source: ConeLike, target: ConeLike) -> OrderIsoWitness | None:
@@ -430,6 +451,29 @@ def is_weakly_self_dual(space: ConeLike) -> OrderIsoWitness | None:
     return order_iso_search(dual_cone(c), c)
 
 
+def isomorphism_carrying(
+    source: ConeLike, target: ConeLike, alpha: Sequence, beta: Sequence
+) -> OrderIsoWitness | None:
+    """The first order isomorphism source -> target, in pairing order, that
+    carries the interior point alpha of the source to beta, or None."""
+    s, t = _cone_of(source), _cone_of(target)
+    # alpha as a combination of the source rays; the map sends it to the
+    # same combination of the scaled partners, which must be beta. The solve
+    # zeroes the free variables, so the weights sit on the greedy ray basis,
+    # inside the frame; they and beta are scaled to integers together once.
+    weights = solve_linear(mat_transpose(s.rays), as_vector(alpha))
+    ints = integral((*weights, *as_vector(beta)))
+    w, rhs = ints[:len(weights)], ints[len(weights):]
+
+    def pins(frame: _Frame, head: tuple[int, ...]) -> list[tuple[Sequence[int], int]]:
+        return [
+            (tuple(x * t.rays[j][k] for x, j in zip(w, head)), y)
+            for k, y in enumerate(rhs)
+        ]
+
+    return next(_isomorphisms(s, t, pins), None)
+
+
 def transport_automorphism(
     space: ConeLike, alpha: Union[State, Sequence], beta: Union[State, Sequence]
 ) -> Matrix | None:
@@ -440,21 +484,7 @@ def transport_automorphism(
     b = as_vector(beta.vector if isinstance(beta, State) else beta)
     if not (c.interior_contains(a) and c.interior_contains(b)):
         raise ValueError("transport requires interior points")
-    # alpha as a combination of the rays; the map sends it to the same
-    # combination of the scaled partners, which must be beta. The solve
-    # zeroes the free variables, so the weights sit on the greedy ray basis,
-    # inside the frame; they and beta are scaled to integers together once.
-    weights = solve_linear(mat_transpose(c.rays), a)
-    ints = integral((*weights, *b))
-    w, rhs = ints[:len(weights)], ints[len(weights):]
-
-    def pins(head: tuple[int, ...]) -> list[tuple[Sequence[int], int]]:
-        return [
-            (tuple(x * c.rays[j][k] for x, j in zip(w, head)), y)
-            for k, y in enumerate(rhs)
-        ]
-
-    witness = next(_isomorphisms(c, c, _frame(c), pins), None)
+    witness = isomorphism_carrying(c, c, a, b)
     return None if witness is None else witness.matrix
 
 

@@ -427,6 +427,20 @@ class TestVerify:
         assert code == 1
         assert "witness fails substitution" in vout
 
+    def test_widened_witness_fails_substitution(self, capsys, lib_path, tmp_path):
+        # Rows of the wrong width fail the substitution check; they must not
+        # raise from the inverse inside it.
+        _, out, _ = run(capsys, "self-dual", lib_path, "square_space", "--json")
+        report = json.loads(out)
+        for row in report["certificates"]["witness"]["matrix"]:
+            row.append("0")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(report))
+        code, vout, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert "witness fails substitution" in vout
+        assert "not square" not in vout
+
     def test_tampered_inputs_break_digest(self, capsys, lib_path, tmp_path):
         _, out, _ = run(
             capsys, "check-steering", lib_path, "nonsteering_table", "--json"

@@ -12,10 +12,10 @@ from fractions import Fraction
 
 import pytest
 
+from polysteer import composite
 from polysteer.cone import cone_from_facets, cone_from_rays, dual_cone
 from polysteer.composite import (
     BipartiteState,
-    _match_rays_bijectively,
     conditional_state,
     decomposition_program,
     factors_isomorphically_through,
@@ -30,15 +30,31 @@ from polysteer.composite import (
     min_tensor,
     purify,
 )
-from polysteer.ratlin import LPOutcome, as_matrix, as_vector, mat_mul, mat_vec, rank, vec_dot
+from polysteer.dd import int_dot
+from polysteer.fixtures import fixture_library
+from polysteer.ratlin import (
+    LPOutcome,
+    as_matrix,
+    as_vector,
+    invert,
+    mat_mul,
+    mat_vec,
+    primitive,
+    rank,
+    vec_dot,
+    vec_scale,
+)
 from polysteer.space import (
     Effect,
     Observable,
+    OrderIsoWitness,
     StateSpace,
     diamond_dual,
     is_homogeneous,
     is_weakly_self_dual,
     order_isomorphisms,
+    pair_ray_images,
+    transport_automorphism,
 )
 
 SQUARE_RAYS = [(-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1)]
@@ -305,18 +321,26 @@ def test_identity_on_dual_pair_is_isomorphism_state():
 
 
 def test_ray_matching_by_primitive_lookup():
-    # Each image is looked up by its primitive form among the stored rays.
-    targets = [(1, 0), (0, 1)]
+    # Each image under the integer rows over q is looked up by its primitive
+    # form among the stored rays, at scale gcd / q. Over q = 2 these rows
+    # send e_1 to (0, 3) and e_2 to (1/2, 0).
+    rays, targets = [(1, 0), (0, 1)], [(1, 0), (0, 1)]
     f = Fraction
-    assert _match_rays_bijectively([(f(0), f(3)), (f(1, 2), f(0))], targets) == (
+    assert pair_ray_images([[0, 1], [6, 0]], 2, rays, targets) == (
         (1, 0), (f(3), f(1, 2))
     )
     # A map sending two rays onto one target ray, a zero image, a negative
     # multiple, or counts that differ pair nothing.
-    assert _match_rays_bijectively([(f(2), f(0)), (f(1), f(0))], targets) is None
-    assert _match_rays_bijectively([(f(0), f(0)), (f(1), f(0))], targets) is None
-    assert _match_rays_bijectively([(f(-1), f(0)), (f(0), f(1))], targets) is None
-    assert _match_rays_bijectively([(f(1), f(0))], targets) is None
+    assert pair_ray_images([[2, 1], [0, 0]], 1, rays, targets) is None
+    assert pair_ray_images([[0, 1], [0, 0]], 1, rays, targets) is None
+    assert pair_ray_images([[-1, 0], [0, 1]], 1, rays, targets) is None
+    assert pair_ray_images([[1, 0], [0, 1]], 1, rays[:1], targets) is None
+    # A map that is not square, as a face factorization passes: two rays of
+    # the plane onto two rays of space, over q = 3.
+    wide = [[1, 0], [0, 1], [1, 1]]
+    assert pair_ray_images(wide, 3, rays, [(0, 1, 1), (1, 0, 1)]) == (
+        (1, 0), (f(1, 3), f(1, 3))
+    )
 
 
 def test_doubling_map_is_not_extremal():
@@ -525,3 +549,197 @@ def test_purification_grid_matches_homogeneity():
         if purify(sq, alpha) is None
     ]
     assert missed
+
+
+# --- One pinned search and one matcher against what they replaced ----------
+#
+# The references are the code as it ran before: purify chained a
+# self-duality search, a normalisation and a transport search, and the
+# isomorphism-state and factorization tests paired ray images with a
+# Fraction matcher. Witnesses must agree entry for entry.
+
+
+def fraction_match_rays(images, targets):
+    """Pair each image with a distinct target ray it is a positive multiple of."""
+    if len(images) != len(targets):
+        return None
+    index = {tuple(t): j for j, t in enumerate(targets)}
+    bijection, scales = [], []
+    for img in images:
+        j = index.get(primitive(img)) if any(img) else None
+        if j is None or j in bijection:
+            return None
+        t = targets[j]
+        k0 = next(k for k, v in enumerate(t) if v)
+        bijection.append(j)
+        scales.append(img[k0] / t[k0])
+    return tuple(bijection), tuple(scales)
+
+
+def fraction_is_isomorphism_state(omega):
+    source = dual_cone(omega.space_a.cone)
+    target = omega.space_b.cone
+    if source.ambient_dim != target.ambient_dim:
+        return None
+    if invert(omega.matrix) is None:
+        return None
+    match = fraction_match_rays([omega.apply(r) for r in source.rays], target.rays)
+    if match is None:
+        return None
+    witness = OrderIsoWitness(omega.matrix, match[0], match[1])
+    return witness if witness.verify(source, target) else None
+
+
+def two_search_purify(space, alpha):
+    """The purification matrix by a self-duality witness eta, normalised,
+    then an automorphism carrying eta(u) to alpha; None when either fails."""
+    v = as_vector(alpha)
+    eta = is_weakly_self_dual(space)
+    if eta is None:
+        return None
+    alpha0 = mat_vec(eta.matrix, space.unit)
+    scale = vec_dot(space.unit, alpha0)
+    eta_m = tuple(tuple(x / scale for x in row) for row in eta.matrix)
+    alpha0 = vec_scale(Fraction(1) / scale, alpha0)
+    if alpha0 == v:
+        return eta_m
+    tau = transport_automorphism(space, alpha0, v)
+    return None if tau is None else mat_mul(tau, eta_m)
+
+
+def purify_grid():
+    """(name, space, alpha) for every fixture space at its barycentre and at
+    (1 - 1/k) bary + (1/k) v for k = 2, 3 over its vertex states v."""
+    for name, sp in fixture_library().spaces.items():
+        bary = sp.barycenter()
+        yield name, sp, bary
+        for k in (2, 3):
+            t = Fraction(1, k)
+            for vert in sp.vertex_states():
+                yield name, sp, tuple((1 - t) * b + t * x for b, x in zip(bary, vert))
+
+
+def positive_compositions(n, m):
+    """Every n-tuple of positive integers summing to m, over m, in
+    lexicographic order: acceptance criterion 4's simplex grids."""
+    if n == 1:
+        yield (Fraction(1),)
+        return
+    for i in range(1, m - n + 2):
+        for rest in positive_compositions(n - 1, m - i):
+            yield (Fraction(i, m), *(x * (m - i) / m for x in rest))
+
+
+def test_purify_matches_the_two_search_reference():
+    lib = fixture_library().spaces
+    cases = [(sp, alpha) for _, sp, alpha in purify_grid()]
+    assert len(cases) == 84
+    for name, m in (("simplex_2", 12), ("simplex_3", 6), ("simplex_4", 7)):
+        cases += [(lib[name], alpha) for alpha in positive_compositions(lib[name].dim, m)]
+    assert len(cases) == 84 + 41
+    found = 0
+    for sp, alpha in cases:
+        omega = purify(sp, alpha)
+        want = two_search_purify(sp, alpha)
+        assert (omega is None) == (want is None), alpha
+        if omega is not None:
+            # repr tells a Fraction from an int of the same value.
+            assert repr(omega.matrix) == repr(as_matrix(want)), alpha
+            found += 1
+    assert found == 23 + 41
+
+
+def isomorphism_test_states():
+    """The fixture states, and the square's and the hexagon's isomorphism
+    states composed with each automorphism of the square or hexagon."""
+    lib = fixture_library()
+    states = list(lib.states.values())
+    for name in ("square_space", "hexagon_space"):
+        sp = lib.spaces[name]
+        eta = is_weakly_self_dual(sp).matrix
+        states += [
+            BipartiteState(sp, sp, mat_mul(aut.matrix, eta))
+            for aut in order_isomorphisms(sp.cone, sp.cone)
+        ]
+    return states
+
+
+def witness_fields(w):
+    return None if w is None else repr((w.matrix, w.ray_bijection, w.scales))
+
+
+def test_isomorphism_state_witnesses_match_the_fraction_matcher():
+    states = isomorphism_test_states()
+    assert len(states) == 8 + 8 + 12
+    found = 0
+    for omega in states:
+        got = is_isomorphism_state(omega)
+        assert witness_fields(got) == witness_fields(fraction_is_isomorphism_state(omega))
+        found += got is not None
+    # square_iso, the classical correlated pair and triple, the doubling map
+    # and every composed state.
+    assert found == 4 + 8 + 12
+
+
+def test_factorization_witnesses_match_the_fraction_matcher(monkeypatch):
+    def factors(omega):
+        fac = factors_isomorphically_through(
+            omega.matrix, dual_cone(omega.space_a.cone), omega.space_b.cone
+        )
+        return None if fac is None else repr(fac)
+
+    states = isomorphism_test_states()
+    got = [factors(omega) for omega in states]
+
+    def fraction_pairing(rows, q, rays, targets):
+        images = [tuple(Fraction(int_dot(row, r), q) for row in rows) for r in rays]
+        return fraction_match_rays(images, targets)
+
+    monkeypatch.setattr(composite, "pair_ray_images", fraction_pairing)
+    assert got == [factors(omega) for omega in states]
+    # All but two_squares_correlated and cube_to_hexagon factor.
+    assert sum(g is not None for g in got) == len(states) - 2
+
+
+# --- The paper's interior self-steered set ----------------------------------
+#
+# A state on two copies of A steers an interior alpha exactly when its map is
+# an order isomorphism eta: A* -> A with eta(u_A) = alpha, so the interior
+# self-steered states are the normalised eta(u_A), and purify succeeds at an
+# interior state exactly when the state is one of them.
+
+
+def interior_self_steered(space):
+    points = set()
+    for w in order_isomorphisms(dual_cone(space.cone), space.cone):
+        image = mat_vec(w.matrix, space.unit)
+        points.add(vec_scale(1 / vec_dot(space.unit, image), image))
+    return points
+
+
+def test_purify_succeeds_exactly_on_the_interior_self_steered_set():
+    lib = fixture_library().spaces
+    centre = {(0, 0, 1)}
+    want = {
+        "square_space": centre,
+        "pentagon_space": centre,
+        "hexagon_space": centre,
+        "cube_space": set(),
+        "octahedron_space": set(),
+    }
+    grid = {}
+    for name, _, alpha in purify_grid():
+        grid.setdefault(name, []).append(alpha)
+    for name, points in want.items():
+        sp = lib[name]
+        assert interior_self_steered(sp) == points, name
+        purified = {a for a in grid[name] + list(points) if purify(sp, a) is not None}
+        assert purified == points, name
+    # The pentagon's centre of symmetry is not its barycentre.
+    polygons = ("square_space", "pentagon_space", "hexagon_space")
+    assert [n for n in polygons if purify(lib[n], lib[n].barycenter())] == [
+        "square_space", "hexagon_space"
+    ]
+    # A simplex is homogeneous: every interior state purifies.
+    for name in ("simplex_2", "simplex_3", "simplex_4"):
+        assert all(purify(lib[name], alpha) is not None for alpha in grid[name]), name

@@ -194,6 +194,20 @@ def test_order_iso_square_to_dual():
     assert w is not None and w.verify(dual_cone(sq), sq)
 
 
+def test_witness_of_another_width_does_not_verify():
+    # d rows of another width, or ragged rows, answer False instead of
+    # raising from the inverse.
+    sq = square_space().cone
+    w = is_weakly_self_dual(sq)
+    m = w.matrix
+    for bad in (
+        tuple(row + (Fraction(0),) for row in m),
+        (m[0] + (Fraction(0),),) + m[1:],
+        (m[0][:2],) + m[1:],
+    ):
+        assert OrderIsoWitness(bad, w.ray_bijection, w.scales).verify(dual_cone(sq), sq) is False
+
+
 def test_square_automorphism_group():
     sq = square_space().cone
     auts = list(order_isomorphisms(sq, sq))
