@@ -9,6 +9,8 @@ cones are set-equal exactly when the dataclasses are equal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 from typing import Iterable, Sequence
 
 from . import dd
@@ -82,17 +84,18 @@ def _integral(x: Sequence, ambient_dim: int) -> IntVec:
 
 
 def _primitive_generators(vectors: Iterable[Sequence], ambient_dim: int) -> list[IntVec]:
-    """Each vector made primitive, after checking it has ambient_dim entries."""
+    """Each vector made primitive, after checking it has ambient_dim entries,
+    with repeats dropped in first-occurrence order."""
     out = [primitive(v) for v in vectors]
     for v in out:
         if len(v) != ambient_dim:
             raise ConeError(f"vector has {len(v)} entries, the cone lives in {ambient_dim}")
-    return out
+    return list(dict.fromkeys(out))
 
 
-def dd_convert(rays: Sequence[IntVec], ambient_dim: int) -> list[IntVec]:
+def dd_convert(rays: Sequence[IntVec], ambient_dim: int) -> list[tuple[IntVec, int]]:
     """Facet normals of the cone generated by the primitive ``rays`` (requires
-    full span).
+    full span), each with its incidence mask over the rays.
 
     Double description proves the span itself, so ``rank`` runs only to
     word the error when it does not hold.
@@ -105,9 +108,9 @@ def dd_convert(rays: Sequence[IntVec], ambient_dim: int) -> list[IntVec]:
         ) from None
 
 
-def dd_convert_inv(facets: Sequence[IntVec], ambient_dim: int) -> list[IntVec]:
+def dd_convert_inv(facets: Sequence[IntVec], ambient_dim: int) -> list[tuple[IntVec, int]]:
     """Extreme rays of {x : f.x >= 0} over the primitive ``facets`` (requires a
-    pointed cone).
+    pointed cone), each with its incidence mask over the facets.
 
     As in ``dd_convert``, a kernel vector is computed only to name the line
     once double description has found that the facets do not span.
@@ -122,42 +125,50 @@ def dd_convert_inv(facets: Sequence[IntVec], ambient_dim: int) -> list[IntVec]:
 
 
 def _extreme_generators(
-    generators: Iterable[IntVec], duals: Sequence[IntVec]
+    generators: Sequence[IntVec], duals: Sequence[tuple[IntVec, int]]
 ) -> list[IntVec]:
-    """The primitive generators extreme in the cone they span, sorted.
+    """The generators extreme in the cone they span, sorted.
 
-    ``duals`` are the irredundant facets of that cone, which must be pointed.
-    The duals tight on a generator g cut out the smallest face holding g. If
-    g is extreme that face is g's ray, which holds no other generator; if not,
-    the face has an extreme ray, which is another generator tight on every
-    dual g is tight on. So g is extreme exactly when no other generator's
-    incidence mask contains g's (Fukuda and Prodon 1996).
+    ``generators`` are primitive and distinct. ``duals`` are the irredundant
+    facets of that cone, which must be pointed, each with its incidence mask
+    over the generators, as ``dd.extreme_rays`` returns them. The duals tight
+    on g_i cut out the smallest face holding g_i, and the AND of their masks
+    is the set of generators in that face. If g_i is extreme that face is
+    g_i's ray, which holds no other generator; if not, the face has an
+    extreme ray, which is another generator. So g_i is extreme exactly when
+    that AND is 1 << i (Fukuda and Prodon 1996), and no dot product is taken.
     """
-    gens = sorted(set(generators))
-    masks = [sum(1 << k for k, h in enumerate(duals) if dd.int_dot(h, g) == 0) for g in gens]
-    return [g for g, z in zip(gens, masks) if len([x for x in masks if x & z == z]) == 1]
+    masks = [m for _, m in duals]
+    full = (1 << len(generators)) - 1
+    return sorted(
+        g
+        for i, g in enumerate(generators)
+        if reduce(and_, [m for m in masks if m >> i & 1], full) == 1 << i
+    )
 
 
 def cone_from_rays(rays: Iterable[Sequence], ambient_dim: int) -> PolyhedralCone:
     rays = _primitive_generators(rays, ambient_dim)
-    facets = dd_convert(rays, ambient_dim)
+    pairs = dd_convert(rays, ambient_dim)
+    facets = [f for f, _ in pairs]
     if rank(facets) < ambient_dim:
         line = nullspace(facets, ncols=ambient_dim)
         hint = primitive(line[0]) if line else "a nonzero vector"
         raise ConeError(f"not pointed: cone contains the line through {hint}")
-    canonical_rays = _extreme_generators(rays, facets)
-    return PolyhedralCone(ambient_dim, tuple(canonical_rays), tuple(sorted(facets)))
+    canonical_rays = _extreme_generators(rays, pairs)
+    return PolyhedralCone(ambient_dim, tuple(canonical_rays), tuple(facets))
 
 
 def cone_from_facets(facets: Iterable[Sequence], ambient_dim: int) -> PolyhedralCone:
     facets = _primitive_generators(facets, ambient_dim)
-    rays = dd_convert_inv(facets, ambient_dim)
+    pairs = dd_convert_inv(facets, ambient_dim)
+    rays = [r for r, _ in pairs]
     if rank(rays) < ambient_dim:
         raise ConeError(
             f"not generating: facet cone spans {rank(rays)} of {ambient_dim} dimensions"
         )
-    canonical_facets = _extreme_generators(facets, rays)
-    return PolyhedralCone(ambient_dim, tuple(sorted(rays)), tuple(canonical_facets))
+    canonical_facets = _extreme_generators(facets, pairs)
+    return PolyhedralCone(ambient_dim, tuple(rays), tuple(canonical_facets))
 
 
 def dual_cone(c: PolyhedralCone) -> PolyhedralCone:

@@ -1,9 +1,11 @@
 """Double description over the integers, plus exact polytope vertex enumeration.
 
 ``extreme_rays`` converts a homogeneous inequality description of a pointed
-cone into its extreme rays. Running it on a ray matrix instead computes the
-extreme rays of the dual cone, i.e. the facets of the primal, so the same
-routine drives both conversion directions.
+cone into its extreme rays, each with its incidence mask over the input rows.
+Running it on a ray matrix instead computes the extreme rays of the dual
+cone, i.e. the facets of the primal, so the same routine drives both
+conversion directions; the masks then say which input rays lie on each
+facet, which is all the cone layer needs to tell the extreme ones.
 
 ``polytope_vertices`` enumerates a polytope's vertices through
 ``extreme_rays``. Its caller supplies a relative-interior point; the rows
@@ -44,23 +46,30 @@ def int_dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, u, v))
 
 
-def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[IntVec]:
+def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[IntVec, int]]:
     """Extreme rays of {x : h.x >= 0 for h in rows}; requires a pointed result.
+
+    Returns one (ray, mask) pair per extreme ray, sorted, where the mask has
+    bit i set exactly when row i is tight on the ray (rows[i].ray == 0).
 
     Incremental double description with the combinatorial adjacency test:
     rays p, m are adjacent iff no third ray is tight on every inserted row
     that both p and m are tight on. Each ray carries its incidence mask over
-    the inserted rows (bit i for row i) and its products with every row, both
-    updated as rows are inserted, and a pair tight on fewer than dim - 2
-    common rows is never adjacent (Fukuda and Prodon, "Double description
-    method revisited", 1996). The next row inserted is the one that cuts off
-    the most current rays; once none cuts any off, the rest are redundant.
+    the inserted rows and its products with every row, both updated as rows
+    are inserted, and a pair tight on fewer than dim - 2 common rows is never
+    adjacent (Fukuda and Prodon, "Double description method revisited",
+    1996). The next row inserted is the one that cuts off the most current
+    rays; once none cuts any off, the rest are redundant, and their bits of
+    each returned mask are read off the final products.
 
     The rows are integer, at any positive scale: only the signs of the
     products and the incidence masks decide, the starting rays are made
     primitive, and each fresh ray and its products are divided exactly by
     the ray's gcd.
     """
+    for i, h in enumerate(rows):
+        if len(h) != dim:
+            raise ValueError(f"row {i} has {len(h)} entries, expected {dim}")
     base_idx = independent_rows(rows)
     if len(base_idx) < dim:
         raise ValueError("inequality rows do not span the space; cone is not pointed")
@@ -115,7 +124,10 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[IntVec]:
         rays = [rays[j] for j in keep] + fresh
         dots = [dots[j] for j in keep] + fresh_dots
         inc = [inc[j] for j in plus] + [inc[j] | bit for j in zero] + fresh_inc
-    return sorted(set(rays))
+    masks = [
+        z | sum(1 << i for i in remaining if d[i] == 0) for z, d in zip(inc, dots)
+    ]
+    return sorted(set(zip(rays, masks)))
 
 
 def polytope_vertices(
@@ -132,9 +144,15 @@ def polytope_vertices(
     the affine hull. Otherwise this raises ValueError. The other rows are
     written over a primitive integer basis of the hull through the point,
     homogenized and handed to double description, so the result is exact.
-    Raises on unbounded input.
+    Raises ValueError on unbounded input and on a row whose width is not
+    the point's.
     """
     dim = len(interior)
+    for i, (g, _) in enumerate(ineqs):
+        if len(g) != dim:
+            raise ValueError(
+                f"row {i} has {len(g)} coefficients, the interior point has {dim}"
+            )
     x0, s = integral_with_scale(interior)  # the point is x0 / s
     # Row g.x >= h scaled to integers G.x >= H; its slack at the point, times s.
     rows = [(v[:dim], v[dim]) for v in (integral((*g, h)) for g, h in ineqs)]
@@ -171,7 +189,7 @@ def polytope_vertices(
         raise ValueError("polytope is unbounded") from None
     columns = list(zip(*basis))
     vertices = []
-    for r in cone_rays:
+    for r, _ in cone_rays:
         w, t = r[:q], r[q]
         if t <= 0:
             if t == 0:

@@ -1,16 +1,17 @@
 """Exact Gaussian elimination: linear solve, rank, nullspace, inverse.
 
-Everything runs on one fraction-free pass (Bareiss 1968): each row is scaled
-once to integers, and rows are combined by cross-multiplication and divided
-by their gcd. Results come from the reduced row echelon form, which is
-unique, so they do not depend on the order the pass pivots in.
+Everything runs on one fraction-free pass (Bareiss 1968): each row the pass
+reaches is scaled once to integers, and rows are combined by
+cross-multiplication and divided by their gcd. Results come from the
+reduced row echelon form, which is unique, so they do not depend on the
+order the pass pivots in.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .qarith import Matrix, Vector, integral, vec_zero
 
@@ -23,27 +24,30 @@ def _clear(v: list[int], b: list[int], c: int) -> list[int]:
     return [e // g for e in w] if g > 1 else w
 
 
-def _eliminate(a: Sequence[Sequence], reduce: bool = False):
+def _eliminate(a: Iterable[Sequence], reduce: bool = False):
     """The one elimination pass over the rows of A.
 
     Returns the indices of the rows independent of all the rows before them
     (the greedy first maximal independent subset) and, for each, its pivot
-    column and reduced integer row. The forward sweep reduces each row
-    against the rows chosen so far: a chosen row is zero in the pivot columns
-    of the rows chosen before it, so one sweep in order reduces a row fully.
-    With `reduce`, back-substitution then clears each pivot column from the
-    rows chosen before it too, so that dividing a row by its pivot entry
-    gives its row of the reduced row echelon form.
+    column and reduced integer row. The forward sweep scales each row to
+    integers when it reaches it and reduces it against the rows chosen so
+    far: a chosen row is zero in the pivot columns of the rows chosen before
+    it, so one sweep in order reduces a row fully. The sweep stops once the
+    chosen rows span every column; the rows after that are only checked for
+    width. With `reduce`, back-substitution then clears each pivot column
+    from the rows chosen before it too, so that dividing a row by its pivot
+    entry gives its row of the reduced row echelon form.
     """
-    rows = [integral(row) for row in a]
-    if any(len(row) != len(rows[0]) for row in rows):
+    a = list(a)
+    ncols = len(a[0]) if a else 0
+    if any(len(row) != ncols for row in a):
         raise ValueError("ragged matrix")
-    ncols = len(rows[0]) if rows else 0
     chosen: list[int] = []
     basis: list[tuple[int, list[int]]] = []  # (pivot column, reduced row)
-    for i, v in enumerate(rows):
+    for i, row in enumerate(a):
         if len(basis) == ncols:
             break
+        v = integral(row)
         for c, b in basis:
             if v[c]:
                 v = _clear(v, b, c)
@@ -63,12 +67,12 @@ def _eliminate(a: Sequence[Sequence], reduce: bool = False):
     return chosen, basis
 
 
-def independent_rows(a: Sequence[Sequence]) -> list[int]:
+def independent_rows(a: Iterable[Sequence]) -> list[int]:
     """Indices of the rows of A independent of all the rows before them."""
     return _eliminate(a)[0]
 
 
-def rank(a: Sequence[Sequence]) -> int:
+def rank(a: Iterable[Sequence]) -> int:
     return len(independent_rows(a))
 
 

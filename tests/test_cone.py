@@ -28,7 +28,7 @@ from polysteer.cone import (
     ordered_direct_sum,
 )
 from polysteer.composite import kron_vec, max_tensor, min_tensor
-from polysteer.dd import extreme_rays, polytope_vertices
+from polysteer.dd import extreme_rays, int_dot, polytope_vertices
 from polysteer.fixtures import fixture_library
 from polysteer.ratlin import LinearProgram, lp_feasible, primitive, rank
 
@@ -178,8 +178,43 @@ def test_generators_must_have_the_ambient_length():
 
 
 def test_extreme_rays_filters_non_extremal_generators():
-    rays = extreme_rays([(1, 0), (0, 1), (1, 1)], 2)
-    assert rays == [(0, 1), (1, 0)]
+    # Each ray comes with the rows tight on it: (0, 1) on row 0, (1, 0) on
+    # row 1; row 2 is never inserted and is tight on neither.
+    pairs = extreme_rays([(1, 0), (0, 1), (1, 1)], 2)
+    assert pairs == [((0, 1), 0b001), ((1, 0), 0b010)]
+
+
+def test_extreme_rays_rejects_rows_of_the_wrong_width():
+    with pytest.raises(ValueError, match="row 2 has 3 entries, expected 2"):
+        extreme_rays([(1, 0), (0, 1), (1, 1, 0)], 2)
+    with pytest.raises(ValueError, match="row 0 has 1 entries, expected 2"):
+        extreme_rays([(1,), (0, 1), (1, 0)], 2)
+
+
+def exact_pairs(rows, dim):
+    """extreme_rays(rows, dim), after checking every mask against the rows
+    tight on its ray by integer dot products, and that no ray repeats."""
+    pairs = extreme_rays(rows, dim)
+    for ray, mask in pairs:
+        assert mask == sum(1 << i for i, h in enumerate(rows) if int_dot(h, ray) == 0)
+    # perfbench's dd.rays_out reads len(out): one pair per distinct ray.
+    assert len(pairs) == len({r for r, _ in pairs})
+    return pairs
+
+
+def test_extreme_rays_masks_are_the_tight_rows():
+    rng = random.Random(11)
+    for trial in range(40):
+        dim = 1 + trial % 5
+        rows, c = random_cone(rng, dim)
+        # Duplicates, positive multiples and interior points, unreduced.
+        gens = with_redundant_generators(rng, rows)
+        facets = [f for f, _ in exact_pairs(gens, dim)]
+        assert facets == list(c.facets)
+        assert [r for r, _ in exact_pairs(facets, dim)] == list(c.rays)
+    for kind, sa, sb in tensor_pairs(TENSOR_PAIRS):
+        gens, dim = tensor_generators(kind, sa, sb)
+        exact_pairs(gens, dim)
 
 
 def test_double_description_random():
@@ -202,15 +237,54 @@ def test_double_description_random():
             assert c.contains(x) == in_cone_lp(rows, x)
 
 
+def dd_rays(rows, dim):
+    return [r for r, _ in extreme_rays(rows, dim)]
+
+
 def two_pass_from_rays(rays, dim):
     """The reference canonicalization: DD forward, then DD back."""
-    facets = extreme_rays(rays, dim)
-    return PolyhedralCone(dim, tuple(extreme_rays(facets, dim)), tuple(facets))
+    facets = dd_rays(rays, dim)
+    return PolyhedralCone(dim, tuple(dd_rays(facets, dim)), tuple(facets))
 
 
 def two_pass_from_facets(facets, dim):
-    rays = extreme_rays(facets, dim)
-    return PolyhedralCone(dim, tuple(rays), tuple(extreme_rays(rays, dim)))
+    rays = dd_rays(facets, dim)
+    return PolyhedralCone(dim, tuple(rays), tuple(dd_rays(rays, dim)))
+
+
+# The tensor pairs the benchmark runs, and two more: each of their tensor
+# conversions takes tens of milliseconds, but the two-pass reference's back
+# pass on them is the slow many-rows direction (about 1.5 s for pentagon²).
+TENSOR_PAIRS = [
+    ("square_space", "square_space"),
+    ("square_space", "pentagon_space"),
+    ("simplex_3", "cube_space"),
+    ("square_space", "cube_space"),
+]
+LARGER_TENSOR_PAIRS = [
+    ("square_space", "hexagon_space"),
+    ("pentagon_space", "pentagon_space"),
+]
+
+
+def tensor_pairs(pairs):
+    lib = fixture_library()
+    for a, b in pairs:
+        for kind in ("min", "max"):
+            yield kind, lib.space(a), lib.space(b)
+
+
+def tensor_factors(kind, sa, sb):
+    """The vectors a min (max) tensor multiplies: the rays (facets)."""
+    if kind == "min":
+        return sa.cone.rays, sb.cone.rays
+    return sa.cone.facets, sb.cone.facets
+
+
+def tensor_generators(kind, sa, sb):
+    """The rows a min (max) tensor converts, and their dimension."""
+    fs, gs = tensor_factors(kind, sa, sb)
+    return [tuple(x * y for x in f for y in g) for f in fs for g in gs], sa.dim * sb.dim
 
 
 def test_one_pass_canonicalization_matches_two_passes():
@@ -218,36 +292,15 @@ def test_one_pass_canonicalization_matches_two_passes():
     for _ in range(20):
         dim = rng.randint(2, 5)
         rows, _ = random_cone(rng, dim)
-        # Duplicates, positive multiples and points inside the cone.
-        gens = rows + [rng.choice(rows) for _ in range(2)]
-        gens += [tuple(rng.randint(2, 3) * a for a in rng.choice(rows))]
-        gens += [tuple(a + b for a, b in zip(rng.choice(rows), rng.choice(rows)))]
-        gens += [tuple(sum(col) for col in zip(*rows))]
-        rng.shuffle(gens)
+        gens = with_redundant_generators(rng, rows)
         assert cone_from_rays(gens, dim) == two_pass_from_rays(gens, dim)
         assert cone_from_facets(gens, dim) == two_pass_from_facets(gens, dim)
 
-    lib = fixture_library()
-    pairs = [
-        ("min", "square_space", "square_space"),
-        ("max", "square_space", "square_space"),
-        ("min", "square_space", "pentagon_space"),
-        ("max", "square_space", "pentagon_space"),
-        ("min", "simplex_3", "cube_space"),
-        ("max", "simplex_3", "cube_space"),
-        ("min", "square_space", "cube_space"),
-        ("max", "square_space", "cube_space"),
-    ]
-    for kind, a, b in pairs:
-        sa, sb = lib.space(a), lib.space(b)
-        dim = sa.dim * sb.dim
-        if kind == "min":
-            fs, gs = sa.cone.rays, sb.cone.rays
-        else:
-            fs, gs = sa.cone.facets, sb.cone.facets
-        gens = [tuple(x * y for x in f for y in g) for f in fs for g in gs]
+    for kind, sa, sb in tensor_pairs(TENSOR_PAIRS + LARGER_TENSOR_PAIRS):
+        gens, dim = tensor_generators(kind, sa, sb)
         # Products of primitive vectors are primitive: gcd(f_i g_j) = gcd(f) gcd(g).
         assert all(row == primitive(row) for row in gens)
+        fs, gs = tensor_factors(kind, sa, sb)
         assert gens == [kron_vec(f, g) for f in fs for g in gs]
         if kind == "min":
             want = two_pass_from_rays(gens, dim)
@@ -266,10 +319,20 @@ def rank_rule(generators, duals, dim):
     )
 
 
+def dot_product_rule(generators, duals):
+    """The replaced mask rule: each distinct primitive generator's mask over
+    the duals by integer dot products; g is extreme iff no other generator's
+    mask contains g's."""
+    gens = sorted(set(generators))
+    masks = [sum(1 << k for k, h in enumerate(duals) if int_dot(h, g) == 0) for g in gens]
+    return [g for g, z in zip(gens, masks) if len([x for x in masks if x & z == z]) == 1]
+
+
 def with_redundant_generators(rng, rows):
     """rows plus duplicates, positive multiples, sums of two and the sum of all."""
+    k = rng.randint(2, 3)
     gens = rows + [rng.choice(rows) for _ in range(2)]
-    gens += [tuple(rng.randint(2, 3) * a for a in rng.choice(rows))]
+    gens += [tuple(k * a for a in rng.choice(rows))]
     gens += [tuple(a + b for a, b in zip(rng.choice(rows), rng.choice(rows)))]
     gens += [tuple(sum(col) for col in zip(*rows))]
     rng.shuffle(gens)
@@ -289,26 +352,21 @@ def test_incidence_containment_matches_rank_rule():
             if rank(rows) == dim:
                 break
         cases.append((with_redundant_generators(rng, rows), dim))
-    lib = fixture_library()
-    for a, b in [
-        ("square_space", "square_space"),
-        ("simplex_3", "cube_space"),
-        ("square_space", "cube_space"),
-    ]:
-        sa, sb = lib.space(a), lib.space(b)
-        dim = sa.dim * sb.dim
-        cases.append(([kron_vec(r, s) for r in sa.cone.rays for s in sb.cone.rays], dim))
-        cases.append(([kron_vec(f, g) for f in sa.cone.facets for g in sb.cone.facets], dim))
+    cases += [tensor_generators(*pair) for pair in tensor_pairs(TENSOR_PAIRS)]
     for gens, dim in cases:
-        # _extreme_generators takes the generators made primitive, as the
-        # conversions hand them on.
-        prim = [primitive(g) for g in gens]
+        # _extreme_generators takes the generators made primitive and
+        # distinct, in first-occurrence order, with the DD pairs over them,
+        # as the conversions hand them on.
+        prim = list(dict.fromkeys(primitive(g) for g in gens))
+        by_masks = _extreme_generators(prim, extreme_rays(prim, dim))
         c = cone_from_rays(gens, dim)
-        assert _extreme_generators(prim, c.facets) == rank_rule(gens, c.facets, dim)
-        assert _extreme_generators(prim, c.facets) == list(c.rays)
+        assert by_masks == rank_rule(gens, c.facets, dim)
+        assert by_masks == dot_product_rule(prim, c.facets)
+        assert by_masks == list(c.rays)
         c = cone_from_facets(gens, dim)
-        assert _extreme_generators(prim, c.rays) == rank_rule(gens, c.rays, dim)
-        assert _extreme_generators(prim, c.rays) == list(c.facets)
+        assert by_masks == rank_rule(gens, c.rays, dim)
+        assert by_masks == dot_product_rule(prim, c.rays)
+        assert by_masks == list(c.facets)
 
 
 def test_contains_and_interior():
@@ -455,6 +513,15 @@ def test_polytope_hint_whose_tight_rows_do_not_cancel_raises():
     segment = [((1, 0), 0), ((0, 1), 0), ((1, 1), 1), ((-1, -1), -1)]
     with pytest.raises(ValueError, match="do not sum to zero"):
         polytope_vertices(segment, (1, 0))
+
+
+def test_polytope_rejects_rows_of_the_wrong_width():
+    # The stray -2 must not be read as the right-hand side of y >= 1.
+    ineqs = [((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1, -2), -1)]
+    with pytest.raises(ValueError, match="row 3 has 3 coefficients, the interior point has 2"):
+        polytope_vertices(ineqs, (Fraction(1, 2), Fraction(1, 2)))
+    with pytest.raises(ValueError, match="row 0 has 1 coefficients"):
+        polytope_vertices([((1,), 0), ((0, 1), 0)], (1, 1))
 
 
 def test_polytope_unbounded_raises():

@@ -15,8 +15,9 @@ import random
 import pytest
 
 from polysteer._kernel import Tableau
-from polysteer.composite import marginal_b
-from polysteer.ratlin import simplex
+from polysteer.composite import marginal_b, max_tensor
+from polysteer.fixtures import fixture_library
+from polysteer.ratlin import gauss, simplex
 from polysteer.ratlin import (
     LinearProgram,
     LPOutcome,
@@ -328,6 +329,82 @@ def test_gauss_outputs_equal_the_gauss_jordan_reference():
             invertible += 1
             assert mat_mul(a, inv) == mat_identity(n)
     assert singular > 20 and invertible > 20
+
+
+def eager_eliminate(a, reduce=False):
+    """The elimination pass as it was before rows were scaled on demand:
+    every row scaled to integers up front, then the same sweep."""
+    rows = [gauss.integral(row) for row in a]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("ragged matrix")
+    ncols = len(rows[0]) if rows else 0
+    chosen, basis = [], []
+    for i, v in enumerate(rows):
+        if len(basis) == ncols:
+            break
+        for c, b in basis:
+            if v[c]:
+                v = gauss._clear(v, b, c)
+        c = next((j for j, e in enumerate(v) if e), -1)
+        if c >= 0:
+            basis.append((c, v))
+            chosen.append(i)
+    if reduce:
+        for k in range(len(basis) - 1, 0, -1):
+            c, b = basis[k]
+            for j in range(k):
+                cj, v = basis[j]
+                if v[c]:
+                    basis[j] = (cj, gauss._clear(v, b, c))
+    return chosen, basis
+
+
+def test_rows_are_scaled_when_the_sweep_reaches_them(monkeypatch):
+    # A ragged row after the basis is full is still refused.
+    with pytest.raises(ValueError, match="ragged"):
+        rank([[1, 0], [0, 1], [1]])
+    with pytest.raises(ValueError, match="ragged"):
+        independent_rows([[1, 0], [0, 1], [1]])
+    with pytest.raises(ValueError, match="ragged"):
+        solve_linear([[1, 0], [0, 1], [1]], [1, 2, 3])
+    # The matrix may be any iterable of rows.
+    assert rank(row for row in [[1, 2], [2, 4], [0, 1]]) == 2
+    assert independent_rows(iter([[0, 0], [1, "1/2"], [2, 1], [0, 3]])) == [1, 3]
+    assert solve_linear((row for row in [[1, 0], [1, 1]]), [2, 3]) == (2, 1)
+
+    # Seeded matrices give what the eager pass gave, through every reader.
+    rng = random.Random(20261023)
+    cases = [
+        (mixed, [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in mixed])
+        for _, mixed in seeded_matrices(20261024, 120)
+    ]
+
+    def readers():
+        return [(rank(a), independent_rows(a), solve_linear(a, b)) for a, b in cases]
+
+    for a, _ in cases:
+        for reduce in (False, True):
+            assert gauss._eliminate(a, reduce) == eager_eliminate(a, reduce)
+    on_demand = readers()
+    monkeypatch.setattr(gauss, "_eliminate", eager_eliminate)
+    assert readers() == on_demand
+    monkeypatch.undo()
+
+    # The 128 rays of max_tensor(square, cube) span 12 dimensions; the sweep
+    # scales rows only until it has 12 independent ones.
+    lib = fixture_library()
+    sq, cube = lib.space("square_space"), lib.space("cube_space")
+    rays = max_tensor(sq, cube).cone.rays
+    last = independent_rows(rays)[-1]
+    integral, scaled = gauss.integral, []
+
+    def counted(row):
+        scaled.append(row)
+        return integral(row)
+
+    monkeypatch.setattr(gauss, "integral", counted)
+    assert rank(rays) == 12
+    assert len(rays) == 128 and scaled == list(rays[: last + 1])
 
 
 def test_primitive_of_int_fraction_and_string_entries():

@@ -16,11 +16,12 @@ from types import SimpleNamespace
 
 import pytest
 
+import polysteer.dd
 import polysteer.space
 import polysteer.steering
 from polysteer import composite, fixtures
 from polysteer.cone import face_of
-from polysteer.dd import extreme_rays
+from polysteer.dd import extreme_rays, int_dot
 from polysteer.ratlin import (
     LinearProgram,
     lp_feasible,
@@ -84,7 +85,7 @@ def lp_probe_vertices(ineqs, eqs, dim):
     hom_rows.append((0,) * q + (1,))
 
     vertices = []
-    for r in extreme_rays(hom_rows, q + 1):
+    for r, _ in extreme_rays(hom_rows, q + 1):
         assert r[q] > 0, "the oracle only meets polytopes"
         z = [Fraction(c, r[q]) for c in r[:q]]
         vertices.append(
@@ -191,3 +192,23 @@ def test_vertex_enumeration_matches_the_lp_probe_oracle(monkeypatch):
     expected = [run() for _, run in CASES]
     mismatched = [label for (label, _), got, want in zip(CASES, computed, expected) if got != want]
     assert not mismatched, f"differs from the LP-probe oracle: {mismatched}"
+
+
+def test_vertex_enumeration_masks_are_exact(monkeypatch):
+    # Each homogenized DD run returns, for every vertex ray, exactly the
+    # rows tight on it, recomputed here by integer dot products.
+    runs = []
+
+    def recorded(rows, dim):
+        pairs = extreme_rays(rows, dim)
+        runs.append((rows, pairs))
+        return pairs
+
+    monkeypatch.setattr(polysteer.dd, "extreme_rays", recorded)
+    for _, run in CASES:
+        run()
+    assert len(runs) > 100
+    for rows, pairs in runs:
+        assert len(pairs) == len({r for r, _ in pairs})
+        for ray, mask in pairs:
+            assert mask == sum(1 << i for i, h in enumerate(rows) if int_dot(h, ray) == 0)
