@@ -13,8 +13,10 @@ of a given map, for isomorphism states and face factorizations. A search is
 pinned by the first ray of each component at scale 1, or by an interior point
 alpha carried to beta: a transport, or a purification, which carries the unit
 of the dual cone onto a state. Either pin touches only basis rays, which lie
-in the frame. Every returned witness carries enough data to be re-verified by
-substitution alone.
+in the frame. A pinned search runs only when Vinberg's characteristic
+invariant, which every isomorphism of cones preserves, takes one value at
+alpha and at beta; unequal values already prove that no map exists. Every
+returned witness carries enough data to be re-verified by substitution alone.
 """
 
 from __future__ import annotations
@@ -25,7 +27,14 @@ from fractions import Fraction
 from itertools import count
 from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
-from .cone import IntVec, PolyhedralCone, dual_cone, ordered_direct_sum, support_classes
+from .cone import (
+    IntVec,
+    PolyhedralCone,
+    characteristic_invariant,
+    dual_cone,
+    ordered_direct_sum,
+    support_classes,
+)
 from .dd import int_dot, polytope_vertices
 from .ratlin import (
     Matrix,
@@ -455,8 +464,26 @@ def isomorphism_carrying(
     source: ConeLike, target: ConeLike, alpha: Sequence, beta: Sequence
 ) -> OrderIsoWitness | None:
     """The first order isomorphism source -> target, in pairing order, that
-    carries the interior point alpha of the source to beta, or None."""
+    carries the interior point alpha of the source to beta, or None.
+
+    Such a map preserves Vinberg's characteristic invariant
+    (``cone.characteristic_invariant``), so when alpha and beta are interior
+    points of the right length whose invariants differ, there is none and
+    no search runs. This check returns None only where the search would;
+    every other input is searched as before. On a simplicial source the
+    invariant is 1 everywhere, and a target where it is not has another ray
+    count, which the search rejects at once, so no invariant is computed.
+    """
     s, t = _cone_of(source), _cone_of(target)
+    if (
+        not s.is_simplicial()
+        and len(alpha) == s.ambient_dim
+        and len(beta) == t.ambient_dim
+        and s.interior_contains(alpha)
+        and t.interior_contains(beta)
+        and characteristic_invariant(s, alpha) != characteristic_invariant(t, beta)
+    ):
+        return None
     # alpha as a combination of the source rays; the map sends it to the
     # same combination of the scaled partners, which must be beta. The solve
     # zeroes the free variables, so the weights sit on the greedy ray basis,
@@ -514,6 +541,12 @@ def is_homogeneous(space: StateSpace) -> HomogeneityVerdict:
     candidates point in pairwise distinct directions, and the barycentre's
     orbit (finitely many ray permutations times one scaling per component)
     meets only finitely many directions there.
+
+    Each transport first compares the characteristic invariant at the
+    barycentre and at the candidate, and enumerates no automorphism when
+    they differ, which settles the reported candidate of every
+    non-simplicial fixture space and of the 4- and 5-cube cones without a
+    search. The verdict is the same as without that check.
     """
     c = space.cone
     if c.is_simplicial():

@@ -54,8 +54,8 @@ from polysteer.space import (
     is_weakly_self_dual,
     order_isomorphisms,
     pair_ray_images,
-    transport_automorphism,
 )
+from test_space import ungated_transport
 
 SQUARE_RAYS = [(-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1)]
 PENT_RAYS = [(2, 0, 1), (3, 5, 4), (-1, 1, 2), (-1, -1, 2), (3, -5, 4)]
@@ -592,7 +592,9 @@ def fraction_is_isomorphism_state(omega):
 
 def two_search_purify(space, alpha):
     """The purification matrix by a self-duality witness eta, normalised,
-    then an automorphism carrying eta(u) to alpha; None when either fails."""
+    then an automorphism carrying eta(u) to alpha; None when either fails.
+    The transport is the pinned search alone, without the invariant gate that
+    purify's own search runs behind."""
     v = as_vector(alpha)
     eta = is_weakly_self_dual(space)
     if eta is None:
@@ -603,7 +605,7 @@ def two_search_purify(space, alpha):
     alpha0 = vec_scale(Fraction(1) / scale, alpha0)
     if alpha0 == v:
         return eta_m
-    tau = transport_automorphism(space, alpha0, v)
+    tau = ungated_transport(space.cone, alpha0, v)
     return None if tau is None else mat_mul(tau, eta_m)
 
 

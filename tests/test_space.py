@@ -8,14 +8,22 @@ facet description before being frozen here.
 
 import random
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 
 import pytest
 
-from polysteer.cone import cone_from_rays, dual_cone, irreducible_partition, ordered_direct_sum
+from polysteer.cone import (
+    characteristic_invariant,
+    cone_from_rays,
+    dual_cone,
+    irreducible_partition,
+    ordered_direct_sum,
+)
 from polysteer.fixtures import fixture_library
 from polysteer.ratlin import (
+    as_vector,
     independent_rows,
+    integral,
     invert,
     mat_mul,
     mat_transpose,
@@ -33,11 +41,13 @@ from polysteer.space import (
     diamond_dual,
     effects_interval,
     is_homogeneous,
+    isomorphism_carrying,
     is_weakly_self_dual,
     order_iso_search,
     order_isomorphisms,
     space_direct_sum,
     _frame,
+    _isomorphisms,
     _ray_basis,
     _ray_permutations,
     transport_automorphism,
@@ -586,18 +596,24 @@ def test_frame_search_matches_the_full_pairing_search():
         assert repr(got) == repr(want), label
 
 
-def homogeneity_pairs(space):
-    """The pairs is_homogeneous transports between on a non-simplicial
-    space, in its order, up to the pair it reports."""
-    failed = is_homogeneous(space).failed_pair
+def walk_candidates(space):
+    """is_homogeneous's candidates (1 - 1/k) bary + (1/k) v, in its order."""
     bary, verts = space.barycenter(), space.vertex_states()
     for k in count(2):
         t = Fraction(1, k)
         for vert in verts:
-            cand = tuple((1 - t) * b + t * v for b, v in zip(bary, vert))
-            yield bary, cand
-            if (bary, cand) == failed:
-                return
+            yield tuple((1 - t) * b + t * v for b, v in zip(bary, vert))
+
+
+def homogeneity_pairs(space):
+    """The pairs is_homogeneous transports between on a non-simplicial
+    space, in its order, up to the pair it reports."""
+    failed = is_homogeneous(space).failed_pair
+    bary = space.barycenter()
+    for cand in walk_candidates(space):
+        yield bary, cand
+        if (bary, cand) == failed:
+            return
 
 
 def test_frame_transport_matches_the_full_pairing_transport():
@@ -658,3 +674,172 @@ def test_hyperoctahedral_census():
         assert _frame(c).length == length
         auts = list(order_isomorphisms(c, c))
         assert len({w.ray_bijection for w in auts}) == len(auts) == 384
+
+
+# --- Vinberg's characteristic invariant --------------------------------------
+
+
+def seeded_interior_point(rng, rays):
+    """A seeded positive combination of all the given rays."""
+    x = [0] * len(rays[0])
+    for r in rays:
+        w = rng.randint(1, 50)
+        x = [a + w * b for a, b in zip(x, r)]
+    return tuple(x)
+
+
+def test_characteristic_invariant_is_constant_on_automorphism_orbits():
+    rng = random.Random(15)
+    for name, sp in fixture_library().spaces.items():
+        c = sp.cone
+        x = seeded_interior_point(rng, c.rays)
+        j = characteristic_invariant(c, x)
+        orbit = {mat_vec(w.matrix, x) for w in order_isomorphisms(c, c)}
+        assert len(orbit) > 1, name
+        assert {characteristic_invariant(c, y) for y in orbit} == {j}, name
+
+
+def test_characteristic_invariant_follows_the_self_duality_witness():
+    # eta maps the dual cone onto the cone, so J_A(eta y) = J_{A*}(y).
+    rng = random.Random(16)
+    witnessed = 0
+    for name, sp in fixture_library().spaces.items():
+        eta = is_weakly_self_dual(sp)
+        if eta is None:
+            continue
+        witnessed += 1
+        dual = dual_cone(sp.cone)
+        for _ in range(3):
+            y = seeded_interior_point(rng, dual.rays)
+            assert characteristic_invariant(sp.cone, mat_vec(eta.matrix, y)) == (
+                characteristic_invariant(dual, y)
+            ), name
+    assert witnessed == 6
+
+
+def test_characteristic_invariant_separates_the_reported_pairs():
+    lib = fixture_library().spaces
+    values = {}
+    for name in ("square_space", "cube_space"):
+        sp = lib[name]
+        bary, cand = is_homogeneous(sp).failed_pair
+        values[name] = (characteristic_invariant(sp.cone, bary),
+                        characteristic_invariant(sp.cone, cand))
+    assert values == {
+        "square_space": (Fraction(4, 3), Fraction(64, 55)),
+        "cube_space": (Fraction(2), Fraction(256, 175)),
+    }
+
+
+# --- The invariant gate against the search it skips ---------------------------
+#
+# The reference is isomorphism_carrying as it ran before the gate: the pinned
+# search alone, on the original _isomorphisms. The gate may only spare that
+# search, so gated and ungated must agree on every input.
+
+
+def ungated_isomorphism_carrying(s, t, alpha, beta):
+    weights = solve_linear(mat_transpose(s.rays), as_vector(alpha))
+    ints = integral((*weights, *as_vector(beta)))
+    w, rhs = ints[:len(weights)], ints[len(weights):]
+
+    def pins(frame, head):
+        return [
+            (tuple(x * t.rays[j][k] for x, j in zip(w, head)), y)
+            for k, y in enumerate(rhs)
+        ]
+
+    return next(_isomorphisms(s, t, pins), None)
+
+
+def ungated_transport(c, alpha, beta):
+    witness = ungated_isomorphism_carrying(c, c, alpha, beta)
+    return None if witness is None else witness.matrix
+
+
+def ungated_failed_pair(space):
+    bary = space.barycenter()
+    for cand in walk_candidates(space):
+        if ungated_transport(space.cone, bary, cand) is None:
+            return bary, cand
+
+
+def cone_space(c):
+    return StateSpace(c, (0,) * (c.ambient_dim - 1) + (1,))
+
+
+def test_is_homogeneous_refutes_without_a_search(monkeypatch):
+    spaces = {
+        name: sp for name, sp in fixture_library().spaces.items()
+        if not sp.cone.is_simplicial()
+    }
+    spaces["cross_4"] = cone_space(cross_polytope_cone(4))
+    spaces["cube_4"] = cone_space(dual_cone(cross_polytope_cone(4)))
+    want = {name: ungated_failed_pair(sp) for name, sp in spaces.items()}
+    # The ungated walk takes over 10 s on the 5-cube, so its answer is pinned
+    # as it returned it: the barycentre and the first candidate, halfway to
+    # the first vertex state (-1, ..., -1, 1).
+    spaces["cube_5"] = cone_space(dual_cone(cross_polytope_cone(5)))
+    half = Fraction(-1, 2)
+    want["cube_5"] = ((Fraction(0),) * 5 + (Fraction(1),), (half,) * 5 + (Fraction(1),))
+    searches = []
+
+    def counted(*args):
+        searches.append(args)
+        return _isomorphisms(*args)
+
+    monkeypatch.setattr("polysteer.space._isomorphisms", counted)
+    got = {name: is_homogeneous(sp).failed_pair for name, sp in spaces.items()}
+    assert searches == []
+    # repr tells a Fraction from an int of the same value.
+    assert repr(got) == repr(want)
+
+
+def test_isomorphism_carrying_is_total_off_the_interior():
+    lib = fixture_library().spaces
+    sq, cube = lib["square_space"].cone, lib["cube_space"].cone
+    bary = lib["square_space"].barycenter()
+    cases = [
+        (sq, sq, bary, (1, 0, 1)),  # beta on the target's boundary
+        (sq, sq, (1, 0, 1), bary),  # alpha on the source's boundary
+        (sq, sq, bary, (0, 0)),  # beta of the wrong length
+        (sq, cube, bary, (0, 0, 0, 1)),  # a target of another dimension
+    ]
+    for case in cases:
+        assert ungated_isomorphism_carrying(*case) is None
+        assert isomorphism_carrying(*case) is None
+
+
+def gate_cases():
+    """(source, target, alpha, beta): on each fixture space and three direct
+    sums, transports from the barycentre to is_homogeneous's candidates for
+    k = 2, and purifications of the barycentre and those candidates.
+    square + square is left out: the ungated search through its 128
+    automorphisms would take most of a second and a half."""
+    lib = fixture_library().spaces
+    sums = [space_direct_sum(lib[a], lib[b]) for a, b in SUMS if a != b]
+    spaces = list(lib.values()) + sums
+    for sp in spaces:
+        bary = sp.barycenter()
+        cands = list(islice(walk_candidates(sp), len(sp.vertex_states())))
+        dual = dual_cone(sp.cone)
+        for cand in cands:
+            yield sp.cone, sp.cone, bary, cand
+        for alpha in [bary, *cands]:
+            yield dual, sp.cone, sp.unit, alpha
+
+
+def test_gate_agrees_with_the_ungated_search():
+    refuted = found = total = 0
+    for s, t, alpha, beta in gate_cases():
+        got = isomorphism_carrying(s, t, alpha, beta)
+        want = ungated_isomorphism_carrying(s, t, alpha, beta)
+        assert repr(got) == repr(want)
+        total += 1
+        found += want is not None
+        if characteristic_invariant(s, alpha) != characteristic_invariant(t, beta):
+            refuted += 1
+            assert want is None
+    # On these pairs J is also complete: each pair it does not refute has an
+    # isomorphism.
+    assert (total, refuted, found) == (125, 83, 42)
