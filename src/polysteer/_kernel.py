@@ -3,10 +3,10 @@
 Each row is kept as a list of numerators and a list of denominators: plain
 ints, always coprime, with the denominator positive. The pivot inner loop
 therefore runs on integer arithmetic and builds no Fraction objects. The
-exact simplex, the one user of this layer, writes its rows as such pairs and
-reads `nums`/`dens` directly for pricing and ratio tests; only its
-certificates become Fractions, through `entry`. Gaussian elimination runs
-fraction-free in `ratlin.gauss`.
+exact simplex, the one user of this layer, writes its integer rows as such
+pairs and reads `nums`/`dens` directly for pricing, ratio tests and its
+Farkas multipliers; only its points, rays and values become Fractions,
+through `entry`. Gaussian elimination runs fraction-free in `ratlin.gauss`.
 """
 
 from __future__ import annotations

@@ -314,14 +314,17 @@ def decomposition_program(
 ) -> LinearProgram:
     """The decomposition polytope {psi : psi and phi - psi positive} over
     psi's entries, row-major: for each source ray r and target facet g, in
-    that order, the rows g.psi(r) >= 0 and -g.psi(r) >= -g.phi(r)."""
+    that order, the rows g.psi(r) >= 0 and -g.psi(r) >= -g.phi(r). Each row's
+    coefficients are the products g_j r_i; with phi = P / q scaled to
+    integers once, the second row is written over q."""
     dt, ds = len(phi), len(phi[0])
-    ge: list[tuple[Vector, Fraction]] = []
+    p, q = _integer_rows(phi)
+    ge = []
     for r in source.rays:
-        image = mat_vec(phi, as_vector(r))
+        image = [int_dot(row, r) for row in p]
         for g in target.facets:
-            row = tuple(Fraction(g[j] * r[i]) for j in range(dt) for i in range(ds))
-            ge += [(row, Fraction(0)), (tuple(-c for c in row), -vec_dot(as_vector(g), image))]
+            row = tuple(gj * ri for gj in g for ri in r)
+            ge += [(row, 0, 1), (tuple(-q * c for c in row), -int_dot(g, image), q)]
     return LinearProgram(dt * ds, ge=ge)
 
 

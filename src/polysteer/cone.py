@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import and_
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import dd
 from .ratlin import (
@@ -226,42 +226,58 @@ def characteristic_invariant(c: PolyhedralCone, x: Sequence) -> Fraction:
     Every linear isomorphism g of c onto a cone c' has J_c'(g x) = J_c(x)
     (Vinberg, "The theory of convex homogeneous cones", 1963), and J is 1 on
     a simplicial cone; so J_c(x) != J_c'(y) proves that no isomorphism
-    carries x to y. Over the pulling triangulation of the dual, with
-    a_s = <x, s> for its rays s, phi = sum_T |det S_T| / prod_{s in T} a_s.
-    With x scaled to integers, P = lcm a_s and b_s = P / a_s, each simplex
-    gives W_T = |det S_T| prod b_s and U_T = sum b_s s, and
-    N0 = sum W_T, N1 = sum W_T U_T and
-    N2 = sum W_T (U_T U_T^T + sum_{s in T} b_s^2 s s^T) are P^d phi,
-    -P^(d+1) grad phi and P^(d+2) times the Hessian of phi. Then
-    J = N0^(2d+2) / det(N0 N2 - N1 N1^T), in integers up to that division.
+    carries x to y. ``characteristic_invariant_of`` evaluates it."""
+    return characteristic_invariant_of(c)(x)
+
+
+def characteristic_invariant_of(c: PolyhedralCone) -> Callable[[Sequence], Fraction]:
+    """J on c, as a function of the point, for evaluating it more than once:
+    the pulling triangulation of the dual and each simplex's |det S_T| are
+    computed here, once.
+
+    Over the pulling triangulation of the dual, with a_s = <x, s> for its
+    rays s, phi = sum_T |det S_T| / prod_{s in T} a_s. With x scaled to
+    integers, P = lcm a_s and b_s = P / a_s, each simplex gives
+    W_T = |det S_T| prod b_s and U_T = sum b_s s, and N0 = sum W_T,
+    N1 = sum W_T U_T and N2 = sum W_T (U_T U_T^T + sum_{s in T} b_s^2 s s^T)
+    are P^d phi, -P^(d+1) grad phi and P^(d+2) times the Hessian of phi.
+    Then J = N0^(2d+2) / det(N0 N2 - N1 N1^T), in integers up to that
+    division.
     """
-    x = _integral(x, c.ambient_dim)
     d, rays = c.ambient_dim, c.facets
-    a = [dd.int_dot(s, x) for s in rays]
-    if min(a) <= 0:
-        raise ValueError("the characteristic function is finite only on the interior")
-    p = math.lcm(*a)
-    b = [p // v for v in a]
-    n0, n1 = 0, [0] * d
-    n2 = [[0] * d for _ in range(d)]
-    # The sum over T of W_T b_s^2 s s^T gathers into one term per ray s.
-    ray_weight = [0] * len(rays)
-    for t in pulling_triangulation(dual_cone(c)):
-        w = abs(det([rays[i] for i in t])) * math.prod(b[i] for i in t)
-        u = [sum(b[i] * rays[i][k] for i in t) for k in range(d)]
-        n0 += w
-        for k in range(d):
-            wu = w * u[k]
-            n1[k] += wu
-            n2[k] = [e + wu * y for e, y in zip(n2[k], u)]
-        for i in t:
-            ray_weight[i] += w
-    for s, bs, w in zip(rays, b, ray_weight):
-        for k in range(d):
-            wss = w * bs * bs * s[k]
-            n2[k] = [e + wss * y for e, y in zip(n2[k], s)]
-    m = [[n0 * e - n1[k] * y for e, y in zip(n2[k], n1)] for k in range(d)]
-    return Fraction(n0 ** (2 * d + 2), det(m))
+    simplices = [
+        (t, abs(det([rays[i] for i in t]))) for t in pulling_triangulation(dual_cone(c))
+    ]
+
+    def invariant(x: Sequence) -> Fraction:
+        x = _integral(x, d)
+        a = [dd.int_dot(s, x) for s in rays]
+        if min(a) <= 0:
+            raise ValueError("the characteristic function is finite only on the interior")
+        p = math.lcm(*a)
+        b = [p // v for v in a]
+        n0, n1 = 0, [0] * d
+        n2 = [[0] * d for _ in range(d)]
+        # The sum over T of W_T b_s^2 s s^T gathers into one term per ray s.
+        ray_weight = [0] * len(rays)
+        for t, volume in simplices:
+            w = volume * math.prod(b[i] for i in t)
+            u = [sum(b[i] * rays[i][k] for i in t) for k in range(d)]
+            n0 += w
+            for k in range(d):
+                wu = w * u[k]
+                n1[k] += wu
+                n2[k] = [e + wu * y for e, y in zip(n2[k], u)]
+            for i in t:
+                ray_weight[i] += w
+        for s, bs, w in zip(rays, b, ray_weight):
+            for k in range(d):
+                wss = w * bs * bs * s[k]
+                n2[k] = [e + wss * y for e, y in zip(n2[k], s)]
+        m = [[n0 * e - n1[k] * y for e, y in zip(n2[k], n1)] for k in range(d)]
+        return Fraction(n0 ** (2 * d + 2), det(m))
+
+    return invariant
 
 
 def face_of(c: PolyhedralCone, y: Sequence) -> Face:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 from operator import mul
 from typing import Sequence
 
@@ -27,11 +28,10 @@ from .ratlin import (
     independent_rows,
     integral,
     integral_with_scale,
-    invert,
-    mat_transpose,
     nullspace,
     primitive,
 )
+from .ratlin.gauss import _eliminate
 
 IntVec = tuple[int, ...]
 
@@ -75,9 +75,20 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[IntVec, 
         raise ValueError("inequality rows do not span the space; cone is not pointed")
 
     # The columns of the inverse of the base rows are the rays of the
-    # simplicial cone those rows cut out.
-    base_inv = invert([rows[i] for i in base_idx])
-    rays: list[IntVec] = [primitive(col) for col in mat_transpose(base_inv)]
+    # simplicial cone those rows cut out. Eliminating [base | I] leaves row c
+    # of the inverse as row c's right half over its pivot p_c; scaled by the
+    # lcm of the pivots' absolute values, each column is integer, and
+    # dividing it by its gcd makes it primitive.
+    eye = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    reduced = sorted(
+        _eliminate([[*rows[i], *e] for i, e in zip(base_idx, eye)], reduce=True)[1]
+    )
+    scale = math.lcm(*(row[c] for c, row in reduced))
+    columns = zip(*([x * (scale // row[c]) for x in row[dim:]] for c, row in reduced))
+    rays: list[IntVec] = []
+    for col in columns:
+        g = math.gcd(*col)
+        rays.append(tuple(x // g for x in col))
     # dots[j][i] is row i times ray j; negs[i] counts the rays row i cuts off.
     dots = [[int_dot(h, r) for h in rows] for r in rays]
     inc = [sum(1 << i for i in base_idx if d[i] == 0) for d in dots]
@@ -106,7 +117,7 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[IntVec, 
             ]:
                 common = inc_p & inc_m
                 # p and m themselves always qualify; any third ray refutes.
-                if len([x for x in inc if x & common == common]) > 2:
+                if len(list(islice((x for x in inc if x & common == common), 3))) > 2:
                     continue
                 vp, vm = dots[p][row], -dots[m][row]
                 w = [vp * a + vm * b for a, b in zip(rays[m], rays[p])]

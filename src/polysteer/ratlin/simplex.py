@@ -6,12 +6,20 @@ point, a nonnegative-multiplier infeasibility vector, or an improving ray.
 Pivoting uses Bland's rule throughout, so the method terminates on every
 input.
 
+Every row is stored once, as integers over one positive denominator: the
+triple (A, b, s) reads A.x = b or A.x >= b, both sides over s. Program
+builders write their rows in this form, and `integer_row` converts a
+rational (lhs, rhs) pair for callers whose data is rational. A row keeps
+its exact rational value, never rescaled to primitive form: the tableau
+holds the reduced pairs of its entries A_j / s, and the phase-1 row, hence
+Bland's pivot path and the Farkas multipliers, depend on those values.
+
 The tableau holds each entry as a reduced integer numerator/denominator pair
-(`_kernel.Tableau`). Rows are written straight from the program's Fractions,
-pricing reads numerator signs and the ratio test cross-multiplies, so no
+(`_kernel.Tableau`), written from (A, s) with one gcd per nonzero entry.
+Pricing reads numerator signs and the ratio test cross-multiplies, so no
 Fraction is built between reading the program and writing the certificate.
-Certificates are checked the same way: certificate and rows are scaled once
-to integers, and only signs of integer dot products are compared.
+Certificates are checked on the same integer rows: a point is scaled once
+to integers and only signs of integer dot products are compared.
 
 The standard form x = p - q with slacks and artificials has the virtual
 column layout [p | q | slacks | artificials | rhs], in which the basis, the
@@ -28,37 +36,49 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 
 from .._kernel import Tableau
-from .qarith import Vector, as_vector, integral
+from .qarith import Vector, as_vector, integral, integral_with_scale
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# A row (A, b, s): integer coefficients A and right-hand side b, both over
+# the positive integer s.
+Row = tuple[tuple[int, ...], int, int]
+
+
+def integer_row(lhs, rhs) -> Row:
+    """The rational row lhs.x (= or >=) rhs as a triple (A, b, s), with s the
+    lcm of the denominators, so that lhs = A / s and rhs = b / s exactly."""
+    ints, s = integral_with_scale((*lhs, rhs))
+    return tuple(ints[:-1]), ints[-1], s
+
 
 class LinearProgram:
-    """max objective.x subject to eq rows (=) and ge rows (>=)."""
+    """max objective.x subject to eq rows (=) and ge rows (>=).
+
+    Every row is an integer triple (A, b, s) with s > 0, read A.x = b or
+    A.x >= b over s; the program keeps the row tuples it is given. The
+    objective is a vector of Fractions.
+    """
 
     __slots__ = ("n_vars", "eq", "ge", "objective")
 
     def __init__(self, n_vars: int, eq=(), ge=(), objective=None):
         self.n_vars = int(n_vars)
-        self.eq = self._rows(eq)
-        self.ge = self._rows(ge)
+        self.eq = tuple(eq)
+        self.ge = tuple(ge)
+        for a, _, s in self.eq + self.ge:
+            if len(a) != self.n_vars:
+                raise ValueError("row width mismatch")
+            if s <= 0:
+                raise ValueError("row denominator must be positive")
         self.objective = None if objective is None else as_vector(objective)
         if self.objective is not None and len(self.objective) != self.n_vars:
             raise ValueError("objective width mismatch")
-
-    def _rows(self, pairs) -> tuple[tuple[Vector, Fraction], ...]:
-        out = []
-        for lhs, rhs in pairs:
-            v = as_vector(lhs)
-            if len(v) != self.n_vars:
-                raise ValueError("row width mismatch")
-            out.append((v, Fraction(rhs)))
-        return tuple(out)
 
     def row_count(self) -> int:
         return len(self.eq) + len(self.ge)
@@ -69,8 +89,8 @@ class LPOutcome:
     """Solver verdict plus the exact certificate backing it.
 
     farkas holds one multiplier per row in [eq, ge] order; ge multipliers
-    are nonnegative and recombine the rows into an impossible inequality
-    0 >= r with r > 0.
+    are nonnegative and recombine the rows, each read at its rational value
+    A / s and b / s, into an impossible inequality 0 >= r with r > 0.
     """
 
     status: str
@@ -96,27 +116,31 @@ class LPOutcome:
         return LPOutcome("unbounded", ray=as_vector(ray))
 
     def check(self, lp: LinearProgram) -> bool:
-        """Re-substitute the certificate into the program, exactly.
+        """Re-substitute the certificate into the program's integer rows.
 
-        A point x is scaled once to integers as (X, s) with x = X/s, and a
-        row (a, b) to a positive multiple of (a, -b); their integer dot
-        product has the sign of a.x - b.
+        A point x is scaled once to integers as (X, w) with x = X / w, w > 0,
+        so a row (A, b, s) holds at x as A.X - b w compares with 0. Farkas
+        multipliers y_k are scaled once to integers as positive multiples of
+        y_k / s_k, which recombine the integer rows as y does the rational
+        ones.
         """
         if self.status in ("feasible", "optimal"):
             x = self.witness
             if x is None or len(x) != lp.n_vars:
                 return False
+            # The dot products stop at len(a), before w.
             xs = integral((*x, 1))
+            w = xs[-1]
             ok = (
-                all(_scaled_dot((*a, -b), xs) == 0 for a, b in lp.eq)
-                and all(_scaled_dot((*a, -b), xs) >= 0 for a, b in lp.ge)
+                all(sum(map(mul, a, xs)) == b * w for a, b, _ in lp.eq)
+                and all(sum(map(mul, a, xs)) >= b * w for a, b, _ in lp.ge)
             )
             if self.status == "optimal":
                 ok = (
                     ok
                     and lp.objective is not None
                     and self.value is not None
-                    and _scaled_dot((*lp.objective, -self.value), xs) == 0
+                    and sum(map(mul, integral((*lp.objective, -self.value)), xs)) == 0
                 )
             return ok
         if self.status == "infeasible":
@@ -126,34 +150,29 @@ class LPOutcome:
                 return False
             if any(v < 0 for v in y[e:]):
                 return False
-            rows = lp.eq + lp.ge
-            used = [(mult, (*lhs, rhs)) for mult, (lhs, rhs) in zip(y, rows) if mult]
+            used = [(v, row) for v, row in zip(y, lp.eq + lp.ge) if v]
             if not used:
                 return False
-            # Column j of the used rows, dotted with y, is the combination's
-            # coefficient j; the last column gives its right-hand side r.
-            ys = integral([mult for mult, _ in used])
-            combo = [_scaled_dot(col, ys) for col in zip(*(row for _, row in used))]
-            r = combo.pop()
-            if any(combo):
+            # y_k / s_k = n_k / d_k, over the common multiple scale of the d_k.
+            dens = [v.denominator * s for v, (_, _, s) in used]
+            scale = lcm(*dens)
+            ys = [v.numerator * (scale // d) for (v, _), d in zip(used, dens)]
+            # Column j of the used rows, dotted with ys, is the combination's
+            # coefficient j; their right-hand sides give its r.
+            if any(sum(map(mul, col, ys)) for col in zip(*(a for _, (a, _, _) in used))):
                 return False
-            return r > 0
+            return sum(map(mul, (b for _, (_, b, _) in used), ys)) > 0
         if self.status == "unbounded":
             r = self.ray
             if r is None or len(r) != lp.n_vars or lp.objective is None:
                 return False
             rs = integral(r)
             return (
-                all(_scaled_dot(a, rs) == 0 for a, _ in lp.eq)
-                and all(_scaled_dot(a, rs) >= 0 for a, _ in lp.ge)
-                and _scaled_dot(lp.objective, rs) > 0
+                all(sum(map(mul, a, rs)) == 0 for a, _, _ in lp.eq)
+                and all(sum(map(mul, a, rs)) >= 0 for a, _, _ in lp.ge)
+                and sum(map(mul, integral(lp.objective), rs)) > 0
             )
         return False
-
-
-def _scaled_dot(v, ints: list[int]) -> int:
-    """v scaled by a positive integer, dotted with an integer vector."""
-    return sum(map(mul, integral(v), ints))
 
 
 class _Simplex:
@@ -191,25 +210,26 @@ class _Simplex:
         nums: list[list[int]] = []
         dens: list[list[int]] = []
         basis: list[int] = []
-        specs = [(lhs, rhs, None) for lhs, rhs in eq_rows]
-        specs += [(lhs, rhs, i) for i, (lhs, rhs) in enumerate(ge_rows)]
-        for k, (lhs, rhs, slack) in enumerate(specs):
+        specs = [(a, b, s, None) for a, b, s in eq_rows]
+        specs += [(a, b, s, i) for i, (a, b, s) in enumerate(ge_rows)]
+        for k, (a, b, s, slack) in enumerate(specs):
             # A ge row with rhs <= 0 is flipped so its slack has coefficient
             # +1 and can start in the basis; everything else starts on its
             # artificial. Fewer basic artificials means fewer phase-1 pivots.
-            b = rhs.numerator
             on_slack = slack is not None and b <= 0
             sign = -1 if on_slack or b < 0 else 1
-            # Entries are written as the reduced pairs of the row's
-            # Fractions, the flip applied to the numerator; zeros stay 0/1.
+            # Entries are written as the reduced pairs of A_j / s and b / s,
+            # the flip applied to the numerator; zeros stay 0/1.
             rn = [0] * width
             rd = [1] * width
-            for j, c in enumerate(lhs):
+            for j, c in enumerate(a):
                 if c:
-                    rn[j] = sign * c.numerator
-                    rd[j] = c.denominator
-            rn[self.rhs_col] = sign * b
-            rd[self.rhs_col] = rhs.denominator
+                    g = gcd(c, s)
+                    rn[j] = sign * c // g
+                    rd[j] = s // g
+            g = gcd(b, s)
+            rn[self.rhs_col] = sign * b // g
+            rd[self.rhs_col] = s // g
             rn[n_vars + k] = 1
             self.sigma.append(sign)
             basis.append(2 * n_vars + slack if on_slack else self.n_real + k)
@@ -339,12 +359,14 @@ class _Simplex:
         return self.tab.nums[self.obj1_row][self.rhs_col] == 0
 
     def phase1_farkas(self) -> Vector:
-        """Row multipliers certifying infeasibility, in original row order."""
-        out = []
-        for k in range(self.m):
-            coeff = self.tab.entry(self.obj1_row, self.n + k)
-            out.append(self.sigma[k] * (_ONE - coeff))
-        return tuple(out)
+        """Row multipliers certifying infeasibility, in original row order:
+        sigma_k (1 - a) for the phase-1 row's entry a = n/d on artificial k,
+        that is sigma_k (d - n) / d, already reduced."""
+        cols = slice(self.n, self.n + self.m)
+        nums, dens = self.tab.nums[self.obj1_row][cols], self.tab.dens[self.obj1_row][cols]
+        return tuple(
+            Fraction(sign * (d - n), d) for sign, n, d in zip(self.sigma, nums, dens)
+        )
 
     def drive_out_artificials(self) -> None:
         """Pivot each basic artificial out on the row's first nonzero real

@@ -30,7 +30,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence, Union
 from .cone import (
     IntVec,
     PolyhedralCone,
-    characteristic_invariant,
+    characteristic_invariant_of,
     dual_cone,
     ordered_direct_sum,
     support_classes,
@@ -464,26 +464,35 @@ def isomorphism_carrying(
     source: ConeLike, target: ConeLike, alpha: Sequence, beta: Sequence
 ) -> OrderIsoWitness | None:
     """The first order isomorphism source -> target, in pairing order, that
-    carries the interior point alpha of the source to beta, or None.
+    carries the interior point alpha of the source to beta, or None. Raises
+    ValueError when alpha or beta does not have its cone's dimension.
 
     Such a map preserves Vinberg's characteristic invariant
     (``cone.characteristic_invariant``), so when alpha and beta are interior
-    points of the right length whose invariants differ, there is none and
-    no search runs. This check returns None only where the search would;
-    every other input is searched as before. On a simplicial source the
-    invariant is 1 everywhere, and a target where it is not has another ray
-    count, which the search rejects at once, so no invariant is computed.
+    points whose invariants differ, there is none and no search runs. This
+    check returns None only where the search would; every other input is
+    searched as before. On a simplicial source the invariant is 1
+    everywhere, and a target where it is not has another ray count, which
+    the search rejects at once, so no invariant is computed. A transport
+    (source equal to target) triangulates the dual once for both points.
     """
     s, t = _cone_of(source), _cone_of(target)
-    if (
-        not s.is_simplicial()
-        and len(alpha) == s.ambient_dim
-        and len(beta) == t.ambient_dim
-        and s.interior_contains(alpha)
-        and t.interior_contains(beta)
-        and characteristic_invariant(s, alpha) != characteristic_invariant(t, beta)
-    ):
-        return None
+    for name, x, c in (("alpha", alpha, s), ("beta", beta, t)):
+        if len(x) != c.ambient_dim:
+            raise ValueError(f"{name} has {len(x)} coordinates, expected {c.ambient_dim}")
+    if not s.is_simplicial() and s.interior_contains(alpha) and t.interior_contains(beta):
+        j_s = characteristic_invariant_of(s)
+        j_t = j_s if t == s else characteristic_invariant_of(t)
+        if j_s(alpha) != j_t(beta):
+            return None
+    return _carrying_search(s, t, alpha, beta)
+
+
+def _carrying_search(
+    s: PolyhedralCone, t: PolyhedralCone, alpha: Sequence, beta: Sequence
+) -> OrderIsoWitness | None:
+    """isomorphism_carrying's search, with no invariant check: one pinned
+    run of _isomorphisms."""
     # alpha as a combination of the source rays; the map sends it to the
     # same combination of the scaled partners, which must be beta. The solve
     # zeroes the free variables, so the weights sit on the greedy ray basis,
@@ -542,11 +551,12 @@ def is_homogeneous(space: StateSpace) -> HomogeneityVerdict:
     orbit (finitely many ray permutations times one scaling per component)
     meets only finitely many directions there.
 
-    Each transport first compares the characteristic invariant at the
-    barycentre and at the candidate, and enumerates no automorphism when
-    they differ, which settles the reported candidate of every
-    non-simplicial fixture space and of the 4- and 5-cube cones without a
-    search. The verdict is the same as without that check.
+    Each candidate's characteristic invariant is first compared with the
+    barycentre's, and no automorphism is enumerated when they differ, which
+    settles the reported candidate of every non-simplicial fixture space
+    and of the 4- and 5-cube cones without a search. The dual is
+    triangulated, and the invariant evaluated at the barycentre, once per
+    call. The verdict is the same as without that check.
     """
     c = space.cone
     if c.is_simplicial():
@@ -558,9 +568,12 @@ def is_homogeneous(space: StateSpace) -> HomogeneityVerdict:
         return HomogeneityVerdict("yes", generators=gens)
     bary = space.barycenter()
     verts = space.vertex_states()
+    # Every candidate is interior: the barycentre is, and t <= 1/2.
+    invariant = characteristic_invariant_of(c)
+    j_bary = invariant(bary)
     for k in count(2):
         t = Fraction(1, k)
         for vert in verts:
             cand = tuple((1 - t) * b + t * v for b, v in zip(bary, vert))
-            if transport_automorphism(space, bary, cand) is None:
+            if invariant(cand) != j_bary or _carrying_search(c, c, bary, cand) is None:
                 return HomogeneityVerdict("no", failed_pair=(bary, cand))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Callable, Iterator, Sequence
 
@@ -22,9 +23,11 @@ from .cone import PolyhedralCone, face_of, is_extremal
 from .dd import polytope_vertices
 from .ratlin import (
     LinearProgram,
+    Row,
     Vector,
     as_vector,
     independent_rows,
+    integer_row,
     integral_with_scale,
     lp_feasible,
     lp_optimize,
@@ -48,8 +51,6 @@ from .space import (
     is_homogeneous,
     is_weakly_self_dual,
 )
-
-_ZERO = Fraction(0)
 
 
 def order_interval_vertices(cone: PolyhedralCone, top: Sequence) -> tuple[Vector, ...]:
@@ -107,30 +108,30 @@ class LiftResult:
 def ensemble_lift_program(omega: BipartiteState, e: Ensemble) -> LinearProgram:
     """The feasibility program behind lift_ensemble, over stacked effect
     coordinates. Exposed so an infeasibility certificate can be re-checked
-    against the very rows it claims to combine."""
+    against the very rows it claims to combine.
+
+    Its rows are integer already: the A rays, the unit's rows over their
+    denominators, and the state's rows, scaled to integers once, over the
+    lcm of their scale and the part's entry."""
     space_a = omega.space_a
-    da, db = space_a.dim, omega.space_b.dim
+    da = space_a.dim
     k = len(e.parts)
     n = k * da
-    ge: list[tuple[Vector, Fraction]] = []
-    for i in range(k):
-        for r in space_a.cone.rays:
-            row = [Fraction(0)] * n
-            for c in range(da):
-                row[i * da + c] = Fraction(r[c])
-            ge.append((tuple(row), Fraction(0)))
-    eq: list[tuple[Vector, Fraction]] = []
-    for c in range(da):
-        row = [Fraction(0)] * n
-        for i in range(k):
-            row[i * da + c] = Fraction(1)
-        eq.append((tuple(row), Fraction(space_a.unit[c])))
+
+    def block(i: int, coeffs) -> tuple[int, ...]:
+        return (0,) * (i * da) + tuple(coeffs) + (0,) * (n - (i + 1) * da)
+
+    ge = [(block(i, r), 0, 1) for i in range(k) for r in space_a.cone.rays]
+    eq = []
+    for c, u in enumerate(space_a.unit):
+        row = tuple(u.denominator if j % da == c else 0 for j in range(n))
+        eq.append((row, u.numerator, u.denominator))
+    matrix = [integral_with_scale(row) for row in omega.matrix]
     for i, part in enumerate(e.parts):
-        for j in range(db):
-            row = [Fraction(0)] * n
-            for c in range(da):
-                row[i * da + c] = omega.matrix[j][c]
-            eq.append((tuple(row), part[j]))
+        for (ints, t), p in zip(matrix, part):
+            s = lcm(t, p.denominator)
+            row = block(i, (x * (s // t) for x in ints))
+            eq.append((row, p.numerator * (s // p.denominator), s))
     return LinearProgram(n, eq=eq, ge=ge)
 
 
@@ -160,9 +161,9 @@ def lift_ensemble(omega: BipartiteState, e: Ensemble) -> LiftResult:
 def _is_convex_combination(point: Sequence, generators: Sequence[Vector]) -> bool:
     """Whether point is a convex combination of the generators: one LP."""
     n = len(generators)
-    eq = [(tuple(g[c] for g in generators), point[c]) for c in range(len(point))]
-    eq.append(((1,) * n, 1))
-    ge = [(tuple(int(i == j) for i in range(n)), 0) for j in range(n)]
+    eq = [integer_row([g[c] for g in generators], point[c]) for c in range(len(point))]
+    eq.append(((1,) * n, 1, 1))
+    ge = [(tuple(int(i == j) for i in range(n)), 0, 1) for j in range(n)]
     return lp_feasible(LinearProgram(n, eq=eq, ge=ge)).status == "feasible"
 
 
@@ -361,24 +362,28 @@ SectionProgram = tuple[LinearProgram, Callable[[Vector], AffineSection]]
 
 def _weighted_rows(
     weights: tuple[list[int], int], functionals: Sequence
-) -> list[tuple[Vector, Fraction]]:
+) -> list[tuple[list[int], int, int, int]]:
     """Each functional ((F, t), (C, u)), coefficients F / t over one block of
     unknowns and constants C / u per basis point, weighed by L / s over the
-    basis points: block i of its row is L_i F / (s t), each entry one
-    reduced Fraction(L_i * F_c, s * t), and its constant sum_i L_i C_i / (s u)."""
+    basis points: block i of its row is L_i F over s t, and its constant
+    sum_i L_i C_i over s u. Returns (row, s t, constant, s u) per functional."""
     lam, s = weights
     out = []
     for (f, t), (c, u) in functionals:
         width = len(f)
-        row = [_ZERO] * (len(lam) * width)
-        st = s * t
+        row = [0] * (len(lam) * width)
         for i, li in enumerate(lam):
             if li:
-                for col, fc in enumerate(f, i * width):
-                    if fc:
-                        row[col] = Fraction(li * fc, st)
-        out.append((tuple(row), Fraction(sum(map(mul, lam, c)), s * u)))
+                row[i * width:(i + 1) * width] = [li * fc for fc in f]
+        out.append((row, s * t, sum(map(mul, lam, c)), s * u))
     return out
+
+
+def _row_over(lhs: Sequence[int], d: int, num: int, den: int) -> Row:
+    """The row lhs / d against num / den, over the lcm of d and den."""
+    s = lcm(d, den)
+    f = s // d
+    return tuple(x * f for x in lhs) if f > 1 else tuple(lhs), num * (s // den), s
 
 
 def _section_rows(
@@ -387,7 +392,7 @@ def _section_rows(
     basis: Sequence[Vector],
     rays: Sequence,
     values: Sequence = (),
-) -> tuple[list, list]:
+) -> tuple[list[Row], list[Row]]:
     """The eq and ge rows of a section program, one block of unknowns per
     basis point, read by each A ray through `rays` and by each row of the
     state's matrix through `values`.
@@ -400,20 +405,23 @@ def _section_rows(
     space_a = omega.space_a
     frame = AffineSection(tuple(basis), ())
     bounds = [vec_dot(space_a.unit, as_vector(r)) for r in space_a.cone.rays]
-    eq: list[tuple[Vector, Fraction]] = []
-    ge: list[tuple[Vector, Fraction]] = []
+    eq: list[Row] = []
+    ge: list[Row] = []
     for y in verts:
         lam = integral_with_scale(frame.coordinates(y))
-        for (row, const), yj in zip(_weighted_rows(lam, values), y):
-            eq.append((row, yj - const))
-        for (row, const), bound in zip(_weighted_rows(lam, rays), bounds):
-            ge.append((row, -const))
-            ge.append((tuple(-x for x in row), const - bound))
+        # Value rows: row = y_j - constant; ray rows: 0 <= row + constant <= bound.
+        for (row, d, c, u), yj in zip(_weighted_rows(lam, values), y):
+            q = yj.denominator
+            eq.append(_row_over(row, d, yj.numerator * u - c * q, q * u))
+        for (row, d, c, u), bound in zip(_weighted_rows(lam, rays), bounds):
+            q = bound.denominator
+            ge.append(_row_over(row, d, -c, u))
+            ge.append(_row_over([-x for x in row], d, c * q - bound.numerator * u, q * u))
     target = marginal_b(omega).vector
     origin = frame.coordinates(vec_zero(len(target)))
     for fr in face_of(omega.space_b.cone, target).rays():
         weights = integral_with_scale(vec_sub(frame.coordinates(fr), origin))
-        ge += [(row, -const) for row, const in _weighted_rows(weights, rays)]
+        ge += [_row_over(row, d, -c, u) for row, d, c, u in _weighted_rows(weights, rays)]
     return eq, ge
 
 
@@ -507,6 +515,7 @@ def _polytope_dimension(lp: LinearProgram) -> tuple[int, tuple[Vector, Vector] |
     constant functionals in its orthogonal complement, and each step adds a
     row independent of the others, so after n steps the gaps number exactly
     the dimension. Until the first gap, c runs through e1, e2, ... in order.
+    Every program shares lp's row tuples; only the objective changes.
     """
     n = lp.n_vars
     found: list[Vector] = []

@@ -2,7 +2,8 @@
 
 The acceptance module records one PASS/FAIL line per criterion; echo those
 lines into the terminal summary so the gate stays readable under output
-capture. `criterion_8_states` hands tests the states the benchmark draws.
+capture. `criterion_8_states` hands tests the states the benchmark draws,
+and `criterion_8_sequence` any prefix of the sequence they come from.
 """
 
 import importlib.util
@@ -28,9 +29,9 @@ def pytest_terminal_summary(terminalreporter):
 
 
 @pytest.fixture(scope="session")
-def criterion_8_states():
-    """The states `random_batch` draws from acceptance criterion 8's
-    sequence, built by the benchmark's own generator."""
+def benchmark_workloads():
+    """perfbench/workloads.py, imported without a bytecode cache, and the
+    polysteer modules its state generator reads."""
     from polysteer import composite, fixtures, space
 
     spec = importlib.util.spec_from_file_location("_perfbench_workloads", WORKLOADS)
@@ -43,5 +44,19 @@ def criterion_8_states():
     finally:
         sys.dont_write_bytecode = saved
         del sys.modules[spec.name]
-    prog = SimpleNamespace(composite=composite, fixtures=fixtures, space=space)
+    return module, SimpleNamespace(composite=composite, fixtures=fixtures, space=space)
+
+
+@pytest.fixture(scope="session")
+def criterion_8_states(benchmark_workloads):
+    """The states `random_batch` draws from acceptance criterion 8's
+    sequence, built by the benchmark's own generator."""
+    module, prog = benchmark_workloads
     return module.criterion_8_states(prog, module.CORPUS_STATES)
+
+
+@pytest.fixture(scope="session")
+def criterion_8_sequence(benchmark_workloads):
+    """The first `count` states of that sequence, as a function of count."""
+    module, prog = benchmark_workloads
+    return lambda count: module.criterion_8_states(prog, count)

@@ -8,7 +8,7 @@ strictly feasible exactly when the optimum is positive.
 
 from fractions import Fraction
 
-from polysteer.ratlin import LinearProgram, as_vector, lp_optimize
+from polysteer.ratlin import LinearProgram, as_vector, integer_row, lp_optimize
 
 
 def strict_witness(n, eq=(), ge=(), gt=()):
@@ -16,10 +16,10 @@ def strict_witness(n, eq=(), ge=(), gt=()):
     None when there is none."""
 
     def widened(rows, t):
-        return [(as_vector(lhs) + (Fraction(t),), rhs) for lhs, rhs in rows]
+        return [integer_row(as_vector(lhs) + (Fraction(t),), rhs) for lhs, rhs in rows]
 
     t_row = (Fraction(0),) * n + (Fraction(1),)
-    bounds = [(t_row, 0), (tuple(-c for c in t_row), -1)]
+    bounds = [integer_row(t_row, 0), integer_row(tuple(-c for c in t_row), -1)]
     gap = LinearProgram(
         n + 1, eq=widened(eq, 0), ge=widened(ge, 0) + widened(gt, -1) + bounds,
         objective=t_row,

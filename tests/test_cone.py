@@ -35,6 +35,7 @@ from polysteer.fixtures import fixture_library
 from polysteer.ratlin import (
     LinearProgram,
     det,
+    integer_row,
     lp_feasible,
     mat_transpose,
     primitive,
@@ -73,13 +74,8 @@ def square_cone():
 
 def in_cone_lp(rays, x):
     n = len(rays)
-    eq = [
-        (tuple(Fraction(r[k]) for r in rays), Fraction(x[k])) for k in range(len(x))
-    ]
-    ge = [
-        (tuple(Fraction(int(j == i)) for j in range(n)), Fraction(0))
-        for i in range(n)
-    ]
+    eq = [integer_row([r[k] for r in rays], x[k]) for k in range(len(x))]
+    ge = [(tuple(int(j == i) for j in range(n)), 0, 1) for i in range(n)]
     return lp_feasible(LinearProgram(n, eq=eq, ge=ge)).status == "feasible"
 
 

@@ -3,7 +3,8 @@
 Randomized checks compare against independent oracles implemented here with
 cofactor determinants and exhaustive vertex enumeration, never against the
 code paths under test. The integer simplex and certificate check are also
-pinned to the Fraction-built versions they replaced, kept here as references.
+pinned to the Fraction-built versions they replaced, kept here as references
+that read each integer row (A, b, s) at its rational value (A / s, b / s).
 """
 
 import dataclasses
@@ -25,6 +26,7 @@ from polysteer.ratlin import (
     as_vector,
     format_rational,
     independent_rows,
+    integer_row,
     invert,
     lp_feasible,
     lp_optimize,
@@ -39,8 +41,19 @@ from polysteer.ratlin import (
     vec_dot,
 )
 from polysteer.steering import ensemble_lift_program, extremal_ensembles, section_program
+from rational_rows import rational_rows
 
 F = Fraction
+
+
+def rational_program(n, eq=(), ge=(), objective=None):
+    """The program of rational (lhs, rhs) rows, each written as its integer row."""
+    return LinearProgram(
+        n,
+        eq=[integer_row(*row) for row in eq],
+        ge=[integer_row(*row) for row in ge],
+        objective=objective,
+    )
 
 
 # --- independent oracles -------------------------------------------------
@@ -87,8 +100,9 @@ def cramer_solve(a, b):
 
 def brute_force_optimal(lp):
     """Max over all vertices (bounded pointed programs only)."""
-    rows = list(lp.eq) + list(lp.ge)
-    eq_idx = set(range(len(lp.eq)))
+    eqs, ges = rational_rows(lp.eq), rational_rows(lp.ge)
+    rows = eqs + ges
+    eq_idx = set(range(len(eqs)))
     best = None
     for subset in combinations(range(len(rows)), lp.n_vars):
         if not eq_idx.issubset(subset) and eq_idx - set(subset):
@@ -98,8 +112,8 @@ def brute_force_optimal(lp):
         x = cramer_solve(a, b)
         if x is None:
             continue
-        if all(vec_dot(lhs, x) == rhs for lhs, rhs in lp.eq) and all(
-            vec_dot(lhs, x) >= rhs for lhs, rhs in lp.ge
+        if all(vec_dot(lhs, x) == rhs for lhs, rhs in eqs) and all(
+            vec_dot(lhs, x) >= rhs for lhs, rhs in ges
         ):
             val = vec_dot(lp.objective, x)
             if best is None or val > best:
@@ -446,7 +460,7 @@ def test_primitive_of_int_fraction_and_string_entries():
 
 
 def test_lp_optimize_simple_bounded():
-    lp = LinearProgram(
+    lp = rational_program(
         2,
         ge=[((1, 0), 0), ((0, 1), 0), ((-1, -2), -4), ((-2, -1), -4)],
         objective=(1, 1),
@@ -459,21 +473,21 @@ def test_lp_optimize_simple_bounded():
 
 
 def test_lp_optimize_unbounded_gives_ray():
-    lp = LinearProgram(1, ge=[((1,), 0)], objective=(1,))
+    lp = rational_program(1, ge=[((1,), 0)], objective=(1,))
     out = lp_optimize(lp)
     assert out.status == "unbounded"
     assert out.check(lp)
 
 
 def test_lp_optimize_infeasible_gives_farkas():
-    lp = LinearProgram(1, ge=[((1,), 0), ((-1,), 1)], objective=(1,))
+    lp = rational_program(1, ge=[((1,), 0), ((-1,), 1)], objective=(1,))
     out = lp_optimize(lp)
     assert out.status == "infeasible"
     assert out.check(lp)
 
 
 def test_lp_optimize_equality_rows():
-    lp = LinearProgram(
+    lp = rational_program(
         3,
         eq=[((1, 1, 1), 1)],
         ge=[((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0)],
@@ -492,14 +506,14 @@ def test_lp_feasible_empty_program():
 
 
 def test_lp_feasible_zero_vars():
-    assert lp_feasible(LinearProgram(0, ge=[((), -1)])).status == "feasible"
-    out = lp_feasible(LinearProgram(0, ge=[((), 1)]))
-    assert out.status == "infeasible" and out.check(LinearProgram(0, ge=[((), 1)]))
+    assert lp_feasible(LinearProgram(0, ge=[((), -1, 1)])).status == "feasible"
+    out = lp_feasible(LinearProgram(0, ge=[((), 1, 1)]))
+    assert out.status == "infeasible" and out.check(LinearProgram(0, ge=[((), 1, 1)]))
 
 
 def test_lp_free_variables():
     # Variables carry no implicit sign: minimum of x at -5 is reachable.
-    lp = LinearProgram(1, ge=[((1,), -5)], objective=(-1,))
+    lp = rational_program(1, ge=[((1,), -5)], objective=(-1,))
     out = lp_optimize(lp)
     assert out.status == "optimal" and out.witness == (-5,) and out.value == 5
 
@@ -523,7 +537,7 @@ def test_lp_randomized_against_vertex_enumeration():
         if n > 1 and rng.random() < 0.3:
             eq.append((tuple(rng.randint(-2, 2) for _ in range(n)), rng.randint(-2, 2)))
         obj = tuple(rng.randint(-3, 3) for _ in range(n))
-        lp = LinearProgram(n, eq=eq, ge=lp_ge, objective=obj)
+        lp = rational_program(n, eq=eq, ge=lp_ge, objective=obj)
         out = lp_optimize(lp)
         assert out.check(lp)
         oracle = brute_force_optimal(lp)
@@ -544,7 +558,7 @@ def test_lp_outcomes_always_carry_valid_certificates():
             for _ in range(rng.randint(1, 5))
         ]
         kinds = [rng.choice(["eq", "ge", "ge"]) for _ in rows]
-        lp = LinearProgram(
+        lp = rational_program(
             n,
             eq=[r for r, k in zip(rows, kinds) if k == "eq"],
             ge=[r for r, k in zip(rows, kinds) if k == "ge"],
@@ -555,8 +569,10 @@ def test_lp_outcomes_always_carry_valid_certificates():
 
 
 def test_vector_width_validation():
-    with pytest.raises(ValueError):
-        LinearProgram(2, ge=[((1,), 0)])
+    with pytest.raises(ValueError, match="width"):
+        LinearProgram(2, ge=[((1,), 0, 1)])
+    with pytest.raises(ValueError, match="denominator"):
+        LinearProgram(2, eq=[((1, 0), 0, 0)])
     with pytest.raises(ValueError):
         LinearProgram(2, objective=(1,))
     with pytest.raises(ValueError):
@@ -574,10 +590,11 @@ class FractionSimplex:
     identities instead. Its rows are Fraction lists handed to the tableau's
     entry constructor, and its ratio test divides tableau entries read back
     as Fractions. `ties` counts ratio-test ties, where Bland's basis
-    tie-break decides.
+    tie-break decides. It reads a program's integer rows as rationals.
     """
 
     def __init__(self, n_vars, eq_rows, ge_rows, objective=None):
+        eq_rows, ge_rows = rational_rows(eq_rows), rational_rows(ge_rows)
         self.n = n_vars
         self.g = len(ge_rows)
         self.m = len(eq_rows) + self.g
@@ -710,25 +727,27 @@ class FractionSimplex:
 
 
 def fraction_check(out, lp):
-    """LPOutcome.check as it was, re-substituting with Fraction dot products."""
+    """LPOutcome.check as it was, re-substituting with Fraction dot products
+    into the program's rows read as rationals."""
+    eqs, ges = rational_rows(lp.eq), rational_rows(lp.ge)
     if out.status in ("feasible", "optimal"):
         x = out.witness
         if x is None or len(x) != lp.n_vars:
             return False
         ok = (
-            all(vec_dot(a, x) == b for a, b in lp.eq)
-            and all(vec_dot(a, x) >= b for a, b in lp.ge)
+            all(vec_dot(a, x) == b for a, b in eqs)
+            and all(vec_dot(a, x) >= b for a, b in ges)
         )
         if out.status == "optimal":
             ok = ok and lp.objective is not None and vec_dot(lp.objective, x) == out.value
         return ok
     if out.status == "infeasible":
         y = out.farkas
-        e = len(lp.eq)
-        if y is None or len(y) != e + len(lp.ge) or any(v < 0 for v in y[e:]):
+        e = len(eqs)
+        if y is None or len(y) != e + len(ges) or any(v < 0 for v in y[e:]):
             return False
         combo, r = [F(0)] * lp.n_vars, F(0)
-        for mult, (lhs, rhs) in zip(y, lp.eq + lp.ge):
+        for mult, (lhs, rhs) in zip(y, eqs + ges):
             combo = [c + mult * a for c, a in zip(combo, lhs)]
             r += mult * rhs
         if any(combo):
@@ -739,8 +758,8 @@ def fraction_check(out, lp):
         if d is None or len(d) != lp.n_vars or lp.objective is None:
             return False
         return (
-            all(vec_dot(a, d) == 0 for a, _ in lp.eq)
-            and all(vec_dot(a, d) >= 0 for a, _ in lp.ge)
+            all(vec_dot(a, d) == 0 for a, _ in eqs)
+            and all(vec_dot(a, d) >= 0 for a, _ in ges)
             and vec_dot(lp.objective, d) > 0
         )
     return False
@@ -774,7 +793,7 @@ def seeded_programs(seed, count):
                 rhs = F(0) if rng.random() < 0.35 else q()
             rows[kind].append((lhs, rhs))
         objective = tuple(q() for _ in range(n)) if optimize else None
-        yield LinearProgram(n, **rows, objective=objective), optimize
+        yield rational_program(n, **rows, objective=objective), optimize
 
 
 def full_layout(sx):
@@ -862,7 +881,7 @@ def mirror_pivots(lp, events):
     """How many pivots enter a q column, a slack column whose row was written
     as given (scale -1), and one whose row was flipped (scale +1)."""
     n = lp.n_vars
-    flipped = [rhs <= 0 for _, rhs in lp.ge]
+    flipped = [b <= 0 for _, b, _ in lp.ge]
     counts = [0, 0, 0]
     for e in events:
         if e[0] == "pivot" and n <= e[2] < 2 * n:
@@ -880,7 +899,7 @@ def test_integer_simplex_follows_the_fraction_reference_pivot_for_pivot(monkeypa
         out, events, ref_ties = assert_follows_the_reference(lp, optimize, monkeypatch)
         seen[out.status] += 1
         ties += ref_ties
-        flipped += any(rhs <= 0 for _, rhs in lp.ge)
+        flipped += any(b <= 0 for _, b, _ in lp.ge)
         empty += lp.n_vars == 0
         pivots += sum(e[0] == "pivot" for e in events)
         mirrors = [a + b for a, b in zip(mirrors, mirror_pivots(lp, events))]
@@ -956,7 +975,7 @@ def test_integer_certificate_check_agrees_with_fraction_reference():
     assert verdicts[True] >= 10 and verdicts[False] >= 100, verdicts
     # Hand cases: wrong widths, missing certificates, and a Farkas sum
     # 0 >= 0, which certifies nothing, beside one 0 >= 1, which does.
-    lp = LinearProgram(2, ge=[((1, 0), 0)], objective=(1, 0))
+    lp = rational_program(2, ge=[((1, 0), 0)], objective=(1, 0))
     cases = [
         (lp, LPOutcome("feasible", witness=(F(1),)), False),
         (lp, LPOutcome("optimal", witness=(F(1), F(0))), False),
@@ -964,9 +983,68 @@ def test_integer_certificate_check_agrees_with_fraction_reference():
         (lp, LPOutcome("infeasible", farkas=(F(1), F(0))), False),
         (lp, LPOutcome("unbounded"), False),
         (lp, LPOutcome("unknown"), False),
-        (LinearProgram(1, ge=[((1,), 0), ((-1,), 0)]), LPOutcome.infeasible((1, 1)), False),
-        (LinearProgram(1, ge=[((1,), 1), ((-1,), 0)]), LPOutcome.infeasible((1, 1)), True),
-        (LinearProgram(0, eq=[((), 0)]), LPOutcome.feasible(()), True),
+        (rational_program(1, ge=[((1,), 0), ((-1,), 0)]), LPOutcome.infeasible((1, 1)), False),
+        (rational_program(1, ge=[((1,), 1), ((-1,), 0)]), LPOutcome.infeasible((1, 1)), True),
+        (rational_program(0, eq=[((), 0)]), LPOutcome.feasible(()), True),
     ]
     for program, out, verdict in cases:
         assert out.check(program) is verdict and fraction_check(out, program) is verdict
+
+
+def fraction_solve(lp, optimize):
+    """lp_optimize or lp_feasible as they ran on Fraction rows: FractionSimplex
+    over the rows read as rationals, its outcome certified by fraction_check."""
+    sx = FractionSimplex(lp.n_vars, lp.eq, lp.ge, objective=lp.objective if optimize else None)
+    if not sx.phase1():
+        out = LPOutcome.infeasible(sx.phase1_farkas())
+    elif not optimize:
+        out = LPOutcome.feasible(sx.solution())
+    else:
+        sx.drive_out_artificials()
+        if sx.phase2() == "unbounded":
+            out = LPOutcome.unbounded(sx.ray())
+        else:
+            out = LPOutcome.optimal(sx.solution(), sx.objective_value())
+    assert fraction_check(out, lp)
+    return out
+
+
+def test_integer_rows_solve_as_the_fraction_row_reference():
+    """Status, witness, farkas, ray and value, to the type of every entry,
+    equal those of the reference solve on the 400 seeded programs."""
+    seen = {"optimal": 0, "unbounded": 0, "infeasible": 0, "feasible": 0}
+    scaled = 0
+    for lp, optimize in seeded_programs(20261018, 400):
+        out = (lp_optimize if optimize else lp_feasible)(lp)
+        # repr tells a Fraction from an int of the same value.
+        assert repr(out) == repr(fraction_solve(lp, optimize))
+        seen[out.status] += 1
+        scaled += any(s > 1 for _, _, s in lp.eq + lp.ge)
+    assert min(seen.values()) >= 20 and scaled >= 100, (seen, scaled)
+
+
+def test_integer_row_keeps_the_exact_value():
+    assert integer_row((F(1, 2), F(-2, 3)), F(1, 6)) == ((3, -4), 1, 6)
+    # Not made primitive: the row reads 2x + 4y >= 6, not x + 2y >= 3.
+    assert integer_row((2, 4), 6) == ((2, 4), 6, 1)
+    assert integer_row((), F(-5, 7)) == ((), -5, 7)
+
+
+def test_a_row_over_a_multiple_denominator_is_the_same_row():
+    """(A, b, s) and (kA, kb, ks) are one rational row: the same tableau,
+    the same pivots and the same certificates, which check on either."""
+    for lp, optimize in seeded_programs(4242, 60):
+        k = 1 + lp.row_count() % 4
+        scaled = LinearProgram(
+            lp.n_vars,
+            eq=[(tuple(k * a for a in lhs), k * b, k * s) for lhs, b, s in lp.eq],
+            ge=[(tuple(k * a for a in lhs), k * b, k * s) for lhs, b, s in lp.ge],
+            objective=lp.objective,
+        )
+        solve = lp_optimize if optimize else lp_feasible
+        out = solve(lp)
+        assert repr(solve(scaled)) == repr(out)
+        assert out.check(scaled) and out.check(lp)
+        assert full_layout(simplex._Simplex(lp.n_vars, lp.eq, lp.ge, lp.objective)) == (
+            full_layout(simplex._Simplex(scaled.n_vars, scaled.eq, scaled.ge, scaled.objective))
+        )

@@ -4,20 +4,21 @@ product builders they replaced.
 `steering._section_search_full` and the reduced program of
 `steering.section_program` share one row writer, which scales each
 functional and each vertex's affine coordinates to integers once and writes
-every entry as one reduced Fraction. The builders below are the earlier
+every row as one integer row (A, b, s). The builders below are the earlier
 ones, which multiply Fractions entry by entry; each pair must give equal
-programs, row for row and in the same order, on every fixture state and on
-the states the benchmark draws. A state with a trivial kernel has one
-candidate section, which section_program checks before writing any row.
+programs, row for row and in the same order, with each integer row read at
+its rational value, on every fixture state and on the states the benchmark
+draws. A state with a trivial kernel has one candidate section, which
+section_program checks before writing any row.
 """
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from polysteer import fixtures, steering
 from polysteer.composite import marginal_b
 from polysteer.cone import face_of
 from polysteer.ratlin import (
-    LinearProgram,
     as_vector,
     mat_transpose,
     mat_vec,
@@ -33,6 +34,20 @@ from polysteer.steering import (
     order_interval_vertices,
     section_program,
 )
+from rational_rows import rational_rows
+
+
+class FractionProgram(NamedTuple):
+    """A program's rows as rational (lhs, rhs) pairs."""
+
+    n_vars: int
+    eq: list
+    ge: list
+
+
+def rational_view(program):
+    """The program with each integer row (A, b, s) read as (A / s, b / s)."""
+    return FractionProgram(program.n_vars, rational_rows(program.eq), rational_rows(program.ge))
 
 
 def fraction_product_rows(omega, verts, basis):
@@ -74,7 +89,7 @@ def fraction_product_rows(omega, verts, basis):
                     row[i * da + c] += coeff[i - 1] * rv[c]
                     row[0 * da + c] -= coeff[i - 1] * rv[c]
             ge.append((tuple(row), Fraction(0)))
-    return LinearProgram(n, eq=eq, ge=ge)
+    return FractionProgram(n, eq, ge)
 
 
 def fraction_product_reduced_rows(omega, verts, basis):
@@ -126,7 +141,7 @@ def fraction_product_reduced_rows(omega, verts, basis):
         if any(rhs > 0 for _, rhs in ge):
             return None
         ge = []
-    return LinearProgram(n, ge=ge)
+    return FractionProgram(n, [], ge)
 
 
 def fixture_states():
@@ -140,8 +155,7 @@ def interval_basis(omega):
 
 
 def assert_same_program(got, want):
-    assert (got.n_vars, got.eq, got.ge) == (want.n_vars, want.eq, want.ge)
-    assert all(type(x) is Fraction for lhs, _ in got.eq + got.ge for x in lhs)
+    assert rational_view(got) == want
 
 
 def test_integer_rows_equal_the_fraction_product_rows(criterion_8_states):

@@ -12,6 +12,7 @@ from itertools import count, islice
 
 import pytest
 
+from polysteer import cone as cone_module
 from polysteer.cone import (
     characteristic_invariant,
     cone_from_rays,
@@ -802,12 +803,45 @@ def test_isomorphism_carrying_is_total_off_the_interior():
     cases = [
         (sq, sq, bary, (1, 0, 1)),  # beta on the target's boundary
         (sq, sq, (1, 0, 1), bary),  # alpha on the source's boundary
-        (sq, sq, bary, (0, 0)),  # beta of the wrong length
         (sq, cube, bary, (0, 0, 0, 1)),  # a target of another dimension
     ]
     for case in cases:
         assert ungated_isomorphism_carrying(*case) is None
         assert isomorphism_carrying(*case) is None
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,message",
+    [
+        (None, (0, 0, 0, 1), "beta has 4 coordinates, expected 3"),
+        (None, (0, 1), "beta has 2 coordinates, expected 3"),
+        ((0, 0, 1, 1), None, "alpha has 4 coordinates, expected 3"),
+    ],
+)
+def test_isomorphism_carrying_rejects_wrong_lengths(alpha, beta, message):
+    """A beta too long, a beta too short and an alpha of the wrong length
+    raise one ValueError naming the expected dimension."""
+    sq = fixture_library().spaces["square_space"]
+    bary = sq.barycenter()
+    with pytest.raises(ValueError, match=message):
+        isomorphism_carrying(sq.cone, sq.cone, alpha or bary, beta or bary)
+
+
+def test_one_triangulation_per_homogeneity_decision(monkeypatch):
+    """is_homogeneous triangulates the dual once, however many candidates it
+    compares, and a transport triangulates it once for both points."""
+    calls = []
+    real = cone_module.pulling_triangulation
+    monkeypatch.setattr(
+        cone_module, "pulling_triangulation", lambda c: calls.append(1) or real(c)
+    )
+    octahedron = cone_space(cross_polytope_cone(3))
+    verdict = is_homogeneous(octahedron)
+    assert verdict.status == "no" and len(calls) == 1
+    bary, cand = verdict.failed_pair
+    calls.clear()
+    assert transport_automorphism(octahedron, bary, cand) is None
+    assert len(calls) == 1
 
 
 def gate_cases():

@@ -453,18 +453,18 @@ def test_dimension_counts_independent_gaps():
     # and (-1, -2): optimizing x and then y in both directions can give the
     # gap (1, 2) twice, so a walk over the coordinates alone sees one
     # direction.
-    triangle = LinearProgram(2, ge=[((-1, 0), 0), ((2, -1), 0), ((-1, 1), -1)])
+    triangle = LinearProgram(2, ge=[((-1, 0), 0, 1), ((2, -1), 0, 1), ((-1, 1), -1, 1)])
     dimension, (lo, hi) = _polytope_dimension(triangle)
     assert dimension == 2
     assert lo != hi
     # The segment x = y = z in [0, 1]: one gap, then two constant functionals.
     segment = LinearProgram(
         3,
-        eq=[((1, -1, 0), 0), ((0, 1, -1), 0)],
-        ge=[((1, 0, 0), 0), ((-1, 0, 0), -1)],
+        eq=[((1, -1, 0), 0, 1), ((0, 1, -1), 0, 1)],
+        ge=[((1, 0, 0), 0, 1), ((-1, 0, 0), -1, 1)],
     )
     assert _polytope_dimension(segment)[0] == 1
-    point = LinearProgram(2, eq=[((1, 0), 1), ((0, 1), 2)])
+    point = LinearProgram(2, eq=[((1, 0), 1, 1), ((0, 1), 2, 1)])
     assert _polytope_dimension(point) == (0, None)
 
 

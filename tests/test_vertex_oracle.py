@@ -24,6 +24,7 @@ from polysteer.cone import face_of
 from polysteer.dd import extreme_rays, int_dot
 from polysteer.ratlin import (
     LinearProgram,
+    integer_row,
     lp_feasible,
     nullspace,
     primitive,
@@ -43,7 +44,9 @@ def lp_probe_vertices(ineqs, eqs, dim):
     implicit equalities found by strict-LP probes."""
     ineqs = [(tuple(map(Fraction, g)), Fraction(h)) for g, h in ineqs]
     eqs = [(tuple(map(Fraction, a)), Fraction(b)) for a, b in eqs]
-    base = LinearProgram(dim, eq=eqs, ge=ineqs)
+    base = LinearProgram(
+        dim, eq=[integer_row(*row) for row in eqs], ge=[integer_row(*row) for row in ineqs]
+    )
     if lp_feasible(base).status != "feasible":
         return []
 
