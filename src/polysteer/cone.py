@@ -88,12 +88,17 @@ def _integral(x: Sequence, ambient_dim: int) -> IntVec:
 
 
 def _primitive_generators(vectors: Iterable[Sequence], ambient_dim: int) -> list[IntVec]:
-    """Each vector made primitive, after checking it has ambient_dim entries,
-    with repeats dropped in first-occurrence order."""
-    out = [primitive(v) for v in vectors]
-    for v in out:
+    """Each vector made primitive, after checking it has ambient_dim entries
+    and is nonzero, with repeats dropped in first-occurrence order."""
+    out = []
+    for i, v in enumerate(map(tuple, vectors)):
         if len(v) != ambient_dim:
             raise ConeError(f"vector has {len(v)} entries, the cone lives in {ambient_dim}")
+        if not any(v):
+            raise ConeError(
+                f"generator {i} is the zero vector; rays and facet normals must be nonzero"
+            )
+        out.append(primitive(v))
     return list(dict.fromkeys(out))
 
 

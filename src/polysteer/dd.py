@@ -5,7 +5,10 @@ cone into its extreme rays, each with its incidence mask over the input rows.
 Running it on a ray matrix instead computes the extreme rays of the dual
 cone, i.e. the facets of the primal, so the same routine drives both
 conversion directions; the masks then say which input rays lie on each
-facet, which is all the cone layer needs to tell the extreme ones.
+facet, which is all the cone layer needs to tell the extreme ones. Each ray
+carries integer products only with the rows still to insert; an inserted
+row survives as bits, in each ray's incidence mask and in the set of rays
+tight on it, and adjacency is read off those per-row ray sets.
 
 ``polytope_vertices`` enumerates a polytope's vertices through
 ``extreme_rays``. Its caller supplies a relative-interior point; the rows
@@ -20,12 +23,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import islice
 from operator import mul
 from typing import Sequence
 
 from .ratlin import (
-    independent_rows,
     integral,
     integral_with_scale,
     nullspace,
@@ -54,13 +55,20 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[IntVec, 
 
     Incremental double description with the combinatorial adjacency test:
     rays p, m are adjacent iff no third ray is tight on every inserted row
-    that both p and m are tight on. Each ray carries its incidence mask over
-    the inserted rows and its products with every row, both updated as rows
-    are inserted, and a pair tight on fewer than dim - 2 common rows is never
-    adjacent (Fukuda and Prodon, "Double description method revisited",
-    1996). The next row inserted is the one that cuts off the most current
-    rays; once none cuts any off, the rest are redundant, and their bits of
-    each returned mask are read off the final products.
+    that both p and m are tight on, and a pair tight on fewer than dim - 2
+    common rows is never adjacent (Fukuda and Prodon, "Double description
+    method revisited", 1996). Each ray carries its incidence mask over the
+    inserted rows and its products with the rows still to insert; a row's
+    products are dropped when it goes in, as their signs are then the
+    rays' incidence bits. The third-ray test is a superset query on bit
+    sets (Terzer and Stelling, Bioinformatics 24(19), 2008), asked of the
+    rows: every ray has an id bit, every inserted row keeps the ids of the
+    rays tight on it, and p, m are adjacent iff the ids of the current
+    rays, ANDed with those sets for the rows in both masks, come down to
+    exactly {p, m}; the ANDs stop as soon as they do. The next row inserted
+    is the one that cuts off the most current rays; once none cuts any
+    off, the rest are redundant, and their bits of each returned mask are
+    read off the final products.
 
     The rows are integer, at any positive scale: only the signs of the
     products and the incidence masks decide, the starting rays are made
@@ -70,73 +78,108 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[IntVec, 
     for i, h in enumerate(rows):
         if len(h) != dim:
             raise ValueError(f"row {i} has {len(h)} entries, expected {dim}")
-    base_idx = independent_rows(rows)
+
+    # One elimination picks the base, the first independent rows, and
+    # tracks their combinations: reduced, chosen row c ends as row c of the
+    # base's inverse over its pivot p_c. The inverse's columns are the rays
+    # of the simplicial cone the base cuts out; scaled by the lcm of the
+    # pivots' absolute values, each column is integer, and dividing it by
+    # its gcd makes it primitive.
+    base_idx, reduced = _eliminate(rows, reduce=True, track=True)
     if len(base_idx) < dim:
         raise ValueError("inequality rows do not span the space; cone is not pointed")
-
-    # The columns of the inverse of the base rows are the rays of the
-    # simplicial cone those rows cut out. Eliminating [base | I] leaves row c
-    # of the inverse as row c's right half over its pivot p_c; scaled by the
-    # lcm of the pivots' absolute values, each column is integer, and
-    # dividing it by its gcd makes it primitive.
-    eye = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    reduced = sorted(
-        _eliminate([[*rows[i], *e] for i, e in zip(base_idx, eye)], reduce=True)[1]
-    )
+    reduced.sort()
     scale = math.lcm(*(row[c] for c, row in reduced))
     columns = zip(*([x * (scale // row[c]) for x in row[dim:]] for c, row in reduced))
     rays: list[IntVec] = []
     for col in columns:
         g = math.gcd(*col)
         rays.append(tuple(x // g for x in col))
-    # dots[j][i] is row i times ray j; negs[i] counts the rays row i cuts off.
-    dots = [[int_dot(h, r) for h in rows] for r in rays]
-    inc = [sum(1 << i for i in base_idx if d[i] == 0) for d in dots]
-    negs = [sum(d[i] < 0 for d in dots) for i in range(len(rows))]
     base_set = set(base_idx)
     remaining = [i for i in range(len(rows)) if i not in base_set]
+    # dots[j][k] is row remaining[k] times ray j; negs[k] counts the rays
+    # that row cuts off. inc[j] is ray j's incidence mask over the inserted
+    # rows. Ray j has the id bit ids[j], alive holds the ids of the current
+    # rays and tight[i] the ids of the rays tight on inserted row i; ids are
+    # never reused, so a removed ray's id stays in tight but not in alive.
+    dots = [[int_dot(rows[i], r) for i in remaining] for r in rays]
+    negs = [sum(d[k] < 0 for d in dots) for k in range(len(remaining))]
+    ids = [1 << j for j in range(len(rays))]
+    next_id = 1 << len(rays)
+    alive = next_id - 1
+    # Ray j is column j of the base's inverse: tight on every base row but
+    # base row j, on which it is positive.
+    base_mask = sum(1 << i for i in base_idx)
+    inc = [base_mask ^ 1 << i for i in base_idx]
+    tight = [0] * len(rows)
+    for j, i in enumerate(base_idx):
+        tight[i] = alive ^ ids[j]
 
     min_common = dim - 2
     while remaining:
-        row = max(remaining, key=negs.__getitem__)
-        if negs[row] == 0:
+        top = max(negs)
+        if top == 0:
             break
-        remaining.remove(row)
+        k = negs.index(top)
+        row = remaining.pop(k)
+        del negs[k]
         bit = 1 << row
-        plus = [j for j, d in enumerate(dots) if d[row] > 0]
-        zero = [j for j, d in enumerate(dots) if d[row] == 0]
-        minus = [j for j, d in enumerate(dots) if d[row] < 0]
+        col = [d.pop(k) for d in dots]
+        plus = [j for j, v in enumerate(col) if v > 0]
+        zero = [j for j, v in enumerate(col) if v == 0]
+        minus = [j for j, v in enumerate(col) if v < 0]
         fresh: list[IntVec] = []
         fresh_dots: list[list[int]] = []
         fresh_inc: list[int] = []
+        # fresh_tight[i] has bit t set when fresh ray t is tight on row i.
+        fresh_tight = [0] * len(rows)
         inc_minus = [(m, inc[m]) for m in minus]
         for p in plus:
-            inc_p = inc[p]
-            for m, inc_m in [
-                (m, x) for m, x in inc_minus if (inc_p & x).bit_count() >= min_common
-            ]:
-                common = inc_p & inc_m
-                # p and m themselves always qualify; any third ray refutes.
-                if len(list(islice((x for x in inc if x & common == common), 3))) > 2:
+            inc_p, id_p = inc[p], ids[p]
+            for m in [m for m, x in inc_minus if (inc_p & x).bit_count() >= min_common]:
+                # p and m are adjacent iff they are the only current rays
+                # tight on every inserted row both are tight on.
+                common = inc_p & inc[m]
+                pair = id_p | ids[m]
+                acc, c = alive, common
+                while c:
+                    i = c.bit_length() - 1
+                    acc &= tight[i]
+                    if acc == pair:
+                        break
+                    c ^= 1 << i
+                if acc != pair:
                     continue
-                vp, vm = dots[p][row], -dots[m][row]
+                t, c = 1 << len(fresh), common
+                while c:
+                    i = c.bit_length() - 1
+                    fresh_tight[i] |= t
+                    c ^= 1 << i
+                vp, vm = col[p], -col[m]
                 w = [vp * a + vm * b for a, b in zip(rays[m], rays[p])]
                 g = math.gcd(*w)
-                fresh.append(tuple(c // g for c in w))
-                fresh_dots.append(
-                    [(vp * a + vm * b) // g for a, b in zip(dots[m], dots[p])]
-                )
+                fresh.append(tuple(x // g for x in w))
+                fresh_dots.append([(vp * a + vm * b) // g for a, b in zip(dots[m], dots[p])])
                 fresh_inc.append(common | bit)
         for j in minus:
             negs = [c - (v < 0) for c, v in zip(negs, dots[j])]
         for d in fresh_dots:
             negs = [c + (v < 0) for c, v in zip(negs, d)]
+        for i, t in enumerate(fresh_tight):
+            if t:
+                tight[i] |= t * next_id
+        fresh_ids = [next_id << t for t in range(len(fresh))]
+        all_fresh = ((1 << len(fresh)) - 1) * next_id
+        next_id <<= len(fresh)
+        tight[row] = sum(ids[j] for j in zero) | all_fresh
+        alive = (alive ^ sum(ids[j] for j in minus)) | all_fresh
         keep = plus + zero
         rays = [rays[j] for j in keep] + fresh
         dots = [dots[j] for j in keep] + fresh_dots
         inc = [inc[j] for j in plus] + [inc[j] | bit for j in zero] + fresh_inc
+        ids = [ids[j] for j in keep] + fresh_ids
     masks = [
-        z | sum(1 << i for i in remaining if d[i] == 0) for z, d in zip(inc, dots)
+        z | sum(1 << i for i, v in zip(remaining, d) if v == 0) for z, d in zip(inc, dots)
     ]
     return sorted(set(zip(rays, masks)))
 

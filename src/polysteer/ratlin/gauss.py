@@ -26,7 +26,7 @@ def _clear(v: list[int], b: list[int], c: int) -> list[int]:
     return [e // g for e in w] if g > 1 else w
 
 
-def _eliminate(a: Iterable[Sequence], reduce: bool = False):
+def _eliminate(a: Iterable[Sequence], reduce: bool = False, track: bool = False):
     """The one elimination pass over the rows of A.
 
     Returns the indices of the rows independent of all the rows before them
@@ -39,6 +39,14 @@ def _eliminate(a: Iterable[Sequence], reduce: bool = False):
     width. With `reduce`, back-substitution then clears each pivot column
     from the rows chosen before it too, so that dividing a row by its pivot
     entry gives its row of the reduced row echelon form.
+
+    With `track`, each row the sweep reaches is scaled to integers and
+    extended by ncols more columns, holding the unit vector of the place it
+    would take among the chosen rows; pivots are taken in the first ncols
+    columns only. The chosen rows B, so scaled, end exactly as a pass over
+    [B | I] leaves them: each row's extension records the combination of
+    B's rows it equals, and with `reduce` a square B ends as its inverse,
+    row c over row c's pivot entry.
     """
     a = list(a)
     ncols = len(a[0]) if a else 0
@@ -50,11 +58,13 @@ def _eliminate(a: Iterable[Sequence], reduce: bool = False):
         if len(basis) == ncols:
             break
         v = integral(row)
+        if track:
+            v += (int(j == len(basis)) for j in range(ncols))
         for c, b in basis:
             if v[c]:
                 v = _clear(v, b, c)
         c = next((j for j, e in enumerate(v) if e), -1)
-        if c >= 0:
+        if 0 <= c < ncols:
             basis.append((c, v))
             chosen.append(i)
     if reduce:

@@ -42,6 +42,7 @@ from polysteer.ratlin import (
     rank,
     solve_linear,
 )
+from reference_dd import extreme_rays as third_ray_scan_extreme_rays
 
 SQUARE_RAYS = [(-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1)]
 SQUARE_FACETS = [(-1, 0, 1), (0, -1, 1), (0, 1, 1), (1, 0, 1)]
@@ -104,14 +105,20 @@ def bipartition_oracle(rays, dim):
     return sorted(groups)
 
 
-def random_cone(rng, dim):
+def random_rows(rng, dim):
+    """dim to dim + 4 random rays of a polytope's cone that span the space."""
     while True:
         m = rng.randint(dim, dim + 4)
         rows = [
             tuple(rng.randint(-3, 3) for _ in range(dim - 1)) + (1,) for _ in range(m)
         ]
         if rank(rows) == dim:
-            return rows, cone_from_rays(rows, dim)
+            return rows
+
+
+def random_cone(rng, dim):
+    rows = random_rows(rng, dim)
+    return rows, cone_from_rays(rows, dim)
 
 
 def test_quadrant_representation():
@@ -181,6 +188,13 @@ def test_generators_must_have_the_ambient_length():
         cone_from_rays(long, 2)
     with pytest.raises(ConeError, match="vector has 3 entries, the cone lives in 2"):
         cone_from_facets(long, 2)
+
+
+def test_zero_generators_are_named():
+    message = "generator 1 is the zero vector; rays and facet normals must be nonzero"
+    assert cone_error(cone_from_rays, [(1, 0), (0, 0), (0, 1)], 2) == message
+    assert cone_error(cone_from_facets, [(1, 0), (0, 0), (0, 1)], 2) == message
+    assert cone_error(cone_from_rays, [(0, 0, 0), (1, 0, 0)], 3).startswith("generator 0 ")
 
 
 def test_extreme_rays_filters_non_extremal_generators():
@@ -314,6 +328,43 @@ def test_one_pass_canonicalization_matches_two_passes():
         else:
             want = two_pass_from_facets(gens, dim)
             assert max_tensor(sa, sb).cone == want == cone_from_facets(gens, dim)
+
+
+def pinned_pairs(rows, dim):
+    """extreme_rays(rows, dim), after checking it returns the third-ray scan
+    reference's (ray, mask) pairs, in the same order."""
+    pairs = extreme_rays(rows, dim)
+    assert pairs == third_ray_scan_extreme_rays(rows, dim)
+    return pairs
+
+
+def test_extreme_rays_matches_the_third_ray_scan_on_tensor_cones():
+    # The benchmark's tensor conversions both ways, and the larger pairs in
+    # the direction their tensor cones run, from the product rows.
+    for kind, sa, sb in tensor_pairs(TENSOR_PAIRS):
+        gens, dim = tensor_generators(kind, sa, sb)
+        duals = [r for r, _ in pinned_pairs(gens, dim)]
+        pinned_pairs(duals, dim)
+    for kind, sa, sb in tensor_pairs(LARGER_TENSOR_PAIRS):
+        pinned_pairs(*tensor_generators(kind, sa, sb))
+
+
+def with_zero_rows(rng, rows):
+    """rows with one or two zero rows put in at random places."""
+    rows = list(rows)
+    for _ in range(rng.randint(1, 2)):
+        rows.insert(rng.randint(0, len(rows)), (0,) * len(rows[0]))
+    return rows
+
+
+def test_extreme_rays_matches_the_third_ray_scan_on_random_cones():
+    rng = random.Random(24)
+    for trial in range(60):
+        dim = 1 + trial % 6
+        rows = random_rows(rng, dim)
+        gens = with_zero_rows(rng, with_redundant_generators(rng, rows))
+        duals = [r for r, _ in pinned_pairs(gens, dim)]
+        pinned_pairs(with_zero_rows(rng, with_redundant_generators(rng, duals)), dim)
 
 
 def rank_rule(generators, duals, dim):

@@ -436,6 +436,22 @@ def test_rows_are_scaled_when_the_sweep_reaches_them(monkeypatch):
     assert len(rays) == 128 and scaled == list(rays[: last + 1])
 
 
+def test_tracked_sweep_matches_eliminating_the_chosen_rows_beside_the_identity():
+    # The tracked pass chooses the same rows as the plain one, and each
+    # chosen row ends as it would in the pass over [B | I], B the chosen
+    # rows scaled to integers.
+    for _, mixed in seeded_matrices(20261025, 200):
+        ncols = len(mixed[0])
+        for reduce in (False, True):
+            chosen, basis = gauss._eliminate(mixed, reduce, track=True)
+            assert chosen == independent_rows(mixed)
+            beside = [
+                [*gauss.integral(mixed[i]), *(int(j == k) for j in range(ncols))]
+                for k, i in enumerate(chosen)
+            ]
+            assert basis == gauss._eliminate(beside, reduce)[1]
+
+
 def test_primitive_of_int_fraction_and_string_entries():
     assert primitive([2, 4, -6]) == (1, 2, -3)
     assert primitive(["1/2", "-3/4", 0]) == (2, -3, 0)

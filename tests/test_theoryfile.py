@@ -109,6 +109,22 @@ class TestParsing:
         with pytest.raises(TheoryFileError, match="vector has 3 entries, the cone lives in 2"):
             tf.space("pair")
 
+    def test_zero_ray_is_named_at_its_entry(self):
+        doc = json.loads(doc_text(MINIMAL))
+        doc["spaces"]["z"] = {
+            "ambient_dim": 2,
+            "rays": [["1", "0"], ["0", "0"], ["0", "1"]],
+            "unit": ["1", "1"],
+        }
+        text = doc_text(doc)
+        with pytest.raises(TheoryFileError) as err:
+            loads(text).space("z")
+        message = str(err.value)
+        assert message.endswith(
+            "space 'z': generator 1 is the zero vector; rays and facet normals must be nonzero"
+        )
+        assert line_of_error(message) == entry_line(text, "z", "spaces")
+
     def test_facets_cross_checked(self):
         doc = json.loads(doc_text(MINIMAL))
         doc["spaces"]["pair"]["facets"] = [["1", "0"], ["0", "1"]]

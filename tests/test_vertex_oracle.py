@@ -34,6 +34,7 @@ from polysteer.ratlin import (
 )
 from polysteer.space import effects_interval
 from polysteer.steering import ensemble_polytope_vertices, order_interval_vertices
+from reference_dd import extreme_rays as third_ray_scan_extreme_rays
 from strict_lp import strict_witness
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -197,21 +198,32 @@ def test_vertex_enumeration_matches_the_lp_probe_oracle(monkeypatch):
     assert not mismatched, f"differs from the LP-probe oracle: {mismatched}"
 
 
-def test_vertex_enumeration_masks_are_exact(monkeypatch):
-    # Each homogenized DD run returns, for every vertex ray, exactly the
-    # rows tight on it, recomputed here by integer dot products.
+@pytest.fixture
+def homogenized_runs(monkeypatch):
+    """Every homogenized DD run of the enumerations, as (rows, dim, pairs)."""
     runs = []
 
     def recorded(rows, dim):
         pairs = extreme_rays(rows, dim)
-        runs.append((rows, pairs))
+        runs.append((rows, dim, pairs))
         return pairs
 
     monkeypatch.setattr(polysteer.dd, "extreme_rays", recorded)
     for _, run in CASES:
         run()
     assert len(runs) > 100
-    for rows, pairs in runs:
+    return runs
+
+
+def test_vertex_enumeration_masks_are_exact(homogenized_runs):
+    # Each homogenized DD run returns, for every vertex ray, exactly the
+    # rows tight on it, recomputed here by integer dot products.
+    for rows, _, pairs in homogenized_runs:
         assert len(pairs) == len({r for r, _ in pairs})
         for ray, mask in pairs:
             assert mask == sum(1 << i for i, h in enumerate(rows) if int_dot(h, ray) == 0)
+
+
+def test_vertex_enumeration_matches_the_third_ray_scan(homogenized_runs):
+    for rows, dim, pairs in homogenized_runs:
+        assert pairs == third_ray_scan_extreme_rays(rows, dim)
