@@ -1,10 +1,13 @@
 """Command-line surface: decision procedures over theory files, reports.
 
-Every command reads a theory file, runs one decision procedure, prints a
-human summary (or the full JSON report with --json), and exits with the
-codes below. The whole file is checked against the grammar, but only the
-entries the command names, and the spaces they use, are validated; a
-broken entry elsewhere in the file does not stop it.
+Every decision command reads a theory file, runs one decision procedure,
+prints a human summary (or the full JSON report with --json), and exits
+with the codes below. The whole file is checked against the grammar, but
+only the entries the command names, and the spaces they use, are
+validated; a broken entry elsewhere in the file does not stop it. Each
+decision command is one row of `_COMMANDS`: its arguments, the entries
+its report embeds, its body builder, verify's certificate check and its
+summary. One runner, `_decide`, does the rest for all of them.
 
     0  the affirmative verdict (steers, self-dual, homogeneous, ...)
     1  the negative verdict, with certificates where they exist
@@ -22,6 +25,8 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import dataclass
+from typing import Callable
 
 from . import theoryfile
 from .composite import (
@@ -70,7 +75,9 @@ def _paren(row) -> str:
     return "(" + ", ".join(row) + ")"
 
 
-def _inputs_for_state(tf: theoryfile.TheoryFile, name: str) -> dict:
+def _state_inputs(tf: theoryfile.TheoryFile, flags: dict) -> dict:
+    """The report inputs of a state command: the state, with its spaces."""
+    name = flags["state"]
     st = tf.state(name)
     sub = theoryfile.TheoryFile()
     names = tf.states.space_names(name)
@@ -80,44 +87,22 @@ def _inputs_for_state(tf: theoryfile.TheoryFile, name: str) -> dict:
     return theoryfile.to_document(sub)
 
 
-def _inputs_for_spaces(tf: theoryfile.TheoryFile, *names: str) -> dict:
-    sub = theoryfile.TheoryFile()
-    for name in names:
-        sub.spaces[name] = tf.space(name)
-    return theoryfile.to_document(sub)
+def _space_inputs(*keys: str) -> Callable[[theoryfile.TheoryFile, dict], dict]:
+    """The report inputs of a command on the spaces its flags `keys` name."""
 
+    def inputs(tf: theoryfile.TheoryFile, flags: dict) -> dict:
+        sub = theoryfile.TheoryFile()
+        for key in keys:
+            sub.spaces[flags[key]] = tf.space(flags[key])
+        return theoryfile.to_document(sub)
 
-def _decode_inputs(inputs: dict) -> theoryfile.TheoryFile:
-    """The theory file a report embeds, every entry validated; the report's
-    flags name its entries."""
-    tf = theoryfile.loads(json.dumps(inputs))
-    tf.check()
-    return tf
-
-
-def _emit(args, t0: float, flags: dict, inputs: dict, verdicts: dict,
-          certificates: dict, lines: list[str], affirmative: bool) -> int:
-    """Print a command's body as its JSON report (--json) or as its human
-    lines, and return the exit code of its verdict."""
-    if args.json:
-        head = {"command": args.command, "flags": flags, "inputs": inputs}
-        report = {
-            "format": REPORT_FORMAT,
-            **head,
-            "digest": _digest(head),
-            "verdicts": verdicts,
-            "certificates": certificates,
-            "wall_time_ms": round((time.perf_counter() - t0) * 1000, 3),
-        }
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print("\n".join(lines))
-    return 0 if affirmative else 1
+    return inputs
 
 
 # Each command's body, (verdicts, certificates), comes from one builder that
 # takes a theory file and the report's flags; `verify` re-derives through the
-# same builder.
+# same builder. Its summary turns the flags and the body into the human lines
+# and whether the verdict is affirmative.
 
 
 def _check_steering_body(tf: theoryfile.TheoryFile, flags: dict) -> tuple[dict, dict]:
@@ -142,19 +127,14 @@ def _check_steering_body(tf: theoryfile.TheoryFile, flags: dict) -> tuple[dict, 
     return {"status": verdict.status, "depth": verdict.depth}, certificates
 
 
-def cmd_check_steering(args) -> int:
-    t0 = time.perf_counter()
-    tf = theoryfile.load(args.file)
-    flags = {"state": args.state, "depth": args.depth}
-    verdicts, certificates = _check_steering_body(tf, flags)
-    lines = [f"{args.state}: {verdicts['status']} (depth {verdicts['depth']})"]
+def _check_steering_summary(flags, verdicts, certificates) -> tuple[list[str], bool]:
+    lines = [f"{flags['state']}: {verdicts['status']} (depth {verdicts['depth']})"]
     if "lifted" in certificates:
         lines.append(f"  lifted {len(certificates['lifted'])} extremal ensembles")
     else:
         parts = ", ".join(_paren(p) for p in certificates["counterexample"])
         lines.append(f"  unliftable ensemble: {parts}")
-    return _emit(args, t0, flags, _inputs_for_state(tf, args.state), verdicts,
-                 certificates, lines, verdicts["status"] == "steering_up_to")
+    return lines, verdicts["status"] == "steering_up_to"
 
 
 def _witness_certificate(witness: OrderIsoWitness) -> dict:
@@ -172,18 +152,13 @@ def _self_dual_body(tf: theoryfile.TheoryFile, flags: dict) -> tuple[dict, dict]
     return {"weakly_self_dual": True}, {"witness": _witness_certificate(witness)}
 
 
-def cmd_self_dual(args) -> int:
-    t0 = time.perf_counter()
-    tf = theoryfile.load(args.file)
-    flags = {"space": args.space}
-    verdicts, certificates = _self_dual_body(tf, flags)
+def _self_dual_summary(flags, verdicts, certificates) -> tuple[list[str], bool]:
     found = verdicts["weakly_self_dual"]
-    lines = [f"{args.space}: {'weakly self-dual' if found else 'not weakly self-dual'}"]
+    lines = [f"{flags['space']}: {'weakly self-dual' if found else 'not weakly self-dual'}"]
     if found:
         lines.append("  witness matrix rows:")
         lines += ["    " + _paren(row) for row in certificates["witness"]["matrix"]]
-    return _emit(args, t0, flags, _inputs_for_spaces(tf, args.space), verdicts,
-                 certificates, lines, found)
+    return lines, found
 
 
 def _homogeneous_body(tf: theoryfile.TheoryFile, flags: dict) -> tuple[dict, dict]:
@@ -196,17 +171,17 @@ def _homogeneous_body(tf: theoryfile.TheoryFile, flags: dict) -> tuple[dict, dic
     return {"status": verdict.status}, certificates
 
 
-def cmd_homogeneous(args) -> int:
-    t0 = time.perf_counter()
-    tf = theoryfile.load(args.file)
-    flags = {"space": args.space}
-    verdicts, certificates = _homogeneous_body(tf, flags)
-    lines = [f"{args.space}: homogeneous = {verdicts['status']}"]
+def _homogeneous_summary(flags, verdicts, certificates) -> tuple[list[str], bool]:
+    lines = [f"{flags['space']}: homogeneous = {verdicts['status']}"]
     if "failed_pair" in certificates:
         a, b = certificates["failed_pair"]
         lines.append(f"  no automorphism carries {_paren(a)} to {_paren(b)}")
-    return _emit(args, t0, flags, _inputs_for_spaces(tf, args.space), verdicts,
-                 certificates, lines, verdicts["status"] == "yes")
+    return lines, verdicts["status"] == "yes"
+
+
+def _read_purify_flags(flags: dict) -> dict:
+    """The state argument, comma-separated rationals, in canonical form."""
+    return {**flags, "state": format_vector(parse_vector(flags["state"].split(","), "state"))}
 
 
 def _purify_body(tf: theoryfile.TheoryFile, flags: dict) -> tuple[dict, dict]:
@@ -222,20 +197,12 @@ def _purify_body(tf: theoryfile.TheoryFile, flags: dict) -> tuple[dict, dict]:
     return {"purified": True}, {"purification": {"matrix": format_matrix(omega.matrix)}}
 
 
-def cmd_purify(args) -> int:
-    t0 = time.perf_counter()
-    tf = theoryfile.load(args.file)
-    inputs = _inputs_for_spaces(tf, args.space)
-    alpha = format_vector(parse_vector(args.state.split(","), "state"))
-    flags = {"space": args.space, "state": alpha}
-    verdicts, certificates = _purify_body(tf, flags)
-    if verdicts["purified"]:
-        lines = [f"purification of {_paren(alpha)}:"]
-        lines += ["  " + _paren(row) for row in certificates["purification"]["matrix"]]
-    else:
-        lines = [f"no isomorphism-state purification of {_paren(alpha)}"]
-    return _emit(args, t0, flags, inputs, verdicts, certificates, lines,
-                 verdicts["purified"])
+def _purify_summary(flags, verdicts, certificates) -> tuple[list[str], bool]:
+    alpha = _paren(flags["state"])
+    if not verdicts["purified"]:
+        return [f"no isomorphism-state purification of {alpha}"], False
+    rows = certificates["purification"]["matrix"]
+    return [f"purification of {alpha}:"] + ["  " + _paren(row) for row in rows], True
 
 
 def _tensor_body(tf: theoryfile.TheoryFile, flags: dict) -> tuple[dict, dict]:
@@ -249,18 +216,12 @@ def _tensor_body(tf: theoryfile.TheoryFile, flags: dict) -> tuple[dict, dict]:
     return verdicts, certificates
 
 
-def cmd_tensor(args) -> int:
-    t0 = time.perf_counter()
-    tf = theoryfile.load(args.file)
-    flags = {"space_a": args.space_a, "space_b": args.space_b, "kind": args.kind}
-    verdicts, certificates = _tensor_body(tf, flags)
+def _tensor_summary(flags, verdicts, certificates) -> tuple[list[str], bool]:
     lines = [
-        f"{args.kind} tensor of {args.space_a} and {args.space_b}: "
+        f"{flags['kind']} tensor of {flags['space_a']} and {flags['space_b']}: "
         f"{verdicts['ray_count']} extreme rays in dimension {verdicts['dim']}"
     ]
-    lines += ["  " + _paren(r) for r in certificates["rays"]]
-    return _emit(args, t0, flags, _inputs_for_spaces(tf, args.space_a, args.space_b),
-                 verdicts, certificates, lines, True)
+    return lines + ["  " + _paren(r) for r in certificates["rays"]], True
 
 
 def _pure_body(tf: theoryfile.TheoryFile, flags: dict) -> tuple[dict, dict]:
@@ -271,18 +232,13 @@ def _pure_body(tf: theoryfile.TheoryFile, flags: dict) -> tuple[dict, dict]:
     return {"pure": result.extremal}, certificates
 
 
-def cmd_pure(args) -> int:
-    t0 = time.perf_counter()
-    tf = theoryfile.load(args.file)
-    flags = {"state": args.state}
-    verdicts, certificates = _pure_body(tf, flags)
+def _pure_summary(flags, verdicts, certificates) -> tuple[list[str], bool]:
     pure = verdicts["pure"]
-    lines = [f"{args.state}: {'pure' if pure else 'not pure'} in the largest composite"]
+    lines = [f"{flags['state']}: {'pure' if pure else 'not pure'} in the largest composite"]
     if "decomposition_part" in certificates:
         lines.append("  proper summand:")
         lines += ["    " + _paren(row) for row in certificates["decomposition_part"]]
-    return _emit(args, t0, flags, _inputs_for_state(tf, args.state), verdicts,
-                 certificates, lines, pure)
+    return lines, pure
 
 
 def _section_certificate(section: AffineSection) -> dict:
@@ -302,20 +258,11 @@ def _section_body(tf: theoryfile.TheoryFile, flags: dict) -> tuple[dict, dict]:
     return {"found": True, "dimension": search.dimension}, certificates
 
 
-def cmd_section(args) -> int:
-    t0 = time.perf_counter()
-    tf = theoryfile.load(args.file)
-    flags = {"state": args.state}
-    verdicts, certificates = _section_body(tf, flags)
-    if verdicts["found"]:
-        lines = [
-            f"{args.state}: affine section found "
-            f"(solution set dimension {verdicts['dimension']})"
-        ]
-    else:
-        lines = [f"{args.state}: no affine section exists"]
-    return _emit(args, t0, flags, _inputs_for_state(tf, args.state), verdicts,
-                 certificates, lines, verdicts["found"])
+def _section_summary(flags, verdicts, certificates) -> tuple[list[str], bool]:
+    if not verdicts["found"]:
+        return [f"{flags['state']}: no affine section exists"], False
+    dimension = verdicts["dimension"]
+    return [f"{flags['state']}: affine section found (solution set dimension {dimension})"], True
 
 
 def cmd_fixtures(args) -> int:
@@ -444,25 +391,97 @@ def _substitute_section(tf, flags, verdicts, certificates):
     return [], ({"found": False}, {"farkas": format_vector(farkas)})
 
 
-# Each command's body builder, and its substitution check (None when no
-# verdict of the command carries a certificate).
+@dataclass(frozen=True)
+class _Command:
+    """What one decision command has of its own. `arguments` follow the
+    file, each (name, add_argument keywords); the report's flags are their
+    values, which `read_flags` may rewrite. `inputs` gives the entries the
+    report embeds and `body` its (verdicts, certificates), both from the
+    theory file and the flags. `substitute` is verify's certificate check,
+    None when no verdict of the command carries a certificate, and
+    `summary` the human lines with whether the verdict is affirmative."""
+
+    help: str
+    arguments: tuple[tuple[str, dict], ...]
+    inputs: Callable[[theoryfile.TheoryFile, dict], dict]
+    body: Callable[[theoryfile.TheoryFile, dict], tuple[dict, dict]]
+    substitute: Callable | None
+    summary: Callable[[dict, dict, dict], tuple[list[str], bool]]
+    read_flags: Callable[[dict], dict] = dict
+
+
+# The decision commands, in the order `polysteer --help` lists them.
 _COMMANDS = {
-    "check-steering": (_check_steering_body, _substitute_check_steering),
-    "self-dual": (_self_dual_body, _substitute_self_dual),
-    "homogeneous": (_homogeneous_body, None),
-    "purify": (_purify_body, _substitute_purify),
-    "tensor": (_tensor_body, None),
-    "pure": (_pure_body, _substitute_pure),
-    "section": (_section_body, _substitute_section),
+    "check-steering": _Command(
+        "decide steering of a state's B marginal",
+        (("state", {}), ("--depth", {"type": int, "default": 2,
+                                     "help": "largest ensemble length checked (default 2)"})),
+        _state_inputs, _check_steering_body, _substitute_check_steering,
+        _check_steering_summary,
+    ),
+    "self-dual": _Command(
+        "search for a dual-to-cone order isomorphism", (("space", {}),),
+        _space_inputs("space"), _self_dual_body, _substitute_self_dual, _self_dual_summary,
+    ),
+    "homogeneous": _Command(
+        "decide interior transitivity of the automorphisms", (("space", {}),),
+        _space_inputs("space"), _homogeneous_body, None, _homogeneous_summary,
+    ),
+    "purify": _Command(
+        "purify an interior state to an isomorphism state",
+        (("space", {}), ("state", {"help": "comma-separated rationals, e.g. 1/3,1/3,1/3"})),
+        _space_inputs("space"), _purify_body, _substitute_purify, _purify_summary,
+        _read_purify_flags,
+    ),
+    "tensor": _Command(
+        "compute a composite cone of two spaces",
+        (("space_a", {}), ("space_b", {}),
+         ("--kind", {"choices": ["min", "max"], "default": "min"})),
+        _space_inputs("space_a", "space_b"), _tensor_body, None, _tensor_summary,
+    ),
+    "pure": _Command(
+        "decide purity of a state in the largest composite", (("state", {}),),
+        _state_inputs, _pure_body, _substitute_pure, _pure_summary,
+    ),
+    "section": _Command(
+        "search for an affine section of a state's map", (("state", {}),),
+        _state_inputs, _section_body, _substitute_section, _section_summary,
+    ),
 }
+
+
+def _decide(args) -> int:
+    """Run a decision command from its row: read the file, embed the named
+    entries, build the body, and print it as the JSON report (--json) or
+    as the summary's lines. Returns the exit code of the verdict."""
+    t0 = time.perf_counter()
+    row = _COMMANDS[args.command]
+    tf = theoryfile.load(args.file)
+    given = {name.lstrip("-"): getattr(args, name.lstrip("-")) for name, _ in row.arguments}
+    inputs = row.inputs(tf, given)
+    flags = row.read_flags(given)
+    verdicts, certificates = row.body(tf, flags)
+    lines, affirmative = row.summary(flags, verdicts, certificates)
+    if args.json:
+        head = {"command": args.command, "flags": flags, "inputs": inputs}
+        report = {
+            "format": REPORT_FORMAT,
+            **head,
+            "digest": _digest(head),
+            "verdicts": verdicts,
+            "certificates": certificates,
+            "wall_time_ms": round((time.perf_counter() - t0) * 1000, 3),
+        }
+        print(json.dumps(report, indent=2, sort_keys=True))
+    else:
+        print("\n".join(lines))
+    return 0 if affirmative else 1
 
 
 def cmd_verify(args) -> int:
     with open(args.report, "r", encoding="utf-8") as fh:
-        try:
-            report = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise TheoryFileError(f"line {exc.lineno}: {exc.msg}") from None
+        text = fh.read()
+    report = theoryfile.parse_json(text)
     if not isinstance(report, dict):
         raise TheoryFileError(f"report is a JSON {type(report).__name__}, not an object")
     if report.get("format") != REPORT_FORMAT:
@@ -484,12 +503,15 @@ def cmd_verify(args) -> int:
         problems.append("digest does not match the embedded inputs")
     if command not in _COMMANDS:
         raise TheoryFileError(f"no verifier for command {command!r}")
-    build, substitute = _COMMANDS[command]
+    row = _COMMANDS[command]
     try:
-        tf, flags = _decode_inputs(report["inputs"]), report["flags"]
-        verdicts, certificates = report["verdicts"], report["certificates"]
-        checked = substitute and substitute(tf, flags, verdicts, certificates)
-        found, want = checked or ([], build(tf, flags))
+        # The embedded theory file, every entry validated, its errors
+        # anchored to the report's lines; the report's flags name its entries.
+        tf = theoryfile.read(report["inputs"], text, ("inputs",))
+        tf.check()
+        flags, verdicts, certificates = report["flags"], report["verdicts"], report["certificates"]
+        checked = row.substitute and row.substitute(tf, flags, verdicts, certificates)
+        found, want = checked or ([], row.body(tf, flags))
         # Compared as canonical JSON, so that 24.0 or true cannot stand in
         # for 24, "2/4" for "1/2", and no unchecked key rides along.
         if not found and _canonical([verdicts, certificates]) != _canonical(list(want)):
@@ -510,51 +532,20 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every `main`
     call of the process (parsing leaves it unchanged). The subcommand names
-    the function that runs it; see `main`."""
+    the function that runs it; see `main`. Each decision command's
+    subparser comes from its row of `_COMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="polysteer",
         description="Exact decision procedures for polyhedral state spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check-steering", help="decide steering of a state's B marginal")
-    p.add_argument("file")
-    p.add_argument("state")
-    p.add_argument("--depth", type=int, default=2, help="largest ensemble length checked (default 2)")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("self-dual", help="search for a dual-to-cone order isomorphism")
-    p.add_argument("file")
-    p.add_argument("space")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("homogeneous", help="decide interior transitivity of the automorphisms")
-    p.add_argument("file")
-    p.add_argument("space")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("purify", help="purify an interior state to an isomorphism state")
-    p.add_argument("file")
-    p.add_argument("space")
-    p.add_argument("state", help="comma-separated rationals, e.g. 1/3,1/3,1/3")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("tensor", help="compute a composite cone of two spaces")
-    p.add_argument("file")
-    p.add_argument("space_a")
-    p.add_argument("space_b")
-    p.add_argument("--kind", choices=["min", "max"], default="min")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("pure", help="decide purity of a state in the largest composite")
-    p.add_argument("file")
-    p.add_argument("state")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("section", help="search for an affine section of a state's map")
-    p.add_argument("file")
-    p.add_argument("state")
-    p.add_argument("--json", action="store_true")
+    for name, row in _COMMANDS.items():
+        p = sub.add_parser(name, help=row.help)
+        p.add_argument("file")
+        for arg, options in row.arguments:
+            p.add_argument(arg, **options)
+        p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify", help="re-check the certificates in an emitted report")
     p.add_argument("report")
@@ -567,11 +558,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # Each command runs `cmd_<command>`, looked up at call time rather than
-    # bound into the shared parser, so that a wrapper installed on this
-    # module after the first call (perfbench's tracing wraps `cmd_verify`)
-    # still sees every call.
-    command = globals()["cmd_" + args.command.replace("-", "_")]
+    # verify and fixtures run `cmd_<command>`, a decision command runs
+    # `_decide`. Both are looked up at call time rather than bound into the
+    # shared parser, so that a wrapper installed on this module after the
+    # first call (perfbench's tracing wraps `cmd_verify`) still sees every
+    # call.
+    command = globals().get("cmd_" + args.command.replace("-", "_"), _decide)
     try:
         return command(args)
     except (TheoryFileError, OSError, ValueError) as exc:

@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import and_
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import dd
 from .ratlin import (
@@ -51,6 +51,17 @@ class PolyhedralCone:
 
     def is_simplicial(self) -> bool:
         return len(self.rays) == self.ambient_dim
+
+    @cached_property
+    def dual_simplices(self) -> list[tuple[tuple[int, ...], int]]:
+        """The pulling triangulation of the dual, each simplex with |det S_T|
+        over its rays: what ``characteristic_invariant`` sums over. Computed
+        on first use and kept in the instance dict, outside the fields, so
+        equality and hashing are unchanged."""
+        return [
+            (t, abs(det([self.facets[i] for i in t])))
+            for t in pulling_triangulation(dual_cone(self))
+        ]
 
 
 @dataclass(frozen=True)
@@ -231,14 +242,7 @@ def characteristic_invariant(c: PolyhedralCone, x: Sequence) -> Fraction:
     Every linear isomorphism g of c onto a cone c' has J_c'(g x) = J_c(x)
     (Vinberg, "The theory of convex homogeneous cones", 1963), and J is 1 on
     a simplicial cone; so J_c(x) != J_c'(y) proves that no isomorphism
-    carries x to y. ``characteristic_invariant_of`` evaluates it."""
-    return characteristic_invariant_of(c)(x)
-
-
-def characteristic_invariant_of(c: PolyhedralCone) -> Callable[[Sequence], Fraction]:
-    """J on c, as a function of the point, for evaluating it more than once:
-    the pulling triangulation of the dual and each simplex's |det S_T| are
-    computed here, once.
+    carries x to y.
 
     Over the pulling triangulation of the dual, with a_s = <x, s> for its
     rays s, phi = sum_T |det S_T| / prod_{s in T} a_s. With x scaled to
@@ -247,42 +251,36 @@ def characteristic_invariant_of(c: PolyhedralCone) -> Callable[[Sequence], Fract
     N1 = sum W_T U_T and N2 = sum W_T (U_T U_T^T + sum_{s in T} b_s^2 s s^T)
     are P^d phi, -P^(d+1) grad phi and P^(d+2) times the Hessian of phi.
     Then J = N0^(2d+2) / det(N0 N2 - N1 N1^T), in integers up to that
-    division.
+    division. The triangulation and each simplex's |det S_T| are computed
+    once per cone (``PolyhedralCone.dual_simplices``).
     """
     d, rays = c.ambient_dim, c.facets
-    simplices = [
-        (t, abs(det([rays[i] for i in t]))) for t in pulling_triangulation(dual_cone(c))
-    ]
-
-    def invariant(x: Sequence) -> Fraction:
-        x = _integral(x, d)
-        a = [dd.int_dot(s, x) for s in rays]
-        if min(a) <= 0:
-            raise ValueError("the characteristic function is finite only on the interior")
-        p = math.lcm(*a)
-        b = [p // v for v in a]
-        n0, n1 = 0, [0] * d
-        n2 = [[0] * d for _ in range(d)]
-        # The sum over T of W_T b_s^2 s s^T gathers into one term per ray s.
-        ray_weight = [0] * len(rays)
-        for t, volume in simplices:
-            w = volume * math.prod(b[i] for i in t)
-            u = [sum(b[i] * rays[i][k] for i in t) for k in range(d)]
-            n0 += w
-            for k in range(d):
-                wu = w * u[k]
-                n1[k] += wu
-                n2[k] = [e + wu * y for e, y in zip(n2[k], u)]
-            for i in t:
-                ray_weight[i] += w
-        for s, bs, w in zip(rays, b, ray_weight):
-            for k in range(d):
-                wss = w * bs * bs * s[k]
-                n2[k] = [e + wss * y for e, y in zip(n2[k], s)]
-        m = [[n0 * e - n1[k] * y for e, y in zip(n2[k], n1)] for k in range(d)]
-        return Fraction(n0 ** (2 * d + 2), det(m))
-
-    return invariant
+    x = _integral(x, d)
+    a = [dd.int_dot(s, x) for s in rays]
+    if min(a) <= 0:
+        raise ValueError("the characteristic function is finite only on the interior")
+    p = math.lcm(*a)
+    b = [p // v for v in a]
+    n0, n1 = 0, [0] * d
+    n2 = [[0] * d for _ in range(d)]
+    # The sum over T of W_T b_s^2 s s^T gathers into one term per ray s.
+    ray_weight = [0] * len(rays)
+    for t, volume in c.dual_simplices:
+        w = volume * math.prod(b[i] for i in t)
+        u = [sum(b[i] * rays[i][k] for i in t) for k in range(d)]
+        n0 += w
+        for k in range(d):
+            wu = w * u[k]
+            n1[k] += wu
+            n2[k] = [e + wu * y for e, y in zip(n2[k], u)]
+        for i in t:
+            ray_weight[i] += w
+    for s, bs, w in zip(rays, b, ray_weight):
+        for k in range(d):
+            wss = w * bs * bs * s[k]
+            n2[k] = [e + wss * y for e, y in zip(n2[k], s)]
+    m = [[n0 * e - n1[k] * y for e, y in zip(n2[k], n1)] for k in range(d)]
+    return Fraction(n0 ** (2 * d + 2), det(m))
 
 
 def face_of(c: PolyhedralCone, y: Sequence) -> Face:

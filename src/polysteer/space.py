@@ -30,7 +30,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence, Union
 from .cone import (
     IntVec,
     PolyhedralCone,
-    characteristic_invariant_of,
+    characteristic_invariant,
     dual_cone,
     ordered_direct_sum,
     support_classes,
@@ -157,27 +157,36 @@ class Observable:
             raise ValueError("effects do not sum to the unit")
 
 
+def order_interval_vertices(cone: PolyhedralCone, top: Sequence) -> tuple[Vector, ...]:
+    """Vertices of the order interval [0, top] = {y : y >= 0, top - y >= 0}.
+
+    Its rows come in pairs g.y >= 0, -g.y >= -g.top that are both tight at
+    top/2 exactly when g.top = 0, so top/2 certifies the hull."""
+    top = as_vector(top)
+    if not cone.contains(top):
+        raise ValueError("interval top must lie in the cone")
+    rows = []
+    for g in cone.facets:
+        rows.append((g, 0))
+        rows.append((tuple(-c for c in g), -vec_dot(g, top)))
+    return tuple(polytope_vertices(rows, vec_scale(Fraction(1, 2), top)))
+
+
 @dataclass(frozen=True)
 class EffectsInterval:
-    """The order interval [0, unit] in both H- and V-representation."""
+    """The effects [0, unit] of a space, with the vertices of that interval."""
 
-    ineqs: tuple[tuple[Vector, Fraction], ...]
+    space: StateSpace
     vertices: tuple[Vector, ...]
 
     def contains(self, f: Sequence) -> bool:
-        f = as_vector(f)
-        return all(vec_dot(g, f) >= h for g, h in self.ineqs)
+        return self.space.is_effect(f)
 
 
 def effects_interval(space: StateSpace) -> EffectsInterval:
-    rows: list[tuple[Vector, Fraction]] = []
-    for r in space.cone.rays:
-        rv = as_vector(r)
-        rows.append((rv, Fraction(0)))
-        rows.append((vec_scale(Fraction(-1), rv), -vec_dot(space.unit, rv)))
-    # The unit is strictly positive on every ray, so unit/2 is interior.
-    verts = polytope_vertices(rows, vec_scale(Fraction(1, 2), space.unit))
-    return EffectsInterval(tuple(rows), tuple(verts))
+    """The order interval [0, unit] of the dual cone, whose facets are the
+    space's rays."""
+    return EffectsInterval(space, order_interval_vertices(dual_cone(space.cone), space.unit))
 
 
 def diamond_dual(space: StateSpace, alpha0: Union[State, Sequence]) -> StateSpace:
@@ -473,26 +482,16 @@ def isomorphism_carrying(
     check returns None only where the search would; every other input is
     searched as before. On a simplicial source the invariant is 1
     everywhere, and a target where it is not has another ray count, which
-    the search rejects at once, so no invariant is computed. A transport
-    (source equal to target) triangulates the dual once for both points.
+    the search rejects at once, so no invariant is computed. Each cone's
+    dual is triangulated once, however many points are compared on it.
     """
     s, t = _cone_of(source), _cone_of(target)
     for name, x, c in (("alpha", alpha, s), ("beta", beta, t)):
         if len(x) != c.ambient_dim:
             raise ValueError(f"{name} has {len(x)} coordinates, expected {c.ambient_dim}")
     if not s.is_simplicial() and s.interior_contains(alpha) and t.interior_contains(beta):
-        j_s = characteristic_invariant_of(s)
-        j_t = j_s if t == s else characteristic_invariant_of(t)
-        if j_s(alpha) != j_t(beta):
+        if characteristic_invariant(s, alpha) != characteristic_invariant(t, beta):
             return None
-    return _carrying_search(s, t, alpha, beta)
-
-
-def _carrying_search(
-    s: PolyhedralCone, t: PolyhedralCone, alpha: Sequence, beta: Sequence
-) -> OrderIsoWitness | None:
-    """isomorphism_carrying's search, with no invariant check: one pinned
-    run of _isomorphisms."""
     # alpha as a combination of the source rays; the map sends it to the
     # same combination of the scaled partners, which must be beta. The solve
     # zeroes the free variables, so the weights sit on the greedy ray basis,
@@ -551,12 +550,11 @@ def is_homogeneous(space: StateSpace) -> HomogeneityVerdict:
     orbit (finitely many ray permutations times one scaling per component)
     meets only finitely many directions there.
 
-    Each candidate's characteristic invariant is first compared with the
-    barycentre's, and no automorphism is enumerated when they differ, which
-    settles the reported candidate of every non-simplicial fixture space
-    and of the 4- and 5-cube cones without a search. The dual is
-    triangulated, and the invariant evaluated at the barycentre, once per
-    call. The verdict is the same as without that check.
+    Each candidate is tested by ``isomorphism_carrying``, which compares
+    its characteristic invariant with the barycentre's and enumerates no
+    automorphism when they differ. That settles the reported candidate of
+    every non-simplicial fixture space and of the 4- and 5-cube cones
+    without a search. The verdict is the same as without that check.
     """
     c = space.cone
     if c.is_simplicial():
@@ -569,11 +567,9 @@ def is_homogeneous(space: StateSpace) -> HomogeneityVerdict:
     bary = space.barycenter()
     verts = space.vertex_states()
     # Every candidate is interior: the barycentre is, and t <= 1/2.
-    invariant = characteristic_invariant_of(c)
-    j_bary = invariant(bary)
     for k in count(2):
         t = Fraction(1, k)
         for vert in verts:
             cand = tuple((1 - t) * b + t * v for b, v in zip(bary, vert))
-            if invariant(cand) != j_bary or _carrying_search(c, c, bary, cand) is None:
+            if isomorphism_carrying(c, c, bary, cand) is None:
                 return HomogeneityVerdict("no", failed_pair=(bary, cand))

@@ -19,7 +19,7 @@ from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from .composite import BipartiteState, is_isomorphism_state, marginal_b, purify
-from .cone import PolyhedralCone, face_of, is_extremal
+from .cone import face_of, is_extremal
 from .dd import polytope_vertices
 from .ratlin import (
     LinearProgram,
@@ -50,22 +50,8 @@ from .space import (
     effects_interval,
     is_homogeneous,
     is_weakly_self_dual,
+    order_interval_vertices,
 )
-
-
-def order_interval_vertices(cone: PolyhedralCone, top: Sequence) -> tuple[Vector, ...]:
-    """Vertices of the order interval [0, top] = {y : y >= 0, top - y >= 0}.
-
-    Its rows come in pairs g.y >= 0, -g.y >= -g.top that are both tight at
-    top/2 exactly when g.top = 0, so top/2 certifies the hull."""
-    top = as_vector(top)
-    if not cone.contains(top):
-        raise ValueError("interval top must lie in the cone")
-    rows = []
-    for g in cone.facets:
-        rows.append((g, 0))
-        rows.append((tuple(-c for c in g), -vec_dot(g, top)))
-    return tuple(polytope_vertices(rows, vec_scale(Fraction(1, 2), top)))
 
 
 @dataclass(frozen=True)

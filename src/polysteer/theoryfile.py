@@ -31,6 +31,8 @@ Reading has two phases. `loads` checks every entry against the grammar; an
 entry's semantic checks run the first time it is looked up, so a command
 pays only for the entries it names. Failures of either phase raise
 TheoryFileError with the offending entry's line when it can be located.
+`read` does the same for a document already parsed from a larger text,
+such as the inputs a report embeds, and anchors to lines of that text.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from json.decoder import scanstring
 
 from . import ratlin
 from .composite import BipartiteState
-from .cone import cone_from_rays
-from .ratlin import as_vector, format_rational
+from .cone import ConeError, _primitive_generators, cone_from_rays
+from .ratlin import format_rational
 from .space import StateSpace
 from .steering import Ensemble
 
@@ -224,12 +226,18 @@ def _space(entry: dict, spaces: Section) -> tuple[tuple[str, ...], Callable]:
         raise TheoryFileError("ambient_dim must be a positive integer")
     rays = parse_matrix(entry["rays"], "rays")
     unit = parse_vector(entry["unit"], "unit")
-    given = sorted(parse_matrix(entry["facets"], "facets")) if "facets" in entry else None
+    given = parse_matrix(entry["facets"], "facets") if "facets" in entry else None
 
     def build() -> StateSpace:
         cone = cone_from_rays(rays, dim)
-        if given is not None and given != sorted(as_vector(g) for g in cone.facets):
-            raise TheoryFileError("facets do not match the facets computed from the rays")
+        if given is not None:
+            # Facet normals, like rays, are read up to positive scale.
+            try:
+                normals = set(_primitive_generators(given, dim))
+            except ConeError as exc:
+                raise ConeError(f"facets: {exc}") from None
+            if normals != set(cone.facets):
+                raise TheoryFileError("facets do not match the facets computed from the rays")
         return StateSpace(cone, unit)
 
     return (), build
@@ -286,6 +294,15 @@ def _reader(text: str, path: tuple[str, ...], message: str, refs: tuple[str, ...
     return read
 
 
+def parse_json(text: str):
+    """The JSON document in text; a syntax error raises TheoryFileError
+    with its line."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise TheoryFileError(f"line {exc.lineno}: {exc.msg}") from None
+
+
 def loads(text: str) -> TheoryFile:
     """Parse a theory file, checking every entry against the grammar.
 
@@ -297,10 +314,13 @@ def loads(text: str) -> TheoryFile:
     it names. Failures of either kind raise TheoryFileError anchored to the
     entry's line; `TheoryFile.check` validates the whole file.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TheoryFileError(f"line {exc.lineno}: {exc.msg}") from None
+    return read(parse_json(text), text)
+
+
+def read(doc, text: str, prefix: tuple[str, ...] = ()) -> TheoryFile:
+    """The theory file `doc`, checked as `loads` checks it. `doc` was parsed
+    from the JSON `text`, where `prefix` is the key path to it from the top
+    level; errors are anchored to lines of `text`."""
     if not isinstance(doc, dict):
         raise TheoryFileError("the top level must be an object")
     if doc.get("format") != FORMAT:
@@ -314,9 +334,9 @@ def loads(text: str) -> TheoryFile:
     for key, kind, keys, parse in _SECTIONS:
         section = doc.get(key, {})
         if not isinstance(section, dict):
-            raise _anchored(text, (key,), f"{key}: expected an object of named entries")
+            raise _anchored(text, (*prefix, key), f"{key}: expected an object of named entries")
         for name, entry in section.items():
-            path, message = (key, name), f"{kind} {name!r}"
+            path, message = (*prefix, key, name), f"{kind} {name!r}"
             if not isinstance(entry, dict):
                 raise _anchored(text, path, f"{message}: expected an object")
             extra = set(entry) - keys

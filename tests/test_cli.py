@@ -785,6 +785,29 @@ class TestVerify:
         assert code == 1
         assert vout.startswith("FAIL:")
 
+    def test_input_error_names_its_line_in_the_report(self, capsys, lib_path, tmp_path):
+        """An error in an embedded entry is anchored to that entry's line of
+        the report file, which verify reads once."""
+        _, out, _ = run(capsys, "pure", lib_path, "square_iso", "--json")
+        report = json.loads(out)
+        report["inputs"]["spaces"]["square_space"]["rays"][0] = ["0", "0", "0"]
+        head = {k: report[k] for k in ("command", "flags", "inputs")}
+        report["digest"] = cli._digest(head)
+        text = json.dumps(report, indent=2, sort_keys=True)
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        lines = text.splitlines()
+        inputs = lines.index('  "inputs": {')
+        spaces = lines.index('    "spaces": {', inputs)
+        line = lines.index('      "square_space": {', spaces) + 1
+        assert line > 1
+        code, vout, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert vout.startswith(
+            f"FAIL: report body does not support its verdict: line {line}: "
+            "space 'square_space': generator 0 is the zero vector"
+        )
+
     def test_unsupported_report_format(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"format": "report/9"}')
@@ -833,6 +856,35 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error:")
         assert "is not a string" in err
+
+
+def fixture_commands():
+    """Every fixture command, as the benchmark runs them, and a purify."""
+    lib = fixture_library()
+    commands = [["purify", "simplex_2", "1/3,2/3"]]
+    for state in lib.states:
+        commands += [["check-steering", state, "--depth", "3"], ["section", state],
+                     ["pure", state]]
+    for space in lib.spaces:
+        commands += [["self-dual", space], ["homogeneous", space]]
+    return commands + [["tensor", "square_space", "square_space", "--kind", "max"]]
+
+
+@pytest.mark.parametrize("argv", fixture_commands(), ids=" ".join)
+def test_summary_exit_code_matches_the_report(capsys, lib_path, argv):
+    """Each command's summary reads its verdict as the report does: the
+    exit code is the same with and without --json."""
+    text_code, text, _ = run(capsys, argv[0], lib_path, *argv[1:])
+    json_code, out, _ = run(capsys, argv[0], lib_path, *argv[1:], "--json")
+    assert text_code == json_code in (0, 1)
+    assert not text.startswith("{") and out.startswith("{")
+
+
+def test_purify_help_documents_the_state_format(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["purify", "--help"])
+    assert exc.value.code == 0
+    assert "comma-separated rationals, e.g. 1/3,1/3,1/3" in capsys.readouterr().out
 
 
 class TestFixturesCommand:

@@ -134,6 +134,41 @@ class TestParsing:
         with pytest.raises(TheoryFileError, match="facets do not match"):
             tf.check()
 
+    def test_facets_are_read_up_to_positive_scale(self):
+        """Like rays, facet normals are compared as primitive normals, so a
+        positive multiple of a facet or a repeated one is the same facet."""
+        doc = json.loads(doc_text(MINIMAL))
+        doc["spaces"]["pair"]["facets"] = [["2", "0"], ["0", "1/3"], ["0", "5"]]
+        loads(doc_text(doc)).check()
+        square = theoryfile.to_document(fixture_library())["spaces"]["square_space"]
+        square["facets"] = [[str(2 * int(x)) for x in f] for f in square["facets"]]
+        assert ["-2", "0", "2"] in square["facets"]
+        loads(doc_text({"format": "theoryfile/1", "spaces": {"sq": square}})).check()
+
+    @pytest.mark.parametrize("facets", [
+        [["2", "2"], ["0", "1"]],
+        [["1", "0"]],
+        [["1", "0"], ["0", "1"], ["1", "1"]],
+        [["1", "0"], ["0", "-1"]],
+    ], ids=["scaled-non-facet", "missing-facet", "extra-normal", "negated-facet"])
+    def test_a_normal_that_is_not_a_facet_is_rejected(self, facets):
+        doc = json.loads(doc_text(MINIMAL))
+        doc["spaces"]["pair"]["facets"] = facets
+        with pytest.raises(TheoryFileError, match="space 'pair': facets do not match"):
+            loads(doc_text(doc)).check()
+
+    @pytest.mark.parametrize("row,message", [
+        (["0", "0"], "facets: generator 1 is the zero vector"),
+        (["1", "0", "0"], "facets: vector has 3 entries, the cone lives in 2"),
+    ], ids=["zero", "wrong-length"])
+    def test_a_malformed_facet_is_named_at_its_entry(self, row, message):
+        doc = json.loads(doc_text(MINIMAL))
+        doc["spaces"]["pair"]["facets"] = [["1", "0"], row, ["0", "1"]]
+        text = doc_text(doc)
+        with pytest.raises(TheoryFileError, match=f"space 'pair': {message}") as err:
+            loads(text).space("pair")
+        assert line_of_error(str(err.value)) == entry_line(text, "pair", "spaces")
+
     def test_state_needs_known_spaces(self):
         doc = json.loads(doc_text(MINIMAL))
         doc["states"] = {
