@@ -34,7 +34,6 @@ from .ratlin import (
     as_matrix,
     as_vector,
     independent_rows,
-    integral,
     invert,
     lp_optimize,
     mat_mul,
@@ -138,9 +137,7 @@ class BipartiteState:
             raise ValueError("matrix shape must be dim(B) x dim(A)")
         # One positive scale makes the matrix integral and keeps the sign of
         # every facet of B on the image of every facet of A.
-        flat = integral(x for row in m for x in row)
-        da = self.space_a.dim
-        rows = [flat[i:i + da] for i in range(0, len(flat), da)]
+        rows = _integer_rows(m)[0]
         facets_b = self.space_b.cone.facets
         for f in self.space_a.cone.facets:
             image = [int_dot(row, f) for row in rows]

@@ -1,5 +1,5 @@
-"""Regular polyhedral cones: construction, duality, faces, direct sums,
-triangulation and the characteristic invariant.
+"""Regular polyhedral cones: construction, duality, faces, direct sums and
+the slack matrix pinned at an interior point.
 
 A cone is regular when it is pointed (contains no line) and generating (spans
 its ambient space). Both representations are stored canonically: primitive
@@ -11,14 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property, reduce
+from functools import reduce
 from operator import and_
 from typing import Iterable, Sequence
 
 from . import dd
 from .ratlin import (
-    det,
     independent_rows,
     integral,
     mat_transpose,
@@ -51,17 +49,6 @@ class PolyhedralCone:
 
     def is_simplicial(self) -> bool:
         return len(self.rays) == self.ambient_dim
-
-    @cached_property
-    def dual_simplices(self) -> list[tuple[tuple[int, ...], int]]:
-        """The pulling triangulation of the dual, each simplex with |det S_T|
-        over its rays: what ``characteristic_invariant`` sums over. Computed
-        on first use and kept in the instance dict, outside the fields, so
-        equality and hashing are unchanged."""
-        return [
-            (t, abs(det([self.facets[i] for i in t])))
-            for t in pulling_triangulation(dual_cone(self))
-        ]
 
 
 @dataclass(frozen=True)
@@ -196,91 +183,34 @@ def dual_cone(c: PolyhedralCone) -> PolyhedralCone:
     return PolyhedralCone(c.ambient_dim, c.facets, c.rays)
 
 
-def pulling_triangulation(c: PolyhedralCone) -> list[tuple[int, ...]]:
-    """Simplicial cones that triangulate c, each as the sorted indices of its
-    ambient_dim rays, in sorted order.
+def pinned_slack(c: PolyhedralCone, x: Sequence) -> list[IntVec]:
+    """The slack matrix of c pinned at an interior point x: its rows, each
+    a primitive integer vector with its entries sorted, in sorted order.
 
-    Pulling the first ray v of a face V cones v over the triangulations of
-    the facets of V that miss v (Lee, "Regular triangulations of convex
-    polytopes", 1991). A face is held as the bitmask of its rays. Its facets
-    are the inclusion-maximal sets V & F_k over the facets F_k of c that do
-    not hold all of V, and a face of dimension k is simplicial exactly when
-    it has k rays, so the incidence alone drives the recursion and no rank
-    runs. A face reached twice is triangulated once.
+    Scale each facet so that f(x) = 1, let e be the sum of the scaled
+    facets, and scale each ray so that e.r = 1; row i holds f_j.r_i over
+    the facets and sums to 1. An order isomorphism g of c onto a cone c'
+    with g x = y carries scaled facets onto scaled facets and scaled rays
+    onto scaled rays, so the matrix at y is the matrix at x with its rows
+    and columns permuted, and pinned_slack(c, x) != pinned_slack(c', y)
+    proves that no such g exists (Gouveia, Grappe, Kaibel, Pashkovich,
+    Robinson and Thomas, Linear Algebra Appl. 439, 2013). With x scaled to
+    integers, a_j = f_j.x and P = lcm a_j, row i is proportional to
+    (P/a_j f_j.r_i)_j. Its entries are nonnegative with a positive sum, so
+    divided by their gcd they name the row, and its sum, exactly.
     """
-    tight = [
-        sum(1 << i for i, r in enumerate(c.rays) if dd.int_dot(f, r) == 0)
-        for f in c.facets
-    ]
-    done: dict[int, list[int]] = {}
-
-    def pull(face: int, dim: int) -> list[int]:
-        if face.bit_count() == dim:
-            return [face]
-        if face not in done:
-            apex = face & -face
-            cuts = {face & f for f in tight} - {face}
-            done[face] = [
-                apex | s
-                for g in cuts
-                if not g & apex and not any(g != h and g & h == g for h in cuts)
-                for s in pull(g, dim - 1)
-            ]
-        return done[face]
-
-    n = len(c.rays)
-    return sorted(
-        tuple(i for i in range(n) if s >> i & 1) for s in pull((1 << n) - 1, c.ambient_dim)
-    )
-
-
-def characteristic_invariant(c: PolyhedralCone, x: Sequence) -> Fraction:
-    """Vinberg's invariant J(x) = phi(x)^2 / det H(x) at an interior point x,
-    where phi(x) = integral of exp(-<x, y>) over the dual cone is the
-    characteristic function of c and H is the Hessian of log phi.
-
-    Every linear isomorphism g of c onto a cone c' has J_c'(g x) = J_c(x)
-    (Vinberg, "The theory of convex homogeneous cones", 1963), and J is 1 on
-    a simplicial cone; so J_c(x) != J_c'(y) proves that no isomorphism
-    carries x to y.
-
-    Over the pulling triangulation of the dual, with a_s = <x, s> for its
-    rays s, phi = sum_T |det S_T| / prod_{s in T} a_s. With x scaled to
-    integers, P = lcm a_s and b_s = P / a_s, each simplex gives
-    W_T = |det S_T| prod b_s and U_T = sum b_s s, and N0 = sum W_T,
-    N1 = sum W_T U_T and N2 = sum W_T (U_T U_T^T + sum_{s in T} b_s^2 s s^T)
-    are P^d phi, -P^(d+1) grad phi and P^(d+2) times the Hessian of phi.
-    Then J = N0^(2d+2) / det(N0 N2 - N1 N1^T), in integers up to that
-    division. The triangulation and each simplex's |det S_T| are computed
-    once per cone (``PolyhedralCone.dual_simplices``).
-    """
-    d, rays = c.ambient_dim, c.facets
-    x = _integral(x, d)
-    a = [dd.int_dot(s, x) for s in rays]
+    x = _integral(x, c.ambient_dim)
+    a = [dd.int_dot(f, x) for f in c.facets]
     if min(a) <= 0:
-        raise ValueError("the characteristic function is finite only on the interior")
+        raise ValueError("the pinned slack matrix is defined only on the interior")
     p = math.lcm(*a)
-    b = [p // v for v in a]
-    n0, n1 = 0, [0] * d
-    n2 = [[0] * d for _ in range(d)]
-    # The sum over T of W_T b_s^2 s s^T gathers into one term per ray s.
-    ray_weight = [0] * len(rays)
-    for t, volume in c.dual_simplices:
-        w = volume * math.prod(b[i] for i in t)
-        u = [sum(b[i] * rays[i][k] for i in t) for k in range(d)]
-        n0 += w
-        for k in range(d):
-            wu = w * u[k]
-            n1[k] += wu
-            n2[k] = [e + wu * y for e, y in zip(n2[k], u)]
-        for i in t:
-            ray_weight[i] += w
-    for s, bs, w in zip(rays, b, ray_weight):
-        for k in range(d):
-            wss = w * bs * bs * s[k]
-            n2[k] = [e + wss * y for e, y in zip(n2[k], s)]
-    m = [[n0 * e - n1[k] * y for e, y in zip(n2[k], n1)] for k in range(d)]
-    return Fraction(n0 ** (2 * d + 2), det(m))
+    w = [p // v for v in a]
+    rows = []
+    for r in c.rays:
+        row = [wj * dd.int_dot(f, r) for wj, f in zip(w, c.facets)]
+        g = math.gcd(*row)
+        rows.append(tuple(sorted(v // g for v in row)))
+    return sorted(rows)
 
 
 def face_of(c: PolyhedralCone, y: Sequence) -> Face:

@@ -1,12 +1,10 @@
-"""Exact Gaussian elimination: linear solve, rank, nullspace, inverse,
-integer determinant.
+"""Exact Gaussian elimination: linear solve, rank, nullspace, inverse.
 
-Everything but the determinant runs on one fraction-free pass (Bareiss
-1968): each row the pass reaches is scaled once to integers, and rows are
-combined by cross-multiplication and divided by their gcd. Results come from
-the reduced row echelon form, which is unique, so they do not depend on the
-order the pass pivots in. The determinant keeps Bareiss's own exact
-divisions, which a gcd would break.
+Everything runs on one fraction-free pass (Bareiss 1968): each row the pass
+reaches is scaled once to integers, and rows are combined by
+cross-multiplication and divided by their gcd. Results come from the
+reduced row echelon form, which is unique, so they do not depend on the
+order the pass pivots in.
 """
 
 from __future__ import annotations
@@ -141,30 +139,3 @@ def invert(a: Sequence[Sequence]) -> Matrix | None:
             return None
         inv[c] = tuple(Fraction(row[n + j], row[c]) for j in range(n))
     return tuple(inv)
-
-
-def det(a: Sequence[Sequence[int]]) -> int:
-    """The determinant of a square integer matrix.
-
-    Bareiss's step a_ij <- (a_ij a_kk - a_ik a_kj) / p, with p the previous
-    pivot, leaves every entry a minor of A, so each division is exact and
-    no Fraction is made; the last pivot is the determinant, up to the sign of
-    the row swaps."""
-    a = [list(row) for row in a]
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix not square")
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        pivot, top = a[k][k], a[k][k + 1:]
-        for row in a[k + 1:]:
-            x = row[k]
-            row[k + 1:] = [(e * pivot - x * f) // prev for e, f in zip(row[k + 1:], top)]
-        prev = pivot
-    return sign * a[-1][-1] if n else 1

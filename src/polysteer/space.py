@@ -13,10 +13,11 @@ of a given map, for isomorphism states and face factorizations. A search is
 pinned by the first ray of each component at scale 1, or by an interior point
 alpha carried to beta: a transport, or a purification, which carries the unit
 of the dual cone onto a state. Either pin touches only basis rays, which lie
-in the frame. A pinned search runs only when Vinberg's characteristic
-invariant, which every isomorphism of cones preserves, takes one value at
-alpha and at beta; unequal values already prove that no map exists. Every
-returned witness carries enough data to be re-verified by substitution alone.
+in the frame. A pinned search runs only when the slack matrices pinned at
+alpha and at beta, which every isomorphism carrying alpha to beta permutes
+into each other, agree up to row and column order; when they do not, no map
+exists. Every returned witness carries enough data to be re-verified by
+substitution alone.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from typing import Callable, Iterator, NamedTuple, Sequence, Union
 from .cone import (
     IntVec,
     PolyhedralCone,
-    characteristic_invariant,
     dual_cone,
     ordered_direct_sum,
+    pinned_slack,
     support_classes,
 )
 from .dd import int_dot, polytope_vertices
@@ -476,21 +477,21 @@ def isomorphism_carrying(
     carries the interior point alpha of the source to beta, or None. Raises
     ValueError when alpha or beta does not have its cone's dimension.
 
-    Such a map preserves Vinberg's characteristic invariant
-    (``cone.characteristic_invariant``), so when alpha and beta are interior
-    points whose invariants differ, there is none and no search runs. This
-    check returns None only where the search would; every other input is
-    searched as before. On a simplicial source the invariant is 1
-    everywhere, and a target where it is not has another ray count, which
-    the search rejects at once, so no invariant is computed. Each cone's
-    dual is triangulated once, however many points are compared on it.
+    Such a map permutes the rows and columns of the slack matrix pinned at
+    alpha into the one pinned at beta (``cone.pinned_slack``), so when alpha
+    and beta are interior points whose pinned slack rows differ, there is
+    none and no search runs. This check returns None only where the search
+    would; every other input is searched as before. On a simplicial source
+    every row is one 1 among zeros at every interior point, and a target
+    where it is not has another ray count, which the search rejects at
+    once, so no rows are computed.
     """
     s, t = _cone_of(source), _cone_of(target)
     for name, x, c in (("alpha", alpha, s), ("beta", beta, t)):
         if len(x) != c.ambient_dim:
             raise ValueError(f"{name} has {len(x)} coordinates, expected {c.ambient_dim}")
     if not s.is_simplicial() and s.interior_contains(alpha) and t.interior_contains(beta):
-        if characteristic_invariant(s, alpha) != characteristic_invariant(t, beta):
+        if pinned_slack(s, alpha) != pinned_slack(t, beta):
             return None
     # alpha as a combination of the source rays; the map sends it to the
     # same combination of the scaled partners, which must be beta. The solve
@@ -551,10 +552,11 @@ def is_homogeneous(space: StateSpace) -> HomogeneityVerdict:
     meets only finitely many directions there.
 
     Each candidate is tested by ``isomorphism_carrying``, which compares
-    its characteristic invariant with the barycentre's and enumerates no
-    automorphism when they differ. That settles the reported candidate of
-    every non-simplicial fixture space and of the 4- and 5-cube cones
-    without a search. The verdict is the same as without that check.
+    the slack matrix pinned at it with the one pinned at the barycentre and
+    enumerates no automorphism when they differ. That settles the reported
+    candidate of every non-simplicial fixture space, of the 4-cube,
+    4-cross-polytope and 5-cube cones and of the 24-cell without a search.
+    The verdict is the same as without that check.
     """
     c = space.cone
     if c.is_simplicial():

@@ -18,7 +18,6 @@ from polysteer.cone import (
     PolyhedralCone,
     _extreme_generators,
     all_faces,
-    characteristic_invariant,
     cone_from_facets,
     cone_from_rays,
     dual_cone,
@@ -27,20 +26,17 @@ from polysteer.cone import (
     irreducible_partition,
     is_extremal,
     ordered_direct_sum,
-    pulling_triangulation,
+    pinned_slack,
 )
 from polysteer.composite import kron_vec, max_tensor, min_tensor
 from polysteer.dd import extreme_rays, int_dot, polytope_vertices
 from polysteer.fixtures import fixture_library
 from polysteer.ratlin import (
     LinearProgram,
-    det,
     integer_row,
     lp_feasible,
-    mat_transpose,
     primitive,
     rank,
-    solve_linear,
 )
 from reference_dd import extreme_rays as third_ray_scan_extreme_rays
 
@@ -606,13 +602,11 @@ def test_polytope_lower_dimensional_triangle():
     assert vs == [(0, 0, 2), (0, 1, 2), (1, 0, 2)]
 
 
-# --- Pulling triangulation and the characteristic invariant ------------------
+# --- The pinned slack matrix ---------------------------------------------------
 
 
 def interior_point(rng, c):
-    """A seeded positive combination of all of c's rays: an interior point,
-    with weights spread wide enough that it lies on no wall between two
-    simplices of a triangulation."""
+    """A seeded positive combination of all of c's rays: an interior point."""
     x = [0] * c.ambient_dim
     for r in c.rays:
         w = rng.randint(1, 1000)
@@ -620,43 +614,22 @@ def interior_point(rng, c):
     return tuple(x)
 
 
-def triangulated_cones():
+def sample_cones():
+    """Each fixture cone and its dual, square + square, and 20 seeded random
+    cones of dimension 2 to 5."""
     rng = random.Random(11)
     cones = []
     for sp in fixture_library().spaces.values():
         cones += [sp.cone, dual_cone(sp.cone)]
-    # A facet of square + square is an edge of one square summed with the
-    # whole other square; that square is a face of the facet but no facet of
-    # it, so it must not be pulled as one.
     cones.append(ordered_direct_sum(square_cone(), square_cone()))
     for trial in range(20):
         cones.append(random_cone(rng, 2 + trial % 4)[1])
     return cones
 
 
-def test_pulling_triangulation_covers_the_cone_once():
-    # Each simplex is d independent rays, and a generic interior point lies
-    # in exactly one simplex, strictly inside it.
-    rng = random.Random(12)
-    for c in triangulated_cones():
-        d = c.ambient_dim
-        simplices = pulling_triangulation(c)
-        assert simplices == sorted(set(simplices))
-        assert all(len(t) == d and list(t) == sorted(t) for t in simplices)
-        assert all(det([c.rays[i] for i in t]) for t in simplices)
-        for _ in range(3):
-            x = interior_point(rng, c)
-            holding = []
-            for t in simplices:
-                coords = solve_linear(mat_transpose([c.rays[i] for i in t]), x)
-                assert coords is not None
-                if all(a >= 0 for a in coords):
-                    holding.append(all(a > 0 for a in coords))
-            assert holding == [True]
-    assert len(pulling_triangulation(dual_cone(square_cone()))) == 2
-
-
-def test_characteristic_invariant_is_one_on_simplicial_cones():
+def test_pinned_slack_is_constant_on_simplicial_cones():
+    # Every interior point of a simplicial cone is carried to every other by
+    # a diagonal scaling in ray coordinates, and ray i meets only facet i.
     rng = random.Random(13)
     lib = fixture_library().spaces
     cones = [lib[name].cone for name in ("simplex_2", "simplex_3", "simplex_4")]
@@ -667,8 +640,9 @@ def test_characteristic_invariant_is_one_on_simplicial_cones():
             cones.append(cone_from_rays(rows, d))
     for c in cones:
         assert c.is_simplicial()
+        d = c.ambient_dim
         for _ in range(3):
-            assert characteristic_invariant(c, interior_point(rng, c)) == 1
+            assert pinned_slack(c, interior_point(rng, c)) == [(0,) * (d - 1) + (1,)] * d
 
 
 def unimodular(rng, d):
@@ -683,12 +657,13 @@ def unimodular(rng, d):
     return m
 
 
-def test_characteristic_invariant_under_unimodular_changes():
-    # J_{UA}(U x) = J_A(x). U permutes the sorted rays, so the pulling order
-    # of the dual changes and the triangulations differ; J must not.
+def test_pinned_slack_under_unimodular_changes():
+    # U x pins UA as x pins A. U permutes the sorted rays and facets, so the
+    # rows and columns of the slack matrix come in another order; the
+    # sorted rows must not change.
     rng = random.Random(14)
     reordered = 0
-    for c in triangulated_cones():
+    for c in sample_cones():
         d = c.ambient_dim
         u = unimodular(rng, d)
         image = cone_from_rays([[int_dot(row, r) for row in u] for r in c.rays], d)
@@ -697,14 +672,14 @@ def test_characteristic_invariant_under_unimodular_changes():
         reordered += [tuple(int_dot(row, r) for row in u) for r in c.rays] != moved
         x = interior_point(rng, c)
         ux = [int_dot(row, x) for row in u]
-        assert characteristic_invariant(image, ux) == characteristic_invariant(c, x)
+        assert pinned_slack(image, ux) == pinned_slack(c, x)
     assert reordered > 20
 
 
-def test_characteristic_invariant_needs_an_interior_point():
+def test_pinned_slack_needs_an_interior_point():
     c = square_cone()
     for x in [(1, 0, 1), (2, 0, 1), (0, 0, 0)]:
         with pytest.raises(ValueError, match="interior"):
-            characteristic_invariant(c, x)
+            pinned_slack(c, x)
     with pytest.raises(ValueError, match="2 entries"):
-        characteristic_invariant(c, (0, 1))
+        pinned_slack(c, (0, 1))

@@ -12,13 +12,12 @@ from itertools import count, islice
 
 import pytest
 
-from polysteer import cone as cone_module
 from polysteer.cone import (
-    characteristic_invariant,
     cone_from_rays,
     dual_cone,
     irreducible_partition,
     ordered_direct_sum,
+    pinned_slack,
 )
 from polysteer.fixtures import fixture_library
 from polysteer.ratlin import (
@@ -666,6 +665,16 @@ def cross_polytope_cone(d):
     return cone_from_rays(rays, d + 1)
 
 
+def cell_24_cone():
+    """The cone over the 24-cell: rays (v, 1) for the 24 points of R^4 with
+    two coordinates +-1 and two 0."""
+    rays = [
+        tuple(x if k == i else y if k == j else 0 for k in range(4)) + (1,)
+        for i in range(4) for j in range(i + 1, 4) for x in (1, -1) for y in (1, -1)
+    ]
+    return cone_from_rays(rays, 5)
+
+
 def test_hyperoctahedral_census():
     # The cone over the 4-cross-polytope and its dual, the cone over the
     # 4-cube, each have the 2^4 4! = 384 automorphisms of the 4-cube. The
@@ -677,7 +686,7 @@ def test_hyperoctahedral_census():
         assert len({w.ray_bijection for w in auts}) == len(auts) == 384
 
 
-# --- Vinberg's characteristic invariant --------------------------------------
+# --- The pinned slack matrix ---------------------------------------------------
 
 
 def seeded_interior_point(rng, rays):
@@ -689,19 +698,20 @@ def seeded_interior_point(rng, rays):
     return tuple(x)
 
 
-def test_characteristic_invariant_is_constant_on_automorphism_orbits():
+def test_pinned_slack_is_constant_on_automorphism_orbits():
     rng = random.Random(15)
     for name, sp in fixture_library().spaces.items():
         c = sp.cone
         x = seeded_interior_point(rng, c.rays)
-        j = characteristic_invariant(c, x)
+        rows = pinned_slack(c, x)
         orbit = {mat_vec(w.matrix, x) for w in order_isomorphisms(c, c)}
         assert len(orbit) > 1, name
-        assert {characteristic_invariant(c, y) for y in orbit} == {j}, name
+        assert all(pinned_slack(c, y) == rows for y in orbit), name
 
 
-def test_characteristic_invariant_follows_the_self_duality_witness():
-    # eta maps the dual cone onto the cone, so J_A(eta y) = J_{A*}(y).
+def test_pinned_slack_follows_the_self_duality_witness():
+    # eta maps the dual cone onto the cone and y to eta y, so the slack
+    # matrix of A at eta y is that of A* at y, rows and columns permuted.
     rng = random.Random(16)
     witnessed = 0
     for name, sp in fixture_library().spaces.items():
@@ -712,23 +722,27 @@ def test_characteristic_invariant_follows_the_self_duality_witness():
         dual = dual_cone(sp.cone)
         for _ in range(3):
             y = seeded_interior_point(rng, dual.rays)
-            assert characteristic_invariant(sp.cone, mat_vec(eta.matrix, y)) == (
-                characteristic_invariant(dual, y)
+            assert pinned_slack(sp.cone, mat_vec(eta.matrix, y)) == (
+                pinned_slack(dual, y)
             ), name
     assert witnessed == 6
 
 
-def test_characteristic_invariant_separates_the_reported_pairs():
+def test_pinned_slack_separates_the_reported_pairs():
+    # At the barycentre every ray meets its facets at one value; halfway to
+    # a vertex the rays through that vertex's facets weigh 3 against 1.
     lib = fixture_library().spaces
-    values = {}
+    rows = {}
     for name in ("square_space", "cube_space"):
         sp = lib[name]
         bary, cand = is_homogeneous(sp).failed_pair
-        values[name] = (characteristic_invariant(sp.cone, bary),
-                        characteristic_invariant(sp.cone, cand))
-    assert values == {
-        "square_space": (Fraction(4, 3), Fraction(64, 55)),
-        "cube_space": (Fraction(2), Fraction(256, 175)),
+        rows[name] = (pinned_slack(sp.cone, bary), pinned_slack(sp.cone, cand))
+    assert rows == {
+        "square_space": ([(0, 0, 1, 1)] * 4, [(0, 0, 1, 1)] * 2 + [(0, 0, 1, 3)] * 2),
+        "cube_space": (
+            [(0, 0, 0, 1, 1, 1)] * 8,
+            [(0, 0, 0, 1, 1, 1)] * 2 + [(0, 0, 0, 1, 1, 3)] * 3 + [(0, 0, 0, 1, 3, 3)] * 3,
+        ),
     }
 
 
@@ -783,6 +797,11 @@ def test_is_homogeneous_refutes_without_a_search(monkeypatch):
     spaces["cube_5"] = cone_space(dual_cone(cross_polytope_cone(5)))
     half = Fraction(-1, 2)
     want["cube_5"] = ((Fraction(0),) * 5 + (Fraction(1),), (half,) * 5 + (Fraction(1),))
+    # The 24-cell is pinned the same way: halfway to its first vertex state
+    # (-1, -1, 0, 0, 1).
+    spaces["cell_24"] = cone_space(cell_24_cone())
+    zero = Fraction(0)
+    want["cell_24"] = ((zero,) * 4 + (Fraction(1),), (half, half, zero, zero, Fraction(1)))
     searches = []
 
     def counted(*args):
@@ -827,24 +846,6 @@ def test_isomorphism_carrying_rejects_wrong_lengths(alpha, beta, message):
         isomorphism_carrying(sq.cone, sq.cone, alpha or bary, beta or bary)
 
 
-def test_one_triangulation_per_homogeneity_decision(monkeypatch):
-    """is_homogeneous triangulates the dual once, however many candidates it
-    compares, and the cone keeps that triangulation: a transport on the same
-    space afterwards triangulates nothing."""
-    calls = []
-    real = cone_module.pulling_triangulation
-    monkeypatch.setattr(
-        cone_module, "pulling_triangulation", lambda c: calls.append(1) or real(c)
-    )
-    octahedron = cone_space(cross_polytope_cone(3))
-    verdict = is_homogeneous(octahedron)
-    assert verdict.status == "no" and len(calls) == 1
-    bary, cand = verdict.failed_pair
-    calls.clear()
-    assert transport_automorphism(octahedron, bary, cand) is None
-    assert len(calls) == 0
-
-
 def gate_cases():
     """(source, target, alpha, beta): on each fixture space and three direct
     sums, transports from the barycentre to is_homogeneous's candidates for
@@ -872,9 +873,9 @@ def test_gate_agrees_with_the_ungated_search():
         assert repr(got) == repr(want)
         total += 1
         found += want is not None
-        if characteristic_invariant(s, alpha) != characteristic_invariant(t, beta):
+        if pinned_slack(s, alpha) != pinned_slack(t, beta):
             refuted += 1
             assert want is None
-    # On these pairs J is also complete: each pair it does not refute has an
-    # isomorphism.
+    # On these pairs the pinned slack rows are also complete: each pair they
+    # do not refute has an isomorphism.
     assert (total, refuted, found) == (125, 83, 42)
