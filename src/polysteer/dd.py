@@ -10,10 +10,9 @@ carries integer products only with the rows still to insert; an inserted
 row survives as bits, in each ray's incidence mask and in the set of rays
 tight on it, and adjacency is read off those per-row ray sets.
 
-``polytope_vertices`` enumerates a polytope's vertices through
-``extreme_rays``. Its caller supplies a relative-interior point; the rows
-tight there must sum to zero, which certifies the affine hull exactly, so
-no LP runs.
+``polytope_vertices`` enumerates a polytope's vertices as the extreme rays
+of its homogenization, so it needs neither an LP nor a point of the
+polytope, and implicit equalities are no special case.
 
 Rows are integer tuples and rays are kept primitive (gcd 1, positive scale),
 so intermediate arithmetic is pure-integer and results compare syntactically.
@@ -26,12 +25,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .ratlin import (
-    integral,
-    integral_with_scale,
-    nullspace,
-    primitive,
-)
+from .ratlin import integer_row
 from .ratlin.gauss import _eliminate
 
 IntVec = tuple[int, ...]
@@ -185,71 +179,34 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[IntVec, 
 
 
 def polytope_vertices(
-    ineqs: Sequence[tuple[Sequence, Fraction | int]], interior: Sequence
+    ineqs: Sequence[tuple[Sequence, Fraction | int]], dim: int
 ) -> list[tuple[Fraction, ...]]:
-    """All vertices of the polytope {x : g.x >= h}, given a point of its
-    relative interior.
+    """All vertices of the polytope {x in Q^dim : g.x >= h}, sorted; [] when
+    it is empty.
 
-    The point certifies the affine hull without an LP. It must satisfy every
-    row; let T be the rows tight at it. If the rows of T sum to zero, left-
-    and right-hand sides alike, then every feasible x has
-    sum over T of (g.x - h) = 0 with every term >= 0, so each row of T is an
-    implicit equality; every other row is slack at the point, so T cuts out
-    the affine hull. Otherwise this raises ValueError. The other rows are
-    written over a primitive integer basis of the hull through the point,
-    homogenized and handed to double description, so the result is exact.
-    Raises ValueError on unbounded input and on a row whose width is not
-    the point's.
+    Each row, scaled to integers G.x >= H, is homogenized to G.x - H t >= 0,
+    and t >= 0 joins them. When no nonzero d has g.d >= 0 on every row, the
+    cone they cut out is the cone over the polytope at t = 1, so double
+    description returns one ray per vertex, read at t = 1, and no other.
+    Implicit equalities need no special care: they only make that cone
+    lower-dimensional. Raises ValueError when such a d exists, as the cone
+    then holds a line or a ray at t = 0 even if no x satisfies the rows,
+    and on a row whose width is not dim.
     """
-    dim = len(interior)
-    for i, (g, _) in enumerate(ineqs):
+    rows = []
+    for i, (g, h) in enumerate(ineqs):
         if len(g) != dim:
-            raise ValueError(
-                f"row {i} has {len(g)} coefficients, the interior point has {dim}"
-            )
-    x0, s = integral_with_scale(interior)  # the point is x0 / s
-    # Row g.x >= h scaled to integers G.x >= H; its slack at the point, times s.
-    rows = [(v[:dim], v[dim]) for v in (integral((*g, h)) for g, h in ineqs)]
-    slack = [int_dot(lhs, x0) - s * rhs for lhs, rhs in rows]
-    if any(d < 0 for d in slack):
-        raise ValueError("the interior point violates a row")
-    tight = [i for i, d in enumerate(slack) if d == 0]
-    if any(sum(col) for col in zip(*(ineqs[i][0] for i in tight))) or sum(
-        Fraction(ineqs[i][1]) for i in tight
-    ):
-        raise ValueError("the rows tight at the interior point do not sum to zero")
-
-    if tight:
-        basis = [primitive(b) for b in nullspace([ineqs[i][0] for i in tight])]
-    else:
-        basis = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
-    q = len(basis)
-    if q == 0:
-        return [tuple(map(Fraction, interior))]
-
-    # x = x0 / s + sum z_i b_i; with z = w / t, s t (G.x - H) >= 0 reads
-    # sum w_i s G.b_i + t (G.x0 - s H) >= 0.
-    hom_rows = [
-        tuple(s * int_dot(lhs, b) for b in basis) + (d,)
-        for (lhs, _), d in zip(rows, slack)
-        if d
-    ]
-    hom_rows.append((0,) * q + (1,))
+            raise ValueError(f"row {i} has {len(g)} coefficients, but dim is {dim}")
+        lhs, rhs, _ = integer_row(g, h)
+        rows.append((*lhs, -rhs))
+    rows.append((0,) * dim + (1,))
     try:
-        cone_rays = extreme_rays(hom_rows, q + 1)
+        cone_rays = extreme_rays(rows, dim + 1)
     except ValueError:
         # The homogenization is not pointed, so the recession cone of the
         # feasible region contains a whole line.
         raise ValueError("polytope is unbounded") from None
-    columns = list(zip(*basis))
-    vertices = []
-    for r, _ in cone_rays:
-        w, t = r[:q], r[q]
-        if t <= 0:
-            if t == 0:
-                raise ValueError("polytope is unbounded")
-            raise AssertionError("ray with negative homogenizing coordinate")
-        vertices.append(
-            tuple(Fraction(t * c + s * int_dot(w, col), s * t) for c, col in zip(x0, columns))
-        )
-    return sorted(set(vertices))
+    if any(r[dim] == 0 for r, _ in cone_rays):
+        raise ValueError("polytope is unbounded")
+    # extreme_rays sorts the rays as integer tuples, not by their values.
+    return sorted(tuple(Fraction(c, r[dim]) for c in r[:dim]) for r, _ in cone_rays)

@@ -159,10 +159,8 @@ class Observable:
 
 
 def order_interval_vertices(cone: PolyhedralCone, top: Sequence) -> tuple[Vector, ...]:
-    """Vertices of the order interval [0, top] = {y : y >= 0, top - y >= 0}.
-
-    Its rows come in pairs g.y >= 0, -g.y >= -g.top that are both tight at
-    top/2 exactly when g.top = 0, so top/2 certifies the hull."""
+    """Vertices of the order interval [0, top] = {y : y >= 0, top - y >= 0},
+    cut out by the rows g.y >= 0 and -g.y >= -g.top of each facet g."""
     top = as_vector(top)
     if not cone.contains(top):
         raise ValueError("interval top must lie in the cone")
@@ -170,7 +168,7 @@ def order_interval_vertices(cone: PolyhedralCone, top: Sequence) -> tuple[Vector
     for g in cone.facets:
         rows.append((g, 0))
         rows.append((tuple(-c for c in g), -vec_dot(g, top)))
-    return tuple(polytope_vertices(rows, vec_scale(Fraction(1, 2), top)))
+    return tuple(polytope_vertices(rows, len(top)))
 
 
 @dataclass(frozen=True)

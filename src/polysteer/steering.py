@@ -19,7 +19,7 @@ from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from .composite import BipartiteState, is_isomorphism_state, marginal_b, purify
-from .cone import face_of, is_extremal
+from .cone import cone_from_rays, face_of, is_extremal
 from .dd import polytope_vertices
 from .ratlin import (
     LinearProgram,
@@ -27,7 +27,6 @@ from .ratlin import (
     Vector,
     as_vector,
     independent_rows,
-    integer_row,
     integral_with_scale,
     lp_feasible,
     lp_optimize,
@@ -36,6 +35,7 @@ from .ratlin import (
     mat_vec,
     nullspace,
     primitive,
+    rank,
     solve_linear,
     vec_dot,
     vec_scale,
@@ -144,28 +144,19 @@ def lift_ensemble(omega: BipartiteState, e: Ensemble) -> LiftResult:
     return LiftResult(Observable(space_a, effects), None)
 
 
-def _is_convex_combination(point: Sequence, generators: Sequence[Vector]) -> bool:
-    """Whether point is a convex combination of the generators: one LP."""
-    n = len(generators)
-    eq = [integer_row([g[c] for g in generators], point[c]) for c in range(len(point))]
-    eq.append(((1,) * n, 1, 1))
-    ge = [(tuple(int(i == j) for i in range(n)), 0, 1) for j in range(n)]
-    return lp_feasible(LinearProgram(n, eq=eq, ge=ge)).status == "feasible"
-
-
 def image_interval(omega: BipartiteState) -> tuple[Vector, ...]:
-    """Extreme points of the image of the A-side effect interval."""
-    images = []
-    for v in effects_interval(omega.space_a).vertices:
-        img = omega.apply(v)
-        if img not in images:
-            images.append(img)
-    extreme = []
-    for i, p in enumerate(images):
-        others = [q for j, q in enumerate(images) if j != i]
-        if not others or not _is_convex_combination(p, others):
-            extreme.append(p)
-    return tuple(sorted(extreme))
+    """Extreme points of the image of the A-side effect interval.
+
+    An image p is extreme exactly when (p, 1) spans an extreme ray of the
+    cone the lifted images generate. Keeping only coordinates independent
+    on the lifted images maps that cone one to one onto a regular cone,
+    whose extreme rays double description finds; no LP runs."""
+    images = list(dict.fromkeys(omega.apply(v) for v in effects_interval(omega.space_a).vertices))
+    lifted = [(*p, 1) for p in images]
+    cols = independent_rows(mat_transpose(lifted))
+    coords = [primitive([v[c] for c in cols]) for v in lifted]
+    extreme = set(cone_from_rays(coords, len(cols)).rays)
+    return tuple(sorted(p for p, c in zip(images, coords) if c in extreme))
 
 
 def face_condition(omega: BipartiteState) -> bool:
@@ -212,10 +203,8 @@ def ensemble_polytope_vertices(
 ) -> list[tuple[Vector, ...]]:
     """Vertices of the polytope of k-part splittings of target in the cone.
 
-    A splitting is given by its first k - 1 parts. For each facet g its k - 1
-    rows g.p_i >= 0 and its closing row g.(target - sum p_i) >= 0 sum to zero
-    and are all tight at p_i = target/k exactly when g.target = 0, so that
-    point certifies the hull."""
+    A splitting is given by its first k - 1 parts: for each facet g, the rows
+    g.p_i >= 0 and the closing row g.(target - sum p_i) >= 0."""
     target = as_vector(target)
     if not space.cone.contains(target):
         raise ValueError("the split target must lie in the cone")
@@ -228,7 +217,7 @@ def ensemble_polytope_vertices(
     ]
     ge += [(tuple(-c for c in g) * (k - 1), -vec_dot(g, target)) for g in space.cone.facets]
     out = []
-    for v in polytope_vertices(ge, vec_scale(Fraction(1, k), target) * (k - 1)):
+    for v in polytope_vertices(ge, n):
         parts = [tuple(v[i * db + c] for c in range(db)) for i in range(k - 1)]
         rest = target
         for p in parts:
@@ -493,34 +482,24 @@ def section_program(omega: BipartiteState) -> SectionProgram:
 
 def _polytope_dimension(lp: LinearProgram) -> tuple[int, tuple[Vector, Vector] | None]:
     """Dimension of the nonempty, bounded polytope cut out by lp's rows, and
-    the minimizer and maximizer of the first functional that varies on it.
+    the minimizer and maximizer of the first coordinate that varies on it.
 
-    Each step maximizes and minimizes a functional c orthogonal to every row
-    of `found`. If c varies, the gap between its optima joins `found`;
-    otherwise c does. Gaps lie in the polytope's direction space and the
-    constant functionals in its orthogonal complement, and each step adds a
-    row independent of the others, so after n steps the gaps number exactly
-    the dimension. Until the first gap, c runs through e1, e2, ... in order.
-    Every program shares lp's row tuples; only the objective changes.
+    The dimension is that of the affine hull of the polytope's vertices, an
+    eq row entering their enumeration as a pair of opposite rows. The first
+    coordinate e_k on which two vertices differ is optimized both ways over
+    lp's own rows: the only two LPs that run.
     """
     n = lp.n_vars
-    found: list[Vector] = []
-    dimension = 0
-    first = None
-    for _ in range(n):
-        c = nullspace(found, ncols=n)[0]
-        hi = lp_optimize(LinearProgram(n, eq=lp.eq, ge=lp.ge, objective=c))
-        lo = lp_optimize(LinearProgram(n, eq=lp.eq, ge=lp.ge, objective=vec_scale(-1, c)))
-        if hi.status != "optimal" or lo.status != "optimal":
-            raise RuntimeError("internal: the polytope must be nonempty and bounded")
-        if hi.value == -lo.value:
-            found.append(c)
-            continue
-        found.append(vec_sub(hi.witness, lo.witness))
-        dimension += 1
-        if first is None:
-            first = (lo.witness, hi.witness)
-    return dimension, first
+    rows = [(a, b) for a, b, _ in lp.ge]
+    rows += [r for a, b, _ in lp.eq for r in ((a, b), (tuple(-x for x in a), -b))]
+    verts = polytope_vertices(rows, n)
+    if len(verts) == 1:
+        return 0, None
+    k = next(c for c in range(n) if any(v[c] != verts[0][c] for v in verts))
+    e = tuple(int(i == k) for i in range(n))
+    hi = lp_optimize(LinearProgram(n, eq=lp.eq, ge=lp.ge, objective=e))
+    lo = lp_optimize(LinearProgram(n, eq=lp.eq, ge=lp.ge, objective=vec_scale(-1, e)))
+    return rank([vec_sub(v, verts[0]) for v in verts[1:]]), (lo.witness, hi.witness)
 
 
 def affine_section_search(omega: BipartiteState) -> SectionSearch:

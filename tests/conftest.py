@@ -4,6 +4,7 @@ The acceptance module records one PASS/FAIL line per criterion; echo those
 lines into the terminal summary so the gate stays readable under output
 capture. `criterion_8_states` hands tests the states the benchmark draws,
 and `criterion_8_sequence` any prefix of the sequence they come from.
+`simplex_count` counts the LP tableaux a test builds.
 """
 
 import importlib.util
@@ -60,3 +61,19 @@ def criterion_8_sequence(benchmark_workloads):
     """The first `count` states of that sequence, as a function of count."""
     module, prog = benchmark_workloads
     return lambda count: module.criterion_8_states(prog, count)
+
+
+@pytest.fixture
+def simplex_count(monkeypatch):
+    """How many `_Simplex` tableaux are built while the test runs."""
+    from polysteer.ratlin import simplex
+
+    count = [0]
+
+    class Counted(simplex._Simplex):
+        def __init__(self, *args, **kwargs):
+            count[0] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simplex, "_Simplex", Counted)
+    return count

@@ -526,69 +526,65 @@ def test_irreducible_components():
 
 def test_polytope_unit_square():
     ineqs = [((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1)]
-    vs = polytope_vertices(ineqs, (Fraction(1, 2), Fraction(1, 2)))
+    vs = polytope_vertices(ineqs, 2)
     assert vs == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_polytope_implicit_equality_segment():
-    # x + y >= 1 and -x - y >= -1 are tight at the midpoint and cancel.
+    # x + y >= 1 and -x - y >= -1 together say x + y = 1, which no row states.
     ineqs = [((1, 0), 0), ((0, 1), 0), ((1, 1), 1), ((-1, -1), -1)]
-    assert polytope_vertices(ineqs, (Fraction(1, 2), Fraction(1, 2))) == [(0, 1), (1, 0)]
+    assert polytope_vertices(ineqs, 2) == [(0, 1), (1, 0)]
 
 
 def test_polytope_equality_rows():
-    # The equality x + y = 1 written as a pair of opposite rows.
-    ineqs = [((1, 0), 0), ((0, 1), 0), ((1, 1), 1), ((-1, -1), -1)]
-    assert polytope_vertices(ineqs, (Fraction(1, 4), Fraction(3, 4))) == [(0, 1), (1, 0)]
+    # The equality x + y = 1 written as a pair of opposite rows, inside the
+    # box [0, 1]^2 whose rows meet it only at its end points.
+    ineqs = [((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1), ((1, 1), 1), ((-1, -1), -1)]
+    assert polytope_vertices(ineqs, 2) == [(0, 1), (1, 0)]
 
 
 def test_polytope_single_point():
     eqs = [((1, 0), Fraction(1, 3)), ((0, 1), -2)]
     ineqs = [((1, 1), -10)] + [r for g, h in eqs for r in ((g, h), (tuple(-c for c in g), -h))]
-    assert polytope_vertices(ineqs, (Fraction(1, 3), -2)) == [(Fraction(1, 3), -2)]
+    assert polytope_vertices(ineqs, 2) == [(Fraction(1, 3), -2)]
 
 
-def test_polytope_hint_violating_a_row_raises():
-    ineqs = [((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1)]
-    with pytest.raises(ValueError, match="violates a row"):
-        polytope_vertices(ineqs, (2, Fraction(1, 2)))
-    # An empty polytope has no point to hint at.
-    with pytest.raises(ValueError, match="violates a row"):
-        polytope_vertices([((1,), 1), ((-1,), 0)], (Fraction(1, 2),))
+def test_polytope_vertices_are_sorted_by_value():
+    # The rays (x, t) come out of double description sorted as integer
+    # tuples, (1, 2) before (2, 1); the vertices 1/2 and 2 sort by value.
+    assert polytope_vertices([((2,), 1), ((-1,), -2)], 1) == [(Fraction(1, 2),), (2,)]
 
 
-def test_polytope_hint_whose_tight_rows_do_not_cancel_raises():
+def test_polytope_empty_is_no_vertices():
+    assert polytope_vertices([((1,), 1), ((-1,), 0)], 1) == []
     square = [((1, 0), 0), ((0, 1), 0), ((-1, 0), -1), ((0, -1), -1)]
-    with pytest.raises(ValueError, match="do not sum to zero"):
-        polytope_vertices(square, (0, Fraction(1, 2)))
-    # The segment's midpoint is certified; its endpoint (1, 0) is feasible
-    # but leaves y >= 0 tight with nothing to cancel it.
-    segment = [((1, 0), 0), ((0, 1), 0), ((1, 1), 1), ((-1, -1), -1)]
-    with pytest.raises(ValueError, match="do not sum to zero"):
-        polytope_vertices(segment, (1, 0))
+    assert polytope_vertices(square + [((1, 1), 3)], 2) == []
 
 
 def test_polytope_rejects_rows_of_the_wrong_width():
     # The stray -2 must not be read as the right-hand side of y >= 1.
     ineqs = [((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1, -2), -1)]
-    with pytest.raises(ValueError, match="row 3 has 3 coefficients, the interior point has 2"):
-        polytope_vertices(ineqs, (Fraction(1, 2), Fraction(1, 2)))
+    with pytest.raises(ValueError, match="row 3 has 3 coefficients, but dim is 2"):
+        polytope_vertices(ineqs, 2)
     with pytest.raises(ValueError, match="row 0 has 1 coefficients"):
-        polytope_vertices([((1,), 0), ((0, 1), 0)], (1, 1))
+        polytope_vertices([((1,), 0), ((0, 1), 0)], 2)
 
 
 def test_polytope_unbounded_raises():
     with pytest.raises(ValueError, match="unbounded"):
-        polytope_vertices([((1, 0), 0), ((0, 1), 0)], (1, 1))
+        polytope_vertices([((1, 0), 0), ((0, 1), 0)], 2)
     with pytest.raises(ValueError, match="unbounded"):
-        polytope_vertices([((1, 0), 0)], (1, 0))
+        polytope_vertices([((1, 0), 0)], 2)
+    # A half-line: the homogenization is pointed, but a ray lies at t = 0.
+    with pytest.raises(ValueError, match="unbounded"):
+        polytope_vertices([((1,), 0)], 1)
 
 
 def test_polytope_octahedron():
     ineqs = [
         ((s1, s2, s3), -1) for s1 in (-1, 1) for s2 in (-1, 1) for s3 in (-1, 1)
     ]
-    vs = polytope_vertices(ineqs, (0, 0, 0))
+    vs = polytope_vertices(ineqs, 3)
     expected = sorted(
         tuple(s if k == i else 0 for k in range(3)) for i in range(3) for s in (-1, 1)
     )
@@ -598,7 +594,7 @@ def test_polytope_octahedron():
 def test_polytope_lower_dimensional_triangle():
     # z = 2 written as a pair of opposite rows.
     ineqs = [((1, 0, 0), 0), ((0, 1, 0), 0), ((-1, -1, 0), -1), ((0, 0, 1), 2), ((0, 0, -1), -2)]
-    vs = polytope_vertices(ineqs, (Fraction(1, 3), Fraction(1, 3), 2))
+    vs = polytope_vertices(ineqs, 3)
     assert vs == [(0, 0, 2), (0, 1, 2), (1, 0, 2)]
 
 

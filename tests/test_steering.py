@@ -16,7 +16,15 @@ import pytest
 
 from polysteer.cone import cone_from_rays
 from polysteer.composite import BipartiteState, is_isomorphism_state, marginal_b
-from polysteer.ratlin import LinearProgram, LPOutcome, as_vector
+from polysteer.fixtures import fixture_library
+from polysteer.ratlin import (
+    LinearProgram,
+    LPOutcome,
+    as_vector,
+    integer_row,
+    lp_feasible,
+    vec_dot,
+)
 from polysteer.space import StateSpace, effects_interval
 from polysteer.steering import (
     AffineSection,
@@ -35,6 +43,7 @@ from polysteer.steering import (
     section_program,
     universal_self_steering_scan,
 )
+import reference_lp_loops
 
 F = Fraction
 
@@ -466,6 +475,67 @@ def test_dimension_counts_independent_gaps():
     assert _polytope_dimension(segment)[0] == 1
     point = LinearProgram(2, eq=[((1, 0), 1, 1), ((0, 1), 2, 1)])
     assert _polytope_dimension(point) == (0, None)
+
+
+@pytest.fixture(scope="module")
+def hull_states(criterion_8_sequence):
+    """The fixture states and the first 100 states of criterion 8's sequence."""
+    lib = fixture_library()
+    return [lib.states[name] for name in lib.states] + list(criterion_8_sequence(100))
+
+
+def test_image_interval_matches_the_lp_hull_reference(hull_states, simplex_count):
+    computed = [image_interval(omega) for omega in hull_states]
+    assert simplex_count[0] == 0
+    assert computed == [reference_lp_loops.image_interval(omega) for omega in hull_states]
+
+
+def assert_dimension_matches_the_lp_loop(programs, simplex_count):
+    """_polytope_dimension gives the loop's (dimension, pair) on every
+    program, solving exactly two LPs when the dimension is positive and
+    none when it is 0. Returns the dimensions."""
+    dimensions = []
+    for program in programs:
+        before = simplex_count[0]
+        got = _polytope_dimension(program)
+        assert simplex_count[0] - before == (2 if got[0] else 0)
+        assert got == reference_lp_loops.polytope_dimension(program)
+        dimensions.append(got[0])
+    return dimensions
+
+
+def test_polytope_dimension_matches_the_lp_loop_on_section_programs(hull_states, simplex_count):
+    programs = [section_program(omega)[0] for omega in hull_states]
+    feasible = [p for p in programs if lp_feasible(p).status == "feasible"]
+    assert len(feasible) == 31
+    assert 1 in assert_dimension_matches_the_lp_loop(feasible, simplex_count)
+
+
+def random_bounded_programs(seed, count):
+    """Programs over n <= 4 unknowns around a random point x0: a box of
+    width 0 to 4 in each coordinate, some rows through or near x0, and
+    some eq rows through x0. A box side of width 0, and rows through x0
+    from either side, cut lower-dimensional polytopes without eq rows."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        x0 = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rng.randint(0, 3))]
+        eq = [integer_row(g, vec_dot(g, x0)) for g in rows[: rng.choice((0, 0, 1, n))]]
+        ge = [integer_row(g, vec_dot(g, x0) - rng.randint(0, 1)) for g in rows]
+        for i in range(n):
+            e = [int(j == i) for j in range(n)]
+            ge.append(integer_row(e, x0[i] - rng.randint(0, 2)))
+            ge.append(integer_row([-x for x in e], -x0[i] - rng.randint(0, 2)))
+        yield LinearProgram(n, eq=eq, ge=ge)
+
+
+def test_polytope_dimension_matches_the_lp_loop_on_random_polytopes(simplex_count):
+    programs = list(random_bounded_programs(27, 200))
+    dimensions = assert_dimension_matches_the_lp_loop(programs, simplex_count)
+    assert set(dimensions) == {0, 1, 2, 3, 4}
+    flat = [p for p, d in zip(programs, dimensions) if 0 < d < p.n_vars]
+    assert any(p.eq for p in flat) and any(not p.eq for p in flat)
 
 
 def test_classical_pair_section_is_the_inverse_map():

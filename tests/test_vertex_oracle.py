@@ -1,11 +1,12 @@
-"""The interior-point vertex enumeration against an LP-probe oracle.
+"""The homogenized vertex enumeration against an LP-probe oracle.
 
-`dd.polytope_vertices` certifies a polytope's affine hull from a point its
-caller supplies. The oracle below finds the hull the older way, with exact
-LPs: one base feasibility LP, one all-strict probe, and one strict probe per
-row when the probe fails. Every enumeration polysteer runs (order intervals,
-effect intervals and ensemble splittings) must agree with it vertex for
-vertex, and must run no LP at all.
+`dd.polytope_vertices` reads a polytope's vertices off the extreme rays of
+its homogenization, implicit equalities and all. The oracle below finds the
+affine hull first, with exact LPs: one base feasibility LP, one all-strict
+probe, and one strict probe per row when the probe fails. Every enumeration
+polysteer runs (order intervals, effect intervals, ensemble splittings and
+the feasible section polytopes whose dimension `affine_section_search`
+reports) must agree with it vertex for vertex, and must run no LP at all.
 """
 
 import importlib.util
@@ -28,12 +29,15 @@ from polysteer.ratlin import (
     lp_feasible,
     nullspace,
     primitive,
-    simplex,
     solve_linear,
     vec_dot,
 )
 from polysteer.space import effects_interval
-from polysteer.steering import ensemble_polytope_vertices, order_interval_vertices
+from polysteer.steering import (
+    ensemble_polytope_vertices,
+    order_interval_vertices,
+    section_program,
+)
 from reference_dd import extreme_rays as third_ray_scan_extreme_rays
 from strict_lp import strict_witness
 
@@ -98,14 +102,13 @@ def lp_probe_vertices(ineqs, eqs, dim):
     return sorted(set(vertices))
 
 
-def oracle(ineqs, interior):
-    """The oracle in place of `dd.polytope_vertices`: it ignores the point."""
-    return lp_probe_vertices(ineqs, [], len(interior))
+def oracle(ineqs, dim):
+    """The oracle in place of `dd.polytope_vertices`."""
+    return lp_probe_vertices(ineqs, [], dim)
 
 
-def criterion_8_marginals():
-    """The B marginals of the states the benchmark draws from acceptance
-    criterion 8's sequence, with their spaces."""
+def criterion_8_states():
+    """The states the benchmark draws from acceptance criterion 8's sequence."""
     spec = importlib.util.spec_from_file_location("_perfbench_workloads", WORKLOADS)
     module = importlib.util.module_from_spec(spec)
     saved = sys.dont_write_bytecode
@@ -117,13 +120,14 @@ def criterion_8_marginals():
         sys.dont_write_bytecode = saved
         del sys.modules[spec.name]
     prog = SimpleNamespace(composite=composite, fixtures=fixtures, space=polysteer.space)
-    states = module.criterion_8_states(prog, module.CORPUS_STATES)
-    return [(omega.space_b, composite.marginal_b(omega).vector) for omega in states]
+    return module.criterion_8_states(prog, module.CORPUS_STATES)
 
 
 LIB = fixtures.fixture_library()
 SPACES = [(name, LIB.space(name)) for name in LIB.spaces]
-MARGINALS = criterion_8_marginals()
+STATES = [(name, LIB.states[name]) for name in LIB.states] + [
+    (f"criterion-8 state {i}", omega) for i, omega in enumerate(criterion_8_states())
+]
 
 
 def interval_tops(space):
@@ -146,12 +150,17 @@ def enumerations():
     """Every enumeration the oracle is compared on, as (label, thunk).
 
     The criterion-8 marginals are interior; splittings of a ray and of an
-    edge midpoint give the lower-dimensional splitting polytopes."""
+    edge midpoint give the lower-dimensional splitting polytopes. A section
+    polytope is enumerated from its program's ge rows and each eq row as a
+    pair of opposite rows, as `steering._polytope_dimension` does."""
     for name, space in SPACES:
         for top in interval_tops(space):
             yield f"[0, {top}] in {name}", lambda c=space.cone, t=top: order_interval_vertices(c, t)
         yield f"effects of {name}", lambda s=space: effects_interval(s).vertices
-    splits = [(f"marginal {i}", space, target) for i, (space, target) in enumerate(MARGINALS)]
+    splits = [
+        (f"marginal of {name}", omega.space_b, composite.marginal_b(omega).vector)
+        for name, omega in STATES[len(LIB.states):]
+    ]
     for name in ("simplex_3", "square_space"):
         space = LIB.space(name)
         splits += [(f"{top} in {name}", space, top) for top in interval_tops(space)[1:]]
@@ -161,23 +170,19 @@ def enumerations():
                 f"{k}-splittings of {label}",
                 lambda s=space, t=target, k=k: ensemble_polytope_vertices(s, t, k),
             )
+    for name, omega in STATES:
+        program, _ = section_program(omega)
+        if lp_feasible(program).status != "feasible":
+            continue
+        rows = [(a, b) for a, b, _ in program.ge]
+        rows += [r for a, b, _ in program.eq for r in ((a, b), (tuple(-x for x in a), -b))]
+        yield (
+            f"section polytope of {name}",
+            lambda r=rows, n=program.n_vars: polysteer.steering.polytope_vertices(r, n),
+        )
 
 
 CASES = list(enumerations())
-
-
-@pytest.fixture
-def simplex_count(monkeypatch):
-    """How many `_Simplex` tableaux are built while the test runs."""
-    count = [0]
-
-    class Counted(simplex._Simplex):
-        def __init__(self, *args, **kwargs):
-            count[0] += 1
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(simplex, "_Simplex", Counted)
-    return count
 
 
 def test_vertex_enumeration_runs_no_lp(simplex_count):
@@ -185,7 +190,7 @@ def test_vertex_enumeration_runs_no_lp(simplex_count):
         run()
     assert simplex_count[0] == 0
     # The count is 0 because no LP ran, not because none is counted.
-    oracle([((1,), 0), ((-1,), -1)], (Fraction(1, 2),))
+    oracle([((1,), 0), ((-1,), -1)], 1)
     assert simplex_count[0] > 0
 
 
