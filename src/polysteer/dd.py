@@ -41,6 +41,40 @@ def int_dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(map(mul, u, v))
 
 
+# Per-row counts kept bit-sliced: the count of row i has bit b equal to bit i
+# of planes[b], so adding or removing a ray's mask of rows is a few big-int
+# operations however many rows it covers.
+
+
+def _add(planes: list[int], mask: int) -> None:
+    """Add 1 to the count of each row in mask."""
+    b = 0
+    while mask:
+        if b == len(planes):
+            planes.append(0)
+        planes[b], mask = planes[b] ^ mask, planes[b] & mask
+        b += 1
+
+
+def _remove(planes: list[int], mask: int) -> None:
+    """Take 1 from the count of each row in mask; none of them is 0."""
+    b = 0
+    while mask:
+        planes[b], mask = planes[b] ^ mask, ~planes[b] & mask
+        b += 1
+
+
+def _largest(planes: list[int], rows: int) -> int:
+    """The rows of the mask `rows` whose count is the largest among them; 0
+    when every one of them counts 0."""
+    found = 0
+    for p in reversed(planes):
+        if rows & p:
+            rows &= p
+            found = rows
+    return found
+
+
 def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[IntVec, int]]:
     """Extreme rays of {x : h.x >= 0 for h in rows}; requires a pointed result.
 
@@ -91,13 +125,20 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[IntVec, 
         rays.append(tuple(x // g for x in col))
     base_set = set(base_idx)
     remaining = [i for i in range(len(rows)) if i not in base_set]
-    # dots[j][k] is row remaining[k] times ray j; negs[k] counts the rays
-    # that row cuts off. inc[j] is ray j's incidence mask over the inserted
+    # dots[j][k] is row remaining[k] times ray j, and bits[k] is that row's
+    # bit. cut[j] has the bits of the remaining rows ray j cuts off (its
+    # product is negative), and planes counts, per row, the current rays
+    # that cut it off. inc[j] is ray j's incidence mask over the inserted
     # rows. Ray j has the id bit ids[j], alive holds the ids of the current
     # rays and tight[i] the ids of the rays tight on inserted row i; ids are
     # never reused, so a removed ray's id stays in tight but not in alive.
     dots = [[int_dot(rows[i], r) for i in remaining] for r in rays]
-    negs = [sum(d[k] < 0 for d in dots) for k in range(len(remaining))]
+    bits = [1 << i for i in remaining]
+    cut = [sum([b for b, v in zip(bits, d) if v < 0]) for d in dots]
+    planes: list[int] = []
+    for c in cut:
+        _add(planes, c)
+    todo = sum(bits)
     ids = [1 << j for j in range(len(rays))]
     next_id = 1 << len(rays)
     alive = next_id - 1
@@ -111,13 +152,15 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[IntVec, 
 
     min_common = dim - 2
     while remaining:
-        top = max(negs)
-        if top == 0:
+        # The row that cuts off the most current rays, the first on a tie.
+        most = _largest(planes, todo)
+        if not most:
             break
-        k = negs.index(top)
+        bit = most & -most
+        k = bits.index(bit)
         row = remaining.pop(k)
-        del negs[k]
-        bit = 1 << row
+        del bits[k]
+        todo ^= bit
         col = [d.pop(k) for d in dots]
         plus = [j for j, v in enumerate(col) if v > 0]
         zero = [j for j, v in enumerate(col) if v == 0]
@@ -125,6 +168,7 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[IntVec, 
         fresh: list[IntVec] = []
         fresh_dots: list[list[int]] = []
         fresh_inc: list[int] = []
+        fresh_cut: list[int] = []
         # fresh_tight[i] has bit t set when fresh ray t is tight on row i.
         fresh_tight = [0] * len(rows)
         inc_minus = [(m, inc[m]) for m in minus]
@@ -153,12 +197,14 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[IntVec, 
                 w = [vp * a + vm * b for a, b in zip(rays[m], rays[p])]
                 g = math.gcd(*w)
                 fresh.append(tuple(x // g for x in w))
-                fresh_dots.append([(vp * a + vm * b) // g for a, b in zip(dots[m], dots[p])])
+                d = [(vp * a + vm * b) // g for a, b in zip(dots[m], dots[p])]
+                fresh_dots.append(d)
+                fresh_cut.append(sum([b for b, v in zip(bits, d) if v < 0]))
                 fresh_inc.append(common | bit)
         for j in minus:
-            negs = [c - (v < 0) for c, v in zip(negs, dots[j])]
-        for d in fresh_dots:
-            negs = [c + (v < 0) for c, v in zip(negs, d)]
+            _remove(planes, cut[j])
+        for c in fresh_cut:
+            _add(planes, c)
         for i, t in enumerate(fresh_tight):
             if t:
                 tight[i] |= t * next_id
@@ -172,6 +218,7 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[IntVec, 
         dots = [dots[j] for j in keep] + fresh_dots
         inc = [inc[j] for j in plus] + [inc[j] | bit for j in zero] + fresh_inc
         ids = [ids[j] for j in keep] + fresh_ids
+        cut = [cut[j] for j in keep] + fresh_cut
     masks = [
         z | sum(1 << i for i, v in zip(remaining, d) if v == 0) for z, d in zip(inc, dots)
     ]

@@ -18,14 +18,19 @@ Matrix = tuple[Vector, ...]
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$", re.ASCII)
 
 
+def is_rational_literal(text) -> bool:
+    """Whether text is a string parse_rational reads: 'p/q' or 'p' after
+    strip(), with a positive denominator and no leading zero in it."""
+    return isinstance(text, str) and _RATIONAL_RE.match(text.strip()) is not None
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q' or 'p'. Rejects floats, exponents and negative denominators."""
-    literal = text.strip() if isinstance(text, str) else None
-    if literal is None or not _RATIONAL_RE.match(literal):
+    if not is_rational_literal(text):
         raise ValueError(f"not a rational literal: {text!r}")
     # The literal is validated, so int() reads its parts; that is about twice
     # as fast as Fraction's own string parser.
-    num, _, den = literal.partition("/")
+    num, _, den = text.strip().partition("/")
     return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 

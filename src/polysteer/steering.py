@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from operator import mul
 from typing import Callable, Iterator, Sequence
@@ -42,6 +43,7 @@ from .ratlin import (
     vec_sub,
     vec_zero,
 )
+from .ratlin.gauss import _eliminate
 from .space import (
     Effect,
     HomogeneityVerdict,
@@ -279,13 +281,39 @@ class AffineSection:
     base_points: tuple[Vector, ...]
     images: tuple[Vector, ...]
 
+    @cached_property
+    def _system(self) -> tuple[list[int], list[list[int]], int, list[tuple[int, list[int], int]]]:
+        """The system `coordinates` solves, [base pointsᵀ; 1] lam = (y, 1),
+        eliminated once for every y. Row i, scaled to integers, reads
+        A_i lam = s_i t_i with t = (y, 1). The elimination records each
+        reduced row as a combination of the rows it chose, so
+        lam_c = W_c . t_chosen / D; a free column, which an affine basis has
+        none of, stays 0. Returns the chosen rows, W, D, and the other rows
+        as (i, A_i, s_i), which a point of the hull satisfies too."""
+        m = len(self.base_points)
+        rows = [integral_with_scale(r) for r in (*mat_transpose(self.base_points), (1,) * m)]
+        chosen, reduced = _eliminate([a for a, _ in rows], reduce=True, track=True)
+        scale = lcm(*(v[c] for c, v in reduced))
+        weights = [[0] * len(chosen) for _ in range(m)]
+        for c, v in reduced:
+            f = scale // v[c]
+            weights[c] = [f * x * rows[i][1] for x, i in zip(v[m:], chosen)]
+        others = [(i, a, s) for i, (a, s) in enumerate(rows) if i not in chosen]
+        return chosen, weights, scale, others
+
     def coordinates(self, y: Sequence) -> Vector:
         """The weights on the base points that sum to 1 and combine to y."""
-        ones = (1,) * len(self.base_points)
-        lam = solve_linear(mat_transpose(self.base_points) + (ones,), (*y, 1))
-        if lam is None:
-            raise ValueError("point is outside the section's affine hull")
-        return lam
+        chosen, weights, scale, others = self._system
+        t = (*y, 1)
+        if len(t) != len(chosen) + len(others):
+            raise ValueError("row count mismatch")
+        rhs, q = integral_with_scale([t[i] for i in chosen])
+        lam = [sum(map(mul, w, rhs)) for w in weights]
+        den = q * scale
+        for i, a, s in others:
+            if sum(map(mul, a, lam)) * t[i].denominator != den * s * t[i].numerator:
+                raise ValueError("point is outside the section's affine hull")
+        return tuple(Fraction(x, den) for x in lam)
 
     def apply(self, y: Sequence) -> Vector:
         return mat_vec(mat_transpose(self.images), self.coordinates(y))

@@ -27,12 +27,17 @@ integer strings (bare JSON integers are accepted too). Serialization is
 canonical: two-space indent, sorted keys, trailing newline, every rational
 rendered "p/q" or "p".
 
-Reading has two phases. `loads` checks every entry against the grammar; an
-entry's semantic checks run the first time it is looked up, so a command
-pays only for the entries it names. Failures of either phase raise
-TheoryFileError with the offending entry's line when it can be located.
-`read` does the same for a document already parsed from a larger text,
-such as the inputs a report embeds, and anchors to lines of that text.
+Reading has two phases. `loads` checks every entry against the grammar:
+the JSON, where no object may repeat a key, the format tag, section and
+entry shapes and keys, `ambient_dim`, every rational by its pattern alone,
+and every space reference. An entry's numbers are built, and its semantic
+checks run (a space's DD conversion and `facets` cross-check, positivity,
+an ensemble's parts), the first time it is looked up, after those of the
+spaces it names, so a command pays only for the entries it names.
+Failures of either phase raise TheoryFileError with the offending entry's
+line when it can be located. `read` does the same for a document already
+parsed from a larger text, such as the inputs a report embeds, and
+anchors to lines of that text.
 """
 
 from __future__ import annotations
@@ -42,6 +47,7 @@ import re
 from collections.abc import Callable, Iterator, MutableMapping
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from json.decoder import scanstring
 
 from . import ratlin
@@ -68,18 +74,27 @@ def parse_rational(value) -> Fraction:
         raise TheoryFileError(f"not a rational: {value!r}") from None
 
 
-def parse_vector(values, context: str) -> tuple[Fraction, ...]:
-    """A JSON array of rationals; context names it in the error."""
+def parse_vector(values, context: str, build: bool = True) -> tuple:
+    """A JSON array of rationals; context names it in the error. With
+    build=False each one is checked as parse_rational would read it, by
+    ratlin's pattern alone, and () is returned: no number is built."""
     if not isinstance(values, list):
         raise TheoryFileError(f"{context}: expected an array of rationals")
-    return tuple(parse_rational(v) for v in values)
+    if build:
+        return tuple(map(parse_rational, values))
+    if not all(map(ratlin.is_rational_literal, values)):
+        for v in values:  # a bare JSON integer passes; anything else raises
+            is_int = isinstance(v, int) and not isinstance(v, bool)
+            if not (is_int or ratlin.is_rational_literal(v)):
+                raise TheoryFileError(f"not a rational: {v!r}")
+    return ()
 
 
-def parse_matrix(values, context: str) -> tuple[tuple[Fraction, ...], ...]:
-    """A nonempty JSON array of rows of rationals."""
+def parse_matrix(values, context: str, build: bool = True) -> tuple:
+    """A nonempty JSON array of rows of rationals, read as parse_vector reads."""
     if not isinstance(values, list) or not values:
         raise TheoryFileError(f"{context}: expected a nonempty array of rows")
-    return tuple(parse_vector(row, context) for row in values)
+    return tuple(parse_vector(row, context, build) for row in values)
 
 
 def format_vector(v) -> list[str]:
@@ -91,22 +106,14 @@ def format_matrix(m) -> list[list[str]]:
     return [format_vector(row) for row in m]
 
 
-class _Unread:
+class _Unread(partial):
     """An entry of a file not read yet: the call that reads it."""
-
-    __slots__ = ("read",)
-
-    def __init__(self, read: Callable[[], object]):
-        self.read = read
 
 
 class Section(MutableMapping):
-    """One section's entries by name, in file order.
-
-    An entry found by `loads` is built, and its semantic checks run, the
-    first time it is looked up; the result is kept. An entry set by
-    assignment is stored as given.
-    """
+    """One section's entries by name, in file order. An entry found by
+    `loads` is built the first time it is looked up, and then kept; an entry
+    set by assignment is stored as given."""
 
     def __init__(self):
         self._entries: dict[str, object] = {}
@@ -126,7 +133,7 @@ class Section(MutableMapping):
     def __getitem__(self, name: str):
         value = self._entries[name]
         if type(value) is _Unread:
-            value = self._entries[name] = value.read()
+            value = self._entries[name] = value()
         return value
 
     def __setitem__(self, name: str, value) -> None:
@@ -149,11 +156,8 @@ class Section(MutableMapping):
 
 @dataclass
 class TheoryFile:
-    """Named spaces, states, and ensembles.
-
-    Every entry of a file has passed the grammar; each one's semantic checks
-    run when it is first looked up (see `loads`), and `check` runs them all.
-    """
+    """Named spaces, states, and ensembles. Every entry of a file has passed
+    the grammar and is built when first looked up; `check` builds them all."""
 
     spaces: Section = field(default_factory=Section)
     states: Section = field(default_factory=Section)
@@ -211,41 +215,45 @@ def _line_of(text: str, path: tuple[str, ...]) -> int | None:
 
 def _anchored(text: str, path: tuple[str, ...], message: str) -> TheoryFileError:
     line = _line_of(text, path)
-    prefix = f"line {line}: " if line is not None else ""
-    return TheoryFileError(f"{prefix}{message}")
+    return TheoryFileError(message if line is None else f"line {line}: {message}")
 
 
 # Each entry's grammar reader checks it and returns the names of the spaces
 # it refers to, with the call that builds it from those spaces and runs the
-# semantic checks.
+# semantic checks; the reader checks each literal, and that call parses it.
+
+
+def _literals(parse: Callable, values, context: str) -> Callable[[], tuple]:
+    """Check values as `parse` reads them; the call that then parses them."""
+    parse(values, context, build=False)
+    return lambda: parse(values, context)
 
 
 def _space(entry: dict, spaces: Section) -> tuple[tuple[str, ...], Callable]:
     dim = entry["ambient_dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim <= 0:
         raise TheoryFileError("ambient_dim must be a positive integer")
-    rays = parse_matrix(entry["rays"], "rays")
-    unit = parse_vector(entry["unit"], "unit")
-    given = parse_matrix(entry["facets"], "facets") if "facets" in entry else None
+    rays = _literals(parse_matrix, entry["rays"], "rays")
+    unit = _literals(parse_vector, entry["unit"], "unit")
+    given = _literals(parse_matrix, entry["facets"], "facets") if "facets" in entry else None
 
     def build() -> StateSpace:
-        cone = cone_from_rays(rays, dim)
+        cone = cone_from_rays(rays(), dim)
         if given is not None:
             # Facet normals, like rays, are read up to positive scale.
             try:
-                normals = set(_primitive_generators(given, dim))
+                normals = set(_primitive_generators(given(), dim))
             except ConeError as exc:
                 raise ConeError(f"facets: {exc}") from None
             if normals != set(cone.facets):
                 raise TheoryFileError("facets do not match the facets computed from the rays")
-        return StateSpace(cone, unit)
+        return StateSpace(cone, unit())
 
     return (), build
 
 
 def _space_ref(entry: dict, key: str, spaces: Section) -> str:
-    """The space name an entry's key holds; it must be a string naming a
-    space of the file."""
+    """The space name entry[key], which must be a string naming a space of the file."""
     ref = entry[key]
     if not isinstance(ref, str):
         raise TheoryFileError(f"{key} must name a space by a string, not {ref!r}")
@@ -256,14 +264,14 @@ def _space_ref(entry: dict, key: str, spaces: Section) -> str:
 
 def _state(entry: dict, spaces: Section) -> tuple[tuple[str, ...], Callable]:
     refs = (_space_ref(entry, "space_a", spaces), _space_ref(entry, "space_b", spaces))
-    matrix = parse_matrix(entry["matrix"], "matrix")
-    return refs, lambda space_a, space_b: BipartiteState(space_a, space_b, matrix)
+    matrix = _literals(parse_matrix, entry["matrix"], "matrix")
+    return refs, lambda space_a, space_b: BipartiteState(space_a, space_b, matrix())
 
 
 def _ensemble(entry: dict, spaces: Section) -> tuple[tuple[str, ...], Callable]:
     refs = (_space_ref(entry, "space", spaces),)
-    parts = parse_matrix(entry["parts"], "parts")
-    return refs, lambda space: Ensemble(space, parts)
+    parts = _literals(parse_matrix, entry["parts"], "parts")
+    return refs, lambda space: Ensemble(space, parts())
 
 
 # Each section of a theory file: its key, the kind of its entries, their
@@ -275,45 +283,43 @@ _SECTIONS = (
 )
 
 
-def _reader(text: str, path: tuple[str, ...], message: str, refs: tuple[str, ...],
-            build: Callable, spaces: Section) -> Callable[[], object]:
+def _build_entry(text: str, path: tuple[str, ...], message: str, refs: tuple[str, ...],
+                 build: Callable, spaces: Section) -> object:
     """Read the spaces an entry refers to, each with its own errors, then
     build the entry, anchoring a failure to the entry's line. A space
     deleted since `loads` is a failure of the entry that names it."""
+    for ref in refs:
+        if ref not in spaces:
+            raise _anchored(text, path, f"{message}: unknown space {ref!r}")
+    args = [spaces[ref] for ref in refs]
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise _anchored(text, path, f"{message}: {exc}") from None
 
-    def read():
-        for ref in refs:
-            if ref not in spaces:
-                raise _anchored(text, path, f"{message}: unknown space {ref!r}")
-        args = [spaces[ref] for ref in refs]
-        try:
-            return build(*args)
-        except ValueError as exc:
-            raise _anchored(text, path, f"{message}: {exc}") from None
 
-    return read
+def _object(pairs: list) -> dict:
+    """A JSON object; json.loads alone would keep the last copy of a key."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise TheoryFileError(f"repeated key {key!r}")
+    return obj
 
 
 def parse_json(text: str):
     """The JSON document in text; a syntax error raises TheoryFileError
-    with its line."""
+    with its line, and an object that repeats a key one that names it."""
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise TheoryFileError(f"line {exc.lineno}: {exc.msg}") from None
 
 
 def loads(text: str) -> TheoryFile:
-    """Parse a theory file, checking every entry against the grammar.
-
-    The grammar covers the JSON, the format tag, section and entry shapes,
-    entry keys, `ambient_dim`, every rational and matrix, and every space
-    reference. The semantic checks (a space's DD conversion, its `facets`
-    cross-check and unit positivity, a state's positivity, an ensemble's
-    parts) run when an entry is first looked up, after those of the spaces
-    it names. Failures of either kind raise TheoryFileError anchored to the
-    entry's line; `TheoryFile.check` validates the whole file.
-    """
+    """Parse a theory file, checking every entry against the grammar; an
+    entry is built when first looked up (see the module docstring), and
+    `TheoryFile.check` builds and so validates them all."""
     return read(parse_json(text), text)
 
 
@@ -324,11 +330,8 @@ def read(doc, text: str, prefix: tuple[str, ...] = ()) -> TheoryFile:
     if not isinstance(doc, dict):
         raise TheoryFileError("the top level must be an object")
     if doc.get("format") != FORMAT:
-        raise TheoryFileError(
-            f"unsupported format {doc.get('format')!r}; expected {FORMAT!r}"
-        )
-    unknown = set(doc) - {"format", "spaces", "states", "ensembles"}
-    if unknown:
+        raise TheoryFileError(f"unsupported format {doc.get('format')!r}; expected {FORMAT!r}")
+    if unknown := set(doc) - {"format", "spaces", "states", "ensembles"}:
         raise TheoryFileError(f"unknown top-level keys {sorted(unknown)}")
     tf = TheoryFile()
     for key, kind, keys, parse in _SECTIONS:
@@ -339,8 +342,7 @@ def read(doc, text: str, prefix: tuple[str, ...] = ()) -> TheoryFile:
             path, message = (*prefix, key, name), f"{kind} {name!r}"
             if not isinstance(entry, dict):
                 raise _anchored(text, path, f"{message}: expected an object")
-            extra = set(entry) - keys
-            if extra:
+            if extra := set(entry) - keys:
                 raise _anchored(text, path, f"{message}: unknown keys {sorted(extra)}")
             try:
                 refs, build = parse(entry, tf.spaces)
@@ -348,8 +350,8 @@ def read(doc, text: str, prefix: tuple[str, ...] = ()) -> TheoryFile:
                 raise _anchored(text, path, f"{message}: missing key {exc}") from None
             except ValueError as exc:
                 raise _anchored(text, path, f"{message}: {exc}") from None
-            read = _reader(text, path, message, refs, build, tf.spaces)
-            getattr(tf, key).assign(name, _Unread(read), refs)
+            read = _Unread(_build_entry, text, path, message, refs, build, tf.spaces)
+            getattr(tf, key).assign(name, read, refs)
     return tf
 
 
@@ -365,9 +367,7 @@ def space_to_entry(space: StateSpace) -> dict:
 def to_document(tf: TheoryFile) -> dict:
     doc: dict = {"format": FORMAT}
     if tf.spaces:
-        doc["spaces"] = {
-            name: space_to_entry(space) for name, space in tf.spaces.items()
-        }
+        doc["spaces"] = {name: space_to_entry(space) for name, space in tf.spaces.items()}
     if tf.states:
         doc["states"] = {}
         for name, st in tf.states.items():

@@ -836,6 +836,18 @@ class TestVerify:
         assert code == 2
         assert "missing flags, digest" in err
 
+    def test_forged_first_copy_of_a_key_exits_two(self, capsys, lib_path, tmp_path):
+        # json.loads alone keeps the last copy of a repeated key, so a forged
+        # first "verdicts" would pass with the real one after it.
+        _, out, _ = run(capsys, "pure", lib_path, "nonsteering_table", "--json")
+        assert json.loads(out)["verdicts"] == {"pure": False}
+        path = tmp_path / "bad.json"
+        path.write_text(out.replace("{\n", '{\n  "verdicts": {"pure": true},\n', 1))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "error: repeated key 'verdicts'\n"
+
     def test_report_that_is_not_an_object(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("[]")

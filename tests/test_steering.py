@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from polysteer.cone import cone_from_rays
+from polysteer.cone import cone_from_rays, face_of
 from polysteer.composite import BipartiteState, is_isomorphism_state, marginal_b
 from polysteer.fixtures import fixture_library
 from polysteer.ratlin import (
@@ -23,11 +23,15 @@ from polysteer.ratlin import (
     as_vector,
     integer_row,
     lp_feasible,
+    mat_transpose,
+    solve_linear,
     vec_dot,
+    vec_zero,
 )
 from polysteer.space import StateSpace, effects_interval
 from polysteer.steering import (
     AffineSection,
+    _affine_basis,
     _polytope_dimension,
     Ensemble,
     adjoint_state,
@@ -488,6 +492,30 @@ def test_image_interval_matches_the_lp_hull_reference(hull_states, simplex_count
     computed = [image_interval(omega) for omega in hull_states]
     assert simplex_count[0] == 0
     assert computed == [reference_lp_loops.image_interval(omega) for omega in hull_states]
+
+
+def test_affine_coordinates_match_a_solve_per_point(hull_states):
+    """One elimination per frame gives every point the coordinates that
+    solving [basisᵀ; 1] lam = (y, 1) on its own gives, and refuses the
+    points that solve has no solution for."""
+    rng = random.Random(28)
+    refused = 0
+    for omega in hull_states:
+        target = marginal_b(omega).vector
+        verts = order_interval_vertices(omega.space_b.cone, target)
+        frame = AffineSection(tuple(_affine_basis(verts)), ())
+        system = mat_transpose(frame.base_points) + ((1,) * len(frame.base_points),)
+        face_rays = face_of(omega.space_b.cone, target).rays()
+        stray = [tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in target) for _ in range(3)]
+        for y in [*verts, vec_zero(len(target)), *face_rays, *stray]:
+            expected = solve_linear(system, (*y, 1))
+            if expected is None:
+                refused += 1
+                with pytest.raises(ValueError, match="outside the section's affine hull"):
+                    frame.coordinates(y)
+            else:
+                assert frame.coordinates(y) == expected
+    assert refused > 0
 
 
 def assert_dimension_matches_the_lp_loop(programs, simplex_count):

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from polysteer import theoryfile
+from polysteer import ratlin, theoryfile
 from polysteer.fixtures import fixture_library
 from polysteer.ratlin import format_rational
 from polysteer.theoryfile import (
@@ -49,6 +49,31 @@ class TestRationals:
     def test_rejects(self, bad):
         with pytest.raises(TheoryFileError, match="not a rational"):
             parse_rational(bad)
+
+    @pytest.mark.parametrize("value", [
+        "3/4", " 3 ", "+2/3", "-7", "1/0", "1/-2", "1/02", "1.5", "1e3", "\u0663", "",
+        1.0, True, None, [1], [[1]], 7, 10**199, "9" * 200,
+    ], ids=repr)
+    def test_the_grammar_accepts_a_literal_iff_parse_rational_does(self, value):
+        """The grammar checks a literal by ratlin's pattern alone, in an
+        entry never looked up, and agrees with the parser on every value."""
+        try:
+            expected = Fraction(value) if type(value) is int else ratlin.parse_rational(value)
+        except ValueError:
+            expected = None
+        doc = json.loads(doc_text(MINIMAL))
+        doc["states"] = {"unread": {"space_a": "pair", "space_b": "pair",
+                                    "matrix": [["1", value], ["0", "1"]]}}
+        text = doc_text(doc)
+        if expected is None:
+            with pytest.raises(TheoryFileError, match="not a rational"):
+                parse_rational(value)
+            with pytest.raises(TheoryFileError, match="state 'unread': not a rational") as err:
+                loads(text)
+            assert line_of_error(str(err.value)) == entry_line(text, "unread", "states")
+        else:
+            assert parse_rational(value) == expected
+            loads(text)
 
     def test_rendering_round_trips(self):
         for f in (Fraction(3, 4), Fraction(-2), Fraction(0), Fraction(7, 3)):
@@ -95,6 +120,19 @@ class TestParsing:
     def test_invalid_json_reports_line(self):
         with pytest.raises(TheoryFileError, match="line 3"):
             loads('{\n"format": "theoryfile/1",\n"spaces": }\n')
+
+    def test_a_repeated_key_is_rejected(self):
+        """json.loads alone keeps the last copy of a key, so a space defined
+        twice would be read from its second copy."""
+        text = doc_text(MINIMAL)
+        first = '    "pair": {'
+        assert text.count(first) == 1
+        twice = text.replace(first, '    "pair": {"ambient_dim": 0},\n' + first)
+        with pytest.raises(TheoryFileError, match="^repeated key 'pair'$"):
+            loads(twice)
+        inner = text.replace('"ambient_dim": 2,', '"ambient_dim": 2,\n"ambient_dim": 3,')
+        with pytest.raises(TheoryFileError, match="^repeated key 'ambient_dim'$"):
+            loads(inner)
 
     def test_missing_key(self):
         doc = json.loads(doc_text(MINIMAL))
@@ -305,6 +343,37 @@ class TestDeferredChecks:
         with pytest.raises(TheoryFileError, match="not a rational") as err:
             loads(text)
         assert line_of_error(str(err.value)) == entry_line(text, "swap", "states")
+
+    def test_numbers_are_built_only_for_the_entries_looked_up(self, monkeypatch):
+        parsed = []
+        real = ratlin.parse_rational
+        monkeypatch.setattr(ratlin, "parse_rational", lambda s: parsed.append(s) or real(s))
+        text = dumps(fixture_library())
+        tf = loads(text)
+        assert parsed == []
+        tf.state("square_iso")
+        doc = json.loads(text)
+        state = doc["states"]["square_iso"]
+        space = doc["spaces"][state["space_a"]]
+        assert state["space_b"] == state["space_a"]
+        literals = [*state["matrix"], *space["rays"], *space["facets"], space["unit"]]
+        assert sorted(parsed) == sorted(x for row in literals for x in row)
+
+    @pytest.mark.parametrize("section,name,key", [
+        ("spaces", "pentagon_space", "rays"),
+        ("spaces", "pentagon_space", "facets"),
+        ("spaces", "pentagon_space", "unit"),
+        ("states", "two_squares_twisted", "matrix"),
+        ("ensembles", "table_basis_split", "parts"),
+    ])
+    def test_a_bad_literal_in_an_unread_entry_fails_loads(self, section, name, key):
+        doc = json.loads(dumps(fixture_library()))
+        values = doc[section][name][key]
+        (values[0] if key != "unit" else values)[0] = "1/02"
+        text = doc_text(doc)
+        with pytest.raises(TheoryFileError, match=r"not a rational: '1/02'$") as err:
+            loads(text)
+        assert line_of_error(str(err.value)) == entry_line(text, name, section)
 
     def test_a_space_converts_once_and_only_when_looked_up(self, monkeypatch):
         calls = []
