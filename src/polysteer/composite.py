@@ -34,6 +34,9 @@ from .ratlin import (
     as_matrix,
     as_vector,
     independent_rows,
+    int_mat_vec,
+    integer_rows,
+    integral_with_scale,
     invert,
     lp_optimize,
     mat_mul,
@@ -50,7 +53,6 @@ from .space import (
     OrderIsoWitness,
     State,
     StateSpace,
-    _integer_rows,
     isomorphism_carrying,
     pair_ray_images,
 )
@@ -137,7 +139,7 @@ class BipartiteState:
             raise ValueError("matrix shape must be dim(B) x dim(A)")
         # One positive scale makes the matrix integral and keeps the sign of
         # every facet of B on the image of every facet of A.
-        rows = _integer_rows(m)[0]
+        rows, q = integer_rows(m)
         facets_b = self.space_b.cone.facets
         for f in self.space_a.cone.facets:
             image = [int_dot(row, f) for row in rows]
@@ -147,9 +149,13 @@ class BipartiteState:
                     "the form is not positive"
                 )
         object.__setattr__(self, "matrix", m)
+        # matrix = rows / q; not a field, so not in eq, hash or repr.
+        object.__setattr__(self, "_rows", (rows, q))
 
     def apply(self, a: Sequence) -> Vector:
-        return mat_vec(self.matrix, as_vector(a))
+        rows, q = self._rows
+        x, t = integral_with_scale(a)
+        return int_mat_vec(rows, x, q * t)
 
     def pairing(self, a: Sequence, b: Sequence) -> Fraction:
         return vec_dot(as_vector(b), self.apply(a))
@@ -186,14 +192,10 @@ class BipartiteState:
         terms: Sequence[tuple[Fraction, Sequence, Sequence]],
     ) -> "BipartiteState":
         """Sum of weighted product states: each term is (weight, alpha, beta)."""
-        m = [[Fraction(0)] * a.dim for _ in range(b.dim)]
-        for weight, alpha, beta in terms:
-            alpha, beta = as_vector(alpha), as_vector(beta)
-            w = Fraction(weight)
-            for j in range(b.dim):
-                for i in range(a.dim):
-                    m[j][i] += w * beta[j] * alpha[i]
-        return cls(a, b, tuple(tuple(row) for row in m))
+        terms = [(Fraction(w), as_vector(alpha), as_vector(beta)) for w, alpha, beta in terms]
+        m = [[sum(w * beta[j] * alpha[i] for w, alpha, beta in terms) for i in range(a.dim)]
+             for j in range(b.dim)]
+        return cls(a, b, m)
 
 
 def marginal_b(omega: BipartiteState) -> State:
@@ -225,7 +227,7 @@ def is_isomorphism_state(omega: BipartiteState) -> OrderIsoWitness | None:
     """Witness that the induced map is an order isomorphism A* -> B, if it is."""
     source = dual_cone(omega.space_a.cone)
     target = omega.space_b.cone
-    rows, q = _integer_rows(omega.matrix)
+    rows, q = omega._rows
     pairing = pair_ray_images(rows, q, source.rays, target.rays)
     if pairing is None:
         return None
@@ -258,26 +260,19 @@ def _extremal_by_ray_pinning(
     decide.
     """
     dt, ds = len(phi), len(phi[0])
-    images = []
-    for r in source.rays:
-        img = mat_vec(phi, as_vector(r))
-        if any(img):
-            if not is_extremal(target, img):
-                return None
-            images.append(img)
-        else:
-            images.append(None)
+    images = [mat_vec(phi, r) for r in source.rays]
+    if any(any(img) and not is_extremal(target, img) for img in images):
+        return None
+    images = [img if any(img) else None for img in images]
     t_index = {j: ds * dt + k for k, j in enumerate(
         j for j, img in enumerate(images) if img is not None
     )}
     n = ds * dt + len(t_index)
     rows = []
     for j, r in enumerate(source.rays):
-        rv = as_vector(r)
         for c in range(dt):
-            row = [Fraction(0)] * n
-            for i in range(ds):
-                row[c * ds + i] = rv[i]
+            row = [0] * n
+            row[c * ds:(c + 1) * ds] = r
             if images[j] is not None:
                 row[t_index[j]] = -images[j][c]
             rows.append(row)
@@ -293,14 +288,9 @@ def _extremal_by_ray_pinning(
         if spread == 0:
             continue
         eps = Fraction(1, 2) / spread
-        half = Fraction(1, 2)
-        flat = [
-            half * Fraction(phi[k // ds][k % ds])
-            + (eps * half) * (vec[k] - mean * Fraction(phi[k // ds][k % ds]))
-            for k in range(ds * dt)
-        ]
         psi = tuple(
-            tuple(flat[c * ds + i] for i in range(ds)) for c in range(dt)
+            tuple(p / 2 + eps / 2 * (vec[c * ds + i] - mean * p) for i, p in enumerate(row))
+            for c, row in enumerate(phi)
         )
         return ExtremalityResult(False, psi)
     return ExtremalityResult(True)
@@ -315,7 +305,7 @@ def decomposition_program(
     coefficients are the products g_j r_i; with phi = P / q scaled to
     integers once, the second row is written over q."""
     dt, ds = len(phi), len(phi[0])
-    p, q = _integer_rows(phi)
+    p, q = integer_rows(phi)
     ge = []
     for r in source.rays:
         image = [int_dot(row, r) for row in p]
@@ -407,7 +397,7 @@ def factors_isomorphically_through(
         return None
     d = source.ambient_dim
     kern = nullspace(list(phi))
-    rows, q = _integer_rows(phi)
+    rows, q = integer_rows(phi)
     for face in all_faces(source):
         face_rays = [as_vector(r) for r in face.rays()]
         if not face_rays or face.span_dim() != rk:

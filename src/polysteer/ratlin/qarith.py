@@ -3,6 +3,11 @@
 Scalars are ``fractions.Fraction`` (arbitrary precision, always in lowest
 terms with positive denominator). Vectors are tuples of Fractions, matrices
 tuples of row tuples; the tuple length is the dimension.
+
+Sums of products accumulate in integers: each operand vector is scaled once
+by the lcm of its denominators, the integer products are summed with
+``sum(map(mul, ...))``, and one Fraction is built per output entry. Integer
+rows kept over one scale (``integer_rows``) go to ``int_mat_vec`` as is.
 """
 
 from __future__ import annotations
@@ -10,6 +15,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -63,17 +69,33 @@ def vec_scale(c, v: Sequence[Fraction]) -> Vector:
     return tuple(c * a for a in v)
 
 
+def _dot_over(a: Sequence[int], b: Sequence[int], den: int) -> Fraction:
+    if len(a) != len(b):
+        raise ValueError("vector lengths differ")
+    return Fraction(sum(map(mul, a, b)), den)
+
+
 def vec_dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True)), Fraction(0))
+    a, s = integral_with_scale(u)
+    b, t = integral_with_scale(v)
+    return _dot_over(a, b, s * t)
+
+
+def int_mat_vec(rows: Sequence[Sequence[int]], x: Sequence[int], den: int) -> Vector:
+    """The integer rows times the integer vector x, each entry over den > 0."""
+    return tuple(_dot_over(r, x, den) for r in rows)
 
 
 def mat_vec(m: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vector:
-    return tuple(vec_dot(row, v) for row in m)
+    b, t = integral_with_scale(v)
+    return tuple(_dot_over(a, b, s * t) for a, s in map(integral_with_scale, m))
 
 
 def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Matrix:
-    bt = mat_transpose(b)
-    return tuple(tuple(vec_dot(row, col) for col in bt) for row in a)
+    cols = [integral_with_scale(c) for c in mat_transpose(b)]
+    return tuple(
+        tuple(_dot_over(r, c, s * t) for c, t in cols) for r, s in map(integral_with_scale, a)
+    )
 
 
 def mat_transpose(m: Sequence[Sequence[Fraction]]) -> Matrix:
@@ -100,6 +122,13 @@ def integral_with_scale(v: Iterable) -> tuple[list[int], int]:
     q = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
     scale = math.lcm(*(x.denominator for x in q))
     return [x.numerator * (scale // x.denominator) for x in q], scale
+
+
+def integer_rows(m: Matrix) -> tuple[list[list[int]], int]:
+    """The rows of a matrix scaled to integers by one positive q, and q."""
+    w = len(m[0]) if m else 0
+    ints, q = integral_with_scale(x for row in m for x in row)
+    return [ints[k * w:(k + 1) * w] for k in range(len(m))], q
 
 
 def primitive(v: Sequence[Fraction]) -> tuple[int, ...]:

@@ -41,6 +41,7 @@ from .ratlin import (
     Matrix,
     Vector,
     as_vector,
+    integer_rows,
     integral,
     integral_with_scale,
     invert,
@@ -50,7 +51,6 @@ from .ratlin import (
     solve_linear,
     vec_dot,
     vec_scale,
-    vec_sub,
 )
 
 
@@ -63,11 +63,14 @@ class StateSpace:
         unit = as_vector(self.unit)
         if len(unit) != self.cone.ambient_dim:
             raise ValueError("unit length does not match the ambient dimension")
-        scaled = integral(unit)
-        for r in self.cone.rays:
-            if int_dot(scaled, r) <= 0:
+        scaled, t = integral_with_scale(unit)
+        values = [int_dot(scaled, r) for r in self.cone.rays]
+        for r, v in zip(self.cone.rays, values):
+            if v <= 0:
                 raise ValueError(f"unit is not strictly positive on ray {r}")
         object.__setattr__(self, "unit", unit)
+        # unit.r = U_r / t; not a field, so not in eq, hash or repr.
+        object.__setattr__(self, "_unit_on_rays", (values, t))
 
     @property
     def dim(self) -> int:
@@ -83,27 +86,22 @@ class StateSpace:
         return vec_dot(self.unit, as_vector(v))
 
     def vertex_states(self) -> list[Vector]:
-        """The extreme normalized states, one per extreme ray."""
-        out = []
-        for r in self.cone.rays:
-            rv = as_vector(r)
-            out.append(vec_scale(Fraction(1) / vec_dot(self.unit, rv), rv))
-        return out
+        """The extreme normalized states r / unit.r = t r / U_r, one per extreme ray."""
+        values, t = self._unit_on_rays
+        return [tuple(Fraction(t * x, u) for x in r) for r, u in zip(self.cone.rays, values)]
 
     def barycenter(self) -> Vector:
         verts = self.vertex_states()
-        acc = [Fraction(0)] * self.dim
-        for v in verts:
-            for k in range(self.dim):
-                acc[k] += v[k]
-        return tuple(a / len(verts) for a in acc)
+        return tuple(sum(col) / len(verts) for col in zip(*verts))
 
     def is_effect(self, f: Sequence) -> bool:
-        """Whether f and unit - f, scaled together to integers, are >= 0 on every ray."""
-        f = as_vector(f)
-        ints = integral(vec_sub(self.unit, f) + f)
-        rest, own = ints[:self.dim], ints[self.dim:]
-        return all(int_dot(own, r) >= 0 and int_dot(rest, r) >= 0 for r in self.cone.rays)
+        """Whether 0 <= f.r <= unit.r on every ray r: with f = F / s, whether
+        0 <= t F.r <= s U_r, in integers."""
+        ints, s = integral_with_scale(f)
+        if len(ints) != self.dim:
+            raise ValueError("effect length does not match the dimension")
+        values, t = self._unit_on_rays
+        return all(0 <= t * int_dot(ints, r) <= s * u for r, u in zip(self.cone.rays, values))
 
 
 @dataclass(frozen=True)
@@ -148,13 +146,9 @@ class Observable:
     def __post_init__(self) -> None:
         if not self.effects:
             raise ValueError("an observable needs at least one effect")
-        total = [Fraction(0)] * self.space.dim
-        for e in self.effects:
-            if e.space is not self.space and e.space != self.space:
-                raise ValueError("all effects must live on the same space")
-            for k in range(self.space.dim):
-                total[k] += e.functional[k]
-        if tuple(total) != self.space.unit:
+        if any(e.space is not self.space and e.space != self.space for e in self.effects):
+            raise ValueError("all effects must live on the same space")
+        if tuple(map(sum, zip(*(e.functional for e in self.effects)))) != self.space.unit:
             raise ValueError("effects do not sum to the unit")
 
 
@@ -227,7 +221,7 @@ class OrderIsoWitness:
             return False
         if any(len(row) != d for row in self.matrix) or invert(self.matrix) is None:
             return False
-        rows, q = _integer_rows(self.matrix)
+        rows, q = integer_rows(self.matrix)
         for r, s, j in zip(source.rays, self.scales, self.ray_bijection):
             if s <= 0:
                 return False
@@ -235,13 +229,6 @@ class OrderIsoWitness:
             if [b * int_dot(row, r) for row in rows] != [qa * x for x in target.rays[j]]:
                 return False
         return True
-
-
-def _integer_rows(m: Matrix) -> tuple[list[list[int]], int]:
-    """The rows of a matrix scaled to integers by one positive q, and q."""
-    w = len(m[0]) if m else 0
-    ints, q = integral_with_scale(x for row in m for x in row)
-    return [ints[k * w:(k + 1) * w] for k in range(len(m))], q
 
 
 def pair_ray_images(
@@ -412,7 +399,7 @@ def _isomorphisms(
         return
     frame = _frame(source)
     d, length = source.ambient_dim, frame.length
-    inv_rows, inv_q = _integer_rows(frame.base_inv)
+    inv_rows, inv_q = integer_rows(frame.base_inv)
     inv_cols = mat_transpose(inv_rows)
     for head in _ray_permutations(source, target, length):
         eqs = list(pins(frame, head))

@@ -21,13 +21,15 @@ from typing import Callable, Iterator, Sequence
 
 from .composite import BipartiteState, is_isomorphism_state, marginal_b, purify
 from .cone import cone_from_rays, face_of, is_extremal
-from .dd import polytope_vertices
+from .dd import int_dot, polytope_vertices
 from .ratlin import (
     LinearProgram,
     Row,
     Vector,
     as_vector,
     independent_rows,
+    int_mat_vec,
+    integer_rows,
     integral_with_scale,
     lp_feasible,
     lp_optimize,
@@ -99,8 +101,8 @@ def ensemble_lift_program(omega: BipartiteState, e: Ensemble) -> LinearProgram:
     against the very rows it claims to combine.
 
     Its rows are integer already: the A rays, the unit's rows over their
-    denominators, and the state's rows, scaled to integers once, over the
-    lcm of their scale and the part's entry."""
+    denominators, and the state's integer rows over the lcm of their scale
+    and the part's entry."""
     space_a = omega.space_a
     da = space_a.dim
     k = len(e.parts)
@@ -114,11 +116,11 @@ def ensemble_lift_program(omega: BipartiteState, e: Ensemble) -> LinearProgram:
     for c, u in enumerate(space_a.unit):
         row = tuple(u.denominator if j % da == c else 0 for j in range(n))
         eq.append((row, u.numerator, u.denominator))
-    matrix = [integral_with_scale(row) for row in omega.matrix]
+    rows, q = omega._rows
     for i, part in enumerate(e.parts):
-        for (ints, t), p in zip(matrix, part):
-            s = lcm(t, p.denominator)
-            row = block(i, (x * (s // t) for x in ints))
+        for ints, p in zip(rows, part):
+            s = lcm(q, p.denominator)
+            row = block(i, (x * (s // q) for x in ints))
             eq.append((row, p.numerator * (s // p.denominator), s))
     return LinearProgram(n, eq=eq, ge=ge)
 
@@ -220,11 +222,8 @@ def ensemble_polytope_vertices(
     ge += [(tuple(-c for c in g) * (k - 1), -vec_dot(g, target)) for g in space.cone.facets]
     out = []
     for v in polytope_vertices(ge, n):
-        parts = [tuple(v[i * db + c] for c in range(db)) for i in range(k - 1)]
-        rest = target
-        for p in parts:
-            rest = vec_sub(rest, p)
-        parts.append(rest)
+        parts = [v[i * db:(i + 1) * db] for i in range(k - 1)]
+        parts.append(tuple(t - sum(col) for t, col in zip(target, zip(*parts))))
         out.append(tuple(parts))
     return out
 
@@ -301,8 +300,14 @@ class AffineSection:
         others = [(i, a, s) for i, (a, s) in enumerate(rows) if i not in chosen]
         return chosen, weights, scale, others
 
-    def coordinates(self, y: Sequence) -> Vector:
-        """The weights on the base points that sum to 1 and combine to y."""
+    @cached_property
+    def _image_rows(self) -> tuple[list[list[int]], int]:
+        """The images as integer columns: row c holds coordinate c of every
+        image, all over one positive scale."""
+        return integer_rows(mat_transpose(self.images))
+
+    def _weights(self, y: Sequence) -> tuple[list[int], int]:
+        """coordinates(y) as integers over one positive denominator."""
         chosen, weights, scale, others = self._system
         t = (*y, 1)
         if len(t) != len(chosen) + len(others):
@@ -313,10 +318,17 @@ class AffineSection:
         for i, a, s in others:
             if sum(map(mul, a, lam)) * t[i].denominator != den * s * t[i].numerator:
                 raise ValueError("point is outside the section's affine hull")
+        return lam, den
+
+    def coordinates(self, y: Sequence) -> Vector:
+        """The weights on the base points that sum to 1 and combine to y."""
+        lam, den = self._weights(y)
         return tuple(Fraction(x, den) for x in lam)
 
     def apply(self, y: Sequence) -> Vector:
-        return mat_vec(mat_transpose(self.images), self.coordinates(y))
+        lam, den = self._weights(y)
+        rows, q = self._image_rows
+        return int_mat_vec(rows, lam, q * den)
 
     def verify(self, omega: BipartiteState) -> bool:
         """Whether this is a section of omega over section_program's basis:
@@ -334,10 +346,14 @@ class AffineSection:
             if omega.apply(x) != y or not omega.space_a.is_effect(x):
                 return False
         target = marginal_b(omega).vector
-        base = self.apply(vec_zero(len(target)))
+        base, b = self._weights(vec_zero(len(target)))
+        rows = self._image_rows[0]
         for fr in face_of(omega.space_b.cone, target).rays():
-            step = vec_sub(self.apply(fr), base)
-            if any(vec_dot(step, as_vector(r)) < 0 for r in omega.space_a.cone.rays):
+            # The step apply(fr) - apply(0), times the positive scale q b d.
+            lam, d = self._weights(fr)
+            diff = [x * b - y * d for x, y in zip(lam, base)]
+            step = [sum(map(mul, row, diff)) for row in rows]
+            if any(int_dot(step, r) < 0 for r in omega.space_a.cone.rays):
                 return False
         return True
 
@@ -459,7 +475,8 @@ def _section_search_full(
     # Each functional (r K, r.w_i) is (r, 0) here, written on integers as is.
     zero = ([0] * m, 1)
     rays = [((r, 1), zero) for r in omega.space_a.cone.rays]
-    values = [(integral_with_scale(row), zero) for row in omega.matrix]
+    rows, q = omega._rows
+    values = [((row, q), zero) for row in rows]
     eq, ge = _section_rows(omega, verts, basis, rays, values)
     decode = _section_decoder(basis, [vec_zero(da)] * m, mat_identity(da))
     return LinearProgram(m * da, eq=eq, ge=ge), decode

@@ -307,13 +307,36 @@ def _object(pairs: list) -> dict:
     return obj
 
 
+def _repeated_key_line(text: str) -> int | None:
+    """The line of the first repeated key's second copy in the first object
+    to close with one, the object json.loads hands to _object first."""
+    stack: list[list] = []  # per open object or array: its keys, first repeat's line
+    pos = 0
+    while (m := _TOKEN.search(text, pos)) is not None:
+        pos = m.end()
+        if m.group() == '"':
+            key, pos = scanstring(text, pos)
+            if _KEY_END.match(text, pos):
+                keys, line = stack[-1]
+                if key in keys and line is None:
+                    stack[-1][1] = text.count("\n", 0, m.start()) + 1
+                keys.add(key)
+        elif m.group() in "{[":
+            stack.append([set(), None])
+        elif (line := stack.pop()[1]) is not None:
+            return line
+    return None
+
+
 def parse_json(text: str):
-    """The JSON document in text; a syntax error raises TheoryFileError
-    with its line, and an object that repeats a key one that names it."""
+    """The JSON document in text; a syntax error, or an object that repeats
+    a key, raises TheoryFileError with its line."""
     try:
         return json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise TheoryFileError(f"line {exc.lineno}: {exc.msg}") from None
+    except TheoryFileError as exc:  # only _object raises one inside json.loads
+        raise TheoryFileError(f"line {_repeated_key_line(text)}: {exc}") from None
 
 
 def loads(text: str) -> TheoryFile:

@@ -842,11 +842,14 @@ class TestVerify:
         _, out, _ = run(capsys, "pure", lib_path, "nonsteering_table", "--json")
         assert json.loads(out)["verdicts"] == {"pure": False}
         path = tmp_path / "bad.json"
-        path.write_text(out.replace("{\n", '{\n  "verdicts": {"pure": true},\n', 1))
+        forged = out.replace("{\n", '{\n  "verdicts": {"pure": true},\n', 1)
+        path.write_text(forged)
+        # The error names the line of the second copy, the real one.
+        line = forged[:forged.index('"verdicts"', forged.index('"verdicts"') + 1)].count("\n") + 1
         code, out, err = run(capsys, "verify", str(path))
         assert code == 2
         assert out == ""
-        assert err == "error: repeated key 'verdicts'\n"
+        assert err == f"error: line {line}: repeated key 'verdicts'\n"
 
     def test_report_that_is_not_an_object(self, capsys, tmp_path):
         path = tmp_path / "bad.json"

@@ -151,6 +151,61 @@ def test_primitive_scaling():
         primitive([F(0), F(0)])
 
 
+# --- vector arithmetic ---------------------------------------------------
+#
+# vec_dot, mat_vec and mat_mul sum integer products over one scale per
+# operand; the reference sums Fraction products entry by entry.
+
+
+def fraction_dot(u, v):
+    assert len(u) == len(v)
+    return sum((F(a) * F(b) for a, b in zip(u, v)), F(0))
+
+
+def random_entry(rng):
+    """An int, a small Fraction or one with a large denominator, any sign."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randint(-9, 9)
+    if kind == 1:
+        return F(rng.randint(-9, 9), rng.randint(1, 12))
+    if kind == 2:
+        return F(rng.randint(-10**12, 10**12), rng.randint(1, 10**15))
+    return F(0)
+
+
+def test_vector_products_equal_the_fraction_sums():
+    rng = random.Random(29)
+    for _ in range(300):
+        n, rows, cols = rng.randint(0, 5), rng.randint(0, 4), rng.randint(0, 4)
+        u = [random_entry(rng) for _ in range(n)]
+        v = [random_entry(rng) for _ in range(n)] if rng.random() < 0.8 else [0] * n
+        m = [[random_entry(rng) for _ in range(n)] for _ in range(rows)]
+        b = [[random_entry(rng) for _ in range(cols)] for _ in range(n)]
+        dot = vec_dot(u, v)
+        assert type(dot) is F and dot == fraction_dot(u, v)
+        assert mat_vec(m, v) == tuple(fraction_dot(row, v) for row in m)
+        want = tuple(tuple(fraction_dot(row, col) for col in zip(*b)) for row in m)
+        assert mat_mul(m, b) == want
+    assert vec_dot((), ()) == 0 and mat_vec((), (1, 2)) == () and mat_mul((), ((1,),)) == ()
+    assert mat_vec(((F(1, 3), 0),), (0, 0)) == (0,)
+
+
+def test_vector_products_reject_a_length_mismatch():
+    with pytest.raises(ValueError):
+        vec_dot((1, F(1, 2)), (1,))
+    with pytest.raises(ValueError):
+        vec_dot((), (F(1, 2),))
+    with pytest.raises(ValueError):
+        mat_vec(((1, 2), (3, 4)), (1, 2, 3))
+    with pytest.raises(ValueError):
+        mat_vec(((1, 2), (3,)), (1, 2))
+    with pytest.raises(ValueError):
+        mat_mul(((1, 2),), ((1,), (2,), (3,)))
+    with pytest.raises(ValueError):
+        mat_mul(((1, 2),), ((1, 0), (2,)))
+
+
 # --- gaussian elimination ------------------------------------------------
 
 

@@ -9,6 +9,7 @@ the claimed parts, and sections must invert the map on every interval vertex
 while preserving the order.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -516,6 +517,154 @@ def test_affine_coordinates_match_a_solve_per_point(hull_states):
             else:
                 assert frame.coordinates(y) == expected
     assert refused > 0
+
+
+# The integer products against the Fraction arithmetic they replaced:
+# BipartiteState.apply, AffineSection.apply and StateSpace.is_effect read
+# integer rows kept beside the rational values, and these references read
+# the rational values themselves.
+
+
+def fraction_mat_vec(m, v):
+    return tuple(sum((F(a) * F(x) for a, x in zip(row, v, strict=True)), F(0)) for row in m)
+
+
+def fraction_is_effect(space, f):
+    """0 <= f.r and 0 <= (unit - f).r on every ray, in Fractions."""
+    rest = tuple(F(u) - F(x) for u, x in zip(space.unit, f, strict=True))
+    return all(min(fraction_mat_vec((f, rest), r)) >= 0 for r in space.cone.rays)
+
+
+def random_points(rng, dim, count):
+    return [
+        tuple(F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(dim)) for _ in range(count)
+    ]
+
+
+def hull_combinations(rng, verts, count):
+    """Seeded affine combinations of verts, which lie on their hull."""
+    out = []
+    for _ in range(count):
+        c = [F(rng.randint(-3, 3), rng.randint(1, 5)) for _ in verts[1:]]
+        c.insert(0, 1 - sum(c))
+        out.append(tuple(sum(ci * v[k] for ci, v in zip(c, verts)) for k in range(len(verts[0]))))
+    return out
+
+
+def test_state_apply_equals_the_fraction_product(hull_states):
+    rng = random.Random(29)
+    for omega in hull_states:
+        a = omega.space_a
+        points = [*effects_interval(a).vertices, *a.cone.rays, *a.cone.facets, a.unit]
+        for x in points + random_points(rng, a.dim, 5):
+            assert omega.apply(x) == fraction_mat_vec(omega.matrix, x)
+        with pytest.raises(ValueError):
+            omega.apply((0,) * (a.dim + 1))
+
+
+def test_section_apply_equals_the_fraction_product(hull_states):
+    """On any images, apply is the images combined by the point's affine
+    coordinates, and it refuses the points coordinates refuses."""
+    rng = random.Random(29)
+    refused = 0
+    for omega in hull_states:
+        target = marginal_b(omega).vector
+        verts = order_interval_vertices(omega.space_b.cone, target)
+        basis = tuple(_affine_basis(verts))
+        images = tuple(random_points(rng, omega.space_a.dim, len(basis)))
+        section = AffineSection(basis, images)
+        face_rays = face_of(omega.space_b.cone, target).rays()
+        on_hull = [*verts, vec_zero(len(target)), *face_rays, *hull_combinations(rng, verts, 4)]
+        for y in on_hull:
+            want = fraction_mat_vec(mat_transpose(images), section.coordinates(y))
+            assert section.apply(y) == want
+        for y in random_points(rng, len(target), 3):
+            try:
+                coords = section.coordinates(y)
+            except ValueError:
+                refused += 1
+                with pytest.raises(ValueError, match="point is outside the section's affine hull"):
+                    section.apply(y)
+            else:
+                assert section.apply(y) == fraction_mat_vec(mat_transpose(images), coords)
+    assert refused > 0
+
+
+def test_is_effect_equals_the_fraction_test(hull_states):
+    """On the effect interval's vertices, points just inside and just
+    outside it, the images of found sections and seeded points."""
+    rng = random.Random(29)
+    eps = F(1, 10**9)
+    seen = {True: 0, False: 0}
+    sections = {}
+    for omega in hull_states[:8]:
+        verts = order_interval_vertices(omega.space_b.cone, marginal_b(omega).vector)
+        found = affine_section_search(omega).section
+        if found is not None:
+            sections.setdefault(omega.space_a, []).extend(found.apply(y) for y in verts)
+    spaces = dict.fromkeys(s for omega in hull_states for s in (omega.space_a, omega.space_b))
+    for space in spaces:
+        verts = effects_interval(space).vertices
+        nudged = [
+            tuple(x + eps * d for x, d in zip(v, step))
+            for v in verts
+            for step in random_points(rng, space.dim, 2)
+        ]
+        scaled = [tuple(c * u for u in space.unit) for c in (1 + eps, 1 - eps, eps, -eps)]
+        points = [*verts, *nudged, *scaled, *sections.get(space, ())]
+        points += random_points(rng, space.dim, 5)
+        for f in points:
+            want = fraction_is_effect(space, f)
+            assert space.is_effect(f) == want
+            seen[want] += 1
+    assert seen[True] > 0 and seen[False] > 0
+
+
+def test_integer_rows_take_no_part_in_equality_hash_or_repr(hull_states):
+    for omega in hull_states:
+        twin = BipartiteState(omega.space_a, omega.space_b, [list(row) for row in omega.matrix])
+        assert twin == omega
+        assert hash(twin) == hash(omega) == hash((omega.space_a, omega.space_b, omega.matrix))
+        assert repr(twin) == repr(omega) and "_rows" not in repr(omega)
+        doubled = tuple(tuple(2 * x for x in row) for row in omega.matrix)
+        assert BipartiteState(omega.space_a, omega.space_b, doubled) != omega
+        space = omega.space_a
+        same = StateSpace(space.cone, list(space.unit))
+        assert same == space and hash(same) == hash(space) == hash((space.cone, space.unit))
+        assert repr(same) == repr(space) and "_unit_on_rays" not in repr(space)
+        assert StateSpace(space.cone, tuple(2 * u for u in space.unit)) != space
+    assert [f.name for f in dataclasses.fields(BipartiteState)] == ["space_a", "space_b", "matrix"]
+    assert [f.name for f in dataclasses.fields(StateSpace)] == ["cone", "unit"]
+
+
+def test_integer_products_run_no_fraction_arithmetic(monkeypatch):
+    """No Fraction is added, subtracted or multiplied inside the three
+    integer products on the fixture states; one deliberate sum shows the
+    counter counts."""
+    lib = fixture_library()
+    work = []
+    for name in lib.states:
+        omega = lib.states[name]
+        verts = order_interval_vertices(omega.space_b.cone, marginal_b(omega).vector)
+        basis = tuple(_affine_basis(verts))
+        effects = effects_interval(omega.space_a).vertices
+        section = AffineSection(basis, (omega.space_a.unit,) * len(basis))
+        found = affine_section_search(omega).section
+        work.append((omega, verts, effects, [section] + ([found] if found else [])))
+    calls = []
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        real = getattr(F, op)
+        monkeypatch.setattr(F, op, lambda a, b, real=real, op=op: calls.append(op) or real(a, b))
+    for omega, verts, effects, sections in work:
+        for f in effects:
+            omega.apply(f)
+            omega.space_a.is_effect(f)
+        for section in sections:
+            for y in verts:
+                omega.space_a.is_effect(section.apply(y))
+    assert calls == []
+    assert F(1, 2) + F(1, 3) == F(5, 6)
+    assert calls == ["__add__"]
 
 
 def assert_dimension_matches_the_lp_loop(programs, simplex_count):

@@ -128,11 +128,27 @@ class TestParsing:
         first = '    "pair": {'
         assert text.count(first) == 1
         twice = text.replace(first, '    "pair": {"ambient_dim": 0},\n' + first)
-        with pytest.raises(TheoryFileError, match="^repeated key 'pair'$"):
+        # The error names the line of the second copy, the original one.
+        line = text[:text.index(first)].count("\n") + 2
+        with pytest.raises(TheoryFileError, match=f"^line {line}: repeated key 'pair'$"):
             loads(twice)
         inner = text.replace('"ambient_dim": 2,', '"ambient_dim": 2,\n"ambient_dim": 3,')
-        with pytest.raises(TheoryFileError, match="^repeated key 'ambient_dim'$"):
+        line = text[:text.index('"ambient_dim": 2,')].count("\n") + 2
+        with pytest.raises(TheoryFileError, match=f"^line {line}: repeated key 'ambient_dim'$"):
             loads(inner)
+
+    def test_a_repeated_key_is_anchored_where_json_meets_it(self):
+        """An inner object closes, and so is checked, before the object
+        holding it; braces and colons inside strings are not structure."""
+        cases = [
+            ('{"a": 1,\n"a": 2,\n"b": {"c": 1,\n"c": 2}}', "line 4: repeated key 'c'"),
+            ('[{"x": "{",\n "y": [1, {"z": 0, "z": 1}]}]', "line 2: repeated key 'z'"),
+            ('{"s": "a:\\"}",\n"s": 1}', "line 2: repeated key 's'"),
+        ]
+        for text, message in cases:
+            with pytest.raises(TheoryFileError) as info:
+                theoryfile.parse_json(text)
+            assert str(info.value) == message
 
     def test_missing_key(self):
         doc = json.loads(doc_text(MINIMAL))
