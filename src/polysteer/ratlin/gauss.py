@@ -57,7 +57,9 @@ def _eliminate(a: Iterable[Sequence], reduce: bool = False, track: bool = False)
             break
         v = integral(row)
         if track:
-            v += (int(j == len(basis)) for j in range(ncols))
+            unit = [0] * ncols
+            unit[len(basis)] = 1
+            v += unit
         for c, b in basis:
             if v[c]:
                 v = _clear(v, b, c)

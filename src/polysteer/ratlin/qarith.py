@@ -8,6 +8,11 @@ Sums of products accumulate in integers: each operand vector is scaled once
 by the lcm of its denominators, the integer products are summed with
 ``sum(map(mul, ...))``, and one Fraction is built per output entry. Integer
 rows kept over one scale (``integer_rows``) go to ``int_mat_vec`` as is.
+
+Integer input crosses into integer rows as it is: a vector whose entries are
+all ``int`` passes ``integral_with_scale`` (and so ``integral``,
+``integer_rows`` and ``primitive``) at scale 1, copied but never rebuilt
+through ``Fraction``.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from operator import mul
+from operator import attrgetter, mul
 from typing import Iterable, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -108,6 +113,9 @@ def mat_identity(n: int) -> Matrix:
     )
 
 
+_denominator = attrgetter("denominator")
+
+
 def integral(v: Iterable) -> list[int]:
     """v scaled by the lcm of its denominators, a positive integer.
 
@@ -118,15 +126,26 @@ def integral(v: Iterable) -> list[int]:
 
 
 def integral_with_scale(v: Iterable) -> tuple[list[int], int]:
-    """integral(v) and the scale s it multiplied by: v = integral(v) / s."""
-    q = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in v]
-    scale = math.lcm(*(x.denominator for x in q))
+    """integral(v) and the scale s it multiplied by: v = integral(v) / s.
+
+    A v whose entries are all ``int`` (not ``bool``) passes through as a new
+    list at scale 1; any other v is read entry by entry as Fractions.
+    """
+    q = list(v)
+    if q and type(q[0]) is int and all(type(x) is int for x in q):
+        return q, 1
+    q = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in q]
+    scale = math.lcm(*map(_denominator, q))
+    if scale == 1:
+        return [x.numerator for x in q], 1
     return [x.numerator * (scale // x.denominator) for x in q], scale
 
 
 def integer_rows(m: Matrix) -> tuple[list[list[int]], int]:
     """The rows of a matrix scaled to integers by one positive q, and q."""
     w = len(m[0]) if m else 0
+    if any(len(row) != w for row in m):
+        raise ValueError("ragged matrix")
     ints, q = integral_with_scale(x for row in m for x in row)
     return [ints[k * w:(k + 1) * w] for k in range(len(m))], q
 
@@ -135,10 +154,12 @@ def primitive(v: Sequence[Fraction]) -> tuple[int, ...]:
     """Scale v by the unique positive rational giving integer entries, gcd 1.
 
     This is the canonical representative of v under positive scaling, used to
-    store cone rays and facet normals so that set equality is syntactic.
+    store cone rays and facet normals so that set equality is syntactic. An
+    all-int v passes ``integral`` at scale 1, so only its gcd is taken, and
+    an already primitive v is returned without a division.
     """
     ints = integral(v)
     g = math.gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    return tuple(n // g for n in ints)
+    return tuple(ints) if g == 1 else tuple(n // g for n in ints)

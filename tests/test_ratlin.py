@@ -26,7 +26,11 @@ from polysteer.ratlin import (
     as_vector,
     format_rational,
     independent_rows,
+    int_mat_vec,
     integer_row,
+    integer_rows,
+    integral,
+    integral_with_scale,
     invert,
     lp_feasible,
     lp_optimize,
@@ -204,6 +208,23 @@ def test_vector_products_reject_a_length_mismatch():
         mat_mul(((1, 2),), ((1,), (2,), (3,)))
     with pytest.raises(ValueError):
         mat_mul(((1, 2),), ((1, 0), (2,)))
+
+
+def test_int_mat_vec_is_mat_vec_over_the_scale():
+    rng = random.Random(20261030)
+    for _ in range(200):
+        n, rows = rng.randint(0, 5), rng.randint(0, 4)
+        m = [[rng.randint(-10**6, 10**6) for _ in range(n)] for _ in range(rows)]
+        x = [rng.randint(-9, 9) for _ in range(n)]
+        den = rng.randint(1, 60)
+        got = int_mat_vec(m, x, den)
+        assert all(type(e) is F for e in got)
+        assert got == tuple(e / den for e in mat_vec(m, x))
+        assert got == tuple(fraction_dot(row, [F(e, den) for e in x]) for row in m)
+    with pytest.raises(ValueError, match="lengths differ"):
+        int_mat_vec([[1, 2], [3, 4]], [1, 2, 3], 1)
+    with pytest.raises(ValueError, match="lengths differ"):
+        int_mat_vec([[1, 2], [3]], [1, 2], 5)
 
 
 # --- gaussian elimination ------------------------------------------------
@@ -494,6 +515,7 @@ def test_tracked_sweep_matches_eliminating_the_chosen_rows_beside_the_identity()
 
 def test_primitive_of_int_fraction_and_string_entries():
     assert primitive([2, 4, -6]) == (1, 2, -3)
+    assert primitive((3, -5, 0)) == (3, -5, 0)
     assert primitive(["1/2", "-3/4", 0]) == (2, -3, 0)
     assert primitive([F(6, 5), "-9/10", 3]) == (4, -3, 10)
     rng = random.Random(20261020)
@@ -507,9 +529,119 @@ def test_primitive_of_int_fraction_and_string_entries():
         # p is a positive multiple of v.
         t = next(F(n) / x for n, x in zip(p, v) if x)
         assert t > 0 and [t * x for x in v] == list(p)
-    for zero in ([0, 0], ["0/3", F(0)], []):
+    for zero in ([0, 0], (0,), ["0/3", F(0)], []):
         with pytest.raises(ValueError, match="zero vector"):
             primitive(zero)
+
+
+# --- integer input passes through ---------------------------------------
+#
+# A vector of plain ints crosses into integer rows at scale 1 with no
+# Fraction round trip; every other vector takes the Fraction route. Either
+# way the result is what the same values give as Fractions.
+
+
+def seeded_rows(seed, count):
+    """(values, entries) pairs: Fraction values and the same values written
+    as all ints, Fractions, "p/q" strings, bools (0 and 1 only) or a mix."""
+    rng = random.Random(seed)
+    for trial in range(count):
+        n, kind = rng.randint(0, 6), trial % 5
+        if kind == 3:
+            values = [F(rng.randint(0, 1)) for _ in range(n)]
+            entries = [bool(x) for x in values]
+        elif kind == 0:
+            values = [F(rng.randint(-10**9, 10**9) // rng.choice((1, 6))) for _ in range(n)]
+            entries = [x.numerator for x in values]
+        else:
+            values = [F(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(n)]
+            entries = {
+                1: list(values),
+                2: [f"{x.numerator}/{x.denominator}" for x in values],
+                4: [as_int_fraction_or_string(rng, x) for x in values],
+            }[kind]
+            if kind == 4 and n:
+                entries[rng.randrange(n)] = rng.choice((True, False, 7))
+                values = [F(x) for x in entries]
+        yield values, entries
+
+
+def each_container(entries):
+    """The entries as a list, a tuple and a one-shot generator."""
+    return [list(entries), tuple(entries), (x for x in entries)]
+
+
+def test_integral_of_any_entries_is_that_of_their_fraction_values():
+    for values, entries in seeded_rows(20261031, 400):
+        want_ints, want_scale = integral_with_scale(values)
+        assert want_scale == math.lcm(*(x.denominator for x in values))
+        for v in each_container(entries):
+            ints, scale = integral_with_scale(v)
+            assert (ints, scale) == (want_ints, want_scale)
+            assert type(ints) is list and all(type(n) is int for n in ints)
+            assert [F(n, scale) for n in ints] == values
+        for v in each_container(entries):
+            assert integral(v) == want_ints
+        if any(values):
+            for v in each_container(entries):
+                assert primitive(v) == primitive(values)
+        for v in each_container(entries):
+            assert integer_rows([tuple(v)] * 2) == integer_rows([values] * 2)
+    # All ints pass at scale 1, as they are.
+    assert integral_with_scale((3, -6, 0)) == ([3, -6, 0], 1)
+    assert integral_with_scale([]) == ([], 1)
+    assert integer_rows(((4, -2), (0, 8))) == ([[4, -2], [0, 8]], 1)
+    assert integer_rows(()) == ([], 1)
+
+
+def test_an_all_int_result_is_a_new_list():
+    row = [4, -6, 10]
+    ints, scale = integral_with_scale(row)
+    assert scale == 1 and ints == row and ints is not row
+    ints[0] = 99
+    integral(row).append(1)
+    assert row == [4, -6, 10]
+    rows = [[1, 2], [3, 4]]
+    out, _ = integer_rows(rows)
+    out[0][0] = 99
+    assert rows == [[1, 2], [3, 4]]
+
+
+def test_tracked_elimination_leaves_the_callers_rows_unchanged():
+    rng = random.Random(20261032)
+    for trial in range(150):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 4)
+        if trial % 2:
+            a = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+        else:
+            a = [
+                [as_int_fraction_or_string(rng, F(rng.randint(-4, 4), rng.randint(1, 3)))
+                 for _ in range(cols)]
+                for _ in range(rows)
+            ]
+        before = [list(row) for row in a]
+        for reduce, track in ((True, True), (False, True), (True, False)):
+            gauss._eliminate(a, reduce=reduce, track=track)
+            assert a == before
+
+
+def test_bool_entries_read_as_one_and_zero():
+    assert integral_with_scale([True, False, 2]) == ([1, 0, 2], 1)
+    assert integral_with_scale([True, F(1, 2)]) == ([2, 1], 2)
+    assert all(type(n) is int for n in integral([True, False, True]))
+    assert primitive((True, False)) == (1, 0)
+    assert primitive([False, 2, True]) == (0, 2, 1)
+    assert integer_rows([[True], [False]]) == ([[1], [0]], 1)
+    assert rank([[True, False], [False, True]]) == 2
+
+
+def test_integer_rows_refuses_a_ragged_matrix():
+    with pytest.raises(ValueError, match="ragged matrix"):
+        integer_rows(((1,), (2, 3)))
+    with pytest.raises(ValueError, match="ragged matrix"):
+        integer_rows([[F(1, 2), 1], [3]])
+    with pytest.raises(ValueError, match="ragged matrix"):
+        integer_rows([[1, 2], []])
 
 
 # --- linear programs -----------------------------------------------------
