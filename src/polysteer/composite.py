@@ -18,6 +18,7 @@ from .cone import (
     Face,
     IntVec,
     PolyhedralCone,
+    _holds,
     _integral,
     all_faces,
     cone_from_facets,
@@ -58,10 +59,16 @@ from .space import (
 )
 
 
-def kron_vec(x: Sequence, y: Sequence) -> Vector:
-    """Flatten x (x) y with the B index running fastest."""
-    x, y = as_vector(x), as_vector(y)
-    return tuple(xi * yj for xi in x for yj in y)
+def kron_vec(x: Sequence, y: Sequence) -> Vector | IntVec:
+    """Flatten x (x) y with the B index running fastest.
+
+    When every entry of both factors is a plain ``int`` (not ``bool``), as
+    in stored rays and facets, the products are ``int``s; otherwise both
+    factors are read with ``as_vector`` and the products are Fractions."""
+    x, y = tuple(x), tuple(y)
+    if {*map(type, x), *map(type, y)} != {int}:
+        x, y = as_vector(x), as_vector(y)
+    return tuple([xi * yj for xi in x for yj in y])
 
 
 @dataclass(frozen=True)
@@ -77,7 +84,9 @@ class TensorSpace:
 
 
 def _products(fs: Sequence[IntVec], gs: Sequence[IntVec]) -> list[IntVec]:
-    """Every f (x) g as an integer tuple, B index fastest, f slowest."""
+    """Every f (x) g as an integer tuple, B index fastest, f slowest: what
+    ``kron_vec`` gives each pair, with no per-pair type check, since the
+    stored rays and facets are all ``int``."""
     return [tuple(x * y for x in f for y in g) for f in fs for g in gs]
 
 
@@ -114,8 +123,7 @@ def intermediate_tensor(
     dim = a.dim * b.dim
     product_facets = _products(a.cone.facets, b.cone.facets)
     for r in rays:
-        x = _integral(r, dim)
-        if any(int_dot(f, x) < 0 for f in product_facets):
+        if not _holds(product_facets, _integral(r, dim), 0):
             raise ValueError(f"ray {tuple(r)} falls outside the largest composite")
     cone = cone_from_rays(rays, dim)
     if not all(cone.contains(p) for p in _products(a.cone.rays, b.cone.rays)):
@@ -143,7 +151,7 @@ class BipartiteState:
         facets_b = self.space_b.cone.facets
         for f in self.space_a.cone.facets:
             image = [int_dot(row, f) for row in rows]
-            if any(int_dot(g, image) < 0 for g in facets_b):
+            if not _holds(facets_b, image, 0):
                 raise ValueError(
                     "map sends a dual extreme ray outside the B cone; "
                     "the form is not positive"

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_
+from operator import and_, mul
 from typing import Iterable, Sequence
 
 from . import dd
@@ -40,12 +40,16 @@ class PolyhedralCone:
     facets: tuple[IntVec, ...]
 
     def contains(self, x: Sequence) -> bool:
-        x = _integral(x, self.ambient_dim)
-        return all(dd.int_dot(f, x) >= 0 for f in self.facets)
+        """Whether every facet is nonnegative on x, a rational vector.
+
+        x is scaled to integers once (an all-int x as it is), and each facet
+        is then one integer dot product, stopping at the first negative."""
+        return _holds(self.facets, _integral(x, self.ambient_dim), 0)
 
     def interior_contains(self, x: Sequence) -> bool:
-        x = _integral(x, self.ambient_dim)
-        return all(dd.int_dot(f, x) > 0 for f in self.facets)
+        """Whether every facet is positive on x, tested as ``contains`` does;
+        an integer dot product is positive when it is at least 1."""
+        return _holds(self.facets, _integral(x, self.ambient_dim), 1)
 
     def is_simplicial(self) -> bool:
         return len(self.rays) == self.ambient_dim
@@ -66,13 +70,16 @@ class Face:
         return rank(self.rays()) if self.ray_indices else 0
 
     def contains(self, x: Sequence) -> bool:
+        """Whether x lies in the parent cone, tested as ``contains`` does
+        there, and every active facet vanishes on it."""
         x = _integral(x, self.parent.ambient_dim)
-        return self.parent.contains(x) and all(
-            dd.int_dot(self.parent.facets[k], x) == 0 for k in self.active_facets
+        facets = self.parent.facets
+        return _holds(facets, x, 0) and not any(
+            sum(map(mul, facets[k], x)) for k in self.active_facets
         )
 
 
-def _integral(x: Sequence, ambient_dim: int) -> IntVec:
+def _integral(x: Sequence, ambient_dim: int) -> list[int]:
     """x scaled to integers by ``integral``, with its length checked.
 
     The scale is positive, so every integer facet normal and ray has the same
@@ -82,7 +89,17 @@ def _integral(x: Sequence, ambient_dim: int) -> IntVec:
     x = integral(x)
     if len(x) != ambient_dim:
         raise ValueError(f"vector has {len(x)} entries, the cone lives in {ambient_dim}")
-    return tuple(x)
+    return x
+
+
+def _holds(facets: Sequence[IntVec], x: Sequence[int], floor: int) -> bool:
+    """Whether f.x >= floor for every facet f, the membership loop of the
+    cone layer: x is an integer vector of the facets' length, and the facets
+    are tried in order up to the first that fails."""
+    for f in facets:
+        if sum(map(mul, f, x)) < floor:
+            return False
+    return True
 
 
 def _primitive_generators(vectors: Iterable[Sequence], ambient_dim: int) -> list[IntVec]:

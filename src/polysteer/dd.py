@@ -35,8 +35,9 @@ def int_dot(u: Sequence[int], v: Sequence[int]) -> int:
     """Exact dot product of two integer vectors, over the shorter length.
 
     ``map(mul, ...)`` stops at the shorter vector as ``zip`` does, and runs
-    the products and the sum in C; every incidence and membership test of
-    the cone layer goes through here.
+    the products and the sum in C; every incidence test of the cone layer
+    goes through here, and membership tests run the same sum inline in
+    ``cone._holds``'s loop.
     """
     return sum(map(mul, u, v))
 

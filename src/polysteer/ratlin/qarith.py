@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from operator import attrgetter, mul
 from typing import Iterable, Sequence
@@ -27,18 +28,54 @@ Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$", re.ASCII)
+# The interpreter's limit on the digits int() reads from a string (Python
+# 3.10.7 on; before that there is none, read as 0). A nonzero limit is never
+# below the threshold, so a literal no longer than it passes any limit.
+_int_str_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_SHORT = getattr(sys.int_info, "str_digits_check_threshold", 640)
+
+
+def _digits_over_limit(literal: str) -> int:
+    """The digit count of the longer part of a stripped literal, numerator
+    or denominator, when it exceeds the digits ``int()`` reads from a
+    string (``sys.get_int_max_str_digits()``, no bound when 0); else 0."""
+    limit = _int_str_limit()
+    num, _, den = literal.lstrip("+-").partition("/")
+    longest = max(len(num), len(den))
+    return longest if limit and longest > limit else 0
 
 
 def is_rational_literal(text) -> bool:
     """Whether text is a string parse_rational reads: 'p/q' or 'p' after
-    strip(), with a positive denominator and no leading zero in it."""
-    return isinstance(text, str) and _RATIONAL_RE.match(text.strip()) is not None
+    strip(), with a positive denominator and no leading zero in it, and
+    neither p nor q longer than the interpreter's limit on the digits of
+    an integer string, ``sys.get_int_max_str_digits()`` (none when 0)."""
+    if not isinstance(text, str):
+        return False
+    text = text.strip()
+    return _RATIONAL_RE.match(text) is not None and (
+        len(text) <= _SHORT or not _digits_over_limit(text)
+    )
+
+
+def _literal_digit_error(text) -> str | None:
+    """Why a text of the literal pattern is still refused: its numerator or
+    denominator has more digits than ``int()`` reads; None for any other
+    text, which ``is_rational_literal`` accepts or refuses by pattern."""
+    text = text.strip() if isinstance(text, str) else ""
+    if _RATIONAL_RE.match(text) is None or not (n := _digits_over_limit(text)):
+        return None
+    return (
+        f"a part of {n} digits exceeds the {_int_str_limit()}-digit "
+        "limit on integer strings (sys.get_int_max_str_digits())"
+    )
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or 'p'. Rejects floats, exponents and negative denominators."""
+    """Parse 'p/q' or 'p'. Rejects floats, exponents, negative denominators
+    and parts longer than ``is_rational_literal`` allows."""
     if not is_rational_literal(text):
-        raise ValueError(f"not a rational literal: {text!r}")
+        raise ValueError(_literal_digit_error(text) or f"not a rational literal: {text!r}")
     # The literal is validated, so int() reads its parts; that is about twice
     # as fast as Fraction's own string parser.
     num, _, den = text.strip().partition("/")

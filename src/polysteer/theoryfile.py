@@ -29,8 +29,8 @@ rendered "p/q" or "p".
 
 Reading has two phases. `loads` checks every entry against the grammar:
 the JSON, where no object may repeat a key, the format tag, section and
-entry shapes and keys, `ambient_dim`, every rational by its pattern alone,
-and every space reference. An entry's numbers are built, and its semantic
+entry shapes and keys, `ambient_dim`, every rational by its pattern and
+digit count alone, and every space reference. An entry's numbers are built, and its semantic
 checks run (a space's DD conversion and `facets` cross-check, positivity,
 an ensemble's parts), the first time it is looked up, after those of the
 spaces it names, so a command pays only for the entries it names.
@@ -54,6 +54,7 @@ from . import ratlin
 from .composite import BipartiteState
 from .cone import ConeError, _primitive_generators, cone_from_rays
 from .ratlin import format_rational
+from .ratlin.qarith import _literal_digit_error
 from .space import StateSpace
 from .steering import Ensemble
 
@@ -71,7 +72,13 @@ def parse_rational(value) -> Fraction:
     try:
         return ratlin.parse_rational(value)
     except ValueError:
-        raise TheoryFileError(f"not a rational: {value!r}") from None
+        raise _not_a_rational(value) from None
+
+
+def _not_a_rational(value) -> TheoryFileError:
+    """The error for a value parse_rational refuses, naming the digit limit
+    when a literal's numerator or denominator exceeds it."""
+    return TheoryFileError(f"not a rational: {_literal_digit_error(value) or repr(value)}")
 
 
 def parse_vector(values, context: str, build: bool = True) -> tuple:
@@ -86,7 +93,7 @@ def parse_vector(values, context: str, build: bool = True) -> tuple:
         for v in values:  # a bare JSON integer passes; anything else raises
             is_int = isinstance(v, int) and not isinstance(v, bool)
             if not (is_int or ratlin.is_rational_literal(v)):
-                raise TheoryFileError(f"not a rational: {v!r}")
+                raise _not_a_rational(v)
     return ()
 
 

@@ -4,7 +4,8 @@ The acceptance module records one PASS/FAIL line per criterion; echo those
 lines into the terminal summary so the gate stays readable under output
 capture. `criterion_8_states` hands tests the states the benchmark draws,
 and `criterion_8_sequence` any prefix of the sequence they come from.
-`simplex_count` counts the LP tableaux a test builds.
+`simplex_count` counts the LP tableaux a test builds. `int_digit_limit`
+hands tests the interpreter's limit on the digits of an integer string.
 """
 
 import importlib.util
@@ -77,3 +78,21 @@ def simplex_count(monkeypatch):
 
     monkeypatch.setattr(simplex, "_Simplex", Counted)
     return count
+
+
+@pytest.fixture
+def int_digit_limit():
+    """sys.get_int_max_str_digits(); when that is 0 (no limit), the
+    interpreter's default limit is set for the test and lifted after.
+    Skips on a Python without the limit (before 3.10.7)."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        pytest.skip("this Python has no limit on the digits of an integer string")
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        yield limit
+        return
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        yield sys.get_int_max_str_digits()
+    finally:
+        sys.set_int_max_str_digits(0)

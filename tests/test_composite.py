@@ -122,8 +122,53 @@ def assert_decomposition(phi, witness, source, target):
 
 
 def test_kron_vec_convention():
-    assert kron_vec((1, 2), (3, 4, 5)) == (3, 4, 5, 6, 8, 10)
+    """Two all-int factors, as a tuple, a list or an iterator, give ints."""
+    for x, y in (((1, 2), (3, 4, 5)), ([1, 2], iter((3, 4, 5)))):
+        got = kron_vec(x, y)
+        assert got == (3, 4, 5, 6, 8, 10)
+        assert all(type(v) is int for v in got)
     assert kron_vec((Fraction(1, 2),), (2, 4)) == (1, 2)
+
+
+@pytest.mark.parametrize("entry", [Fraction(3, 2), Fraction(4), "3/2", "-7", True, False])
+@pytest.mark.parametrize("side", ["x", "y"])
+def test_kron_vec_widens_any_other_entry_to_fractions(entry, side):
+    """A Fraction, string or bool entry in either factor gives the
+    Fractions of the two factors read as Fraction vectors."""
+    x, y = [2, -1, 0], [3, 5]
+    (x if side == "x" else y)[1] = entry
+    got = kron_vec(x, y)
+    fx, fy = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    assert got == tuple(a * b for a in fx for b in fy)
+    assert all(type(v) is Fraction for v in got)
+
+
+def test_products_are_kron_vec_over_the_pairs():
+    lib = fixture_library()
+    for name_a, name_b in [("square_space", "cube_space"), ("simplex_3", "pentagon_space")]:
+        a, b = lib.space(name_a).cone, lib.space(name_b).cone
+        for fs, gs in ((a.rays, b.rays), (a.facets, b.facets)):
+            products = composite._products(fs, gs)
+            assert products == [kron_vec(f, g) for f in fs for g in gs]
+            assert all(type(v) is int for p in products for v in p)
+
+
+def test_product_membership_builds_no_fraction(monkeypatch):
+    """Every product state lies in, and every product effect is
+    nonnegative on, the min and max square (x) cube composites, checked
+    as the benchmark's tensor check does, with no Fraction built."""
+    lib = fixture_library()
+    a, b = lib.space("square_space"), lib.space("cube_space")
+    tensors = [min_tensor(a, b), max_tensor(a, b)]
+    built = []
+    real = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda *args, **kw: built.append(1) or real(*args, **kw))
+    for t in tensors:
+        dual = dual_cone(t.cone)
+        assert all(t.cone.contains(kron_vec(r, s)) for r in a.cone.rays for s in b.cone.rays)
+        assert all(dual.contains(kron_vec(f, g)) for f in a.cone.facets for g in b.cone.facets)
+    assert built == []
+    assert Fraction(1, 2) and built == [1]
 
 
 def test_bit_composite_is_the_four_state_classical_cone():
@@ -133,6 +178,7 @@ def test_bit_composite_is_the_four_state_classical_cone():
     assert set(mx.cone.rays) == basis
     assert mx.cone == mn.cone
     assert mx.unit == mn.unit == (1, 1, 1, 1)
+    assert all(type(v) is Fraction for v in mx.unit + mn.unit)
     assert (mx.kind, mn.kind) == ("max", "min")
 
 

@@ -8,8 +8,10 @@ Independent oracles used here:
   checking rank additivity over every bipartition of the ray set.
 """
 
+import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -33,6 +35,7 @@ from polysteer.dd import extreme_rays, int_dot, polytope_vertices
 from polysteer.fixtures import fixture_library
 from polysteer.ratlin import (
     LinearProgram,
+    format_rational,
     integer_row,
     lp_feasible,
     primitive,
@@ -436,6 +439,67 @@ def test_contains_and_interior():
     assert face_of(c, (0, 2, 2)).contains((0, Fraction(1, 7), Fraction(1, 7)))
     with pytest.raises(ValueError, match="entries"):
         c.contains((0, 1))
+
+
+def point_on(rng, rays):
+    """A seeded positive combination of the given integer rays."""
+    weights = [rng.randint(1, 9) for _ in rays]
+    return [sum(map(mul, weights, column)) for column in zip(*rays)]
+
+
+def number_types(x):
+    """The rational point x as Fractions, as integers over a positive scale,
+    as ints and Fractions mixed, and as "p/q" strings."""
+    fr = tuple(map(Fraction, x))
+    scale = math.lcm(*(v.denominator for v in fr))
+    ints = tuple(int(v * scale) for v in fr)
+    mixed = tuple(Fraction(v) if i % 2 else v for i, v in enumerate(ints))
+    return [fr, ints, mixed, tuple(format_rational(v) for v in fr)]
+
+
+def membership_oracle(c, x):
+    """(contains, interior_contains, the facets vanishing on x), each facet
+    evaluated by a plain Fraction sum."""
+    dots = [sum(Fraction(a) * b for a, b in zip(f, x)) for f in c.facets]
+    zero = {k for k, v in enumerate(dots) if v == 0}
+    return min(dots) >= 0, min(dots) > 0, zero
+
+
+def test_membership_tests_agree_on_every_number_type():
+    """contains, interior_contains and Face.contains match a Fraction
+    oracle on int, Fraction, mixed and string points of every fixture cone
+    and its dual: on each facet, just inside it and just outside it."""
+    rng = random.Random(31)
+    checked = 0
+    for sp in fixture_library().spaces.values():
+        for c in (sp.cone, dual_cone(sp.cone)):
+            centre = point_on(rng, c.rays)
+            for k, f in enumerate(c.facets):
+                on = point_on(rng, [r for r in c.rays if int_dot(f, r) == 0])
+                face = face_of(c, on)
+                assert face.active_facets == (k,)
+                step = Fraction(1, rng.randint(2, 9))
+                for t in (Fraction(0), step, -step):
+                    scale = rng.randint(1, 5)
+                    x = [(a + t * (b - a)) / scale for a, b in zip(on, centre)]
+                    inside, interior, zero = membership_oracle(c, x)
+                    assert (inside, interior, zero == {k}) == (t >= 0, t > 0, t == 0)
+                    for y in number_types(x):
+                        assert c.contains(y) is inside
+                        assert c.interior_contains(y) is interior
+                        assert face.contains(y) is (inside and k in zero)
+                        checked += 1
+    assert checked > 800
+
+
+def test_membership_tests_check_the_length():
+    c = square_cone()
+    edge = face_of(c, (0, 2, 2))
+    for test in (c.contains, c.interior_contains, edge.contains):
+        for x in ((0, 1), (Fraction(1, 2), 0, 1, 1), ("1/2",)):
+            with pytest.raises(ValueError) as err:
+                test(x)
+            assert str(err.value) == f"vector has {len(x)} entries, the cone lives in 3"
 
 
 def test_is_extremal_and_face_of():

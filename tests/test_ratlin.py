@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import combinations
 import math
 import random
+import sys
 
 import pytest
 
@@ -32,6 +33,7 @@ from polysteer.ratlin import (
     integral,
     integral_with_scale,
     invert,
+    is_rational_literal,
     lp_feasible,
     lp_optimize,
     mat_identity,
@@ -141,6 +143,50 @@ def test_parse_rational_accepts_canonical_forms():
 def test_parse_rational_rejects_noncanonical(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
+
+
+def test_a_literal_part_may_have_as_many_digits_as_int_reads(int_digit_limit):
+    """A numerator or denominator is read up to the interpreter's limit on
+    the digits of an integer string, sign not counted, and refused past it
+    by the pattern check and the parser alike, with the limit named."""
+    at, over = "7" * int_digit_limit, "7" * (int_digit_limit + 1)
+    for text in (at, f"-{at}", f" +{at}/{at} ", f"1/{at}", "0" * int_digit_limit):
+        assert is_rational_literal(text)
+        num, _, den = text.strip().partition("/")
+        assert parse_rational(text) == F(int(num), int(den or 1))
+    for text in (over, f"-{over}", f"{at}/{over}", f"{over}/3", "0" * (int_digit_limit + 1)):
+        assert not is_rational_literal(text)
+        with pytest.raises(ValueError, match=f"exceeds the {int_digit_limit}-digit limit"):
+            parse_rational(text)
+
+
+def test_a_literal_part_is_checked_at_the_lowest_limit(int_digit_limit):
+    """At the lowest nonzero limit, the threshold, a literal no longer than
+    it is accepted without counting its parts and one digit more is not."""
+    low = sys.int_info.str_digits_check_threshold
+    sys.set_int_max_str_digits(low)
+    try:
+        for text in ("7" * low, f"-{'7' * low}", f"1/{'7' * (low - 2)}"):
+            assert is_rational_literal(text)
+        for text in ("7" * (low + 1), f"1/{'7' * (low + 1)}"):
+            assert not is_rational_literal(text)
+    finally:
+        sys.set_int_max_str_digits(int_digit_limit)
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"),
+    reason="this Python has no limit on the digits of an integer string",
+)
+def test_a_literal_part_is_unbounded_when_the_limit_is_lifted():
+    saved = sys.get_int_max_str_digits()
+    text = "7" * (sys.int_info.default_max_str_digits + 1)
+    sys.set_int_max_str_digits(0)
+    try:
+        assert is_rational_literal(text) and is_rational_literal(f"1/{text}")
+        assert parse_rational(f"-{text}/7") == F(-int(text), 7)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_format_rational_round_trip():

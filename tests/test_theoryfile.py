@@ -391,6 +391,23 @@ class TestDeferredChecks:
             loads(text)
         assert line_of_error(str(err.value)) == entry_line(text, name, section)
 
+    def test_a_literal_past_the_digit_limit_fails_loads(self, int_digit_limit):
+        """A unit entry read as a number up to int()'s digit limit, and
+        refused by the grammar, at the space's line, one digit past it."""
+        doc = json.loads(dumps(fixture_library()))
+        doc["spaces"]["cube_space"]["unit"][3] = "1" * int_digit_limit
+        tf = loads(doc_text(doc))
+        assert tf.space("cube_space").unit[3] == int("1" * int_digit_limit)
+        doc["spaces"]["cube_space"]["unit"][3] = "1" * (int_digit_limit + 1)
+        text = doc_text(doc)
+        message = (
+            f"space 'cube_space': not a rational: a part of {int_digit_limit + 1} digits "
+            f"exceeds the {int_digit_limit}-digit limit"
+        )
+        with pytest.raises(TheoryFileError, match=message) as err:
+            loads(text)
+        assert line_of_error(str(err.value)) == entry_line(text, "cube_space", "spaces")
+
     def test_a_space_converts_once_and_only_when_looked_up(self, monkeypatch):
         calls = []
         real = theoryfile.cone_from_rays
