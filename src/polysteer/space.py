@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import count
 from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
@@ -167,19 +168,24 @@ def order_interval_vertices(cone: PolyhedralCone, top: Sequence) -> tuple[Vector
 
 @dataclass(frozen=True)
 class EffectsInterval:
-    """The effects [0, unit] of a space, with the vertices of that interval."""
+    """The effects [0, unit] of a space: the order interval of the dual
+    cone, whose facets are the space's rays. Membership reads those rays;
+    the vertices are enumerated, by double description, on first access."""
 
     space: StateSpace
-    vertices: tuple[Vector, ...]
 
     def contains(self, f: Sequence) -> bool:
         return self.space.is_effect(f)
 
+    @cached_property
+    def vertices(self) -> tuple[Vector, ...]:
+        return order_interval_vertices(dual_cone(self.space.cone), self.space.unit)
+
 
 def effects_interval(space: StateSpace) -> EffectsInterval:
-    """The order interval [0, unit] of the dual cone, whose facets are the
-    space's rays."""
-    return EffectsInterval(space, order_interval_vertices(dual_cone(space.cone), space.unit))
+    """The effects [0, unit] of a space; nothing is enumerated until its
+    vertices are read."""
+    return EffectsInterval(space)
 
 
 def diamond_dual(space: StateSpace, alpha0: Union[State, Sequence]) -> StateSpace:

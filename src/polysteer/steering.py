@@ -332,22 +332,31 @@ class AffineSection:
 
     def verify(self, omega: BipartiteState) -> bool:
         """Whether this is a section of omega over section_program's basis:
-        the same base points in the same order, one image each, holding
-        there as _holds_on checks."""
+        the same base points in the same order, one image each, holding as
+        _holds checks. The basis check is the only step that enumerates the
+        vertices of [0, marginal]."""
         verts = order_interval_vertices(omega.space_b.cone, marginal_b(omega).vector)
         ok = tuple(self.base_points) == tuple(_affine_basis(verts))
-        return ok and len(self.images) == len(self.base_points) and self._holds_on(omega, verts)
+        return ok and len(self.images) == len(self.base_points) and self._holds(omega)
 
-    def _holds_on(self, omega: BipartiteState, verts: Sequence[Vector]) -> bool:
-        """Each interval vertex goes to an effect mapping onto it, and each
-        face ray to a step nonnegative on the A rays, so chains map to chains."""
-        for y in verts:
-            x = self.apply(y)
-            if omega.apply(x) != y or not omega.space_a.is_effect(x):
-                return False
+    def _holds(self, omega: BipartiteState) -> bool:
+        """Whether every y in [0, marginal] goes to an effect x(y) mapping
+        onto y, checked at the interval's ends.
+
+        Each image maps onto its base point, so omega-hat x = id on the
+        interval's hull by affinity. Each face ray of the marginal goes to a
+        step nonnegative on the A rays, so the linear part L of x is positive
+        on the marginal's face F. Every y in [0, marginal] has y and
+        marginal - y in F, so x(0) <= x(0) + L y = x(y) <= x(marginal), and
+        x(y) is an effect once x(0) and x(marginal) are."""
+        rows = self._image_rows[0]  # refuses ragged images before any check
+        if any(omega.apply(x) != p for x, p in zip(self.images, self.base_points)):
+            return False
         target = marginal_b(omega).vector
-        base, b = self._weights(vec_zero(len(target)))
-        rows = self._image_rows[0]
+        zero = vec_zero(len(target))
+        if not all(omega.space_a.is_effect(self.apply(y)) for y in (zero, target)):
+            return False
+        base, b = self._weights(zero)
         for fr in face_of(omega.space_b.cone, target).rays():
             # The step apply(fr) - apply(0), times the positive scale q b d.
             lam, d = self._weights(fr)
@@ -372,8 +381,10 @@ class SectionSearch:
 
 
 def _affine_basis(points: Sequence[Vector]) -> list[Vector]:
-    diffs = [vec_sub(p, points[0]) for p in points[1:]]
-    return [points[0]] + [points[1 + i] for i in independent_rows(diffs)]
+    """Each point affinely independent of the points before it: p_0..p_k
+    are affinely independent exactly when the rows (p_i, 1) are linearly
+    independent."""
+    return [points[i] for i in independent_rows([(*p, 1) for p in points])]
 
 
 SectionProgram = tuple[LinearProgram, Callable[[Vector], AffineSection]]
@@ -495,8 +506,9 @@ def section_program(omega: BipartiteState) -> SectionProgram:
     substitution, row for row, from the functionals (r K, r.w_i). Its value
     rows vanish identically, so the program runs over kernel coefficients
     only. With a trivial kernel, K = () and the program decodes to the one
-    candidate, checked as AffineSection.verify checks a section before any
-    row is written: if it holds, the program has no unknowns and no rows.
+    candidate, checked by AffineSection._holds, as verify checks a section,
+    before any row is written: if it holds, the program has no unknowns and
+    no rows.
     When a basis point has no preimage, or that candidate fails, the program
     is _section_search_full's instead, with w = 0 and K = I.
     """
@@ -511,7 +523,7 @@ def section_program(omega: BipartiteState) -> SectionProgram:
     kernel = nullspace(omega.matrix, ncols=omega.space_a.dim)
     decode = _section_decoder(basis, particular, kernel)
     if not kernel:
-        if not decode(())._holds_on(omega, verts):
+        if not decode(())._holds(omega):
             return _section_search_full(omega, verts, basis)
         return LinearProgram(0), decode
     rays = [
@@ -544,7 +556,7 @@ def _polytope_dimension(lp: LinearProgram) -> tuple[int, tuple[Vector, Vector] |
     e = tuple(int(i == k) for i in range(n))
     hi = lp_optimize(LinearProgram(n, eq=lp.eq, ge=lp.ge, objective=e))
     lo = lp_optimize(LinearProgram(n, eq=lp.eq, ge=lp.ge, objective=vec_scale(-1, e)))
-    return rank([vec_sub(v, verts[0]) for v in verts[1:]]), (lo.witness, hi.witness)
+    return rank([(*v, 1) for v in verts]) - 1, (lo.witness, hi.witness)
 
 
 def affine_section_search(omega: BipartiteState) -> SectionSearch:

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections.abc import Callable, Iterator, MutableMapping
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -335,15 +336,39 @@ def _repeated_key_line(text: str) -> int | None:
     return None
 
 
+# A JSON string, or a number: its integer digits, then any fraction or
+# exponent, which make json.loads read it as a float.
+_STRING_OR_NUMBER = re.compile(r'"(?:[^"\\]|\\.)*"|-?(\d+)((?:\.\d+)?(?:[eE][-+]?\d+)?)')
+
+
+def _long_integer_error(text: str) -> TheoryFileError:
+    """The error for the bare integer json.loads refused for having more
+    digits than int() reads, sys.get_int_max_str_digits(). The text before
+    it is valid JSON, so it is the first such integer outside a string."""
+    limit = sys.get_int_max_str_digits()
+    m = next(
+        m for m in _STRING_OR_NUMBER.finditer(text)
+        if m.group(1) and not m.group(2) and len(m.group(1)) > limit
+    )
+    line = text.count("\n", 0, m.start()) + 1
+    return TheoryFileError(
+        f"line {line}: an integer of {len(m.group(1))} digits exceeds the {limit}-digit "
+        "limit on integer strings (sys.get_int_max_str_digits())"
+    )
+
+
 def parse_json(text: str):
-    """The JSON document in text; a syntax error, or an object that repeats
-    a key, raises TheoryFileError with its line."""
+    """The JSON document in text; a syntax error, an object that repeats a
+    key, or a bare integer too long for int() raises TheoryFileError with
+    its line."""
     try:
         return json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise TheoryFileError(f"line {exc.lineno}: {exc.msg}") from None
     except TheoryFileError as exc:  # only _object raises one inside json.loads
         raise TheoryFileError(f"line {_repeated_key_line(text)}: {exc}") from None
+    except ValueError:  # int() refused a bare integer's digits
+        raise _long_integer_error(text) from None
 
 
 def loads(text: str) -> TheoryFile:

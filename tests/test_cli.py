@@ -851,6 +851,22 @@ class TestVerify:
         assert out == ""
         assert err == f"error: line {line}: repeated key 'verdicts'\n"
 
+    def test_an_integer_past_the_digit_limit_exits_two_with_its_line(
+        self, capsys, lib_path, tmp_path, int_digit_limit
+    ):
+        _, out, _ = run(capsys, "homogeneous", lib_path, "square_space", "--json")
+        wall = f'"wall_time_ms": {json.loads(out)["wall_time_ms"]!r}'
+        assert out.count(wall) == 1
+        line = out[:out.index(wall)].count("\n") + 1
+        path = tmp_path / "long.json"
+        path.write_text(out.replace(wall, '"wall_time_ms": ' + "1" * (int_digit_limit + 1)))
+        code, vout, err = run(capsys, "verify", str(path))
+        assert (code, vout) == (2, "")
+        assert err == (
+            f"error: line {line}: an integer of {int_digit_limit + 1} digits exceeds the "
+            f"{int_digit_limit}-digit limit on integer strings (sys.get_int_max_str_digits())\n"
+        )
+
     def test_report_that_is_not_an_object(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("[]")

@@ -408,6 +408,30 @@ class TestDeferredChecks:
             loads(text)
         assert line_of_error(str(err.value)) == entry_line(text, "cube_space", "spaces")
 
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_a_bare_integer_past_the_digit_limit_fails_at_its_line(self, int_digit_limit, sign):
+        """A bare JSON integer in a unit is read up to int()'s digit limit;
+        one digit past it, reading the JSON fails at the integer's line,
+        past a string and a float of as many digits before it."""
+        doc = json.loads(dumps(fixture_library()))
+        doc["spaces"]["cube_space"]["unit"][2] = "9" * (int_digit_limit + 1)
+        doc["spaces"]["cube_space"]["unit"][3] = "@float"
+        doc["spaces"]["square_space"]["unit"][2] = "@"
+        template = doc_text(doc).replace('"@float"', "9" * (int_digit_limit + 1) + ".5")
+        text = template.replace('"@"', sign + "7" * int_digit_limit)
+        unit = theoryfile.parse_json(text)["spaces"]["square_space"]["unit"]
+        assert unit[2] == int(sign + "7" * int_digit_limit)
+        text = template.replace('"@"', sign + "7" * (int_digit_limit + 1))
+        message = (
+            f"an integer of {int_digit_limit + 1} digits exceeds the {int_digit_limit}-digit "
+            "limit on integer strings"
+        )
+        line = text[:text.index("7" * int_digit_limit)].count("\n") + 1
+        for read in (theoryfile.parse_json, loads):
+            with pytest.raises(TheoryFileError, match=message) as err:
+                read(text)
+            assert line_of_error(str(err.value)) == line
+
     def test_a_space_converts_once_and_only_when_looked_up(self, monkeypatch):
         calls = []
         real = theoryfile.cone_from_rays
