@@ -84,9 +84,18 @@ class TensorSpace:
 
 
 def _products(fs: Sequence[IntVec], gs: Sequence[IntVec]) -> list[IntVec]:
-    """Every f (x) g as an integer tuple, B index fastest, f slowest: what
-    ``kron_vec`` gives each pair, with no per-pair type check, since the
-    stored rays and facets are all ``int``."""
+    """Every f (x) g as an integer tuple, B index fastest: what ``kron_vec``
+    gives each pair, with no per-pair type check, since the stored rays and
+    facets are all ``int``.
+
+    The products come in blocks, one per row of the factor with fewer rows
+    (fs on a tie): every product of its first row, then of its second, and
+    so on. Double description in input order runs well over such blocks
+    (see ``dd``), and better with fewer, larger blocks: min cube (x)
+    octahedron, in dimension 16, takes 0.1 s with the octahedron's 6 rays
+    outer and 0.5 s with the cube's 8."""
+    if len(gs) < len(fs):
+        return [tuple(x * y for x in f for y in g) for g in gs for f in fs]
     return [tuple(x * y for x in f for y in g) for f in fs for g in gs]
 
 
@@ -95,9 +104,13 @@ def max_tensor(a: StateSpace, b: StateSpace) -> TensorSpace:
 
     Its facet rows are the integer products of the factors' stored facets.
     Those are primitive, and so is each product, since the gcd of the
-    entries f_i g_j is gcd(f) gcd(g) = 1; no rational arithmetic runs."""
+    entries f_i g_j is gcd(f) gcd(g) = 1; no rational arithmetic runs.
+    Double description inserts them in ``_products``' block order, in which
+    a product cone passes through fewer intermediate rays than when each
+    next row is the one that cuts off the most: max octahedron² takes 0.4 s
+    in block order and 16 to 20 s the other way."""
     facets = _products(a.cone.facets, b.cone.facets)
-    cone = cone_from_facets(facets, a.dim * b.dim)
+    cone = cone_from_facets(facets, a.dim * b.dim, in_order=True)
     return TensorSpace(a, b, "max", cone, kron_vec(a.unit, b.unit))
 
 
@@ -105,9 +118,12 @@ def min_tensor(a: StateSpace, b: StateSpace) -> TensorSpace:
     """The smallest composite: generated by the product states.
 
     Its generator rows are the integer products of the factors' stored
-    rays, primitive for the reason given in ``max_tensor``."""
+    rays, primitive for the reason given in ``max_tensor``, and go into
+    double description in the same block order: min cube², 64 rays in
+    dimension 16, peaks at 1,044 intermediate rays in it and at 10,516 when
+    each next row is the one that cuts off the most."""
     rays = _products(a.cone.rays, b.cone.rays)
-    cone = cone_from_rays(rays, a.dim * b.dim)
+    cone = cone_from_rays(rays, a.dim * b.dim, in_order=True)
     return TensorSpace(a, b, "min", cone, kron_vec(a.unit, b.unit))
 
 

@@ -117,30 +117,36 @@ def _primitive_generators(vectors: Iterable[Sequence], ambient_dim: int) -> list
     return list(dict.fromkeys(out))
 
 
-def dd_convert(rays: Sequence[IntVec], ambient_dim: int) -> list[tuple[IntVec, int]]:
+def dd_convert(
+    rays: Sequence[IntVec], ambient_dim: int, *, in_order: bool = False
+) -> list[tuple[IntVec, int]]:
     """Facet normals of the cone generated by the primitive ``rays`` (requires
-    full span), each with its incidence mask over the rays.
+    full span), each with its incidence mask over the rays; ``in_order`` is
+    ``dd.extreme_rays``' insertion rule.
 
     Double description proves the span itself, so ``rank`` runs only to
     word the error when it does not hold.
     """
     try:
-        return dd.extreme_rays(rays, ambient_dim)
+        return dd.extreme_rays(rays, ambient_dim, in_order=in_order)
     except ValueError:
         raise ConeError(
             f"not generating: rays span {rank(rays)} of {ambient_dim} dimensions"
         ) from None
 
 
-def dd_convert_inv(facets: Sequence[IntVec], ambient_dim: int) -> list[tuple[IntVec, int]]:
+def dd_convert_inv(
+    facets: Sequence[IntVec], ambient_dim: int, *, in_order: bool = False
+) -> list[tuple[IntVec, int]]:
     """Extreme rays of {x : f.x >= 0} over the primitive ``facets`` (requires a
-    pointed cone), each with its incidence mask over the facets.
+    pointed cone), each with its incidence mask over the facets; ``in_order``
+    as in ``dd_convert``.
 
     As in ``dd_convert``, a kernel vector is computed only to name the line
     once double description has found that the facets do not span.
     """
     try:
-        return dd.extreme_rays(facets, ambient_dim)
+        return dd.extreme_rays(facets, ambient_dim, in_order=in_order)
     except ValueError:
         line = nullspace(facets, ncols=ambient_dim)[0]
         raise ConeError(
@@ -171,9 +177,13 @@ def _extreme_generators(
     )
 
 
-def cone_from_rays(rays: Iterable[Sequence], ambient_dim: int) -> PolyhedralCone:
+def cone_from_rays(
+    rays: Iterable[Sequence], ambient_dim: int, *, in_order: bool = False
+) -> PolyhedralCone:
+    """The cone the rays generate; ``in_order`` inserts them into double
+    description in the order given (see ``dd``), and the cone is the same."""
     rays = _primitive_generators(rays, ambient_dim)
-    pairs = dd_convert(rays, ambient_dim)
+    pairs = dd_convert(rays, ambient_dim, in_order=in_order)
     facets = [f for f, _ in pairs]
     if rank(facets) < ambient_dim:
         line = nullspace(facets, ncols=ambient_dim)
@@ -183,9 +193,12 @@ def cone_from_rays(rays: Iterable[Sequence], ambient_dim: int) -> PolyhedralCone
     return PolyhedralCone(ambient_dim, tuple(canonical_rays), tuple(facets))
 
 
-def cone_from_facets(facets: Iterable[Sequence], ambient_dim: int) -> PolyhedralCone:
+def cone_from_facets(
+    facets: Iterable[Sequence], ambient_dim: int, *, in_order: bool = False
+) -> PolyhedralCone:
+    """The cone the facets cut out, with ``in_order`` as in ``cone_from_rays``."""
     facets = _primitive_generators(facets, ambient_dim)
-    pairs = dd_convert_inv(facets, ambient_dim)
+    pairs = dd_convert_inv(facets, ambient_dim, in_order=in_order)
     rays = [r for r, _ in pairs]
     if rank(rays) < ambient_dim:
         raise ConeError(

@@ -10,6 +10,17 @@ carries integer products only with the rows still to insert; an inserted
 row survives as bits, in each ray's incidence mask and in the set of rays
 tight on it, and adjacency is read off those per-row ray sets.
 
+The order the rows go in decides how many rays pass through the middle of
+a run, not the result. By default the next row is the one that cuts off
+the most current rays ("maxcut"), which keeps the many-rows direction
+small: pentagon² facets to rays takes 0.9 s under it and 44 s in input
+order. Rows that are products of two factors' rows do better in input
+order once grouped in blocks, every product of one factor row and then the
+next, as ``composite`` writes them: maxcut mixes the blocks, and
+``min_tensor(cube, cube)`` passes through 10,516 rays under it against
+1,044 in block order. ``in_order=True`` takes that order; only callers that
+see the product structure set it.
+
 ``polytope_vertices`` enumerates a polytope's vertices as the extreme rays
 of its homogenization, so it needs neither an LP nor a point of the
 polytope, and implicit equalities are no special case.
@@ -22,7 +33,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from functools import reduce
+from operator import mul, or_
 from typing import Sequence
 
 from .ratlin import integer_row
@@ -76,7 +88,9 @@ def _largest(planes: list[int], rows: int) -> int:
     return found
 
 
-def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[IntVec, int]]:
+def extreme_rays(
+    rows: Sequence[Sequence[int]], dim: int, *, in_order: bool = False
+) -> list[tuple[IntVec, int]]:
     """Extreme rays of {x : h.x >= 0 for h in rows}; requires a pointed result.
 
     Returns one (ray, mask) pair per extreme ray, sorted, where the mask has
@@ -95,9 +109,14 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[IntVec, 
     rays tight on it, and p, m are adjacent iff the ids of the current
     rays, ANDed with those sets for the rows in both masks, come down to
     exactly {p, m}; the ANDs stop as soon as they do. The next row inserted
-    is the one that cuts off the most current rays; once none cuts any
-    off, the rest are redundant, and their bits of each returned mask are
-    read off the final products.
+    is the one that cuts off the most current rays, the first in input
+    order on a tie; with ``in_order``, it is the first row in input order
+    that cuts off any. Maxcut suits arbitrary rows, input order suits rows
+    written in blocks whose order carries the structure, as tensor cones'
+    product rows are (see the module docstring). Under either rule, once
+    no row cuts any ray off, the rest are redundant, and their bits of
+    each returned mask are read off the final products; the result does
+    not depend on the rule.
 
     The rows are integer, at any positive scale: only the signs of the
     products and the incidence masks decide, the starting rays are made
@@ -153,8 +172,9 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[IntVec, 
 
     min_common = dim - 2
     while remaining:
-        # The row that cuts off the most current rays, the first on a tie.
-        most = _largest(planes, todo)
+        # The row that cuts off the most current rays, the first on a tie;
+        # in order, the first row that cuts off any.
+        most = todo & reduce(or_, planes, 0) if in_order else _largest(planes, todo)
         if not most:
             break
         bit = most & -most

@@ -335,13 +335,15 @@ class AffineSection:
         the same base points in the same order, one image each, holding as
         _holds checks. The basis check is the only step that enumerates the
         vertices of [0, marginal]."""
-        verts = order_interval_vertices(omega.space_b.cone, marginal_b(omega).vector)
+        target = marginal_b(omega).vector
+        verts = order_interval_vertices(omega.space_b.cone, target)
         ok = tuple(self.base_points) == tuple(_affine_basis(verts))
-        return ok and len(self.images) == len(self.base_points) and self._holds(omega)
+        return ok and len(self.images) == len(self.base_points) and self._holds(omega, target)
 
-    def _holds(self, omega: BipartiteState) -> bool:
+    def _holds(self, omega: BipartiteState, target: Vector) -> bool:
         """Whether every y in [0, marginal] goes to an effect x(y) mapping
-        onto y, checked at the interval's ends.
+        onto y, checked at the interval's ends; target is omega's marginal
+        on B, which the caller has at hand.
 
         Each image maps onto its base point, so omega-hat x = id on the
         interval's hull by affinity. Each face ray of the marginal goes to a
@@ -352,7 +354,6 @@ class AffineSection:
         rows = self._image_rows[0]  # refuses ragged images before any check
         if any(omega.apply(x) != p for x, p in zip(self.images, self.base_points)):
             return False
-        target = marginal_b(omega).vector
         zero = vec_zero(len(target))
         if not all(omega.space_a.is_effect(self.apply(y)) for y in (zero, target)):
             return False
@@ -418,14 +419,16 @@ def _row_over(lhs: Sequence[int], d: int, num: int, den: int) -> Row:
 
 def _section_rows(
     omega: BipartiteState,
+    target: Vector,
     verts: Sequence[Vector],
     basis: Sequence[Vector],
     rays: Sequence,
     values: Sequence = (),
 ) -> tuple[list[Row], list[Row]]:
-    """The eq and ge rows of a section program, one block of unknowns per
-    basis point, read by each A ray through `rays` and by each row of the
-    state's matrix through `values`.
+    """The eq and ge rows of a section program over [0, target], target
+    being omega's marginal on B, one block of unknowns per basis point, read
+    by each A ray through `rays` and by each row of the state's matrix
+    through `values`.
 
     At each interval vertex, the image sum_i lam_i x_i over its affine
     coordinates must map to the vertex and lie in [0, u_A]. Each face ray
@@ -447,7 +450,6 @@ def _section_rows(
             q = bound.denominator
             ge.append(_row_over(row, d, -c, u))
             ge.append(_row_over([-x for x in row], d, c * q - bound.numerator * u, q * u))
-    target = marginal_b(omega).vector
     origin = frame.coordinates(vec_zero(len(target)))
     for fr in face_of(omega.space_b.cone, target).rays():
         weights = integral_with_scale(vec_sub(frame.coordinates(fr), origin))
@@ -474,10 +476,11 @@ def _section_decoder(
 
 
 def _section_search_full(
-    omega: BipartiteState, verts: Sequence[Vector], basis: Sequence[Vector]
+    omega: BipartiteState, target: Vector, verts: Sequence[Vector], basis: Sequence[Vector]
 ) -> SectionProgram:
     """The section program with w = 0 and K = I, whose unknowns are the basis
-    images themselves. Used when the reduced parametrization does not apply.
+    images themselves, over [0, target] as in _section_rows. Used when the
+    reduced parametrization does not apply.
     K = I does not enforce omega-hat x_i = p_i, so the program keeps the
     value rows, read by the rows of the state's matrix, and its farkas
     certificate covers them explicitly."""
@@ -488,7 +491,7 @@ def _section_search_full(
     rays = [((r, 1), zero) for r in omega.space_a.cone.rays]
     rows, q = omega._rows
     values = [((row, q), zero) for row in rows]
-    eq, ge = _section_rows(omega, verts, basis, rays, values)
+    eq, ge = _section_rows(omega, target, verts, basis, rays, values)
     decode = _section_decoder(basis, [vec_zero(da)] * m, mat_identity(da))
     return LinearProgram(m * da, eq=eq, ge=ge), decode
 
@@ -512,19 +515,20 @@ def section_program(omega: BipartiteState) -> SectionProgram:
     When a basis point has no preimage, or that candidate fails, the program
     is _section_search_full's instead, with w = 0 and K = I.
     """
-    verts = order_interval_vertices(omega.space_b.cone, marginal_b(omega).vector)
+    target = marginal_b(omega).vector
+    verts = order_interval_vertices(omega.space_b.cone, target)
     basis = _affine_basis(verts)
     particular: list[Vector] = []
     for p in basis:
         w0 = solve_linear(omega.matrix, p)
         if w0 is None:
-            return _section_search_full(omega, verts, basis)
+            return _section_search_full(omega, target, verts, basis)
         particular.append(w0)
     kernel = nullspace(omega.matrix, ncols=omega.space_a.dim)
     decode = _section_decoder(basis, particular, kernel)
     if not kernel:
-        if not decode(())._holds(omega):
-            return _section_search_full(omega, verts, basis)
+        if not decode(())._holds(omega, target):
+            return _section_search_full(omega, target, verts, basis)
         return LinearProgram(0), decode
     rays = [
         (
@@ -533,7 +537,7 @@ def section_program(omega: BipartiteState) -> SectionProgram:
         )
         for r in omega.space_a.cone.rays
     ]
-    _, ge = _section_rows(omega, verts, basis, rays)
+    _, ge = _section_rows(omega, target, verts, basis, rays)
     return LinearProgram(len(basis) * len(kernel), ge=ge), decode
 
 

@@ -8,6 +8,7 @@ of the map) rather than frozen, since any valid decomposition certifies
 non-extremality equally well.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -231,6 +232,25 @@ def test_polygon_tensor_cones(factors, min_counts, kind):
             tight = [h for h in duals if vec_dot(h, g) == 0]
             assert rank(tight) == d - 1
     assert cone_from_rays(c.rays, d) == c == cone_from_facets(c.facets, d)
+
+
+# sha256 of repr((rays, facets)) of min cube², as inserting the most
+# cutting row first computes it, in about 20 s.
+CUBE_SQUARED_MIN_SHA256 = "b86a5b9b23775da009380a150e38c8dc1adbf09a4f582ab92d1f78410f2819ab"
+
+
+def test_cube_squared_tensor_cones_in_block_order():
+    """min cube² in the block order gives the cone the most-cutting order
+    gave, and max octahedron² is its dual, as the fixture octahedron is the
+    fixture cube's dual cone."""
+    lib = fixture_library()
+    cube, octahedron = lib.space("cube_space"), lib.space("octahedron_space")
+    assert octahedron.cone == dual_cone(cube.cone)
+    c = min_tensor(cube, cube).cone
+    assert (len(c.rays), len(c.facets)) == (64, 684)
+    digest = hashlib.sha256(repr((c.rays, c.facets)).encode()).hexdigest()
+    assert digest == CUBE_SQUARED_MIN_SHA256
+    assert max_tensor(octahedron, octahedron).cone == dual_cone(c)
 
 
 def test_intermediate_tensor_sandwich():

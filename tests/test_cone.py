@@ -30,7 +30,7 @@ from polysteer.cone import (
     ordered_direct_sum,
     pinned_slack,
 )
-from polysteer.composite import kron_vec, max_tensor, min_tensor
+from polysteer.composite import _products, kron_vec, max_tensor, min_tensor
 from polysteer.dd import extreme_rays, int_dot, polytope_vertices
 from polysteer.fixtures import fixture_library
 from polysteer.ratlin import (
@@ -283,6 +283,9 @@ TENSOR_PAIRS = [
 LARGER_TENSOR_PAIRS = [
     ("square_space", "hexagon_space"),
     ("pentagon_space", "pentagon_space"),
+    # The first factor has more rays and facets (8 and 6 against 4), so the
+    # block order puts the second factor outer.
+    ("cube_space", "square_space"),
 ]
 
 
@@ -329,23 +332,28 @@ def test_one_pass_canonicalization_matches_two_passes():
             assert max_tensor(sa, sb).cone == want == cone_from_facets(gens, dim)
 
 
-def pinned_pairs(rows, dim):
-    """extreme_rays(rows, dim), after checking it returns the third-ray scan
-    reference's (ray, mask) pairs, in the same order."""
-    pairs = extreme_rays(rows, dim)
+def pinned_pairs(rows, dim, in_order=False):
+    """extreme_rays(rows, dim, in_order=in_order), after checking it returns
+    the third-ray scan reference's (ray, mask) pairs, in the same order."""
+    pairs = extreme_rays(rows, dim, in_order=in_order)
     assert pairs == third_ray_scan_extreme_rays(rows, dim)
     return pairs
 
 
 def test_extreme_rays_matches_the_third_ray_scan_on_tensor_cones():
     # The benchmark's tensor conversions both ways, and the larger pairs in
-    # the direction their tensor cones run, from the product rows.
+    # the direction their tensor cones run, from the product rows; then
+    # every pair's product rows in `_products`' block order, inserted in
+    # that order as the tensor cones insert them.
     for kind, sa, sb in tensor_pairs(TENSOR_PAIRS):
         gens, dim = tensor_generators(kind, sa, sb)
         duals = [r for r, _ in pinned_pairs(gens, dim)]
         pinned_pairs(duals, dim)
     for kind, sa, sb in tensor_pairs(LARGER_TENSOR_PAIRS):
         pinned_pairs(*tensor_generators(kind, sa, sb))
+    for kind, sa, sb in tensor_pairs(TENSOR_PAIRS + LARGER_TENSOR_PAIRS):
+        blocks = _products(*tensor_factors(kind, sa, sb))
+        pinned_pairs(blocks, sa.dim * sb.dim, in_order=True)
 
 
 def with_zero_rows(rng, rows):

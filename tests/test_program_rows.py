@@ -62,8 +62,10 @@ def fraction_weighted_rows(weights, functionals):
     return out
 
 
-def fraction_section_rows(omega, verts, basis, rays, values=()):
-    """steering._section_rows as it wrote Fraction rows."""
+def fraction_section_rows(omega, target, verts, basis, rays, values=()):
+    """steering._section_rows as it wrote Fraction rows, after checking that
+    target is omega's marginal on B."""
+    assert target == marginal_b(omega).vector
     space_a = omega.space_a
     frame = AffineSection(tuple(basis), ())
     bounds = [vec_dot(space_a.unit, as_vector(r)) for r in space_a.cone.rays]
@@ -75,7 +77,6 @@ def fraction_section_rows(omega, verts, basis, rays, values=()):
         for (row, const), bound in zip(fraction_weighted_rows(lam, rays), bounds):
             ge.append((row, -const))
             ge.append((tuple(-x for x in row), const - bound))
-    target = marginal_b(omega).vector
     origin = frame.coordinates(vec_zero(len(target)))
     for fr in face_of(omega.space_b.cone, target).rays():
         weights = integral_with_scale(vec_sub(frame.coordinates(fr), origin))
@@ -144,8 +145,9 @@ def test_section_rows_read_as_the_fraction_rows(states, monkeypatch):
     monkeypatch.setattr(steering, "_section_rows", compared)
     for omega in states:
         section_program(omega)
-        verts = order_interval_vertices(omega.space_b.cone, marginal_b(omega).vector)
-        _section_search_full(omega, verts, _affine_basis(verts))
+        target = marginal_b(omega).vector
+        verts = order_interval_vertices(omega.space_b.cone, target)
+        _section_search_full(omega, target, verts, _affine_basis(verts))
     assert (len(states), len(calls), sum(calls)) == (108, 187, 13935), (len(calls), sum(calls))
 
 
@@ -194,8 +196,9 @@ def test_fractional_units_and_matrices_read_as_the_fraction_rows(monkeypatch):
         matrix = [vec_scale(Fraction(3, 7), row) for row in base.matrix]
         omega = BipartiteState(space_a, base.space_b, matrix)
         section_program(omega)
-        verts = order_interval_vertices(omega.space_b.cone, marginal_b(omega).vector)
-        _section_search_full(omega, verts, _affine_basis(verts))
+        target = marginal_b(omega).vector
+        verts = order_interval_vertices(omega.space_b.cone, target)
+        _section_search_full(omega, target, verts, _affine_basis(verts))
         for _, e in extremal_ensembles(omega.space_b, marginal_b(omega).vector, 2):
             lp = ensemble_lift_program(omega, e)
             assert (rational_rows(lp.eq), rational_rows(lp.ge)) == fraction_lift_rows(omega, e)

@@ -105,7 +105,7 @@ def test_end_check_agrees_with_the_per_vertex_loop(end_check_states):
         verts = interval_of(omega)
         for kind, section in candidate_sections(omega, rng):
             want = reference_sections.holds_on(section, omega, verts)
-            assert section._holds(omega) == want, (kind, section)
+            assert section._holds(omega, marginal_b(omega).vector) == want, (kind, section)
             assert section.verify(omega) == want, (kind, section)
             verdicts.setdefault(kind, []).append(want)
     assert set(verdicts) == {"found", "preimages", "shift", "perturb", "rescale"}
@@ -122,7 +122,7 @@ def test_end_check_refuses_ragged_images_before_any_check():
     good = affine_section_search(omega).section
     ragged = AffineSection(good.base_points, ((F(9),) * 2,) + good.images[1:])
     with pytest.raises(ValueError, match="zip"):
-        ragged._holds(omega)
+        ragged._holds(omega, marginal_b(omega).vector)
 
 
 def counted(monkeypatch, module, name):

@@ -163,7 +163,7 @@ def test_integer_rows_equal_the_fraction_product_rows(criterion_8_states):
     rows = 0
     for omega in states:
         verts, basis = interval_basis(omega)
-        got, _ = _section_search_full(omega, verts, basis)
+        got, _ = _section_search_full(omega, marginal_b(omega).vector, verts, basis)
         assert_same_program(got, fraction_product_rows(omega, verts, basis))
         rows += got.row_count()
     assert len(states) == 28 and rows >= 1000, rows
