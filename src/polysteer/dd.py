@@ -23,7 +23,11 @@ see the product structure set it.
 
 ``polytope_vertices`` enumerates a polytope's vertices as the extreme rays
 of its homogenization, so it needs neither an LP nor a point of the
-polytope, and implicit equalities are no special case.
+polytope, and implicit equalities are no special case. Its integer core,
+``_vertex_rows``, returns the vertices as integer rows over one common
+positive scale, sorted as integer tuples; over one positive scale that is
+the order of their values, so only the boundary builds ``Fraction``s, and
+callers that stay in integers, such as the ensemble search, skip them.
 
 Rows are integer tuples and rays are kept primitive (gcd 1, positive scale),
 so intermediate arithmetic is pure-integer and results compare syntactically.
@@ -246,6 +250,32 @@ def extreme_rays(
     return sorted(set(zip(rays, masks)))
 
 
+def _vertex_rows(
+    rows: list[IntVec], dim: int, *, in_order: bool = False
+) -> tuple[list[IntVec], int]:
+    """The vertices of the polytope {x in Q^dim : G.x >= H}, written as
+    the integer rows (G, -H), as integer rows over one common positive
+    scale s: vertex = row / s. The rows are sorted as integer tuples, which
+    over one positive scale is the order of the vertices' values; s is the
+    lcm of the rays' last entries, 1 when there are none. ``in_order`` is
+    ``extreme_rays``' insertion rule.
+
+    The rows are homogenized, G.x - H t >= 0 with t >= 0 joining them, so
+    double description returns one ray per vertex, read at t = 1; see
+    ``polytope_vertices`` for when that holds and what it raises.
+    """
+    try:
+        cone_rays = extreme_rays([*rows, (0,) * dim + (1,)], dim + 1, in_order=in_order)
+    except ValueError:
+        # The homogenization is not pointed, so the recession cone of the
+        # feasible region contains a whole line.
+        raise ValueError("polytope is unbounded") from None
+    if any(r[dim] == 0 for r, _ in cone_rays):
+        raise ValueError("polytope is unbounded")
+    scale = math.lcm(*(r[dim] for r, _ in cone_rays))
+    return sorted(tuple(c * (scale // r[dim]) for c in r[:dim]) for r, _ in cone_rays), scale
+
+
 def polytope_vertices(
     ineqs: Sequence[tuple[Sequence, Fraction | int]], dim: int
 ) -> list[tuple[Fraction, ...]]:
@@ -260,6 +290,9 @@ def polytope_vertices(
     lower-dimensional. Raises ValueError when such a d exists, as the cone
     then holds a line or a ray at t = 0 even if no x satisfies the rows,
     and on a row whose width is not dim.
+
+    The integer core ``_vertex_rows`` returns the vertices as integer rows
+    over one common scale, sorted; only here do they become Fractions.
     """
     rows = []
     for i, (g, h) in enumerate(ineqs):
@@ -267,14 +300,5 @@ def polytope_vertices(
             raise ValueError(f"row {i} has {len(g)} coefficients, but dim is {dim}")
         lhs, rhs, _ = integer_row(g, h)
         rows.append((*lhs, -rhs))
-    rows.append((0,) * dim + (1,))
-    try:
-        cone_rays = extreme_rays(rows, dim + 1)
-    except ValueError:
-        # The homogenization is not pointed, so the recession cone of the
-        # feasible region contains a whole line.
-        raise ValueError("polytope is unbounded") from None
-    if any(r[dim] == 0 for r, _ in cone_rays):
-        raise ValueError("polytope is unbounded")
-    # extreme_rays sorts the rays as integer tuples, not by their values.
-    return sorted(tuple(Fraction(c, r[dim]) for c in r[:dim]) for r, _ in cone_rays)
+    verts, scale = _vertex_rows(rows, dim)
+    return [tuple(Fraction(c, scale) for c in v) for v in verts]

@@ -13,6 +13,11 @@ Integer input crosses into integer rows as it is: a vector whose entries are
 all ``int`` passes ``integral_with_scale`` (and so ``integral``,
 ``integer_rows`` and ``primitive``) at scale 1, copied but never rebuilt
 through ``Fraction``.
+
+Literals are checked a vector at a time: ``are_rational_literals`` matches
+the vector's strings joined by commas in one pass, and ``literal_row``
+reads checked literals once, as integers over the lcm of their
+denominators. ``is_rational_literal`` is the same grammar for one literal.
 """
 
 from __future__ import annotations
@@ -27,7 +32,12 @@ from typing import Iterable, Sequence
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$", re.ASCII)
+# One literal, 'p/q' or 'p', matched whole after strip(). A vector's
+# literals joined by commas match _LITERALS_RE, where Unicode \s is exactly
+# the whitespace str.strip() removes (str.isspace()).
+_LITERAL = r"[+-]?[0-9]+(?:/[1-9][0-9]*)?"
+_RATIONAL_RE = re.compile(_LITERAL)
+_LITERALS_RE = re.compile(rf"\s*{_LITERAL}\s*(?:,\s*{_LITERAL}\s*)*")
 # The interpreter's limit on the digits int() reads from a string (Python
 # 3.10.7 on; before that there is none, read as 0). A nonzero limit is never
 # below the threshold, so a literal no longer than it passes any limit.
@@ -53,7 +63,7 @@ def is_rational_literal(text) -> bool:
     if not isinstance(text, str):
         return False
     text = text.strip()
-    return _RATIONAL_RE.match(text) is not None and (
+    return _RATIONAL_RE.fullmatch(text) is not None and (
         len(text) <= _SHORT or not _digits_over_limit(text)
     )
 
@@ -63,7 +73,7 @@ def _literal_digit_error(text) -> str | None:
     denominator has more digits than ``int()`` reads; None for any other
     text, which ``is_rational_literal`` accepts or refuses by pattern."""
     text = text.strip() if isinstance(text, str) else ""
-    if _RATIONAL_RE.match(text) is None or not (n := _digits_over_limit(text)):
+    if _RATIONAL_RE.fullmatch(text) is None or not (n := _digits_over_limit(text)):
         return None
     return (
         f"a part of {n} digits exceeds the {_int_str_limit()}-digit "
@@ -71,15 +81,48 @@ def _literal_digit_error(text) -> str | None:
     )
 
 
+def are_rational_literals(values: Sequence) -> bool:
+    """Whether every entry of values is a string ``is_rational_literal``
+    accepts, checked in one pass: the entries joined by commas match the
+    literal pattern once per entry, with no comma but the joins, and only
+    an entry longer than ``_SHORT`` has its digits counted. False when an
+    entry is not a string, bare integers included."""
+    if not values:
+        return True
+    try:
+        text = ",".join(values)
+    except TypeError:
+        return False
+    if _LITERALS_RE.fullmatch(text) is None or text.count(",") != len(values) - 1:
+        return False
+    return len(text) <= _SHORT or not any(
+        len(v) > _SHORT and _digits_over_limit(v.strip()) for v in values
+    )
+
+
+def literal_row(values: Sequence) -> tuple[list[int], int]:
+    """Literals already checked, each a string ``is_rational_literal``
+    accepts or an ``int``, as integers over one positive scale s, the lcm
+    of their denominators: values = ints / s, and s = 1 for integers."""
+    try:
+        return [int(v) for v in values], 1
+    except ValueError:  # a denominator, or whitespace int() does not strip
+        pass
+    parts = [v.strip().partition("/") if type(v) is str else (v, "", "") for v in values]
+    dens = [int(d or 1) for _, _, d in parts]
+    scale = math.lcm(*dens)
+    return [int(n) * (scale // d) for (n, _, _), d in zip(parts, dens)], scale
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q' or 'p'. Rejects floats, exponents, negative denominators
     and parts longer than ``is_rational_literal`` allows."""
     if not is_rational_literal(text):
         raise ValueError(_literal_digit_error(text) or f"not a rational literal: {text!r}")
-    # The literal is validated, so int() reads its parts; that is about twice
-    # as fast as Fraction's own string parser.
-    num, _, den = text.strip().partition("/")
-    return Fraction(int(num), int(den)) if den else Fraction(int(num))
+    # The literal is validated, so literal_row's int() reads its parts; that
+    # is about twice as fast as Fraction's own string parser.
+    (num,), den = literal_row((text,))
+    return Fraction(num, den)
 
 
 def format_rational(x: Fraction) -> str:

@@ -15,13 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from .composite import BipartiteState, is_isomorphism_state, marginal_b, purify
 from .cone import cone_from_rays, face_of, is_extremal
-from .dd import int_dot, polytope_vertices
+from .dd import IntVec, _vertex_rows, int_dot, polytope_vertices
 from .ratlin import (
     LinearProgram,
     Row,
@@ -202,6 +202,42 @@ class SteeringVerdict:
         return self.status == "steering_up_to"
 
 
+def _splittings(
+    space: StateSpace, target: Sequence, k: int
+) -> tuple[list[tuple[IntVec, ...]], int]:
+    """The vertices of the k-part splitting polytope of target, as integer
+    parts over one common positive scale, in ``ensemble_polytope_vertices``'
+    order.
+
+    With target = t / q, the unknowns are the first k - 1 parts times q, so
+    every row is integer: g.P_i >= 0 per facet g and part, and the closing
+    row g.(t - sum P_i) >= 0. A vertex read as rows V_i over s has parts
+    V_i / (s q), and the closing part is (s t - sum V_i) / (s q).
+
+    The rows come in one block per part, so double description takes them
+    in input order (see ``dd``), which gave the same vertices faster than
+    maxcut on every splitting polytope timed."""
+    t, q = integral_with_scale(target)
+    if not space.cone.contains(t):
+        raise ValueError("the split target must lie in the cone")
+    db = space.dim
+    n = (k - 1) * db
+    facets = space.cone.facets
+    rows = [
+        (0,) * (i * db) + g + (0,) * (n - (i + 1) * db + 1)
+        for i in range(k - 1)
+        for g in facets
+    ]
+    rows += [tuple(-c for c in g) * (k - 1) + (int_dot(g, t),) for g in facets]
+    verts, s = _vertex_rows(rows, n, in_order=True)
+    out = []
+    for v in verts:
+        parts = [v[i * db:(i + 1) * db] for i in range(k - 1)]
+        parts.append(tuple(s * x - sum(col) for x, col in zip(t, zip(*parts))))
+        out.append(tuple(parts))
+    return out, s * q
+
+
 def ensemble_polytope_vertices(
     space: StateSpace, target: Sequence, k: int
 ) -> list[tuple[Vector, ...]]:
@@ -209,23 +245,13 @@ def ensemble_polytope_vertices(
 
     A splitting is given by its first k - 1 parts: for each facet g, the rows
     g.p_i >= 0 and the closing row g.(target - sum p_i) >= 0."""
-    target = as_vector(target)
-    if not space.cone.contains(target):
-        raise ValueError("the split target must lie in the cone")
-    db = space.dim
-    n = (k - 1) * db
-    ge = [
-        ((0,) * (i * db) + g + (0,) * (n - (i + 1) * db), 0)
-        for i in range(k - 1)
-        for g in space.cone.facets
-    ]
-    ge += [(tuple(-c for c in g) * (k - 1), -vec_dot(g, target)) for g in space.cone.facets]
-    out = []
-    for v in polytope_vertices(ge, n):
-        parts = [v[i * db:(i + 1) * db] for i in range(k - 1)]
-        parts.append(tuple(t - sum(col) for t, col in zip(target, zip(*parts))))
-        out.append(tuple(parts))
-    return out
+    verts, scale = _splittings(space, target, k)
+    return [_over(parts, scale) for parts in verts]
+
+
+def _over(parts: Sequence[IntVec], scale: int) -> tuple[Vector, ...]:
+    """Integer parts over one positive scale as Fraction parts."""
+    return tuple(tuple(Fraction(x, scale) for x in p) for p in parts)
 
 
 def extremal_ensembles(
@@ -233,20 +259,25 @@ def extremal_ensembles(
 ) -> Iterator[tuple[int, Ensemble]]:
     """The nonzero parts of each vertex of the k-part splitting polytopes of
     target, k = 2..depth, as ensembles in search order, each once, with the k
-    that first meets it."""
+    that first meets it.
+
+    The vertices stay integer parts over a common scale. An ensemble's key
+    is its sorted nonzero parts and scale, divided by their gcd, so it is
+    the same at every k; only an ensemble yielded is built as Fractions."""
     if depth < 2:
         raise ValueError("the search depth must be at least 2")
-    seen: set[tuple[Vector, ...]] = set()
+    seen: set[tuple[int, tuple[IntVec, ...]]] = set()
     for k in range(2, depth + 1):
-        for parts in ensemble_polytope_vertices(space, target, k):
-            nonzero = tuple(p for p in parts if any(x != 0 for x in p))
+        verts, scale = _splittings(space, target, k)
+        for parts in verts:
+            nonzero = [p for p in parts if any(p)]
             if not nonzero:
                 continue
-            e = Ensemble(space, nonzero)
-            key = e.canonical_parts()
+            g = gcd(scale, *(x for p in nonzero for x in p))
+            key = (scale // g, tuple(sorted(tuple(x // g for x in p) for p in nonzero)))
             if key not in seen:
                 seen.add(key)
-                yield k, e
+                yield k, Ensemble(space, _over(nonzero, scale))
 
 
 def decide_steering(omega: BipartiteState, depth: int = 3) -> SteeringVerdict:

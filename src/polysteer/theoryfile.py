@@ -30,10 +30,12 @@ rendered "p/q" or "p".
 Reading has two phases. `loads` checks every entry against the grammar:
 the JSON, where no object may repeat a key, the format tag, section and
 entry shapes and keys, `ambient_dim`, every rational by its pattern and
-digit count alone, and every space reference. An entry's numbers are built, and its semantic
-checks run (a space's DD conversion and `facets` cross-check, positivity,
-an ensemble's parts), the first time it is looked up, after those of the
-spaces it names, so a command pays only for the entries it names.
+digit count alone, a vector or matrix row in one pass, and every space
+reference. An entry's numbers are built once, rays and facets as integer
+rows, and its semantic checks run (a space's DD conversion and `facets`
+cross-check, positivity, an ensemble's parts), the first time it is
+looked up, after those of the spaces it names, so a command pays only
+for the entries it names.
 Failures of either phase raise TheoryFileError with the offending entry's
 line when it can be located. `read` does the same for a document already
 parsed from a larger text, such as the inputs a report embeds, and
@@ -83,19 +85,18 @@ def _not_a_rational(value) -> TheoryFileError:
 
 
 def parse_vector(values, context: str, build: bool = True) -> tuple:
-    """A JSON array of rationals; context names it in the error. With
-    build=False each one is checked as parse_rational would read it, by
-    ratlin's pattern alone, and () is returned: no number is built."""
+    """A JSON array of rationals; context names it in the error. Its
+    literals are checked in one pass (``ratlin.are_rational_literals``),
+    each one per entry only to word an error; with build=False no number
+    is built and () is returned."""
     if not isinstance(values, list):
         raise TheoryFileError(f"{context}: expected an array of rationals")
-    if build:
-        return tuple(map(parse_rational, values))
-    if not all(map(ratlin.is_rational_literal, values)):
+    if not ratlin.are_rational_literals(values):
         for v in values:  # a bare JSON integer passes; anything else raises
             is_int = isinstance(v, int) and not isinstance(v, bool)
             if not (is_int or ratlin.is_rational_literal(v)):
                 raise _not_a_rational(v)
-    return ()
+    return _vector(values) if build else ()
 
 
 def parse_matrix(values, context: str, build: bool = True) -> tuple:
@@ -103,6 +104,24 @@ def parse_matrix(values, context: str, build: bool = True) -> tuple:
     if not isinstance(values, list) or not values:
         raise TheoryFileError(f"{context}: expected a nonempty array of rows")
     return tuple(parse_vector(row, context, build) for row in values)
+
+
+def _vector(values: list) -> tuple[Fraction, ...]:
+    """Checked literals as Fractions, read through ``ratlin.literal_row``."""
+    ints, scale = ratlin.literal_row(values)
+    if scale == 1:
+        return tuple(map(Fraction, ints))
+    return tuple(Fraction(n, scale) for n in ints)
+
+
+def _matrix(rows: list) -> tuple[tuple[Fraction, ...], ...]:
+    return tuple(map(_vector, rows))
+
+
+def _int_rows(rows: list) -> list[list[int]]:
+    """Checked rows of literals as integer rows, each over its own positive
+    scale, which is dropped: rays and facet normals are read up to one."""
+    return [ratlin.literal_row(row)[0] for row in rows]
 
 
 def format_vector(v) -> list[str]:
@@ -228,22 +247,26 @@ def _anchored(text: str, path: tuple[str, ...], message: str) -> TheoryFileError
 
 # Each entry's grammar reader checks it and returns the names of the spaces
 # it refers to, with the call that builds it from those spaces and runs the
-# semantic checks; the reader checks each literal, and that call parses it.
+# semantic checks; the reader checks the literals, and that call reads them
+# once, rays and facets straight into integer rows.
 
 
-def _literals(parse: Callable, values, context: str) -> Callable[[], tuple]:
-    """Check values as `parse` reads them; the call that then parses them."""
+def _literals(parse: Callable, values, context: str, read: Callable) -> Callable[[], object]:
+    """Check values as `parse` reads them; the call that then reads them."""
     parse(values, context, build=False)
-    return lambda: parse(values, context)
+    return lambda: read(values)
 
 
 def _space(entry: dict, spaces: Section) -> tuple[tuple[str, ...], Callable]:
     dim = entry["ambient_dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim <= 0:
         raise TheoryFileError("ambient_dim must be a positive integer")
-    rays = _literals(parse_matrix, entry["rays"], "rays")
-    unit = _literals(parse_vector, entry["unit"], "unit")
-    given = _literals(parse_matrix, entry["facets"], "facets") if "facets" in entry else None
+    rays = _literals(parse_matrix, entry["rays"], "rays", _int_rows)
+    unit = _literals(parse_vector, entry["unit"], "unit", _vector)
+    given = (
+        _literals(parse_matrix, entry["facets"], "facets", _int_rows)
+        if "facets" in entry else None
+    )
 
     def build() -> StateSpace:
         cone = cone_from_rays(rays(), dim)
@@ -272,13 +295,13 @@ def _space_ref(entry: dict, key: str, spaces: Section) -> str:
 
 def _state(entry: dict, spaces: Section) -> tuple[tuple[str, ...], Callable]:
     refs = (_space_ref(entry, "space_a", spaces), _space_ref(entry, "space_b", spaces))
-    matrix = _literals(parse_matrix, entry["matrix"], "matrix")
+    matrix = _literals(parse_matrix, entry["matrix"], "matrix", _matrix)
     return refs, lambda space_a, space_b: BipartiteState(space_a, space_b, matrix())
 
 
 def _ensemble(entry: dict, spaces: Section) -> tuple[tuple[str, ...], Callable]:
     refs = (_space_ref(entry, "space", spaces),)
-    parts = _literals(parse_matrix, entry["parts"], "parts")
+    parts = _literals(parse_matrix, entry["parts"], "parts", _matrix)
     return refs, lambda space: Ensemble(space, parts())
 
 

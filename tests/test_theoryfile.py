@@ -82,6 +82,90 @@ class TestRationals:
         assert format_rational(Fraction(-1, 3)) == "-1/3"
 
 
+# Values the one-pass vector check must judge as the per-literal grammar
+# does: the join separator, whitespace str.strip() removes and int() does
+# not (or the reverse), digits int() reads but the grammar refuses, and
+# the grammar's edges.
+LITERALS = [
+    "1,2", "1, 2", ",", "\u20031", "1\x1c", "\x85-3", "\u200b1", "\u0661", "1_0", "+", "1/",
+    "/2", "1/0", "1/01", "1/-2", "-0", "007", "3/4", " +2/3 ", "-7", "", " ", "1.5", "1e3",
+    "0x1", "1 /2", True, False, None, 1.5, 7, -3, 0, [1],
+]
+
+
+class TestOnePassCheck:
+    """A vector's literals are checked in one pass by
+    ``ratlin.are_rational_literals``; the per-literal loop runs only to word
+    an error. Together they accept exactly what ``ratlin.is_rational_literal``
+    accepts, plus bare JSON integers, and `loads` words a refusal as the
+    per-literal check always has, at the entry's line."""
+
+    @staticmethod
+    def check_agrees(value):
+        ok = type(value) is int or ratlin.is_rational_literal(value)
+        for values in ([value], ["1", value], [value, "-2/3", value]):
+            per_literal = all(map(ratlin.is_rational_literal, values))
+            assert ratlin.are_rational_literals(values) == per_literal
+            if not ok:
+                with pytest.raises(TheoryFileError) as err:
+                    theoryfile.parse_vector(values, "v", build=False)
+                assert str(err.value) == str(theoryfile._not_a_rational(value))
+                continue
+            assert theoryfile.parse_vector(values, "v", build=False) == ()
+            want = tuple(Fraction(v if type(v) is int else v.strip()) for v in values)
+            got = theoryfile.parse_vector(values, "v")
+            assert got == want and all(type(x) is Fraction for x in got)
+        return ok
+
+    @staticmethod
+    def loads_agrees(value, ok):
+        doc = json.loads(doc_text(MINIMAL))
+        doc["states"] = {"unread": {"space_a": "pair", "space_b": "pair",
+                                    "matrix": [["1", value], ["0", "1"]]}}
+        text = doc_text(doc)
+        if ok:
+            loads(text)
+            return
+        with pytest.raises(TheoryFileError) as err:
+            loads(text)
+        line = entry_line(text, "unread", "states")
+        assert str(err.value) == f"line {line}: state 'unread': {theoryfile._not_a_rational(value)}"
+
+    @pytest.mark.parametrize("value", LITERALS, ids=repr)
+    def test_the_one_pass_check_agrees_with_the_per_literal_grammar(self, value):
+        self.loads_agrees(value, self.check_agrees(value))
+
+    def test_unicode_whitespace_and_digits(self):
+        # Every whitespace character lies below U+3001; so do the non-ASCII
+        # digits of many scripts.
+        for c in map(chr, range(0x3001)):
+            for text in (c, c + "1", "1" + c, "1/1" + c, c + "-1/2" + c):
+                assert ratlin.are_rational_literals([text]) == ratlin.is_rational_literal(text)
+                assert ratlin.are_rational_literals(["2", text]) == ratlin.is_rational_literal(text)
+
+    def test_literals_around_the_digit_limits(self, int_digit_limit):
+        short = ratlin.qarith._SHORT
+        values = [
+            "9" * short, "9" * (short + 1), "1/" + "9" * (short + 1), " " * short + "5",
+            "9" * int_digit_limit, "-" + "9" * (int_digit_limit + 1),
+            "1/" + "9" * (int_digit_limit + 1), "9" * (int_digit_limit + 1) + "/2",
+        ]
+        results = [self.check_agrees(v) for v in values]
+        assert results == [True, True, True, True, True, False, False, False]
+        for value, ok in zip(values, results):
+            self.loads_agrees(value, ok)
+
+    def test_a_bad_rays_literal_wins_over_a_missing_unit(self):
+        doc = json.loads(doc_text(MINIMAL))
+        doc["spaces"]["pair"]["rays"][1][0] = "1/0"
+        del doc["spaces"]["pair"]["unit"]
+        text = doc_text(doc)
+        with pytest.raises(TheoryFileError) as err:
+            loads(text)
+        line = entry_line(text, "pair", "spaces")
+        assert str(err.value) == f"line {line}: space 'pair': not a rational: '1/0'"
+
+
 class TestParsing:
     def test_minimal_space(self):
         tf = loads(doc_text(MINIMAL))
@@ -361,9 +445,11 @@ class TestDeferredChecks:
         assert line_of_error(str(err.value)) == entry_line(text, "swap", "states")
 
     def test_numbers_are_built_only_for_the_entries_looked_up(self, monkeypatch):
+        # ratlin.literal_row reads every number of an entry, one vector or
+        # matrix row a call.
         parsed = []
-        real = ratlin.parse_rational
-        monkeypatch.setattr(ratlin, "parse_rational", lambda s: parsed.append(s) or real(s))
+        real = ratlin.literal_row
+        monkeypatch.setattr(ratlin, "literal_row", lambda v: parsed.extend(v) or real(v))
         text = dumps(fixture_library())
         tf = loads(text)
         assert parsed == []

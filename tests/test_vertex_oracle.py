@@ -10,6 +10,7 @@ reports) must agree with it vertex for vertex, and must run no LP at all.
 """
 
 import importlib.util
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -107,6 +108,15 @@ def oracle(ineqs, dim):
     return lp_probe_vertices(ineqs, [], dim)
 
 
+def oracle_rows(rows, dim, *, in_order=False):
+    """The oracle in place of `dd._vertex_rows`, the integer core the
+    splitting polytopes call: the rows are (G, -H) for G.x >= H, and the
+    vertices come back as integer rows over their common scale."""
+    verts = oracle([(r[:dim], -r[dim]) for r in rows], dim)
+    scale = math.lcm(*(x.denominator for v in verts for x in v))
+    return [tuple(int(x * scale) for x in v) for v in verts], scale
+
+
 def criterion_8_states():
     """The states the benchmark draws from acceptance criterion 8's sequence."""
     spec = importlib.util.spec_from_file_location("_perfbench_workloads", WORKLOADS)
@@ -196,9 +206,22 @@ def test_vertex_enumeration_runs_no_lp(simplex_count):
 
 def test_vertex_enumeration_matches_the_lp_probe_oracle(monkeypatch):
     computed = [run() for _, run in CASES]
+    calls = []
     monkeypatch.setattr(polysteer.steering, "polytope_vertices", oracle)
     monkeypatch.setattr(polysteer.space, "polytope_vertices", oracle)
-    expected = [run() for _, run in CASES]
+    monkeypatch.setattr(
+        polysteer.steering, "_vertex_rows", lambda *a, **kw: calls.append(1) or oracle_rows(*a, **kw)
+    )
+    expected, unseen = [], []
+    for label, run in CASES:
+        before = len(calls)
+        expected.append(run())
+        if "splittings" in label and len(calls) == before:
+            unseen.append(label)
+    # The splitting polytopes reach double description through the integer
+    # core: each of them must have gone to the oracle, not to the core.
+    assert sum("splittings" in label for label, _ in CASES) > 50
+    assert not unseen, f"enumerated without the oracle: {unseen}"
     mismatched = [label for (label, _), got, want in zip(CASES, computed, expected) if got != want]
     assert not mismatched, f"differs from the LP-probe oracle: {mismatched}"
 
@@ -208,8 +231,8 @@ def homogenized_runs(monkeypatch):
     """Every homogenized DD run of the enumerations, as (rows, dim, pairs)."""
     runs = []
 
-    def recorded(rows, dim):
-        pairs = extreme_rays(rows, dim)
+    def recorded(rows, dim, *, in_order=False):
+        pairs = extreme_rays(rows, dim, in_order=in_order)
         runs.append((rows, dim, pairs))
         return pairs
 
