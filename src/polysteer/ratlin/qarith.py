@@ -145,10 +145,6 @@ def vec_zero(n: int) -> Vector:
     return (Fraction(0),) * n
 
 
-def vec_sub(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def vec_scale(c, v: Sequence[Fraction]) -> Vector:
     c = Fraction(c)
     return tuple(c * a for a in v)

@@ -210,6 +210,10 @@ class _Simplex:
         nums: list[list[int]] = []
         dens: list[list[int]] = []
         basis: list[int] = []
+        # Phase 1 minimizes the sum of artificials: its row is 1 on every
+        # artificial column less the rows that start on an artificial.
+        obj1n = [0] * n_vars + [1] * self.m + [0]
+        obj1d = [1] * width
         specs = [(a, b, s, None) for a, b, s in eq_rows]
         specs += [(a, b, s, i) for i, (a, b, s) in enumerate(ge_rows)]
         for k, (a, b, s, slack) in enumerate(specs):
@@ -222,11 +226,12 @@ class _Simplex:
             # the flip applied to the numerator; zeros stay 0/1.
             rn = [0] * width
             rd = [1] * width
-            for j, c in enumerate(a):
-                if c:
-                    g = gcd(c, s)
-                    rn[j] = sign * c // g
-                    rd[j] = s // g
+            written = [j for j, c in enumerate(a) if c]
+            for j in written:
+                c = a[j]
+                g = gcd(c, s)
+                rn[j] = sign * c // g
+                rd[j] = s // g
             g = gcd(b, s)
             rn[self.rhs_col] = sign * b // g
             rd[self.rhs_col] = s // g
@@ -235,6 +240,16 @@ class _Simplex:
             basis.append(2 * n_vars + slack if on_slack else self.n_real + k)
             nums.append(rn)
             dens.append(rd)
+            if on_slack:
+                continue
+            # The row starts on its artificial: subtract it from the phase-1
+            # row on the columns it wrote, its zeros leaving the rest as is.
+            written += [n_vars + k, self.rhs_col] if b else [n_vars + k]
+            for j in written:
+                p, q, d = rn[j], rd[j], obj1d[j]
+                num, den = obj1n[j] * q - p * d, d * q
+                g = gcd(num, den)
+                obj1n[j], obj1d[j] = num // g, den // g
 
         obj2n = [0] * width
         obj2d = [1] * width
@@ -243,19 +258,6 @@ class _Simplex:
                 if c:
                     obj2n[j] = -c.numerator
                     obj2d[j] = c.denominator
-        # Phase 1 minimizes the sum of artificials: its row is 1 on every
-        # artificial column less the rows that start on an artificial.
-        obj1n = [0] * n_vars + [1] * self.m + [0]
-        obj1d = [1] * width
-        for rn, rd, b in zip(nums, dens, basis):
-            if b < self.n_real:
-                continue
-            for j, p in enumerate(rn):
-                if p:
-                    q, d = rd[j], obj1d[j]
-                    num, den = obj1n[j] * q - p * d, d * q
-                    g = gcd(num, den)
-                    obj1n[j], obj1d[j] = num // g, den // g
 
         self.tab = Tableau(nums + [obj2n, obj1n], dens + [obj2d, obj1d])
         self.basis = basis

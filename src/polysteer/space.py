@@ -37,7 +37,7 @@ from .cone import (
     pinned_slack,
     support_classes,
 )
-from .dd import int_dot, polytope_vertices
+from .dd import _vertex_rows, int_dot
 from .ratlin import (
     Matrix,
     Vector,
@@ -155,15 +155,22 @@ class Observable:
 
 def order_interval_vertices(cone: PolyhedralCone, top: Sequence) -> tuple[Vector, ...]:
     """Vertices of the order interval [0, top] = {y : y >= 0, top - y >= 0},
-    cut out by the rows g.y >= 0 and -g.y >= -g.top of each facet g."""
-    top = as_vector(top)
-    if not cone.contains(top):
+    cut out by the rows g.y >= 0 and -g.y >= -g.top of each facet g.
+
+    With top = T / t over one positive t, the point Y = t y meets the
+    integer rows g.Y >= 0 and -g.Y >= -g.T. The integer core ``_vertex_rows``
+    enumerates those vertices as integer rows over one scale s, sorted, so
+    each vertex is its row over s t; only the returned vertices are
+    Fractions."""
+    ints, t = integral_with_scale(top)
+    if not cone.contains(ints):
         raise ValueError("interval top must lie in the cone")
     rows = []
     for g in cone.facets:
-        rows.append((g, 0))
-        rows.append((tuple(-c for c in g), -vec_dot(g, top)))
-    return tuple(polytope_vertices(rows, len(top)))
+        rows.append((*g, 0))
+        rows.append((*(-c for c in g), int_dot(g, ints)))
+    verts, s = _vertex_rows(rows, len(ints))
+    return tuple(tuple(Fraction(x, s * t) for x in v) for v in verts)
 
 
 @dataclass(frozen=True)

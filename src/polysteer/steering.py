@@ -42,7 +42,6 @@ from .ratlin import (
     solve_linear,
     vec_dot,
     vec_scale,
-    vec_sub,
     vec_zero,
 )
 from .ratlin.gauss import _eliminate
@@ -125,26 +124,63 @@ def ensemble_lift_program(omega: BipartiteState, e: Ensemble) -> LinearProgram:
     return LinearProgram(n, eq=eq, ge=ge)
 
 
+def _forced_lift(omega: BipartiteState, e: Ensemble) -> list[Vector] | None:
+    """The preimages of the parts under an injective omega-hat, one per
+    part, when every part has one and every preimage is nonnegative on the
+    A rays; None otherwise.
+
+    The parts sum to the marginal omega-hat(u_A), so the preimages sum to
+    u_A, and each is below u_A because the others are positive: they are
+    the lift program's only feasible point. With the matrix Q / q and part
+    i as P_i / s_i, one elimination of the integer rows [Q | P_1 .. P_k]
+    decides all three: the map is injective and every part lies in its
+    range exactly when the pivots are the first dim A columns. The reduced
+    row v with pivot column c then reads v[c] y_c = v[dim A + i], so
+    y_i = Q^-1 P_i times the lcm D of the pivots is integer, and part i's
+    preimage is q y_i / (s_i D)."""
+    rows, q = omega._rows
+    da = omega.space_a.dim
+    parts = [integral_with_scale(p) for p in e.parts]
+    pivots = _eliminate(
+        [[*row, *(p[j] for p, _ in parts)] for j, row in enumerate(rows)], reduce=True
+    )[1]
+    if len(pivots) != da or any(c >= da for c, _ in pivots):
+        return None
+    d = lcm(*(v[c] for c, v in pivots))
+    out = []
+    for i, (_, s) in enumerate(parts):
+        y = [0] * da
+        for c, v in pivots:
+            y[c] = v[da + i] * (d // v[c])
+        if any(int_dot(y, r) < 0 for r in omega.space_a.cone.rays):
+            return None
+        out.append(tuple(Fraction(q * x, s * d) for x in y))
+    return out
+
+
 def lift_ensemble(omega: BipartiteState, e: Ensemble) -> LiftResult:
     """An observable {a_i} on A with each image omega-hat(a_i) = e.parts[i].
 
-    One exact feasibility LP over the stacked effect coordinates: every a_i
-    must be nonnegative on the rays of the A cone, the a_i must sum to the
-    order unit, and each must map onto its part.
+    When omega-hat is injective the lift is forced, a_i = omega-hat^-1 of
+    part i, and stands when each a_i is nonnegative on the A rays. Any other
+    case runs one exact feasibility LP over the stacked effect coordinates:
+    every a_i must be nonnegative on the rays of the A cone, the a_i must
+    sum to the order unit, and each must map onto its part. A forced lift
+    is that LP's only feasible point, so only refutations and maps with a
+    kernel run it, and every failure carries the LP's Farkas vector.
     """
     target = marginal_b(omega).vector
     if not e.is_for(target):
         raise ValueError("the ensemble does not sum to the B marginal")
     space_a = omega.space_a
-    da = space_a.dim
-    k = len(e.parts)
-    out = lp_feasible(ensemble_lift_program(omega, e))
-    if out.status != "feasible":
-        return LiftResult(None, out.farkas)
-    w = out.witness
-    effects = tuple(
-        Effect(space_a, tuple(w[i * da + c] for c in range(da))) for i in range(k)
-    )
+    lifts = _forced_lift(omega, e)
+    if lifts is None:
+        out = lp_feasible(ensemble_lift_program(omega, e))
+        if out.status != "feasible":
+            return LiftResult(None, out.farkas)
+        da, w = space_a.dim, out.witness
+        lifts = [w[i * da:(i + 1) * da] for i in range(len(e.parts))]
+    effects = tuple(Effect(space_a, x) for x in lifts)
     return LiftResult(Observable(space_a, effects), None)
 
 
@@ -339,15 +375,21 @@ class AffineSection:
 
     def _weights(self, y: Sequence) -> tuple[list[int], int]:
         """coordinates(y) as integers over one positive denominator."""
+        t, q = integral_with_scale((*y, 1))
+        return self._weights_over(t, q)
+
+    def _weights_over(self, t: Sequence[int], q: int) -> tuple[list[int], int]:
+        """The affine coordinates of the point y with (y, 1) = t / q, t
+        integer and q > 0, as integers over one positive denominator. Raises
+        ValueError for a point off the base points' affine hull."""
         chosen, weights, scale, others = self._system
-        t = (*y, 1)
         if len(t) != len(chosen) + len(others):
             raise ValueError("row count mismatch")
-        rhs, q = integral_with_scale([t[i] for i in chosen])
+        rhs = [t[i] for i in chosen]
         lam = [sum(map(mul, w, rhs)) for w in weights]
         den = q * scale
         for i, a, s in others:
-            if sum(map(mul, a, lam)) * t[i].denominator != den * s * t[i].numerator:
+            if sum(map(mul, a, lam)) * q != den * s * t[i]:
                 raise ValueError("point is outside the section's affine hull")
         return lam, den
 
@@ -366,9 +408,8 @@ class AffineSection:
         the same base points in the same order, one image each, holding as
         _holds checks. The basis check is the only step that enumerates the
         vertices of [0, marginal]."""
-        target = marginal_b(omega).vector
-        verts = order_interval_vertices(omega.space_b.cone, target)
-        ok = tuple(self.base_points) == tuple(_affine_basis(verts))
+        target, _, basis = _interval_basis(omega)
+        ok = tuple(self.base_points) == tuple(basis)
         return ok and len(self.images) == len(self.base_points) and self._holds(omega, target)
 
     def _holds(self, omega: BipartiteState, target: Vector) -> bool:
@@ -412,14 +453,29 @@ class SectionSearch:
         return self.section is not None
 
 
-def _affine_basis(points: Sequence[Vector]) -> list[Vector]:
-    """Each point affinely independent of the points before it: p_0..p_k
-    are affinely independent exactly when the rows (p_i, 1) are linearly
-    independent."""
-    return [points[i] for i in independent_rows([(*p, 1) for p in points])]
-
-
 SectionProgram = tuple[LinearProgram, Callable[[Vector], AffineSection]]
+# Integer rows over one positive scale: row / scale is the rational row.
+ScaledRows = tuple[Sequence[Sequence[int]], int]
+
+
+def _affine_basis(points: Sequence[Sequence]) -> list[int]:
+    """The indices of the points affinely independent of the points before
+    them: p_0..p_k are affinely independent exactly when the rows (p_i, 1)
+    are linearly independent. Scaling every point by one positive factor
+    keeps that, so integer rows over a common scale pick the points they
+    stand for."""
+    return independent_rows([(*p, 1) for p in points])
+
+
+def _interval_basis(omega: BipartiteState) -> tuple[Vector, ScaledRows, list[Vector]]:
+    """omega's marginal on B, the vertices of [0, marginal] as integer rows
+    over one positive scale, and the affine basis section_program takes
+    from them. The interval is enumerated once, and read as integer rows
+    once."""
+    target = marginal_b(omega).vector
+    verts = order_interval_vertices(omega.space_b.cone, target)
+    rows, s = integer_rows(verts)
+    return target, (rows, s), [verts[i] for i in _affine_basis(rows)]
 
 
 def _weighted_rows(
@@ -451,7 +507,7 @@ def _row_over(lhs: Sequence[int], d: int, num: int, den: int) -> Row:
 def _section_rows(
     omega: BipartiteState,
     target: Vector,
-    verts: Sequence[Vector],
+    interval: ScaledRows,
     basis: Sequence[Vector],
     rays: Sequence,
     values: Sequence = (),
@@ -459,32 +515,35 @@ def _section_rows(
     """The eq and ge rows of a section program over [0, target], target
     being omega's marginal on B, one block of unknowns per basis point, read
     by each A ray through `rays` and by each row of the state's matrix
-    through `values`.
+    through `values`. The interval's vertices come as integer rows v over
+    one positive scale s, so each vertex is read as (v / s, 1) = (v, s) / s
+    for its affine coordinates, with no Fraction built.
 
     At each interval vertex, the image sum_i lam_i x_i over its affine
-    coordinates must map to the vertex and lie in [0, u_A]. Each face ray
-    of the marginal, weighed by coordinates(fr) - coordinates(0) (the
-    interval's hull is a linear space holding every face ray), must go to
-    a functional nonnegative on the A rays."""
-    space_a = omega.space_a
+    coordinates must map to the vertex and lie in [0, u_A], the bound u_A.r
+    read off ``StateSpace._unit_on_rays``. Each face ray of the marginal,
+    weighed by coordinates(fr) - coordinates(0) (the interval's hull is a
+    linear space holding every face ray), must go to a functional
+    nonnegative on the A rays. Every row has the rational value the
+    Fraction builders wrote, at some integer scale."""
     frame = AffineSection(tuple(basis), ())
-    bounds = [vec_dot(space_a.unit, as_vector(r)) for r in space_a.cone.rays]
+    units, t = omega.space_a._unit_on_rays
+    verts, s = interval
     eq: list[Row] = []
     ge: list[Row] = []
-    for y in verts:
-        lam = integral_with_scale(frame.coordinates(y))
-        # Value rows: row = y_j - constant; ray rows: 0 <= row + constant <= bound.
-        for (row, d, c, u), yj in zip(_weighted_rows(lam, values), y):
-            q = yj.denominator
-            eq.append(_row_over(row, d, yj.numerator * u - c * q, q * u))
-        for (row, d, c, u), bound in zip(_weighted_rows(lam, rays), bounds):
-            q = bound.denominator
+    for v in verts:
+        lam = frame._weights_over((*v, s), s)
+        # Value rows: row = v_j / s - constant; ray rows: 0 <= row + constant <= U_r / t.
+        for (row, d, c, u), x in zip(_weighted_rows(lam, values), v):
+            eq.append(_row_over(row, d, x * u - c * s, s * u))
+        for (row, d, c, u), bound in zip(_weighted_rows(lam, rays), units):
             ge.append(_row_over(row, d, -c, u))
-            ge.append(_row_over([-x for x in row], d, c * q - bound.numerator * u, q * u))
-    origin = frame.coordinates(vec_zero(len(target)))
+            ge.append(_row_over([-x for x in row], d, c * t - bound * u, t * u))
+    base, b = frame._weights_over((0,) * len(target) + (1,), 1)
     for fr in face_of(omega.space_b.cone, target).rays():
-        weights = integral_with_scale(vec_sub(frame.coordinates(fr), origin))
-        ge += [_row_over(row, d, -c, u) for row, d, c, u in _weighted_rows(weights, rays)]
+        lam, d = frame._weights_over((*fr, 1), 1)
+        step = ([x * b - y * d for x, y in zip(lam, base)], b * d)
+        ge += [_row_over(row, w, -c, u) for row, w, c, u in _weighted_rows(step, rays)]
     return eq, ge
 
 
@@ -507,11 +566,15 @@ def _section_decoder(
 
 
 def _section_search_full(
-    omega: BipartiteState, target: Vector, verts: Sequence[Vector], basis: Sequence[Vector]
+    omega: BipartiteState,
+    target: Vector,
+    interval: ScaledRows,
+    basis: Sequence[Vector],
 ) -> SectionProgram:
     """The section program with w = 0 and K = I, whose unknowns are the basis
-    images themselves, over [0, target] as in _section_rows. Used when the
-    reduced parametrization does not apply.
+    images themselves, over [0, target] as in _section_rows, on the interval
+    and basis section_program read. Used when the reduced parametrization
+    does not apply.
     K = I does not enforce omega-hat x_i = p_i, so the program keeps the
     value rows, read by the rows of the state's matrix, and its farkas
     certificate covers them explicitly."""
@@ -522,7 +585,7 @@ def _section_search_full(
     rays = [((r, 1), zero) for r in omega.space_a.cone.rays]
     rows, q = omega._rows
     values = [((row, q), zero) for row in rows]
-    eq, ge = _section_rows(omega, target, verts, basis, rays, values)
+    eq, ge = _section_rows(omega, target, interval, basis, rays, values)
     decode = _section_decoder(basis, [vec_zero(da)] * m, mat_identity(da))
     return LinearProgram(m * da, eq=eq, ge=ge), decode
 
@@ -537,38 +600,38 @@ def section_program(omega: BipartiteState) -> SectionProgram:
     holds particular preimages of the basis points and K's columns span the
     kernel of the state's map, so a ray r reads r.x_i = r.w_i + (r K).xi_i:
     the rows are _section_search_full's inequality rows under that
-    substitution, row for row, from the functionals (r K, r.w_i). Its value
-    rows vanish identically, so the program runs over kernel coefficients
-    only. With a trivial kernel, K = () and the program decodes to the one
-    candidate, checked by AffineSection._holds, as verify checks a section,
-    before any row is written: if it holds, the program has no unknowns and
-    no rows.
+    substitution, row for row, from the functionals (r K, r.w_i), each
+    read on K and w scaled to integers once. Its value rows vanish
+    identically, so the program runs over kernel coefficients only. With a
+    trivial kernel, K = () and the program decodes to the one candidate,
+    checked by AffineSection._holds, as verify checks a section, before any
+    row is written: if it holds, the program has no unknowns and no rows.
     When a basis point has no preimage, or that candidate fails, the program
     is _section_search_full's instead, with w = 0 and K = I.
     """
-    target = marginal_b(omega).vector
-    verts = order_interval_vertices(omega.space_b.cone, target)
-    basis = _affine_basis(verts)
+    target, interval, basis = _interval_basis(omega)
     particular: list[Vector] = []
     for p in basis:
         w0 = solve_linear(omega.matrix, p)
         if w0 is None:
-            return _section_search_full(omega, target, verts, basis)
+            return _section_search_full(omega, target, interval, basis)
         particular.append(w0)
     kernel = nullspace(omega.matrix, ncols=omega.space_a.dim)
     decode = _section_decoder(basis, particular, kernel)
     if not kernel:
         if not decode(())._holds(omega, target):
-            return _section_search_full(omega, target, verts, basis)
+            return _section_search_full(omega, target, interval, basis)
         return LinearProgram(0), decode
+    k_rows, k_scale = integer_rows(kernel)
+    w_rows, w_scale = integer_rows(particular)
     rays = [
         (
-            integral_with_scale([vec_dot(k, r) for k in kernel]),
-            integral_with_scale([vec_dot(w, r) for w in particular]),
+            ([int_dot(k, r) for k in k_rows], k_scale),
+            ([int_dot(w, r) for w in w_rows], w_scale),
         )
         for r in omega.space_a.cone.rays
     ]
-    _, ge = _section_rows(omega, target, verts, basis, rays)
+    _, ge = _section_rows(omega, target, interval, basis, rays)
     return LinearProgram(len(basis) * len(kernel), ge=ge), decode
 
 

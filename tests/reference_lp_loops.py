@@ -1,16 +1,18 @@
 """The LP loops `steering.image_interval` and `steering._polytope_dimension`
-ran before they read vertices, kept as the references the tests pin them
-against.
+ran before they read vertices, and the LP `steering.lift_ensemble` ran for
+every ensemble before an injective map's lifts were forced, kept as the
+references the tests pin them against.
 
 `image_interval` kept an image unless one LP wrote it as a convex
 combination of the other images. `polytope_dimension` optimized 2n
 functionals both ways, each orthogonal to the gaps and constant
-functionals found before it.
+functionals found before it. `lift_ensemble` read the lift program's
+witness as the effects, or returned its Farkas vector.
 """
 
 from typing import Sequence
 
-from polysteer.composite import BipartiteState
+from polysteer.composite import BipartiteState, marginal_b
 from polysteer.ratlin import (
     LinearProgram,
     Vector,
@@ -19,9 +21,10 @@ from polysteer.ratlin import (
     lp_optimize,
     nullspace,
     vec_scale,
-    vec_sub,
 )
-from polysteer.space import effects_interval
+from polysteer.space import Effect, Observable, effects_interval
+from polysteer.steering import Ensemble, LiftResult, ensemble_lift_program
+from rational_rows import vec_sub
 
 
 def is_convex_combination(point: Sequence, generators: Sequence[Vector]) -> bool:
@@ -77,3 +80,19 @@ def polytope_dimension(lp: LinearProgram) -> tuple[int, tuple[Vector, Vector] | 
         if first is None:
             first = (lo.witness, hi.witness)
     return dimension, first
+
+
+def lift_ensemble(omega: BipartiteState, e: Ensemble) -> LiftResult:
+    """An observable on A lifting the ensemble, from one feasibility LP."""
+    if not e.is_for(marginal_b(omega).vector):
+        raise ValueError("the ensemble does not sum to the B marginal")
+    space_a = omega.space_a
+    da = space_a.dim
+    out = lp_feasible(ensemble_lift_program(omega, e))
+    if out.status != "feasible":
+        return LiftResult(None, out.farkas)
+    w = out.witness
+    effects = tuple(
+        Effect(space_a, tuple(w[i * da + c] for c in range(da))) for i in range(len(e.parts))
+    )
+    return LiftResult(Observable(space_a, effects), None)

@@ -13,8 +13,9 @@ from typing import Sequence
 from polysteer.composite import BipartiteState, marginal_b
 from polysteer.cone import face_of
 from polysteer.dd import int_dot
-from polysteer.ratlin import Vector, independent_rows, rank, vec_sub, vec_zero
+from polysteer.ratlin import Vector, independent_rows, rank, vec_zero
 from polysteer.steering import AffineSection
+from rational_rows import vec_sub
 
 
 def holds_on(section: AffineSection, omega: BipartiteState, verts: Sequence[Vector]) -> bool:

@@ -26,20 +26,19 @@ from polysteer.ratlin import (
     integral_with_scale,
     mat_vec,
     vec_dot,
-    vec_sub,
     vec_zero,
 )
 from polysteer.space import StateSpace
 from polysteer.steering import (
     AffineSection,
-    _affine_basis,
+    _interval_basis,
     _section_search_full,
     ensemble_lift_program,
     extremal_ensembles,
     order_interval_vertices,
     section_program,
 )
-from rational_rows import rational_rows
+from rational_rows import rational_rows, vec_sub
 
 _ZERO = Fraction(0)
 
@@ -82,6 +81,16 @@ def fraction_section_rows(omega, target, verts, basis, rays, values=()):
         weights = integral_with_scale(vec_sub(frame.coordinates(fr), origin))
         ge += [(row, -const) for row, const in fraction_weighted_rows(weights, rays)]
     return eq, ge
+
+
+def fraction_args(omega, target, interval, basis, *functionals):
+    """_section_rows' arguments as fraction_section_rows takes them: the
+    interval as the Fraction vertices order_interval_vertices gives, which
+    its integer rows over their scale must read as."""
+    verts = order_interval_vertices(omega.space_b.cone, target)
+    rows, s = interval
+    assert [tuple(Fraction(x, s) for x in v) for v in rows] == list(verts)
+    return (omega, target, verts, basis, *functionals)
 
 
 def fraction_lift_rows(omega, e):
@@ -138,16 +147,15 @@ def test_section_rows_read_as_the_fraction_rows(states, monkeypatch):
 
     def compared(*args):
         eq, ge = rows(*args)
-        assert (rational_rows(eq), rational_rows(ge)) == fraction_section_rows(*args)
+        want = fraction_section_rows(*fraction_args(*args))
+        assert (rational_rows(eq), rational_rows(ge)) == want
         calls.append(len(eq) + len(ge))
         return eq, ge
 
     monkeypatch.setattr(steering, "_section_rows", compared)
     for omega in states:
         section_program(omega)
-        target = marginal_b(omega).vector
-        verts = order_interval_vertices(omega.space_b.cone, target)
-        _section_search_full(omega, target, verts, _affine_basis(verts))
+        _section_search_full(omega, *_interval_basis(omega))
     assert (len(states), len(calls), sum(calls)) == (108, 187, 13935), (len(calls), sum(calls))
 
 
@@ -184,7 +192,8 @@ def test_fractional_units_and_matrices_read_as_the_fraction_rows(monkeypatch):
 
     def checked(*args):
         eq, ge = rows(*args)
-        assert (rational_rows(eq), rational_rows(ge)) == fraction_section_rows(*args)
+        want = fraction_section_rows(*fraction_args(*args))
+        assert (rational_rows(eq), rational_rows(ge)) == want
         compared.append("section")
         return eq, ge
 
@@ -196,9 +205,7 @@ def test_fractional_units_and_matrices_read_as_the_fraction_rows(monkeypatch):
         matrix = [vec_scale(Fraction(3, 7), row) for row in base.matrix]
         omega = BipartiteState(space_a, base.space_b, matrix)
         section_program(omega)
-        target = marginal_b(omega).vector
-        verts = order_interval_vertices(omega.space_b.cone, target)
-        _section_search_full(omega, target, verts, _affine_basis(verts))
+        _section_search_full(omega, *_interval_basis(omega))
         for _, e in extremal_ensembles(omega.space_b, marginal_b(omega).vector, 2):
             lp = ensemble_lift_program(omega, e)
             assert (rational_rows(lp.eq), rational_rows(lp.ge)) == fraction_lift_rows(omega, e)

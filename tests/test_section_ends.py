@@ -21,6 +21,7 @@ from polysteer.fixtures import fixture_library
 from polysteer.ratlin import (
     LinearProgram,
     integer_row,
+    integer_rows,
     lp_feasible,
     nullspace,
     solve_linear,
@@ -84,7 +85,8 @@ def candidate_sections(omega, rng, rounds=5):
     """(kind, section) pairs over the program's basis: the found section
     and its alternate, the candidate of particular preimages when every
     base point has one, and `rounds` rounds of tamperings of each."""
-    basis = tuple(_affine_basis(interval_of(omega)))
+    verts = interval_of(omega)
+    basis = tuple(verts[i] for i in _affine_basis(verts))
     search = affine_section_search(omega)
     sections = [("found", s) for s in (search.section, search.alternate) if s is not None]
     preimages = [solve_linear(omega.matrix, p) for p in basis]
@@ -151,7 +153,7 @@ def test_section_verify_enumerates_the_interval_once(monkeypatch, end_check_stat
     found = [(omega, affine_section_search(omega)) for omega in end_check_states]
     found = [(omega, s) for omega, s in found if s]
     intervals = counted(monkeypatch, steering, "order_interval_vertices")
-    vertices = counted(monkeypatch, space_module, "polytope_vertices")
+    vertices = counted(monkeypatch, space_module, "_vertex_rows")
     programs = counted(monkeypatch, steering, "polytope_vertices")
     for omega, search in found:
         for section in (search.section, search.alternate):
@@ -196,7 +198,9 @@ def test_lifted_rows_match_the_difference_vectors(criterion_8_sequence):
     dimensions = set()
     for lp in polytopes:
         verts = program_vertices(lp)
-        assert _affine_basis(verts) == reference_sections.affine_basis(verts)
+        basis = [verts[i] for i in _affine_basis(verts)]
+        assert basis == reference_sections.affine_basis(verts)
+        assert _affine_basis(integer_rows(verts)[0]) == _affine_basis(verts)
         dimension = _polytope_dimension(lp)[0]
         assert dimension == reference_sections.affine_dimension(verts)
         dimensions.add(dimension)

@@ -25,16 +25,16 @@ from polysteer.ratlin import (
     nullspace,
     solve_linear,
     vec_dot,
-    vec_sub,
 )
 from polysteer.steering import (
     AffineSection,
     _affine_basis,
+    _interval_basis,
     _section_search_full,
     order_interval_vertices,
     section_program,
 )
-from rational_rows import rational_rows
+from rational_rows import rational_rows, vec_sub
 
 
 class FractionProgram(NamedTuple):
@@ -151,7 +151,7 @@ def fixture_states():
 
 def interval_basis(omega):
     verts = order_interval_vertices(omega.space_b.cone, marginal_b(omega).vector)
-    return verts, _affine_basis(verts)
+    return verts, [verts[i] for i in _affine_basis(verts)]
 
 
 def assert_same_program(got, want):
@@ -163,7 +163,7 @@ def test_integer_rows_equal_the_fraction_product_rows(criterion_8_states):
     rows = 0
     for omega in states:
         verts, basis = interval_basis(omega)
-        got, _ = _section_search_full(omega, marginal_b(omega).vector, verts, basis)
+        got, _ = _section_search_full(omega, *_interval_basis(omega))
         assert_same_program(got, fraction_product_rows(omega, verts, basis))
         rows += got.row_count()
     assert len(states) == 28 and rows >= 1000, rows

@@ -504,7 +504,7 @@ def test_affine_coordinates_match_a_solve_per_point(hull_states):
     for omega in hull_states:
         target = marginal_b(omega).vector
         verts = order_interval_vertices(omega.space_b.cone, target)
-        frame = AffineSection(tuple(_affine_basis(verts)), ())
+        frame = AffineSection(tuple(verts[i] for i in _affine_basis(verts)), ())
         system = mat_transpose(frame.base_points) + ((1,) * len(frame.base_points),)
         face_rays = face_of(omega.space_b.cone, target).rays()
         stray = [tuple(F(rng.randint(-9, 9), rng.randint(1, 4)) for _ in target) for _ in range(3)]
@@ -570,7 +570,7 @@ def test_section_apply_equals_the_fraction_product(hull_states):
     for omega in hull_states:
         target = marginal_b(omega).vector
         verts = order_interval_vertices(omega.space_b.cone, target)
-        basis = tuple(_affine_basis(verts))
+        basis = tuple(verts[i] for i in _affine_basis(verts))
         images = tuple(random_points(rng, omega.space_a.dim, len(basis)))
         section = AffineSection(basis, images)
         face_rays = face_of(omega.space_b.cone, target).rays()
@@ -646,7 +646,7 @@ def test_integer_products_run_no_fraction_arithmetic(monkeypatch):
     for name in lib.states:
         omega = lib.states[name]
         verts = order_interval_vertices(omega.space_b.cone, marginal_b(omega).vector)
-        basis = tuple(_affine_basis(verts))
+        basis = tuple(verts[i] for i in _affine_basis(verts))
         effects = effects_interval(omega.space_a).vertices
         section = AffineSection(basis, (omega.space_a.unit,) * len(basis))
         found = affine_section_search(omega).section

@@ -22,7 +22,7 @@ import polysteer.dd
 import polysteer.space
 import polysteer.steering
 from polysteer import composite, fixtures
-from polysteer.cone import face_of
+from polysteer.cone import dual_cone, face_of
 from polysteer.dd import extreme_rays, int_dot
 from polysteer.ratlin import (
     LinearProgram,
@@ -110,8 +110,9 @@ def oracle(ineqs, dim):
 
 def oracle_rows(rows, dim, *, in_order=False):
     """The oracle in place of `dd._vertex_rows`, the integer core the
-    splitting polytopes call: the rows are (G, -H) for G.x >= H, and the
-    vertices come back as integer rows over their common scale."""
+    splitting polytopes and the order and effect intervals call: the rows
+    are (G, -H) for G.x >= H, and the vertices come back as integer rows
+    over their common scale."""
     verts = oracle([(r[:dim], -r[dim]) for r in rows], dim)
     scale = math.lcm(*(x.denominator for v in verts for x in v))
     return [tuple(int(x * scale) for x in v) for v in verts], scale
@@ -193,6 +194,23 @@ def enumerations():
 
 
 CASES = list(enumerations())
+# Every order interval among the cases, as (label, cone, top): the effects
+# of a space are [0, unit] in its dual cone.
+INTERVALS = [
+    case
+    for name, space in SPACES
+    for case in [
+        *((f"[0, {top}] in {name}", space.cone, top) for top in interval_tops(space)),
+        (f"effects of {name}", dual_cone(space.cone), space.unit),
+    ]
+]
+
+
+def interval_oracle(cone, top):
+    """The oracle on [0, top]'s own rows g.y >= 0 and -g.y >= -g.top, not
+    on the integer rows order_interval_vertices scales top to."""
+    rows = [r for g in cone.facets for r in ((g, 0), (tuple(-c for c in g), -vec_dot(g, top)))]
+    return oracle(rows, len(top))
 
 
 def test_vertex_enumeration_runs_no_lp(simplex_count):
@@ -207,23 +225,34 @@ def test_vertex_enumeration_runs_no_lp(simplex_count):
 def test_vertex_enumeration_matches_the_lp_probe_oracle(monkeypatch):
     computed = [run() for _, run in CASES]
     calls = []
+
+    def counted(*a, **kw):
+        calls.append(1)
+        return oracle_rows(*a, **kw)
+
     monkeypatch.setattr(polysteer.steering, "polytope_vertices", oracle)
-    monkeypatch.setattr(polysteer.space, "polytope_vertices", oracle)
-    monkeypatch.setattr(
-        polysteer.steering, "_vertex_rows", lambda *a, **kw: calls.append(1) or oracle_rows(*a, **kw)
-    )
+    monkeypatch.setattr(polysteer.steering, "_vertex_rows", counted)
+    monkeypatch.setattr(polysteer.space, "_vertex_rows", counted)
     expected, unseen = [], []
     for label, run in CASES:
         before = len(calls)
         expected.append(run())
-        if "splittings" in label and len(calls) == before:
+        if "section polytope" not in label and len(calls) == before:
             unseen.append(label)
-    # The splitting polytopes reach double description through the integer
-    # core: each of them must have gone to the oracle, not to the core.
+    # The splitting polytopes and the order and effect intervals reach
+    # double description through the integer core: each of them must have
+    # gone to the oracle, not to the core.
     assert sum("splittings" in label for label, _ in CASES) > 50
+    assert sum(label.startswith(("[0, ", "effects of")) for label, _ in CASES) > 100
     assert not unseen, f"enumerated without the oracle: {unseen}"
     mismatched = [label for (label, _), got, want in zip(CASES, computed, expected) if got != want]
     assert not mismatched, f"differs from the LP-probe oracle: {mismatched}"
+    # The oracle above replaced the core under the intervals' integer rows;
+    # on each interval's own rows it checks the scaling of top as well.
+    got = dict(zip((label for label, _ in CASES), computed))
+    assert len(INTERVALS) > 100 and all(label in got for label, _, _ in INTERVALS)
+    scaled = [label for label, c, top in INTERVALS if list(got[label]) != interval_oracle(c, top)]
+    assert not scaled, f"differs from the LP-probe oracle on its own rows: {scaled}"
 
 
 @pytest.fixture

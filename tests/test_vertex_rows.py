@@ -17,7 +17,7 @@ import polysteer.steering
 import reference_vertices
 from polysteer import fixtures
 from polysteer.composite import marginal_b
-from polysteer.dd import polytope_vertices
+from polysteer.dd import _vertex_rows, polytope_vertices
 from polysteer.steering import decide_steering, ensemble_polytope_vertices, extremal_ensembles
 
 LIB = fixtures.fixture_library()
@@ -62,21 +62,33 @@ def test_decide_steering_matches_the_fraction_reference(states, monkeypatch):
 
 def test_polytope_vertices_match_the_fraction_reference(monkeypatch):
     # Every enumeration the LP-probe oracle is compared on that goes
-    # through the public function, recorded and then rerun.
+    # through the public function, or through the integer core from the
+    # order and effect intervals, recorded and then rerun. A core call's
+    # rows (G, -H) are the inequalities G.x >= H.
     from test_vertex_oracle import CASES
 
     cases = []
 
     def recorded(ineqs, dim):
-        cases.append((ineqs, dim))
+        cases.append((ineqs, dim, None))
         return polytope_vertices(ineqs, dim)
 
+    def recorded_rows(rows, dim):
+        out = _vertex_rows(rows, dim)
+        cases.append(([(r[:dim], -r[dim]) for r in rows], dim, out))
+        return out
+
     monkeypatch.setattr(polysteer.steering, "polytope_vertices", recorded)
-    monkeypatch.setattr(polysteer.space, "polytope_vertices", recorded)
+    monkeypatch.setattr(polysteer.space, "_vertex_rows", recorded_rows)
     for _, run in CASES:
         run()
+    assert sum(core is None for *_, core in cases) > 10
     assert len(cases) > 100
-    for ineqs, dim in cases:
+    for ineqs, dim, core in cases:
         got = polytope_vertices(ineqs, dim)
-        assert got == reference_vertices.polytope_vertices(ineqs, dim)
+        want = reference_vertices.polytope_vertices(ineqs, dim)
+        assert got == want
         assert all_fractions(got)
+        if core is not None:
+            verts, scale = core
+            assert [tuple(Fraction(x, scale) for x in v) for v in verts] == want
