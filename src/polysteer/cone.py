@@ -118,17 +118,20 @@ def _primitive_generators(vectors: Iterable[Sequence], ambient_dim: int) -> list
 
 
 def dd_convert(
-    rays: Sequence[IntVec], ambient_dim: int, *, in_order: bool = False
+    rays: Sequence[IntVec], ambient_dim: int, start: dd.Start | None = None
 ) -> list[tuple[IntVec, int]]:
     """Facet normals of the cone generated by the primitive ``rays`` (requires
-    full span), each with its incidence mask over the rays; ``in_order`` is
-    ``dd.extreme_rays``' insertion rule.
+    full span), each with its incidence mask over the rays.
 
-    Double description proves the span itself, so ``rank`` runs only to
-    word the error when it does not hold.
+    ``start`` is a ``dd.Start`` over the rays, as tensor cones build one;
+    double description then inserts the other rays in the order given,
+    and by default it starts from the first independent rays and inserts
+    the one that cuts off the most facets next. Double description proves
+    the span itself, so ``rank`` runs only to word the error when it does
+    not hold.
     """
     try:
-        return dd.extreme_rays(rays, ambient_dim, in_order=in_order)
+        return dd.extreme_rays(rays, ambient_dim, start, in_order=start is not None)
     except ValueError:
         raise ConeError(
             f"not generating: rays span {rank(rays)} of {ambient_dim} dimensions"
@@ -136,17 +139,17 @@ def dd_convert(
 
 
 def dd_convert_inv(
-    facets: Sequence[IntVec], ambient_dim: int, *, in_order: bool = False
+    facets: Sequence[IntVec], ambient_dim: int, start: dd.Start | None = None
 ) -> list[tuple[IntVec, int]]:
     """Extreme rays of {x : f.x >= 0} over the primitive ``facets`` (requires a
-    pointed cone), each with its incidence mask over the facets; ``in_order``
+    pointed cone), each with its incidence mask over the facets; ``start``
     as in ``dd_convert``.
 
     As in ``dd_convert``, a kernel vector is computed only to name the line
     once double description has found that the facets do not span.
     """
     try:
-        return dd.extreme_rays(facets, ambient_dim, in_order=in_order)
+        return dd.extreme_rays(facets, ambient_dim, start, in_order=start is not None)
     except ValueError:
         line = nullspace(facets, ncols=ambient_dim)[0]
         raise ConeError(
@@ -178,12 +181,18 @@ def _extreme_generators(
 
 
 def cone_from_rays(
-    rays: Iterable[Sequence], ambient_dim: int, *, in_order: bool = False
+    rays: Iterable[Sequence], ambient_dim: int, start: dd.Start | None = None
 ) -> PolyhedralCone:
-    """The cone the rays generate; ``in_order`` inserts them into double
-    description in the order given (see ``dd``), and the cone is the same."""
+    """The cone the rays generate.
+
+    ``start`` seeds double description, as in ``dd_convert``; its row
+    indices count the rays as given, so with a start they must be
+    primitive and distinct already. The cone does not depend on it.
+    ``rank`` of the facets decides pointedness, though the masks decide it
+    too (the cone is pointed iff no ray is tight on every facet); it stays
+    while the benchmark's traced entry points name it."""
     rays = _primitive_generators(rays, ambient_dim)
-    pairs = dd_convert(rays, ambient_dim, in_order=in_order)
+    pairs = dd_convert(rays, ambient_dim, start)
     facets = [f for f, _ in pairs]
     if rank(facets) < ambient_dim:
         line = nullspace(facets, ncols=ambient_dim)
@@ -194,11 +203,12 @@ def cone_from_rays(
 
 
 def cone_from_facets(
-    facets: Iterable[Sequence], ambient_dim: int, *, in_order: bool = False
+    facets: Iterable[Sequence], ambient_dim: int, start: dd.Start | None = None
 ) -> PolyhedralCone:
-    """The cone the facets cut out, with ``in_order`` as in ``cone_from_rays``."""
+    """The cone the facets cut out, with ``start`` and ``rank`` as in
+    ``cone_from_rays``."""
     facets = _primitive_generators(facets, ambient_dim)
-    pairs = dd_convert_inv(facets, ambient_dim, in_order=in_order)
+    pairs = dd_convert_inv(facets, ambient_dim, start)
     rays = [r for r, _ in pairs]
     if rank(rays) < ambient_dim:
         raise ConeError(

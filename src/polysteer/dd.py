@@ -19,7 +19,15 @@ order once grouped in blocks, every product of one factor row and then the
 next, as ``composite`` writes them: maxcut mixes the blocks, and
 ``min_tensor(cube, cube)`` passes through 10,516 rays under it against
 1,044 in block order. ``in_order=True`` takes that order; only callers that
-see the product structure set it.
+see a block structure set it.
+
+Where a pass starts is the caller's too. By default ``simplicial_start``
+runs one elimination over the rows and starts from the simplicial cone of
+the first independent ones. A caller that knows the cone some of its rows
+cut out passes it as the start instead: a tensor cone's product rows over
+the independent rows of one factor cut out a direct sum of copies of the
+other factor's cone, whose extreme rays are products again, so its pass
+inserts only the other factor rows' blocks (see ``composite``).
 
 ``polytope_vertices`` enumerates a polytope's vertices as the extreme rays
 of its homogenization, so it needs neither an LP nor a point of the
@@ -45,6 +53,10 @@ from .ratlin import integer_row
 from .ratlin.gauss import _eliminate
 
 IntVec = tuple[int, ...]
+# Where double description starts: the indices of the rows already inserted,
+# the extreme rays of the cone they cut out (primitive and distinct) and, per
+# ray, the mask of the inserted rows tight on it.
+Start = tuple[Sequence[int], Sequence[IntVec], Sequence[int]]
 
 
 def int_dot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -92,13 +104,52 @@ def _largest(planes: list[int], rows: int) -> int:
     return found
 
 
+def simplicial_start(rows: Sequence[Sequence[int]], dim: int) -> Start:
+    """The default start of ``extreme_rays``: the first independent rows,
+    the rays of the simplicial cone they cut out, and each ray's mask.
+
+    One elimination picks the base, the first dim independent rows, and
+    tracks their combinations: reduced, chosen row c ends as row c of the
+    base's inverse over its pivot p_c. The inverse's columns are the rays of
+    the simplicial cone the base cuts out; scaled by the lcm of the pivots'
+    absolute values, each column is integer, and dividing it by its gcd
+    makes it primitive. Ray j is column j: tight on every base row but base
+    row j, on which it is positive. Raises ValueError when the rows do not
+    span, as the cone they cut out then holds a line.
+    """
+    base_idx, reduced = _eliminate(rows, reduce=True, track=True)
+    if len(base_idx) < dim:
+        raise ValueError("inequality rows do not span the space; cone is not pointed")
+    reduced.sort()
+    scale = math.lcm(*(row[c] for c, row in reduced))
+    columns = zip(*([x * (scale // row[c]) for x in row[dim:]] for c, row in reduced))
+    rays: list[IntVec] = []
+    for col in columns:
+        g = math.gcd(*col)
+        rays.append(tuple(x // g for x in col))
+    base_mask = sum(1 << i for i in base_idx)
+    return base_idx, rays, [base_mask ^ 1 << i for i in base_idx]
+
+
 def extreme_rays(
-    rows: Sequence[Sequence[int]], dim: int, *, in_order: bool = False
+    rows: Sequence[Sequence[int]],
+    dim: int,
+    start: Start | None = None,
+    *,
+    in_order: bool = False,
 ) -> list[tuple[IntVec, int]]:
     """Extreme rays of {x : h.x >= 0 for h in rows}; requires a pointed result.
 
     Returns one (ray, mask) pair per extreme ray, sorted, where the mask has
     bit i set exactly when row i is tight on the ray (rows[i].ray == 0).
+
+    The pass starts from ``start`` (see ``Start``): a set of rows already
+    inserted, the extreme rays of the cone they cut out and their masks,
+    which must be exact, as the adjacency test reads them. By default it is
+    ``simplicial_start``'s, which also proves that the rows span; a caller
+    that knows the cone of some rows in closed form passes it instead, as
+    tensor cones do (see ``composite._seeded_products``), and the pass
+    inserts only the rest.
 
     Incremental double description with the combinatorial adjacency test:
     rays p, m are adjacent iff no third ray is tight on every inserted row
@@ -123,7 +174,7 @@ def extreme_rays(
     not depend on the rule.
 
     The rows are integer, at any positive scale: only the signs of the
-    products and the incidence masks decide, the starting rays are made
+    products and the incidence masks decide, the starting rays are
     primitive, and each fresh ray and its products are divided exactly by
     the ray's gcd.
     """
@@ -131,24 +182,9 @@ def extreme_rays(
         if len(h) != dim:
             raise ValueError(f"row {i} has {len(h)} entries, expected {dim}")
 
-    # One elimination picks the base, the first independent rows, and
-    # tracks their combinations: reduced, chosen row c ends as row c of the
-    # base's inverse over its pivot p_c. The inverse's columns are the rays
-    # of the simplicial cone the base cuts out; scaled by the lcm of the
-    # pivots' absolute values, each column is integer, and dividing it by
-    # its gcd makes it primitive.
-    base_idx, reduced = _eliminate(rows, reduce=True, track=True)
-    if len(base_idx) < dim:
-        raise ValueError("inequality rows do not span the space; cone is not pointed")
-    reduced.sort()
-    scale = math.lcm(*(row[c] for c, row in reduced))
-    columns = zip(*([x * (scale // row[c]) for x in row[dim:]] for c, row in reduced))
-    rays: list[IntVec] = []
-    for col in columns:
-        g = math.gcd(*col)
-        rays.append(tuple(x // g for x in col))
-    base_set = set(base_idx)
-    remaining = [i for i in range(len(rows)) if i not in base_set]
+    inserted, rays, inc = simplicial_start(rows, dim) if start is None else start
+    inserted_set = set(inserted)
+    remaining = [i for i in range(len(rows)) if i not in inserted_set]
     # dots[j][k] is row remaining[k] times ray j, and bits[k] is that row's
     # bit. cut[j] has the bits of the remaining rows ray j cuts off (its
     # product is negative), and planes counts, per row, the current rays
@@ -166,13 +202,18 @@ def extreme_rays(
     ids = [1 << j for j in range(len(rays))]
     next_id = 1 << len(rays)
     alive = next_id - 1
-    # Ray j is column j of the base's inverse: tight on every base row but
-    # base row j, on which it is positive.
-    base_mask = sum(1 << i for i in base_idx)
-    inc = [base_mask ^ 1 << i for i in base_idx]
+    # A start's ray is tight on most inserted rows, so tight is filled from
+    # the rows each ray is not tight on: one for the simplicial start's.
     tight = [0] * len(rows)
-    for j, i in enumerate(base_idx):
-        tight[i] = alive ^ ids[j]
+    for i in inserted:
+        tight[i] = alive
+    full = sum([1 << i for i in inserted])
+    for t, m in zip(ids, inc):
+        m ^= full
+        while m:
+            i = m.bit_length() - 1
+            tight[i] ^= t
+            m ^= 1 << i
 
     min_common = dim - 2
     while remaining:
