@@ -478,6 +478,12 @@ def _decide(args) -> int:
     return 0 if affirmative else 1
 
 
+# Every top-level key a --json report has; verify refuses any other.
+_REPORT_KEYS = {
+    "format", "command", "flags", "inputs", "digest", "verdicts", "certificates", "wall_time_ms",
+}
+
+
 def cmd_verify(args) -> int:
     with open(args.report, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -488,6 +494,8 @@ def cmd_verify(args) -> int:
         raise TheoryFileError(
             f"unsupported report format {report.get('format')!r}"
         )
+    if unknown := set(report) - _REPORT_KEYS:
+        raise TheoryFileError(f"report has unknown top-level keys {sorted(unknown)}")
     missing = [
         key for key in ("command", "flags", "inputs", "digest")
         if key not in report

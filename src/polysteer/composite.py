@@ -17,8 +17,8 @@ from typing import Sequence, Union
 from .cone import (
     Face,
     IntVec,
+    PackedRows,
     PolyhedralCone,
-    _holds,
     _integral,
     all_faces,
     cone_from_facets,
@@ -181,12 +181,13 @@ def intermediate_tensor(
 
     This is the paper's composite AB: any cone between the min and max
     tensor products that contains every product state. The largest
-    composite is cut out by the product facets, so each ray is tested
-    against them directly, with no conversion of the largest composite."""
+    composite is cut out by the product facets, so they are packed once
+    and each ray is tested against them, with no conversion of the
+    largest composite."""
     dim = a.dim * b.dim
-    product_facets = _products(a.cone.facets, b.cone.facets)
+    product_facets = PackedRows(_products(a.cone.facets, b.cone.facets))
     for r in rays:
-        if not _holds(product_facets, _integral(r, dim), 0):
+        if not product_facets.holds(_integral(r, dim)):
             raise ValueError(f"ray {tuple(r)} falls outside the largest composite")
     cone = cone_from_rays(rays, dim)
     if not all(cone.contains(p) for p in _products(a.cone.rays, b.cone.rays)):
@@ -211,10 +212,9 @@ class BipartiteState:
         # One positive scale makes the matrix integral and keeps the sign of
         # every facet of B on the image of every facet of A.
         rows, q = integer_rows(m)
-        facets_b = self.space_b.cone.facets
+        cone_b = self.space_b.cone
         for f in self.space_a.cone.facets:
-            image = [int_dot(row, f) for row in rows]
-            if not _holds(facets_b, image, 0):
+            if not cone_b.contains([int_dot(row, f) for row in rows]):
                 raise ValueError(
                     "map sends a dual extreme ray outside the B cone; "
                     "the form is not positive"

@@ -64,8 +64,9 @@ def int_dot(u: Sequence[int], v: Sequence[int]) -> int:
 
     ``map(mul, ...)`` stops at the shorter vector as ``zip`` does, and runs
     the products and the sum in C; every incidence test of the cone layer
-    goes through here, and membership tests run the same sum inline in
-    ``cone._holds``'s loop.
+    goes through here. Membership tests do not: ``cone.PackedRows`` runs
+    the same sum once over columns packed into wide ints, which tests
+    every row at once.
     """
     return sum(map(mul, u, v))
 

@@ -31,6 +31,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
 from .cone import (
     IntVec,
+    PackedRows,
     PolyhedralCone,
     dual_cone,
     ordered_direct_sum,
@@ -95,14 +96,27 @@ class StateSpace:
         verts = self.vertex_states()
         return tuple(sum(col) / len(verts) for col in zip(*verts))
 
+    @cached_property
+    def _packed_effect_rows(self) -> PackedRows:
+        # Kept in the instance __dict__, so not in eq, hash or repr.
+        values, t = self._unit_on_rays
+        rays = self.cone.rays
+        return PackedRows(
+            [(*r, 0) for r in rays] + [(*(-t * c for c in r), u) for r, u in zip(rays, values)]
+        )
+
     def is_effect(self, f: Sequence) -> bool:
         """Whether 0 <= f.r <= unit.r on every ray r: with f = F / s, whether
-        0 <= t F.r <= s U_r, in integers."""
+        0 <= t F.r <= s U_r, in integers. Both bounds are the rows (r, 0) and
+        (-t r, U_r) over (F, s), packed together, so one packed product
+        decides them; ``PackedRows`` sets the slot width from the largest
+        row 1-norm and the bits of (F, s)'s largest entry, so that the test
+        is exact."""
         ints, s = integral_with_scale(f)
         if len(ints) != self.dim:
             raise ValueError("effect length does not match the dimension")
-        values, t = self._unit_on_rays
-        return all(0 <= t * int_dot(ints, r) <= s * u for r, u in zip(self.cone.rays, values))
+        ints.append(s)
+        return self._packed_effect_rows.holds(ints)
 
 
 @dataclass(frozen=True)

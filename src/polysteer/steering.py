@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterator, Sequence
@@ -152,13 +152,20 @@ def _forced_lift(omega: BipartiteState, e: Ensemble) -> list[Vector] | None:
         y = [0] * da
         for c, v in pivots:
             y[c] = v[da + i] * (d // v[c])
-        if any(int_dot(y, r) < 0 for r in omega.space_a.cone.rays):
+        if not omega.space_a.cone.dual_contains(y):
             return None
         out.append(tuple(Fraction(q * x, s * d) for x in y))
     return out
 
 
-def lift_ensemble(omega: BipartiteState, e: Ensemble) -> LiftResult:
+def _is_injective(omega: BipartiteState) -> bool:
+    """Whether omega-hat: A* -> B has no kernel: never when dim B < dim A,
+    and otherwise exactly when its integer rows have rank dim A."""
+    da = omega.space_a.dim
+    return omega.space_b.dim >= da and rank(omega._rows[0]) == da
+
+
+def lift_ensemble(omega: BipartiteState, e: Ensemble, injective: bool = True) -> LiftResult:
     """An observable {a_i} on A with each image omega-hat(a_i) = e.parts[i].
 
     When omega-hat is injective the lift is forced, a_i = omega-hat^-1 of
@@ -168,12 +175,14 @@ def lift_ensemble(omega: BipartiteState, e: Ensemble) -> LiftResult:
     sum to the order unit, and each must map onto its part. A forced lift
     is that LP's only feasible point, so only refutations and maps with a
     kernel run it, and every failure carries the LP's Farkas vector.
+    ``injective`` False says omega-hat has a kernel, so no lift is forced
+    and the LP runs at once; ``decide_steering`` decides it once per call.
     """
     target = marginal_b(omega).vector
     if not e.is_for(target):
         raise ValueError("the ensemble does not sum to the B marginal")
     space_a = omega.space_a
-    lifts = _forced_lift(omega, e)
+    lifts = _forced_lift(omega, e) if injective else None
     if lifts is None:
         out = lp_feasible(ensemble_lift_program(omega, e))
         if out.status != "feasible":
@@ -319,10 +328,12 @@ def extremal_ensembles(
 def decide_steering(omega: BipartiteState, depth: int = 3) -> SteeringVerdict:
     """Check every extremal ensemble of the B marginal with up to `depth`
     parts. All lift: steering up to that depth. Any failure: not steering,
-    with the unliftable ensemble and its infeasibility certificate."""
+    with the unliftable ensemble and its infeasibility certificate. A map
+    with a kernel forces no lift, so each of its lifts runs the LP alone."""
     lifted: list[LiftedEnsemble] = []
+    lift = lift_ensemble if _is_injective(omega) else partial(lift_ensemble, injective=False)
     for k, e in extremal_ensembles(omega.space_b, marginal_b(omega).vector, depth):
-        result = lift_ensemble(omega, e)
+        result = lift(omega, e)
         if not result:
             return SteeringVerdict(
                 "not_steering",
@@ -435,7 +446,7 @@ class AffineSection:
             lam, d = self._weights(fr)
             diff = [x * b - y * d for x, y in zip(lam, base)]
             step = [sum(map(mul, row, diff)) for row in rows]
-            if any(int_dot(step, r) < 0 for r in omega.space_a.cone.rays):
+            if not omega.space_a.cone.dual_contains(step):
                 return False
         return True
 

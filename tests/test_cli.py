@@ -836,6 +836,16 @@ class TestVerify:
         assert code == 2
         assert "missing flags, digest" in err
 
+    def test_unknown_report_keys(self, capsys, lib_path, tmp_path):
+        _, out, _ = run(capsys, "section", lib_path, "square_iso", "--json")
+        report = json.loads(out)
+        report["extra"] = 1
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(report))
+        code, vout, err = run(capsys, "verify", str(path))
+        assert (code, vout) == (2, "")
+        assert err == "error: report has unknown top-level keys ['extra']\n"
+
     def test_forged_first_copy_of_a_key_exits_two(self, capsys, lib_path, tmp_path):
         # json.loads alone keeps the last copy of a repeated key, so a forged
         # first "verdicts" would pass with the real one after it.

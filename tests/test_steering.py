@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from polysteer import steering
 from polysteer.cone import cone_from_rays, face_of
 from polysteer.composite import BipartiteState, is_isomorphism_state, marginal_b
 from polysteer.fixtures import fixture_library
@@ -353,6 +354,35 @@ def test_cube_to_hexagon_steers_through_opposite_pairs():
     ]
     for le in verdict.lifted:
         assert_valid_lift(omega, le.ensemble, le.observable)
+
+
+@pytest.mark.parametrize(
+    "name", ["two_squares_correlated", "two_squares_twisted", "cube_to_hexagon", "nonsteering_table"]
+)
+def test_maps_with_a_kernel_run_no_forced_lift_elimination(name, monkeypatch):
+    """decide_steering decides injectivity once, so a map with a kernel
+    runs no elimination of [Q | parts] and reaches the verdict it reached
+    when every ensemble ran one."""
+    omega = fixture_library().state(name)
+    want = decide_steering(omega, 3)
+    calls = []
+    eliminate = steering._eliminate
+    monkeypatch.setattr(steering, "_eliminate", lambda *a, **k: calls.append(1) or eliminate(*a, **k))
+    assert decide_steering(omega, 3) == want
+    assert calls == []
+    assert not steering._is_injective(omega)
+    monkeypatch.setattr(steering, "_is_injective", lambda omega: True)
+    assert decide_steering(omega, 3) == want
+    assert len(calls) == len(want.lifted) + (not want)
+
+
+def test_injective_maps_run_one_forced_lift_elimination_per_ensemble(monkeypatch):
+    omega = fixture_library().state("square_iso")
+    calls = []
+    eliminate = steering._eliminate
+    monkeypatch.setattr(steering, "_eliminate", lambda *a, **k: calls.append(1) or eliminate(*a, **k))
+    verdict = decide_steering(omega, 3)
+    assert verdict and len(calls) == len(verdict.lifted) > 0
 
 
 def test_ensemble_polytope_vertices_split_the_target():
