@@ -450,6 +450,13 @@ _COMMANDS = {
 }
 
 
+# A --json report's top-level keys, as _decide writes them; verify refuses
+# any other.
+_REPORT_KEYS = (
+    "format", "command", "flags", "inputs", "digest", "verdicts", "certificates", "wall_time_ms",
+)
+
+
 def _decide(args) -> int:
     """Run a decision command from its row: read the file, embed the named
     entries, build the body, and print it as the JSON report (--json) or
@@ -464,24 +471,14 @@ def _decide(args) -> int:
     lines, affirmative = row.summary(flags, verdicts, certificates)
     if args.json:
         head = {"command": args.command, "flags": flags, "inputs": inputs}
-        report = {
-            "format": REPORT_FORMAT,
-            **head,
-            "digest": _digest(head),
-            "verdicts": verdicts,
-            "certificates": certificates,
-            "wall_time_ms": round((time.perf_counter() - t0) * 1000, 3),
-        }
+        digest = _digest(head)
+        wall_time_ms = round((time.perf_counter() - t0) * 1000, 3)
+        values = (REPORT_FORMAT, *head.values(), digest, verdicts, certificates, wall_time_ms)
+        report = dict(zip(_REPORT_KEYS, values, strict=True))
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print("\n".join(lines))
     return 0 if affirmative else 1
-
-
-# Every top-level key a --json report has; verify refuses any other.
-_REPORT_KEYS = {
-    "format", "command", "flags", "inputs", "digest", "verdicts", "certificates", "wall_time_ms",
-}
 
 
 def cmd_verify(args) -> int:
@@ -494,7 +491,7 @@ def cmd_verify(args) -> int:
         raise TheoryFileError(
             f"unsupported report format {report.get('format')!r}"
         )
-    if unknown := set(report) - _REPORT_KEYS:
+    if unknown := set(report).difference(_REPORT_KEYS):
         raise TheoryFileError(f"report has unknown top-level keys {sorted(unknown)}")
     missing = [
         key for key in ("command", "flags", "inputs", "digest")

@@ -181,9 +181,9 @@ def intermediate_tensor(
 
     This is the paper's composite AB: any cone between the min and max
     tensor products that contains every product state. The largest
-    composite is cut out by the product facets, so they are packed once
-    and each ray is tested against them, with no conversion of the
-    largest composite."""
+    composite is cut out by the product facets, so each ray is tested
+    against them, packed once, with no conversion of the largest
+    composite."""
     dim = a.dim * b.dim
     product_facets = PackedRows(_products(a.cone.facets, b.cone.facets))
     for r in rays:
@@ -212,9 +212,9 @@ class BipartiteState:
         # One positive scale makes the matrix integral and keeps the sign of
         # every facet of B on the image of every facet of A.
         rows, q = integer_rows(m)
-        cone_b = self.space_b.cone
+        facets_b = self.space_b.cone._packed_facets
         for f in self.space_a.cone.facets:
-            if not cone_b.contains([int_dot(row, f) for row in rows]):
+            if not facets_b.holds([int_dot(row, f) for row in rows]):
                 raise ValueError(
                     "map sends a dual extreme ray outside the B cone; "
                     "the form is not positive"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from operator import and_, mul
 from typing import Iterable, Sequence
 
@@ -35,29 +35,23 @@ class ConeError(ValueError):
 
 class PackedRows:
     """Integer rows packed column by column, so that one test decides
-    f.x >= floor on every row f at once.
+    f.x >= floor, floor 0 or 1, for every row f at once (Fisher and Dietz,
+    "SIMD within a register", LCPC 1998).
 
-    With n rows in d columns and a slot width w, column j packs into
-    C_j = sum_k R_kj 2^(k w), TOP = sum_k 2^(k w + w - 1) and
-    ONES = sum_k 2^(k w). For an integer x,
-    A = TOP + sum_j x_j C_j - floor ONES = sum_k (2^(w-1) + f_k.x - floor) 2^(k w),
-    and when every slot value 2^(w-1) + f_k.x - floor lies in [0, 2^w) this
-    is A's base-2^w expansion: slot k's top bit is set exactly when
-    f_k.x >= floor, so every row holds exactly when A & TOP == TOP. With L
-    the largest row 1-norm, X = max |x_j| < 2^b and floor 0 or 1,
-    f_k.x - floor lies in [-L X - 1, L X], and L X < 2^(bits(L) + b), so
-    w = bits(L) + b + 1 keeps every slot in range and the test is exact
-    (Fisher and Dietz, "SIMD within a register", LCPC 1998). The columns
-    are packed on the first test and again, wider, only when an x with more
-    bits arrives; a test is then d multiply-adds of (n w)-bit ints and one
-    AND, where a loop over the rows takes n dot products.
+    Column j packs into C_j = sum_k R_kj 2^(k w). With TOP = sum_k
+    2^(k w + w - 1) and ONES = sum_k 2^(k w), slot k of
+    A = TOP + sum_j x_j C_j - floor ONES holds 2^(w-1) + f_k.x - floor, so
+    every row holds exactly when A & TOP == TOP, provided every slot stays
+    in [0, 2^w). With L the largest row 1-norm and each |x_j| < 2^b,
+    f_k.x - floor lies in [-2^(w-1), 2^(w-1)) for w = bits(L) + b + 1, so
+    at that width the test is exact. A block is packed on its first test,
+    for twice the bits of that x, and again only when a wider x arrives.
     """
 
-    __slots__ = ("_rows", "_norm_bits", "_bits", "_cols", "_top", "_bases")
+    __slots__ = ("_rows", "_bits", "_cols", "_top", "_bases")
 
     def __init__(self, rows: Sequence[Sequence[int]]):
         self._rows = rows
-        self._norm_bits = max((sum(map(abs, r)) for r in rows), default=0).bit_length()
         self._bits = -1
 
     def holds(self, x: Sequence[int], floor: int = 0) -> bool:
@@ -65,39 +59,25 @@ class PackedRows:
         the rows' length and floor is 0 or 1."""
         bits = max(map(abs, x)).bit_length() if x else 0
         if bits > self._bits:
-            self._pack(bits)
+            self._pack(2 * bits)
         top = self._top
         return sum(map(mul, x, self._cols), self._bases[floor]) & top == top
 
     def _pack(self, bits: int) -> None:
         """Pack the columns for an x of up to ``bits`` bits per entry."""
-        w = self._norm_bits + bits + 1
-        n = len(self._rows)
-        ones = ((1 << n * w) - 1) // ((1 << w) - 1)
-        self._cols = [_packed(col, w) for col in zip(*self._rows)]
+        rows = self._rows
+        w = max((sum(map(abs, r)) for r in rows), default=0).bit_length() + bits + 1
+        cols = []
+        for col in zip(*rows):
+            c = 0
+            for v in reversed(col):
+                c = (c << w) + v
+            cols.append(c)
+        ones = ((1 << len(rows) * w) - 1) // ((1 << w) - 1)
+        self._cols = cols
         self._top = ones << (w - 1)
         self._bases = (self._top, self._top - ones)
         self._bits = bits
-
-
-def _packed(values: Sequence[int], w: int) -> int:
-    """sum_k values[k] 2^(k w), exact for any signs. Horner's rule runs
-    over each run of 64 values, where every shift is short; the runs are
-    then joined in pairs, each level shifting half as many ints twice as
-    far, so that many rows cost no quadratic time."""
-    runs = []
-    for i in range(0, len(values), 64):
-        run = 0
-        for v in reversed(values[i:i + 64]):
-            run = (run << w) + v
-        runs.append(run)
-    w *= 64
-    while len(runs) > 1:
-        if len(runs) & 1:
-            runs.append(0)
-        runs = [a + (b << w) for a, b in zip(runs[::2], runs[1::2])]
-        w *= 2
-    return runs[0] if runs else 0
 
 
 @dataclass(frozen=True)
@@ -106,34 +86,27 @@ class PolyhedralCone:
     rays: tuple[IntVec, ...]
     facets: tuple[IntVec, ...]
 
-    @cached_property
-    def _packed_facets(self) -> PackedRows:
-        # Kept in the instance __dict__, so not in eq, hash or repr.
-        return PackedRows(self.facets)
-
-    @cached_property
-    def _packed_rays(self) -> PackedRows:
-        return PackedRows(self.rays)
+    def __post_init__(self) -> None:
+        # Packed on their first test; not fields, so not in eq, hash or repr.
+        object.__setattr__(self, "_packed_facets", PackedRows(self.facets))
+        object.__setattr__(self, "_packed_rays", PackedRows(self.rays))
 
     def contains(self, x: Sequence) -> bool:
-        """Whether every facet is nonnegative on x, a rational vector.
-
-        x is scaled to integers once (an all-int x as it is) and tested
-        against the facets packed into d wide ints, whose slot width
-        ``PackedRows`` sets from the largest facet 1-norm and the bits of
-        x's largest entry, so that the test is exact."""
+        """Whether every facet is nonnegative on x, a rational vector, scaled
+        to integers once (an all-int x as it is). One test of the packed
+        facets decides it, exact at the slot width ``PackedRows`` takes:
+        the bits of the largest facet 1-norm and of x's largest entry, + 1."""
         return self._packed_facets.holds(_integral(x, self.ambient_dim), 0)
 
     def interior_contains(self, x: Sequence) -> bool:
         """Whether every facet is positive on x, tested as ``contains`` does
-        with floor 1: an integer dot product is positive when it is at
-        least 1, and the same slot width holds f.x - 1, which lies in
-        [-L X - 1, L X] too."""
+        with floor 1: an integer f.x is positive when f.x - 1 >= 0, and
+        the same width holds f.x - 1."""
         return self._packed_facets.holds(_integral(x, self.ambient_dim), 1)
 
     def dual_contains(self, y: Sequence) -> bool:
-        """Whether every ray is nonnegative on y, so that y lies in the dual
-        cone, tested as ``contains`` does against the packed rays."""
+        """Whether y lies in the dual cone, tested as ``contains`` does
+        against the packed rays."""
         return self._packed_rays.holds(_integral(y, self.ambient_dim), 0)
 
     def is_simplicial(self) -> bool:
@@ -148,11 +121,9 @@ class Face:
     ray_indices: tuple[int, ...]
     active_facets: tuple[int, ...]
 
-    @cached_property
-    def _active_sum(self) -> list[int]:
-        # Kept in the instance __dict__, so not in eq, hash or repr.
-        facets = self.parent.facets
-        return [sum(col) for col in zip(*(facets[k] for k in self.active_facets))]
+    def __post_init__(self) -> None:
+        # The active facets' sum, taken by the first contains; not a field.
+        object.__setattr__(self, "_active_sum", None)
 
     def rays(self) -> list[IntVec]:
         return [self.parent.rays[i] for i in self.ray_indices]
@@ -161,14 +132,16 @@ class Face:
         return rank(self.rays()) if self.ray_indices else 0
 
     def contains(self, x: Sequence) -> bool:
-        """Whether x lies in the parent cone, tested as ``contains`` does
-        there (the parent's packed facets, with the slot width set from
-        their largest 1-norm and the bits of x's largest entry, so the test
-        is exact), and every active facet vanishes on it. Each active facet
-        is then nonnegative on x, so they all vanish exactly when their sum
-        does: one integer dot product with that sum, kept on the face."""
+        """Whether x lies in the parent cone, by the parent's exact packed
+        test, and every active facet vanishes on it. Those facets are then
+        nonnegative on x, so they vanish exactly when their sum does."""
         x = _integral(x, self.parent.ambient_dim)
-        return self.parent._packed_facets.holds(x, 0) and not dd.int_dot(self._active_sum, x)
+        active = self._active_sum
+        if active is None:
+            facets = self.parent.facets
+            active = [sum(col) for col in zip(*(facets[k] for k in self.active_facets))]
+            object.__setattr__(self, "_active_sum", active)
+        return self.parent._packed_facets.holds(x, 0) and not dd.int_dot(active, x)
 
 
 def _integral(x: Sequence, ambient_dim: int) -> list[int]:

@@ -64,9 +64,8 @@ def int_dot(u: Sequence[int], v: Sequence[int]) -> int:
 
     ``map(mul, ...)`` stops at the shorter vector as ``zip`` does, and runs
     the products and the sum in C; every incidence test of the cone layer
-    goes through here. Membership tests do not: ``cone.PackedRows`` runs
-    the same sum once over columns packed into wide ints, which tests
-    every row at once.
+    goes through here; membership tests run it over packed columns
+    (``cone.PackedRows``).
     """
     return sum(map(mul, u, v))
 

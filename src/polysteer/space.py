@@ -73,6 +73,7 @@ class StateSpace:
         object.__setattr__(self, "unit", unit)
         # unit.r = U_r / t; not a field, so not in eq, hash or repr.
         object.__setattr__(self, "_unit_on_rays", (values, t))
+        object.__setattr__(self, "_effect_rows", None)  # set by is_effect
 
     @property
     def dim(self) -> int:
@@ -96,27 +97,23 @@ class StateSpace:
         verts = self.vertex_states()
         return tuple(sum(col) / len(verts) for col in zip(*verts))
 
-    @cached_property
-    def _packed_effect_rows(self) -> PackedRows:
-        # Kept in the instance __dict__, so not in eq, hash or repr.
-        values, t = self._unit_on_rays
-        rays = self.cone.rays
-        return PackedRows(
-            [(*r, 0) for r in rays] + [(*(-t * c for c in r), u) for r, u in zip(rays, values)]
-        )
-
     def is_effect(self, f: Sequence) -> bool:
         """Whether 0 <= f.r <= unit.r on every ray r: with f = F / s, whether
-        0 <= t F.r <= s U_r, in integers. Both bounds are the rows (r, 0) and
-        (-t r, U_r) over (F, s), packed together, so one packed product
-        decides them; ``PackedRows`` sets the slot width from the largest
-        row 1-norm and the bits of (F, s)'s largest entry, so that the test
-        is exact."""
+        0 <= t F.r <= s U_r, in integers: one exact ``PackedRows`` test of
+        (F, s), its width set by the rows (r, 0) and (-t r, U_r) and s."""
         ints, s = integral_with_scale(f)
         if len(ints) != self.dim:
             raise ValueError("effect length does not match the dimension")
         ints.append(s)
-        return self._packed_effect_rows.holds(ints)
+        block = self._effect_rows
+        if block is None:
+            values, t = self._unit_on_rays
+            rays = self.cone.rays
+            block = PackedRows(
+                [(*r, 0) for r in rays] + [(*(-t * c for c in r), u) for r, u in zip(rays, values)]
+            )
+            object.__setattr__(self, "_effect_rows", block)
+        return block.holds(ints)
 
 
 @dataclass(frozen=True)

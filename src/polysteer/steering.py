@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterator, Sequence
@@ -165,7 +165,7 @@ def _is_injective(omega: BipartiteState) -> bool:
     return omega.space_b.dim >= da and rank(omega._rows[0]) == da
 
 
-def lift_ensemble(omega: BipartiteState, e: Ensemble, injective: bool = True) -> LiftResult:
+def lift_ensemble(omega: BipartiteState, e: Ensemble, *, try_forced: bool = True) -> LiftResult:
     """An observable {a_i} on A with each image omega-hat(a_i) = e.parts[i].
 
     When omega-hat is injective the lift is forced, a_i = omega-hat^-1 of
@@ -175,14 +175,13 @@ def lift_ensemble(omega: BipartiteState, e: Ensemble, injective: bool = True) ->
     sum to the order unit, and each must map onto its part. A forced lift
     is that LP's only feasible point, so only refutations and maps with a
     kernel run it, and every failure carries the LP's Farkas vector.
-    ``injective`` False says omega-hat has a kernel, so no lift is forced
-    and the LP runs at once; ``decide_steering`` decides it once per call.
+    ``try_forced`` False, for a map with a kernel, runs the LP at once.
     """
     target = marginal_b(omega).vector
     if not e.is_for(target):
         raise ValueError("the ensemble does not sum to the B marginal")
     space_a = omega.space_a
-    lifts = _forced_lift(omega, e) if injective else None
+    lifts = _forced_lift(omega, e) if try_forced else None
     if lifts is None:
         out = lp_feasible(ensemble_lift_program(omega, e))
         if out.status != "feasible":
@@ -328,12 +327,11 @@ def extremal_ensembles(
 def decide_steering(omega: BipartiteState, depth: int = 3) -> SteeringVerdict:
     """Check every extremal ensemble of the B marginal with up to `depth`
     parts. All lift: steering up to that depth. Any failure: not steering,
-    with the unliftable ensemble and its infeasibility certificate. A map
-    with a kernel forces no lift, so each of its lifts runs the LP alone."""
+    with the unliftable ensemble and its infeasibility certificate."""
     lifted: list[LiftedEnsemble] = []
-    lift = lift_ensemble if _is_injective(omega) else partial(lift_ensemble, injective=False)
+    try_forced = _is_injective(omega)
     for k, e in extremal_ensembles(omega.space_b, marginal_b(omega).vector, depth):
-        result = lift(omega, e)
+        result = lift_ensemble(omega, e, try_forced=try_forced)
         if not result:
             return SteeringVerdict(
                 "not_steering",

@@ -839,6 +839,7 @@ class TestVerify:
     def test_unknown_report_keys(self, capsys, lib_path, tmp_path):
         _, out, _ = run(capsys, "section", lib_path, "square_iso", "--json")
         report = json.loads(out)
+        assert sorted(report) == sorted(cli._REPORT_KEYS)
         report["extra"] = 1
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(report))

@@ -6,8 +6,8 @@ decides f.x >= floor for every row f with one multiply-add per coordinate.
 must agree on seeded rows of up to 40 rows in up to 8 coordinates, with
 entries up to 2^200 and points up to 2^300, on points built to sit exactly
 on a row (f.x in {-1, 0, 1}), on rows and points at the slot width's bound,
-on blocks of up to 320 rows, and when a larger point arrives after a
-smaller one.
+on blocks of up to 320 rows, and when a wider point arrives after a
+narrower one.
 """
 
 import dataclasses
@@ -102,8 +102,9 @@ def test_rows_that_meet_the_point_exactly(targets):
 @pytest.mark.parametrize("b", [0, 1, 2, 7, 64, 300])
 def test_rows_and_points_at_the_width_bound(a, b):
     """f.x = +-L X at the largest row 1-norm L = 2^a - 1 and the largest
-    entry X = 2^b - 1, where a slot one bit narrower than the width
-    PackedRows takes would overflow."""
+    entry X = 2^b - 1, in a block packed for b-bit points, where a slot one
+    bit narrower than the width PackedRows takes would overflow; and the
+    same point in a block it packs itself."""
     rng = random.Random(a * 1000 + b)
     big = (1 << a) - 1
     for d in range(1, 9):
@@ -114,15 +115,17 @@ def test_rows_and_points_at_the_width_bound(a, b):
         f = tuple(s * p for s, p in zip(signs, parts))
         g = tuple(-c for c in f)
         for rows in ([f], [g], [f, g], [g, f], [f, f]):
+            tight = PackedRows(rows)
+            tight._pack(b)
             for floor in (0, 1):
                 want = reference_membership.holds(rows, x, floor)
+                assert tight.holds(x, floor) == want, (rows, x, floor)
                 assert PackedRows(rows).holds(x, floor) == want, (rows, x, floor)
+            assert tight._bits == b
 
 
 @pytest.mark.parametrize("n", [63, 64, 65, 128, 129, 200, 320])
-def test_many_rows_pack_in_runs(n):
-    """Past 64 rows the columns are packed in runs of 64 rows, joined in
-    pairs: one run to five, an odd count among them."""
+def test_blocks_of_many_rows(n):
     rng = random.Random(n)
     for targets in ((0, 1), (1, 1), (1, -1)):
         rows, x = on_the_boundary(rng, rng.randint(1, 8), n, targets)
@@ -133,17 +136,23 @@ def test_many_rows_pack_in_runs(n):
             assert packed.holds(x, floor) == want
 
 
-def test_a_larger_point_widens_the_block():
+def test_a_wider_point_widens_the_block():
+    """A block is packed for twice the bits of the point that packs it: a
+    point up to that wide reuses it, and a wider one packs it again."""
     rng = random.Random(41)
     for _ in range(40):
         d = rng.randint(1, 8)
         rows, x = on_the_boundary(rng, d, rng.randint(1, 40), (rng.choice((-1, 0, 1)),))
         small = [rng.randint(-1, 1) for _ in range(d)]
+        wide = [c << 2 * max(map(abs, x)).bit_length() + 1 for c in x]
         packed = PackedRows(rows)
-        for point in (small, x, small, [3 * c for c in x], x):
+        for point in (small, x, small, wide, x):
+            before = packed._bits
             for floor in (0, 1):
                 assert packed.holds(point, floor) == reference_membership.holds(rows, point, floor)
-        assert packed._bits == max(abs(3 * c) for c in x).bit_length()
+            bits = max(map(abs, point)).bit_length()
+            assert packed._bits == (before if bits <= before else 2 * bits)
+        assert packed._bits == 2 * max(map(abs, wide)).bit_length()
 
 
 def test_cones_test_membership_as_the_loop_does(lib, spaces):
