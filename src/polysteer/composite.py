@@ -29,6 +29,7 @@ from .cone import (
 )
 from .dd import Start, int_dot, simplicial_start
 from .ratlin import (
+    IntegerSolver,
     LinearProgram,
     Matrix,
     Vector,
@@ -222,6 +223,13 @@ class BipartiteState:
         object.__setattr__(self, "matrix", m)
         # matrix = rows / q; not a field, so not in eq, hash or repr.
         object.__setattr__(self, "_rows", (rows, q))
+        object.__setattr__(self, "_solver", None)  # built by solver()
+
+    def solver(self) -> IntegerSolver:
+        """The solver of the map's integer rows, built on the first call."""
+        if self._solver is None:
+            object.__setattr__(self, "_solver", IntegerSolver(self._rows[0]))
+        return self._solver
 
     def apply(self, a: Sequence) -> Vector:
         rows, q = self._rows

@@ -17,13 +17,13 @@ from typing import Iterable, Sequence
 
 from . import dd
 from .ratlin import (
+    IntegerSolver,
     independent_rows,
     integral,
     mat_transpose,
     nullspace,
     primitive,
     rank,
-    solve_linear,
 )
 
 IntVec = tuple[int, ...]
@@ -409,11 +409,9 @@ def irreducible_partition(c: PolyhedralCone) -> list[tuple[int, ...]]:
     if k == c.ambient_dim:
         return [(i,) for i in range(k)]
     basis_idx = independent_rows(c.rays)
-    cols = mat_transpose([c.rays[b] for b in basis_idx])
+    solver = IntegerSolver(mat_transpose([c.rays[b] for b in basis_idx]))
     rest = [e for e in range(k) if e not in basis_idx]
-    supports = [
-        [pos for pos, x in enumerate(solve_linear(cols, c.rays[e])) if x] for e in rest
-    ]
+    supports = [[pos for pos, x in enumerate(solver.solve(c.rays[e])[0]) if x] for e in rest]
     roots, _ = support_classes(len(basis_idx), supports)
     root = dict(zip(basis_idx, roots)) | {e: roots[s[0]] for e, s in zip(rest, supports)}
     groups: dict[int, list[int]] = {}
@@ -428,7 +426,8 @@ def irreducible_components(c: PolyhedralCone) -> list[PolyhedralCone]:
     for group in irreducible_partition(c):
         group_rays = [c.rays[i] for i in group]
         sub_basis = [group_rays[i] for i in independent_rows(group_rays)]
-        cols = mat_transpose(sub_basis)
-        coords = [solve_linear(cols, r) for r in group_rays]
+        solver = IntegerSolver(mat_transpose(sub_basis))
+        # Each ray over the basis, up to the positive scale cone_from_rays drops.
+        coords = [solver.solve(r)[0] for r in group_rays]
         out.append(cone_from_rays(coords, len(sub_basis)))
     return out

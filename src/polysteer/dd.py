@@ -22,7 +22,7 @@ next, as ``composite`` writes them: maxcut mixes the blocks, and
 see a block structure set it.
 
 Where a pass starts is the caller's too. By default ``simplicial_start``
-runs one elimination over the rows and starts from the simplicial cone of
+eliminates the rows once and starts from the simplicial cone of
 the first independent ones. A caller that knows the cone some of its rows
 cut out passes it as the start instead: a tensor cone's product rows over
 the independent rows of one factor cut out a direct sum of copies of the
@@ -49,8 +49,7 @@ from functools import reduce
 from operator import mul, or_
 from typing import Sequence
 
-from .ratlin import integer_row
-from .ratlin.gauss import _eliminate
+from .ratlin import IntegerSolver, integer_row, primitive
 
 IntVec = tuple[int, ...]
 # Where double description starts: the indices of the rows already inserted,
@@ -108,25 +107,16 @@ def simplicial_start(rows: Sequence[Sequence[int]], dim: int) -> Start:
     """The default start of ``extreme_rays``: the first independent rows,
     the rays of the simplicial cone they cut out, and each ray's mask.
 
-    One elimination picks the base, the first dim independent rows, and
-    tracks their combinations: reduced, chosen row c ends as row c of the
-    base's inverse over its pivot p_c. The inverse's columns are the rays of
-    the simplicial cone the base cuts out; scaled by the lcm of the pivots'
-    absolute values, each column is integer, and dividing it by its gcd
-    makes it primitive. Ray j is column j: tight on every base row but base
-    row j, on which it is positive. Raises ValueError when the rows do not
-    span, as the cone they cut out then holds a line.
+    The base is the rows ``IntegerSolver`` chooses, and ray j is column j
+    of its inverse, made primitive: tight on every base row but base row j,
+    on which it is positive. Raises ValueError when the rows do not span,
+    as the cone they cut out then holds a line.
     """
-    base_idx, reduced = _eliminate(rows, reduce=True, track=True)
+    solver = IntegerSolver(rows)
+    base_idx = solver.chosen
     if len(base_idx) < dim:
         raise ValueError("inequality rows do not span the space; cone is not pointed")
-    reduced.sort()
-    scale = math.lcm(*(row[c] for c, row in reduced))
-    columns = zip(*([x * (scale // row[c]) for x in row[dim:]] for c, row in reduced))
-    rays: list[IntVec] = []
-    for col in columns:
-        g = math.gcd(*col)
-        rays.append(tuple(x // g for x in col))
+    rays = [primitive(col) for col in zip(*solver.inverse()[0])]
     base_mask = sum(1 << i for i in base_idx)
     return base_idx, rays, [base_mask ^ 1 << i for i in base_idx]
 

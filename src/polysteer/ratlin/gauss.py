@@ -4,16 +4,19 @@ Everything runs on one fraction-free pass (Bareiss 1968): each row the pass
 reaches is scaled once to integers, and rows are combined by
 cross-multiplication and divided by their gcd. Results come from the
 reduced row echelon form, which is unique, so they do not depend on the
-order the pass pivots in.
+order the pass pivots in. ``IntegerSolver`` eliminates one integer matrix
+once and then solves against it for any right-hand side, or reads its
+inverse; it is the one reader of the pass's tracked rows.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
-from .qarith import Matrix, Vector, integral, vec_zero
+from .qarith import Matrix, Vector, integer_rows, integral, vec_zero
 
 
 def _clear(v: list[int], b: list[int], c: int) -> list[int]:
@@ -126,18 +129,61 @@ def nullspace(a: Sequence[Sequence], ncols: int | None = None) -> list[Vector]:
     return basis
 
 
+class IntegerSolver:
+    """A x = b / q for one integer matrix A, any integer b and any q > 0,
+    after one tracked elimination of A's rows.
+
+    ``chosen`` holds the rows the pass chose and ``pivots`` their pivot
+    columns, so A's rank is their count and A is injective when it equals
+    A's width. Reduced, chosen row k reads v_c x_c = E_k . b_chosen / q at
+    its pivot column c, E_k being its tracked columns, so x_c is
+    W_k . b_chosen / (q D), with D the lcm of the pivots and W_k = D E_k / v_c.
+    """
+
+    __slots__ = ("width", "chosen", "pivots", "_weights", "_scale", "_rest")
+
+    def __init__(self, rows: Iterable[Sequence[int]]):
+        rows = list(rows)
+        n = self.width = len(rows[0]) if rows else 0
+        self.chosen, reduced = _eliminate(rows, reduce=True, track=True)
+        self._scale = math.lcm(*(v[c] for c, v in reduced))
+        self.pivots = [c for c, _ in reduced]
+        r = len(reduced)
+        self._weights = [[self._scale // v[c] * x for x in v[n:n + r]] for c, v in reduced]
+        taken = set(self.chosen)
+        self._rest = [(i, row) for i, row in enumerate(rows) if i not in taken]
+
+    def solve(self, b: Sequence[int], q: int = 1) -> tuple[list[int], int] | None:
+        """x with A x = b / q and every free variable 0, as integers over one
+        positive denominator; None when the rows not chosen refuse it, as
+        b / q is then outside the range of A."""
+        if len(b) != len(self.chosen) + len(self._rest):
+            raise ValueError("row count mismatch")
+        rhs = [b[i] for i in self.chosen]
+        x = [0] * self.width
+        for c, w in zip(self.pivots, self._weights):
+            x[c] = sum(map(mul, w, rhs))
+        d = self._scale
+        if any(sum(map(mul, row, x)) != d * b[i] for i, row in self._rest):
+            return None
+        return x, q * d
+
+    def inverse(self) -> tuple[list[list[int]], int] | None:
+        """The inverse of the chosen rows, square when A is injective, as
+        integer rows over one positive scale; None when A is not."""
+        if len(self.chosen) < self.width:
+            return None
+        return [w for _, w in sorted(zip(self.pivots, self._weights))], self._scale
+
+
 def invert(a: Sequence[Sequence]) -> Matrix | None:
     """Exact inverse of a square matrix, or None if singular."""
     a = list(a)
-    n = len(a)
-    if any(len(row) != n for row in a):
+    if any(len(row) != len(a) for row in a):
         raise ValueError("matrix not square")
-    if n == 0:
-        return ()
-    aug = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(a)]
-    inv: list[Vector] = [()] * n
-    for c, row in _eliminate(aug, reduce=True)[1]:
-        if c >= n:
-            return None
-        inv[c] = tuple(Fraction(row[n + j], row[c]) for j in range(n))
-    return tuple(inv)
+    rows, q = integer_rows(a)
+    inv = IntegerSolver(rows).inverse()
+    if inv is None:
+        return None
+    w, d = inv
+    return tuple(tuple(Fraction(q * x, d) for x in row) for row in w)

@@ -56,10 +56,11 @@ def _digits_over_limit(literal: str) -> int:
 
 
 def is_rational_literal(text) -> bool:
-    """Whether text is a string parse_rational reads: 'p/q' or 'p' after
-    strip(), with a positive denominator and no leading zero in it, and
-    neither p nor q longer than the interpreter's limit on the digits of
-    an integer string, ``sys.get_int_max_str_digits()`` (none when 0)."""
+    """Whether text is a rational literal: 'p/q' or 'p' after strip(),
+    with a positive denominator and no leading zero in it, and neither p
+    nor q longer than the interpreter's limit on the digits of an integer
+    string, ``sys.get_int_max_str_digits()`` (none when 0). Floats,
+    exponents and negative denominators are refused."""
     if not isinstance(text, str):
         return False
     text = text.strip()
@@ -112,17 +113,6 @@ def literal_row(values: Sequence) -> tuple[list[int], int]:
     dens = [int(d or 1) for _, _, d in parts]
     scale = math.lcm(*dens)
     return [int(n) * (scale // d) for (n, _, _), d in zip(parts, dens)], scale
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or 'p'. Rejects floats, exponents, negative denominators
-    and parts longer than ``is_rational_literal`` allows."""
-    if not is_rational_literal(text):
-        raise ValueError(_literal_digit_error(text) or f"not a rational literal: {text!r}")
-    # The literal is validated, so literal_row's int() reads its parts; that
-    # is about twice as fast as Fraction's own string parser.
-    (num,), den = literal_row((text,))
-    return Fraction(num, den)
 
 
 def format_rational(x: Fraction) -> str:

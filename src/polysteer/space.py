@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import count
 from typing import Callable, Iterator, NamedTuple, Sequence, Union
 
@@ -40,6 +39,7 @@ from .cone import (
 )
 from .dd import _vertex_rows, int_dot
 from .ratlin import (
+    IntegerSolver,
     Matrix,
     Vector,
     as_vector,
@@ -48,7 +48,7 @@ from .ratlin import (
     integral_with_scale,
     invert,
     mat_transpose,
-    mat_vec,
+    primitive,
     rank,
     solve_linear,
     vec_dot,
@@ -192,12 +192,18 @@ class EffectsInterval:
 
     space: StateSpace
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_vertices", None)  # set by vertices
+
     def contains(self, f: Sequence) -> bool:
         return self.space.is_effect(f)
 
-    @cached_property
+    @property
     def vertices(self) -> tuple[Vector, ...]:
-        return order_interval_vertices(dual_cone(self.space.cone), self.space.unit)
+        if self._vertices is None:
+            verts = order_interval_vertices(dual_cone(self.space.cone), self.space.unit)
+            object.__setattr__(self, "_vertices", verts)
+        return self._vertices
 
 
 def effects_interval(space: StateSpace) -> EffectsInterval:
@@ -316,16 +322,17 @@ def _ray_basis(c: PolyhedralCone) -> list[int]:
 class _Frame(NamedTuple):
     """The rays whose images fix an order isomorphism of a cone.
 
-    ``basis`` is the greedy ray basis and ``base_inv`` the inverse of the
-    matrix with the basis rays as columns. The frame is the first ``length``
-    rays; ``extras`` maps each frame ray off the basis to its coordinates
-    over the basis followed by -1, scaled together to integers. ``firsts``
-    holds the first ray of each irreducible component, always a basis ray.
+    ``basis`` is the greedy ray basis and ``inverse`` the inverse of the
+    matrix with the basis rays as columns, as integer rows over one scale.
+    The frame is the first ``length`` rays; ``extras`` maps each frame ray
+    off the basis to its coordinates over the basis followed by -1, scaled
+    together to integers. ``firsts`` holds the first ray of each
+    irreducible component, always a basis ray.
     """
 
     basis: list[int]
-    base_inv: Matrix
-    extras: dict[int, list[int]]
+    inverse: tuple[list[list[int]], int]
+    extras: dict[int, IntVec]
     firsts: list[int]
     length: int
 
@@ -335,20 +342,20 @@ def _frame(c: PolyhedralCone) -> _Frame:
     rays whose supports over it link the basis rays of each irreducible
     component, as every ray off the basis links them."""
     basis = _ray_basis(c)
-    base_inv = invert(mat_transpose([c.rays[b] for b in basis]))
+    solver = IntegerSolver(mat_transpose([c.rays[b] for b in basis]))
     rest = [j for j in range(len(c.rays)) if j not in basis]
-    coords = [mat_vec(base_inv, c.rays[j]) for j in rest]
+    coords = [solver.solve(c.rays[j]) for j in rest]
     roots, left = support_classes(
-        len(basis), [[pos for pos, x in enumerate(cf) if x] for cf in coords]
+        len(basis), [[pos for pos, x in enumerate(cf) if x] for cf, _ in coords]
     )
     length = basis[-1] + 1
     if rest:
         # Classes only merge, so the rays off the basis up to the first one
         # that brings them down to their final number link every component.
         length = max(length, rest[left.index(left[-1])] + 1)
-    extras = {j: integral((*cf, -1)) for j, cf in zip(rest, coords) if j < length}
+    extras = {j: primitive((*cf, -d)) for j, (cf, d) in zip(rest, coords) if j < length}
     firsts = [b for pos, b in enumerate(basis) if roots.index(roots[pos]) == pos]
-    return _Frame(basis, base_inv, extras, firsts, length)
+    return _Frame(basis, solver.inverse(), extras, firsts, length)
 
 
 def _ray_permutations(
@@ -423,7 +430,7 @@ def _isomorphisms(
         return
     frame = _frame(source)
     d, length = source.ambient_dim, frame.length
-    inv_rows, inv_q = integer_rows(frame.base_inv)
+    inv_rows, inv_q = frame.inverse
     inv_cols = mat_transpose(inv_rows)
     for head in _ray_permutations(source, target, length):
         eqs = list(pins(frame, head))
@@ -437,7 +444,7 @@ def _isomorphisms(
         s = solve_linear([row for row, _ in eqs], [y for _, y in eqs])
         if s is None or any(x <= 0 for x in s):
             continue
-        # M sends basis ray b to s_b times its partner: M = images base_inv,
+        # M sends basis ray b to s_b times its partner: M = images inverse,
         # summed in integers over the product of the two denominators.
         ints, sq = integral_with_scale(s[b] for b in frame.basis)
         images = [

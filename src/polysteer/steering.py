@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterator, Sequence
@@ -23,6 +22,7 @@ from .composite import BipartiteState, is_isomorphism_state, marginal_b, purify
 from .cone import cone_from_rays, face_of, is_extremal
 from .dd import IntVec, _vertex_rows, int_dot, polytope_vertices
 from .ratlin import (
+    IntegerSolver,
     LinearProgram,
     Row,
     Vector,
@@ -44,7 +44,6 @@ from .ratlin import (
     vec_scale,
     vec_zero,
 )
-from .ratlin.gauss import _eliminate
 from .space import (
     Effect,
     HomogeneityVerdict,
@@ -131,41 +130,23 @@ def _forced_lift(omega: BipartiteState, e: Ensemble) -> list[Vector] | None:
 
     The parts sum to the marginal omega-hat(u_A), so the preimages sum to
     u_A, and each is below u_A because the others are positive: they are
-    the lift program's only feasible point. With the matrix Q / q and part
-    i as P_i / s_i, one elimination of the integer rows [Q | P_1 .. P_k]
-    decides all three: the map is injective and every part lies in its
-    range exactly when the pivots are the first dim A columns. The reduced
-    row v with pivot column c then reads v[c] y_c = v[dim A + i], so
-    y_i = Q^-1 P_i times the lcm D of the pivots is integer, and part i's
-    preimage is q y_i / (s_i D)."""
-    rows, q = omega._rows
-    da = omega.space_a.dim
-    parts = [integral_with_scale(p) for p in e.parts]
-    pivots = _eliminate(
-        [[*row, *(p[j] for p, _ in parts)] for j, row in enumerate(rows)], reduce=True
-    )[1]
-    if len(pivots) != da or any(c >= da for c, _ in pivots):
+    the lift program's only feasible point. With the matrix Q / q, part
+    P / s has preimage q y, where Q y = P / s is solved by the state's
+    solver."""
+    solver = omega.solver()
+    if len(solver.chosen) < omega.space_a.dim:
         return None
-    d = lcm(*(v[c] for c, v in pivots))
+    q = omega._rows[1]
     out = []
-    for i, (_, s) in enumerate(parts):
-        y = [0] * da
-        for c, v in pivots:
-            y[c] = v[da + i] * (d // v[c])
-        if not omega.space_a.cone.dual_contains(y):
+    for p in e.parts:
+        y = solver.solve(*integral_with_scale(p))
+        if y is None or not omega.space_a.cone.dual_contains(y[0]):
             return None
-        out.append(tuple(Fraction(q * x, s * d) for x in y))
+        out.append(tuple(Fraction(q * x, y[1]) for x in y[0]))
     return out
 
 
-def _is_injective(omega: BipartiteState) -> bool:
-    """Whether omega-hat: A* -> B has no kernel: never when dim B < dim A,
-    and otherwise exactly when its integer rows have rank dim A."""
-    da = omega.space_a.dim
-    return omega.space_b.dim >= da and rank(omega._rows[0]) == da
-
-
-def lift_ensemble(omega: BipartiteState, e: Ensemble, *, try_forced: bool = True) -> LiftResult:
+def lift_ensemble(omega: BipartiteState, e: Ensemble) -> LiftResult:
     """An observable {a_i} on A with each image omega-hat(a_i) = e.parts[i].
 
     When omega-hat is injective the lift is forced, a_i = omega-hat^-1 of
@@ -175,13 +156,12 @@ def lift_ensemble(omega: BipartiteState, e: Ensemble, *, try_forced: bool = True
     sum to the order unit, and each must map onto its part. A forced lift
     is that LP's only feasible point, so only refutations and maps with a
     kernel run it, and every failure carries the LP's Farkas vector.
-    ``try_forced`` False, for a map with a kernel, runs the LP at once.
     """
     target = marginal_b(omega).vector
     if not e.is_for(target):
         raise ValueError("the ensemble does not sum to the B marginal")
     space_a = omega.space_a
-    lifts = _forced_lift(omega, e) if try_forced else None
+    lifts = _forced_lift(omega, e)
     if lifts is None:
         out = lp_feasible(ensemble_lift_program(omega, e))
         if out.status != "feasible":
@@ -329,9 +309,8 @@ def decide_steering(omega: BipartiteState, depth: int = 3) -> SteeringVerdict:
     parts. All lift: steering up to that depth. Any failure: not steering,
     with the unliftable ensemble and its infeasibility certificate."""
     lifted: list[LiftedEnsemble] = []
-    try_forced = _is_injective(omega)
     for k, e in extremal_ensembles(omega.space_b, marginal_b(omega).vector, depth):
-        result = lift_ensemble(omega, e, try_forced=try_forced)
+        result = lift_ensemble(omega, e)
         if not result:
             return SteeringVerdict(
                 "not_steering",
@@ -356,31 +335,22 @@ class AffineSection:
     base_points: tuple[Vector, ...]
     images: tuple[Vector, ...]
 
-    @cached_property
-    def _system(self) -> tuple[list[int], list[list[int]], int, list[tuple[int, list[int], int]]]:
-        """The system `coordinates` solves, [base pointsᵀ; 1] lam = (y, 1),
-        eliminated once for every y. Row i, scaled to integers, reads
-        A_i lam = s_i t_i with t = (y, 1). The elimination records each
-        reduced row as a combination of the rows it chose, so
-        lam_c = W_c . t_chosen / D; a free column, which an affine basis has
-        none of, stays 0. Returns the chosen rows, W, D, and the other rows
-        as (i, A_i, s_i), which a point of the hull satisfies too."""
-        m = len(self.base_points)
-        rows = [integral_with_scale(r) for r in (*mat_transpose(self.base_points), (1,) * m)]
-        chosen, reduced = _eliminate([a for a, _ in rows], reduce=True, track=True)
-        scale = lcm(*(v[c] for c, v in reduced))
-        weights = [[0] * len(chosen) for _ in range(m)]
-        for c, v in reduced:
-            f = scale // v[c]
-            weights[c] = [f * x * rows[i][1] for x, i in zip(v[m:], chosen)]
-        others = [(i, a, s) for i, (a, s) in enumerate(rows) if i not in chosen]
-        return chosen, weights, scale, others
+    def __post_init__(self) -> None:
+        # Built by the first solve; not a field.
+        object.__setattr__(self, "_built", None)
 
-    @cached_property
-    def _image_rows(self) -> tuple[list[list[int]], int]:
-        """The images as integer columns: row c holds coordinate c of every
-        image, all over one positive scale."""
-        return integer_rows(mat_transpose(self.images))
+    def _system(self) -> tuple[IntegerSolver, list[int], tuple[list[list[int]], int]]:
+        """The solver of [base pointsᵀ; 1] lam = (y, 1), row i scaled to
+        integers by s_i, the s_i, and the images as integer columns over one
+        positive scale: row c holds coordinate c of every image."""
+        built = self._built
+        if built is None:
+            m = len(self.base_points)
+            rows = [integral_with_scale(r) for r in (*mat_transpose(self.base_points), (1,) * m)]
+            images = integer_rows(mat_transpose(self.images))
+            built = IntegerSolver([a for a, _ in rows]), [s for _, s in rows], images
+            object.__setattr__(self, "_built", built)
+        return built
 
     def _weights(self, y: Sequence) -> tuple[list[int], int]:
         """coordinates(y) as integers over one positive denominator."""
@@ -391,16 +361,11 @@ class AffineSection:
         """The affine coordinates of the point y with (y, 1) = t / q, t
         integer and q > 0, as integers over one positive denominator. Raises
         ValueError for a point off the base points' affine hull."""
-        chosen, weights, scale, others = self._system
-        if len(t) != len(chosen) + len(others):
-            raise ValueError("row count mismatch")
-        rhs = [t[i] for i in chosen]
-        lam = [sum(map(mul, w, rhs)) for w in weights]
-        den = q * scale
-        for i, a, s in others:
-            if sum(map(mul, a, lam)) * q != den * s * t[i]:
-                raise ValueError("point is outside the section's affine hull")
-        return lam, den
+        solver, scales, _ = self._system()
+        lam = solver.solve([s * x for s, x in zip(scales, t, strict=True)], q)
+        if lam is None:
+            raise ValueError("point is outside the section's affine hull")
+        return lam
 
     def coordinates(self, y: Sequence) -> Vector:
         """The weights on the base points that sum to 1 and combine to y."""
@@ -409,7 +374,7 @@ class AffineSection:
 
     def apply(self, y: Sequence) -> Vector:
         lam, den = self._weights(y)
-        rows, q = self._image_rows
+        rows, q = self._system()[2]
         return int_mat_vec(rows, lam, q * den)
 
     def verify(self, omega: BipartiteState) -> bool:
@@ -432,7 +397,7 @@ class AffineSection:
         on the marginal's face F. Every y in [0, marginal] has y and
         marginal - y in F, so x(0) <= x(0) + L y = x(y) <= x(marginal), and
         x(y) is an effect once x(0) and x(marginal) are."""
-        rows = self._image_rows[0]  # refuses ragged images before any check
+        rows = self._system()[2][0]  # refuses ragged images before any check
         if any(omega.apply(x) != p for x, p in zip(self.images, self.base_points)):
             return False
         zero = vec_zero(len(target))
@@ -710,7 +675,7 @@ def injective_steering_implies_iso(omega: BipartiteState, depth: int = 2) -> boo
     This is the lemma behind acceptance criterion 9 and the interior-state
     step of the paper's theorem: a state on two copies of A that steers an
     interior state is an isomorphism state."""
-    if nullspace(list(omega.matrix), ncols=omega.space_a.dim):
+    if len(omega.solver().chosen) < omega.space_a.dim:
         raise ValueError("the cross-check needs an injective map")
     target = marginal_b(omega).vector
     if not omega.space_b.cone.interior_contains(target):

@@ -68,19 +68,9 @@ class TheoryFileError(ValueError):
     """A parse or validation failure, anchored to a line where possible."""
 
 
-def parse_rational(value) -> Fraction:
-    """A "p/q" or "p" string, or a bare JSON integer, as a Fraction."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    try:
-        return ratlin.parse_rational(value)
-    except ValueError:
-        raise _not_a_rational(value) from None
-
-
 def _not_a_rational(value) -> TheoryFileError:
-    """The error for a value parse_rational refuses, naming the digit limit
-    when a literal's numerator or denominator exceeds it."""
+    """The error for a value that is not a rational literal, naming the
+    digit limit when a literal's numerator or denominator exceeds it."""
     return TheoryFileError(f"not a rational: {_literal_digit_error(value) or repr(value)}")
 
 

@@ -11,8 +11,7 @@ from itertools import islice
 from typing import Sequence
 
 from polysteer.dd import IntVec, int_dot
-from polysteer.ratlin import independent_rows
-from polysteer.ratlin.gauss import _eliminate
+from polysteer.ratlin import independent_rows, invert, primitive
 
 
 def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[IntVec, int]]:
@@ -23,21 +22,10 @@ def extreme_rays(rows: Sequence[Sequence[int]], dim: int) -> list[tuple[IntVec, 
     if len(base_idx) < dim:
         raise ValueError("inequality rows do not span the space; cone is not pointed")
 
-    # The columns of the inverse of the base rows are the rays of the
-    # simplicial cone those rows cut out. Eliminating [base | I] leaves row c
-    # of the inverse as row c's right half over its pivot p_c; scaled by the
-    # lcm of the pivots' absolute values, each column is integer, and
-    # dividing it by its gcd makes it primitive.
-    eye = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    reduced = sorted(
-        _eliminate([[*rows[i], *e] for i, e in zip(base_idx, eye)], reduce=True)[1]
-    )
-    scale = math.lcm(*(row[c] for c, row in reduced))
-    columns = zip(*([x * (scale // row[c]) for x in row[dim:]] for c, row in reduced))
-    rays: list[IntVec] = []
-    for col in columns:
-        g = math.gcd(*col)
-        rays.append(tuple(x // g for x in col))
+    # The columns of the inverse of the base rows, made primitive, are the
+    # rays of the simplicial cone those rows cut out.
+    inverse = invert([rows[i] for i in base_idx])
+    rays: list[IntVec] = [primitive(col) for col in zip(*inverse)]
     # dots[j][i] is row i times ray j; negs[i] counts the rays row i cuts off.
     dots = [[int_dot(h, r) for h in rows] for r in rays]
     inc = [sum(1 << i for i in base_idx if d[i] == 0) for d in dots]

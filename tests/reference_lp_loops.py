@@ -82,9 +82,9 @@ def polytope_dimension(lp: LinearProgram) -> tuple[int, tuple[Vector, Vector] | 
     return dimension, first
 
 
-def lift_ensemble(omega: BipartiteState, e: Ensemble, *, try_forced: bool = True) -> LiftResult:
-    """An observable on A lifting the ensemble, from one feasibility LP
-    whatever try_forced says."""
+def lift_ensemble(omega: BipartiteState, e: Ensemble) -> LiftResult:
+    """An observable on A lifting the ensemble, from one feasibility LP,
+    whether or not the map is injective."""
     if not e.is_for(marginal_b(omega).vector):
         raise ValueError("the ensemble does not sum to the B marginal")
     space_a = omega.space_a

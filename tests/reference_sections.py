@@ -13,7 +13,7 @@ from typing import Sequence
 from polysteer.composite import BipartiteState, marginal_b
 from polysteer.cone import face_of
 from polysteer.dd import int_dot
-from polysteer.ratlin import Vector, independent_rows, rank, vec_zero
+from polysteer.ratlin import Vector, independent_rows, integer_rows, mat_transpose, rank, vec_zero
 from polysteer.steering import AffineSection
 from rational_rows import vec_sub
 
@@ -27,7 +27,7 @@ def holds_on(section: AffineSection, omega: BipartiteState, verts: Sequence[Vect
             return False
     target = marginal_b(omega).vector
     base, b = section._weights(vec_zero(len(target)))
-    rows = section._image_rows[0]
+    rows = integer_rows(mat_transpose(section.images))[0]
     for fr in face_of(omega.space_b.cone, target).rays():
         lam, d = section._weights(fr)
         diff = [x * b - y * d for x, y in zip(lam, base)]

@@ -21,6 +21,7 @@ from polysteer.composite import marginal_b, max_tensor
 from polysteer.fixtures import fixture_library
 from polysteer.ratlin import gauss, simplex
 from polysteer.ratlin import (
+    IntegerSolver,
     LinearProgram,
     LPOutcome,
     as_matrix,
@@ -34,19 +35,20 @@ from polysteer.ratlin import (
     integral_with_scale,
     invert,
     is_rational_literal,
+    literal_row,
     lp_feasible,
     lp_optimize,
     mat_identity,
     mat_mul,
     mat_vec,
     nullspace,
-    parse_rational,
     primitive,
     rank,
     solve_linear,
     vec_dot,
 )
 from polysteer.steering import ensemble_lift_program, extremal_ensembles, section_program
+from polysteer.theoryfile import parse_vector
 from rational_rows import rational_rows
 
 F = Fraction
@@ -130,34 +132,43 @@ def brute_force_optimal(lp):
 # --- rationals -----------------------------------------------------------
 
 
-def test_parse_rational_accepts_canonical_forms():
-    assert parse_rational("3/4") == F(3, 4)
-    assert parse_rational("-7") == F(-7)
-    assert parse_rational("+2/3") == F(2, 3)
-    assert parse_rational("0") == 0
+def literal_value(text):
+    """One literal as a Fraction, read as a theory file reads it: checked
+    by is_rational_literal, then read by literal_row."""
+    assert is_rational_literal(text)
+    (num,), den = literal_row([text])
+    return F(num, den)
+
+
+def test_literals_accept_canonical_forms():
+    assert literal_value("3/4") == F(3, 4)
+    assert literal_value("-7") == F(-7)
+    assert literal_value("+2/3") == F(2, 3)
+    assert literal_value("0") == 0
 
 
 @pytest.mark.parametrize(
     "bad", ["1.5", "1e3", "1/-2", "1/0", "", "a/b", "2 / 3", "--1", "1_000", "\u0663"]
 )
-def test_parse_rational_rejects_noncanonical(bad):
-    with pytest.raises(ValueError):
-        parse_rational(bad)
+def test_literals_reject_noncanonical(bad):
+    assert not is_rational_literal(bad)
+    with pytest.raises(ValueError, match="not a rational"):
+        parse_vector([bad], "row")
 
 
 def test_a_literal_part_may_have_as_many_digits_as_int_reads(int_digit_limit):
     """A numerator or denominator is read up to the interpreter's limit on
     the digits of an integer string, sign not counted, and refused past it
-    by the pattern check and the parser alike, with the limit named."""
+    by the pattern check and the theory-file reader alike, with the limit
+    named."""
     at, over = "7" * int_digit_limit, "7" * (int_digit_limit + 1)
     for text in (at, f"-{at}", f" +{at}/{at} ", f"1/{at}", "0" * int_digit_limit):
-        assert is_rational_literal(text)
         num, _, den = text.strip().partition("/")
-        assert parse_rational(text) == F(int(num), int(den or 1))
+        assert literal_value(text) == F(int(num), int(den or 1))
     for text in (over, f"-{over}", f"{at}/{over}", f"{over}/3", "0" * (int_digit_limit + 1)):
         assert not is_rational_literal(text)
         with pytest.raises(ValueError, match=f"exceeds the {int_digit_limit}-digit limit"):
-            parse_rational(text)
+            parse_vector([text], "row")
 
 
 def test_a_literal_part_is_checked_at_the_lowest_limit(int_digit_limit):
@@ -184,14 +195,14 @@ def test_a_literal_part_is_unbounded_when_the_limit_is_lifted():
     sys.set_int_max_str_digits(0)
     try:
         assert is_rational_literal(text) and is_rational_literal(f"1/{text}")
-        assert parse_rational(f"-{text}/7") == F(-int(text), 7)
+        assert literal_value(f"-{text}/7") == F(-int(text), 7)
     finally:
         sys.set_int_max_str_digits(saved)
 
 
 def test_format_rational_round_trip():
     for s in ["3/4", "-7", "0", "22/7"]:
-        assert format_rational(parse_rational(s)) == s.lstrip("+")
+        assert format_rational(literal_value(s)) == s.lstrip("+")
 
 
 def test_primitive_scaling():
@@ -433,6 +444,55 @@ def reference_invert(a):
         return None
     row_of = {c: r for r, c in pivots}
     return tuple(tuple(m[row_of[i]][n + j] for j in range(n)) for i in range(n))
+
+
+def test_integer_solver_matches_solve_linear_and_invert():
+    """One IntegerSolver per integer matrix gives every b / q what
+    solve_linear gives A x = b / q, None included, and reads the inverse
+    invert gives: of A when square, of the chosen rows when tall."""
+    rng = random.Random(38)
+    kinds = {"square": 0, "tall": 0, "wide": 0, "deficient": 0, "refused": 0}
+    for trial in range(120):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        r = rng.randint(0, min(m, n)) if trial % 3 == 0 else min(m, n)
+        left = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(m)]
+        right = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        a = [[sum(row[k] * right[k][j] for k in range(r)) for j in range(n)] for row in left]
+        solver = IntegerSolver(a)
+        assert solver.chosen == independent_rows(a) and len(solver.pivots) == rank(a)
+        kinds["square" if m == n else "tall" if m > n else "wide"] += 1
+        kinds["deficient"] += rank(a) < min(m, n)
+        x0 = [rng.randint(-4, 4) for _ in range(n)]
+        for b in ([sum(map(int.__mul__, row, x0)) for row in a], [rng.randint(-4, 4) for _ in a]):
+            q = rng.randint(1, 5)
+            want = solve_linear(a, [F(y, q) for y in b])
+            got = solver.solve(b, q)
+            if want is None:
+                assert got is None
+                kinds["refused"] += 1
+            else:
+                x, d = got
+                assert d > 0 and tuple(F(v, d) for v in x) == want
+        chosen = [a[i] for i in solver.chosen]
+        inv = invert(chosen) if len(chosen) == n else None
+        got = solver.inverse()
+        assert (got is None) == (inv is None)
+        if got is not None:
+            rows, d = got
+            assert d > 0 and tuple(tuple(F(v, d) for v in row) for row in rows) == inv
+    assert all(kinds.values()), kinds
+
+
+def test_integer_solver_on_zero_rows_and_zero_width():
+    empty = IntegerSolver([])
+    assert empty.solve([]) == ([], 1) and solve_linear([], []) == ()
+    assert empty.inverse() == ([], 1) and invert([]) == ()
+    flat = IntegerSolver([[], [], []])
+    assert flat.chosen == [] and flat.inverse() == ([], 1)
+    assert flat.solve([0, 0, 0], 2) == ([], 2) and solve_linear([[], [], []], [0, 0, 0]) == ()
+    assert flat.solve([0, 1, 0]) is None and solve_linear([[], [], []], [0, 1, 0]) is None
+    with pytest.raises(ValueError, match="row count"):
+        IntegerSolver([[1, 2], [3, 4]]).solve([1])
 
 
 def test_gauss_outputs_equal_the_gauss_jordan_reference():

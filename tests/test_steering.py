@@ -19,6 +19,7 @@ from polysteer import steering
 from polysteer.cone import cone_from_rays, face_of
 from polysteer.composite import BipartiteState, is_isomorphism_state, marginal_b
 from polysteer.fixtures import fixture_library
+from polysteer.ratlin import gauss
 from polysteer.ratlin import (
     LinearProgram,
     LPOutcome,
@@ -356,33 +357,53 @@ def test_cube_to_hexagon_steers_through_opposite_pairs():
         assert_valid_lift(omega, le.ensemble, le.observable)
 
 
-@pytest.mark.parametrize(
-    "name", ["two_squares_correlated", "two_squares_twisted", "cube_to_hexagon", "nonsteering_table"]
-)
-def test_maps_with_a_kernel_run_no_forced_lift_elimination(name, monkeypatch):
-    """decide_steering decides injectivity once, so a map with a kernel
-    runs no elimination of [Q | parts] and reaches the verdict it reached
-    when every ensemble ran one."""
-    omega = fixture_library().state(name)
-    want = decide_steering(omega, 3)
-    calls = []
-    eliminate = steering._eliminate
-    monkeypatch.setattr(steering, "_eliminate", lambda *a, **k: calls.append(1) or eliminate(*a, **k))
-    assert decide_steering(omega, 3) == want
-    assert calls == []
-    assert not steering._is_injective(omega)
-    monkeypatch.setattr(steering, "_is_injective", lambda omega: True)
-    assert decide_steering(omega, 3) == want
-    assert len(calls) == len(want.lifted) + (not want)
+def count_eliminations_in_lifts(monkeypatch) -> list:
+    """Every elimination run inside a lift_ensemble call, one entry each."""
+    calls, inside = [], []
+    eliminate, lift = gauss._eliminate, steering.lift_ensemble
+
+    def counted_eliminate(*a, **k):
+        if inside:
+            calls.append(1)
+        return eliminate(*a, **k)
+
+    def counted_lift(*a, **k):
+        inside.append(1)
+        try:
+            return lift(*a, **k)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(gauss, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(steering, "lift_ensemble", counted_lift)
+    return calls
 
 
-def test_injective_maps_run_one_forced_lift_elimination_per_ensemble(monkeypatch):
-    omega = fixture_library().state("square_iso")
-    calls = []
-    eliminate = steering._eliminate
-    monkeypatch.setattr(steering, "_eliminate", lambda *a, **k: calls.append(1) or eliminate(*a, **k))
-    verdict = decide_steering(omega, 3)
-    assert verdict and len(calls) == len(verdict.lifted) > 0
+KERNEL_STATES = {"two_squares_correlated", "two_squares_twisted", "cube_to_hexagon", "nonsteering_table"}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_STATES | {
+    "classical_correlated_2", "classical_correlated_3", "square_iso", "extremality_gap",
+}))
+def test_decide_steering_eliminates_the_map_once_per_state(name, monkeypatch):
+    """The first lift builds the state's solver, the one elimination of
+    omega-hat, and reads off whether the map has a kernel; no other
+    ensemble, and no later decision on the state, eliminates it again.
+    A map with a kernel then runs the LP for every ensemble."""
+    fixture = fixture_library().state(name)
+
+    def fresh():
+        return BipartiteState(fixture.space_a, fixture.space_b, fixture.matrix)
+
+    want = decide_steering(fresh(), 3)
+    omega = fresh()
+    calls = count_eliminations_in_lifts(monkeypatch)
+    assert decide_steering(omega, 3) == want
+    assert len(calls) == 1 and len(want.lifted) + (not want) > 1
+    assert decide_steering(omega, 3) == want
+    assert len(calls) == 1
+    injective = len(omega.solver().chosen) == omega.space_a.dim
+    assert injective == (name not in KERNEL_STATES)
 
 
 def test_ensemble_polytope_vertices_split_the_target():

@@ -18,7 +18,7 @@ from polysteer.theoryfile import (
     TheoryFileError,
     dumps,
     loads,
-    parse_rational,
+    parse_vector,
 )
 
 MINIMAL = {
@@ -37,47 +37,55 @@ def doc_text(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def read_rational(value) -> Fraction:
+    """One value read as a one-entry vector."""
+    (x,) = parse_vector([value], "value")
+    return x
+
+
 class TestRationals:
     def test_forms(self):
-        assert parse_rational("3/4") == Fraction(3, 4)
-        assert parse_rational("-7") == Fraction(-7)
-        assert parse_rational(5) == Fraction(5)
+        assert read_rational("3/4") == Fraction(3, 4)
+        assert read_rational("-7") == Fraction(-7)
+        assert read_rational(5) == Fraction(5)
 
     @pytest.mark.parametrize(
         "bad", ["1/0", "x", "1.5/2", True, None, [1], "0.5", "1e2", "1_000"]
     )
     def test_rejects(self, bad):
         with pytest.raises(TheoryFileError, match="not a rational"):
-            parse_rational(bad)
+            read_rational(bad)
 
     @pytest.mark.parametrize("value", [
         "3/4", " 3 ", "+2/3", "-7", "1/0", "1/-2", "1/02", "1.5", "1e3", "\u0663", "",
         1.0, True, None, [1], [[1]], 7, 10**199, "9" * 200,
     ], ids=repr)
-    def test_the_grammar_accepts_a_literal_iff_parse_rational_does(self, value):
+    def test_the_grammar_accepts_a_literal_iff_the_reader_does(self, value):
         """The grammar checks a literal by ratlin's pattern alone, in an
-        entry never looked up, and agrees with the parser on every value."""
-        try:
-            expected = Fraction(value) if type(value) is int else ratlin.parse_rational(value)
-        except ValueError:
-            expected = None
+        entry never looked up, and agrees with the reader on every value."""
+        expected = None
+        if type(value) is int:
+            expected = Fraction(value)
+        elif ratlin.is_rational_literal(value):
+            (num,), den = ratlin.literal_row([value])
+            expected = Fraction(num, den)
         doc = json.loads(doc_text(MINIMAL))
         doc["states"] = {"unread": {"space_a": "pair", "space_b": "pair",
                                     "matrix": [["1", value], ["0", "1"]]}}
         text = doc_text(doc)
         if expected is None:
             with pytest.raises(TheoryFileError, match="not a rational"):
-                parse_rational(value)
+                read_rational(value)
             with pytest.raises(TheoryFileError, match="state 'unread': not a rational") as err:
                 loads(text)
             assert line_of_error(str(err.value)) == entry_line(text, "unread", "states")
         else:
-            assert parse_rational(value) == expected
+            assert read_rational(value) == expected
             loads(text)
 
     def test_rendering_round_trips(self):
         for f in (Fraction(3, 4), Fraction(-2), Fraction(0), Fraction(7, 3)):
-            assert parse_rational(format_rational(f)) == f
+            assert read_rational(format_rational(f)) == f
         assert format_rational(Fraction(4, 2)) == "2"
         assert format_rational(Fraction(-1, 3)) == "-1/3"
 

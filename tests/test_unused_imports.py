@@ -71,8 +71,8 @@ def ratlin_names_used(source: str) -> set[str]:
 
 
 def test_the_export_guard_sees_both_forms():
-    source = "from . import ratlin\nfrom .ratlin import rank\nratlin.parse_rational('1')\n"
-    assert ratlin_names_used(source) == {"rank", "parse_rational"}
+    source = "from . import ratlin\nfrom .ratlin import rank\nratlin.literal_row(['1'])\n"
+    assert ratlin_names_used(source) == {"rank", "literal_row"}
 
 
 def test_every_ratlin_export_is_used_outside_ratlin():
@@ -85,3 +85,52 @@ def test_every_ratlin_export_is_used_outside_ratlin():
         if "ratlin" not in path.relative_to(PACKAGE).parts:
             used |= ratlin_names_used(path.read_text())
     assert sorted(set(ratlin.__all__) - used) == []
+
+
+def imported_names(source: str) -> set[str]:
+    """Every import in a module as a dotted name: the module imported, or
+    the module and the name taken from it, with relative dots dropped."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(f"{node.module or ''}.{alias.name}".lstrip(".") for alias in node.names)
+    return names
+
+
+def test_the_import_guard_sees_every_form():
+    source = (
+        "from .ratlin.gauss import _eliminate\nfrom .ratlin import gauss\n"
+        "import polysteer.ratlin.gauss\nfrom functools import cached_property\n"
+    )
+    assert imported_names(source) == {
+        "ratlin.gauss._eliminate", "ratlin.gauss", "polysteer.ratlin.gauss",
+        "functools.cached_property",
+    }
+
+
+def modules_importing(wanted) -> dict[str, list[str]]:
+    found = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        names = sorted(n for n in imported_names(path.read_text()) if wanted(path, n))
+        if names:
+            found[str(path.relative_to(PACKAGE))] = names
+    return found
+
+
+def test_only_ratlin_imports_from_gauss():
+    # The rows _eliminate returns are read in ratlin.gauss alone; every
+    # other module solves through what ratlin exports (IntegerSolver).
+    found = modules_importing(
+        lambda path, name: "ratlin" not in path.relative_to(PACKAGE).parts
+        and "gauss" in name.split(".")
+    )
+    assert not found, f"modules importing ratlin.gauss directly: {found}"
+
+
+def test_no_module_imports_cached_property():
+    # A frozen dataclass fills a derived attribute on first use, as
+    # Face._active_sum is filled, rather than through cached_property.
+    found = modules_importing(lambda path, name: name.split(".")[-1] == "cached_property")
+    assert not found, f"modules importing cached_property: {found}"
