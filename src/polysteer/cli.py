@@ -363,7 +363,8 @@ def _substitute_purify(tf, flags, verdicts, certificates):
 
 
 def _substitute_pure(tf, flags, verdicts, certificates):
-    if verdicts["pure"]:
+    # The zero map is refuted with no summand, so like a pure verdict it is re-derived.
+    if verdicts["pure"] or "decomposition_part" not in certificates:
         return None
     omega = tf.state(flags["state"])
     psi = parse_matrix(certificates["decomposition_part"], "decomposition_part")

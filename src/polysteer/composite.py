@@ -4,8 +4,9 @@ A bipartite state over state spaces A and B is stored as the matrix of the
 map A* -> B it induces; pairing against an A-effect and a B-facet is matrix
 arithmetic. The two canonical composite cones (largest and smallest) are
 built from facet products and ray products respectively, and purity in the
-largest composite is decided as extremality of the induced map, by a family
-of exact LPs over the decomposition polytope.
+largest composite is decided as extremality of the induced map, by the rank
+of the decomposition polytope's tight rows; at most one exact LP runs, only
+to find a refuted map's summand.
 """
 
 from __future__ import annotations
@@ -323,20 +324,19 @@ class ExtremalityResult:
         return self.extremal
 
 
-def _extremal_by_ray_pinning(
+def _summand_by_ray_pinning(
     phi: Matrix, source: PolyhedralCone, target: PolyhedralCone
-) -> ExtremalityResult | None:
-    """LP-free extremality for maps carrying extreme rays onto extreme rays.
+) -> Matrix | None:
+    """A proper summand of a map that is not extremal and carries every
+    extreme ray of the source to zero or onto an extreme ray of the target;
+    None when some ray image is neither zero nor extremal.
 
-    When phi maps every extreme ray of the source to zero or onto an extreme
-    ray of the target, a summand psi <= phi is pinned to psi(r_j) = t_j
-    phi(r_j) on each ray (faces are closed under decomposition, and the face
-    of an extreme point is its ray). Since the rays span, psi is determined
-    by t, so the decomposition polytope flattens to the solution space of a
-    homogeneous linear system in (psi, t): phi is extremal exactly when that
-    space is the line through (phi, 1, ..., 1). Returns None when some ray
-    image is neither zero nor extremal, leaving the general LP probing to
-    decide.
+    A summand psi <= phi is then pinned to psi(r_j) = t_j phi(r_j) on each
+    ray (faces are closed under decomposition, and the face of an extreme
+    point is its ray). Since the rays span, psi is determined by t, so the
+    summands are the solutions (psi, t) of a homogeneous linear system, and
+    one whose t is not constant, scaled into the polytope around phi/2, is
+    the summand.
     """
     dt, ds = len(phi), len(phi[0])
     images = [mat_vec(phi, r) for r in source.rays]
@@ -355,24 +355,19 @@ def _extremal_by_ray_pinning(
             if images[j] is not None:
                 row[t_index[j]] = -images[j][c]
             rows.append(row)
-    basis = nullspace(rows, ncols=n)
-    if len(basis) <= 1:
-        return ExtremalityResult(True)
     t_cols = sorted(t_index.values())
-    for vec in basis:
+    for vec in nullspace(rows, ncols=n):
         ts = [vec[col] for col in t_cols]
         mean = sum(ts) / len(ts)
-        delta = [x - mean for x in ts]
-        spread = max(abs(d) for d in delta)
+        spread = max(abs(x - mean) for x in ts)
         if spread == 0:
             continue
         eps = Fraction(1, 2) / spread
-        psi = tuple(
+        return tuple(
             tuple(p / 2 + eps / 2 * (vec[c * ds + i] - mean * p) for i, p in enumerate(row))
             for c, row in enumerate(phi)
         )
-        return ExtremalityResult(False, psi)
-    return ExtremalityResult(True)
+    return None
 
 
 def decomposition_program(
@@ -399,50 +394,44 @@ def map_is_extremal(
 ) -> ExtremalityResult:
     """Decide whether phi spans an extremal ray of the positive-map cone.
 
-    The decomposition polytope (decomposition_program) always contains the
-    segment from 0 to phi; phi is extremal exactly when the polytope is
-    that segment. Maps that carry extreme rays onto extreme rays flatten to
-    a pure linear-algebra test; otherwise each matrix entry gives one
-    projection direction transverse to the segment, the polytope has zero
-    width in all of them iff it is the segment, and each direction costs
-    two LPs over that program's rows, a nonzero optimum handing back a
-    decomposition witness.
+    The decomposition polytope D (decomposition_program) always contains
+    the segment from 0 to phi. A row pair whose right-hand side g.phi(r) is
+    0 forces g.psi(r) = 0 on D, and phi/2 meets every other row strictly,
+    so the affine hull of D is the null space N of those tight rows, and
+    phi is extremal exactly when N is phi's line: one ``nullspace``
+    decides, with no LP. A refuted map's summand comes from
+    ``_summand_by_ray_pinning`` when phi carries rays onto rays, otherwise
+    from one LP: the maximum over D of the first entry direction
+    e_ji - (phi_ji / phi_j0i0) e_j0i0 not constant on N, which vanishes at
+    phi/2 and so is positive somewhere on D.
     """
     phi = as_matrix(phi)
     dt, ds = len(phi), len(phi[0])
     if ds != source.ambient_dim or dt != target.ambient_dim:
         raise ValueError("matrix shape does not match the cones")
-    for r in source.rays:
-        if not target.contains(mat_vec(phi, as_vector(r))):
-            raise ValueError("map is not positive on the source cone")
-    pivot = next(
-        ((j, i) for j in range(dt) for i in range(ds) if phi[j][i] != 0), None
-    )
+    ge = decomposition_program(phi, source, target).ge
+    # -g.psi(r) >= -g.phi(r) has a positive right-hand side iff g.phi(r) < 0.
+    if any(b > 0 for _, b, _ in ge[1::2]):
+        raise ValueError("map is not positive on the source cone")
+    flat = [x for row in phi for x in row]
+    pivot = next((c for c, x in enumerate(flat) if x), None)
     if pivot is None:
         return ExtremalityResult(False)
-    pinned = _extremal_by_ray_pinning(phi, source, target)
-    if pinned is not None:
-        return pinned
-    j0, i0 = pivot
     n = dt * ds
-    ge = decomposition_program(phi, source, target).ge
-    for j in range(dt):
-        for i in range(ds):
-            if (j, i) == (j0, i0):
-                continue
-            obj = [Fraction(0)] * n
-            obj[j * ds + i] = Fraction(1)
-            obj[j0 * ds + i0] -= phi[j][i] / phi[j0][i0]
-            for direction in (tuple(obj), tuple(-c for c in obj)):
-                out = lp_optimize(LinearProgram(n, ge=ge, objective=direction))
-                if out.status == "optimal" and out.value > 0:
-                    w = out.witness
-                    psi = tuple(
-                        tuple(w[jj * ds + ii] for ii in range(ds))
-                        for jj in range(dt)
-                    )
-                    return ExtremalityResult(False, psi)
-    return ExtremalityResult(True)
+    hull = nullspace([a for a, b, _ in ge[1::2] if b == 0], ncols=n)
+    if len(hull) <= 1:
+        return ExtremalityResult(True)
+    psi = _summand_by_ray_pinning(phi, source, target)
+    if psi is not None:
+        return ExtremalityResult(False, psi)
+    for c in range(n):
+        obj = [Fraction(0)] * n
+        obj[c] = Fraction(1)
+        obj[pivot] -= flat[c] / flat[pivot]
+        if any(vec_dot(obj, k) for k in hull):
+            break
+    w = lp_optimize(LinearProgram(n, ge=ge, objective=tuple(obj))).witness
+    return ExtremalityResult(False, tuple(tuple(w[j * ds:(j + 1) * ds]) for j in range(dt)))
 
 
 def is_pure_in_max(omega: BipartiteState) -> ExtremalityResult:

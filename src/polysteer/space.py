@@ -74,6 +74,7 @@ class StateSpace:
         # unit.r = U_r / t; not a field, so not in eq, hash or repr.
         object.__setattr__(self, "_unit_on_rays", (values, t))
         object.__setattr__(self, "_effect_rows", None)  # set by is_effect
+        object.__setattr__(self, "_effect_vertices", None)  # set by EffectsInterval.vertices
 
     @property
     def dim(self) -> int:
@@ -188,22 +189,20 @@ def order_interval_vertices(cone: PolyhedralCone, top: Sequence) -> tuple[Vector
 class EffectsInterval:
     """The effects [0, unit] of a space: the order interval of the dual
     cone, whose facets are the space's rays. Membership reads those rays;
-    the vertices are enumerated, by double description, on first access."""
+    the vertices are enumerated on first access and kept on the space."""
 
     space: StateSpace
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_vertices", None)  # set by vertices
 
     def contains(self, f: Sequence) -> bool:
         return self.space.is_effect(f)
 
     @property
     def vertices(self) -> tuple[Vector, ...]:
-        if self._vertices is None:
-            verts = order_interval_vertices(dual_cone(self.space.cone), self.space.unit)
-            object.__setattr__(self, "_vertices", verts)
-        return self._vertices
+        space = self.space
+        if space._effect_vertices is None:
+            verts = order_interval_vertices(dual_cone(space.cone), space.unit)
+            object.__setattr__(space, "_effect_vertices", verts)
+        return space._effect_vertices
 
 
 def effects_interval(space: StateSpace) -> EffectsInterval:

@@ -1,24 +1,40 @@
 """The LP loops `steering.image_interval` and `steering._polytope_dimension`
 ran before they read vertices, and the LP `steering.lift_ensemble` ran for
-every ensemble before an injective map's lifts were forced, kept as the
+every ensemble before an injective map's lifts were forced, and the LP
+loop `composite.map_is_extremal` ran before one rank decided it, kept as the
 references the tests pin them against.
 
 `image_interval` kept an image unless one LP wrote it as a convex
 combination of the other images. `polytope_dimension` optimized 2n
 functionals both ways, each orthogonal to the gaps and constant
 functionals found before it. `lift_ensemble` read the lift program's
-witness as the effects, or returned its Farkas vector.
+witness as the effects, or returned its Farkas vector. `map_is_extremal`
+first pinned a map carrying rays onto rays to one homogeneous system in
+(psi, t), and otherwise optimized each entry direction transverse to the
+segment [0, phi] both ways, 2(n - 1) LPs at most, a positive optimum
+handing back a summand.
 """
 
+from fractions import Fraction
 from typing import Sequence
 
-from polysteer.composite import BipartiteState, marginal_b
+from polysteer.composite import (
+    BipartiteState,
+    ExtremalityResult,
+    decomposition_program,
+    marginal_b,
+)
+from polysteer.cone import PolyhedralCone, is_extremal
 from polysteer.ratlin import (
     LinearProgram,
+    Matrix,
     Vector,
+    as_matrix,
+    as_vector,
     integer_row,
     lp_feasible,
     lp_optimize,
+    mat_vec,
     nullspace,
     vec_scale,
 )
@@ -97,3 +113,92 @@ def lift_ensemble(omega: BipartiteState, e: Ensemble) -> LiftResult:
         Effect(space_a, tuple(w[i * da + c] for c in range(da))) for i in range(len(e.parts))
     )
     return LiftResult(Observable(space_a, effects), None)
+
+
+def _extremal_by_ray_pinning(
+    phi: Matrix, source: PolyhedralCone, target: PolyhedralCone
+) -> ExtremalityResult | None:
+    """LP-free extremality for maps carrying extreme rays onto extreme rays:
+    a summand psi <= phi is pinned to psi(r_j) = t_j phi(r_j) on each ray,
+    so phi is extremal exactly when the solutions (psi, t) are the line
+    through (phi, 1, ..., 1). None when some ray image is neither zero nor
+    extremal."""
+    dt, ds = len(phi), len(phi[0])
+    images = [mat_vec(phi, r) for r in source.rays]
+    if any(any(img) and not is_extremal(target, img) for img in images):
+        return None
+    images = [img if any(img) else None for img in images]
+    t_index = {j: ds * dt + k for k, j in enumerate(
+        j for j, img in enumerate(images) if img is not None
+    )}
+    n = ds * dt + len(t_index)
+    rows = []
+    for j, r in enumerate(source.rays):
+        for c in range(dt):
+            row = [0] * n
+            row[c * ds:(c + 1) * ds] = r
+            if images[j] is not None:
+                row[t_index[j]] = -images[j][c]
+            rows.append(row)
+    basis = nullspace(rows, ncols=n)
+    if len(basis) <= 1:
+        return ExtremalityResult(True)
+    t_cols = sorted(t_index.values())
+    for vec in basis:
+        ts = [vec[col] for col in t_cols]
+        mean = sum(ts) / len(ts)
+        delta = [x - mean for x in ts]
+        spread = max(abs(d) for d in delta)
+        if spread == 0:
+            continue
+        eps = Fraction(1, 2) / spread
+        psi = tuple(
+            tuple(p / 2 + eps / 2 * (vec[c * ds + i] - mean * p) for i, p in enumerate(row))
+            for c, row in enumerate(phi)
+        )
+        return ExtremalityResult(False, psi)
+    return ExtremalityResult(True)
+
+
+def map_is_extremal(
+    phi: Matrix, source: PolyhedralCone, target: PolyhedralCone
+) -> ExtremalityResult:
+    """Extremality of phi in the positive-map cone: ray pinning when it
+    applies, otherwise two LPs over the decomposition polytope per entry
+    direction e_ji - (phi_ji / phi_j0i0) e_j0i0, the first positive
+    optimum's point returned as the summand."""
+    phi = as_matrix(phi)
+    dt, ds = len(phi), len(phi[0])
+    if ds != source.ambient_dim or dt != target.ambient_dim:
+        raise ValueError("matrix shape does not match the cones")
+    for r in source.rays:
+        if not target.contains(mat_vec(phi, as_vector(r))):
+            raise ValueError("map is not positive on the source cone")
+    pivot = next(
+        ((j, i) for j in range(dt) for i in range(ds) if phi[j][i] != 0), None
+    )
+    if pivot is None:
+        return ExtremalityResult(False)
+    pinned = _extremal_by_ray_pinning(phi, source, target)
+    if pinned is not None:
+        return pinned
+    j0, i0 = pivot
+    n = dt * ds
+    ge = decomposition_program(phi, source, target).ge
+    for j in range(dt):
+        for i in range(ds):
+            if (j, i) == (j0, i0):
+                continue
+            obj = [Fraction(0)] * n
+            obj[j * ds + i] = Fraction(1)
+            obj[j0 * ds + i0] -= phi[j][i] / phi[j0][i0]
+            for direction in (tuple(obj), tuple(-c for c in obj)):
+                out = lp_optimize(LinearProgram(n, ge=ge, objective=direction))
+                if out.status == "optimal" and out.value > 0:
+                    w = out.witness
+                    psi = tuple(
+                        tuple(w[jj * ds + ii] for ii in range(ds))
+                        for jj in range(dt)
+                    )
+                    return ExtremalityResult(False, psi)
+    return ExtremalityResult(True)

@@ -17,8 +17,11 @@ import pytest
 import polysteer
 from polysteer import cli, steering, theoryfile
 from polysteer.cli import main
+from polysteer.composite import BipartiteState
+from polysteer.cone import cone_from_rays
 from polysteer.fixtures import fixture_library
 from polysteer.ratlin import format_rational
+from polysteer.space import StateSpace
 
 
 @pytest.fixture(scope="module")
@@ -654,6 +657,38 @@ class TestVerify:
         code, vout, _ = run(capsys, "verify", str(path))
         assert code == 1
         assert "parallel to the map" in vout
+
+    def test_zero_state_refutation_verifies(self, capsys, tmp_path):
+        # The zero map is not pure and has no summand to certify that; verify
+        # re-derives such a report, as it re-derives a pure one.
+        bit = StateSpace(cone_from_rays([(1, 0), (0, 1)], 2), (1, 1))
+        tf = theoryfile.TheoryFile()
+        tf.spaces["bit"] = bit
+        tf.states["zero"] = BipartiteState(bit, bit, ((0, 0), (0, 0)))
+        lib = tmp_path / "zero.json"
+        theoryfile.dump(tf, lib)
+        code, out, _ = run(capsys, "pure", str(lib), "zero", "--json")
+        report = json.loads(out)
+        assert code == 1
+        assert (report["verdicts"], report["certificates"]) == ({"pure": False}, {})
+        path = tmp_path / "report.json"
+        path.write_text(out)
+        code, vout, _ = run(capsys, "verify", str(path))
+        assert (code, vout) == (0, "OK: pure report verified\n")
+
+    @pytest.mark.parametrize("state", ["square_iso", "extremality_gap"])
+    def test_refutation_without_a_summand_rejected(
+        self, capsys, lib_path, tmp_path, state
+    ):
+        _, out, _ = run(capsys, "pure", lib_path, state, "--json")
+        report = json.loads(out)
+        report["verdicts"]["pure"] = False
+        report["certificates"].pop("decomposition_part", None)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(report))
+        code, vout, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert "differ" in vout
 
     def test_tampered_section_farkas_rejected(self, capsys, lib_path, tmp_path):
         _, out, _ = run(capsys, "section", lib_path, "cube_to_hexagon", "--json")

@@ -9,6 +9,7 @@ non-extremality equally well.
 """
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -56,6 +57,7 @@ from polysteer.space import (
     order_isomorphisms,
     pair_ray_images,
 )
+import reference_lp_loops
 from test_space import ungated_transport
 
 SQUARE_RAYS = [(-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1)]
@@ -488,6 +490,111 @@ def test_decomposition_program_holds_exactly_the_summands():
     # Past phi the complement leaves the cone; below 0 the part does.
     assert not holds([[2 * x for x in row] for row in phi])
     assert not holds([[-x for x in row] for row in witness])
+
+
+def extremality_corpus(states):
+    """(phi, source, target) triples: the maps A* -> B of the fixture states
+    and of the given states, every automorphism and every order isomorphism
+    from the dual cone onto the cone of each fixture space, and 48 seeded
+    sums of one to three weighted products of a B ray (negated one time in
+    three, so that some sums are not positive) and an A facet."""
+    lib = fixture_library()
+    omegas = [lib.state(name) for name in lib.states] + list(states)
+    corpus = [(o.matrix, dual_cone(o.space_a.cone), o.space_b.cone) for o in omegas]
+    for name in lib.spaces:
+        cone = lib.space(name).cone
+        for source in (cone, dual_cone(cone)):
+            corpus += [(w.matrix, source, cone) for w in order_isomorphisms(source, cone)]
+    rng = random.Random(39)
+    names = list(lib.spaces)
+    for _ in range(48):
+        a, b = lib.space(rng.choice(names)), lib.space(rng.choice(names))
+        phi = [[Fraction(0)] * a.dim for _ in range(b.dim)]
+        for _ in range(rng.randint(1, 3)):
+            f, g, w = rng.choice(a.cone.facets), rng.choice(b.cone.rays), rng.randint(1, 4)
+            if rng.random() < 1 / 3:
+                w = -w
+            for j in range(b.dim):
+                for i in range(a.dim):
+                    phi[j][i] += w * g[j] * f[i]
+        corpus.append((phi, dual_cone(a.cone), b.cone))
+    return corpus
+
+
+def extremality_outcome(decide, phi, source, target):
+    try:
+        result = decide(phi, source, target)
+    except ValueError as exc:
+        return str(exc)
+    return result.extremal, result.witness
+
+
+def counted_lps(monkeypatch):
+    """The lp_optimize calls composite makes while the test runs."""
+    calls = []
+    real = composite.lp_optimize
+    monkeypatch.setattr(composite, "lp_optimize", lambda lp: calls.append(1) or real(lp))
+    return calls
+
+
+def test_map_is_extremal_matches_the_lp_loop_reference(monkeypatch, criterion_8_sequence):
+    corpus = extremality_corpus(criterion_8_sequence(100))
+    assert len(corpus) == 8 + 100 + 150 + 54 + 48
+    lps = counted_lps(monkeypatch)
+    tally = {"extremal": 0, "refuted": 0, "refuted by one LP": 0, "error": 0}
+    for phi, source, target in corpus:
+        lps.clear()
+        got = extremality_outcome(map_is_extremal, phi, source, target)
+        assert got == extremality_outcome(reference_lp_loops.map_is_extremal, phi, source, target)
+        if isinstance(got, str):
+            tally["error"] += 1
+        elif got[0]:
+            assert lps == []
+            tally["extremal"] += 1
+        else:
+            assert len(lps) <= 1
+            tally["refuted"] += 1
+            tally["refuted by one LP"] += len(lps)
+    assert tally == {"extremal": 156, "refuted": 174, "refuted by one LP": 84, "error": 30}
+
+
+# Extreme-ray counts of the largest composites whose purity census tier-1 runs.
+MAX_TENSOR_RAYS = {
+    ("square_space", "square_space"): 24,
+    ("square_space", "pentagon_space"): 60,
+    ("pentagon_space", "pentagon_space"): 183,
+    ("hexagon_space", "hexagon_space"): 552,
+    ("cube_space", "octahedron_space"): 384,
+}
+
+
+@pytest.mark.parametrize("names", list(MAX_TENSOR_RAYS), ids="-".join)
+def test_extreme_rays_of_the_largest_composite_are_pure_with_no_lp(monkeypatch, names):
+    a, b = (fixture_library().space(name) for name in names)
+    rays = max_tensor(a, b).cone.rays
+    assert len(rays) == MAX_TENSOR_RAYS[names]
+    lps = counted_lps(monkeypatch)
+    assert all(is_pure_in_max(BipartiteState.from_tensor_vector(a, b, r)) for r in rays)
+    assert lps == []
+
+
+@pytest.mark.parametrize("name", ["square_space", "pentagon_space"])
+def test_sums_of_two_extreme_rays_are_refuted(monkeypatch, name):
+    space = fixture_library().space(name)
+    source, target = dual_cone(space.cone), space.cone
+    rays = max_tensor(space, space).cone.rays
+    rng = random.Random(39)
+    lps = counted_lps(monkeypatch)
+    for _ in range(12):
+        r, s = rng.sample(rays, 2)
+        omega = BipartiteState.from_tensor_vector(space, space, [x + y for x, y in zip(r, s)])
+        lps.clear()
+        result = is_pure_in_max(omega)
+        assert not result and len(lps) <= 1
+        phi = [x for row in omega.matrix for x in row]
+        psi = [x for row in result.witness for x in row]
+        assert rank([phi, psi]) == 2
+        assert LPOutcome.feasible(psi).check(decomposition_program(omega.matrix, source, target))
 
 
 def test_purified_square_state_is_pure():

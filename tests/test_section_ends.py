@@ -149,6 +149,14 @@ def test_effect_membership_enumerates_no_vertices(monkeypatch):
         calls.clear()
 
 
+def test_image_intervals_of_one_space_enumerate_its_vertices_once(monkeypatch):
+    omega = fixture_library().state("square_iso")
+    calls = counted(monkeypatch, space_module, "order_interval_vertices")
+    first = steering.image_interval(omega)
+    assert steering.image_interval(omega) == first
+    assert len(calls) == 1
+
+
 def test_section_verify_enumerates_the_interval_once(monkeypatch, end_check_states):
     found = [(omega, affine_section_search(omega)) for omega in end_check_states]
     found = [(omega, s) for omega, s in found if s]

@@ -33,7 +33,7 @@ from polysteer.ratlin import (
     solve_linear,
     vec_dot,
 )
-from polysteer.space import effects_interval
+from polysteer.space import StateSpace, effects_interval
 from polysteer.steering import (
     ensemble_polytope_vertices,
     order_interval_vertices,
@@ -167,7 +167,11 @@ def enumerations():
     for name, space in SPACES:
         for top in interval_tops(space):
             yield f"[0, {top}] in {name}", lambda c=space.cone, t=top: order_interval_vertices(c, t)
-        yield f"effects of {name}", lambda s=space: effects_interval(s).vertices
+        # A space keeps the effect vertices it enumerated, so each run reads
+        # them off a fresh copy of the space.
+        yield f"effects of {name}", lambda s=space: effects_interval(
+            StateSpace(s.cone, s.unit)
+        ).vertices
     splits = [
         (f"marginal of {name}", omega.space_b, composite.marginal_b(omega).vector)
         for name, omega in STATES[len(LIB.states):]
