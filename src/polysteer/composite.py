@@ -225,6 +225,7 @@ class BipartiteState:
         # matrix = rows / q; not a field, so not in eq, hash or repr.
         object.__setattr__(self, "_rows", (rows, q))
         object.__setattr__(self, "_solver", None)  # built by solver()
+        object.__setattr__(self, "_frame", None)  # built by steering._interval_basis
 
     def solver(self) -> IntegerSolver:
         """The solver of the map's integer rows, built on the first call."""
@@ -273,6 +274,10 @@ class BipartiteState:
     ) -> "BipartiteState":
         """Sum of weighted product states: each term is (weight, alpha, beta)."""
         terms = [(Fraction(w), as_vector(alpha), as_vector(beta)) for w, alpha, beta in terms]
+        for n, (_, alpha, beta) in enumerate(terms):
+            if (len(alpha), len(beta)) != (a.dim, b.dim):
+                raise ValueError(f"product term {n} has lengths ({len(alpha)}, {len(beta)}), "
+                                 f"not the dimensions ({a.dim}, {b.dim})")
         m = [[sum(w * beta[j] * alpha[i] for w, alpha, beta in terms) for i in range(a.dim)]
              for j in range(b.dim)]
         return cls(a, b, m)

@@ -241,6 +241,8 @@ def _splittings(
     The rows come in one block per part, so double description takes them
     in input order (see ``dd``), which gave the same vertices faster than
     maxcut on every splitting polytope timed."""
+    if k < 1:
+        raise ValueError("a splitting needs at least one part")
     t, q = integral_with_scale(target)
     if not space.cone.contains(t):
         raise ValueError("the split target must lie in the cone")
@@ -257,7 +259,7 @@ def _splittings(
     out = []
     for v in verts:
         parts = [v[i * db:(i + 1) * db] for i in range(k - 1)]
-        parts.append(tuple(s * x - sum(col) for x, col in zip(t, zip(*parts))))
+        parts.append(tuple(s * x - sum(col) for x, *col in zip(t, *parts)))
         out.append(tuple(parts))
     return out, s * q
 
@@ -378,18 +380,18 @@ class AffineSection:
         return int_mat_vec(rows, lam, q * den)
 
     def verify(self, omega: BipartiteState) -> bool:
-        """Whether this is a section of omega over section_program's basis:
-        the same base points in the same order, one image each, holding as
-        _holds checks. The basis check is the only step that enumerates the
-        vertices of [0, marginal]."""
-        target, _, basis = _interval_basis(omega)
-        ok = tuple(self.base_points) == tuple(basis)
-        return ok and len(self.images) == len(self.base_points) and self._holds(omega, target)
+        """Whether this is a section of omega over omega's section frame:
+        the frame's base points in the same order, one image each, holding
+        as _holds checks. The frame is kept on omega, so [0, marginal] is
+        enumerated once per state, however many sections are searched for
+        and verified on it."""
+        ok = tuple(self.base_points) == _interval_basis(omega)[2].base_points
+        return ok and len(self.images) == len(self.base_points) and self._holds(omega)
 
-    def _holds(self, omega: BipartiteState, target: Vector) -> bool:
+    def _holds(self, omega: BipartiteState) -> bool:
         """Whether every y in [0, marginal] goes to an effect x(y) mapping
-        onto y, checked at the interval's ends; target is omega's marginal
-        on B, which the caller has at hand.
+        onto y, checked at the interval's ends, for a section over the base
+        points of omega's section frame (verify checks that first).
 
         Each image maps onto its base point, so omega-hat x = id on the
         interval's hull by affinity. Each face ray of the marginal goes to a
@@ -397,21 +399,16 @@ class AffineSection:
         on the marginal's face F. Every y in [0, marginal] has y and
         marginal - y in F, so x(0) <= x(0) + L y = x(y) <= x(marginal), and
         x(y) is an effect once x(0) and x(marginal) are."""
+        target, _, _, steps = _interval_basis(omega)
         rows = self._system()[2][0]  # refuses ragged images before any check
         if any(omega.apply(x) != p for x, p in zip(self.images, self.base_points)):
             return False
         zero = vec_zero(len(target))
         if not all(omega.space_a.is_effect(self.apply(y)) for y in (zero, target)):
             return False
-        base, b = self._weights(zero)
-        for fr in face_of(omega.space_b.cone, target).rays():
-            # The step apply(fr) - apply(0), times the positive scale q b d.
-            lam, d = self._weights(fr)
-            diff = [x * b - y * d for x, y in zip(lam, base)]
-            step = [sum(map(mul, row, diff)) for row in rows]
-            if not omega.space_a.cone.dual_contains(step):
-                return False
-        return True
+        # Each step apply(fr) - apply(0), times a positive scale.
+        dual_contains = omega.space_a.cone.dual_contains
+        return all(dual_contains([sum(map(mul, row, lam)) for row in rows]) for lam, _ in steps)
 
 
 @dataclass(frozen=True)
@@ -430,6 +427,8 @@ class SectionSearch:
 SectionProgram = tuple[LinearProgram, Callable[[Vector], AffineSection]]
 # Integer rows over one positive scale: row / scale is the rational row.
 ScaledRows = tuple[Sequence[Sequence[int]], int]
+# A state's marginal, interval, affine basis and face-ray step weights.
+SectionFrame = tuple[Vector, ScaledRows, AffineSection, list[tuple[list[int], int]]]
 
 
 def _affine_basis(points: Sequence[Sequence]) -> list[int]:
@@ -441,15 +440,28 @@ def _affine_basis(points: Sequence[Sequence]) -> list[int]:
     return independent_rows([(*p, 1) for p in points])
 
 
-def _interval_basis(omega: BipartiteState) -> tuple[Vector, ScaledRows, list[Vector]]:
-    """omega's marginal on B, the vertices of [0, marginal] as integer rows
-    over one positive scale, and the affine basis section_program takes
-    from them. The interval is enumerated once, and read as integer rows
-    once."""
-    target = marginal_b(omega).vector
-    verts = order_interval_vertices(omega.space_b.cone, target)
-    rows, s = integer_rows(verts)
-    return target, (rows, s), [verts[i] for i in _affine_basis(rows)]
+def _interval_basis(omega: BipartiteState) -> SectionFrame:
+    """omega's section frame, derived on the first call and kept on omega:
+    its marginal on B, the vertices of [0, marginal] as integer rows over one
+    positive scale, the affine basis they give as an AffineSection with no
+    images (its coordinates are the frame's), and per face ray fr of the
+    marginal the step weights coordinates(fr) - coordinates(0) as integers
+    over one positive scale. The interval is enumerated once, and read as
+    integer rows once."""
+    frame = omega._frame
+    if frame is None:
+        target = marginal_b(omega).vector
+        verts = order_interval_vertices(omega.space_b.cone, target)
+        rows, s = integer_rows(verts)
+        coords = AffineSection(tuple(verts[i] for i in _affine_basis(rows)), ())
+        base, b = coords._weights_over((0,) * len(target) + (1,), 1)
+        steps = []
+        for fr in face_of(omega.space_b.cone, target).rays():
+            lam, d = coords._weights_over((*fr, 1), 1)
+            steps.append(([x * b - y * d for x, y in zip(lam, base)], b * d))
+        frame = target, (rows, s), coords, steps
+        object.__setattr__(omega, "_frame", frame)
+    return frame
 
 
 def _weighted_rows(
@@ -479,89 +491,81 @@ def _row_over(lhs: Sequence[int], d: int, num: int, den: int) -> Row:
 
 
 def _section_rows(
-    omega: BipartiteState,
-    target: Vector,
-    interval: ScaledRows,
-    basis: Sequence[Vector],
-    rays: Sequence,
-    values: Sequence = (),
+    omega: BipartiteState, rays: Sequence, values: Sequence = ()
 ) -> tuple[list[Row], list[Row]]:
-    """The eq and ge rows of a section program over [0, target], target
-    being omega's marginal on B, one block of unknowns per basis point, read
-    by each A ray through `rays` and by each row of the state's matrix
-    through `values`. The interval's vertices come as integer rows v over
-    one positive scale s, so each vertex is read as (v / s, 1) = (v, s) / s
-    for its affine coordinates, with no Fraction built.
+    """The eq and ge rows of a section program over omega's section frame,
+    one block of unknowns per basis point, read by each A ray through `rays`
+    and by each row of the state's matrix through `values`. The interval's
+    vertices come as integer rows v over one positive scale s, so each
+    vertex is read as (v / s, 1) = (v, s) / s for its affine coordinates,
+    with no Fraction built.
 
     At each interval vertex, the image sum_i lam_i x_i over its affine
     coordinates must map to the vertex and lie in [0, u_A], the bound u_A.r
     read off ``StateSpace._unit_on_rays``. Each face ray of the marginal,
-    weighed by coordinates(fr) - coordinates(0) (the interval's hull is a
-    linear space holding every face ray), must go to a functional
-    nonnegative on the A rays. Every row has the rational value the
-    Fraction builders wrote, at some integer scale."""
-    frame = AffineSection(tuple(basis), ())
+    weighed by its step weights (the interval's hull is a linear space
+    holding every face ray), must go to a functional nonnegative on the A
+    rays. Every row has the rational value the Fraction builders wrote, at
+    some integer scale."""
+    _, (verts, s), coords, steps = _interval_basis(omega)
     units, t = omega.space_a._unit_on_rays
-    verts, s = interval
     eq: list[Row] = []
     ge: list[Row] = []
     for v in verts:
-        lam = frame._weights_over((*v, s), s)
+        lam = coords._weights_over((*v, s), s)
         # Value rows: row = v_j / s - constant; ray rows: 0 <= row + constant <= U_r / t.
         for (row, d, c, u), x in zip(_weighted_rows(lam, values), v):
             eq.append(_row_over(row, d, x * u - c * s, s * u))
         for (row, d, c, u), bound in zip(_weighted_rows(lam, rays), units):
             ge.append(_row_over(row, d, -c, u))
             ge.append(_row_over([-x for x in row], d, c * t - bound * u, t * u))
-    base, b = frame._weights_over((0,) * len(target) + (1,), 1)
-    for fr in face_of(omega.space_b.cone, target).rays():
-        lam, d = frame._weights_over((*fr, 1), 1)
-        step = ([x * b - y * d for x, y in zip(lam, base)], b * d)
+    for step in steps:
         ge += [_row_over(row, w, -c, u) for row, w, c, u in _weighted_rows(step, rays)]
     return eq, ge
 
 
-def _section_decoder(
-    basis: Sequence[Vector], w: Sequence[Vector], kernel: Sequence[Vector]
-) -> Callable[[Vector], AffineSection]:
-    """The map from a section program's unknowns to its section: basis point
-    i goes to x_i = w_i + K xi_i, with xi_i the i-th block of len(kernel)
-    unknowns."""
-    kappa = len(kernel)
+def _parametrized_program(
+    omega: BipartiteState, w: Sequence[Vector], kernel: Sequence[Vector], values: Sequence = ()
+) -> SectionProgram:
+    """The section program whose unknowns xi send basis point i to
+    x_i = w_i + K xi_i, xi_i the i-th block of len(kernel) unknowns and K's
+    columns the kernel vectors, and the map from its points to sections. A
+    ray r reads r.x_i = r.w_i + (r K).xi_i, so the ge rows are
+    _section_rows' from the functionals (r K, r.w_i), each read on K and w
+    scaled to integers once; `values` passes through as the value
+    functionals."""
+    k_rows, k_scale = integer_rows(kernel)
+    w_rows, w_scale = integer_rows(w)
+    rays = [
+        (([int_dot(k, r) for k in k_rows], k_scale), ([int_dot(x, r) for x in w_rows], w_scale))
+        for r in omega.space_a.cone.rays
+    ]
+    eq, ge = _section_rows(omega, rays, values)
+    basis, kappa = _interval_basis(omega)[2].base_points, len(kernel)
 
     def decode(xi: Vector) -> AffineSection:
         images = tuple(
             mat_vec(mat_transpose([wi, *kernel]), (1, *xi[i * kappa:(i + 1) * kappa]))
             for i, wi in enumerate(w)
         )
-        return AffineSection(tuple(basis), images)
+        return AffineSection(basis, images)
 
-    return decode
+    return LinearProgram(len(w) * kappa, eq=eq, ge=ge), decode
 
 
-def _section_search_full(
-    omega: BipartiteState,
-    target: Vector,
-    interval: ScaledRows,
-    basis: Sequence[Vector],
-) -> SectionProgram:
-    """The section program with w = 0 and K = I, whose unknowns are the basis
-    images themselves, over [0, target] as in _section_rows, on the interval
-    and basis section_program read. Used when the reduced parametrization
-    does not apply.
+def _section_search_full(omega: BipartiteState) -> SectionProgram:
+    """The parametrized program at w = 0 and K = I, whose unknowns are the
+    basis images themselves, on omega's section frame. Used when the
+    reduced parametrization does not apply.
     K = I does not enforce omega-hat x_i = p_i, so the program keeps the
     value rows, read by the rows of the state's matrix, and its farkas
     certificate covers them explicitly."""
     da = omega.space_a.dim
-    m = len(basis)
-    # Each functional (r K, r.w_i) is (r, 0) here, written on integers as is.
-    zero = ([0] * m, 1)
-    rays = [((r, 1), zero) for r in omega.space_a.cone.rays]
+    m = len(_interval_basis(omega)[2].base_points)
+    # Each value functional (row K, row.w_i) is (row, 0) here.
     rows, q = omega._rows
-    values = [((row, q), zero) for row in rows]
-    eq, ge = _section_rows(omega, target, interval, basis, rays, values)
-    decode = _section_decoder(basis, [vec_zero(da)] * m, mat_identity(da))
-    return LinearProgram(m * da, eq=eq, ge=ge), decode
+    values = [((row, q), ([0] * m, 1)) for row in rows]
+    return _parametrized_program(omega, [vec_zero(da)] * m, mat_identity(da), values)
 
 
 def section_program(omega: BipartiteState) -> SectionProgram:
@@ -569,44 +573,33 @@ def section_program(omega: BipartiteState) -> SectionProgram:
     from its points to sections. Exposed so an infeasibility certificate can
     be re-checked against the very rows it claims to combine.
 
-    Every section program has one parametrization: the image of basis point
-    i is x_i = w_i + K xi_i, and the program's unknowns are the xi. Here w
-    holds particular preimages of the basis points and K's columns span the
-    kernel of the state's map, so a ray r reads r.x_i = r.w_i + (r K).xi_i:
-    the rows are _section_search_full's inequality rows under that
-    substitution, row for row, from the functionals (r K, r.w_i), each
-    read on K and w scaled to integers once. Its value rows vanish
-    identically, so the program runs over kernel coefficients only. With a
-    trivial kernel, K = () and the program decodes to the one candidate,
-    checked by AffineSection._holds, as verify checks a section, before any
-    row is written: if it holds, the program has no unknowns and no rows.
-    When a basis point has no preimage, or that candidate fails, the program
-    is _section_search_full's instead, with w = 0 and K = I.
+    Every section program has _parametrized_program's parametrization on
+    omega's section frame: the image of basis point i is x_i = w_i + K xi_i,
+    and the program's unknowns are the xi. Here w holds particular
+    preimages of the basis points and K's columns span the kernel of the
+    state's map, so the value rows vanish identically and the program runs
+    over kernel coefficients only. With a trivial kernel, K = () and the one
+    candidate section sends each basis point to its preimage; it is checked
+    by AffineSection._holds, as verify checks a section, before any row is
+    written: if it holds, the program has no unknowns and no rows and
+    decodes to that candidate. When a basis point has no preimage, or that
+    candidate fails, the program is _section_search_full's instead, with
+    w = 0 and K = I and the value rows.
     """
-    target, interval, basis = _interval_basis(omega)
+    basis = _interval_basis(omega)[2].base_points
     particular: list[Vector] = []
     for p in basis:
         w0 = solve_linear(omega.matrix, p)
         if w0 is None:
-            return _section_search_full(omega, target, interval, basis)
+            return _section_search_full(omega)
         particular.append(w0)
     kernel = nullspace(omega.matrix, ncols=omega.space_a.dim)
-    decode = _section_decoder(basis, particular, kernel)
-    if not kernel:
-        if not decode(())._holds(omega, target):
-            return _section_search_full(omega, target, interval, basis)
-        return LinearProgram(0), decode
-    k_rows, k_scale = integer_rows(kernel)
-    w_rows, w_scale = integer_rows(particular)
-    rays = [
-        (
-            ([int_dot(k, r) for k in k_rows], k_scale),
-            ([int_dot(w, r) for w in w_rows], w_scale),
-        )
-        for r in omega.space_a.cone.rays
-    ]
-    _, ge = _section_rows(omega, target, interval, basis, rays)
-    return LinearProgram(len(basis) * len(kernel), ge=ge), decode
+    if kernel:
+        return _parametrized_program(omega, particular, kernel)
+    candidate = AffineSection(basis, tuple(particular))
+    if not candidate._holds(omega):
+        return _section_search_full(omega)
+    return LinearProgram(0), lambda xi: candidate
 
 
 def _polytope_dimension(lp: LinearProgram) -> tuple[int, tuple[Vector, Vector] | None]:

@@ -305,6 +305,17 @@ def test_correlated_square_state_from_products():
     assert marginal_a(omega).vector == (0, 1, 1)
 
 
+@pytest.mark.parametrize("alpha, beta", [((1, 1, 1, 0), (1, 1, 1)), ((1, 1), (1, 1, 1)),
+                                         ((1, 1, 1), (1, 1, 1, 0)), ((1, 1, 1), (1, 1))])
+def test_product_term_lengths_must_match_the_factors(alpha, beta):
+    """A term's alpha and beta must have the factors' dimensions: a longer
+    one is not truncated, a shorter one is not an IndexError."""
+    sq = square_space()
+    terms = [(Fraction(1, 2), (1, 1, 1), (1, 1, 1)), (Fraction(1, 2), alpha, beta)]
+    with pytest.raises(ValueError, match=r"product term 1 has lengths"):
+        BipartiteState.from_products(sq, sq, terms)
+
+
 def test_product_state_marginals():
     trit, bit = simplex_space(3), simplex_space(2)
     alpha = (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2))

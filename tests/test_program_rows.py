@@ -83,14 +83,15 @@ def fraction_section_rows(omega, target, verts, basis, rays, values=()):
     return eq, ge
 
 
-def fraction_args(omega, target, interval, basis, *functionals):
-    """_section_rows' arguments as fraction_section_rows takes them: the
-    interval as the Fraction vertices order_interval_vertices gives, which
-    its integer rows over their scale must read as."""
+def fraction_args(omega, *functionals):
+    """_section_rows' arguments as fraction_section_rows takes them, with
+    omega's section frame read out: the marginal, the interval as the
+    Fraction vertices order_interval_vertices gives, which the frame's
+    integer rows over their scale must read as, and the frame's basis."""
+    target, (rows, s), coords, _ = _interval_basis(omega)
     verts = order_interval_vertices(omega.space_b.cone, target)
-    rows, s = interval
     assert [tuple(Fraction(x, s) for x in v) for v in rows] == list(verts)
-    return (omega, target, verts, basis, *functionals)
+    return (omega, target, verts, coords.base_points, *functionals)
 
 
 def fraction_lift_rows(omega, e):
@@ -155,7 +156,7 @@ def test_section_rows_read_as_the_fraction_rows(states, monkeypatch):
     monkeypatch.setattr(steering, "_section_rows", compared)
     for omega in states:
         section_program(omega)
-        _section_search_full(omega, *_interval_basis(omega))
+        _section_search_full(omega)
     assert (len(states), len(calls), sum(calls)) == (108, 187, 13935), (len(calls), sum(calls))
 
 
@@ -205,7 +206,7 @@ def test_fractional_units_and_matrices_read_as_the_fraction_rows(monkeypatch):
         matrix = [vec_scale(Fraction(3, 7), row) for row in base.matrix]
         omega = BipartiteState(space_a, base.space_b, matrix)
         section_program(omega)
-        _section_search_full(omega, *_interval_basis(omega))
+        _section_search_full(omega)
         for _, e in extremal_ensembles(omega.space_b, marginal_b(omega).vector, 2):
             lp = ensemble_lift_program(omega, e)
             assert (rational_rows(lp.eq), rational_rows(lp.ge)) == fraction_lift_rows(omega, e)

@@ -5,17 +5,20 @@ affine bases of lifted points, against the code they replaced.
 per-vertex loop kept in `reference_sections` checked every vertex of
 [0, marginal]; the two must agree on found sections and on tamperings of
 them. `_affine_basis` and `_polytope_dimension` read the rows (p, 1) where
-the references read the differences p - p_0.
+the references read the differences p - p_0. A state keeps the section
+frame its first search derives, so tests that count enumerations run on
+fresh copies of the states.
 """
 
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
 from polysteer import space as space_module
 from polysteer import steering
-from polysteer.composite import marginal_b
+from polysteer.composite import BipartiteState, marginal_b
 from polysteer.cone import dual_cone
 from polysteer.fixtures import fixture_library
 from polysteer.ratlin import (
@@ -107,7 +110,7 @@ def test_end_check_agrees_with_the_per_vertex_loop(end_check_states):
         verts = interval_of(omega)
         for kind, section in candidate_sections(omega, rng):
             want = reference_sections.holds_on(section, omega, verts)
-            assert section._holds(omega, marginal_b(omega).vector) == want, (kind, section)
+            assert section._holds(omega) == want, (kind, section)
             assert section.verify(omega) == want, (kind, section)
             verdicts.setdefault(kind, []).append(want)
     assert set(verdicts) == {"found", "preimages", "shift", "perturb", "rescale"}
@@ -124,7 +127,7 @@ def test_end_check_refuses_ragged_images_before_any_check():
     good = affine_section_search(omega).section
     ragged = AffineSection(good.base_points, ((F(9),) * 2,) + good.images[1:])
     with pytest.raises(ValueError, match="zip"):
-        ragged._holds(omega, marginal_b(omega).vector)
+        ragged._holds(omega)
 
 
 def counted(monkeypatch, module, name):
@@ -157,21 +160,64 @@ def test_image_intervals_of_one_space_enumerate_its_vertices_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_section_verify_enumerates_the_interval_once(monkeypatch, end_check_states):
-    found = [(omega, affine_section_search(omega)) for omega in end_check_states]
-    found = [(omega, s) for omega, s in found if s]
+def fresh(omega):
+    """A new state equal to omega, with nothing kept on it yet."""
+    return BipartiteState(omega.space_a, omega.space_b, omega.matrix)
+
+
+def test_section_search_and_verify_enumerate_the_interval_once(monkeypatch, end_check_states):
+    """On a fresh copy of each state, the search and the verify calls of its
+    section and alternate enumerate [0, marginal] once between them: the
+    search keeps the state's section frame, and verify reads it and runs no
+    program enumeration."""
     intervals = counted(monkeypatch, steering, "order_interval_vertices")
     vertices = counted(monkeypatch, space_module, "_vertex_rows")
     programs = counted(monkeypatch, steering, "polytope_vertices")
-    for omega, search in found:
+    found = 0
+    for state in end_check_states:
+        omega = fresh(state)
+        for calls in (intervals, vertices):
+            calls.clear()
+        search = affine_section_search(omega)
+        programs.clear()
         for section in (search.section, search.alternate):
-            if section is None:
-                continue
-            for calls in (intervals, vertices, programs):
-                calls.clear()
-            assert section.verify(omega)
-            assert (len(intervals), len(vertices), len(programs)) == (1, 1, 0)
-    assert len(found) > 20
+            if section is not None:
+                assert section.verify(omega)
+        assert (len(intervals), len(vertices), len(programs)) == (1, 1, 0)
+        found += bool(search)
+    assert found > 20
+
+
+def test_a_second_search_falls_back_as_the_first(monkeypatch, criterion_8_states):
+    """A search on a state that keeps its frame gives the same result and
+    calls _section_search_full exactly when the first search did: on 14 of
+    the 20 states random_batch draws."""
+    full = counted(monkeypatch, steering, "_section_search_full")
+    fallbacks = 0
+    for state in criterion_8_states:
+        omega = fresh(state)
+        first = affine_section_search(omega)
+        calls = len(full)
+        assert affine_section_search(omega) == first
+        assert len(full) == 2 * calls
+        fallbacks += calls
+        full.clear()
+    assert fallbacks == 14
+
+
+def test_kept_attributes_are_invisible_to_equality(criterion_8_states):
+    """The integer rows, the solver and the section frame are kept on a
+    state, not fields: once all three are built, the state compares equal,
+    hashes and reprs as a fresh copy of itself."""
+    assert [f.name for f in fields(BipartiteState)] == ["space_a", "space_b", "matrix"]
+    for state in criterion_8_states:
+        omega = fresh(state)
+        affine_section_search(omega)
+        omega.solver()
+        copy = fresh(omega)
+        assert None not in (omega._rows, omega._solver, omega._frame)
+        assert (copy._solver, copy._frame) == (None, None)
+        assert omega == copy and hash(omega) == hash(copy) and repr(omega) == repr(copy)
 
 
 def interval_program(cone, top):

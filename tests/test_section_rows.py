@@ -29,7 +29,6 @@ from polysteer.ratlin import (
 from polysteer.steering import (
     AffineSection,
     _affine_basis,
-    _interval_basis,
     _section_search_full,
     order_interval_vertices,
     section_program,
@@ -163,7 +162,7 @@ def test_integer_rows_equal_the_fraction_product_rows(criterion_8_states):
     rows = 0
     for omega in states:
         verts, basis = interval_basis(omega)
-        got, _ = _section_search_full(omega, *_interval_basis(omega))
+        got, _ = _section_search_full(omega)
         assert_same_program(got, fraction_product_rows(omega, verts, basis))
         rows += got.row_count()
     assert len(states) == 28 and rows >= 1000, rows

@@ -423,6 +423,16 @@ def test_ensemble_polytope_vertices_split_the_target():
         assert total == target
 
 
+def test_one_part_splitting_is_the_target_itself():
+    """The one-part splitting polytope is the point (target,); fewer parts
+    split nothing."""
+    for space, target in ((simplex_space(2), (F(1, 2), F(1, 3))), (square_space(), (0, 1, 1))):
+        assert ensemble_polytope_vertices(space, target, 1) == [(as_vector(target),)]
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="at least one part"):
+                ensemble_polytope_vertices(space, target, k)
+
+
 def test_ensemble_polytope_target_must_be_in_cone():
     with pytest.raises(ValueError, match="split target"):
         ensemble_polytope_vertices(square_space(), (2, 0, 1), 2)
