@@ -46,7 +46,6 @@ from .ratlin import (
     mat_transpose,
     mat_vec,
     nullspace,
-    rank,
     vec_dot,
     vec_scale,
     vec_zero,
@@ -465,11 +464,11 @@ def factors_isomorphically_through(
     for r in source.rays:
         if not target.contains(mat_vec(phi, as_vector(r))):
             raise ValueError("map is not positive on the source cone")
-    rk = rank(list(phi))
-    if rk == 0:
-        return None
     d = source.ambient_dim
     kern = nullspace(list(phi))
+    rk = len(phi[0]) - len(kern)
+    if rk == 0:
+        return None
     rows, q = integer_rows(phi)
     for face in all_faces(source):
         face_rays = [as_vector(r) for r in face.rays()]

@@ -1,5 +1,6 @@
-"""Regular polyhedral cones: construction, duality, faces, direct sums and
-the slack matrix pinned at an interior point.
+"""Regular polyhedral cones: construction, duality, faces, direct sums, the
+slack matrix pinned at an interior point, and the circuits of a ray basis,
+which give both the irreducible summands and the isomorphism search's frame.
 
 A cone is regular when it is pointed (contains no line) and generating (spans
 its ambient space). Both representations are stored canonically: primitive
@@ -13,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import and_, mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import dd
 from .ratlin import (
@@ -368,56 +369,51 @@ def ordered_direct_sum(a: PolyhedralCone, b: PolyhedralCone) -> PolyhedralCone:
     return PolyhedralCone(da + db, tuple(sorted(rays)), tuple(sorted(facets)))
 
 
-def support_classes(
-    d: int, supports: Iterable[Sequence[int]]
-) -> tuple[list[int], list[int]]:
-    """Union-find over the positions 0..d-1 of a ray basis, joining the
-    positions of each support in turn.
+class RayCircuits(NamedTuple):
+    basis: list[int]
+    solver: IntegerSolver
+    circuits: dict[int, tuple[list[int], int]]
+    left: list[int]
+    partition: list[tuple[int, ...]]
 
-    A ray off the basis, written over it, forms a circuit with the basis rays
-    its support holds, so all of them lie in one irreducible summand. Returns
-    the class of every position (a representative position) once each
-    support is joined, and the number of classes left after each support.
+
+def ray_circuits(c: PolyhedralCone) -> RayCircuits:
+    """The greedy ray basis of c (``independent_rows`` of the rays), the
+    ``IntegerSolver`` of the basis rays as columns, and the circuit of each
+    ray off the basis: its coordinates over it, integers over one positive
+    denominator. Two eliminations, whatever the ray count.
+
+    A circuit's rays lie in one irreducible summand. Joining each circuit's
+    basis positions in turn gives ``left``, the number of classes after each
+    circuit, and ``partition``, the rays of each summand of the finest
+    direct-sum splitting, sorted. A class's first ray is a basis ray, as a
+    ray off the basis depends on the basis rays before it.
     """
-    parent = list(range(d))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    left, counts = d, []
-    for support in supports:
-        for p in support[1:]:
-            a, b = find(support[0]), find(p)
-            if a != b:
-                parent[a] = b
-                left -= 1
-        counts.append(left)
-    return [find(i) for i in range(d)], counts
+    basis = independent_rows(c.rays)
+    solver = IntegerSolver(mat_transpose([c.rays[b] for b in basis]))
+    position = {b: pos for pos, b in enumerate(basis)}
+    circuits = {j: solver.solve(r) for j, r in enumerate(c.rays) if j not in position}
+    label, left = list(range(len(basis))), []
+    for j, (cf, _) in circuits.items():
+        support = [pos for pos, x in enumerate(cf) if x]
+        joined = {label[pos] for pos in support}
+        label = [min(joined) if x in joined else x for x in label]
+        left.append(len(set(label)))
+        position[j] = support[0]
+    groups: dict[int, list[int]] = {}
+    for i in range(len(c.rays)):
+        groups.setdefault(label[position[i]], []).append(i)
+    return RayCircuits(basis, solver, circuits, left, sorted(map(tuple, groups.values())))
 
 
 def irreducible_partition(c: PolyhedralCone) -> list[tuple[int, ...]]:
-    """Group ray indices into the summands of the finest direct-sum splitting.
-
-    Two rays share a summand exactly when a minimal linear dependence links
-    them; those classes are computed from the fundamental circuits of a ray
-    basis and their spans are automatically independent.
-    """
+    """Group ray indices into the summands of the finest direct-sum
+    splitting: ``ray_circuits``' classes, or one ray each on a simplicial
+    cone, where no ray lies off the basis."""
     k = len(c.rays)
     if k == c.ambient_dim:
         return [(i,) for i in range(k)]
-    basis_idx = independent_rows(c.rays)
-    solver = IntegerSolver(mat_transpose([c.rays[b] for b in basis_idx]))
-    rest = [e for e in range(k) if e not in basis_idx]
-    supports = [[pos for pos, x in enumerate(solver.solve(c.rays[e])[0]) if x] for e in rest]
-    roots, _ = support_classes(len(basis_idx), supports)
-    root = dict(zip(basis_idx, roots)) | {e: roots[s[0]] for e, s in zip(rest, supports)}
-    groups: dict[int, list[int]] = {}
-    for i in range(k):
-        groups.setdefault(root[i], []).append(i)
-    return sorted(tuple(g) for g in groups.values())
+    return ray_circuits(c).partition
 
 
 def irreducible_components(c: PolyhedralCone) -> list[PolyhedralCone]:

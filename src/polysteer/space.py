@@ -5,19 +5,22 @@ functional that is strictly positive on the cone, and effects fill the dual
 interval [0, unit]. Order isomorphisms between cones are found exactly by
 pairing extreme rays. The images of a frame fix the map: the frame is the
 shortest prefix of the source's rays that holds a ray basis and rays linking
-the basis rays of each irreducible component. So only the frame's rays are
-paired by search, one integer linear system gives the frame's scales and
-with them the map, and the pairing is looked up: each ray's image, made
-primitive, must be a target ray not yet used. The same lookup pairs the rays
-of a given map, for isomorphism states and face factorizations. A search is
-pinned by the first ray of each component at scale 1, or by an interior point
-alpha carried to beta: a transport, or a purification, which carries the unit
-of the dual cone onto a state. Either pin touches only basis rays, which lie
-in the frame. A pinned search runs only when the slack matrices pinned at
-alpha and at beta, which every isomorphism carrying alpha to beta permutes
-into each other, agree up to row and column order; when they do not, no map
-exists. Every returned witness carries enough data to be re-verified by
-substitution alone.
+the basis rays of each irreducible component. It is read off
+``cone.ray_circuits``, the one pass that gives the basis, its inverse, the
+circuit of every other ray over it and the components, so this module
+computes none of them. Only the frame's rays are paired by search, one
+integer linear system gives the frame's scales and with them the map, and
+the pairing is looked up: each ray's image, made primitive, must be a target
+ray not yet used. The same lookup pairs the rays of a given map, for
+isomorphism states and face factorizations. A search is pinned by the first
+ray of each component at scale 1, or by an interior point alpha carried to
+beta: a transport, or a purification, which carries the unit of the dual
+cone onto a state. Either pin touches only basis rays, which lie in the
+frame; alpha is written over them through the frame's inverse. A pinned
+search runs only when the slack matrices pinned at alpha and at beta, which
+every isomorphism carrying alpha to beta permutes into each other, agree up
+to row and column order; when they do not, no map exists. Every returned
+witness carries enough data to be re-verified by substitution alone.
 """
 
 from __future__ import annotations
@@ -35,16 +38,14 @@ from .cone import (
     dual_cone,
     ordered_direct_sum,
     pinned_slack,
-    support_classes,
+    ray_circuits,
 )
 from .dd import _vertex_rows, int_dot
 from .ratlin import (
-    IntegerSolver,
     Matrix,
     Vector,
     as_vector,
     integer_rows,
-    integral,
     integral_with_scale,
     invert,
     mat_transpose,
@@ -240,17 +241,20 @@ class OrderIsoWitness:
         """Whether the matrix is invertible and sends source ray i to
         scales[i] > 0 times target ray ray_bijection[i], for every i.
 
-        The matrix is written as integer rows over one denominator q, so with
-        s = a / b the check M r = s t reads b (q M) r = q a t in integers.
+        The matrix is written as integer rows over one denominator q: it is
+        invertible when they have rank d, and with s = a / b the check
+        M r = s t reads b (q M) r = q a t in integers.
         """
         n, d = len(source.rays), source.ambient_dim
         if sorted(self.ray_bijection) != list(range(n)) or len(target.rays) != n:
             return False
         if len(self.scales) != n or len(self.matrix) != d:
             return False
-        if any(len(row) != d for row in self.matrix) or invert(self.matrix) is None:
+        if any(len(row) != d for row in self.matrix):
             return False
         rows, q = integer_rows(self.matrix)
+        if rank(rows) < d:
+            return False
         for r, s, j in zip(source.rays, self.scales, self.ray_bijection):
             if s <= 0:
                 return False
@@ -306,27 +310,17 @@ def _fingerprints(c: PolyhedralCone, inc: list[frozenset[int]]) -> list[tuple]:
     return [tuple(sorted(facet_degree[k] for k in inc_i)) for inc_i in inc]
 
 
-def _ray_basis(c: PolyhedralCone) -> list[int]:
-    chosen: list[int] = []
-    current = 0
-    for i in range(len(c.rays)):
-        if rank([c.rays[j] for j in chosen] + [c.rays[i]]) > current:
-            chosen.append(i)
-            current += 1
-            if current == c.ambient_dim:
-                break
-    return chosen
-
-
 class _Frame(NamedTuple):
-    """The rays whose images fix an order isomorphism of a cone.
+    """The rays whose images fix an order isomorphism of a cone, read off
+    ``cone.ray_circuits``.
 
     ``basis`` is the greedy ray basis and ``inverse`` the inverse of the
-    matrix with the basis rays as columns, as integer rows over one scale.
-    The frame is the first ``length`` rays; ``extras`` maps each frame ray
-    off the basis to its coordinates over the basis followed by -1, scaled
-    together to integers. ``firsts`` holds the first ray of each
-    irreducible component, always a basis ray.
+    matrix with the basis rays as columns, as integer rows over one scale,
+    from the circuits' solver. The frame is the first ``length`` rays;
+    ``extras`` maps each frame ray off the basis to its circuit: its
+    coordinates over the basis followed by -1, scaled together to integers.
+    ``firsts`` holds the first ray of each irreducible component, always a
+    basis ray.
     """
 
     basis: list[int]
@@ -338,23 +332,19 @@ class _Frame(NamedTuple):
 
 def _frame(c: PolyhedralCone) -> _Frame:
     """The shortest prefix of the rays that holds the greedy ray basis and
-    rays whose supports over it link the basis rays of each irreducible
-    component, as every ray off the basis links them."""
-    basis = _ray_basis(c)
-    solver = IntegerSolver(mat_transpose([c.rays[b] for b in basis]))
-    rest = [j for j in range(len(c.rays)) if j not in basis]
-    coords = [solver.solve(c.rays[j]) for j in rest]
-    roots, left = support_classes(
-        len(basis), [[pos for pos, x in enumerate(cf) if x] for cf, _ in coords]
-    )
-    length = basis[-1] + 1
+    rays whose circuits over it link the basis rays of each irreducible
+    component, as every ray off the basis links them; read off
+    ``ray_circuits``."""
+    rc = ray_circuits(c)
+    rest = list(rc.circuits)
+    length = rc.basis[-1] + 1
     if rest:
         # Classes only merge, so the rays off the basis up to the first one
         # that brings them down to their final number link every component.
-        length = max(length, rest[left.index(left[-1])] + 1)
-    extras = {j: primitive((*cf, -d)) for j, (cf, d) in zip(rest, coords) if j < length}
-    firsts = [b for pos, b in enumerate(basis) if roots.index(roots[pos]) == pos]
-    return _Frame(basis, solver.inverse(), extras, firsts, length)
+        length = max(length, rest[rc.left.index(rc.left[-1])] + 1)
+    extras = {j: primitive((*cf, -d)) for j, (cf, d) in rc.circuits.items() if j < length}
+    firsts = [group[0] for group in rc.partition]
+    return _Frame(rc.basis, rc.solver.inverse(), extras, firsts, length)
 
 
 def _ray_permutations(
@@ -508,18 +498,18 @@ def isomorphism_carrying(
     if not s.is_simplicial() and s.interior_contains(alpha) and t.interior_contains(beta):
         if pinned_slack(s, alpha) != pinned_slack(t, beta):
             return None
-    # alpha as a combination of the source rays; the map sends it to the
-    # same combination of the scaled partners, which must be beta. The solve
-    # zeroes the free variables, so the weights sit on the greedy ray basis,
-    # inside the frame; they and beta are scaled to integers together once.
-    weights = solve_linear(mat_transpose(s.rays), as_vector(alpha))
-    ints = integral((*weights, *as_vector(beta)))
-    w, rhs = ints[:len(weights)], ints[len(weights):]
+    a, sa = integral_with_scale(alpha)
+    b, sb = integral_with_scale(beta)
 
     def pins(frame: _Frame, head: tuple[int, ...]) -> list[tuple[Sequence[int], int]]:
+        # alpha = A / sa has weights I A / (q sa) over the basis rays, I / q
+        # the frame's inverse; the map sends it to the same combination of
+        # the scaled partners, which must be beta = B / sb.
+        inv_rows, q = frame.inverse
+        w = dict(zip(frame.basis, (sb * int_dot(row, a) for row in inv_rows)))
         return [
-            (tuple(x * t.rays[j][k] for x, j in zip(w, head)), y)
-            for k, y in enumerate(rhs)
+            (tuple(w.get(j, 0) * t.rays[h][k] for j, h in enumerate(head)), q * sa * y)
+            for k, y in enumerate(b)
         ]
 
     return next(_isomorphisms(s, t, pins), None)

@@ -289,11 +289,17 @@ def extremal_ensembles(
 
     The vertices stay integer parts over a common scale. An ensemble's key
     is its sorted nonzero parts and scale, divided by their gcd, so it is
-    the same at every k; only an ensemble yielded is built as Fractions."""
+    the same at every k; only an ensemble yielded is built as Fractions.
+
+    No k past max(2, dim B) meets a new ensemble. If the spans of the faces
+    whose relative interiors hold a vertex's nonzero parts had dims summing
+    past dim B, some d_i in them, not all 0, would sum to 0, and the parts
+    +- t d_i would show the vertex a midpoint. So a vertex has at most dim B
+    nonzero parts, and they form a vertex at k = max(2, their count)."""
     if depth < 2:
         raise ValueError("the search depth must be at least 2")
     seen: set[tuple[int, tuple[IntVec, ...]]] = set()
-    for k in range(2, depth + 1):
+    for k in range(2, min(depth, max(2, space.dim)) + 1):
         verts, scale = _splittings(space, target, k)
         for parts in verts:
             nonzero = [p for p in parts if any(p)]

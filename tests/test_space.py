@@ -19,6 +19,7 @@ from polysteer.cone import (
     ordered_direct_sum,
     pinned_slack,
 )
+from polysteer.composite import max_tensor, min_tensor
 from polysteer.fixtures import fixture_library
 from polysteer.ratlin import (
     as_vector,
@@ -28,10 +29,13 @@ from polysteer.ratlin import (
     mat_mul,
     mat_transpose,
     mat_vec,
+    primitive,
+    rank,
     solve_linear,
     vec_dot,
     vec_scale,
 )
+from polysteer.ratlin import gauss
 from polysteer.space import (
     Effect,
     Observable,
@@ -48,7 +52,6 @@ from polysteer.space import (
     space_direct_sum,
     _frame,
     _isomorphisms,
-    _ray_basis,
     _ray_permutations,
     transport_automorphism,
 )
@@ -534,9 +537,23 @@ def test_transport_matches_the_strict_lp_reference():
 # entry and type for type, in the same order.
 
 
+def greedy_ray_basis(c):
+    """The greedy ray basis as the search chose it before the frame read
+    ``cone.ray_circuits``: a ray joins when it raises the rank."""
+    chosen: list[int] = []
+    current = 0
+    for i in range(len(c.rays)):
+        if rank([c.rays[j] for j in chosen] + [c.rays[i]]) > current:
+            chosen.append(i)
+            current += 1
+            if current == c.ambient_dim:
+                break
+    return chosen
+
+
 def full_pairing_isomorphisms(source, target, pins):
     n = len(source.rays)
-    basis = _ray_basis(source)
+    basis = greedy_ray_basis(source)
     base_inv = invert(mat_transpose([source.rays[b] for b in basis]))
     coeffs = {
         j: mat_vec(base_inv, r) for j, r in enumerate(source.rays) if j not in basis
@@ -657,6 +674,81 @@ def test_frame_lengths():
         c = ordered_direct_sum(lib[a].cone, lib[b].cone)
         assert f.firsts == [g[0] for g in irreducible_partition(c)]
         assert set(f.firsts) <= set(f.basis)
+
+
+# --- The frame and the irreducible partition against their old computation ---
+#
+# Before both read cone.ray_circuits, the frame took its basis from the
+# greedy rank loop and the partition came from its own elimination. The
+# reference recomputes both from that loop and a Fraction solve over the
+# basis, joining each ray off the basis with the basis rays its coordinates
+# hold, as sets.
+
+
+def reference_frame(c):
+    """(basis, inverse, extras, firsts, length) and the partition of c."""
+    basis = greedy_ray_basis(c)
+    base_inv = invert(mat_transpose([c.rays[b] for b in basis]))
+    coeffs = {j: mat_vec(base_inv, r) for j, r in enumerate(c.rays) if j not in basis}
+
+    def classes(off_basis):
+        groups = [{b} for b in basis]
+        for j in off_basis:
+            linked = {j} | {basis[pos] for pos, x in enumerate(coeffs[j]) if x}
+            touching = [g for g in groups if g & linked]
+            groups = [g for g in groups if not g & linked] + [linked.union(*touching)]
+        return sorted(tuple(sorted(g)) for g in groups)
+
+    partition = classes(coeffs)
+    length = next(
+        n for n in range(basis[-1] + 1, len(c.rays) + 1)
+        if len(classes([j for j in coeffs if j < n])) == len(partition)
+    )
+    extras = {j: primitive((*cf, -1)) for j, cf in coeffs.items() if j < length}
+    firsts = [g[0] for g in partition]
+    return (basis, base_inv, extras, firsts, length), partition
+
+
+def frame_pin_cones():
+    """The fixture cones and their duals, the min and max tensor cones of
+    the benchmark's four pairs, and the direct sums of the first five
+    fixture spaces: 49 cones."""
+    lib = fixture_library().spaces
+    cones = [c for sp in lib.values() for c in (sp.cone, dual_cone(sp.cone))]
+    for a, b in (("square_space", "square_space"), ("square_space", "pentagon_space"),
+                 ("simplex_3", "cube_space"), ("square_space", "cube_space")):
+        cones += [tensor(lib[a], lib[b]).cone for tensor in (min_tensor, max_tensor)]
+    first = list(lib.values())[:5]
+    cones += [ordered_direct_sum(a.cone, b.cone) for a in first for b in first]
+    return cones
+
+
+def test_frame_and_partition_match_the_rank_loop_reference():
+    cones = frame_pin_cones()
+    assert len(cones) == 49
+    for c in cones:
+        frame = _frame(c)
+        want, partition = reference_frame(c)
+        rows, q = frame.inverse
+        got_inverse = tuple(tuple(Fraction(x, q) for x in row) for row in rows)
+        got = (frame.basis, got_inverse, frame.extras, frame.firsts, frame.length)
+        assert got == want
+        assert irreducible_partition(c) == partition
+
+
+def test_frame_runs_two_eliminations(monkeypatch):
+    calls = []
+    eliminate = gauss._eliminate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(gauss, "_eliminate", counted)
+    for c in frame_pin_cones():
+        calls.clear()
+        _frame(c)
+        assert len(calls) <= 2, len(c.rays)
 
 
 def cross_polytope_cone(d):

@@ -406,6 +406,32 @@ def test_decide_steering_eliminates_the_map_once_per_state(name, monkeypatch):
     assert injective == (name not in KERNEL_STATES)
 
 
+def test_deep_searches_stop_at_the_marginal_dimension(monkeypatch):
+    """A vertex of a splitting polytope has at most dim B nonzero parts, so
+    depth 30 on a square state runs the k = 2 and k = 3 enumerations, meets
+    the same ensembles as depth 3 and reports the depth it was asked."""
+    omega = fixture_library().state("square_iso")
+    shallow = decide_steering(omega, 3)
+    calls = []
+    splittings = steering._splittings
+
+    def counted(*args):
+        calls.append(args[-1])
+        return splittings(*args)
+
+    monkeypatch.setattr(steering, "_splittings", counted)
+    deep = decide_steering(omega, 30)
+    assert calls == [2, 3]
+    assert deep.depth == 30 and deep.lifted == shallow.lifted and deep.status == shallow.status
+    # The bound itself, on the uncut enumeration: every vertex of a deeper
+    # splitting polytope of a fixture marginal has at most dim B nonzero parts.
+    monkeypatch.undo()
+    for fixture in fixture_library().states.values():
+        space, target = fixture.space_b, marginal_b(fixture).vector
+        verts, _ = steering._splittings(space, target, space.dim + 2)
+        assert verts and all(sum(map(any, parts)) <= space.dim for parts in verts)
+
+
 def test_ensemble_polytope_vertices_split_the_target():
     bit = simplex_space(2)
     target = (F(1, 2), F(1, 2))
