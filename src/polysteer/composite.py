@@ -39,16 +39,14 @@ from .ratlin import (
     independent_rows,
     int_mat_vec,
     integer_rows,
+    integral,
     integral_with_scale,
-    invert,
     lp_optimize,
-    mat_mul,
     mat_transpose,
     mat_vec,
     nullspace,
     vec_dot,
     vec_scale,
-    vec_zero,
 )
 from .space import (
     Effect,
@@ -459,37 +457,45 @@ def factors_isomorphically_through(
 ) -> Factorization | None:
     """A face F of the source with span(F) complementary to ker(phi), a
     positive idempotent onto F along the kernel, and phi restricted to F an
-    order isomorphism onto a face of the target; None when no face works."""
+    order isomorphism onto a face of the target; None when no face works.
+    Raises ValueError for a phi of the wrong shape or not positive.
+
+    phi is read as integer rows once. One ``independent_rows`` per face
+    gives its dimension rk and basis B, and the idempotent, which keeps
+    span(F) and kills the kernel, is B times the first rk rows of one
+    ``IntegerSolver`` inverse of the columns [B | kernel]. Once
+    ``pair_ray_images`` pairs F's rays with the rays of the face holding
+    phi(F), that face is phi(F), so its dimension is not computed."""
     phi = as_matrix(phi)
-    for r in source.rays:
-        if not target.contains(mat_vec(phi, as_vector(r))):
-            raise ValueError("map is not positive on the source cone")
     d = source.ambient_dim
-    kern = nullspace(list(phi))
-    rk = len(phi[0]) - len(kern)
+    if len(phi) != target.ambient_dim or any(len(row) != d for row in phi):
+        raise ValueError("matrix shape does not match the cones")
+    rows, q = integer_rows(phi)
+    if not all(target._packed_facets.holds([int_dot(row, r) for row in rows])
+               for r in source.rays):
+        raise ValueError("map is not positive on the source cone")
+    kern = [integral(k) for k in nullspace(rows, ncols=d)]
+    rk = d - len(kern)
     if rk == 0:
         return None
-    rows, q = integer_rows(phi)
     for face in all_faces(source):
-        face_rays = [as_vector(r) for r in face.rays()]
-        if not face_rays or face.span_dim() != rk:
+        face_rays = face.rays()
+        if len(face_rays) < rk or len(basis := independent_rows(face_rays)) != rk:
             continue
-        span_basis = [face_rays[i] for i in independent_rows(face_rays)]
-        cols_inv = invert(mat_transpose(span_basis + kern))
-        if cols_inv is None:
+        span_basis = [face_rays[i] for i in basis]
+        inv = IntegerSolver(mat_transpose(span_basis + kern)).inverse()
+        if inv is None:
             continue
-        # The idempotent keeps span(F) and kills the kernel.
-        p = mat_mul(mat_transpose(span_basis + [vec_zero(d)] * len(kern)), cols_inv)
-        if any(not face.contains(mat_vec(p, as_vector(r))) for r in source.rays):
+        inv_rows, s = inv
+        p = [[int_dot(b, w) for w in zip(*inv_rows[:rk])] for b in zip(*span_basis)]
+        if any(not face.contains([int_dot(row, r) for row in p]) for r in source.rays):
             continue
-        total = mat_vec(phi, tuple(map(sum, zip(*face_rays))))
-        target_face = face_of(target, total)
-        if target_face.span_dim() != rk:
-            continue
-        pairing = pair_ray_images(rows, q, face.rays(), target_face.rays())
+        target_face = face_of(target, [sum(int_dot(row, r) for r in face_rays) for row in rows])
+        pairing = pair_ray_images(rows, q, face_rays, target_face.rays())
         if pairing is None:
             continue
-        return Factorization(face, p, target_face, *pairing)
+        idempotent = tuple(tuple(Fraction(x, s) for x in row) for row in p)
+        return Factorization(face, idempotent, target_face, *pairing)
     return None
 
 

@@ -410,20 +410,24 @@ def irreducible_partition(c: PolyhedralCone) -> list[tuple[int, ...]]:
     """Group ray indices into the summands of the finest direct-sum
     splitting: ``ray_circuits``' classes, or one ray each on a simplicial
     cone, where no ray lies off the basis."""
-    k = len(c.rays)
-    if k == c.ambient_dim:
-        return [(i,) for i in range(k)]
+    if c.is_simplicial():
+        return [(i,) for i in range(len(c.rays))]
     return ray_circuits(c).partition
 
 
 def irreducible_components(c: PolyhedralCone) -> list[PolyhedralCone]:
-    """The irreducible summands, each written in coordinates of its own span."""
+    """The irreducible summands, each written in coordinates of its own span:
+    over the basis rays in the summand, read off ``ray_circuits``, a basis ray
+    is a unit vector and any other ray its circuit, up to the positive scale
+    cone_from_rays drops. A simplicial cone's summands are its rays."""
+    if c.is_simplicial():
+        return [cone_from_rays([(1,)], 1) for _ in c.rays]
+    rc = ray_circuits(c)
+    coords = {j: cf for j, (cf, _) in rc.circuits.items()}
+    for pos, b in enumerate(rc.basis):
+        coords[b] = [int(k == pos) for k in range(len(rc.basis))]
     out = []
-    for group in irreducible_partition(c):
-        group_rays = [c.rays[i] for i in group]
-        sub_basis = [group_rays[i] for i in independent_rows(group_rays)]
-        solver = IntegerSolver(mat_transpose(sub_basis))
-        # Each ray over the basis, up to the positive scale cone_from_rays drops.
-        coords = [solver.solve(r)[0] for r in group_rays]
-        out.append(cone_from_rays(coords, len(sub_basis)))
+    for group in rc.partition:
+        keep = [pos for pos, b in enumerate(rc.basis) if b in group]
+        out.append(cone_from_rays([[coords[i][k] for k in keep] for i in group], len(keep)))
     return out

@@ -162,13 +162,6 @@ def mat_vec(m: Sequence[Sequence[Fraction]], v: Sequence[Fraction]) -> Vector:
     return tuple(_dot_over(a, b, s * t) for a, s in map(integral_with_scale, m))
 
 
-def mat_mul(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> Matrix:
-    cols = [integral_with_scale(c) for c in mat_transpose(b)]
-    return tuple(
-        tuple(_dot_over(r, c, s * t) for c, t in cols) for r, s in map(integral_with_scale, a)
-    )
-
-
 def mat_transpose(m: Sequence[Sequence[Fraction]]) -> Matrix:
     return tuple(zip(*m, strict=True))
 

@@ -11,16 +11,16 @@ circuit of every other ray over it and the components, so this module
 computes none of them. Only the frame's rays are paired by search, one
 integer linear system gives the frame's scales and with them the map, and
 the pairing is looked up: each ray's image, made primitive, must be a target
-ray not yet used. The same lookup pairs the rays of a given map, for
-isomorphism states and face factorizations. A search is pinned by the first
-ray of each component at scale 1, or by an interior point alpha carried to
-beta: a transport, or a purification, which carries the unit of the dual
-cone onto a state. Either pin touches only basis rays, which lie in the
-frame; alpha is written over them through the frame's inverse. A pinned
-search runs only when the slack matrices pinned at alpha and at beta, which
-every isomorphism carrying alpha to beta permutes into each other, agree up
-to row and column order; when they do not, no map exists. Every returned
-witness carries enough data to be re-verified by substitution alone.
+ray not yet used. The same lookup checks every witness and pairs the rays of
+a given map, for isomorphism states and face factorizations. A search is
+pinned by the first ray of each component at scale 1, or by an interior point
+alpha carried to beta: a transport, or a purification, which carries the unit
+of the dual cone onto a state. Either pin touches only basis rays, which lie
+in the frame; alpha is written over them through the frame's inverse. A
+pinned search runs only when the slack matrices pinned at alpha and at beta,
+which every isomorphism carrying alpha to beta permutes into each other,
+agree up to row and column order; when they do not, no map exists. Every
+returned witness carries enough data to be re-verified by substitution alone.
 """
 
 from __future__ import annotations
@@ -242,26 +242,16 @@ class OrderIsoWitness:
         scales[i] > 0 times target ray ray_bijection[i], for every i.
 
         The matrix is written as integer rows over one denominator q: it is
-        invertible when they have rank d, and with s = a / b the check
-        M r = s t reads b (q M) r = q a t in integers.
+        invertible when they have rank d, and it pairs the rays as claimed
+        exactly when ``pair_ray_images``, the search's own lookup, returns
+        the witness's pairing and scales.
         """
-        n, d = len(source.rays), source.ambient_dim
-        if sorted(self.ray_bijection) != list(range(n)) or len(target.rays) != n:
-            return False
-        if len(self.scales) != n or len(self.matrix) != d:
-            return False
-        if any(len(row) != d for row in self.matrix):
+        d = source.ambient_dim
+        if len(self.matrix) != d or any(len(row) != d for row in self.matrix):
             return False
         rows, q = integer_rows(self.matrix)
-        if rank(rows) < d:
-            return False
-        for r, s, j in zip(source.rays, self.scales, self.ray_bijection):
-            if s <= 0:
-                return False
-            b, qa = s.denominator, q * s.numerator
-            if [b * int_dot(row, r) for row in rows] != [qa * x for x in target.rays[j]]:
-                return False
-        return True
+        claim = tuple(self.ray_bijection), tuple(self.scales)
+        return rank(rows) == d and pair_ray_images(rows, q, source.rays, target.rays) == claim
 
 
 def pair_ray_images(

@@ -1,5 +1,6 @@
 """LP rows read at their rational values, and the Fraction vector
-difference, for the Fraction-row references of the tests."""
+difference and matrix product, for the Fraction-row references of the
+tests."""
 
 from fractions import Fraction
 
@@ -17,3 +18,10 @@ def rational_rows(rows):
 def vec_sub(u, v):
     """u - v entry by entry, for vectors of one length."""
     return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
+def mat_mul(a, b):
+    """The Fraction matrix product a b, for matrices whose shapes agree."""
+    cols = list(zip(*b, strict=True))
+    return tuple(tuple(sum((Fraction(x) * y for x, y in zip(r, c, strict=True)), Fraction(0))
+                       for c in cols) for r in a)

@@ -39,7 +39,6 @@ from polysteer.ratlin import (
     as_matrix,
     as_vector,
     invert,
-    mat_mul,
     mat_vec,
     primitive,
     rank,
@@ -58,6 +57,7 @@ from polysteer.space import (
     pair_ray_images,
 )
 import reference_lp_loops
+from rational_rows import mat_mul
 from test_space import ungated_transport
 
 SQUARE_RAYS = [(-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1)]

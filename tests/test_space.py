@@ -26,7 +26,6 @@ from polysteer.ratlin import (
     independent_rows,
     integral,
     invert,
-    mat_mul,
     mat_transpose,
     mat_vec,
     primitive,
@@ -55,6 +54,7 @@ from polysteer.space import (
     _ray_permutations,
     transport_automorphism,
 )
+from rational_rows import mat_mul
 from strict_lp import strict_witness
 
 SQUARE_RAYS = [(-1, -1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, 1)]
