@@ -419,9 +419,7 @@ def irreducible_components(c: PolyhedralCone) -> list[PolyhedralCone]:
     """The irreducible summands, each written in coordinates of its own span:
     over the basis rays in the summand, read off ``ray_circuits``, a basis ray
     is a unit vector and any other ray its circuit, up to the positive scale
-    cone_from_rays drops. A simplicial cone's summands are its rays."""
-    if c.is_simplicial():
-        return [cone_from_rays([(1,)], 1) for _ in c.rays]
+    cone_from_rays drops."""
     rc = ray_circuits(c)
     coords = {j: cf for j, (cf, _) in rc.circuits.items()}
     for pos, b in enumerate(rc.basis):

@@ -360,14 +360,6 @@ class AffineSection:
             object.__setattr__(self, "_built", built)
         return built
 
-    def _sharing(self, images: tuple[Vector, ...]) -> AffineSection:
-        """The section on these base points with these images, built on this
-        section's solver and row scales: only the image columns are new."""
-        section = AffineSection(self.base_points, images)
-        built = *self._system()[:2], integer_rows(mat_transpose(images))
-        object.__setattr__(section, "_built", built)
-        return section
-
     def _weights(self, y: Sequence) -> tuple[list[int], int]:
         """coordinates(y) as integers over one positive denominator."""
         t, q = integral_with_scale((*y, 1))
@@ -547,8 +539,7 @@ def _parametrized_program(
     ray r reads r.x_i = r.w_i + (r K).xi_i, so the ge rows are
     _section_rows' from the functionals (r K, r.w_i), each read on K and w
     scaled to integers once; `values` passes through as the value
-    functionals. Each decoded section is built on the frame's solver and
-    row scales, so only its image columns are its own."""
+    functionals."""
     k_rows, k_scale = integer_rows(kernel)
     w_rows, w_scale = integer_rows(w)
     rays = [
@@ -556,14 +547,14 @@ def _parametrized_program(
         for r in omega.space_a.cone.rays
     ]
     eq, ge = _section_rows(omega, rays, values)
-    coords, kappa = _interval_basis(omega)[2], len(kernel)
+    basis, kappa = _interval_basis(omega)[2].base_points, len(kernel)
 
     def decode(xi: Vector) -> AffineSection:
         images = tuple(
             mat_vec(mat_transpose([wi, *kernel]), (1, *xi[i * kappa:(i + 1) * kappa]))
             for i, wi in enumerate(w)
         )
-        return coords._sharing(images)
+        return AffineSection(basis, images)
 
     return LinearProgram(len(w) * kappa, eq=eq, ge=ge), decode
 
@@ -594,16 +585,16 @@ def section_program(omega: BipartiteState) -> SectionProgram:
     preimages of the basis points and K's columns span the kernel of the
     state's map, so the value rows vanish identically and the program runs
     over kernel coefficients only. With a trivial kernel, K = () and the one
-    candidate section, on the frame's solver, sends each basis point to its
-    preimage; it is checked by AffineSection._holds, as verify checks a
-    section, before any row is written: if it holds, the program has no
-    unknowns and no rows and decodes to that candidate. When a basis point
-    has no preimage, or that candidate fails, the program is
-    _section_search_full's instead, with w = 0 and K = I and the value rows.
+    candidate section sends each basis point to its preimage; it is checked
+    by AffineSection._holds, as verify checks a section, before any row is
+    written: if it holds, the program has no unknowns and no rows and
+    decodes to that candidate. When a basis point has no preimage, or that
+    candidate fails, the program is _section_search_full's instead, with
+    w = 0 and K = I and the value rows.
     """
-    coords = _interval_basis(omega)[2]
+    basis = _interval_basis(omega)[2].base_points
     particular: list[Vector] = []
-    for p in coords.base_points:
+    for p in basis:
         w0 = solve_linear(omega.matrix, p)
         if w0 is None:
             return _section_search_full(omega)
@@ -611,7 +602,7 @@ def section_program(omega: BipartiteState) -> SectionProgram:
     kernel = nullspace(omega.matrix, ncols=omega.space_a.dim)
     if kernel:
         return _parametrized_program(omega, particular, kernel)
-    candidate = coords._sharing(tuple(particular))
+    candidate = AffineSection(basis, tuple(particular))
     if not candidate._holds(omega):
         return _section_search_full(omega)
     return LinearProgram(0), lambda xi: candidate

@@ -170,10 +170,9 @@ def test_components_match_the_reference():
         assert repr(irreducible_components(c)) == repr(ref.irreducible_components(c))
 
 
-
 def test_components_eliminate_the_rays_twice(monkeypatch):
     # ray_circuits' basis and solver, and nothing more besides the summands'
-    # own cone_from_rays; none on a simplicial cone.
+    # own cone_from_rays, simplicial cones included.
     calls = count_eliminations(monkeypatch)
     build = cone.cone_from_rays
 
@@ -187,4 +186,4 @@ def test_components_eliminate_the_rays_twice(monkeypatch):
     for c in component_cones():
         calls.clear()
         irreducible_components(c)
-        assert len(calls) == (0 if c.is_simplicial() else 2)
+        assert len(calls) == 2

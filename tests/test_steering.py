@@ -865,33 +865,6 @@ def test_section_verify_rejects_tampered_images():
         assert not other.verify(omega)
 
 
-def test_sections_share_their_frame_solver(monkeypatch, criterion_8_sequence):
-    # Each section a program decodes, and the trivial-kernel candidate, is
-    # built on the frame's solver: a state's first search builds that one,
-    # a second search builds none, and neither does verifying what it found.
-    builds = []
-    solver = steering.IntegerSolver
-
-    def counted(rows):
-        builds.append(1)
-        return solver(rows)
-
-    monkeypatch.setattr(steering, "IntegerSolver", counted)
-    states = criterion_8_sequence(20)
-    for _ in range(2):
-        for omega in states:
-            affine_section_search(omega)
-    assert len(builds) == len(states)
-    omega = fixture_library().states["two_squares_twisted"]
-    search = affine_section_search(omega)
-    builds.clear()
-    assert search.section.verify(omega) and search.alternate.verify(omega)
-    assert builds == []
-    # A section built by hand keeps its own solver.
-    assert AffineSection(search.section.base_points, search.section.images).verify(omega)
-    assert len(builds) == 1
-
-
 # ---------------------------------------------------------------------------
 # Both directions, adjoints, and the isomorphism cross-check
 
