@@ -408,10 +408,8 @@ def ray_circuits(c: PolyhedralCone) -> RayCircuits:
 
 def irreducible_partition(c: PolyhedralCone) -> list[tuple[int, ...]]:
     """Group ray indices into the summands of the finest direct-sum
-    splitting: ``ray_circuits``' classes, or one ray each on a simplicial
-    cone, where no ray lies off the basis."""
-    if c.is_simplicial():
-        return [(i,) for i in range(len(c.rays))]
+    splitting: ``ray_circuits``' classes, one ray each on a simplicial cone,
+    where no ray lies off the basis."""
     return ray_circuits(c).partition
 
 

@@ -34,9 +34,9 @@ Matrix = tuple[Vector, ...]
 
 # One literal, 'p/q' or 'p', matched whole after strip(). A vector's
 # literals joined by commas match _LITERALS_RE, where Unicode \s is exactly
-# the whitespace str.strip() removes (str.isspace()).
+# the whitespace str.strip() removes (str.isspace()); one literal is a vector
+# of one, with no comma.
 _LITERAL = r"[+-]?[0-9]+(?:/[1-9][0-9]*)?"
-_RATIONAL_RE = re.compile(_LITERAL)
 _LITERALS_RE = re.compile(rf"\s*{_LITERAL}\s*(?:,\s*{_LITERAL}\s*)*")
 # The interpreter's limit on the digits int() reads from a string (Python
 # 3.10.7 on; before that there is none, read as 0). A nonzero limit is never
@@ -61,12 +61,7 @@ def is_rational_literal(text) -> bool:
     nor q longer than the interpreter's limit on the digits of an integer
     string, ``sys.get_int_max_str_digits()`` (none when 0). Floats,
     exponents and negative denominators are refused."""
-    if not isinstance(text, str):
-        return False
-    text = text.strip()
-    return _RATIONAL_RE.fullmatch(text) is not None and (
-        len(text) <= _SHORT or not _digits_over_limit(text)
-    )
+    return are_rational_literals([text])
 
 
 def _literal_digit_error(text) -> str | None:
@@ -74,7 +69,7 @@ def _literal_digit_error(text) -> str | None:
     denominator has more digits than ``int()`` reads; None for any other
     text, which ``is_rational_literal`` accepts or refuses by pattern."""
     text = text.strip() if isinstance(text, str) else ""
-    if _RATIONAL_RE.fullmatch(text) is None or not (n := _digits_over_limit(text)):
+    if "," in text or not _LITERALS_RE.fullmatch(text) or not (n := _digits_over_limit(text)):
         return None
     return (
         f"a part of {n} digits exceeds the {_int_str_limit()}-digit "

@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Sequence
 
 from .composite import BipartiteState, is_isomorphism_state, marginal_b, purify
 from .cone import cone_from_rays, face_of, is_extremal
-from .dd import IntVec, _vertex_rows, int_dot, polytope_vertices
+from .dd import IntVec, int_dot, polytope_vertices
 from .ratlin import (
     IntegerSolver,
     LinearProgram,
@@ -49,6 +49,7 @@ from .space import (
     HomogeneityVerdict,
     Observable,
     StateSpace,
+    _splittings,
     effects_interval,
     is_homogeneous,
     is_weakly_self_dual,
@@ -226,44 +227,6 @@ class SteeringVerdict:
         return self.status == "steering_up_to"
 
 
-def _splittings(
-    space: StateSpace, target: Sequence, k: int
-) -> tuple[list[tuple[IntVec, ...]], int]:
-    """The vertices of the k-part splitting polytope of target, as integer
-    parts over one common positive scale, in ``ensemble_polytope_vertices``'
-    order.
-
-    With target = t / q, the unknowns are the first k - 1 parts times q, so
-    every row is integer: g.P_i >= 0 per facet g and part, and the closing
-    row g.(t - sum P_i) >= 0. A vertex read as rows V_i over s has parts
-    V_i / (s q), and the closing part is (s t - sum V_i) / (s q).
-
-    The rows come in one block per part, so double description takes them
-    in input order (see ``dd``), which gave the same vertices faster than
-    maxcut on every splitting polytope timed."""
-    if k < 1:
-        raise ValueError("a splitting needs at least one part")
-    t, q = integral_with_scale(target)
-    if not space.cone.contains(t):
-        raise ValueError("the split target must lie in the cone")
-    db = space.dim
-    n = (k - 1) * db
-    facets = space.cone.facets
-    rows = [
-        (0,) * (i * db) + g + (0,) * (n - (i + 1) * db + 1)
-        for i in range(k - 1)
-        for g in facets
-    ]
-    rows += [tuple(-c for c in g) * (k - 1) + (int_dot(g, t),) for g in facets]
-    verts, s = _vertex_rows(rows, n, in_order=True)
-    out = []
-    for v in verts:
-        parts = [v[i * db:(i + 1) * db] for i in range(k - 1)]
-        parts.append(tuple(s * x - sum(col) for x, *col in zip(t, *parts)))
-        out.append(tuple(parts))
-    return out, s * q
-
-
 def ensemble_polytope_vertices(
     space: StateSpace, target: Sequence, k: int
 ) -> list[tuple[Vector, ...]]:
@@ -271,7 +234,7 @@ def ensemble_polytope_vertices(
 
     A splitting is given by its first k - 1 parts: for each facet g, the rows
     g.p_i >= 0 and the closing row g.(target - sum p_i) >= 0."""
-    verts, scale = _splittings(space, target, k)
+    verts, scale = _splittings(space.cone, target, k)
     return [_over(parts, scale) for parts in verts]
 
 
@@ -300,7 +263,7 @@ def extremal_ensembles(
         raise ValueError("the search depth must be at least 2")
     seen: set[tuple[int, tuple[IntVec, ...]]] = set()
     for k in range(2, min(depth, max(2, space.dim)) + 1):
-        verts, scale = _splittings(space, target, k)
+        verts, scale = _splittings(space.cone, target, k)
         for parts in verts:
             nonzero = [p for p in parts if any(p)]
             if not nonzero:

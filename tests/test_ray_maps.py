@@ -6,16 +6,16 @@ Each input must give the same repr, or the same error, at both ends.
 """
 
 import random
-from itertools import islice
+from itertools import islice, product
 
 import pytest
 
 from polysteer import cone
-from polysteer.composite import factors_isomorphically_through
+from polysteer.composite import factors_isomorphically_through, is_isomorphism_state
 from polysteer.cone import dual_cone, irreducible_components, ordered_direct_sum
 from polysteer.fixtures import fixture_library
 from polysteer.ratlin import gauss
-from polysteer.space import OrderIsoWitness, order_isomorphisms
+from polysteer.space import OrderIsoWitness, order_isomorphisms, pair_ray_images
 import reference_factorization as ref
 
 
@@ -147,6 +147,31 @@ def test_verify_matches_the_per_ray_reference():
                 checked += 1
                 held += got
     assert (checked, held) == (1520, 178)
+
+
+def test_every_found_witness_verifies():
+    # The search yields the witness its ray lookup built, with no check of
+    # its own; each must pass the checker `verify` runs and the per-ray one.
+    cones = [c for sp in fixture_library().spaces.values() for c in (sp.cone, dual_cone(sp.cone))]
+    cube = cone.cone_from_rays([(*signs, 1) for signs in product((1, -1), repeat=4)], 5)
+    pairs = [(a, b) for a in cones for b in cones] + [(cube, cube)]
+    found = []
+    for source, target in pairs:
+        for w in order_isomorphisms(source, target):
+            assert w.verify(source, target) and ref.witness_verify(w, source, target)
+            found.append(w)
+    assert len(pairs) == 257 and sum(len(w.matrix) == 5 for w in found) == 384
+    assert len(found) == 984
+
+
+def test_a_pairing_of_another_width_is_no_isomorphism_state():
+    # The 3 x 4 map of cube_to_hexagon pairs the 6 rays of the octahedron
+    # cone with the hexagon's 6; only verify's d x d shape check refuses it.
+    om = fixture_library().states["cube_to_hexagon"]
+    rows, q = om._rows
+    source, target = dual_cone(om.space_a.cone), om.space_b.cone
+    assert pair_ray_images(rows, q, source.rays, target.rays) is not None
+    assert is_isomorphism_state(om) is None
 
 
 def component_cones():

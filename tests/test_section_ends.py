@@ -133,7 +133,7 @@ def test_end_check_refuses_ragged_images_before_any_check():
 def counted(monkeypatch, module, name):
     calls = []
     real = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(1) or real(*a, **kw))
     return calls
 
 

@@ -428,7 +428,7 @@ def test_deep_searches_stop_at_the_marginal_dimension(monkeypatch):
     monkeypatch.undo()
     for fixture in fixture_library().states.values():
         space, target = fixture.space_b, marginal_b(fixture).vector
-        verts, _ = steering._splittings(space, target, space.dim + 2)
+        verts, _ = steering._splittings(space.cone, target, space.dim + 2)
         assert verts and all(sum(map(any, parts)) <= space.dim for parts in verts)
 
 

@@ -235,7 +235,6 @@ def test_vertex_enumeration_matches_the_lp_probe_oracle(monkeypatch):
         return oracle_rows(*a, **kw)
 
     monkeypatch.setattr(polysteer.steering, "polytope_vertices", oracle)
-    monkeypatch.setattr(polysteer.steering, "_vertex_rows", counted)
     monkeypatch.setattr(polysteer.space, "_vertex_rows", counted)
     expected, unseen = [], []
     for label, run in CASES:

@@ -73,8 +73,8 @@ def test_polytope_vertices_match_the_fraction_reference(monkeypatch):
         cases.append((ineqs, dim, None))
         return polytope_vertices(ineqs, dim)
 
-    def recorded_rows(rows, dim):
-        out = _vertex_rows(rows, dim)
+    def recorded_rows(rows, dim, *, in_order=False):
+        out = _vertex_rows(rows, dim, in_order=in_order)
         cases.append(([(r[:dim], -r[dim]) for r in rows], dim, out))
         return out
 
